@@ -261,56 +261,6 @@ func BenchmarkFig4nVaryIntvl(b *testing.B) {
 	}
 }
 
-// BenchmarkPruning measures the attribute-index candidate pruning (§6.2
-// optimization step (3)): batch and incremental detection with the indexes
-// on vs off, over a Σ whose CFD-style constant preconditions (flag = 1)
-// range from typed entities (label seeding already selective) to untyped
-// ones (where only the index is selective). cost_units is the deterministic
-// work metric.
-//
-// The Dect pruned/unpruned cost ratio is the figure of merit. The IncDect
-// arm is a neutrality control, not a speedup claim: pivot-anchored plans
-// have no seed steps to index, so its cost_units are expected to be
-// identical in both modes (wall time still gains from skipping the
-// double literal evaluation; see DESIGN.md §3).
-func BenchmarkPruning(b *testing.B) {
-	b.ReportAllocs()
-	p := gen.YAGO2
-	ds := gen.Generate(p, benchEntities, 1)
-	rules := gen.EffectivenessRules(p)
-	rules.Add(gen.WildFlagRule(0))
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.15), Gamma: 1, Seed: 31})
-
-	for _, bc := range []struct {
-		name string
-		off  bool
-	}{{"Dect/pruned", false}, {"Dect/unpruned", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var work float64
-			for i := 0; i < b.N; i++ {
-				r := detect.Dect(ds.G, rules, detect.Options{NoPruning: bc.off})
-				work = float64(r.Counters.Candidates + r.Counters.Checks)
-			}
-			b.ReportMetric(work, "cost_units")
-		})
-	}
-	for _, bc := range []struct {
-		name string
-		off  bool
-	}{{"IncDect/pruned", false}, {"IncDect/unpruned", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var work float64
-			for i := 0; i < b.N; i++ {
-				r := inc.IncDect(ds.G, rules, d, inc.Options{NoPruning: bc.off})
-				work = float64(r.Counters.Candidates + r.Counters.Checks)
-			}
-			b.ReportMetric(work, "cost_units")
-		})
-	}
-}
-
 // BenchmarkSessionStream measures a continuous detection session's
 // sustained commit+detect throughput over a burst-skewed update stream
 // against recomputing Dect from scratch after every batch — the
@@ -470,11 +420,19 @@ func BenchmarkPlanProgram(b *testing.B) {
 	})
 	b.Run("DectPerRule", func(b *testing.B) {
 		b.ReportAllocs()
-		prog := plan.New(w.ds.G, w.rules, plan.Options{NoSharing: true})
+		// Σ_r Dect(G, {r}): singleton sets share nothing by construction
+		sets := make([]*core.Set, len(w.rules.Rules))
+		for i, r := range w.rules.Rules {
+			sets[i] = core.NewSet(r)
+		}
+		prog := plan.New(w.ds.G, w.rules, plan.Options{})
 		var work float64
 		for i := 0; i < b.N; i++ {
-			r := detect.Dect(w.ds.G, w.rules, detect.Options{Program: prog})
-			work = float64(r.Counters.Candidates + r.Counters.Checks)
+			work = 0
+			for _, one := range sets {
+				r := detect.Dect(w.ds.G, one, detect.Options{Program: prog})
+				work += float64(r.Counters.Candidates + r.Counters.Checks)
+			}
 		}
 		b.ReportMetric(work, "cost_units")
 	})

@@ -24,6 +24,10 @@
 // a per-traversal allocation regression the benchmarks may take weeks to
 // surface).
 //
+// Finally it keeps the reference oracle (internal/ref, the brute-force
+// detector every differential suite is grounded in) out of production: no
+// non-test file outside internal/ref may import it.
+//
 // Usage: ngdlint [repo root]   (default ".")
 // Exit 0 = clean, 1 = violations (one "file:line: message" per finding),
 // 2 = bad invocation or unparsable source.
@@ -59,6 +63,14 @@ var banned = map[string]string{
 // churn the pooled graph.NodeSet bitsets removed. Test files are exempt
 // (reference implementations in differential tests use maps on purpose).
 var hotPackages = []string{"internal/match", "internal/detect", "internal/inc"}
+
+// refDir holds the reference oracle and refImport is its import path: the
+// oracle is the tests' ground truth precisely because the engine does not
+// depend on it, so only _test.go files (and the package itself) may import it.
+const (
+	refDir    = "internal/ref"
+	refImport = "ngd/internal/ref"
+)
 
 func main() {
 	root := "."
@@ -102,6 +114,27 @@ func main() {
 			path := filepath.Join(root, dir, name)
 			findings = append(findings, lintSeenSets(fset, path)...)
 		}
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			// hidden directories hold build caches and VCS state, not source
+			if (path != root && strings.HasPrefix(name, ".")) || path == filepath.Join(root, refDir) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			findings = append(findings, lintRefImport(fset, path)...)
+		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
+		os.Exit(2)
 	}
 	for _, f := range findings {
 		fmt.Println(f)
@@ -187,6 +220,24 @@ func lintSeenSets(fset *token.FileSet, path string) []string {
 			fset.Position(mt.Pos())))
 		return true
 	})
+	return findings
+}
+
+// lintRefImport reports an import of the reference oracle.
+func lintRefImport(fset *token.FileSet, path string) []string {
+	f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
+		os.Exit(2)
+	}
+	var findings []string
+	for _, imp := range f.Imports {
+		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == refImport {
+			findings = append(findings, fmt.Sprintf(
+				"%s: import %q outside a _test.go file: the reference oracle is for tests only",
+				fset.Position(imp.Pos()), p))
+		}
+	}
 	return findings
 }
 

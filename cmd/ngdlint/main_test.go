@@ -66,6 +66,29 @@ var _ = big.NewRat(1, 2)
 	}
 }
 
+func TestRefImportBanned(t *testing.T) {
+	write := func(src string) string {
+		path := filepath.Join(t.TempDir(), "x.go")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	got := lintRefImport(token.NewFileSet(), write(`package p
+import oracle "ngd/internal/ref"
+var _ = oracle.Detect
+`))
+	if len(got) != 1 || !strings.Contains(got[0], "for tests only") {
+		t.Fatalf("want one oracle-import finding, got %v", got)
+	}
+	if got := lintRefImport(token.NewFileSet(), write(`package p
+import "ngd/internal/detect"
+var _ = detect.Dect
+`)); len(got) != 0 {
+		t.Fatalf("clean file flagged: %v", got)
+	}
+}
+
 // TestRepoIsClean runs the real walk over this repository: the guarded
 // packages must stay free of wall-clock and randomness imports.
 func TestRepoIsClean(t *testing.T) {

@@ -92,7 +92,6 @@ var (
 	anMode    = flag.String("analyze", "warn", "Σ admission gate: strict (refuse an unsatisfiable Σ, exit 3), warn (log findings, serve anyway), off (skip analysis and minimization)")
 	anTimeout = flag.Duration("analyze-timeout", 30*time.Second, "wall-clock budget for the Σ analysis; exhausted probes degrade to unknown (never refuse)")
 	pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); keeps profiling off the public listener")
-	packSnaps = flag.Bool("pack-snapshots", false, "publish each epoch as a CSR-packed frozen graph copy (cache-linear reader scans; costs O(|V|+|E|) per commit)")
 )
 
 func main() {
@@ -106,7 +105,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sessOpts := session.Options{Parallel: *parallel, Par: par.Hybrid(*workers), PackSnapshots: *packSnaps}
+	sessOpts := session.Options{Parallel: *parallel, Par: par.Hybrid(*workers)}
 	if gateMode == analyze.ModeOff {
 		sessOpts.Analyze.NoMinimize = true
 	}

@@ -28,11 +28,6 @@ import (
 type Options struct {
 	// Limit stops after this many violations (0 = unlimited).
 	Limit int
-	// NoPruning disables index-backed candidate pruning (§6.2 step (3)),
-	// falling back to full label-bucket scans. Pruning never changes the
-	// violation set — the toggle exists for differential tests and for
-	// measuring the pruning speedup.
-	NoPruning bool
 	// Program is the shared rule program to plan with. nil builds a
 	// private one for this call (one-shot detection); long-lived callers
 	// (sessions, the serving daemon, benchmarks replaying batches) pass
@@ -45,7 +40,7 @@ func (o Options) program(g graph.View, rules *core.Set) *plan.Program {
 	if o.Program != nil {
 		return o.Program
 	}
-	return plan.New(g, rules, plan.Options{NoPruning: o.NoPruning})
+	return plan.New(g, rules, plan.Options{})
 }
 
 // Result of a batch detection run.
@@ -57,40 +52,15 @@ type Result struct {
 // Dect computes Vio(Σ, G) sequentially (the yardstick batch algorithm).
 // Rules whose plans share a structural prefix are enumerated together: the
 // shared steps' candidate scans and edge checks run once, and each rule's
-// literal schedule is layered on top (see RunShared). Programs built with
-// NoSharing fall back to one independent search per rule.
+// literal schedule is layered on top (see RunShared).
 func Dect(g graph.View, rules *core.Set, opts Options) *Result {
-	prog := opts.program(g, rules)
 	res := &Result{}
-	if prog.Options().NoSharing {
-		dectPerRule(g, rules, prog, opts, res)
-		return res
-	}
-	sh := prog.ShareFor(g, rules, opts.NoPruning)
+	sh := opts.program(g, rules).ShareFor(g, rules)
 	res.Counters = RunShared(g, sh, func(r *core.NGD, m core.Match) bool {
 		res.Violations = append(res.Violations, core.Violation{Rule: r, Match: m.Clone()})
 		return opts.Limit == 0 || len(res.Violations) < opts.Limit
 	})
 	return res
-}
-
-// dectPerRule is the unshared batch loop: one searcher per rule.
-func dectPerRule(g graph.View, rules *core.Set, prog *plan.Program, opts Options, res *Result) {
-	for _, r := range rules.Rules {
-		c, pl := prog.PlanFor(g, r, nil, opts.NoPruning)
-		s := NewSearcher(g, c, pl)
-		partial := match.NewPartial(len(r.Pattern.Nodes))
-		stat := s.Run(partial, func(m core.Match) bool {
-			res.Violations = append(res.Violations, core.Violation{Rule: r, Match: m.Clone()})
-			return opts.Limit == 0 || len(res.Violations) < opts.Limit
-		})
-		res.Counters.Candidates += stat.Candidates
-		res.Counters.Checks += stat.Checks
-		res.Counters.Matches += stat.Matches
-		if opts.Limit > 0 && len(res.Violations) >= opts.Limit {
-			break
-		}
-	}
 }
 
 // litSchedule assigns each literal to the earliest plan step at which all of

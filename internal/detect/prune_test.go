@@ -1,7 +1,8 @@
-// Differential tests for index-backed candidate pruning (§6.2 step (3)):
-// with pruning on and off, every detector — Dect, IncDect, PDect, PIncDect —
-// must produce byte-identical violation sets, and pruning must not scan
-// more candidates than the unpruned baseline.
+// Differential tests for the optimized detection paths — index-backed
+// candidate pruning (§6.2 step (3)), cost-ordered cached plans, cross-rule
+// prefix sharing: every detector — Dect, IncDect, PDect, PIncDect — must
+// produce violation sets byte-identical to the brute-force reference oracle
+// (internal/ref), which uses none of them.
 package detect_test
 
 import (
@@ -18,6 +19,7 @@ import (
 	"ngd/internal/par"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
+	"ngd/internal/ref"
 	"ngd/internal/update"
 )
 
@@ -30,6 +32,25 @@ func keyLines(vs []core.Violation) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
+}
+
+// refDelta is ΔVio(Σ, G, ΔG) by definition: Vio(G⊕ΔG) \ Vio(G) and
+// Vio(G) \ Vio(G⊕ΔG), both sides from the oracle, as canonical key lines.
+func refDelta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus string) {
+	before := detect.VioKeySet(ref.Detect(g, rules))
+	after := detect.VioKeySet(ref.Detect(graph.NewOverlay(g, d.Normalize(g)), rules))
+	var p, m []core.Violation
+	for k, v := range after {
+		if _, ok := before[k]; !ok {
+			p = append(p, v)
+		}
+	}
+	for k, v := range before {
+		if _, ok := after[k]; !ok {
+			m = append(m, v)
+		}
+	}
+	return keyLines(p), keyLines(m)
 }
 
 // rangeRule exercises the ordered index: f.val >= 1 ⇒ c.val = 7 over the
@@ -85,67 +106,44 @@ func testWorkloads(tb testing.TB) []struct {
 func TestPruningDifferentialDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			pruned := detect.Dect(w.ds.G, w.rules, detect.Options{})
-			plain := detect.Dect(w.ds.G, w.rules, detect.Options{NoPruning: true})
-			if got, want := keyLines(pruned.Violations), keyLines(plain.Violations); got != want {
-				t.Fatalf("violation sets differ:\npruned:\n%s\nunpruned:\n%s", got, want)
-			}
-			if len(plain.Violations) == 0 {
+			want := ref.Detect(w.ds.G, w.rules)
+			if len(want) == 0 {
 				t.Fatal("workload produced no violations; differential test is vacuous")
 			}
-			// The candidate-count claim is about pruning alone, so isolate
-			// it from prefix sharing (the unpruned plans carry no filters
-			// and can share more aggressively, which skews raw scan counts).
-			noShare := plan.New(w.ds.G, w.rules, plan.Options{NoSharing: true})
-			prunedNS := detect.Dect(w.ds.G, w.rules, detect.Options{Program: noShare})
-			plainNS := detect.Dect(w.ds.G, w.rules, detect.Options{NoPruning: true, Program: noShare})
-			if keyLines(prunedNS.Violations) != keyLines(plain.Violations) ||
-				keyLines(plainNS.Violations) != keyLines(plain.Violations) {
-				t.Fatal("sharing-off violation sets diverge from the shared run")
+			got := detect.Dect(w.ds.G, w.rules, detect.Options{})
+			if got, want := keyLines(got.Violations), keyLines(want); got != want {
+				t.Fatalf("violation sets differ:\nDect:\n%s\nreference:\n%s", got, want)
 			}
-			if prunedNS.Counters.Candidates >= plainNS.Counters.Candidates {
-				t.Fatalf("pruning scanned %d candidates, unpruned %d — no pruning happened",
-					prunedNS.Counters.Candidates, plainNS.Counters.Candidates)
-			}
-			t.Logf("candidates scanned: pruned %d vs unpruned %d (%.1fx); shared/pruned %d",
-				prunedNS.Counters.Candidates, plainNS.Counters.Candidates,
-				float64(plainNS.Counters.Candidates)/float64(prunedNS.Counters.Candidates),
-				pruned.Counters.Candidates)
 		})
 	}
 }
 
-// TestPlanPolicyDifferentialDect pins the plan-layer invariant: neither the
-// ordering policy (cost-based vs legacy label-frequency) nor cross-rule
-// prefix sharing may change the violation set — they only shift the work
-// spent enumerating it.
+// TestPlanPolicyDifferentialDect pins the plan-layer invariant: neither
+// plan caching nor cross-rule prefix sharing may change the violation set.
+// A shared Program run cold and again from its memoized forest, and the
+// union of independent singleton-set runs (Σ_r Dect(G,{r}) — the per-rule
+// yardstick cmd/ngdbench reports, which shares nothing by construction),
+// must all equal the oracle.
 func TestPlanPolicyDifferentialDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			policies := []struct {
-				name string
-				opts plan.Options
-			}{
-				{"cost+shared", plan.Options{}},
-				{"cost+noshare", plan.Options{NoSharing: true}},
-				{"legacy+shared", plan.Options{LegacyOrder: true}},
-				{"legacy+noshare", plan.Options{LegacyOrder: true, NoSharing: true}},
+			want := keyLines(ref.Detect(w.ds.G, w.rules))
+			if want == "" {
+				t.Fatal("vacuous workload")
 			}
-			want := ""
-			for _, pol := range policies {
-				prog := plan.New(w.ds.G, w.rules, pol.opts)
+			prog := plan.New(w.ds.G, w.rules, plan.Options{})
+			for _, run := range []string{"cold", "memoized"} {
 				res := detect.Dect(w.ds.G, w.rules, detect.Options{Program: prog})
-				got := keyLines(res.Violations)
-				if want == "" {
-					want = got
-					if len(res.Violations) == 0 {
-						t.Fatal("vacuous workload")
-					}
-					continue
+				if keyLines(res.Violations) != want {
+					t.Fatalf("shared Dect (%s) diverged from the reference", run)
 				}
-				if got != want {
-					t.Fatalf("policy %s diverged from %s", pol.name, policies[0].name)
-				}
+			}
+			var solo []core.Violation
+			for _, r := range w.rules.Rules {
+				solo = append(solo, detect.Dect(w.ds.G, core.NewSet(r), detect.Options{}).Violations...)
+			}
+			if keyLines(solo) != want {
+				t.Fatal("per-rule Dect union diverged from the reference")
 			}
 		})
 	}
@@ -153,26 +151,21 @@ func TestPlanPolicyDifferentialDect(t *testing.T) {
 
 // TestPlanPolicyDifferentialIncDect is the incremental counterpart: the
 // shared program's cached, cost-ordered pivot plans must reproduce exactly
-// the ΔVio of a legacy-ordered one-shot run.
+// the reference ΔVio, cold and cache-served.
 func TestPlanPolicyDifferentialIncDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
 			d := update.Random(w.ds, update.Config{
 				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 42})
-			legacy := plan.New(w.ds.G, w.rules, plan.Options{LegacyOrder: true})
-			cost := plan.New(w.ds.G, w.rules, plan.Options{})
-			a := inc.IncDect(w.ds.G, w.rules, d, inc.Options{Program: legacy})
-			b := inc.IncDect(w.ds.G, w.rules, d, inc.Options{Program: cost})
-			// and a second run through the same program: served from cache
-			c := inc.IncDect(w.ds.G, w.rules, d, inc.Options{Program: cost})
-			if keyLines(a.Plus) != keyLines(b.Plus) || keyLines(a.Minus) != keyLines(b.Minus) {
-				t.Fatal("cost-ordered IncDect diverged from legacy ordering")
+			plus, minus := refDelta(w.ds.G, w.rules, d)
+			prog := plan.New(w.ds.G, w.rules, plan.Options{})
+			for _, run := range []string{"cold", "cache-served"} {
+				r := inc.IncDect(w.ds.G, w.rules, d, inc.Options{Program: prog})
+				if keyLines(r.Plus) != plus || keyLines(r.Minus) != minus {
+					t.Fatalf("IncDect (%s) diverged from the reference ΔVio", run)
+				}
 			}
-			if keyLines(b.Plus) != keyLines(c.Plus) || keyLines(b.Minus) != keyLines(c.Minus) {
-				t.Fatal("cache-served IncDect diverged from its cold run")
-			}
-			cc := cost.Counters()
-			if cc.Hits == 0 {
+			if prog.Counters().Hits == 0 {
 				t.Fatal("second IncDect run through the program produced no plan-cache hits")
 			}
 		})
@@ -184,23 +177,18 @@ func TestPruningDifferentialIncDect(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			d := update.Random(w.ds, update.Config{
 				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 99})
-			pruned := inc.IncDect(w.ds.G, w.rules, d, inc.Options{})
-			plain := inc.IncDect(w.ds.G, w.rules, d, inc.Options{NoPruning: true})
-			if got, want := keyLines(pruned.Plus), keyLines(plain.Plus); got != want {
-				t.Fatalf("ΔVio⁺ differs:\npruned:\n%s\nunpruned:\n%s", got, want)
+			got := inc.IncDect(w.ds.G, w.rules, d, inc.Options{})
+			plus, minus := refDelta(w.ds.G, w.rules, d)
+			if got := keyLines(got.Plus); got != plus {
+				t.Fatalf("ΔVio⁺ differs:\nIncDect:\n%s\nreference:\n%s", got, plus)
 			}
-			if got, want := keyLines(pruned.Minus), keyLines(plain.Minus); got != want {
-				t.Fatalf("ΔVio⁻ differs:\npruned:\n%s\nunpruned:\n%s", got, want)
+			if got := keyLines(got.Minus); got != minus {
+				t.Fatalf("ΔVio⁻ differs:\nIncDect:\n%s\nreference:\n%s", got, minus)
 			}
-			// and both agree with the recompute-from-scratch oracle
-			oracle := inc.Diff(w.ds.G, w.rules, d)
-			if keyLines(pruned.Plus) != keyLines(oracle.Plus) ||
-				keyLines(pruned.Minus) != keyLines(oracle.Minus) {
-				t.Fatal("pruned IncDect disagrees with the Diff oracle")
-			}
-			if pruned.Counters.Candidates > plain.Counters.Candidates {
-				t.Fatalf("pruned IncDect scanned more candidates (%d) than unpruned (%d)",
-					pruned.Counters.Candidates, plain.Counters.Candidates)
+			// and the engine's own recompute-from-scratch Diff agrees too
+			diff := inc.Diff(w.ds.G, w.rules, d)
+			if keyLines(diff.Plus) != plus || keyLines(diff.Minus) != minus {
+				t.Fatal("inc.Diff disagrees with the reference ΔVio")
 			}
 		})
 	}
@@ -209,34 +197,26 @@ func TestPruningDifferentialIncDect(t *testing.T) {
 func TestPruningDifferentialParallel(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			baseline := detect.Dect(w.ds.G, w.rules, detect.Options{NoPruning: true})
-			want := keyLines(baseline.Violations)
-
-			pruned := par.PDect(w.ds.G, w.rules, par.Hybrid(4))
-			if keyLines(pruned.Violations) != want {
-				t.Fatal("pruned PDect disagrees with unpruned Dect")
+			want := keyLines(ref.Detect(w.ds.G, w.rules))
+			// par.Hybrid runs the default goroutine driver, par.Oracle the
+			// virtual one; both share the pruned matcher paths
+			if keyLines(par.PDect(w.ds.G, w.rules, par.Hybrid(4)).Violations) != want {
+				t.Fatal("PDect disagrees with the reference")
 			}
-			off := par.Hybrid(4)
-			off.NoPruning = true
-			plain := par.PDect(w.ds.G, w.rules, off)
-			if keyLines(plain.Violations) != want {
-				t.Fatal("unpruned PDect disagrees with unpruned Dect")
+			if keyLines(par.PDect(w.ds.G, w.rules, par.Oracle(4)).Violations) != want {
+				t.Fatal("PDect (virtual driver) disagrees with the reference")
 			}
 
 			d := update.Random(w.ds, update.Config{
 				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 99})
-			incBase := inc.IncDect(w.ds.G, w.rules, d, inc.Options{NoPruning: true})
+			plus, minus := refDelta(w.ds.G, w.rules, d)
 			pinc := par.PIncDect(w.ds.G, w.rules, d, par.Hybrid(4))
-			if keyLines(pinc.Delta.Plus) != keyLines(incBase.Plus) ||
-				keyLines(pinc.Delta.Minus) != keyLines(incBase.Minus) {
-				t.Fatal("pruned PIncDect disagrees with unpruned IncDect")
+			if keyLines(pinc.Delta.Plus) != plus || keyLines(pinc.Delta.Minus) != minus {
+				t.Fatal("PIncDect disagrees with the reference ΔVio")
 			}
-			// the virtual oracle shares the same pruned matcher paths
-			// (par.Hybrid above already ran the default goroutine driver)
 			pvirt := par.PIncDect(w.ds.G, w.rules, d, par.Oracle(4))
-			if keyLines(pvirt.Delta.Plus) != keyLines(incBase.Plus) ||
-				keyLines(pvirt.Delta.Minus) != keyLines(incBase.Minus) {
-				t.Fatal("pruned PIncDect (virtual driver) disagrees with unpruned IncDect")
+			if keyLines(pvirt.Delta.Plus) != plus || keyLines(pvirt.Delta.Minus) != minus {
+				t.Fatal("PIncDect (virtual driver) disagrees with the reference ΔVio")
 			}
 		})
 	}
@@ -244,7 +224,7 @@ func TestPruningDifferentialParallel(t *testing.T) {
 
 // TestPruningAfterDeltaApply proves the indexes built during a detection run
 // stay in sync through Delta.Apply (edge churn) and SetAttr (value churn):
-// re-running both modes on the mutated graph must still agree.
+// detection on the mutated graph must still agree with the oracle.
 func TestPruningAfterDeltaApply(t *testing.T) {
 	w := testWorkloads(t)[0]
 	g := w.ds.G
@@ -270,10 +250,9 @@ func TestPruningAfterDeltaApply(t *testing.T) {
 		}
 	}
 
-	pruned := detect.Dect(g, w.rules, detect.Options{})
-	plain := detect.Dect(g, w.rules, detect.Options{NoPruning: true})
-	if got, want := keyLines(pruned.Violations), keyLines(plain.Violations); got != want {
-		t.Fatalf("after delta+attr churn, violation sets differ:\npruned:\n%s\nunpruned:\n%s",
+	got := detect.Dect(g, w.rules, detect.Options{})
+	if got, want := keyLines(got.Violations), keyLines(ref.Detect(g, w.rules)); got != want {
+		t.Fatalf("after delta+attr churn, violation sets differ:\nDect:\n%s\nreference:\n%s",
 			got, want)
 	}
 }

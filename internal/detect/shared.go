@@ -25,7 +25,7 @@ import (
 // filters), and its literal schedule fires at the same levels with the same
 // bindings — so per-rule emissions are identical to an independent search,
 // merely interleaved. The differential suite in prune_test.go enforces this
-// against the sharing-off path on every fuzz workload.
+// against the reference oracle (internal/ref) on every fuzz workload.
 
 // sharedSearcher is the walk state over one forest.
 type sharedSearcher struct {

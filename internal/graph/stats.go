@@ -1,9 +1,8 @@
 package graph
 
 // This file implements LiveStats: the maintained statistics the cost-based
-// planner (internal/plan) scores matching orders with. Where the old
-// match.GraphSelectivity closure re-read label counts on every plan build,
-// LiveStats keeps the planner's inputs current under mutation:
+// planner (internal/plan) scores matching orders with, kept current under
+// mutation:
 //
 //   - label cardinalities (delegated to the byLabel buckets, which the graph
 //     maintains anyway);

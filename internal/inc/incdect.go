@@ -57,9 +57,6 @@ type Options struct {
 	// each (0 = unlimited). par.Options.Limit follows the same per-side
 	// semantics, so the sequential and parallel detectors truncate alike.
 	Limit int
-	// NoPruning disables index-backed candidate pruning (see
-	// detect.Options.NoPruning).
-	NoPruning bool
 	// AssumeNormalized skips the internal Normalize pass: the caller
 	// guarantees ΔG already has the normalized shape (ΔG⁺ disjoint from G,
 	// ΔG⁻ ⊆ G, ΔG⁺ ∩ ΔG⁻ = ∅, one op per edge). The session commit path
@@ -101,7 +98,7 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 
 	prog := opts.Program
 	if prog == nil {
-		prog = plan.New(g, rules, plan.Options{NoPruning: opts.NoPruning})
+		prog = plan.New(g, rules, plan.Options{})
 	}
 	for _, r := range rules.Rules {
 		c := prog.CompiledFor(r)
@@ -170,7 +167,7 @@ func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, op
 				if pe.Dst != pe.Src {
 					bound = append(bound, pe.Dst)
 				}
-				_, pl := prog.PlanFor(v, c.Rule, bound, opts.NoPruning)
+				_, pl := prog.PlanFor(v, c.Rule, bound)
 				if opts.Searchers != nil {
 					s = opts.Searchers.Get(v, c, pl, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
 				} else {

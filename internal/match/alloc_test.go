@@ -1,4 +1,4 @@
-package match
+package match_test
 
 // Allocation budget for the matcher's innermost verification step:
 // CheckStep runs once per candidate per plan step and must never allocate.
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ngd/internal/graph"
+	. "ngd/internal/match"
 	"ngd/internal/pattern"
 )
 
@@ -27,8 +28,7 @@ func TestCheckStepAllocFree(t *testing.T) {
 	p.AddEdge(y, z, "livesIn")
 	p.AddEdge(x, z, "livesIn")
 
-	cp := pattern.Compile(p, g.Symbols())
-	pl := BuildPlan(cp, nil, GraphSelectivity(g, cp))
+	pl := planFor(g, p, nil)
 	m := NewMatcher(g, pl, Hooks{})
 
 	// fully bind the one triangle match, then re-verify the last step's

@@ -4,15 +4,16 @@
 // against a variable-free expression — constrains every candidate for
 // pattern node x before any recursion happens: a candidate falsifying it
 // can never satisfy X, hence never yield a violation. Filters collects
-// these predicates per pattern node; BuildPrunedPlan turns them into
+// these predicates per pattern node; the planner (internal/plan) turns them
+// into
 //
 //   - seed candidate generation from the graph's attribute indexes
 //     (equality via the hash index, range predicates via the ordered
 //     index) instead of full label-bucket scans, and
 //   - per-candidate residual checks applied during adjacency scans,
 //
-// while IndexSelectivity feeds index cardinalities into matching-order
-// selection so the most selective (indexed) pattern node becomes the seed.
+// and scores seed steps with the index-run cardinalities (SeedScan) so the
+// most selective (indexed) pattern node becomes the seed.
 package match
 
 import (
@@ -39,7 +40,7 @@ type NodeFilter struct {
 }
 
 // Filters holds one NodeFilter per pattern node (by node index). A nil
-// Filters disables pruning entirely.
+// Filters means the rule has no prunable literal.
 type Filters []NodeFilter
 
 // NewFilters returns empty filters for an n-node pattern.
@@ -202,7 +203,7 @@ func seedRun(g graph.View, cp *pattern.Compiled, node int, pr *AttrPred) (graph.
 }
 
 // EnsureIndexes builds the attribute indexes the filters can exploit over
-// g. It must run during single-threaded setup (BuildPrunedPlan does); it is
+// g. It must run during single-threaded setup (plan building does); it is
 // a no-op for views without index support and for wildcard pattern nodes.
 func EnsureIndexes(g graph.View, cp *pattern.Compiled, f Filters) {
 	av, ok := g.(graph.AttrIndexed)
@@ -222,13 +223,6 @@ func EnsureIndexes(g graph.View, cp *pattern.Compiled, f Filters) {
 	}
 }
 
-// bestSeedPred picks the most selective seedable predicate of a node (by
-// index run cardinality), or -1 when none applies.
-func bestSeedPred(g graph.View, cp *pattern.Compiled, node int, f Filters) int {
-	best, _ := SeedScan(g, cp, node, f)
-	return best
-}
-
 // SeedScan reports the most selective seedable predicate of a pattern node
 // and its current index-run size (pred = -1, size = -1 when no seedable
 // index applies). The cost-based planner (internal/plan) scores seed steps
@@ -245,31 +239,4 @@ func SeedScan(g graph.View, cp *pattern.Compiled, node int, f Filters) (pred, si
 		}
 	}
 	return pred, size
-}
-
-// IndexSelectivity estimates per-node candidate counts like
-// GraphSelectivity, but replaces the bare label count with the smallest
-// attribute-index run available for the node — so matching-order selection
-// seeds at indexed, highly selective pattern nodes first. Estimates are
-// memoized: the planner's greedy loop probes each node O(n) times.
-func IndexSelectivity(g graph.View, cp *pattern.Compiled, f Filters) Selectivity {
-	cache := make([]int, len(cp.Src.Nodes))
-	for i := range cache {
-		cache[i] = -1
-	}
-	return func(node int) int {
-		if cache[node] >= 0 {
-			return cache[node]
-		}
-		est := g.CountLabel(cp.NodeLabels[node])
-		if f != nil {
-			for i := range f[node].Preds {
-				if run, ok := seedRun(g, cp, node, &f[node].Preds[i]); ok && run.Len() < est {
-					est = run.Len()
-				}
-			}
-		}
-		cache[node] = est
-		return est
-	}
 }

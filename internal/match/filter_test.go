@@ -1,11 +1,13 @@
-package match
+package match_test
 
 import (
 	"math"
 	"testing"
 
+	"ngd/internal/core"
 	"ngd/internal/expr"
 	"ngd/internal/graph"
+	. "ngd/internal/match"
 	"ngd/internal/pattern"
 )
 
@@ -85,7 +87,7 @@ func TestIntBounds(t *testing.T) {
 		{expr.Ge, -7, 2, -3, math.MaxInt64, false},
 	}
 	for _, tc := range cases {
-		lo, hi, empty, ok := intBounds(tc.op, num(tc.n, tc.d))
+		lo, hi, empty, ok := IntBounds(tc.op, num(tc.n, tc.d))
 		if !ok {
 			t.Fatalf("%v %d/%d: not range-expressible", tc.op, tc.n, tc.d)
 		}
@@ -94,7 +96,7 @@ func TestIntBounds(t *testing.T) {
 				tc.op, tc.n, tc.d, lo, hi, empty, tc.lo, tc.hi, tc.empty)
 		}
 	}
-	if _, _, _, ok := intBounds(expr.Ne, num(5, 1)); ok {
+	if _, _, _, ok := IntBounds(expr.Ne, num(5, 1)); ok {
 		t.Fatal("!= must not be range-expressible")
 	}
 }
@@ -127,18 +129,13 @@ func TestPlanPrefersIndexedSeed(t *testing.T) {
 	x := p.AddNode("x", "T")
 	y := p.AddNode("y", "U")
 	p.AddEdge(x, y, "e")
-	cp := pattern.Compile(p, g.Symbols())
 
-	plain := BuildPlan(cp, nil, GraphSelectivity(g, cp))
+	plain := planFor(g, p, nil)
 	if plain.Steps[0].Node != y {
 		t.Fatalf("unfiltered plan should seed at U (10 < 100), got node %d", plain.Steps[0].Node)
 	}
 
-	f := NewFilters(2)
-	if f.AddLiteral(p, g.Symbols(), expr.V("x", "val"), expr.Eq, expr.C(1)) < 0 {
-		t.Fatal("literal did not compile")
-	}
-	pruned := BuildPrunedPlan(g, cp, nil, f)
+	pruned := planFor(g, p, nil, core.Lit(expr.V("x", "val"), expr.Eq, expr.C(1)))
 	if pruned.Steps[0].Node != x {
 		t.Fatalf("pruned plan should seed at the indexed T node (cardinality 1), got node %d",
 			pruned.Steps[0].Node)
@@ -191,7 +188,6 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 	x := p.AddNode("x", "T")
 	y := p.AddNode("y", "U")
 	p.AddEdge(x, y, "e")
-	cp := pattern.Compile(p, g.Symbols())
 
 	lits := []struct {
 		name string
@@ -206,10 +202,11 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 		{"half", expr.Lt, expr.Div(expr.C(7), expr.C(2))},
 	}
 	for _, lc := range lits {
-		f := NewFilters(2)
-		if f.AddLiteral(p, g.Symbols(), expr.V("x", "val"), lc.op, lc.c) < 0 {
+		filtered := planFor(g, p, nil, core.Lit(expr.V("x", "val"), lc.op, lc.c))
+		if filtered.Filters == nil {
 			t.Fatalf("%s: literal did not compile", lc.name)
 		}
+		pred := &filtered.Filters[x].Preds[0]
 		enumerate := func(plan *Plan) map[graph.NodeID]bool {
 			got := make(map[graph.NodeID]bool)
 			m := NewMatcher(g, plan, Hooks{})
@@ -219,13 +216,12 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 			})
 			return got
 		}
-		pruned := enumerate(BuildPrunedPlan(g, cp, nil, f))
+		pruned := enumerate(filtered)
 		// unpruned baseline: no filters, then apply the predicate by hand
 		want := make(map[graph.NodeID]bool)
-		plain := BuildPlan(cp, nil, GraphSelectivity(g, cp))
-		m := NewMatcher(g, plain, Hooks{})
+		m := NewMatcher(g, planFor(g, p, nil), Hooks{})
 		m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
-			if f[x].Preds[0].Holds(g, sol[x]) {
+			if pred.Holds(g, sol[x]) {
 				want[sol[x]] = true
 			}
 			return true

@@ -1,18 +1,29 @@
-package match
+package match_test
 
 import (
 	"sort"
 	"testing"
 
+	"ngd/internal/core"
 	"ngd/internal/graph"
+	. "ngd/internal/match"
 	"ngd/internal/pattern"
+	"ngd/internal/plan"
 )
+
+// planFor builds the matching order for p over g through the one planner
+// (internal/plan, which imports this package — hence the external test
+// package): p is wrapped in a rule whose precondition x is what the planner
+// compiles into candidate filters.
+func planFor(g graph.View, p *pattern.Pattern, bound []int, x ...core.Literal) *Plan {
+	r := core.MustNew("t", p, x, nil)
+	_, pl := plan.New(g, core.NewSet(r), plan.Options{}).PlanFor(g, r, bound)
+	return pl
+}
 
 // collect runs a full enumeration and returns all matches as copies.
 func collect(g graph.View, p *pattern.Pattern, bound []int, partial []graph.NodeID) [][]graph.NodeID {
-	cp := pattern.Compile(p, g.Symbols())
-	plan := BuildPlan(cp, bound, GraphSelectivity(g, cp))
-	m := NewMatcher(g, plan, Hooks{})
+	m := NewMatcher(g, planFor(g, p, bound), Hooks{})
 	var out [][]graph.NodeID
 	if partial == nil {
 		partial = NewPartial(len(p.Nodes))
@@ -252,8 +263,7 @@ func TestHooksPruneAndBacktrack(t *testing.T) {
 	y := p.AddNode("y", "leaf")
 	p.AddEdge(x, y, "e")
 
-	cp := pattern.Compile(p, g.Symbols())
-	plan := BuildPlan(cp, nil, GraphSelectivity(g, cp))
+	plan := planFor(g, p, nil)
 	extends, backtracks := 0, 0
 	pruneAfter := 2
 	m := NewMatcher(g, plan, Hooks{
@@ -282,9 +292,7 @@ func TestEarlyStop(t *testing.T) {
 	p := pattern.New()
 	p.AddNode("x", "n")
 
-	cp := pattern.Compile(p, g.Symbols())
-	plan := BuildPlan(cp, nil, nil)
-	m := NewMatcher(g, plan, Hooks{})
+	m := NewMatcher(g, planFor(g, p, nil), Hooks{})
 	count := 0
 	m.Run(NewPartial(1), func([]graph.NodeID) bool {
 		count++

@@ -183,7 +183,7 @@ func (m *Matcher) CandidatesRange(k int, partial []graph.NodeID, lo, hi int, yie
 }
 
 // seedIndexRun resolves the attribute-index candidate run of a seed step
-// chosen by BuildPrunedPlan, if any.
+// the planner chose, if any.
 func (m *Matcher) seedIndexRun(st *Step) (graph.IndexRun, bool) {
 	if st.SeedPred < 0 || m.Plan.Filters == nil {
 		return graph.IndexRun{}, false

@@ -1,8 +1,8 @@
-package match
+package match_test
 
 // Regression test for the overlay/index staleness bug fixed alongside the
 // repair engine: an Overlay.SetAttr override on a node that participates in
-// a pruning index must not let BuildPrunedPlan / the matcher consume the
+// a pruning index must not let the planner / the matcher consume the
 // base graph's index run for that (label, attr) pair. The base index still
 // holds the node's committed value, so an index-seeded scan silently skips
 // nodes whose *overridden* value now satisfies the seed predicate — matches
@@ -13,8 +13,10 @@ package match
 import (
 	"testing"
 
+	"ngd/internal/core"
 	"ngd/internal/expr"
 	"ngd/internal/graph"
+	. "ngd/internal/match"
 	"ngd/internal/pattern"
 )
 
@@ -49,15 +51,10 @@ func TestOverlaySetAttrMasksStaleIndexRuns(t *testing.T) {
 	x := p.AddNode("x", "T")
 	y := p.AddNode("y", "U")
 	p.AddEdge(x, y, "e")
-	cp := pattern.Compile(p, g.Symbols())
-
-	f := NewFilters(2)
-	if f.AddLiteral(p, g.Symbols(), expr.V("x", "val"), expr.Eq, expr.C(1)) < 0 {
-		t.Fatal("literal did not compile")
-	}
+	valIsOne := core.Lit(expr.V("x", "val"), expr.Eq, expr.C(1))
 
 	// build the base index (as a live session's plans would have)
-	basePlan := BuildPrunedPlan(g, cp, nil, f)
+	basePlan := planFor(g, p, nil, valIsOne)
 	if basePlan.Steps[0].Node != x || basePlan.Steps[0].SeedPred < 0 {
 		t.Fatalf("base plan should seed at the indexed T predicate, got step %+v", basePlan.Steps[0])
 	}
@@ -92,7 +89,7 @@ func TestOverlaySetAttrMasksStaleIndexRuns(t *testing.T) {
 	}
 
 	// plan built against the overlay: must enumerate the overridden node
-	ovPlan := BuildPrunedPlan(ov, cp, nil, f)
+	ovPlan := planFor(ov, p, nil, valIsOne)
 	got := enumerate(ov, ovPlan)
 	if !got[target] {
 		t.Fatalf("overlay match missed node %d whose overridden val now satisfies the seed predicate (stale index run); got %v",
@@ -113,7 +110,7 @@ func TestOverlaySetAttrMasksStaleIndexRuns(t *testing.T) {
 	// though the base index still lists it (filters re-read the view)
 	ov2 := graph.NewOverlay(g, &graph.Delta{})
 	ov2.SetAttr(ts[3], val, graph.Int(0))
-	if got := enumerate(ov2, BuildPrunedPlan(ov2, cp, nil, f)); got[ts[3]] || len(got) != 1 {
+	if got := enumerate(ov2, planFor(ov2, p, nil, valIsOne)); got[ts[3]] || len(got) != 1 {
 		t.Fatalf("overlay downgrade: got %v, want only node %d", got, ts[7])
 	}
 

@@ -1,9 +1,11 @@
 // Package match implements homomorphism pattern matching for NGD detection,
 // following the generic backtracking procedure Matchn/SubMatchn of the paper
-// (§6.2): candidate selection per pattern node, matching-order planning,
-// edge verification, and hooks for literal-based pruning. Both the batch
-// detector (Dect) and the incremental ones (IncDect/PIncDect) drive it; the
-// incremental algorithms additionally pin update pivots as pre-bound nodes.
+// (§6.2): candidate selection per pattern node, edge verification, and hooks
+// for literal-based pruning. It executes the matching orders internal/plan
+// builds: this package defines the Plan shape but orders nothing. Both the
+// batch detector (Dect) and the incremental ones (IncDect/PIncDect) drive
+// it; the incremental algorithms additionally pin update pivots as pre-bound
+// nodes.
 package match
 
 import (
@@ -47,146 +49,8 @@ type Plan struct {
 	Bound []int  // pre-bound pattern nodes (update pivots), may be empty
 	Steps []Step // one per remaining pattern node
 	// Filters holds the compiled candidate predicates per pattern node
-	// (§6.2 step (3)); nil disables literal-based pruning.
+	// (§6.2 step (3)); nil when the rule has no prunable literal.
 	Filters Filters
-}
-
-// Selectivity estimates candidate counts per pattern node; BuildPlan uses it
-// to order seeds and ties. A nil function falls back to wildcard-last.
-type Selectivity func(node int) int
-
-// GraphSelectivity derives a Selectivity from label frequencies in g.
-func GraphSelectivity(g graph.View, cp *pattern.Compiled) Selectivity {
-	return func(node int) int {
-		return g.CountLabel(cp.NodeLabels[node])
-	}
-}
-
-// BuildPlan computes a matching order covering every pattern node outside
-// bound. Strategy (paper §6.2 "matching order selection"): repeatedly pick
-// the unbound node with the most edges into the bound set (most constrained
-// first), breaking ties by estimated selectivity; when no unbound node
-// touches the bound set (disconnected pattern or empty bound), seed a new
-// component at the most selective node.
-func BuildPlan(cp *pattern.Compiled, bound []int, sel Selectivity) *Plan {
-	n := len(cp.Src.Nodes)
-	isBound := make([]bool, n)
-	for _, b := range bound {
-		isBound[b] = true
-	}
-	plan := &Plan{CP: cp, Bound: append([]int(nil), bound...)}
-	if sel == nil {
-		sel = func(node int) int {
-			if cp.NodeLabels[node] == graph.Wildcard {
-				return 1 << 30
-			}
-			return 1 << 20
-		}
-	}
-
-	// edgesInto[i] = pattern edge indices incident to node i
-	incident := make([][]int, n)
-	for ei, e := range cp.Src.Edges {
-		incident[e.Src] = append(incident[e.Src], ei)
-		if e.Dst != e.Src {
-			incident[e.Dst] = append(incident[e.Dst], ei)
-		}
-	}
-
-	remaining := 0
-	for i := 0; i < n; i++ {
-		if !isBound[i] {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		best, bestEdges, bestSel := -1, -1, 0
-		for i := 0; i < n; i++ {
-			if isBound[i] {
-				continue
-			}
-			cnt := 0
-			for _, ei := range incident[i] {
-				e := cp.Src.Edges[ei]
-				if e.Src == e.Dst {
-					continue // self loop: no bound neighbor
-				}
-				if other := e.Src + e.Dst - i; isBound[other] {
-					cnt++
-				}
-			}
-			s := sel(i)
-			if best < 0 || cnt > bestEdges || (cnt == bestEdges && s < bestSel) {
-				best, bestEdges, bestSel = i, cnt, s
-			}
-		}
-		step := Step{Node: best, AnchorEdge: -1, SeedPred: -1}
-		// collect checks and pick an anchor among edges into the bound set
-		for _, ei := range incident[best] {
-			e := cp.Src.Edges[ei]
-			if e.Src == e.Dst {
-				if e.Src == best {
-					step.Checks = append(step.Checks, EdgeCheck{Edge: ei, Out: true, Other: best})
-				}
-				continue
-			}
-			other := e.Src + e.Dst - best
-			if !isBound[other] {
-				continue
-			}
-			out := e.Src == best // edge best -> other
-			if step.AnchorEdge < 0 {
-				step.AnchorEdge = ei
-				step.AnchorFrom = other
-				// candidates come from the *other* node's adjacency:
-				// if edge is other -> best, follow other's out-list.
-				step.AnchorOut = e.Src == other
-			} else {
-				step.Checks = append(step.Checks, EdgeCheck{Edge: ei, Out: out, Other: other})
-			}
-		}
-		plan.Steps = append(plan.Steps, step)
-		isBound[best] = true
-		remaining--
-	}
-	return plan
-}
-
-// BuildPrunedPlan is BuildPlan with literal-based candidate pruning wired
-// in (§6.2 step (3)): it builds the attribute indexes the filters can use
-// over g, orders the plan by index-aware selectivity instead of bare label
-// counts, attaches the filters for residual per-candidate checks, and picks
-// the most selective index run to seed each component. A nil or empty
-// filter set degrades to the plain label-count plan.
-//
-// Index construction mutates g's underlying graph, so BuildPrunedPlan must
-// run during single-threaded setup — before matchers start (the parallel
-// drivers build all plans up front).
-func BuildPrunedPlan(g graph.View, cp *pattern.Compiled, bound []int, f Filters) *Plan {
-	if f != nil && f.Empty() {
-		f = nil
-	}
-	if f == nil {
-		return BuildPlan(cp, bound, GraphSelectivity(g, cp))
-	}
-	// A pivot-anchored plan over a connected pattern has no seed steps —
-	// every step anchors on an edge into the bound set — so index setup
-	// would buy nothing; the filters still apply as residual checks.
-	if len(bound) > 0 && cp.Src.Connected() {
-		plan := BuildPlan(cp, bound, GraphSelectivity(g, cp))
-		plan.Filters = f
-		return plan
-	}
-	EnsureIndexes(g, cp, f)
-	plan := BuildPlan(cp, bound, IndexSelectivity(g, cp, f))
-	plan.Filters = f
-	for k := range plan.Steps {
-		st := &plan.Steps[k]
-		if st.AnchorEdge < 0 {
-			st.SeedPred = bestSeedPred(g, cp, st.Node, f)
-		}
-	}
-	return plan
 }
 
 // LabelSlice returns the contiguous run of halves carrying label l within a

@@ -73,9 +73,6 @@ type Options struct {
 	// virtual driver. A nil, closed, or differently-sized pool falls back
 	// to per-call workers, so correctness never depends on pool state.
 	Pool *Pool
-	// NoPruning disables index-backed candidate pruning (see
-	// detect.Options.NoPruning).
-	NoPruning bool
 	// AssumeNormalized skips PIncDect's internal Normalize pass; the caller
 	// guarantees ΔG already has the normalized shape (see inc.Options).
 	AssumeNormalized bool
@@ -105,7 +102,7 @@ func (o Options) program(v graph.View, rules *core.Set) *plan.Program {
 	if o.Program != nil {
 		return o.Program
 	}
-	return plan.New(v, rules, plan.Options{NoPruning: o.NoPruning})
+	return plan.New(v, rules, plan.Options{})
 }
 
 // Defaults fills in zero fields (paper defaults: p=8 for parameter sweeps,

@@ -62,63 +62,14 @@ func (e *engine) runBatch(seeds []*unit) *Result {
 // PDect runs parallel batch detection of Vio(Σ, G) (§5.1: the extension of
 // the GFD parallel batch algorithm to NGDs). Rules whose plans share a
 // structural prefix are fanned out as forest units (shared.go), mirroring
-// the sequential detector's shared-prefix enumeration; programs built with
-// NoSharing fall back to one task per rule. Initial work units are chunks
-// of each seed-candidate list, placed heaviest-first by estimated cost;
-// from there the hybrid strategy applies.
+// the sequential detector's shared-prefix enumeration. Initial work units
+// are chunks of each seed-candidate list, placed heaviest-first by estimated
+// cost; from there the hybrid strategy applies.
 func PDect(g graph.View, rules *core.Set, opts Options) *Result {
 	opts = opts.Defaults()
-	prog := opts.program(g, rules)
-	if !prog.Options().NoSharing {
-		sh := prog.ShareFor(g, rules, opts.NoPruning)
-		e := newSharedEngine(opts, g, sh)
-		return e.runBatch(e.seedShared())
-	}
-
-	var tasks []task
-	for _, r := range rules.Rules {
-		c, pl := prog.PlanFor(g, r, nil, opts.NoPruning)
-		tasks = append(tasks, task{
-			c: c, view: g, plan: pl,
-			le: detect.NewLitEval(g, c, pl),
-		})
-	}
-	e := newEngine(opts, tasks)
-
-	var seeds []*unit
-	for t := range tasks {
-		tk := &tasks[t]
-		if tk.le.NumY() == 0 {
-			continue // X → ∅ holds vacuously
-		}
-		nPat := len(tk.c.Rule.Pattern.Nodes)
-		probe := match.NewPartial(nPat)
-		prune, ySat := tk.le.EvalLevel(0, probe, 0)
-		if prune {
-			continue
-		}
-		cnt := e.matchers[0][t].CandidateCount(0, probe)
-		if cnt == 0 {
-			continue
-		}
-		chunk := cnt / (opts.P * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		for lo := 0; lo < cnt; lo += chunk {
-			hi := lo + chunk
-			if hi > cnt {
-				hi = cnt
-			}
-			seeds = append(seeds, &unit{
-				task: t, depth: 0, ySat: ySat,
-				pivotRank: -1, pivotSlot: -1,
-				partial: match.NewPartial(nPat),
-				lo:      lo, hi: hi,
-			})
-		}
-	}
-	return e.runBatch(seeds)
+	sh := opts.program(g, rules).ShareFor(g, rules)
+	e := newSharedEngine(opts, g, sh)
+	return e.runBatch(e.seedShared())
 }
 
 // PIncDect runs parallel incremental detection of ΔVio(Σ, G, ΔG) (§6.3,
@@ -172,7 +123,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 		if pe.Dst != pe.Src {
 			bound = append(bound, pe.Dst)
 		}
-		_, pl := prog.PlanFor(view, c.Rule, bound, opts.NoPruning)
+		_, pl := prog.PlanFor(view, c.Rule, bound)
 		tasks = append(tasks, task{
 			c: c, view: view, plan: pl,
 			le:   detect.NewLitEval(view, c, pl),

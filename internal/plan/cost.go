@@ -8,10 +8,9 @@ import (
 	"ngd/internal/pattern"
 )
 
-// This file implements the cost-based matching-order builder. The legacy
-// planner (match.BuildPlan) ordered steps by "most bound edges first, then
-// smallest label bucket"; here each candidate step is scored with an
-// expected-work estimate from the graph's maintained statistics:
+// This file implements the matching-order builder — the only planner in the
+// repository. Each candidate step is scored with an expected-work estimate
+// from the graph's maintained statistics:
 //
 //   seed cost       = |best attribute-index run| when a seedable filter
 //                     predicate covers the node, else the label-bucket size
@@ -25,7 +24,7 @@ import (
 // always preferred over seeding a new component (an anchored scan touches
 // one adjacency run per partial match; a seed rescans a global candidate
 // population), which also keeps pivot-anchored incremental plans free of
-// seed steps, exactly like the legacy planner. Every ordering covers the
+// seed steps. Every ordering covers the
 // same pattern with the same edge checks, so plan choice can never change
 // the violation set — only the work done to enumerate it.
 
@@ -34,7 +33,7 @@ import (
 const cardCap = 1e18
 
 // costPlan computes a matching order for (the unbound part of) cp over v.
-// f carries the candidate filters to attach (nil disables pruning).
+// f carries the candidate filters to attach (nil: the rule has none).
 func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) *match.Plan {
 	if f != nil && f.Empty() {
 		f = nil
@@ -48,7 +47,7 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) 
 
 	// A pivot-anchored plan over a connected pattern has no seed steps, so
 	// index construction would buy nothing (the filters still apply as
-	// residual per-candidate checks). Mirrors match.BuildPrunedPlan.
+	// residual per-candidate checks).
 	seedsPossible := !(len(bound) > 0 && cp.Src.Connected())
 	if f != nil && seedsPossible {
 		match.EnsureIndexes(v, cp, f)

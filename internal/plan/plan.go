@@ -14,8 +14,8 @@
 //     the graph's maintained statistics (graph.LiveStats) — seed cost is the
 //     attribute-index run or label-bucket size, extension cost the expected
 //     fan-out of the anchor edge — memoized in a plan cache keyed by
-//     (rule group, bound-slot signature, pruning flag) and invalidated when
-//     graph churn since plan build crosses a drift threshold;
+//     (rule group, bound-slot signature) and invalidated when graph churn
+//     since plan build crosses a drift threshold;
 //
 //   - sharing: rules whose plans begin with structurally identical step
 //     prefixes are arranged into a prefix forest (share.go) so the batch
@@ -79,19 +79,6 @@ func CompileRule(r *core.NGD, syms *graph.Symbols) *Compiled {
 
 // Options configure a Program.
 type Options struct {
-	// NoPruning disables index-backed candidate pruning program-wide;
-	// callers can also pass the flag per PlanFor call (the effective flag
-	// is the OR of both, and plans are cached per flag).
-	NoPruning bool
-	// LegacyOrder orders plans by bare label frequency (the pre-Program
-	// planner match.BuildPrunedPlan) instead of the cost model. It never
-	// changes violation sets — the toggle exists for differential tests
-	// and for measuring the cost-based ordering win.
-	LegacyOrder bool
-	// NoSharing disables the cross-rule shared-prefix batch enumeration;
-	// detectors fall back to one independent search per rule (plans still
-	// come from the cache). Differential-test toggle.
-	NoSharing bool
 	// ChurnThreshold is the number of graph mutations after which a cached
 	// plan is considered stale and rebuilt. 0 picks an automatic threshold
 	// proportional to the graph size (stats drift slowly on large graphs).
@@ -123,7 +110,7 @@ func (c Counters) Sub(prev Counters) Counters {
 }
 
 // group is a set of rules with identical compiled patterns and identical
-// candidate filters: they share one matching plan per (bound, pruning) key.
+// candidate filters: they share one matching plan per bound-slot set.
 type group struct {
 	key   string
 	rules []int // program rule indices, in Σ order
@@ -131,20 +118,13 @@ type group struct {
 
 // planKey addresses one cached plan.
 type planKey struct {
-	group     int
-	bound     string // sorted bound slots, e.g. "0,2" ("" = batch seed plan)
-	noPruning bool
+	group int
+	bound string // sorted bound slots, e.g. "0,2" ("" = batch seed plan)
 }
 
 type cachedPlan struct {
 	p       *match.Plan
 	churnAt uint64
-}
-
-// shareKey addresses one memoized prefix forest.
-type shareKey struct {
-	set       *core.Set
-	noPruning bool
 }
 
 type shareEntry struct {
@@ -173,7 +153,7 @@ type Program struct {
 	groups   []*group
 	patCP    map[string]*pattern.Compiled
 	cache    map[planKey]*cachedPlan
-	shares   map[shareKey]*shareEntry
+	shares   map[*core.Set]*shareEntry // memoized prefix forests, by set
 
 	hits, misses, invalidations atomic.Int64
 	sharedRules                 atomic.Int64
@@ -194,7 +174,7 @@ func New(v graph.View, rules *core.Set, opts Options) *Program {
 		byRule: make(map[*core.NGD]int),
 		patCP:  make(map[string]*pattern.Compiled),
 		cache:  make(map[planKey]*cachedPlan),
-		shares: make(map[shareKey]*shareEntry),
+		shares: make(map[*core.Set]*shareEntry),
 	}
 	p.mu.Lock()
 	for _, r := range rules.Rules {
@@ -203,9 +183,6 @@ func New(v graph.View, rules *core.Set, opts Options) *Program {
 	p.mu.Unlock()
 	return p
 }
-
-// Options reports the program's configuration.
-func (p *Program) Options() Options { return p.opts }
 
 // NumRules reports how many rules are compiled into the program.
 func (p *Program) NumRules() int {
@@ -277,13 +254,12 @@ func (p *Program) CompiledFor(r *core.NGD) *Compiled {
 // Rules in the same (pattern, filters) group share cache entries, so e.g.
 // the per-slot pivot searchers of IncDect and the session's arriving-node
 // absorption searches draw from one plan source.
-func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int, noPruning bool) (*Compiled, *match.Plan) {
-	noPruning = noPruning || p.opts.NoPruning
+func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *match.Plan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ri := p.addRuleLocked(r)
 	c := p.compiled[ri]
-	key := planKey{group: p.groupOf[ri], bound: boundSig(bound), noPruning: noPruning}
+	key := planKey{group: p.groupOf[ri], bound: boundSig(bound)}
 	churn := churnOf(v)
 	if e, ok := p.cache[key]; ok {
 		if churn-e.churnAt <= p.threshold(v) {
@@ -294,24 +270,9 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int, noPruning bool
 	} else {
 		p.misses.Add(1)
 	}
-	pl := p.buildLocked(v, c, bound, noPruning)
+	pl := costPlan(v, c.CP, bound, c.Filters)
 	p.cache[key] = &cachedPlan{p: pl, churnAt: churn}
 	return c, pl
-}
-
-// buildLocked constructs a plan for c with the configured ordering policy.
-func (p *Program) buildLocked(v graph.View, c *Compiled, bound []int, noPruning bool) *match.Plan {
-	if p.opts.LegacyOrder {
-		if noPruning {
-			return match.BuildPlan(c.CP, bound, match.GraphSelectivity(v, c.CP))
-		}
-		return match.BuildPrunedPlan(v, c.CP, bound, c.Filters)
-	}
-	f := c.Filters
-	if noPruning {
-		f = nil
-	}
-	return costPlan(v, c.CP, bound, f)
 }
 
 // threshold resolves the churn drift threshold for the current graph size.

@@ -10,6 +10,7 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
+	"ngd/internal/ref"
 )
 
 // skewedGraph builds a graph with a deliberately lopsided label
@@ -49,7 +50,7 @@ func TestCostPlanSeedsAtSelectiveNode(t *testing.T) {
 	g, _, _ := skewedGraph()
 	r := pairRule("pair")
 	prog := plan.New(g, core.NewSet(r), plan.Options{})
-	_, pl := prog.PlanFor(g, r, nil, true)
+	_, pl := prog.PlanFor(g, r, nil)
 	if len(pl.Steps) != 2 {
 		t.Fatalf("plan has %d steps, want 2", len(pl.Steps))
 	}
@@ -66,8 +67,8 @@ func TestPlanCacheHitsMissesInvalidation(t *testing.T) {
 	r := pairRule("pair")
 	prog := plan.New(g, core.NewSet(r), plan.Options{ChurnThreshold: 8})
 
-	_, p1 := prog.PlanFor(g, r, nil, false)
-	_, p2 := prog.PlanFor(g, r, nil, false)
+	_, p1 := prog.PlanFor(g, r, nil)
+	_, p2 := prog.PlanFor(g, r, nil)
 	if p1 != p2 {
 		t.Fatal("second PlanFor did not serve the cached plan")
 	}
@@ -76,11 +77,10 @@ func TestPlanCacheHitsMissesInvalidation(t *testing.T) {
 		t.Fatalf("counters after warm lookup = %+v, want 1 miss / 1 hit", c)
 	}
 
-	// distinct keys: bound signature and pruning flag
-	prog.PlanFor(g, r, []int{0}, false)
-	prog.PlanFor(g, r, nil, true)
-	if c := prog.Counters(); c.Misses != 3 {
-		t.Fatalf("distinct (bound, pruning) keys should each miss once; counters %+v", c)
+	// a distinct bound signature is a distinct key
+	prog.PlanFor(g, r, []int{0})
+	if c := prog.Counters(); c.Misses != 2 {
+		t.Fatalf("a new bound-slot set should miss once; counters %+v", c)
 	}
 
 	// churn past the threshold invalidates
@@ -88,7 +88,7 @@ func TestPlanCacheHitsMissesInvalidation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.AddEdgeL(tinys[0], bigs[i], rel)
 	}
-	_, p3 := prog.PlanFor(g, r, nil, false)
+	_, p3 := prog.PlanFor(g, r, nil)
 	if p3 == p1 {
 		t.Fatal("stale plan survived churn past the threshold")
 	}
@@ -118,8 +118,8 @@ func TestIdenticalRulesShareGroupAndPattern(t *testing.T) {
 	if a.CP != b.CP {
 		t.Fatal("identical patterns must share one compiled instance")
 	}
-	_, pa := prog.PlanFor(ds.G, set.Rules[0], nil, false)
-	_, pb := prog.PlanFor(ds.G, set.Rules[1], nil, false)
+	_, pa := prog.PlanFor(ds.G, set.Rules[0], nil)
+	_, pb := prog.PlanFor(ds.G, set.Rules[1], nil)
 	if pa != pb {
 		t.Fatal("rules in one group must share cached plans")
 	}
@@ -135,7 +135,7 @@ func TestShareForestMergesPrefixes(t *testing.T) {
 	)
 	ds := gen.Generate(p, 80, 3)
 	prog := plan.New(ds.G, set, plan.Options{})
-	sh := prog.ShareFor(ds.G, set, false)
+	sh := prog.ShareFor(ds.G, set)
 	if len(sh.Rules) != 5 {
 		t.Fatalf("forest holds %d rules, want 5", len(sh.Rules))
 	}
@@ -146,43 +146,108 @@ func TestShareForestMergesPrefixes(t *testing.T) {
 		t.Fatalf("SharedRules = %d, want all 5 (both families overlap)", sh.SharedRules)
 	}
 	// memoized while plans are stable, rebuilt when the graph churns enough
-	if sh2 := prog.ShareFor(ds.G, set, false); sh2 != sh {
+	if sh2 := prog.ShareFor(ds.G, set); sh2 != sh {
 		t.Fatal("stable ShareFor must memoize")
 	}
 }
 
-// TestSharedDectMatchesPerRule drives the shared forest end to end against
-// independent per-rule searches over a generated workload.
+// sameKeys fails unless got is exactly the violation key set want.
+func sameKeys(t *testing.T, name string, got []core.Violation, want map[string]core.Violation) {
+	t.Helper()
+	keys := detect.VioKeySet(got)
+	if len(keys) != len(want) {
+		t.Fatalf("%s found %d violations, reference %d", name, len(keys), len(want))
+	}
+	for k := range keys {
+		if _, ok := want[k]; !ok {
+			t.Fatalf("%s-only violation %s", name, k)
+		}
+	}
+}
+
+// TestSharedDectMatchesPerRule drives the shared forest end to end over a
+// generated workload: it must find exactly the oracle's violations, as must
+// the union of independent singleton-set runs (which share nothing by
+// construction), and must not scan more candidates than those runs together.
 func TestSharedDectMatchesPerRule(t *testing.T) {
 	p := gen.YAGO2
 	p.ErrorRate = 0.25
 	ds := gen.Generate(p, 120, 5)
 	rules := gen.Rules(p, gen.RuleConfig{Count: 21, MaxDiameter: 5, Seed: 5})
 
-	shared := detect.Dect(ds.G, rules, detect.Options{
-		Program: plan.New(ds.G, rules, plan.Options{}),
-	})
-	solo := detect.Dect(ds.G, rules, detect.Options{
-		Program: plan.New(ds.G, rules, plan.Options{NoSharing: true}),
-	})
-	if len(shared.Violations) == 0 {
+	want := detect.VioKeySet(ref.Detect(ds.G, rules))
+	if len(want) == 0 {
 		t.Fatal("vacuous workload")
 	}
-	a := detect.VioKeySet(shared.Violations)
-	b := detect.VioKeySet(solo.Violations)
-	if len(a) != len(b) {
-		t.Fatalf("shared found %d violations, per-rule %d", len(a), len(b))
+	shared := detect.Dect(ds.G, rules, detect.Options{})
+	var solo detect.Result
+	for _, r := range rules.Rules {
+		one := detect.Dect(ds.G, core.NewSet(r), detect.Options{})
+		solo.Violations = append(solo.Violations, one.Violations...)
+		solo.Counters.Candidates += one.Counters.Candidates
 	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			t.Fatalf("shared-only violation %s", k)
-		}
-	}
+	sameKeys(t, "shared", shared.Violations, want)
+	sameKeys(t, "per-rule", solo.Violations, want)
 	if shared.Counters.Candidates > solo.Counters.Candidates {
 		t.Fatalf("sharing scanned more candidates (%d) than per-rule search (%d)",
 			shared.Counters.Candidates, solo.Counters.Candidates)
 	}
 	t.Logf("candidates: shared %d vs per-rule %d", shared.Counters.Candidates, solo.Counters.Candidates)
+}
+
+// TestHubTrapAnchorsOnSparseEdge pins the cost planner's anchor choice. The
+// pattern's user node can be reached through a many-to-many hub relation
+// (likes: every user likes every item) or a sparse one (owns: two owners per
+// rare item). Anchoring on the hub side costs ~96 kilounits on this graph;
+// the fan statistics must pick the sparse side (~0.2), with the violation
+// set unchanged.
+func TestHubTrapAnchorsOnSparseEdge(t *testing.T) {
+	g := graph.New()
+	var items, rares, users []graph.NodeID
+	for i := 0; i < 4; i++ {
+		items = append(items, g.AddNode("item"))
+	}
+	for i := 0; i < 40; i++ {
+		rares = append(rares, g.AddNode("rare"))
+	}
+	for i := 0; i < 1200; i++ {
+		u := g.AddNode("user")
+		g.SetAttr(u, "vip", graph.Int(int64(i%2)))
+		users = append(users, u)
+	}
+	for i, it := range items {
+		for k := 0; k < 10; k++ {
+			g.AddEdge(it, rares[(i*10+k)%len(rares)], "promo")
+		}
+	}
+	for _, u := range users {
+		for _, it := range items {
+			g.AddEdge(u, it, "likes")
+		}
+	}
+	for i, r := range rares {
+		g.AddEdge(users[(2*i)%len(users)], r, "owns")
+		g.AddEdge(users[(2*i+1)%len(users)], r, "owns")
+	}
+	q := pattern.New()
+	iN := q.AddNode("i", "item")
+	rN := q.AddNode("r", "rare")
+	uN := q.AddNode("u", "user")
+	q.AddEdge(iN, rN, "promo")
+	q.AddEdge(uN, iN, "likes")
+	q.AddEdge(uN, rN, "owns")
+	trap := core.NewSet(core.MustNew("hub-trap", q, nil,
+		[]core.Literal{core.Lit(expr.V("u", "vip"), expr.Eq, expr.C(1))}))
+
+	res := detect.Dect(g, trap, detect.Options{})
+	if work := res.Counters.Candidates + res.Counters.Checks; work > 1000 {
+		t.Fatalf("hub-trap Dect did %d work units, want ≤ 1000 (hub-side anchoring costs ~96000)", work)
+	}
+	want := detect.VioKeySet(ref.Detect(g, trap))
+	if len(want) == 0 {
+		t.Fatal("vacuous workload")
+	}
+	sameKeys(t, "Dect", res.Violations, want)
 }
 
 func TestForPattern(t *testing.T) {

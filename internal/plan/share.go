@@ -69,10 +69,9 @@ type Share struct {
 }
 
 // ShareFor returns the prefix forest for the batch plans of the given rule
-// set over v, memoized per (set, pruning flag) and rebuilt whenever any
-// underlying plan was rebuilt (churn invalidation) or the set grew.
-func (p *Program) ShareFor(v graph.View, rules *core.Set, noPruning bool) *Share {
-	noPruning = noPruning || p.opts.NoPruning
+// set over v, memoized per set and rebuilt whenever any underlying plan was
+// rebuilt (churn invalidation) or the set grew.
+func (p *Program) ShareFor(v graph.View, rules *core.Set) *Share {
 	// resolve the group plans first (outside the memo check: these are the
 	// cache lookups whose pointers serve as the validity token)
 	plans := make([]*match.Plan, 0, len(rules.Rules))
@@ -81,14 +80,13 @@ func (p *Program) ShareFor(v graph.View, rules *core.Set, noPruning bool) *Share
 		if len(r.Y) == 0 {
 			continue
 		}
-		c, pl := p.PlanFor(v, r, nil, noPruning)
+		c, pl := p.PlanFor(v, r, nil)
 		srs = append(srs, ShareRule{Rule: r, C: c, Plan: pl})
 		plans = append(plans, pl)
 	}
-	key := shareKey{set: rules, noPruning: noPruning}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.shares[key]; ok && samePlans(e.plans, plans) {
+	if e, ok := p.shares[rules]; ok && samePlans(e.plans, plans) {
 		return e.share
 	}
 	// The memo is keyed by set pointer; callers cycling through ephemeral
@@ -98,7 +96,7 @@ func (p *Program) ShareFor(v graph.View, rules *core.Set, noPruning bool) *Share
 		clear(p.shares)
 	}
 	sh := buildShare(srs)
-	p.shares[key] = &shareEntry{share: sh, plans: plans}
+	p.shares[rules] = &shareEntry{share: sh, plans: plans}
 	p.sharedRules.Store(int64(sh.SharedRules))
 	return sh
 }

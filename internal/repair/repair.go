@@ -135,9 +135,6 @@ type Options struct {
 	// Solver bounds every exact Solve; Solver.Done is also polled between
 	// candidates, so one closed channel deadlines the whole enumeration.
 	Solver solver.Options
-	// NoPruning disables index-backed pruning in the edge-deletion preview
-	// (mirrors the session's differential-testing toggle).
-	NoPruning bool
 }
 
 // Store is the read view of the live violation store the enumerator ranks
@@ -190,7 +187,7 @@ func Enumerate(g *graph.Graph, rules *core.Set, prog *plan.Program, st Store, ta
 		opts.MaxFixes = 8
 	}
 	if prog == nil {
-		prog = plan.New(g, rules, plan.Options{NoPruning: opts.NoPruning})
+		prog = plan.New(g, rules, plan.Options{})
 	}
 	e := &enum{g: g, rules: rules, prog: prog, store: st, opts: opts, target: target}
 	res := &Result{Target: target.Key(), Rule: target.Rule.Name}
@@ -289,9 +286,10 @@ func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces
 	})
 
 	// introduced: matches binding n that violate on the overlay but are not
-	// in the store. Plans are built directly against the overlay (the
-	// shared program's cache is keyed by rule and bound slot, not by view,
-	// so it must not be fed overlay-derived plans).
+	// in the store. Plans come from the shared program like everywhere else:
+	// a plan is valid over any view of the same graph (seed runs resolve at
+	// match time against the matcher's view, and the overlay masks the
+	// index of every attribute it overrides).
 	seen := make(map[string]bool)
 	for _, r := range e.rules.Rules {
 		if len(r.Y) == 0 {
@@ -308,7 +306,7 @@ func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces
 			if !match.VerifyBound(ov, c.CP, partial) {
 				continue
 			}
-			pl := match.BuildPrunedPlan(ov, c.CP, []int{slot}, c.Filters)
+			_, pl := e.prog.PlanFor(ov, r, []int{slot})
 			searcher := detect.NewSearcher(ov, c, pl)
 			searcher.Run(partial, func(m core.Match) bool {
 				k := core.Violation{Rule: r, Match: m}.Key()
@@ -360,7 +358,6 @@ func (e *enum) edgeFixes() []Fix {
 		d := &graph.Delta{}
 		d.Delete(k.src, k.dst, l)
 		dv := inc.IncDect(e.g, edgeRules, d, inc.Options{
-			NoPruning:        e.opts.NoPruning,
 			AssumeNormalized: true,
 			Program:          e.prog,
 		})

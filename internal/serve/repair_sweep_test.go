@@ -1,15 +1,15 @@
 package serve_test
 
 // Repair differential sweep: the repair engine re-runs the session
-// differential fuzz table (internal/session's 27 seeded workloads —
-// every profile, both pruning modes, parallel routing, edge-less rules,
+// differential fuzz table (internal/session's seeded workloads — every
+// profile, prunable and unprunable Σ, parallel routing, edge-less rules,
 // uniform and skewed streams) and, on each workload's final state,
 // drains the violation store by applying the top-ranked fix per
 // violation through /repair/apply's backing call. After every apply the
-// live store must be byte-identical to Dect(Σ, G') recomputed from
-// scratch on the repaired graph — the repair commit is an ordinary
-// batch, invisible to the detection invariant. Previews run alongside
-// and must never move the epoch or the store.
+// live store must be byte-identical to Vio(Σ, G') recomputed by the
+// brute-force oracle (internal/ref) on the repaired graph — the repair
+// commit is an ordinary batch, invisible to the detection invariant.
+// Previews run alongside and must never move the epoch or the store.
 
 import (
 	"fmt"
@@ -22,6 +22,7 @@ import (
 	"ngd/internal/expr"
 	"ngd/internal/gen"
 	"ngd/internal/pattern"
+	"ngd/internal/ref"
 	"ngd/internal/repair"
 	"ngd/internal/serve"
 	"ngd/internal/session"
@@ -40,14 +41,14 @@ type sweepWorkload struct {
 	batchFrac float64
 	gamma     float64 // 0 = 1 (paper default)
 	hotspot   float64 // 0 = generator default (burst-skewed); -1 = uniform
-	noPruning bool
-	parallel  bool // session routes through PIncDect
-	nodeRule  bool // append an edge-less rule (per-node absorption path)
+	noPrune   bool    // Σ rewritten so no precondition is index-prunable
+	parallel  bool    // session routes through PIncDect
+	nodeRule  bool    // append an edge-less rule (per-node absorption path)
 }
 
 func (w sweepWorkload) name() string {
 	var tags []string
-	if w.noPruning {
+	if w.noPrune {
 		tags = append(tags, "noprune")
 	}
 	if w.parallel {
@@ -78,7 +79,7 @@ func sweepWorkloads() []sweepWorkload {
 			for _, noPrune := range []bool{false, true} {
 				ws = append(ws, sweepWorkload{
 					profile: p, entities: entities[p.Name], rules: 10,
-					seed: seed, batches: 3, batchFrac: 0.06, noPruning: noPrune,
+					seed: seed, batches: 3, batchFrac: 0.06, noPrune: noPrune,
 				})
 			}
 		}
@@ -116,6 +117,21 @@ func sweepNodeRule() *core.NGD {
 	})
 }
 
+// sweepUnprunable is session_test's unprunable: every precondition L ⊗ R
+// becomes L+0 ⊗ R+0, which means the same but is not the shape the planner
+// compiles into candidate filters and index seeds.
+func sweepUnprunable(rules *core.Set) *core.Set {
+	out := core.NewSet()
+	for _, r := range rules.Rules {
+		x := make([]core.Literal, len(r.X))
+		for i, l := range r.X {
+			x[i] = core.Lit(expr.Add(l.L, expr.C(0)), l.Op, expr.Add(l.R, expr.C(0)))
+		}
+		out.Add(core.MustNew(r.Name, r.Pattern, x, r.Y))
+	}
+	return out
+}
+
 // sweepCanon renders a violation key set in canonical byte form.
 func sweepCanon(vs []core.Violation) string {
 	keys := make([]string, 0, len(vs))
@@ -146,9 +162,10 @@ func runRepairSweep(t *testing.T, w sweepWorkload) {
 	if w.nodeRule {
 		rules.Add(sweepNodeRule())
 	}
-	sess := session.New(ds.G, rules, session.Options{
-		Parallel: w.parallel, NoPruning: w.noPruning,
-	})
+	if w.noPrune {
+		rules = sweepUnprunable(rules)
+	}
+	sess := session.New(ds.G, rules, session.Options{Parallel: w.parallel})
 
 	// replay the workload's stream first — repair runs against the state a
 	// served session would actually be in, not a freshly seeded store
@@ -207,12 +224,12 @@ func runRepairSweep(t *testing.T, w sweepWorkload) {
 		}
 
 		// the differential: after the repair commit the live store must be
-		// byte-identical to from-scratch detection on the repaired graph
+		// byte-identical to the oracle's answer on the repaired graph
 		store := sweepCanon(s.Snapshot().Violations())
-		dect := sweepCanon(detect.Dect(ds.G, rules, detect.Options{NoPruning: w.noPruning}).Violations)
-		if store != dect {
-			t.Fatalf("workload %s apply %d (%s): store != Dect(Σ,G')\nstore:\n%s\nDect:\n%s",
-				w.name(), applies, applied.Fix.ID, store, dect)
+		want := sweepCanon(ref.Detect(ds.G, rules))
+		if store != want {
+			t.Fatalf("workload %s apply %d (%s): store != Vio(Σ,G')\nstore:\n%s\nreference:\n%s",
+				w.name(), applies, applied.Fix.ID, store, want)
 		}
 		if _, still := s.Snapshot().Get(key); still {
 			t.Fatalf("workload %s: applied fix %s did not clear its target %s",

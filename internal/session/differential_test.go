@@ -4,14 +4,16 @@ package session_test
 // (Profile, Σ, ΔG-stream) workloads, after every committed batch the
 // session's live store must be byte-identical to
 //
-//   - Dect(Σ, G)  from scratch on the committed graph (ground truth),
-//   - PDect(Σ, G) on the committed graph,
+//   - ref.Detect(G, Σ), the brute-force oracle, on the committed graph
+//     (ground truth: it shares no code path with the engine),
+//   - Dect(Σ, G) and PDect(Σ, G) on the committed graph,
 //   - the previous store reconciled with IncDect's  ΔVio⁺/ΔVio⁻,
 //   - the previous store reconciled with PIncDect's ΔVio⁺/ΔVio⁻,
 //
-// with candidate pruning both on and off, sequential and parallel session
-// routing, uniform and burst-skewed streams. Failures log the workload
-// (profile, seed, batch) so any counterexample reproduces from its seeds.
+// with prunable and unprunable preconditions, sequential and parallel
+// session routing, uniform and burst-skewed streams. Failures log the
+// workload (profile, seed, batch) so any counterexample reproduces from its
+// seeds.
 
 import (
 	"fmt"
@@ -21,9 +23,12 @@ import (
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
+	"ngd/internal/expr"
 	"ngd/internal/gen"
+	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
+	"ngd/internal/ref"
 	"ngd/internal/session"
 	"ngd/internal/update"
 )
@@ -38,14 +43,44 @@ type diffWorkload struct {
 	batchFrac float64
 	gamma     float64 // 0 = 1 (paper default)
 	hotspot   float64 // 0 = generator default (burst-skewed); -1 = uniform
-	noPruning bool
-	parallel  bool // session routes through PIncDect
-	nodeRule  bool // append an edge-less rule (per-node absorption path)
+	noPrune   bool    // Σ rewritten so no precondition is index-prunable
+	parallel  bool    // session routes through PIncDect
+	nodeRule  bool    // append an edge-less rule (per-node absorption path)
+}
+
+// sigma builds the workload's rule set.
+func (w diffWorkload) sigma() *core.Set {
+	rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
+	if w.nodeRule {
+		rules.Add(noSevenRule())
+	}
+	if w.noPrune {
+		rules = unprunable(rules)
+	}
+	return rules
+}
+
+// unprunable rewrites every precondition L ⊗ R as L+0 ⊗ R+0: the same
+// meaning on numeric attributes, but no longer the bare-term-vs-constant
+// shape the planner compiles into candidate filters and index seeds. The
+// same Σ therefore runs down the engine's other path — label-bucket scans
+// with every literal left to the level-by-level schedule — on the same graph
+// and stream as the prunable row beside it.
+func unprunable(rules *core.Set) *core.Set {
+	out := core.NewSet()
+	for _, r := range rules.Rules {
+		x := make([]core.Literal, len(r.X))
+		for i, l := range r.X {
+			x[i] = core.Lit(expr.Add(l.L, expr.C(0)), l.Op, expr.Add(l.R, expr.C(0)))
+		}
+		out.Add(core.MustNew(r.Name, r.Pattern, x, r.Y))
+	}
+	return out
 }
 
 func (w diffWorkload) name() string {
 	var tags []string
-	if w.noPruning {
+	if w.noPrune {
 		tags = append(tags, "noprune")
 	}
 	if w.parallel {
@@ -67,8 +102,8 @@ func (w diffWorkload) name() string {
 	return fmt.Sprintf("%s/seed%d%s", w.profile.Name, w.seed, tag)
 }
 
-// diffWorkloads is the seeded workload table: every profile, both pruning
-// modes, two seeds each, plus routing/stream/rule-shape variants.
+// diffWorkloads is the seeded workload table: every profile, prunable and
+// unprunable Σ, two seeds each, plus routing/stream/rule-shape variants.
 func diffWorkloads() []diffWorkload {
 	var ws []diffWorkload
 	profiles := []gen.Profile{gen.DBpedia, gen.YAGO2, gen.Pokec, gen.Synthetic}
@@ -78,7 +113,7 @@ func diffWorkloads() []diffWorkload {
 			for _, noPrune := range []bool{false, true} {
 				ws = append(ws, diffWorkload{
 					profile: p, entities: entities[p.Name], rules: 10,
-					seed: seed, batches: 3, batchFrac: 0.06, noPruning: noPrune,
+					seed: seed, batches: 3, batchFrac: 0.06, noPrune: noPrune,
 				})
 			}
 		}
@@ -155,21 +190,14 @@ func TestDifferentialContinuousDetection(t *testing.T) {
 
 func runDifferential(t *testing.T, w diffWorkload) {
 	ds := gen.Generate(w.profile, w.entities, w.seed)
-	rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
-	if w.nodeRule {
-		rules.Add(noSevenRule())
-	}
-	sess := session.New(ds.G, rules, session.Options{
-		Parallel: w.parallel, NoPruning: w.noPruning,
-	})
+	rules := w.sigma()
+	sess := session.New(ds.G, rules, session.Options{Parallel: w.parallel})
 	defer sess.Close()
 	parOpts := par.Hybrid(6)
-	parOpts.NoPruning = w.noPruning
 
-	// the session's seed store must already match batch detection
-	if got, want := canon(sess.Violations()),
-		canon(detect.Dect(ds.G, rules, detect.Options{NoPruning: w.noPruning}).Violations); got != want {
-		t.Fatalf("workload %s: seed store != Dect\nstore:\n%s\nDect:\n%s", w.name(), got, want)
+	// the session's seed store must already match the oracle
+	if got, want := canon(sess.Violations()), canon(ref.Detect(ds.G, rules)); got != want {
+		t.Fatalf("workload %s: seed store != reference\nstore:\n%s\nreference:\n%s", w.name(), got, want)
 	}
 
 	for b := 0; b < w.batches; b++ {
@@ -183,15 +211,18 @@ func runDifferential(t *testing.T, w diffWorkload) {
 
 		// incremental answers against the pre-commit graph (neither call
 		// mutates G; the session commits afterwards)
-		incRes := inc.IncDect(ds.G, rules, delta, inc.Options{NoPruning: w.noPruning})
+		incRes := inc.IncDect(ds.G, rules, delta, inc.Options{})
 		pincRes := par.PIncDect(ds.G, rules, delta, parOpts)
 
 		sess.Commit(delta)
 		store := canonKeys(detect.VioKeySet(sess.Violations()))
 
-		// ground truth: from-scratch batch detection on the committed graph
-		dect := canon(detect.Dect(ds.G, rules, detect.Options{NoPruning: w.noPruning}).Violations)
-		if store != dect {
+		// ground truth: the oracle on the committed graph
+		if want := canon(ref.Detect(ds.G, rules)); store != want {
+			t.Fatalf("workload %s batch %d: session store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s",
+				w.name(), b, store, want)
+		}
+		if dect := canon(detect.Dect(ds.G, rules, detect.Options{}).Violations); store != dect {
 			t.Fatalf("workload %s batch %d: session store != Dect(Σ,G)\nstore:\n%s\nDect:\n%s",
 				w.name(), b, store, dect)
 		}
@@ -235,26 +266,19 @@ func TestDifferentialShardRuntime(t *testing.T) {
 		t.Run(w.name(), func(t *testing.T) {
 			t.Parallel()
 			ds := gen.Generate(w.profile, w.entities, w.seed)
-			rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
-			if w.nodeRule {
-				rules.Add(noSevenRule())
-			}
-			want := canon(detect.Dect(ds.G, rules, detect.Options{NoPruning: w.noPruning}).Violations)
+			rules := w.sigma()
+			vio := ref.Detect(ds.G, rules)
+			want := canon(vio)
 			for _, p := range []int{1, 2, 4, 8} {
-				opts := par.Hybrid(p)
-				opts.NoPruning = w.noPruning
-				if got := canon(par.PDect(ds.G, rules, opts).Violations); got != want {
-					t.Fatalf("workload %s: PDect(real, p=%d) != Dect\nPDect:\n%s\nDect:\n%s",
+				if got := canon(par.PDect(ds.G, rules, par.Hybrid(p)).Violations); got != want {
+					t.Fatalf("workload %s: PDect(real, p=%d) != Vio(Σ,G)\nPDect:\n%s\nreference:\n%s",
 						w.name(), p, got, want)
 				}
 			}
 
 			ropts := par.Hybrid(4)
-			ropts.NoPruning = w.noPruning
-			vopts := par.Oracle(4)
-			vopts.NoPruning = w.noPruning
 			ru := par.PDect(ds.G, rules, ropts).Metrics.Units
-			vu := par.PDect(ds.G, rules, vopts).Metrics.Units
+			vu := par.PDect(ds.G, rules, par.Oracle(4)).Metrics.Units
 			if ru != vu {
 				t.Errorf("workload %s: real driver processed %d units, virtual oracle %d",
 					w.name(), ru, vu)
@@ -266,13 +290,14 @@ func TestDifferentialShardRuntime(t *testing.T) {
 				Seed:    w.seed*1000 + 500,
 				Hotspot: w.hotspot,
 			})
-			wantInc := inc.IncDect(ds.G, rules, delta, inc.Options{NoPruning: w.noPruning})
+			// ΔVio by definition: reconciling it into Vio(Σ,G) must give
+			// the oracle's Vio(Σ, G⊕ΔG)
 			gotInc := par.PIncDect(ds.G, rules, delta, ropts)
-			if canon(gotInc.Delta.Plus) != canon(wantInc.Plus) ||
-				canon(gotInc.Delta.Minus) != canon(wantInc.Minus) {
-				t.Fatalf("workload %s: PIncDect(real, p=4) != IncDect (ΔVio⁺ %d/%d, ΔVio⁻ %d/%d)",
-					w.name(), len(gotInc.Delta.Plus), len(wantInc.Plus),
-					len(gotInc.Delta.Minus), len(wantInc.Minus))
+			after := ref.Detect(graph.NewOverlay(ds.G, delta.Normalize(ds.G)), rules)
+			if got := canonKeys(reconcile(detect.VioKeySet(vio),
+				gotInc.Delta.Plus, gotInc.Delta.Minus)); got != canon(after) {
+				t.Fatalf("workload %s: Vio(Σ,G) ⊕ PIncDect(real, p=4) != Vio(Σ,G⊕ΔG)\ngot:\n%s\nreference:\n%s",
+					w.name(), got, canon(after))
 			}
 		})
 	}
@@ -292,9 +317,8 @@ func TestDifferentialRealDriver(t *testing.T) {
 		})
 		sess.Commit(delta)
 		store := canonKeys(detect.VioKeySet(sess.Violations()))
-		dect := canon(detect.Dect(ds.G, rules, detect.Options{}).Violations)
-		if store != dect {
-			t.Fatalf("real driver batch %d (seed 11): store != Dect\nstore:\n%s\nDect:\n%s", b, store, dect)
+		if want := canon(ref.Detect(ds.G, rules)); store != want {
+			t.Fatalf("real driver batch %d (seed 11): store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b, store, want)
 		}
 	}
 }

@@ -8,9 +8,10 @@ package session_test
 // where minimize drops exactly the unviolable rules (∅ ⊨ φ). The suite
 // sweeps the full fuzz workload table with two planted unviolable rules —
 // one with an unsatisfiable precondition, one with an empty consequent —
-// and checks the violation sets stay byte-identical under sequential Dect,
-// parallel PDect, and a committing session (which minimizes by default),
-// across every committed batch.
+// and checks that sequential Dect and parallel PDect over minimize(Σ), and a
+// committing session handed the full Σ (which minimizes by default), all
+// reproduce the reference oracle's Vio(Σ, G) for the full Σ, across every
+// committed batch.
 
 import (
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"ngd/internal/par"
 	"ngd/internal/pattern"
 	"ngd/internal/reason"
+	"ngd/internal/ref"
 	"ngd/internal/session"
 	"ngd/internal/update"
 )
@@ -65,7 +67,7 @@ func TestDifferentialMinimization(t *testing.T) {
 
 func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 	ds := gen.Generate(w.profile, w.entities, w.seed)
-	full := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
+	full := w.sigma()
 	full.Add(deadPreRule())
 	full.Add(emptyConsRule())
 
@@ -79,26 +81,19 @@ func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 			w.name(), full.Len(), min.Len())
 	}
 
-	dOpts := detect.Options{NoPruning: w.noPruning}
-	parOpts := par.Hybrid(6)
-	parOpts.NoPruning = w.noPruning
-
 	// batch equivalence on the seed graph, sequential and parallel
-	if got, want := canon(detect.Dect(ds.G, min, dOpts).Violations),
-		canon(detect.Dect(ds.G, full, dOpts).Violations); got != want {
-		t.Fatalf("workload %s: Dect(minΣ) != Dect(Σ)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
+	want := canon(ref.Detect(ds.G, full))
+	if got := canon(detect.Dect(ds.G, min, detect.Options{}).Violations); got != want {
+		t.Fatalf("workload %s: Dect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
 	}
-	if got, want := canon(par.PDect(ds.G, min, parOpts).Violations),
-		canon(par.PDect(ds.G, full, parOpts).Violations); got != want {
-		t.Fatalf("workload %s: PDect(minΣ) != PDect(Σ)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
+	if got := canon(par.PDect(ds.G, min, par.Hybrid(6)).Violations); got != want {
+		t.Fatalf("workload %s: PDect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
 	}
 
 	// continuous detection: a session handed the FULL Σ (admission
 	// minimization on by default) must track from-scratch detection with
 	// the full Σ across every committed batch
-	sess := session.New(ds.G, full, session.Options{
-		Parallel: w.parallel, NoPruning: w.noPruning,
-	})
+	sess := session.New(ds.G, full, session.Options{Parallel: w.parallel})
 	defer sess.Close()
 	if got := len(sess.DroppedRules()); got != 2 {
 		t.Fatalf("workload %s: session dropped %d rules, want 2", w.name(), got)
@@ -112,9 +107,9 @@ func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 		})
 		sess.Commit(delta)
 		store := canon(sess.Violations())
-		truth := canon(detect.Dect(ds.G, full, dOpts).Violations)
+		truth := canon(ref.Detect(ds.G, full))
 		if store != truth {
-			t.Fatalf("workload %s batch %d: minimized session store != Dect(Σ,G)\nstore:\n%s\ntruth:\n%s",
+			t.Fatalf("workload %s batch %d: minimized session store != Vio(Σ,G)\nstore:\n%s\ntruth:\n%s",
 				w.name(), b, store, truth)
 		}
 	}

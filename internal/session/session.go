@@ -57,14 +57,8 @@ type Options struct {
 	// driver. Par.Limit is ignored: the store invariant needs complete
 	// violation sets, so detection always runs unbounded.
 	Par par.Options
-	// NoPruning disables index-backed candidate pruning in every routed
-	// detector (differential testing; see detect.Options.NoPruning).
-	NoPruning bool
-	// Plan configures the session's shared rule program: ordering policy
-	// (cost-based vs legacy), cross-rule sharing, churn threshold. The
-	// zero value — cost-based ordering, sharing on, automatic threshold —
-	// is right for serving; the toggles exist for differential tests and
-	// benchmarks.
+	// Plan configures the session's shared rule program (the plan-cache
+	// churn threshold; the zero value picks it automatically).
 	Plan plan.Options
 	// Analyze configures the Σ admission pass run at construction. The
 	// zero value minimizes: unviolable rules (∅ ⊨ φ — no graph can violate
@@ -74,13 +68,6 @@ type Options struct {
 	// Analyze.Reason budgets the implication probes. Dropped rule names
 	// are reported by DroppedRules.
 	Analyze analyze.Options
-	// PackSnapshots attaches a CSR-packed frozen copy of the graph
-	// (graph.Packed) to every published Snapshot, readable via
-	// Snapshot.Graph while the writer keeps committing. Off by default:
-	// packing costs O(|V|+|E|) per epoch, worth paying only when readers
-	// actually scan graph structure (ad-hoc detection over a snapshot,
-	// analytics) rather than just the violation store.
-	PackSnapshots bool
 }
 
 // BatchStats reports what one Commit did.
@@ -238,19 +225,6 @@ type Snapshot struct {
 
 	vios  []core.Violation
 	index map[string]int
-	// packed is the epoch's CSR graph snapshot (Options.PackSnapshots).
-	packed *graph.Packed
-}
-
-// Graph returns the epoch's frozen CSR copy of the graph, or nil when the
-// session does not pack snapshots (Options.PackSnapshots). The copy shares
-// nothing with the live graph — symbols included — so it is safe to scan
-// (including running detection over it) while the writer commits.
-func (sn *Snapshot) Graph() graph.View {
-	if sn.packed == nil {
-		return nil
-	}
-	return sn.packed
 }
 
 // Len reports |Vio(Σ, G)| at the snapshot's epoch.
@@ -286,9 +260,7 @@ func New(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	if opts.Parallel {
 		vios = par.PDect(g, s.rules, s.parOpts()).Violations
 	} else {
-		vios = detect.Dect(g, s.rules, detect.Options{
-			NoPruning: opts.NoPruning, Program: s.prog,
-		}).Violations
+		vios = detect.Dect(g, s.rules, detect.Options{Program: s.prog}).Violations
 	}
 	for _, v := range vios {
 		s.store[v.Key()] = v
@@ -316,8 +288,6 @@ func Restore(g *graph.Graph, rules *core.Set, vios []core.Violation, opts Option
 // rules vs isolated-slot rules) and the node watermark. The store is empty;
 // New seeds it with a detection run, Restore from persisted violations.
 func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
-	po := opts.Plan
-	po.NoPruning = po.NoPruning || opts.NoPruning
 	var dropped []string
 	if !opts.Analyze.NoMinimize {
 		// Σ admission: drop unviolable rules (∅ ⊨ φ) before compiling the
@@ -326,12 +296,13 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 		// every detector now sees.
 		rules, dropped = analyze.MinimizeUnviolable(rules, opts.Analyze.Reason)
 	}
+	internSymbols(g.Symbols(), rules)
 	s := &Session{
 		g:         g,
 		rules:     rules,
 		opts:      opts,
 		dropped:   dropped,
-		prog:      plan.New(g, rules, po),
+		prog:      plan.New(g, rules, opts.Plan),
 		store:     make(map[string]core.Violation),
 		edgeRules: core.NewSet(),
 	}
@@ -357,6 +328,30 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	return s
 }
 
+// internSymbols interns every label and attribute name Σ mentions into the
+// graph's symbol table. The program compiles Σ once, resolving names to ids;
+// a name the graph has not seen yet would compile to "unmatchable" and stay
+// so for the session's lifetime, even after a later batch introduces it.
+// Interning first makes the ids stable before the first element carrying
+// them arrives.
+func internSymbols(syms *graph.Symbols, rules *core.Set) {
+	attr := func(_, a string) { syms.Attr(a) }
+	for _, r := range rules.Rules {
+		for _, n := range r.Pattern.Nodes {
+			syms.Label(n.Label)
+		}
+		for _, e := range r.Pattern.Edges {
+			syms.Label(e.Label)
+		}
+		for _, lits := range [][]core.Literal{r.X, r.Y} {
+			for _, l := range lits {
+				l.L.Terms(attr)
+				l.R.Terms(attr)
+			}
+		}
+	}
+}
+
 // SetCommitHook installs (or, with nil, removes) the hook Commit invokes
 // with each batch before mutating the graph. internal/store uses it to
 // append the batch to the write-ahead log; installing it after recovery
@@ -374,7 +369,6 @@ func (s *Session) parOpts() par.Options {
 	if o.P == 0 && !o.SplitUnits && !o.Balance && !o.Virtual {
 		o = par.Hybrid(0)
 	}
-	o.NoPruning = o.NoPruning || s.opts.NoPruning
 	o.AssumeNormalized = true
 	o.Limit = 0
 	o.Part = s.part
@@ -486,9 +480,6 @@ func (s *Session) Snapshot() *Snapshot {
 		sn.index[k] = len(sn.vios)
 		sn.vios = append(sn.vios, s.store[k])
 	}
-	if s.opts.PackSnapshots {
-		sn.packed = s.g.Pack()
-	}
 	s.snap = sn
 	return sn
 }
@@ -592,7 +583,6 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 			st.Cost = r.Metrics.Makespan
 		} else {
 			r := inc.IncDect(s.g, s.edgeRules, norm, inc.Options{
-				NoPruning:        s.opts.NoPruning,
 				AssumeNormalized: true,
 				Program:          s.prog,
 				Searchers:        &s.searchers,
@@ -717,7 +707,7 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp, add, rem func(core.Violatio
 					continue
 				}
 				if searcher == nil {
-					_, pl := s.prog.PlanFor(s.g, r, []int{slot}, s.opts.NoPruning)
+					_, pl := s.prog.PlanFor(s.g, r, []int{slot})
 					searcher = s.searchers.Get(s.g, c, pl, detect.SlotKey(r, slot))
 				}
 				searcher.Run(partial, func(m core.Match) bool {
@@ -769,7 +759,7 @@ func (s *Session) absorbNewNodes() []core.Violation {
 					continue
 				}
 				if searcher == nil {
-					_, pl := s.prog.PlanFor(s.g, ir.rule, []int{slot}, s.opts.NoPruning)
+					_, pl := s.prog.PlanFor(s.g, ir.rule, []int{slot})
 					searcher = s.searchers.Get(s.g, c, pl, detect.SlotKey(ir.rule, slot))
 				}
 				partial[slot] = id
@@ -808,9 +798,7 @@ func sortByKey(vios []core.Violation) {
 // the per-batch path. The invariant is guaranteed only at commit
 // boundaries; nodes added since the last Commit are not yet absorbed.
 func (s *Session) Recheck() error {
-	fresh := detect.VioKeySet(detect.Dect(s.g, s.rules, detect.Options{
-		NoPruning: s.opts.NoPruning, Program: s.prog,
-	}).Violations)
+	fresh := detect.VioKeySet(detect.Dect(s.g, s.rules, detect.Options{Program: s.prog}).Violations)
 	for k := range fresh {
 		if _, ok := s.store[k]; !ok {
 			return fmt.Errorf("session: store missing violation %s", k)

@@ -9,6 +9,7 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
+	"ngd/internal/ref"
 	"ngd/internal/session"
 	"ngd/internal/update"
 )
@@ -352,28 +353,31 @@ func TestSessionPlanCacheWarm(t *testing.T) {
 	}
 }
 
-// TestSessionPlanPolicyDifferential commits the same stream through
-// cost-based and legacy-ordered sessions and compares stores after every
-// batch: plan policy must never leak into the violation set.
+// TestSessionPlanPolicyDifferential commits a stream through a session
+// whose plans are rebuilt on every lookup (ChurnThreshold 1: any mutation
+// invalidates the cache) beside one that serves them warm, and compares both
+// stores with the oracle after every batch: neither plan reuse nor plan
+// drift may leak into the violation set.
 func TestSessionPlanPolicyDifferential(t *testing.T) {
 	mk := func(po plan.Options) (*session.Session, *gen.Dataset) {
 		ds, rules := mkStreamWorkload(t, gen.Pokec, 150, 10, 7)
 		return session.New(ds.G, rules, session.Options{Plan: po}), ds
 	}
-	sCost, dsA := mk(plan.Options{})
-	sLegacy, dsB := mk(plan.Options{LegacyOrder: true, NoSharing: true})
+	sWarm, dsA := mk(plan.Options{})
+	sCold, dsB := mk(plan.Options{ChurnThreshold: 1})
 	for b := 0; b < 4; b++ {
 		cfg := update.Config{Size: update.SizeFor(dsA.G, 0.05), Gamma: 1, Seed: 500 + int64(b)}
-		sCost.Commit(update.Random(dsA, cfg))
-		sLegacy.Commit(update.Random(dsB, cfg))
-		a, l := sCost.Violations(), sLegacy.Violations()
-		if len(a) != len(l) {
-			t.Fatalf("batch %d: cost store %d vs legacy store %d", b+1, len(a), len(l))
+		sWarm.Commit(update.Random(dsA, cfg))
+		sCold.Commit(update.Random(dsB, cfg))
+		want := canon(ref.Detect(dsA.G, sWarm.Rules()))
+		if got := canon(sWarm.Violations()); got != want {
+			t.Fatalf("batch %d: warm-cache store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b+1, got, want)
 		}
-		for i := range a {
-			if a[i].Key() != l[i].Key() {
-				t.Fatalf("batch %d: stores diverge at %d: %s vs %s", b+1, i, a[i].Key(), l[i].Key())
-			}
+		if got := canon(sCold.Violations()); got != want {
+			t.Fatalf("batch %d: always-replanning store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b+1, got, want)
 		}
+	}
+	if inv := sCold.PlanStats().Invalidations; inv == 0 {
+		t.Fatal("ChurnThreshold 1 session never invalidated a plan")
 	}
 }

@@ -61,7 +61,7 @@ type Options struct {
 	// is a consistent prefix). Snapshots are always fsynced.
 	NoSync bool
 	// Session configures the session restored by recovery (parallel
-	// routing, pruning toggles). It should match the options the serving
+	// routing, admission analysis). It should match the options the serving
 	// process normally runs with.
 	Session session.Options
 }

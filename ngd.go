@@ -101,7 +101,8 @@ type (
 	// batch updates in place, and keeps the violation store Vio(Σ, G) live
 	// by reconciling incremental answers (internal/session).
 	Session = session.Session
-	// SessionOptions configure a session (parallel routing, pruning).
+	// SessionOptions configure a session (parallel routing, admission
+	// analysis, plan-cache threshold).
 	SessionOptions = session.Options
 	// BatchStats report what one session commit did (coalescing, commit
 	// effects, ΔVio sizes, detection cost, store size).
@@ -163,8 +164,7 @@ type (
 	// build one automatically; hand-built Programs (NewProgram) amortize
 	// planning across repeated one-shot detector calls.
 	Program = plan.Program
-	// PlanOptions configure a Program (ordering policy, sharing, churn
-	// threshold).
+	// PlanOptions configure a Program (the plan-cache churn threshold).
 	PlanOptions = plan.Options
 	// PlanCounters snapshot a Program's plan-cache activity (hits, misses,
 	// invalidations, shared-prefix rules); also surfaced per batch in
