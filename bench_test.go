@@ -6,9 +6,7 @@
 package ngd_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -37,8 +35,8 @@ type benchWorkload struct {
 	after *graph.Overlay
 }
 
-// sim pins an options value to the deterministic virtual-time driver: the
-// fig4 benchmarks report simulated makespan_units, which must stay
+// sim pins an options value to the deterministic virtual-time scheduler:
+// the fig4 benchmarks report simulated makespan_units, which must stay
 // machine-independent now that the engine defaults to the wall-clock shard
 // runtime. BenchmarkShardScaling is the wall-clock counterpart.
 func sim(o par.Options) par.Options {
@@ -438,16 +436,13 @@ func BenchmarkPlanProgram(b *testing.B) {
 	})
 }
 
-// BenchmarkShardScaling measures real elapsed time of PDect and PIncDect on
-// the persistent shard pool (the goroutine driver, engine default) at
-// p = 1, 2, 4 and, on larger hosts, NumCPU — and emits the series as
-// machine-readable JSON to BENCH_shards.json, the same schema `ngdbench
-// shards` writes at full scale. host_cores is recorded because the numbers
-// are wall-clock: a single-core host shows a flat curve by physics, not by
-// regression. CI runs this at -benchtime 1x and fails the build if the
-// emitted JSON is malformed or missing keys.
+// BenchmarkShardScaling times PDect and PIncDect on a persistent shard pool
+// (the goroutine scheduler, engine default) at p = 1, 2, 4 and, on larger
+// hosts, NumCPU. It is the `go test -bench` view (ns/op, allocs/op,
+// -cpuprofile) of what `ngdbench shards` measures at full scale; only that
+// command writes BENCH_shards.json. The numbers are wall-clock: a
+// single-core host shows a flat curve by physics, not by regression.
 func BenchmarkShardScaling(b *testing.B) {
-	b.ReportAllocs()
 	w := mkBench(gen.Pokec, 0.15, 1)
 	norm := w.delta.Normalize(w.ds.G)
 
@@ -455,71 +450,24 @@ func BenchmarkShardScaling(b *testing.B) {
 	if n := runtime.NumCPU(); n > 4 {
 		ps = append(ps, n)
 	}
-	type point struct {
-		P               int     `json:"p"`
-		PDectMS         float64 `json:"pdect_ms"`
-		PIncDectMS      float64 `json:"pincdect_ms"`
-		PDectSpeedup    float64 `json:"pdect_speedup"`
-		PIncDectSpeedup float64 `json:"pincdect_speedup"`
-	}
-	report := struct {
-		Experiment  string  `json:"experiment"`
-		HostCores   int     `json:"host_cores"`
-		Gomaxprocs  int     `json:"gomaxprocs"`
-		Profile     string  `json:"profile"`
-		Entities    int     `json:"entities"`
-		Rules       int     `json:"rules"`
-		DeltaFrac   float64 `json:"delta_frac"`
-		Series      []point `json:"series"`
-		GeneratedBy string  `json:"generated_by"`
-	}{
-		Experiment: "shards", HostCores: runtime.NumCPU(),
-		Gomaxprocs: runtime.GOMAXPROCS(0), Profile: gen.Pokec.Name,
-		Entities: benchEntities, Rules: benchRules, DeltaFrac: 0.15,
-		GeneratedBy: "go test -bench ShardScaling",
-	}
-
 	for _, p := range ps {
 		pool := par.NewPool(p)
 		opts := par.Hybrid(p)
 		opts.Pool = pool
 		opts.AssumeNormalized = true
-		pt := point{P: p, PDectSpeedup: 1, PIncDectSpeedup: 1}
 
 		b.Run(fmt.Sprintf("p%d/PDect", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				par.PDect(w.after, w.rules, opts)
 			}
-			pt.PDectMS = float64(b.Elapsed().Microseconds()) / float64(b.N) / 1000
 		})
 		b.Run(fmt.Sprintf("p%d/PIncDect", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				par.PIncDect(w.ds.G, w.rules, norm, opts)
 			}
-			pt.PIncDectMS = float64(b.Elapsed().Microseconds()) / float64(b.N) / 1000
 		})
 		pool.Close()
-
-		if len(report.Series) > 0 {
-			base := report.Series[0]
-			if pt.PDectMS > 0 {
-				pt.PDectSpeedup = base.PDectMS / pt.PDectMS
-			}
-			if pt.PIncDectMS > 0 {
-				pt.PIncDectSpeedup = base.PIncDectMS / pt.PIncDectMS
-			}
-		}
-		report.Series = append(report.Series, pt)
-	}
-
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal shard series: %v", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile("BENCH_shards.json", raw, 0o644); err != nil {
-		b.Fatalf("write BENCH_shards.json: %v", err)
 	}
 }

@@ -3,8 +3,8 @@
 //
 // The reasoning oracle (internal/reason), the repair engine
 // (internal/repair), the exact integer solver (internal/solver) and the
-// virtual parallel driver (internal/par's
-// discrete-event path) must be pure functions of their inputs: replaying a
+// parallel engine's unit step, balance round and virtual scheduler
+// (internal/par) must be pure functions of their inputs: replaying a
 // WAL, re-running an admission analysis, or re-simulating a makespan must
 // produce byte-identical results. Reading a clock or a random source breaks
 // that silently — budgets and deadlines in those packages are therefore
@@ -13,9 +13,9 @@
 //
 // ngdlint walks the source with go/parser and fails the build when a
 // guarded file imports "time" or "math/rand" (any API from either package
-// smuggles nondeterminism in). Real wall-clock code is confined to the
-// allowlisted files: internal/par/pool.go and internal/par/real.go host the
-// goroutine shard runtime, whose balancer ticker is genuinely temporal.
+// smuggles nondeterminism in). Real wall-clock code is confined to the one
+// allowlisted file: internal/par/pool.go hosts the goroutine scheduler,
+// whose balancer ticker is genuinely temporal.
 // Test files are exempt — they may time themselves freely.
 //
 // It also enforces the allocation discipline of the hot detect path: the
@@ -50,7 +50,7 @@ var guarded = map[string]map[string]bool{
 	"internal/reason": {},
 	"internal/repair": {},
 	"internal/solver": {},
-	"internal/par":    {"pool.go": true, "real.go": true},
+	"internal/par":    {"pool.go": true},
 }
 
 var banned = map[string]string{

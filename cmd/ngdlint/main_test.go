@@ -90,11 +90,23 @@ var _ = detect.Dect
 }
 
 // TestRepoIsClean runs the real walk over this repository: the guarded
-// packages must stay free of wall-clock and randomness imports.
+// packages must stay free of wall-clock and randomness imports, and every
+// allowlisted file must exist — a stale entry would exempt whatever file
+// next takes the name. internal/par allows exactly one: the goroutine
+// scheduler's pool.go, so the unit step, the balance round and the virtual
+// scheduler are statically clock-free.
 func TestRepoIsClean(t *testing.T) {
 	fset := token.NewFileSet()
 	root := "../.."
+	if allow := guarded["internal/par"]; len(allow) != 1 || !allow["pool.go"] {
+		t.Errorf("internal/par allowlist = %v, want exactly pool.go", allow)
+	}
 	for dir, allow := range guarded {
+		for name := range allow {
+			if _, err := os.Stat(filepath.Join(root, dir, name)); err != nil {
+				t.Errorf("stale allowlist entry: %v", err)
+			}
+		}
 		entries, err := os.ReadDir(filepath.Join(root, dir))
 		if err != nil {
 			t.Fatal(err)

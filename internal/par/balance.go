@@ -1,14 +1,12 @@
 package par
 
-// Shared balancing arithmetic for the two drivers. The paper's monitoring
-// round (§6.3) is: workers whose load exceeds η× the average shed from the
-// front of their queue (the oldest, shallowest units — the biggest
-// subtrees), receivers below η′× the average accept at most their deficit.
-// Loads are measured in estimated unit cost (engine.unitWeight), which the
-// maintained LiveStats turn into subtree size; without stats every unit
-// weighs 1 and this is exactly the count-based scheme. Both drivers call
-// these helpers so their transfer decisions are identical by construction —
-// the balancer property tests run the same tables through both.
+// The paper's monitoring round (§6.3): workers whose load exceeds η× the
+// average shed from the front of their queue (the oldest, shallowest units —
+// the biggest subtrees), receivers below η′× the average accept at most
+// their deficit. Loads are measured in estimated unit cost
+// (engine.unitWeight), which the maintained LiveStats turn into subtree
+// size; without stats every unit weighs 1 and this is exactly the
+// count-based scheme.
 
 import "math"
 
@@ -60,4 +58,72 @@ func shedAssign(q []*unit, excess float64, targets []*balTarget, weigh func(*uni
 		ti = (ti + 1) % len(targets)
 	}
 	return len(dest), dest
+}
+
+// balance is one monitoring round at time T (virtual time under the virtual
+// scheduler; the goroutine ticker passes 0, which no clock is behind). Every
+// worker pays a monitoring cost on its clock; senders shed their excess from
+// the front, under their queue lock so the owner cannot pop a unit that is
+// being re-homed; each moved unit costs the sender CPU to serialize, carries
+// an xferCharge the receiving worker pays on expansion, and becomes ready a
+// transfer latency after T.
+func (r *run) balance(T float64) {
+	r.balances.Add(1)
+	e, ws := r.e, r.ws
+	loads := make([]float64, len(ws))
+	queued := 0
+	var totalLoad float64
+	for i, w := range ws {
+		w.mu.Lock()
+		queued += len(w.q) - w.head
+		for _, u := range w.q[w.head:] {
+			loads[i] += e.unitWeight(u)
+		}
+		w.mu.Unlock()
+		totalLoad += loads[i]
+	}
+	if queued == 0 {
+		return
+	}
+	avg := totalLoad / float64(len(ws))
+	// monitoring cost: a status round-trip per worker
+	for _, w := range ws {
+		w.mu.Lock()
+		if w.clock < T {
+			w.clock = T
+		}
+		w.clock += trueLatency / 2
+		w.mu.Unlock()
+	}
+	targets := balReceivers(loads, avg, etaLow)
+	if len(targets) == 0 {
+		return
+	}
+	for i, w := range ws {
+		if loads[i] <= eta*avg {
+			continue
+		}
+		excess := math.Floor(loads[i] - avg)
+		if excess <= 0 {
+			continue
+		}
+		w.mu.Lock()
+		take, dest := shedAssign(w.q[w.head:], excess, targets, e.unitWeight)
+		shed := append([]*unit(nil), w.q[w.head:w.head+take]...)
+		for k := range shed {
+			w.q[w.head+k] = nil
+		}
+		w.head += take
+		// serializing the shed units costs the sender CPU (a partial
+		// solution is a few dozen bytes — far less than expanding it); the
+		// latency is a delay on availability, not CPU time
+		w.clock += xferCPU * float64(take)
+		w.mu.Unlock()
+		for k, u := range shed {
+			u.ready = T + trueLatency
+			u.xferCharge = xferCPU // deserialize on arrival
+			ws[dest[k]].push(u)
+		}
+		r.moved.Add(int64(take))
+	}
 }

@@ -20,141 +20,11 @@ func mkUnits(n int) []*unit {
 	return us
 }
 
-// balanceScenario: one overloaded sender, one empty receiver and two
-// lightly-loaded receivers, so both the front-shedding order and the
-// per-receiver deficit caps are observable.
-//
-//	sender  20 units, receivers 0 / 3 / 2  →  avg 6.25
-//	deficits: 6, 3, 4  →  want 13; sender excess 20−6 = 14, capped at 13.
-const (
-	senderLoad = 20
-	wantMoved  = 13
-)
-
-var recvLoads = []int{0, 3, 2}
-
-// TestVBalanceFrontShedAndDeficits: the virtual balancer sheds from the
-// *front* of the sender's queue and never fills a receiver past its
-// deficit.
-func TestVBalanceFrontShedAndDeficits(t *testing.T) {
-	e := &engine{opts: Options{P: 4}.Defaults()}
-	ws := make([]*vworker, 4)
-	ws[0] = &vworker{}
-	for _, u := range mkUnits(senderLoad) {
-		ws[0].push(u)
-	}
-	for i, n := range recvLoads {
-		ws[i+1] = &vworker{}
-		// receiver-resident units carry negative ids to tell them apart
-		for j := 0; j < n; j++ {
-			ws[i+1].push(&unit{pivotRank: -(100*i + j + 1)})
-		}
-	}
-
-	T := 1000.0
-	moved := e.vbalance(ws, T)
-	if moved != wantMoved {
-		t.Fatalf("moved %d units, want %d", moved, wantMoved)
-	}
-	// front-shedding: the sender keeps the *newest* units 13..19
-	if got := ws[0].size(); got != senderLoad-wantMoved {
-		t.Fatalf("sender kept %d units, want %d", got, senderLoad-wantMoved)
-	}
-	for i := 0; !ws[0].empty(); i++ {
-		u := ws[0].pop()
-		if u.pivotRank != wantMoved+i {
-			t.Fatalf("sender kept unit %d at position %d, want %d (tail not front was shed)",
-				u.pivotRank, i, wantMoved+i)
-		}
-	}
-	// deficit caps: receiver i accepted at most int(avg) − size_i
-	lat := float64(e.opts.TrueLatency)
-	for i, before := range recvLoads {
-		w := ws[i+1]
-		deficit := 6 - before // int(avg)=6
-		accepted := 0
-		for !w.empty() {
-			u := w.pop()
-			if u.pivotRank < 0 {
-				continue // resident unit
-			}
-			accepted++
-			if u.xferCharge != xferCPU {
-				t.Errorf("transferred unit %d missing xferCharge", u.pivotRank)
-			}
-			if u.ready != T+lat {
-				t.Errorf("transferred unit %d ready=%v, want %v", u.pivotRank, u.ready, T+lat)
-			}
-		}
-		if accepted > deficit {
-			t.Errorf("receiver %d accepted %d units, deficit cap %d", i, accepted, deficit)
-		}
-	}
-}
-
-// TestGBalanceFrontShedAndDeficits: the goroutine balancer must behave
-// like the virtual one — front-shedding, deficit caps, xferCharge on moved
-// units, and monitoring + serialization costs charged.
-func TestGBalanceFrontShedAndDeficits(t *testing.T) {
-	e := &engine{opts: Options{P: 4}.Defaults()}
-	ws := make([]*gworker, 4)
-	for i := range ws {
-		ws[i] = &gworker{wake: make(chan struct{}, 1)}
-	}
-	for _, u := range mkUnits(senderLoad) {
-		ws[0].q = append(ws[0].q, u)
-	}
-	for i, n := range recvLoads {
-		for j := 0; j < n; j++ {
-			ws[i+1].q = append(ws[i+1].q, &unit{pivotRank: -(100*i + j + 1)})
-		}
-	}
-
-	moved := e.gbalance(ws)
-	if moved != wantMoved {
-		t.Fatalf("moved %d units, want %d", moved, wantMoved)
-	}
-	// front-shedding: the sender keeps units 13..19 in place
-	if len(ws[0].q) != senderLoad-wantMoved {
-		t.Fatalf("sender kept %d units, want %d", len(ws[0].q), senderLoad-wantMoved)
-	}
-	for i, u := range ws[0].q {
-		if u.pivotRank != wantMoved+i {
-			t.Fatalf("sender kept unit %d at position %d, want %d (tail not front was shed)",
-				u.pivotRank, i, wantMoved+i)
-		}
-	}
-	lat := float64(e.opts.TrueLatency)
-	// monitoring cost on every worker; serialization cost on the sender
-	if want := lat/2 + xferCPU*float64(wantMoved); ws[0].cost != want {
-		t.Errorf("sender cost %v, want %v (monitor + serialize)", ws[0].cost, want)
-	}
-	for i, before := range recvLoads {
-		w := ws[i+1]
-		if w.cost != lat/2 {
-			t.Errorf("receiver %d cost %v, want monitoring %v", i, w.cost, lat/2)
-		}
-		deficit := 6 - before
-		accepted := 0
-		for _, u := range w.q {
-			if u.pivotRank < 0 {
-				continue
-			}
-			accepted++
-			if u.xferCharge != xferCPU {
-				t.Errorf("transferred unit %d missing xferCharge", u.pivotRank)
-			}
-		}
-		if accepted > deficit {
-			t.Errorf("receiver %d accepted %d units, deficit cap %d", i, accepted, deficit)
-		}
-	}
-}
-
-// balScenario is one monitoring-round table entry, run through BOTH
-// drivers' balance rounds. Every unit weighs 1 (no maintained stats), so
-// the arithmetic is checkable by hand: avg = total/p, senders above η·avg
-// shed ⌊load − avg⌋, receivers below η′·avg accept ⌊avg − load⌋.
+// balScenario is one monitoring-round table entry: worker 0 is the
+// overloaded sender, workers 1.. hold resident units. Every unit weighs 1
+// (no maintained stats), so the arithmetic is checkable by hand: avg =
+// total/p, senders above η·avg shed ⌊load − avg⌋ from the front, receivers
+// below η′·avg accept at most ⌊avg − load⌋.
 type balScenario struct {
 	name      string
 	sender    int   // units on the overloaded worker 0
@@ -163,8 +33,10 @@ type balScenario struct {
 }
 
 var balScenarios = []balScenario{
-	// the pinned case above: avg 6.25, deficits 6/3/4, excess 13
-	{"pinned-20-recv-0-3-2", senderLoad, recvLoads, wantMoved},
+	// one overloaded sender, one empty and two lightly-loaded receivers, so
+	// both the front-shedding order and the per-receiver deficit caps are
+	// observable: avg 6.25, deficits 6/3/4 = 13 < excess ⌊13.75⌋
+	{"pinned-20-recv-0-3-2", 20, []int{0, 3, 2}, 13},
 	// single hot shard at p=8: avg 8.75, 7 receivers × deficit 8 = 56,
 	// excess ⌊61.25⌋ = 61 capped by the exhausted deficits
 	{"single-hot-shard-p8", 70, []int{0, 0, 0, 0, 0, 0, 0}, 56},
@@ -177,72 +49,140 @@ var balScenarios = []balScenario{
 	{"no-skew-no-op", 12, []int{10, 11, 9}, 0},
 }
 
-func unitIDs(q []*unit) []int {
-	ids := make([]int, len(q))
-	for i, u := range q {
-		ids[i] = u.pivotRank
-	}
-	return ids
-}
-
-// TestBalanceTableBothDrivers runs each scenario through gbalance AND
-// vbalance and asserts the two drivers make byte-identical transfer
-// decisions: same moved count, same per-worker unit sequences afterwards.
-// The decisions come from the shared balance.go helpers, so any divergence
-// here is a driver bug, not a policy difference.
-func TestBalanceTableBothDrivers(t *testing.T) {
+// TestBalanceRound runs every scenario through the monitoring round twice.
+// Driven single-threaded at T=1000, the way the virtual scheduler calls it,
+// the outcome is exact: the moved count, the front of the sender's queue
+// shed in order, every receiver within its deficit, xferCharge and
+// ready = T+latency on the moved units, latency/2 of monitoring on every
+// clock and xferCPU per moved unit on the sender's. Driven at T=0 while the
+// sender's owner concurrently pops the back of its queue, the way the
+// goroutine scheduler's ticker calls it (run under -race in CI), the loads
+// the round measures can only be lower, so the counts become upper bounds
+// and everything else must still hold — in particular no unit is lost,
+// duplicated, or both popped and re-homed.
+func TestBalanceRound(t *testing.T) {
 	for _, sc := range balScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			p := 1 + len(sc.recv)
-			e := &engine{opts: Options{P: p}.Defaults()}
-
-			gws := make([]*gworker, p)
-			vws := make([]*vworker, p)
-			for i := 0; i < p; i++ {
-				gws[i] = &gworker{wake: make(chan struct{}, 1)}
-				vws[i] = &vworker{}
-			}
-			for _, u := range mkUnits(sc.sender) {
-				gws[0].q = append(gws[0].q, u)
-			}
-			for _, u := range mkUnits(sc.sender) {
-				vws[0].push(u)
-			}
-			for i, n := range sc.recv {
-				for j := 0; j < n; j++ {
-					gws[i+1].q = append(gws[i+1].q, &unit{pivotRank: -(100*i + j + 1)})
-					vws[i+1].push(&unit{pivotRank: -(100*i + j + 1)})
-				}
-			}
-
-			if moved := e.gbalance(gws); moved != sc.wantMoved {
-				t.Errorf("gbalance moved %d units, want %d", moved, sc.wantMoved)
-			}
-			if moved := e.vbalance(vws, 1000); moved != sc.wantMoved {
-				t.Errorf("vbalance moved %d units, want %d", moved, sc.wantMoved)
-			}
-			for i := 0; i < p; i++ {
-				gids := unitIDs(gws[i].q)
-				vids := unitIDs(vws[i].q[vws[i].head:])
-				if len(gids) != len(vids) {
-					t.Fatalf("worker %d: goroutine driver holds %d units, virtual holds %d",
-						i, len(gids), len(vids))
-				}
-				for k := range gids {
-					if gids[k] != vids[k] {
-						t.Fatalf("worker %d position %d: goroutine driver has unit %d, virtual has %d",
-							i, k, gids[k], vids[k])
-					}
-				}
-			}
+			t.Run("single", func(t *testing.T) { checkBalanceRound(t, sc, false, 1000) })
+			t.Run("concurrent-owner", func(t *testing.T) { checkBalanceRound(t, sc, true, 0) })
 		})
+	}
+}
+
+func checkBalanceRound(t *testing.T, sc balScenario, concurrent bool, T float64) {
+	p := 1 + len(sc.recv)
+	initial := make([][]*unit, p)
+	initial[0] = mkUnits(sc.sender)
+	total := sc.sender
+	for i, n := range sc.recv {
+		// receiver-resident units carry negative ids to tell them apart
+		for j := 0; j < n; j++ {
+			initial[i+1] = append(initial[i+1], &unit{pivotRank: -(100*i + j + 1)})
+		}
+		total += n
+	}
+	r := newRun(&engine{opts: Options{P: p}.Defaults()}, initial, 0)
+	ws := r.ws
+
+	var popped []*unit // by the sender's owner, newest first
+	if concurrent {
+		// the owner stops short of draining its queue, so the round always
+		// finds queued units and the monitoring charge is unconditional
+		ownerDone := make(chan struct{})
+		go func() {
+			defer close(ownerDone)
+			for len(popped) < sc.sender/4 {
+				u, ok := ws[0].pop(false)
+				if !ok {
+					return
+				}
+				popped = append(popped, u)
+			}
+		}()
+		r.balance(T)
+		<-ownerDone
+	} else {
+		r.balance(T)
+	}
+
+	moved := int(r.moved.Load())
+	if r.balances.Load() != 1 {
+		t.Errorf("round counted %d times, want 1", r.balances.Load())
+	}
+	if !concurrent && moved != sc.wantMoved {
+		t.Fatalf("moved %d units, want %d", moved, sc.wantMoved)
+	}
+	if moved > sc.wantMoved {
+		t.Fatalf("moved %d units, more than the %d the full queue allows", moved, sc.wantMoved)
+	}
+
+	// front-shedding: units 0..moved-1 left, the owner took the newest, and
+	// the sender keeps exactly what lies between, in place
+	for i, u := range popped {
+		if u.pivotRank != sc.sender-1-i || u.xferCharge != 0 {
+			t.Fatalf("owner pop %d returned unit %d (xferCharge %v), want untouched unit %d",
+				i, u.pivotRank, u.xferCharge, sc.sender-1-i)
+		}
+	}
+	kept := ws[0].q[ws[0].head:]
+	if len(kept) != sc.sender-moved-len(popped) {
+		t.Fatalf("sender kept %d units, want %d", len(kept), sc.sender-moved-len(popped))
+	}
+	for i, u := range kept {
+		if u.pivotRank != moved+i {
+			t.Fatalf("sender kept unit %d at position %d, want %d (tail not front was shed)",
+				u.pivotRank, i, moved+i)
+		}
+	}
+
+	// monitoring cost on every clock; serialization cost on the sender's
+	monitored := T + trueLatency/2
+	if want := monitored + xferCPU*float64(moved); ws[0].clock != want {
+		t.Errorf("sender clock %v, want %v (monitor + serialize)", ws[0].clock, want)
+	}
+	avg := float64(total) / float64(p)
+	seen := make(map[int]bool)
+	for i, before := range sc.recv {
+		w := ws[i+1]
+		if w.clock != monitored {
+			t.Errorf("receiver %d clock %v, want monitoring %v", i, w.clock, monitored)
+		}
+		// deficit cap: a receiver under η′·avg accepts at most ⌊avg − load⌋
+		deficit := 0
+		if float64(before) < etaLow*avg {
+			deficit = int(avg) - before
+		}
+		q := w.q[w.head:]
+		for j, u := range q[:before] {
+			if u.pivotRank != -(100*i+j+1) || u.xferCharge != 0 {
+				t.Errorf("receiver %d resident unit %d disturbed", i, j)
+			}
+		}
+		for _, u := range q[before:] {
+			if u.pivotRank < 0 || u.pivotRank >= moved || seen[u.pivotRank] {
+				t.Errorf("receiver %d holds unit %d: not one of the %d shed, or held twice", i, u.pivotRank, moved)
+			}
+			seen[u.pivotRank] = true
+			if u.xferCharge != xferCPU {
+				t.Errorf("transferred unit %d missing xferCharge", u.pivotRank)
+			}
+			if u.ready != T+trueLatency {
+				t.Errorf("transferred unit %d ready=%v, want %v", u.pivotRank, u.ready, T+trueLatency)
+			}
+		}
+		if accepted := len(q) - before; accepted > deficit {
+			t.Errorf("receiver %d accepted %d units, deficit cap %d", i, accepted, deficit)
+		}
+	}
+	if len(seen) != moved {
+		t.Errorf("receivers hold %d shed units, the round reported %d moved", len(seen), moved)
 	}
 }
 
 // TestWorkerFoldsFragments: p greater than the partition's fragment count
 // folds shard ownership (partition.Worker = Owner mod p), so the extra
 // shards start empty and rebalancing has to fill them — the run must stay
-// exact under both drivers.
+// exact under both schedulers.
 func TestWorkerFoldsFragments(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 81)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 81})
@@ -270,14 +210,14 @@ func TestWorkerFoldsFragments(t *testing.T) {
 }
 
 // TestRealDriverDifferentialP3: PDect and PIncDect under the goroutine
-// driver at p=3 produce exactly the sequential answers (run under -race in
+// scheduler at p=3 produce exactly the sequential answers (run under -race in
 // CI; odd p exercises the round-robin broadcast paths).
 func TestRealDriverDifferentialP3(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 250, 41)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 10, MaxDiameter: 4, Seed: 41})
 	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.12), Gamma: 1, Seed: 42})
 
-	opts := Hybrid(3) // the goroutine driver is the default
+	opts := Hybrid(3) // the goroutine scheduler is the default
 
 	wantBatch := detect.Dect(ds.G, rules, detect.Options{}).Violations
 	gotBatch := PDect(ds.G, rules, opts)

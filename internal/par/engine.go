@@ -5,24 +5,31 @@
 // variants PIncDect_ns (no splitting), PIncDect_nb (no balancing) and
 // PIncDect_NO (neither).
 //
-// Two drivers execute the same work-unit semantics:
+// One engine executes the work-unit semantics — a worker queue, a unit step
+// (Limit drain, expansion, cost charging, child routing, tallies) and a
+// monitoring round (run.go, balance.go) — and two schedulers decide which
+// worker steps next:
 //
-//   - the goroutine driver (default): p real worker goroutines — the shard
-//     runtime — with per-worker queues and a periodic balancer, for
+//   - the goroutine scheduler (default; pool.go): p shard goroutines each
+//     popping the back of their own queue, parked on a wake channel when it
+//     is empty, plus a ticker that fires the monitoring round, for
 //     wall-clock use. Long-lived callers (the session/serve layer) hand in
-//     a persistent Pool so the shard goroutines survive across calls
-//     instead of being respawned per batch.
+//     a persistent Pool so the shard goroutines survive across calls; every
+//     other run borrows a temporary pool that is closed before it returns.
 //
-//   - the virtual driver (Options.Virtual): a deterministic discrete-event
-//     simulation of p workers whose per-unit costs are the real adjacency
-//     scans and edge checks performed, plus a fixed communication latency
-//     per broadcast/transfer. It reports the simulated makespan
-//     (max worker clock), which reproduces the paper's relative curves —
-//     speedup vs p, the U-shaped optima in C and intvl — independently of
-//     how many physical cores the host has. (Substitution for the paper's
-//     20-machine cluster; see DESIGN.md.) It is the oracle the shard
-//     runtime's differential tests compare against: with the same options
-//     both drivers expand the exact same unit multiset.
+//   - the virtual scheduler (Options.Virtual; virtual.go): a deterministic
+//     discrete-event loop that always steps the worker whose front unit can
+//     start earliest and fires the monitoring round every Intvl cost units.
+//     Per-unit costs are the real adjacency scans and edge checks
+//     performed, plus a fixed communication latency per broadcast/transfer.
+//     It reports the simulated makespan (max worker clock), which
+//     reproduces the paper's relative curves — speedup vs p, the U-shaped
+//     optima in C and intvl — independently of how many physical cores the
+//     host has. (Substitution for the paper's 20-machine cluster; see
+//     DESIGN.md.) It is the reference the shard runtime's differential
+//     tests compare against: with the same options both schedulers expand
+//     the exact same unit multiset, because the step they drive is the
+//     same code.
 //
 // Both produce identical violation sets, equal to the sequential
 // algorithms' output.
@@ -47,31 +54,25 @@ type Options struct {
 	// C is the communication-latency *parameter* of the split decision
 	// (paper §6.3: split when C·(k+1) + |adj|/p < |adj|); default 60.
 	C int
-	// TrueLatency is the cost the simulator charges per broadcast or unit
-	// transfer — the actual latency of the simulated cluster, as opposed
-	// to the estimate C. Default 60 (so sweeping C brackets it).
-	TrueLatency int
 	// Intvl is the workload-monitoring interval in cost units (the paper's
 	// intvl in seconds; at our bench scale 1s of the paper's wall clock
 	// corresponds to ≈45 cost units, so the paper's 45s default maps to
 	// 2000). Default 2000.
 	Intvl float64
-	// Eta is the skewness threshold above which a worker sheds load
-	// (paper: 3); EtaLow the level below which workers accept load (0.7).
-	Eta, EtaLow float64
 	// SplitUnits enables cost-based work-unit splitting (off = _ns).
 	SplitUnits bool
 	// Balance enables periodic redistribution (off = _nb).
 	Balance bool
-	// Virtual runs the deterministic virtual-time driver instead of the
-	// goroutine shard runtime. The zero value — the default — is the real
-	// driver; the virtual driver is the machine-independent oracle used by
-	// differential tests and the fig4 cost-unit benchmarks.
+	// Virtual runs the deterministic virtual-time scheduler instead of the
+	// goroutine shard runtime. The zero value — the default — is the
+	// goroutine scheduler; the virtual one is the machine-independent
+	// oracle used by differential tests and the fig4 cost-unit benchmarks.
 	Virtual bool
-	// Pool executes goroutine-driver runs on a persistent shard pool
-	// (see NewPool) instead of spawning workers per call. Ignored by the
-	// virtual driver. A nil, closed, or differently-sized pool falls back
-	// to per-call workers, so correctness never depends on pool state.
+	// Pool executes goroutine runs on a persistent shard pool (see NewPool).
+	// Ignored by the virtual scheduler. With a nil, closed, or
+	// differently-sized pool the run borrows a temporary NewPool(P) that is
+	// closed before the call returns, so correctness never depends on pool
+	// state and no goroutine outlives the call.
 	Pool *Pool
 	// AssumeNormalized skips PIncDect's internal Normalize pass; the caller
 	// guarantees ΔG already has the normalized shape (see inc.Options).
@@ -80,9 +81,9 @@ type Options struct {
 	// each under PIncDect, matching inc.Options.Limit; a batch run (PDect)
 	// has a single side, so there it is a total limit. 0 = unlimited; the
 	// limit is approximate (a unit emits all its violations before the
-	// check applies, and the goroutine driver races against it). Once a
+	// check applies, and the goroutine scheduler races against it). Once a
 	// side hits its limit, that side's remaining units are drained without
-	// expansion but still accounted in Metrics.Units, under both drivers.
+	// expansion but still accounted in Metrics.Units.
 	Limit int
 	// Part is a maintained partition to distribute PIncDect's seed pivots
 	// with (see partition.Partition: built once, kept current with
@@ -105,8 +106,25 @@ func (o Options) program(v graph.View, rules *core.Set) *plan.Program {
 	return plan.New(v, rules, plan.Options{})
 }
 
+// The constants of the simulated cluster and of the monitoring round that
+// no experiment sweeps (fig4m/fig4n sweep only C and Intvl).
+const (
+	// trueLatency is the cost charged per broadcast or unit transfer — the
+	// actual latency of the simulated cluster, as opposed to the estimate
+	// Options.C, whose default equals it so that sweeping C brackets it.
+	trueLatency = 60.0
+	// eta is the skewness threshold above which a worker sheds load (paper:
+	// η=3); etaLow the level below which workers accept load (η′=0.7).
+	eta    = 3.0
+	etaLow = 0.7
+	// xferCPU is the CPU cost (in scan-entry units) of serializing or
+	// deserializing one transferred work unit — a few dozen bytes, an order
+	// of magnitude below the cost of expanding a typical unit.
+	xferCPU = 0.1
+)
+
 // Defaults fills in zero fields (paper defaults: p=8 for parameter sweeps,
-// C=60, intvl=45s, η=3, η'=0.7; hybrid strategy on).
+// C=60, intvl=45s; hybrid strategy on).
 func (o Options) Defaults() Options {
 	if o.P <= 0 {
 		o.P = 4
@@ -114,17 +132,8 @@ func (o Options) Defaults() Options {
 	if o.C <= 0 {
 		o.C = 60
 	}
-	if o.TrueLatency <= 0 {
-		o.TrueLatency = 60
-	}
 	if o.Intvl <= 0 {
 		o.Intvl = 2000
-	}
-	if o.Eta <= 0 {
-		o.Eta = 3
-	}
-	if o.EtaLow <= 0 {
-		o.EtaLow = 0.7
 	}
 	return o
 }
@@ -157,7 +166,7 @@ func VariantNO(p int) Options {
 }
 
 // Oracle returns the hybrid configuration pinned to the virtual-time
-// driver: the deterministic discrete-event simulation used as the
+// scheduler: the deterministic discrete-event simulation used as the
 // machine-independent reference by tests and the fig4 benchmarks.
 func Oracle(p int) Options {
 	o := Hybrid(p)
@@ -165,13 +174,17 @@ func Oracle(p int) Options {
 	return o
 }
 
-// Metrics summarize a parallel run.
+// Metrics summarize a parallel run. Every field means the same thing under
+// both schedulers; under the goroutine scheduler the clocks advance by
+// charged cost only (no idle time, and transfer latency is not waited for),
+// and whatever depends on timing — Moved, BalanceEvents, the spread of
+// WorkerCost — varies from run to run.
 type Metrics struct {
-	// Makespan is the simulated parallel time (max worker clock, cost
-	// units). Under the goroutine driver it is the max of per-worker
-	// accumulated work costs (no latency charging).
+	// Makespan is the parallel time in cost units: the largest worker clock.
 	Makespan float64
-	// TotalWork is the summed per-unit cost across workers.
+	// TotalWork is the summed expansion cost of all units (scans, edge
+	// checks, and the (de)serialization CPU of broadcast and transferred
+	// units); the monitoring charges are on the clocks, not in here.
 	TotalWork float64
 	// Units is the number of work units processed; Splits how many
 	// expansions were broadcast; Moved how many units rebalancing moved;
@@ -179,7 +192,9 @@ type Metrics struct {
 	Units, Splits, Moved, BalanceEvents int
 	// NC is the candidate-neighborhood size |NC(ΔG, Σ)| (PIncDect only).
 	NC int
-	// WorkerCost is the final per-worker clock/cost (skew diagnosis).
+	// WorkerCost is the final per-worker clock: the start-up charge, the
+	// worker's expansion costs, and its monitoring and transfer charges
+	// (skew diagnosis).
 	WorkerCost []float64
 }
 
@@ -218,7 +233,7 @@ type unit struct {
 	ySatR  []int
 	lo, hi int     // candidate segment; (0,-1) = full list
 	bcast  bool    // this unit is a broadcast share (charges latency)
-	ready  float64 // virtual time at which the unit is available
+	ready  float64 // time at which the unit is available (virtual scheduler)
 	// xferCharge is the communication cost of a rebalancing transfer,
 	// charged when the receiving worker processes the unit.
 	xferCharge float64
@@ -262,10 +277,10 @@ type engine struct {
 
 	// pfree/yfree are per-worker freelists recycling unit buffers (binding
 	// slices and forest literal state): a unit is dropped right after its
-	// expansion, so the driver loops return its buffers to the expanding
-	// worker and child units draw from the same lists. Each list is touched
-	// only by its worker's loop (the virtual driver is single-threaded), so
-	// no synchronization is needed — steady-state fan-out allocates nothing.
+	// expansion, so step returns its buffers to the expanding worker and
+	// child units draw from the same lists. Each list is touched only while
+	// its worker steps (the virtual scheduler is single-threaded), so no
+	// synchronization is needed — steady-state fan-out allocates nothing.
 	pfree [][][]graph.NodeID
 	yfree [][][]int
 }
@@ -454,6 +469,41 @@ func (e *engine) unitWeight(u *unit) float64 {
 	return 1
 }
 
+// trySplit applies the split decision to a full-range unit about to scan
+// plan step u.depth from the bindings in bound: when the rule of §6.3 holds
+// (splitWanted) the candidate list is cut into at most p contiguous shares,
+// each a broadcast copy of u, and the splitting worker pays the CPU to
+// serialize the broadcast. It reports whether u was split.
+func (e *engine) trySplit(w int, u *unit, m *match.Matcher, bound []graph.NodeID, below float64, res *expandResult) bool {
+	if !e.opts.SplitUnits || u.bcast || u.lo != 0 || u.hi >= 0 {
+		return false
+	}
+	cnt := m.CandidateCount(u.depth, bound)
+	if !e.splitWanted(cnt, u.depth, below) {
+		return false
+	}
+	share := (cnt + e.opts.P - 1) / e.opts.P
+	for lo := 0; lo < cnt; lo += share {
+		hi := lo + share
+		if hi > cnt {
+			hi = cnt
+		}
+		child := &unit{
+			task: u.task, depth: u.depth, ySat: u.ySat,
+			pivotRank: u.pivotRank, pivotSlot: u.pivotSlot,
+			partial: e.clonePartial(w, u.partial),
+			lo:      lo, hi: hi, bcast: true,
+		}
+		if u.ySatR != nil {
+			child.ySatR = e.cloneYSat(w, u.ySatR)
+		}
+		res.children = append(res.children, child)
+	}
+	res.split = true
+	res.cost += float64(u.depth + 1)
+	return true
+}
+
 // expand processes unit u on worker w. When splitting is enabled and the
 // candidate list is large enough that C·(k+1) + |adj|/p < |adj| (§6.3), the
 // unit is split into p broadcast shares instead of being scanned locally.
@@ -468,44 +518,18 @@ func (e *engine) expand(w int, u *unit) expandResult {
 	if u.bcast {
 		// a broadcast share pays CPU to deserialize the partial solution
 		// (size ∝ depth+1); the network latency itself is not CPU time —
-		// the driver models it as a delay on the unit's ready time.
+		// step models it as a delay on the unit's ready time.
 		res.cost += float64(u.depth + 1)
 	}
 	res.cost += u.xferCharge
 
 	if u.depth == len(t.plan.Steps) {
 		// complete match (possible only when a pattern is fully pre-bound)
-		res.vios = e.complete(t, u, u.partial, res.vios)
+		res.vios = e.complete(t, u, u.ySat, res.vios)
 		return res
 	}
-
-	// split decision (only for full-range units)
-	if e.opts.SplitUnits && !u.bcast && u.lo == 0 && u.hi < 0 {
-		cnt := m.CandidateCount(u.depth, u.partial)
-		if e.splitWanted(cnt, u.depth, e.taskBelow(u.task, u.depth)) {
-			res.split = true
-			share := (cnt + e.opts.P - 1) / e.opts.P
-			for i := 0; i < e.opts.P; i++ {
-				lo := i * share
-				hi := lo + share
-				if lo >= cnt {
-					break
-				}
-				if hi > cnt {
-					hi = cnt
-				}
-				child := &unit{
-					task: u.task, depth: u.depth, ySat: u.ySat,
-					pivotRank: u.pivotRank, pivotSlot: u.pivotSlot,
-					partial: e.clonePartial(w, u.partial),
-					lo:      lo, hi: hi, bcast: true,
-				}
-				res.children = append(res.children, child)
-			}
-			// the splitting worker pays CPU to serialize the broadcast
-			res.cost += float64(u.depth + 1)
-			return res
-		}
+	if e.trySplit(w, u, m, u.partial, e.taskBelow(u.task, u.depth), &res) {
+		return res
 	}
 
 	st := &t.plan.Steps[u.depth]
@@ -521,7 +545,7 @@ func (e *engine) expand(w int, u *unit) expandResult {
 			return true
 		}
 		if u.depth+1 == len(t.plan.Steps) {
-			res.vios = e.completeAt(t, u, ySat, res.vios)
+			res.vios = e.complete(t, u, ySat, res.vios)
 		} else {
 			res.children = append(res.children, &unit{
 				task: u.task, depth: u.depth + 1, ySat: ySat,
@@ -537,9 +561,10 @@ func (e *engine) expand(w int, u *unit) expandResult {
 	return res
 }
 
-// completeAt records a complete match currently held in u.partial. The
-// pivot dedup runs on the scratch bindings; only retained matches copy.
-func (e *engine) completeAt(t *task, u *unit, ySat int, vios []taggedVio) []taggedVio {
+// complete records the complete match currently held in u.partial, whose
+// literal state is ySat. The pivot dedup runs on the scratch bindings; only
+// retained matches copy.
+func (e *engine) complete(t *task, u *unit, ySat int, vios []taggedVio) []taggedVio {
 	if ySat >= t.le.NumY() {
 		return vios // all Y satisfied: not a violation
 	}
@@ -547,18 +572,6 @@ func (e *engine) completeAt(t *task, u *unit, ySat int, vios []taggedVio) []tagg
 		return vios
 	}
 	mcopy := core.Match(u.partial).Clone()
-	return append(vios, taggedVio{core.Violation{Rule: t.c.Rule, Match: mcopy}, t.plus})
-}
-
-// complete handles the degenerate fully-bound case.
-func (e *engine) complete(t *task, u *unit, partial []graph.NodeID, vios []taggedVio) []taggedVio {
-	if u.ySat >= t.le.NumY() {
-		return vios
-	}
-	if t.inc && !e.smallestPivot(t, partial, u.pivotRank, u.pivotSlot) {
-		return vios
-	}
-	mcopy := core.Match(partial).Clone()
 	return append(vios, taggedVio{core.Violation{Rule: t.c.Rule, Match: mcopy}, t.plus})
 }
 

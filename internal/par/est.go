@@ -7,7 +7,7 @@ package par
 // — the expected fan-out of every deeper plan step — so shallow units are
 // recognized as the big subtrees they are. The estimates are deterministic
 // functions of the graph, so the virtual oracle stays bit-reproducible and
-// both drivers keep expanding the exact same unit multiset.
+// both schedulers keep expanding the exact same unit multiset.
 
 import (
 	"ngd/internal/graph"

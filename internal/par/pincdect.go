@@ -43,16 +43,10 @@ func (e *engine) placeSeeds(seeds []*unit) [][]*unit {
 	return initial
 }
 
-// runBatch executes prepared batch seeds on the selected driver.
+// runBatch executes prepared batch seeds under the selected scheduler.
 func (e *engine) runBatch(seeds []*unit) *Result {
-	initial := e.placeSeeds(seeds)
-	res := &Result{}
-	var tagged []taggedVio
-	if e.opts.Virtual {
-		tagged, res.Metrics = e.runVirtual(initial, 0)
-	} else {
-		tagged, res.Metrics = e.runReal(initial)
-	}
+	tagged, met := e.exec(e.placeSeeds(seeds), 0)
+	res := &Result{Metrics: met}
 	for _, tv := range tagged {
 		res.Violations = append(res.Violations, tv.vio)
 	}
@@ -202,16 +196,11 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// at all workers (Figure 3 lines 1–4); charged as |NC|/p work plus a
 	// broadcast latency per worker.
 	nc := newView.NeighborhoodOf(norm.TouchedNodes(), rules.Diameter())
-	startCost := float64(len(nc))/float64(opts.P) + float64(opts.TrueLatency)
+	startCost := float64(len(nc))/float64(opts.P) + trueLatency
 
-	res := &Result{}
-	var tagged []taggedVio
-	if opts.Virtual {
-		tagged, res.Metrics = e.runVirtual(initial, startCost)
-	} else {
-		tagged, res.Metrics = e.runReal(initial)
-	}
-	res.Metrics.NC = len(nc)
+	tagged, met := e.exec(initial, startCost)
+	met.NC = len(nc)
+	res := &Result{Metrics: met}
 	for _, tv := range tagged {
 		if tv.plus {
 			res.Delta.Plus = append(res.Delta.Plus, tv.vio)

@@ -1,115 +1,44 @@
 package par
 
-// The persistent shard pool (PR 6 tentpole): runReal used to spawn p
-// goroutines per call, which was fine for a test harness but wrong for a
-// serving runtime committing a batch every few milliseconds. A Pool keeps
-// p long-lived shard goroutines — one per maintained partition fragment;
-// the session sizes the pool and the partition together — plus one
-// balancer goroutine, and executes goroutine-driver runs on them without
-// respawning. A Pool serves one run at a time (the session/serve layer is
-// single-writer; concurrent Run calls serialize), and Close terminates the
-// shard goroutines deterministically: the serve layer's goroutine-leak
-// test pins that nothing survives Server.Close.
+// The goroutine scheduler: p long-lived shard goroutines — one per
+// maintained partition fragment; the session sizes the pool and the
+// partition together — plus one balancer goroutine, kept in a Pool so a
+// serving runtime committing a batch every few milliseconds does not
+// respawn them. A Pool serves one run at a time (the session/serve layer is
+// single-writer; concurrent runs serialize), and Close terminates the
+// goroutines deterministically: the serve layer's goroutine-leak test pins
+// that nothing survives Server.Close. This is the only file of the package
+// that may read the wall clock (cmd/ngdlint).
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// runState is one goroutine-driver execution: the per-run queues, tallies
-// and completion signal shared by the shard goroutines, whether pooled or
-// spawned for the call.
-type runState struct {
-	e  *engine
-	ws []*gworker
-
-	pending                             atomic.Int64
-	sideCount                           [2]atomic.Int64
-	splits, moved, balEvents, unitCount atomic.Int64
-
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup // the workers (and balancer) serving this run
-}
-
-func newRunState(e *engine, initial [][]*unit) *runState {
-	r := &runState{e: e, ws: make([]*gworker, e.opts.P), done: make(chan struct{})}
-	total := 0
-	for i := range r.ws {
-		r.ws[i] = &gworker{wake: make(chan struct{}, 1)}
-		r.ws[i].q = append(r.ws[i].q, initial[i]...)
-		total += len(initial[i])
-	}
-	r.pending.Store(int64(total))
-	if total == 0 {
-		r.finish()
-	}
-	return r
-}
-
-func (r *runState) finish() { r.closeOnce.Do(func() { close(r.done) }) }
-
-// work is the shard loop for worker w: pop (LIFO), expand, route children,
-// tally, until the run's pending count drains to zero.
-func (r *runState) work(w int) {
-	e := r.e
-	self := r.ws[w]
+// work is the shard loop for worker wi: pop the back of its queue and step,
+// parking on the wake channel while the queue is empty, until the run's
+// pending count drains to zero.
+func (r *run) work(wi int) {
+	self := r.ws[wi]
+	var work float64
 	for {
-		u, ok := self.pop()
+		u, ok := self.pop(false)
 		if !ok {
 			select {
 			case <-r.done:
+				r.addWork(work)
 				return
 			case <-self.wake:
 				continue
 			}
 		}
-		if e.opts.Limit > 0 && r.sideCount[e.sideOf(u)].Load() >= int64(e.opts.Limit) {
-			// this side hit its limit: drain without expanding, but
-			// account the unit and its pending transfer charge so
-			// Units/cost mean the same thing as under the virtual driver
-			self.addCost(u.xferCharge)
-			r.unitCount.Add(1)
-			e.recycle(w, u)
-			if r.pending.Add(-1) == 0 {
-				r.finish()
-			}
-			continue
-		}
-		res := e.expand(w, u)
-		e.recycle(w, u) // children and violations hold copies, never aliases
-		self.addCost(res.cost)
-		r.unitCount.Add(1)
-		if len(res.children) > 0 {
-			r.pending.Add(int64(len(res.children)))
-			if res.split {
-				r.splits.Add(1)
-				for i, child := range res.children {
-					r.ws[i%len(r.ws)].push(child)
-				}
-			} else {
-				for _, child := range res.children {
-					self.push(child)
-				}
-			}
-		}
-		if len(res.vios) > 0 {
-			// vios are only ever touched by the owning worker
-			self.vios = append(self.vios, res.vios...)
-			for _, tv := range res.vios {
-				r.sideCount[sideIdx(tv.plus)].Add(1)
-			}
-		}
-		if r.pending.Add(-1) == 0 {
-			r.finish()
-		}
+		work += r.step(wi, u, 0)
 	}
 }
 
-// balanceLoop is the paper's workload monitor at interval intvl: every tick
-// it runs one gbalance round until the run drains.
-func (r *runState) balanceLoop() {
+// monitor is the paper's workload monitor at interval intvl: every tick it
+// runs one balance round until the run drains.
+func (r *run) monitor() {
 	// interpret Intvl cost units as microseconds at real-time scale
 	// (1 cost unit ≈ 1 µs of work)
 	tick := time.Duration(r.e.opts.Intvl) * time.Microsecond
@@ -123,41 +52,19 @@ func (r *runState) balanceLoop() {
 		case <-r.done:
 			return
 		case <-t.C:
-			r.balEvents.Add(1)
-			r.moved.Add(int64(r.e.gbalance(r.ws)))
+			r.balance(0)
 		}
 	}
 }
 
-// metrics collects the run's violations and Metrics once it has drained.
-func (r *runState) metrics() ([]taggedVio, Metrics) {
-	var vios []taggedVio
-	met := Metrics{
-		Units:         int(r.unitCount.Load()),
-		Splits:        int(r.splits.Load()),
-		Moved:         int(r.moved.Load()),
-		BalanceEvents: int(r.balEvents.Load()),
-	}
-	for _, w := range r.ws {
-		vios = append(vios, w.vios...)
-		met.WorkerCost = append(met.WorkerCost, w.cost)
-		met.TotalWork += w.cost
-		if w.cost > met.Makespan {
-			met.Makespan = w.cost
-		}
-	}
-	sortViolations(vios)
-	return vios, met
-}
-
-// Pool is a persistent shard pool for the goroutine driver. Create with
+// Pool is a set of shard goroutines for the goroutine scheduler. Create with
 // NewPool, hand to the engine via Options.Pool, stop with Close. The
 // zero-value Pool is not usable.
 type Pool struct {
 	p    int
 	mu   sync.Mutex // serializes runs; Close waits for the in-flight one
-	work []chan *runState
-	bal  chan *runState
+	work []chan *run
+	bal  chan *run
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -172,12 +79,12 @@ func NewPool(p int) *Pool {
 	}
 	pl := &Pool{
 		p:    p,
-		work: make([]chan *runState, p),
-		bal:  make(chan *runState),
+		work: make([]chan *run, p),
+		bal:  make(chan *run),
 		quit: make(chan struct{}),
 	}
 	for i := 0; i < p; i++ {
-		pl.work[i] = make(chan *runState)
+		pl.work[i] = make(chan *run)
 		pl.wg.Add(1)
 		go func(i int) {
 			defer pl.wg.Done()
@@ -200,7 +107,7 @@ func NewPool(p int) *Pool {
 			case <-pl.quit:
 				return
 			case r := <-pl.bal:
-				r.balanceLoop()
+				r.monitor()
 				r.wg.Done()
 			}
 		}
@@ -213,9 +120,9 @@ func (pl *Pool) Size() int { return pl.p }
 
 // run executes r on the pool's shards, blocking until the run drains. It
 // reports false — without running anything — when the pool is closed or
-// sized differently from the run's worker count; the caller then falls
-// back to per-call workers.
-func (pl *Pool) run(r *runState) bool {
+// sized differently from the run's worker count; the caller (engine.exec)
+// then runs r on a temporary pool of the right size.
+func (pl *Pool) run(r *run) bool {
 	if len(r.ws) != pl.p {
 		return false
 	}
@@ -240,7 +147,7 @@ func (pl *Pool) run(r *runState) bool {
 
 // Close terminates the shard goroutines and blocks until they have exited.
 // Idempotent; an in-flight run completes first (run holds the pool while
-// active). Runs attempted after Close fall back to per-call workers.
+// active). Runs attempted after Close use a temporary pool each.
 func (pl *Pool) Close() {
 	pl.mu.Lock()
 	if !pl.closed {

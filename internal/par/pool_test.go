@@ -14,7 +14,7 @@ import (
 
 // TestPoolReusedAcrossRuns: a persistent pool serves many PDect/PIncDect
 // runs without respawning shards, and the pooled answers are identical to
-// the ephemeral (per-call goroutines) ones and to the sequential
+// the ephemeral (temporary pool per call) ones and to the sequential
 // algorithms.
 func TestPoolReusedAcrossRuns(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 220, 71)
@@ -55,9 +55,24 @@ func TestPoolReusedAcrossRuns(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the process goroutine count is back at
+// baseline (a goroutine's exit trails the WaitGroup signal Close waits on by
+// a few instructions).
+func waitGoroutines(t *testing.T, baseline int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines alive, baseline %d",
+				what, runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestPoolSizeMismatchFallback: a pool sized differently from Options.P
-// must not be used — the run falls back to per-call workers and stays
-// correct.
+// must not be used — the run borrows a temporary pool of the right size,
+// stays correct, and has closed that pool by the time it returns.
 func TestPoolSizeMismatchFallback(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 180, 73)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 73})
@@ -68,19 +83,22 @@ func TestPoolSizeMismatchFallback(t *testing.T) {
 	opts.Pool = pl
 
 	want := detect.Dect(ds.G, rules, detect.Options{}).Violations
+	baseline := runtime.NumGoroutine() // includes the 2-shard pool
 	got := PDect(ds.G, rules, opts)
 	if !equalKeys(got.Violations, want) {
 		t.Fatalf("size-mismatch fallback: %d violations, want %d",
 			len(got.Violations), len(want))
 	}
+	waitGoroutines(t, baseline, "temporary pool of the mis-sized run leaked")
 }
 
-// TestPoolClosedFallback: runs attempted after Close fall back to per-call
-// workers; Close is idempotent.
+// TestPoolClosedFallback: runs attempted after Close borrow a temporary
+// pool each and leave no goroutine behind; Close is idempotent.
 func TestPoolClosedFallback(t *testing.T) {
 	ds := gen.Generate(gen.DBpedia, 180, 75)
 	rules := gen.Rules(gen.DBpedia, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 75})
 
+	baseline := runtime.NumGoroutine()
 	pl := NewPool(4)
 	opts := Hybrid(4)
 	opts.Pool = pl
@@ -91,9 +109,11 @@ func TestPoolClosedFallback(t *testing.T) {
 	}
 	pl.Close()
 	pl.Close() // idempotent
+	waitGoroutines(t, baseline, "closed pool leaked")
 	if got := PDect(ds.G, rules, opts); !equalKeys(got.Violations, want) {
 		t.Fatal("post-Close fallback PDect diverges")
 	}
+	waitGoroutines(t, baseline, "temporary pool of the post-Close run leaked")
 }
 
 // TestPoolEmptyWork: a run with no work units must drain immediately on
@@ -135,12 +155,5 @@ func TestPoolGoroutinesExit(t *testing.T) {
 		t.Fatalf("pool running: %d goroutines, want >= baseline %d + 6", n, baseline)
 	}
 	pl.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard goroutines leaked: %d alive, baseline %d",
-				runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline, "shard goroutines leaked")
 }

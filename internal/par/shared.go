@@ -188,36 +188,12 @@ func (e *engine) expandShared(w int, u *unit) expandResult {
 		}
 	}
 
-	// split decision (only for full-range units), same rule as task units
-	if e.opts.SplitUnits && !u.bcast && u.lo == 0 && u.hi < 0 {
-		cnt := m.CandidateCount(d, rp)
-		var below float64
-		if e.sBelow != nil {
-			below = e.sBelow[u.task]
-		}
-		if e.splitWanted(cnt, d, below) {
-			res.split = true
-			share := (cnt + e.opts.P - 1) / e.opts.P
-			for i := 0; i < e.opts.P; i++ {
-				lo := i * share
-				hi := lo + share
-				if lo >= cnt {
-					break
-				}
-				if hi > cnt {
-					hi = cnt
-				}
-				res.children = append(res.children, &unit{
-					task: u.task, depth: u.depth,
-					pivotRank: -1, pivotSlot: -1,
-					partial: e.clonePartial(w, u.partial),
-					ySatR:   e.cloneYSat(w, u.ySatR),
-					lo:      lo, hi: hi, bcast: true,
-				})
-			}
-			res.cost += float64(d + 1)
-			return res
-		}
+	var below float64
+	if e.sBelow != nil {
+		below = e.sBelow[u.task]
+	}
+	if e.trySplit(w, u, m, rp, below, &res) {
+		return res
 	}
 
 	cur := make([]int, len(nd.Rules)) // per-candidate survival (-1 = pruned)

@@ -1,227 +1,38 @@
 package par
 
-import (
-	"fmt"
-	"math"
-)
-
-// debugBalance dumps balancer state (tests only).
-var debugBalance = false
-
-// xferCPU is the CPU cost (in scan-entry units) of serializing or
-// deserializing one transferred work unit — a few dozen bytes, an order of
-// magnitude below the cost of expanding a typical unit.
-const xferCPU = 0.1
-
-// vworker is one simulated processor: a FIFO work queue and a clock in cost
-// units.
-type vworker struct {
-	clock float64
-	work  float64 // pure processing cost (no idle/monitor time)
-	q     []*unit
-	head  int
-	vios  []taggedVio
-}
-
-func (w *vworker) empty() bool  { return w.head >= len(w.q) }
-func (w *vworker) size() int    { return len(w.q) - w.head }
-func (w *vworker) front() *unit { return w.q[w.head] }
-func (w *vworker) pop() *unit   { u := w.q[w.head]; w.q[w.head] = nil; w.head++; return u }
-func (w *vworker) push(u *unit) { w.q = append(w.q, u) }
-func (w *vworker) compact()     { w.q = append([]*unit(nil), w.q[w.head:]...); w.head = 0 }
-
-// takeFront sheds n units from the front of the queue — the oldest,
-// typically shallowest units, i.e. the biggest subtrees, which is what
-// rebalancing wants to move (and what gworker.takeFront does; the two
-// drivers must shed the same end or their Moved/Makespan metrics diverge).
-func (w *vworker) takeFront(n int) []*unit {
-	if n > w.size() {
-		n = w.size()
-	}
-	out := append([]*unit(nil), w.q[w.head:w.head+n]...)
-	for i := w.head; i < w.head+n; i++ {
-		w.q[i] = nil
-	}
-	w.head += n
-	return out
-}
-
-// runVirtual executes the engine under the deterministic discrete-event
-// driver. initial[i] seeds worker i's queue; startCost is charged to every
-// worker up front (candidate-neighborhood construction and replication).
-func (e *engine) runVirtual(initial [][]*unit, startCost float64) ([]taggedVio, Metrics) {
-	p := e.opts.P
-	ws := make([]*vworker, p)
-	for i := 0; i < p; i++ {
-		ws[i] = &vworker{clock: startCost}
-		for _, u := range initial[i] {
-			ws[i].push(u)
-		}
-	}
-	var met Metrics
-	met.Makespan = startCost
-	nextBal := e.opts.Intvl
-	// per-side violation tallies for the Limit cutoff (ΔVio⁺ and ΔVio⁻ are
-	// limited independently, matching inc.Options.Limit; batch runs have a
-	// single side)
-	sideVios := [2]int{}
-
+// simulate is the virtual scheduler: a deterministic discrete-event loop
+// over the run's workers. The next event is always the worker whose front
+// unit can start earliest (lowest index on ties) — at its own clock, or at
+// the unit's ready time if that is later; when that start has reached the
+// next multiple of Intvl, the monitoring round fires at that time instead.
+func (r *run) simulate() {
+	intvl := r.e.opts.Intvl
+	nextBal := intvl
+	var work float64
 	for {
-		// next event: the worker whose front unit can start earliest
-		w, start := -1, 0.0
-		for i, vw := range ws {
-			if vw.empty() {
+		wi, start := -1, 0.0
+		for i, w := range r.ws {
+			if w.head == len(w.q) {
 				continue
 			}
-			s := vw.clock
-			if r := vw.front().ready; r > s {
-				s = r
+			s := w.clock
+			if ready := w.q[w.head].ready; ready > s {
+				s = ready
 			}
-			if w < 0 || s < start {
-				w, start = i, s
-			}
-		}
-		if w < 0 {
-			break // all queues drained
-		}
-		if e.opts.Balance && start >= nextBal {
-			met.BalanceEvents++
-			met.Moved += e.vbalance(ws, nextBal)
-			nextBal += e.opts.Intvl
-			continue
-		}
-		vw := ws[w]
-		u := vw.pop()
-		if e.opts.Limit > 0 && sideVios[e.sideOf(u)] >= e.opts.Limit {
-			// this side hit its limit: drain without expanding, but account
-			// the unit and its pending transfer charge so Units/cost mean
-			// the same thing as under the goroutine driver
-			vw.clock = start + u.xferCharge
-			vw.work += u.xferCharge
-			met.TotalWork += u.xferCharge
-			met.Units++
-			e.recycle(w, u)
-			continue
-		}
-		res := e.expand(w, u)
-		e.recycle(w, u) // children and violations hold copies, never aliases
-		if start < u.ready {
-			start = u.ready
-		}
-		vw.clock = start + res.cost
-		vw.work += res.cost
-		met.TotalWork += res.cost
-		met.Units++
-		if res.split {
-			met.Splits++
-			for i, child := range res.children {
-				// shares become available after the broadcast latency
-				child.ready = vw.clock + float64(e.opts.TrueLatency)
-				ws[i%p].push(child)
-			}
-		} else {
-			for _, child := range res.children {
-				child.ready = vw.clock
-				vw.push(child)
+			if wi < 0 || s < start {
+				wi, start = i, s
 			}
 		}
-		if len(res.vios) > 0 {
-			vw.vios = append(vw.vios, res.vios...)
-			for _, tv := range res.vios {
-				sideVios[sideIdx(tv.plus)]++
-			}
+		if wi < 0 {
+			r.addWork(work)
+			return // all queues drained
 		}
-	}
-
-	var vios []taggedVio
-	for _, vw := range ws {
-		vios = append(vios, vw.vios...)
-		met.WorkerCost = append(met.WorkerCost, vw.clock)
-		if vw.clock > met.Makespan {
-			met.Makespan = vw.clock
-		}
-	}
-	sortViolations(vios)
-	return vios, met
-}
-
-// vbalance implements the paper's periodic redistribution at virtual time T:
-// workers whose load skewness exceeds η shed their excess evenly onto
-// workers below η′ (both decisions via the balance.go helpers shared with
-// gbalance). Loads are estimated unit costs (unitWeight); without maintained
-// statistics every unit weighs 1 and this is the paper's count-based round.
-// Every worker pays a monitoring cost; each transferred unit pays a
-// communication latency and becomes available at T + latency.
-func (e *engine) vbalance(ws []*vworker, T float64) int {
-	p := len(ws)
-	lat := float64(e.opts.TrueLatency)
-	loads := make([]float64, p)
-	total := 0
-	var totalLoad float64
-	for i, vw := range ws {
-		total += vw.size()
-		for _, u := range vw.q[vw.head:] {
-			loads[i] += e.unitWeight(u)
-		}
-		totalLoad += loads[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	avg := totalLoad / float64(p)
-	if debugBalance {
-		sizes := make([]int, p)
-		works := make([]int, p)
-		clocks := make([]int, p)
-		for i, vw := range ws {
-			sizes[i] = vw.size()
-			works[i] = int(vw.work)
-			clocks[i] = int(vw.clock)
-		}
-		fmt.Printf("bal T=%.0f sizes=%v loads=%v works=%v clocks=%v\n",
-			T, sizes, loads, works, clocks)
-	}
-	// monitoring cost: a status round-trip per worker
-	for _, vw := range ws {
-		if vw.clock < T {
-			vw.clock = T
-		}
-		vw.clock += lat / 2
-	}
-	targets := balReceivers(loads, avg, e.opts.EtaLow)
-	if len(targets) == 0 {
-		return 0
-	}
-	moved := 0
-	for i, vw := range ws {
-		if loads[i] <= e.opts.Eta*avg {
+		if r.e.opts.Balance && start >= nextBal {
+			r.balance(nextBal)
+			nextBal += intvl
 			continue
 		}
-		excess := math.Floor(loads[i] - avg)
-		if excess <= 0 {
-			continue
-		}
-		take, dest := shedAssign(vw.q[vw.head:], excess, targets, e.unitWeight)
-		if take == 0 {
-			continue
-		}
-		units := vw.takeFront(take)
-		// serializing the shed units costs the sender CPU (a partial
-		// solution is a few dozen bytes — far less than expanding it);
-		// the latency is a delay on availability, not CPU time
-		vw.clock += xferCPU * float64(len(units))
-		for k, u := range units {
-			u.ready = T + lat
-			u.xferCharge = xferCPU // deserialize on arrival
-			ws[dest[k]].push(u)
-		}
-		moved += len(units)
+		u, _ := r.ws[wi].pop(true)
+		work += r.step(wi, u, start)
 	}
-	// reclaim popped prefixes so queue sizes stay meaningful
-	for _, vw := range ws {
-		if vw.head > 1024 && vw.head > vw.size() {
-			vw.compact()
-		}
-	}
-	return moved
 }

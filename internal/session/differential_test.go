@@ -17,9 +17,11 @@ package session_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
@@ -303,9 +305,9 @@ func TestDifferentialShardRuntime(t *testing.T) {
 	}
 }
 
-// TestDifferentialRealDriver runs one workload through the goroutine driver
-// (the -race CI job's target): the real-thread PIncDect must agree with the
-// session store batch for batch.
+// TestDifferentialRealDriver runs one workload through the goroutine
+// scheduler (the -race CI job's target): the real-thread PIncDect must agree
+// with the session store batch for batch.
 func TestDifferentialRealDriver(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 150, 11)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 11})
@@ -319,6 +321,42 @@ func TestDifferentialRealDriver(t *testing.T) {
 		store := canonKeys(detect.VioKeySet(sess.Violations()))
 		if want := canon(ref.Detect(ds.G, rules)); store != want {
 			t.Fatalf("real driver batch %d (seed 11): store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b, store, want)
+		}
+	}
+}
+
+// TestCloseThenParallelCommit: Close stops the session's shard pool for
+// good, yet the session stays usable — every later parallel commit runs on
+// a temporary pool that is closed before the commit returns, so the store
+// still equals Vio(Σ, G) and the goroutine count stays at its pre-session
+// baseline.
+func TestCloseThenParallelCommit(t *testing.T) {
+	ds := gen.Generate(gen.Pokec, 150, 17)
+	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 17})
+	baseline := runtime.NumGoroutine()
+	sess := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(4)})
+	for b := 0; b < 3; b++ {
+		if b == 1 {
+			sess.Close()
+		}
+		delta := update.Random(ds, update.Config{
+			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 17000 + int64(b),
+		})
+		sess.CommitBatch(delta, nil)
+		store := canonKeys(detect.VioKeySet(sess.Violations()))
+		if want := canon(ref.Detect(ds.G, rules)); store != want {
+			t.Fatalf("batch %d: store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b, store, want)
+		}
+		if b == 0 {
+			continue // the session's own pool is still up
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("batch %d after Close: %d goroutines alive, baseline %d",
+					b, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }

@@ -363,7 +363,7 @@ func (s *Session) SetCommitHook(h CommitHook) { s.hook = h }
 // zero value means the full hybrid strategy at the default worker count.
 // The session's maintained partition and persistent shard pool are
 // threaded through so PIncDect never rebuilds a partition and the
-// goroutine driver never respawns its shards.
+// goroutine scheduler never respawns its shards.
 func (s *Session) parOpts() par.Options {
 	o := s.opts.Par
 	if o.P == 0 && !o.SplitUnits && !o.Balance && !o.Virtual {
@@ -380,9 +380,10 @@ func (s *Session) parOpts() par.Options {
 }
 
 // ensurePool lazily creates the session-owned shard pool for p workers.
-// After Close it returns nil (the driver then runs per-call workers), so a
-// straggling commit can never resurrect shard goroutines the caller
-// believes stopped.
+// After Close it returns nil — each later parallel run then borrows a
+// temporary pool that par closes before the run returns — so a straggling
+// commit can never leave behind shard goroutines the caller believes
+// stopped.
 func (s *Session) ensurePool(p int) *par.Pool {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
@@ -398,7 +399,8 @@ func (s *Session) ensurePool(p int) *par.Pool {
 // Close stops the session's shard pool, blocking until its goroutines have
 // exited. Idempotent and safe after any number of commits; a session whose
 // parallel route was never used has nothing to stop. The session remains
-// usable afterwards — detection falls back to per-call workers.
+// usable afterwards — every parallel detection then starts and stops a
+// temporary pool of its own.
 func (s *Session) Close() {
 	s.poolMu.Lock()
 	pl := s.pool
