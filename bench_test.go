@@ -319,6 +319,42 @@ func BenchmarkSessionStream(b *testing.B) {
 	})
 }
 
+// BenchmarkSnapshotAdvance is the publish path at three store sizes: every
+// commit flips the same 16 items (Δ = 16 violations cleared, or found
+// again), so what grows from 1k to 200k is only the snapshot the commit
+// advances — the cost curve of "the store is its last snapshot plus the
+// commit's delta".
+func BenchmarkSnapshotAdvance(b *testing.B) {
+	q := pattern.New()
+	q.AddNode("x", "item")
+	rules := core.NewSet(core.MustNew("cap", q, nil, []core.Literal{core.MustLiteral("x.val <= 10")}))
+	for _, size := range []int{1_000, 20_000, 200_000} {
+		b.Run(fmt.Sprintf("%dk", size/1000), func(b *testing.B) {
+			g := graph.New()
+			for i := 0; i < size; i++ {
+				g.SetAttr(g.AddNode("item"), "val", graph.Int(20))
+			}
+			s := session.New(g, rules, session.Options{})
+			ops := make([]graph.AttrOp, 16)
+			flip := func(i int) {
+				for j := range ops {
+					ops[j] = graph.AttrOp{Node: graph.NodeID(j), Attr: g.Symbols().Attr("val"), Val: graph.Int(int64(1 + 19*(i%2)))}
+				}
+				s.CommitBatch(nil, ops)
+				s.Snapshot()
+			}
+			flip(0)
+			flip(1) // warm: plans, searchers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flip(i)
+			}
+			b.ReportMetric(float64(s.Len()), "store_size")
+		})
+	}
+}
+
 // BenchmarkExp5Effectiveness: the error-catching study.
 func BenchmarkExp5Effectiveness(b *testing.B) {
 	b.ReportAllocs()

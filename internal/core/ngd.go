@@ -99,6 +99,11 @@ type NGD struct {
 // must be linear (Theorem 3 makes the non-linear extension undecidable for
 // the static analyses, and the paper's NGDs are linear by definition).
 func New(name string, p *pattern.Pattern, X, Y []Literal) (*NGD, error) {
+	if strings.Contains(name, ":") {
+		// Violation.Key is name:id:id…; rule a over [1 2] and rule a:1 over
+		// [2] would otherwise share the key a:1:2
+		return nil, fmt.Errorf("ngd %s: rule name contains ':', the separator of violation keys", name)
+	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("ngd %s: %w", name, err)
 	}

@@ -34,6 +34,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("nl", simplePattern(), nil, []Literal{nl}); err == nil {
 		t.Error("non-linear literal accepted")
 	}
+	// ':' separates a violation key's fields: a name holding one would let
+	// rule a over [1 2] and rule a:1 over [2] share the key a:1:2
+	if _, err := New("a:1", simplePattern(), nil, nil); err == nil || !strings.Contains(err.Error(), "':'") {
+		t.Errorf("rule name with ':' accepted: %v", err)
+	}
 	// invalid pattern
 	bad := &pattern.Pattern{}
 	if _, err := New("empty", bad, nil, nil); err == nil {

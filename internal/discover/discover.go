@@ -20,6 +20,7 @@ package discover
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
@@ -276,7 +277,8 @@ func mineLiterals(g *graph.Graph, p *pattern.Pattern, support int, opts Options)
 	id := 0
 	add := func(lit core.Literal) {
 		id++
-		name := fmt.Sprintf("mined-%s-%d", p.Nodes[0].Label, id)
+		// ':' is reserved in rule names (it separates a violation key's fields)
+		name := fmt.Sprintf("mined-%s-%d", strings.ReplaceAll(p.Nodes[0].Label, ":", "_"), id)
 		rule, err := core.New(name, clonePattern(p), nil, []core.Literal{lit})
 		if err != nil {
 			return

@@ -89,6 +89,22 @@ func TestParseRuleErrors(t *testing.T) {
 	}
 }
 
+// TestParseRulesNameHygiene: a violation's key is name:id:id…, so the keyed
+// store can tell two rules apart only when names are unique and hold no
+// ':'. Both are rejected with the header's line number (both headers for a
+// duplicate).
+func TestParseRulesNameHygiene(t *testing.T) {
+	body := "\n match {\n x: a\n }\n}\n"
+	for src, want := range map[string]string{
+		"# Σ\nrule a:1 {" + body:                                  `line 2: rule name "a:1" contains ':'`,
+		"rule r {" + body + "rule s {" + body + "rule r {" + body: `line 11: duplicate rule name "r" (first declared at line 1)`,
+	} {
+		if _, err := ParseRules(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one mentioning %q", src, err, want)
+		}
+	}
+}
+
 func TestGraphRoundTrip(t *testing.T) {
 	g := paperdata.MergedGraph()
 	var sb strings.Builder

@@ -19,6 +19,10 @@
 //	    z.val - y.val >= 365
 //	  }
 //	}
+//
+// Rule names are unique within a file and hold no ':' — a violation is
+// identified by name:id:id… (core.Violation.Key), and the keyed violation
+// store needs those identities distinct.
 package dsl
 
 import (
@@ -72,6 +76,12 @@ func ParseRulesLocated(r io.Reader) (*core.Set, map[string]int, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if first, dup := lines[name]; dup {
+			// violation keys start with the rule name: two rules of one name
+			// would share every key and the keyed store would hold one
+			// violation where Dect reports two
+			return nil, nil, fmt.Errorf("dsl: line %d: duplicate rule name %q (first declared at line %d)", line, name, first)
+		}
 		lines[name] = line
 		rule, err := parseRuleBody(name, next, &line)
 		if err != nil {
@@ -89,6 +99,9 @@ func parseRuleHeader(s string, line int) (string, error) {
 	fields := strings.Fields(s)
 	if len(fields) != 3 || fields[0] != "rule" || fields[2] != "{" {
 		return "", fmt.Errorf("dsl: line %d: expected `rule <name> {`, got %q", line, s)
+	}
+	if strings.Contains(fields[1], ":") {
+		return "", fmt.Errorf("dsl: line %d: rule name %q contains ':' (the separator of violation keys, name:id:id…)", line, fields[1])
 	}
 	return fields[1], nil
 }

@@ -20,7 +20,7 @@
 // this package never mutates the graph.
 //
 // Determinism: candidates are enumerated in match-slot and pattern-edge
-// order, the store is iterated in canonical-key order, and the solver is
+// order, store postings are read in canonical-key order, and the solver is
 // deterministic, so the same (graph, store, target) always yields the same
 // ranked fixes. The package imports neither "time" nor "math/rand"
 // (enforced by ngdlint); deadlines arrive via solver.Options.Done.
@@ -138,12 +138,13 @@ type Options struct {
 }
 
 // Store is the read view of the live violation store the enumerator ranks
-// against. ForEach must iterate in ascending canonical-key order (the
-// session's snapshot order), which keeps Clears lists deterministic.
+// against (the session's snapshot). Node lists the stored violations whose
+// match binds n in ascending canonical-key order, which keeps Clears lists
+// deterministic.
 type Store interface {
 	Has(key string) bool
 	Len() int
-	ForEach(fn func(core.Violation))
+	Node(n graph.NodeID) []core.Violation
 }
 
 // enum carries one enumeration's state.
@@ -272,18 +273,11 @@ func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces
 	}
 
 	// removed: stored violations binding n that no longer violate
-	e.store.ForEach(func(w core.Violation) {
-		binds := false
-		for _, v := range w.Match {
-			if v == n {
-				binds = true
-				break
-			}
-		}
-		if binds && !w.Rule.Violated(ov, w.Match) {
+	for _, w := range e.store.Node(n) {
+		if !w.Rule.Violated(ov, w.Match) {
 			clears = append(clears, w.Key())
 		}
-	})
+	}
 
 	// introduced: matches binding n that violate on the overlay but are not
 	// in the store. Plans come from the shared program like everywhere else:

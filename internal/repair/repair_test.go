@@ -1,6 +1,7 @@
 package repair_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,15 +21,19 @@ type mapStore map[string]core.Violation
 
 func (m mapStore) Has(key string) bool { return false || m[key].Rule != nil }
 func (m mapStore) Len() int            { return len(m) }
-func (m mapStore) ForEach(fn func(core.Violation)) {
+func (m mapStore) Node(n graph.NodeID) []core.Violation {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var out []core.Violation
 	for _, k := range keys {
-		fn(m[k])
+		if slices.Contains(m[k].Match, n) {
+			out = append(out, m[k])
+		}
 	}
+	return out
 }
 
 func storeOf(vs ...core.Violation) mapStore {

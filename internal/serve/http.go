@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/graph"
 	"ngd/internal/repair"
-	"ngd/internal/session"
 )
 
 // vioJSON is the wire form of one violation.
@@ -55,9 +55,9 @@ type updateRequest struct {
 //	                           top-ranked fix when "fix" is omitted),
 //	                           committed through the ordinary ingest path
 //
-// Every read is served from the atomically published snapshot+index pair:
-// a reader holds one consistent epoch for the whole request and is never
-// blocked by a commit in progress.
+// Every read is served from the atomically published snapshot: a reader
+// holds one consistent epoch for the whole request and is never blocked by
+// a commit in progress.
 //
 // Error contract: malformed numeric query params and unparseable or
 // trailing-garbage bodies get 400; an oversized /update body gets 413; a
@@ -206,8 +206,8 @@ func (s *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 //
 //	limit=n        page size (default 100; -1 = the rest)
 //	after=<key>    resume strictly after this canonical key
-//	rule=<name>    only violations of one rule (secondary index)
-//	node=<id>      only violations whose match contains the node (index)
+//	rule=<name>    only violations of one rule (a range of the sorted run)
+//	node=<id>      only violations whose match contains the node (postings)
 //
 // Pages are consistent within the request's epoch; because keys are stable
 // identities (unlike offsets), a walk that spans commits resumes at the
@@ -233,11 +233,9 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v := s.cur.Load() // one load: snapshot + indexes of the same epoch
-	sn, idx := v.sn, v.idx
+	sn := s.Snapshot() // one load: the whole request reads one epoch
 
-	var page []core.Violation
-	var total, remaining int
+	var vios []core.Violation
 	rule := q.Get("rule")
 	switch {
 	case q.Has("node"):
@@ -246,23 +244,17 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 			return
 		}
-		keys := idx.nodeKeys(graph.NodeID(id))
+		vios = sn.Node(graph.NodeID(id))
 		if rule != "" {
 			// intersect: walk the (short) node posting, keep the rule's
-			filtered := make([]string, 0, len(keys))
-			for _, k := range keys {
-				if vv, ok := sn.Get(k); ok && vv.Rule.Name == rule {
-					filtered = append(filtered, k)
-				}
-			}
-			keys = filtered
+			vios = slices.DeleteFunc(slices.Clone(vios), func(v core.Violation) bool { return v.Rule.Name != rule })
 		}
-		page, total, remaining = pageKeys(sn, keys, after, limit)
 	case rule != "":
-		page, total, remaining = pageKeys(sn, idx.ruleKeys(rule), after, limit)
+		vios = sn.Rule(rule)
 	default:
-		page, total, remaining = pageAll(sn, after, limit)
+		vios = sn.Violations()
 	}
+	page, total, remaining := pageOf(vios, after, limit)
 
 	out := make([]vioJSON, len(page))
 	for i, vv := range page {
@@ -280,44 +272,19 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// pageKeys cuts one page out of a sorted posting list: seek past the
-// cursor, take up to limit, resolve keys against the same epoch's
-// snapshot. Cost is O(log total + page), independent of store size.
-func pageKeys(sn *session.Snapshot, keys []string, after string, limit int) (page []core.Violation, total, remaining int) {
-	total = len(keys)
-	i := 0
-	if after != "" {
-		i = sort.SearchStrings(keys, after)
-		if i < len(keys) && keys[i] == after {
-			i++
-		}
-	}
-	n := len(keys) - i
-	if limit >= 0 && limit < n {
-		n = limit
-	}
-	page = make([]core.Violation, 0, n)
-	for _, k := range keys[i : i+n] {
-		if v, ok := sn.Get(k); ok {
-			page = append(page, v)
-		}
-	}
-	return page, total, len(keys) - i - n
-}
-
-// pageAll pages the unfiltered store off the snapshot's key-sorted slice.
-func pageAll(sn *session.Snapshot, after string, limit int) (page []core.Violation, total, remaining int) {
-	vios := sn.Violations()
+// pageOf cuts one page out of a key-sorted violation list (the whole run, a
+// rule's range of it, or a node's postings): seek past the cursor, take up
+// to limit. Cost is O(log total + page), independent of store size.
+func pageOf(vios []core.Violation, after string, limit int) (page []core.Violation, total, remaining int) {
 	total = len(vios)
-	i := 0
 	if after != "" {
-		i = sort.Search(len(vios), func(j int) bool { return vios[j].Key() > after })
+		vios = vios[sort.Search(len(vios), func(j int) bool { return vios[j].Key() > after }):]
 	}
-	n := len(vios) - i
+	n := len(vios)
 	if limit >= 0 && limit < n {
 		n = limit
 	}
-	return vios[i : i+n], total, len(vios) - i - n
+	return vios[:n], total, len(vios) - n
 }
 
 // handleFeed serves the violation change feed. Server-sent events by

@@ -7,7 +7,7 @@ package serve
 // Applying never mutates directly either — the chosen fix is translated to
 // ordinary update ops ("setattr" / "delete") and committed through the same
 // commitBatch path every ingested batch takes, so the WAL, the change feed,
-// the secondary indexes and AfterCommit all observe a normal commit.
+// the snapshot and AfterCommit all observe a normal commit.
 
 import (
 	"errors"

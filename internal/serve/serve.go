@@ -15,8 +15,8 @@
 //     wait-free, never blocked by a commit in progress, and always seeing
 //     a consistent (post-commit) violation store.
 //
-// On top of the Server sits an HTTP API (Handler): violation queries with
-// secondary indexes and keyset cursors, a violation change feed (SSE and
+// On top of the Server sits an HTTP API (Handler): violation queries by
+// rule and by node with keyset cursors, a violation change feed (SSE and
 // long-poll) fed from the per-commit ΔVio⁺/ΔVio⁻, update ingestion, stats
 // and health — see cmd/ngdserve.
 package serve
@@ -97,7 +97,7 @@ type UpdateOp struct {
 	// with its attribute tuple, before any of its edges), or "setattr"
 	// (reassign attributes of an existing node — the repair path's commit
 	// shape, routed through session.CommitBatch so detection, WAL, feed and
-	// indexes all observe it as an ordinary batch).
+	// snapshot all observe it as an ordinary batch).
 	Op string `json:"op"`
 	// Src and Dst reference nodes for edge ops: either an id registered in
 	// Options.Names (or by a previous "node" op), or a decimal NodeID.
@@ -205,14 +205,6 @@ type ingest struct {
 	job func()
 }
 
-// view pairs the epoch's immutable snapshot with its secondary indexes so
-// readers resolve both from one atomic load — a query never sees an index
-// newer or older than the store it filters.
-type view struct {
-	sn  *session.Snapshot
-	idx *vioIndex
-}
-
 // Server owns a session and serves snapshot-isolated reads while updates
 // stream in. Create with New, stop with Close.
 type Server struct {
@@ -222,7 +214,7 @@ type Server struct {
 	afterCommit   func(session.BatchStats)
 	durabilityErr func() error
 	in            chan ingest
-	cur           atomic.Pointer[view]
+	cur           atomic.Pointer[session.Snapshot]
 	feed          *feedHub
 	maxBody       int64
 	pollTimeout   time.Duration
@@ -291,7 +283,7 @@ func New(sess *session.Session, opts Options) *Server {
 		done:          make(chan struct{}),
 	}
 	sn := sess.Snapshot()
-	s.cur.Store(&view{sn: sn, idx: buildIndex(sn)})
+	s.cur.Store(sn)
 	s.feed = newFeedHub(sn.Epoch, opts.FeedBacklog, opts.FeedBuffer)
 	go s.writer()
 	return s
@@ -299,9 +291,7 @@ func New(sess *session.Session, opts Options) *Server {
 
 // Snapshot returns the current epoch's immutable view. Wait-free; safe
 // from any goroutine; never blocked by an in-flight commit.
-func (s *Server) Snapshot() *session.Snapshot {
-	return s.cur.Load().sn
-}
+func (s *Server) Snapshot() *session.Snapshot { return s.cur.Load() }
 
 // Analysis returns the Σ admission report and whether it was served from
 // cache: the boot-time report when one was injected (Options.Analysis),
@@ -523,18 +513,12 @@ func (s *Server) commitBatch(batch []ingest) {
 	s.commits.Add(1)
 	s.lastBatch.Store(&st)
 
-	// publish the next epoch: snapshot plus secondary indexes derived from
-	// this commit's reconciled ΔVio⁺/ΔVio⁻, swapped in one atomic store
-	prev := s.cur.Load()
-	nv := &view{sn: s.sess.Snapshot(), idx: prev.idx}
-	var fe *FeedEvent
-	if ev := st.Event; ev != nil && len(ev.Added)+len(ev.Removed) > 0 {
-		nv.idx = prev.idx.apply(ev)
-		fe = toFeedEvent(ev)
-	}
-	s.cur.Store(nv)
-	if fe != nil {
-		s.feed.publish(fe)
+	// publish the next epoch — the commit already derived its snapshot, run
+	// and node postings alike, from this batch's reconciled ΔVio⁺/ΔVio⁻ —
+	// then the same delta on the feed
+	s.cur.Store(s.sess.Snapshot())
+	if ev := st.Event; len(ev.Added)+len(ev.Removed) > 0 {
+		s.feed.publish(toFeedEvent(ev))
 	}
 	if s.afterCommit != nil {
 		s.afterCommit(st)

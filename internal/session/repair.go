@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ngd/internal/core"
 	"ngd/internal/repair"
 )
 
@@ -25,24 +24,9 @@ var ErrNoViolation = errors.New("session: violation not in store")
 // serving layer runs both on its single writer goroutine); the session
 // itself is not concurrency-safe.
 func (s *Session) PreviewRepair(key string, opts repair.Options) (*repair.Result, error) {
-	v, ok := s.store[key]
+	v, ok := s.snap.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoViolation, key)
 	}
-	return repair.Enumerate(s.g, s.rules, s.prog, storeView{s}, v, opts), nil
-}
-
-// storeView adapts the session's live violation store to repair.Store.
-// ForEach iterates in canonical-key order via the cached snapshot (building
-// it is observationally pure: same epoch, same violations).
-type storeView struct{ s *Session }
-
-func (sv storeView) Has(key string) bool { return sv.s.Has(key) }
-
-func (sv storeView) Len() int { return len(sv.s.store) }
-
-func (sv storeView) ForEach(fn func(core.Violation)) {
-	for _, v := range sv.s.Snapshot().Violations() {
-		fn(v)
-	}
+	return repair.Enumerate(s.g, s.rules, s.prog, s.snap, v, opts), nil
 }

@@ -132,8 +132,8 @@ type BatchStats struct {
 // Added includes both the incremental detector's ΔVio⁺ and the violations
 // found by the arriving-node absorption searches; both slices are sorted by
 // canonical key and deduplicated against the store, so replaying events in
-// epoch order is a faithful differential stream (the serving layer's change
-// feed and secondary indexes are built from it).
+// epoch order is a faithful differential stream (the next Snapshot and the
+// serving layer's change feed are built from it).
 type CommitEvent struct {
 	Epoch   int
 	Added   []core.Violation
@@ -176,8 +176,14 @@ type Session struct {
 	// matchers and literal schedules dominated steady-state allocations.
 	searchers detect.SearcherCache
 
-	// store is the live violation set, keyed by core.Violation.Key.
-	store map[string]core.Violation
+	// snap is the violation set as of the last commit (see Snapshot).
+	// Between commits it is the whole store; during one, the store is snap
+	// plus the commit's net delta so far: added holds violations the commit
+	// found that snap lacks, removed those of snap it cleared (a violation
+	// added and then cleared again, or the reverse, is in neither). Both are
+	// empty outside CommitBatch, which ends by advancing snap with them.
+	snap           *Snapshot
+	added, removed map[string]core.Violation
 	// edgeRules (patterns with ≥1 edge) produce update pivots and go to the
 	// incremental detectors; isoRules additionally need the arriving-node
 	// searches of absorbNewNodes.
@@ -199,48 +205,12 @@ type Session struct {
 	poolMu   sync.Mutex
 	poolDone bool
 
-	// snap caches the immutable snapshot of the current epoch; invalidated
-	// by Commit and rebuilt lazily on the next Snapshot call.
-	snap *Snapshot
-
 	// hook, when set, logs each batch before the in-place Apply (write-ahead
 	// logging for durable serving; see SetCommitHook).
 	hook CommitHook
 
 	seenNodes int
 	commits   int
-}
-
-// Snapshot is an immutable, consistent view of a session at one commit
-// epoch: the violation store sorted by canonical key, plus the graph size
-// at capture. Snapshots are copy-on-write — a Commit builds the next epoch
-// without touching published ones — so any number of concurrent readers
-// can serve from a Snapshot while the session commits (internal/serve
-// relies on this for snapshot-isolated reads).
-type Snapshot struct {
-	// Epoch is the commit count at capture (0 = the seeded store).
-	Epoch int
-	// Nodes and Edges are |V| and |E| at capture.
-	Nodes, Edges int
-
-	vios  []core.Violation
-	index map[string]int
-}
-
-// Len reports |Vio(Σ, G)| at the snapshot's epoch.
-func (sn *Snapshot) Len() int { return len(sn.vios) }
-
-// Violations returns the snapshot's violations sorted by canonical key.
-// The slice is shared and must be treated as read-only.
-func (sn *Snapshot) Violations() []core.Violation { return sn.vios }
-
-// Get looks up a violation by its canonical key.
-func (sn *Snapshot) Get(key string) (core.Violation, bool) {
-	i, ok := sn.index[key]
-	if !ok {
-		return core.Violation{}, false
-	}
-	return sn.vios[i], true
 }
 
 // isoRule is a rule whose pattern has isolated nodes (no incident pattern
@@ -262,9 +232,7 @@ func New(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	} else {
 		vios = detect.Dect(g, s.rules, detect.Options{Program: s.prog}).Violations
 	}
-	for _, v := range vios {
-		s.store[v.Key()] = v
-	}
+	s.snap = newSnapshot(vios, g.NumNodes(), g.NumEdges())
 	return s
 }
 
@@ -278,14 +246,12 @@ func New(g *graph.Graph, rules *core.Set, opts Options) *Session {
 // broken from the start (Recheck will say so).
 func Restore(g *graph.Graph, rules *core.Set, vios []core.Violation, opts Options) *Session {
 	s := newSession(g, rules, opts)
-	for _, v := range vios {
-		s.store[v.Key()] = v
-	}
+	s.snap = newSnapshot(vios, g.NumNodes(), g.NumEdges())
 	return s
 }
 
 // newSession builds the common session state: rule classification (edge
-// rules vs isolated-slot rules) and the node watermark. The store is empty;
+// rules vs isolated-slot rules) and the node watermark. The store is unset;
 // New seeds it with a detection run, Restore from persisted violations.
 func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	var dropped []string
@@ -303,7 +269,8 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 		opts:      opts,
 		dropped:   dropped,
 		prog:      plan.New(g, rules, opts.Plan),
-		store:     make(map[string]core.Violation),
+		added:     make(map[string]core.Violation),
+		removed:   make(map[string]core.Violation),
 		edgeRules: core.NewSet(),
 	}
 	for _, r := range rules.Rules {
@@ -439,52 +406,64 @@ func (s *Session) Rules() *core.Set { return s.rules }
 func (s *Session) DroppedRules() []string { return s.dropped }
 
 // Len reports the live store size |Vio(Σ, G)|.
-func (s *Session) Len() int { return len(s.store) }
+func (s *Session) Len() int { return s.snap.Len() + len(s.added) - len(s.removed) }
 
 // Commits reports how many batches have been committed.
 func (s *Session) Commits() int { return s.commits }
 
 // Has reports whether the store holds a violation with the given canonical
-// key.
+// key: two map probes into the running commit's delta (both maps are empty
+// between commits), then a binary search of the last snapshot.
 func (s *Session) Has(key string) bool {
-	_, ok := s.store[key]
-	return ok
+	if _, ok := s.added[key]; ok {
+		return true
+	}
+	if _, ok := s.removed[key]; ok {
+		return false
+	}
+	return s.snap.Has(key)
+}
+
+// add puts v, keyed k, into the store and reports whether it was new.
+func (s *Session) add(k string, v core.Violation) bool {
+	if _, ok := s.removed[k]; ok {
+		delete(s.removed, k) // cleared earlier in this commit: snap's again
+		return true
+	}
+	if _, ok := s.added[k]; ok || s.snap.Has(k) {
+		return false
+	}
+	s.added[k] = v
+	return true
+}
+
+// remove takes the violation keyed k out of the store and reports whether
+// the store held it.
+func (s *Session) remove(k string, v core.Violation) bool {
+	if _, ok := s.added[k]; ok {
+		delete(s.added, k) // found earlier in this commit: never published
+		return true
+	}
+	if _, ok := s.removed[k]; ok || !s.snap.Has(k) {
+		return false
+	}
+	s.removed[k] = v
+	return true
 }
 
 // Violations returns the live store sorted by canonical key. The slice is
 // the caller's to keep.
 func (s *Session) Violations() []core.Violation {
-	return append([]core.Violation(nil), s.Snapshot().Violations()...)
+	return append([]core.Violation(nil), s.snap.Violations()...)
 }
 
-// Snapshot returns the immutable view of the current epoch, building it on
-// first access after a commit (copy-on-write: published snapshots are
-// never mutated). The session's single-writer contract still holds —
-// Snapshot must be called from the same goroutine as Commit — but the
-// *returned* snapshot may be handed to any number of concurrent readers.
-func (s *Session) Snapshot() *Snapshot {
-	if s.snap != nil {
-		return s.snap
-	}
-	sn := &Snapshot{
-		Epoch: s.commits,
-		Nodes: s.g.NumNodes(),
-		Edges: s.g.NumEdges(),
-		vios:  make([]core.Violation, 0, len(s.store)),
-		index: make(map[string]int, len(s.store)),
-	}
-	keys := make([]string, 0, len(s.store))
-	for k := range s.store {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sn.index[k] = len(sn.vios)
-		sn.vios = append(sn.vios, s.store[k])
-	}
-	s.snap = sn
-	return sn
-}
+// Snapshot returns the immutable view of the current epoch. CommitBatch
+// derives it from the previous epoch's, so the call costs nothing and the
+// sizes it reports (Nodes, Edges) are those of the commit, not of the call.
+// The session's single-writer contract still holds — Snapshot must be
+// called from the same goroutine as Commit — but the *returned* snapshot may
+// be handed to any number of concurrent readers.
+func (s *Session) Snapshot() *Snapshot { return s.snap }
 
 // Partition exposes the maintained partition (nil until the first parallel
 // commit builds it).
@@ -514,10 +493,9 @@ func (s *Session) Commit(d *graph.Delta) BatchStats {
 // so only matches binding a touched node can change status; the pass
 // restores store ≡ Dect(Σ, G') exactly. The repair engine's apply path
 // commits its attribute fixes through here, making them ordinary batches in
-// the eyes of the WAL, the change feed and the indexes.
+// the eyes of the WAL, the change feed and the snapshot's postings.
 func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	s.commits++
-	s.snap = nil // next Snapshot() captures the new epoch
 	st := BatchStats{Batch: s.commits}
 	if d == nil {
 		d = &graph.Delta{}
@@ -540,37 +518,10 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 
 	planBefore := s.prog.Counters()
 
-	// Event bookkeeping tracks the *net* store change of the whole commit:
-	// a violation the edge phase adds and the attribute phase then clears
-	// (or vice versa) must not appear in either event slice, or the event
-	// would stop being an exact differential of the epoch's store.
-	addedM := make(map[string]core.Violation)
-	removedM := make(map[string]core.Violation)
-	add := func(v core.Violation) {
-		k := v.Key()
-		if _, ok := removedM[k]; ok {
-			delete(removedM, k)
-		} else {
-			addedM[k] = v
-		}
-	}
-	rem := func(v core.Violation) {
-		k := v.Key()
-		if _, ok := addedM[k]; ok {
-			delete(addedM, k)
-		} else {
-			removedM[k] = v
-		}
-	}
-
 	// absorb nodes that arrived since the last commit (isolated pattern
 	// slots gain matches the edge-driven pivots cannot see)
 	st.NewNodes = s.g.NumNodes() - s.seenNodes
-	absorbed := s.absorbNewNodes()
-	st.Absorbed = len(absorbed)
-	for _, v := range absorbed {
-		add(v)
-	}
+	st.Absorbed = s.absorbNewNodes()
 
 	// incremental answer on the pre-commit graph
 	if norm.Len() > 0 {
@@ -593,22 +544,14 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 			st.Cost = float64(r.Counters.Candidates + r.Counters.Checks)
 			st.Pivots = r.Pivots
 		}
-		// reconcile, recording the *effective* store changes: a ΔVio⁻ key
-		// the store never held (or a ΔVio⁺ key it already holds) is not
-		// echoed into the event
+		// reconcile: only *effective* store changes reach the event — a
+		// ΔVio⁻ key the store never held (or a ΔVio⁺ key it already holds)
+		// is not echoed
 		for _, v := range minus {
-			k := v.Key()
-			if _, ok := s.store[k]; ok {
-				delete(s.store, k)
-				rem(v)
-			}
+			s.remove(v.Key(), v)
 		}
 		for _, v := range plus {
-			k := v.Key()
-			if _, ok := s.store[k]; !ok {
-				s.store[k] = v
-				add(v)
-			}
+			s.add(v.Key(), v)
 		}
 		st.Plus, st.Minus = len(plus), len(minus)
 	}
@@ -625,19 +568,10 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	// post-Apply graph, so the pass sees the batch's final attribute *and*
 	// edge state)
 	if len(attrs) > 0 {
-		st.AttrPlus, st.AttrMinus = s.applyAttrOps(attrs, add, rem)
+		st.AttrPlus, st.AttrMinus = s.applyAttrOps(attrs)
 	}
 
-	ev := &CommitEvent{Epoch: s.commits}
-	for _, v := range addedM {
-		ev.Added = append(ev.Added, v)
-	}
-	for _, v := range removedM {
-		ev.Removed = append(ev.Removed, v)
-	}
-	sortByKey(ev.Added)
-	sortByKey(ev.Removed)
-	st.Event = ev
+	st.Event = s.publish()
 
 	// churn-driven local refinement keeps the maintained partition's cut
 	// quality from decaying as the graph evolves; cost ∝ |ΔG| degrees,
@@ -645,7 +579,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	if s.part != nil {
 		st.PartMoved = s.part.Refine(s.g, norm.TouchedNodes())
 	}
-	st.StoreSize = len(s.store)
+	st.StoreSize = s.snap.Len()
 	return st
 }
 
@@ -656,7 +590,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 // are found by pre-bound searches seeded at each touched node for every
 // slot it can occupy. The store's Has-guard dedupes a match reachable from
 // several touched nodes or slots.
-func (s *Session) applyAttrOps(attrs []graph.AttrOp, add, rem func(core.Violation)) (plus, minus int) {
+func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 	touchedSet := graph.AcquireNodeSet(s.g.NumNodes())
 	defer graph.ReleaseNodeSet(touchedSet)
 	touched := make([]graph.NodeID, 0, len(attrs))
@@ -667,21 +601,22 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp, add, rem func(core.Violatio
 		}
 	}
 
-	// drop stored violations a touched node no longer sustains
-	for k, v := range s.store {
-		binds := false
-		for _, n := range v.Match {
-			if touchedSet.Has(n) {
-				binds = true
-				break
-			}
+	// drop the violations a touched node no longer sustains: those of the
+	// last epoch are posted under the node, the ones this commit found
+	// before the attribute phase are in added (small; re-evaluate them all)
+	stale := func(k string, v core.Violation) {
+		if !v.Rule.Violated(s.g, v.Match) && s.remove(k, v) {
+			minus++
 		}
-		if !binds || v.Rule.Violated(s.g, v.Match) {
-			continue
+	}
+	for _, n := range touched {
+		posted := s.snap.node(n)
+		for i, v := range posted.vios {
+			stale(posted.keys[i], v)
 		}
-		delete(s.store, k)
-		rem(v)
-		minus++
+	}
+	for k, v := range s.added {
+		stale(k, v)
 	}
 
 	// find matches a touched node now violates: one pre-bound search per
@@ -714,9 +649,7 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp, add, rem func(core.Violatio
 				}
 				searcher.Run(partial, func(m core.Match) bool {
 					vio := core.Violation{Rule: r, Match: m.Clone()}
-					if k := vio.Key(); !s.Has(k) {
-						s.store[k] = vio
-						add(vio)
+					if s.add(vio.Key(), vio) {
 						plus++
 					}
 					return true
@@ -736,16 +669,15 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp, add, rem func(core.Violatio
 // at isolated slots is emitted exactly once, by its smallest such slot.
 // Arriving nodes cannot extend any *old* match (they had no edges before
 // this commit, and isolated slots bind every candidate independently), so
-// only the seeded searches are needed. It returns the violations it added
-// to the store.
-func (s *Session) absorbNewNodes() []core.Violation {
+// only the seeded searches are needed. It returns how many violations it
+// added to the store.
+func (s *Session) absorbNewNodes() (absorbed int) {
 	n := s.g.NumNodes()
 	lo := s.seenNodes
 	s.seenNodes = n
 	if n == lo || len(s.isoRules) == 0 {
-		return nil
+		return 0
 	}
-	var absorbed []core.Violation
 	for _, ir := range s.isoRules {
 		if len(ir.rule.Y) == 0 {
 			continue // X → ∅ can never be violated
@@ -775,9 +707,8 @@ func (s *Session) absorbNewNodes() []core.Violation {
 						}
 					}
 					vio := core.Violation{Rule: ir.rule, Match: m.Clone()}
-					if k := vio.Key(); !s.Has(k) {
-						s.store[k] = vio
-						absorbed = append(absorbed, vio)
+					if s.add(vio.Key(), vio) {
+						absorbed++
 					}
 					return true
 				})
@@ -788,10 +719,27 @@ func (s *Session) absorbNewNodes() []core.Violation {
 	return absorbed
 }
 
-// sortByKey orders a violation slice by canonical key (the order snapshots
-// and feed events expose).
-func sortByKey(vios []core.Violation) {
-	sort.Slice(vios, func(i, j int) bool { return vios[i].Key() < vios[j].Key() })
+// publish ends a commit. added and removed hold its *net* store change (a
+// violation the edge phase adds and the attribute phase then clears, or
+// vice versa, is in neither), so the event is an exact differential of the
+// epoch's store and the next snapshot is the last one advanced by it.
+func (s *Session) publish() *CommitEvent {
+	add, del := sortedRun(s.added), sortedRun(s.removed)
+	clear(s.added)
+	clear(s.removed)
+	s.snap = s.snap.advance(add, del, s.g.NumNodes(), s.g.NumEdges())
+	return &CommitEvent{Epoch: s.commits, Added: add.vios, Removed: del.vios}
+}
+
+// sortedRun puts a commit's added or removed set in canonical key order
+// (the order snapshots and feed events expose); nil slices when empty.
+func sortedRun(m map[string]core.Violation) run {
+	var r run
+	for k, v := range m {
+		r.push(k, v)
+	}
+	sort.Sort(r)
+	return r
 }
 
 // Recheck audits the store invariant store ≡ Dect(Σ, G) with a from-scratch
@@ -802,11 +750,11 @@ func sortByKey(vios []core.Violation) {
 func (s *Session) Recheck() error {
 	fresh := detect.VioKeySet(detect.Dect(s.g, s.rules, detect.Options{Program: s.prog}).Violations)
 	for k := range fresh {
-		if _, ok := s.store[k]; !ok {
+		if !s.snap.Has(k) {
 			return fmt.Errorf("session: store missing violation %s", k)
 		}
 	}
-	for k := range s.store {
+	for _, k := range s.snap.all.keys {
 		if _, ok := fresh[k]; !ok {
 			return fmt.Errorf("session: store holds stale violation %s", k)
 		}

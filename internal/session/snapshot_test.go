@@ -3,8 +3,12 @@ package session_test
 import (
 	"testing"
 
+	"ngd/internal/core"
+	"ngd/internal/expr"
 	"ngd/internal/gen"
+	"ngd/internal/graph"
 	"ngd/internal/par"
+	"ngd/internal/pattern"
 	"ngd/internal/session"
 	"ngd/internal/update"
 )
@@ -99,5 +103,67 @@ func TestSessionMaintainsPartition(t *testing.T) {
 		if total != pt.Placed() {
 			t.Fatalf("batch %d: loads sum %d != placed %d", b, total, pt.Placed())
 		}
+	}
+}
+
+// TestSnapshotSizesAreAsOfCommit: Nodes and Edges are captured by the commit
+// that produced the epoch. A node that reaches the graph after it belongs to
+// the next epoch, whenever Snapshot() happens to be called.
+func TestSnapshotSizesAreAsOfCommit(t *testing.T) {
+	ds, rules := mkStreamWorkload(t, gen.YAGO2, 120, 4, 61)
+	s := session.New(ds.G, rules, session.Options{})
+	s.Commit(nil)
+	nodes := ds.G.NumNodes()
+	ds.G.AddNode("late")
+	if sn := s.Snapshot(); sn.Epoch != 1 || sn.Nodes != nodes {
+		t.Fatalf("epoch %d counts %d nodes, want the %d it committed over", sn.Epoch, sn.Nodes, nodes)
+	}
+	s.Commit(nil)
+	if sn := s.Snapshot(); sn.Epoch != 2 || sn.Nodes != nodes+1 {
+		t.Fatalf("epoch %d counts %d nodes, want %d", sn.Epoch, sn.Nodes, nodes+1)
+	}
+}
+
+// TestPublishAllocsIndependentOfStoreSize: publishing an effective commit
+// (Δ = 16 violations) copies the run but allocates no object per stored
+// violation — the same ceiling holds over a store of 1k and of 20k. A
+// per-epoch rebuild (keys slice, sort, key→position map) does not fit it.
+func TestPublishAllocsIndependentOfStoreSize(t *testing.T) {
+	q := pattern.New()
+	q.AddNode("x", "item")
+	rule := core.MustNew("cap", q, nil, []core.Literal{core.Lit(expr.V("x", "val"), expr.Le, expr.C(10))})
+	measure := func(size int) float64 {
+		g := graph.New()
+		for i := 0; i < size+16; i++ {
+			g.SetAttr(g.AddNode("item"), "val", graph.Int(20))
+		}
+		s := session.New(g, core.NewSet(rule), session.Options{})
+		val := g.Symbols().Attr("val")
+		flip := func(to int64) { // the first 16 items: all fixed, or all broken again
+			ops := make([]graph.AttrOp, 16)
+			for i := range ops {
+				ops[i] = graph.AttrOp{Node: graph.NodeID(i), Attr: val, Val: graph.Int(to)}
+			}
+			if st := s.CommitBatch(nil, ops); len(st.Event.Added)+len(st.Event.Removed) != 16 {
+				t.Fatalf("commit changed %d violations, want 16", len(st.Event.Added)+len(st.Event.Removed))
+			}
+			s.Snapshot()
+		}
+		flip(1)
+		flip(20) // warm: plans, searchers
+		if s.Len() != size+16 {
+			t.Fatalf("store holds %d, want %d", s.Len(), size+16)
+		}
+		to := int64(20)
+		return testing.AllocsPerRun(10, func() {
+			to = 21 - to
+			flip(to)
+		})
+	}
+	small, large := measure(1_000), measure(20_000)
+	t.Logf("allocs per effective commit: %.0f at 1k, %.0f at 20k", small, large)
+	const ceiling = 200 // 163 and 165 measured; the rebuild it replaced: 211 and 275
+	if small > ceiling || large > ceiling {
+		t.Fatalf("publishing allocated %.0f objects at |Vio|=1k and %.0f at 20k, ceiling %d", small, large, ceiling)
 	}
 }
