@@ -110,3 +110,25 @@ func TestRuleQueryMatchesWholeName(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotReadAllocBudget pins the per-request core of GET /violations
+// — the snapshot handle, the violation listing and one point read off the
+// same epoch — under the ceiling the CI allocation probe used to enforce
+// (< 8 allocs per read, the figure before the allocation-discipline pass;
+// 1 measured, the key string).
+func TestSnapshotReadAllocBudget(t *testing.T) {
+	srv := serve.New(itemWorld(64, core.NewSet(capRule("cap")), 3, 17, 40), serve.Options{})
+	defer srv.Close()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		sn := srv.Snapshot()
+		vios := sn.Violations()
+		if _, ok := sn.Get(vios[i%len(vios)].Key()); !ok {
+			t.Fatal("snapshot lost a violation it lists")
+		}
+		i++
+	})
+	if allocs >= 8 {
+		t.Fatalf("snapshot read allocated %.0f objects, budget < 8", allocs)
+	}
+}
