@@ -208,12 +208,11 @@ func EdgeSlotKey(r *core.NGD, src, dst int, plus bool) SearcherKey {
 	return SearcherKey{Rule: r, A: src, B: dst, Plus: plus}
 }
 
-// SearcherCache reuses searchers — and with them their matcher, literal
-// schedule and pooled bindings — across repeated pre-bound searches: the
-// session commit loop fires the same (rule, slot) searches every batch, and
-// rebuilding them dominated the steady-state allocation profile. The zero
-// value is ready to use; not goroutine-safe (one cache per single-writer
-// session).
+// SearcherCache reuses searchers — and with them their matcher and literal
+// schedule — across repeated pre-bound searches: the session commit loop
+// fires the same (rule, slot) searches every batch, and rebuilding them
+// dominated the steady-state allocation profile. The zero value is ready to
+// use; not goroutine-safe (one cache per single-writer session).
 type SearcherCache struct {
 	m map[SearcherKey]*Searcher
 }

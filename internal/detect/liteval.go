@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"sync"
-
 	"ngd/internal/core"
 	"ngd/internal/expr"
 	"ngd/internal/graph"
@@ -19,24 +17,9 @@ import (
 // A LitEval is immutable after construction and safe for concurrent use;
 // per-call state lives in the caller's partial solution and ySat counter.
 type LitEval struct {
-	Rule  *core.NGD
+	C     *plan.Compiled
 	G     graph.View
 	sched litSchedule
-
-	// bindings recycles evalBinding closures across EvalLevel calls: the
-	// expression evaluator takes an expr.Binding func value, and capturing
-	// the partial solution in a fresh closure per call was the single
-	// largest allocation source on the detect hot path. A pooled binding's
-	// partial slot is swapped in per call instead; the pool keeps LitEval
-	// safe for concurrent use without per-worker state.
-	bindings sync.Pool
-}
-
-// evalBinding is one recycled closure: fn reads the current partial through
-// the struct so rebinding is a field store, not a new closure.
-type evalBinding struct {
-	partial []graph.NodeID
-	fn      expr.Binding
 }
 
 // NewLitEval builds the evaluation schedule of rule c along plan.
@@ -65,75 +48,39 @@ func NewLitEval(g graph.View, c *plan.Compiled, pl *match.Plan) *LitEval {
 			}
 		}
 	}
-	le := &LitEval{Rule: c.Rule, G: g, sched: buildSchedule(c.Rule, pl, skipX)}
-	le.bindings.New = func() any { return le.newBinding() }
-	return le
+	return &LitEval{C: c, G: g, sched: buildSchedule(c.Rule, pl, skipX)}
 }
 
 // NumY reports |Y|; a match violates iff ySat < NumY at completion.
-func (le *LitEval) NumY() int { return len(le.Rule.Y) }
-
-// HasLits reports whether any literal is scheduled at level lv (callers can
-// skip binding construction otherwise).
-func (le *LitEval) HasLits(lv int) bool {
-	return len(le.sched.xAt[lv]) > 0 || len(le.sched.yAt[lv]) > 0
-}
-
-// Levels reports the number of levels (len(plan.Steps)+1).
-func (le *LitEval) Levels() int { return len(le.sched.xAt) }
-
-func (le *LitEval) newBinding() *evalBinding {
-	eb := &evalBinding{}
-	p := le.Rule.Pattern
-	// read le.G per call rather than capturing it: Searcher.Rebind swaps the
-	// view under a cached searcher between runs
-	eb.fn = func(variable, attr string) (graph.Value, bool) {
-		partial := eb.partial
-		idx := p.VarIndex(variable)
-		if idx < 0 || idx >= len(partial) || partial[idx] == match.Unbound {
-			return graph.Value{}, false
-		}
-		g := le.G
-		a := g.Symbols().LookupAttr(attr)
-		if a < 0 {
-			return graph.Value{}, false
-		}
-		v := g.Attr(partial[idx], a)
-		return v, v.Valid()
-	}
-	return eb
-}
+func (le *LitEval) NumY() int { return len(le.C.Y) }
 
 // EvalLevel evaluates the literals scheduled at level lv against partial.
 // It returns prune=true when the branch cannot yield a violation (an
 // X-literal failed, or all |Y| literals are now known satisfied), and the
 // updated ySat count otherwise.
 func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune bool, newYSat int) {
-	xs, ys := le.sched.xAt[lv], le.sched.yAt[lv]
-	if len(xs) == 0 && len(ys) == 0 {
-		if ySat == len(le.Rule.Y) {
-			return true, ySat
-		}
-		return false, ySat
-	}
-	eb := le.bindings.Get().(*evalBinding)
-	eb.partial = partial
-	prune, newYSat = le.evalWith(eb.fn, xs, ys, ySat)
-	eb.partial = nil
-	le.bindings.Put(eb)
-	return prune, newYSat
-}
-
-func (le *LitEval) evalWith(b expr.Binding, xs, ys []int, ySat int) (bool, int) {
-	for _, i := range xs {
-		if !le.Rule.X[i].Satisfied(b) {
+	c := le.C
+	for _, i := range le.sched.xAt[lv] {
+		if !le.satisfied(&c.X[i], c.Rule.X[i], partial) {
 			return true, ySat
 		}
 	}
-	for _, i := range ys {
-		if le.Rule.Y[i].Satisfied(b) {
+	for _, i := range le.sched.yAt[lv] {
+		if le.satisfied(&c.Y[i], c.Rule.Y[i], partial) {
 			ySat++
 		}
 	}
-	return ySat == len(le.Rule.Y), ySat
+	return ySat == len(c.Y), ySat
+}
+
+// satisfied decides h ⊨ l with the literal's compiled kernel, and asks the
+// specification (Literal.Satisfied, which escalates to math/big) only where
+// the kernel declines: a refused literal, int64 overflow, a string value
+// inside arithmetic. le.G is read per call: Searcher.Rebind swaps the view
+// under a cached searcher between runs.
+func (le *LitEval) satisfied(k *expr.Kernel, l core.Literal, partial []graph.NodeID) bool {
+	if sat, decided := k.Eval(le.G, partial); decided {
+		return sat
+	}
+	return l.Satisfied(le.C.Rule.Binding(le.G, partial))
 }

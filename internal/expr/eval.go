@@ -56,17 +56,22 @@ func (x Num) String() string {
 	return fmt.Sprintf("%d/%d", x.n, x.d)
 }
 
+// gcd64 works on unsigned magnitudes: -MinInt64 does not exist in int64, and
+// a signed remainder chain starting from it can end on a negative "gcd" whose
+// division flips signs. Callers never pass two operands from {0, MinInt64},
+// the only inputs whose gcd (2⁶³) would not fit the result.
 func gcd64(a, b int64) int64 {
+	x, y := uint64(a), uint64(b)
 	if a < 0 {
-		a = -a
+		x = -x
 	}
 	if b < 0 {
-		b = -b
+		y = -y
 	}
-	for b != 0 {
-		a, b = b, a%b
+	for y != 0 {
+		x, y = y, x%y
 	}
-	return a
+	return int64(x)
 }
 
 func addOvf(a, b int64) (int64, bool) {
@@ -78,11 +83,16 @@ func addOvf(a, b int64) (int64, bool) {
 }
 
 func mulOvf(a, b int64) (int64, bool) {
+	if int64(int32(a)) == a && int64(int32(b)) == b {
+		return a * b, true // 32-bit factors cannot overflow: skip the division
+	}
 	if a == 0 || b == 0 {
 		return 0, true
 	}
 	p := a * b
-	if p/b != a {
+	// MinInt64 / -1 wraps back to MinInt64, so the division check alone
+	// would accept MinInt64 × -1
+	if p/b != a || (a == minInt64 && b == -1) {
 		return 0, false
 	}
 	return p, true

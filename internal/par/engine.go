@@ -275,20 +275,40 @@ type engine struct {
 	smatchers [][]*match.Matcher // per worker per share rule (lazy)
 	spartials [][][]graph.NodeID // per worker per share rule scratch
 
-	// pfree/yfree are per-worker freelists recycling unit buffers (binding
-	// slices and forest literal state): a unit is dropped right after its
-	// expansion, so step returns its buffers to the expanding worker and
-	// child units draw from the same lists. Each list is touched only while
-	// its worker steps (the virtual scheduler is single-threaded), so no
-	// synchronization is needed — steady-state fan-out allocates nothing.
+	// ufree/pfree/yfree are per-worker freelists recycling work units and
+	// their buffers (binding slices and forest literal state): a unit is
+	// dropped right after its expansion, so step returns it to the expanding
+	// worker and child units draw from the same lists. kids is the worker's
+	// expandResult.children buffer, which step drains before the worker
+	// expands again, and scur expandShared's per-candidate survival scratch.
+	// Each is touched only while its worker steps (the virtual scheduler is
+	// single-threaded), so no synchronization is needed — steady-state
+	// fan-out allocates nothing.
+	ufree [][]*unit
 	pfree [][][]graph.NodeID
 	yfree [][][]int
+	kids  [][]*unit
+	scur  [][]int
 }
 
-// initFree sizes the per-worker buffer freelists.
+// initFree sizes the per-worker freelists and scratch.
 func (e *engine) initFree() {
+	e.ufree = make([][]*unit, e.opts.P)
 	e.pfree = make([][][]graph.NodeID, e.opts.P)
 	e.yfree = make([][][]int, e.opts.P)
+	e.kids = make([][]*unit, e.opts.P)
+	e.scur = make([][]int, e.opts.P)
+}
+
+// newUnit returns a unit from worker w's freelist holding whatever its last
+// use left: the caller assigns a whole unit value.
+func (e *engine) newUnit(w int) *unit {
+	fl := e.ufree[w]
+	if k := len(fl); k > 0 {
+		e.ufree[w] = fl[:k-1]
+		return fl[k-1]
+	}
+	return new(unit)
 }
 
 // newPartialBuf returns an uninitialized length-n binding buffer from worker
@@ -340,9 +360,10 @@ func (e *engine) cloneYSat(w int, src []int) []int {
 	return b
 }
 
-// recycle returns a consumed unit's buffers to worker w's freelists. Only
-// call once the unit is dropped — emitted violations hold private copies,
-// never aliases of unit buffers.
+// recycle returns a consumed unit and its buffers to worker w's freelists.
+// Only call once the unit is dropped — popped from its queue, so neither a
+// queue nor the balancer still sees it — and expanded: emitted violations
+// hold private copies, never aliases of unit buffers.
 func (e *engine) recycle(w int, u *unit) {
 	if u.partial != nil {
 		e.pfree[w] = append(e.pfree[w], u.partial)
@@ -352,6 +373,7 @@ func (e *engine) recycle(w int, u *unit) {
 		e.yfree[w] = append(e.yfree[w], u.ySatR)
 		u.ySatR = nil
 	}
+	e.ufree[w] = append(e.ufree[w], u)
 }
 
 func newEngine(opts Options, tasks []task) *engine {
@@ -412,7 +434,9 @@ func sideIdx(plus bool) int {
 	return 0
 }
 
-// expandResult carries what one unit expansion produced.
+// expandResult carries what one unit expansion produced. children is the
+// expanding worker's engine.kids buffer: step routes the units and hands the
+// emptied buffer back before that worker expands again.
 type expandResult struct {
 	cost     float64
 	children []*unit
@@ -488,7 +512,8 @@ func (e *engine) trySplit(w int, u *unit, m *match.Matcher, bound []graph.NodeID
 		if hi > cnt {
 			hi = cnt
 		}
-		child := &unit{
+		child := e.newUnit(w)
+		*child = unit{
 			task: u.task, depth: u.depth, ySat: u.ySat,
 			pivotRank: u.pivotRank, pivotSlot: u.pivotSlot,
 			partial: e.clonePartial(w, u.partial),
@@ -513,7 +538,7 @@ func (e *engine) expand(w int, u *unit) expandResult {
 	}
 	t := &e.tasks[u.task]
 	m := e.matchers[w][u.task]
-	var res expandResult
+	res := expandResult{children: e.kids[w]}
 
 	if u.bcast {
 		// a broadcast share pays CPU to deserialize the partial solution

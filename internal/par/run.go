@@ -113,7 +113,7 @@ func (r *run) addWork(c float64) {
 // caller's addWork.
 func (r *run) step(wi int, u *unit, start float64) float64 {
 	e, w := r.e, r.ws[wi]
-	res := expandResult{cost: u.xferCharge}
+	res := expandResult{cost: u.xferCharge, children: e.kids[wi]}
 	if e.opts.Limit <= 0 || r.sideVios[e.sideOf(u)].Load() < int64(e.opts.Limit) {
 		res = e.expand(wi, u)
 	}
@@ -151,6 +151,7 @@ func (r *run) step(wi int, u *unit, start float64) float64 {
 			w.push(child)
 		}
 	}
+	e.kids[wi] = res.children[:0]
 	return res.cost
 }
 

@@ -166,7 +166,7 @@ func ruleIdx(rules []int, ri int) int {
 func (e *engine) expandShared(w int, u *unit) expandResult {
 	nd := e.snodes[u.task]
 	d := nd.Depth - 1 // the step this unit scans (== u.depth)
-	var res expandResult
+	res := expandResult{children: e.kids[w]}
 	if u.bcast {
 		res.cost += float64(d + 1)
 	}
@@ -196,7 +196,10 @@ func (e *engine) expandShared(w int, u *unit) expandResult {
 		return res
 	}
 
-	cur := make([]int, len(nd.Rules)) // per-candidate survival (-1 = pruned)
+	if cap(e.scur[w]) < len(nd.Rules) {
+		e.scur[w] = make([]int, len(nd.Rules))
+	}
+	cur := e.scur[w][:len(nd.Rules)] // per-candidate survival (-1 = pruned)
 	checksBefore := m.Stat.Checks
 	scanned := m.CandidatesRange(d, rp, u.lo, u.hi, func(cand graph.NodeID) bool {
 		if !m.CheckStep(d, rp, cand) {
@@ -259,11 +262,13 @@ func (e *engine) expandShared(w int, u *unit) expandResult {
 			bind := e.newPartialBuf(w, d+1)
 			copy(bind, u.partial)
 			bind[d] = cand
-			res.children = append(res.children, &unit{
+			child := e.newUnit(w)
+			*child = unit{
 				task: e.nodeOf[gch], depth: d + 1,
 				pivotRank: -1, pivotSlot: -1,
 				partial: bind, ySatR: ySatR, lo: 0, hi: -1,
-			})
+			}
+			res.children = append(res.children, child)
 		}
 		return true
 	})

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 
 	"ngd/internal/core"
+	"ngd/internal/expr"
 	"ngd/internal/graph"
 	"ngd/internal/match"
 	"ngd/internal/pattern"
@@ -49,13 +50,16 @@ type FilterLit struct {
 }
 
 // Compiled bundles a rule with its pattern compiled against a graph's
-// symbols, plus the candidate filters derived from its precondition
-// literals (nil when no X-literal has the single-node constant shape).
+// symbols, the candidate filters derived from its precondition literals
+// (nil when no X-literal has the single-node constant shape), and the
+// integer kernels of its literals: X[i] decides Rule.X[i] and Y[i] decides
+// Rule.Y[i] wherever expr.Kernel can (see detect.LitEval).
 type Compiled struct {
 	Rule       *core.NGD
 	CP         *pattern.Compiled
 	Filters    match.Filters
 	FilterLits []FilterLit
+	X, Y       []expr.Kernel
 }
 
 // CompileRule resolves the rule's pattern against syms and compiles the
@@ -74,6 +78,14 @@ func CompileRule(r *core.NGD, syms *graph.Symbols) *Compiled {
 	if len(c.FilterLits) > 0 {
 		c.Filters = f
 	}
+	kernels := func(lits []core.Literal) []expr.Kernel {
+		ks := make([]expr.Kernel, len(lits))
+		for i, l := range lits {
+			ks[i] = expr.CompileKernel(l.L, l.Op, l.R, r.Pattern.VarIndex, syms)
+		}
+		return ks
+	}
+	c.X, c.Y = kernels(r.X), kernels(r.Y)
 	return c
 }
 

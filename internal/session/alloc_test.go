@@ -1,7 +1,7 @@
 package session_test
 
 // Allocation budget for the steady-state commit loop. The pooled searcher
-// cache, recycled literal bindings and bitset seen-sets brought a warm
+// cache, allocation-free literal kernels and bitset seen-sets brought a warm
 // commit from ~6,000 allocations down to ~1,000 on the ngdbench workload;
 // this test pins a coarse ceiling on a smaller workload so a regression
 // that reintroduces per-commit rebuild costs (fresh searchers, per-emit

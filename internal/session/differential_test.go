@@ -17,6 +17,7 @@ package session_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -30,6 +31,7 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
+	"ngd/internal/pattern"
 	"ngd/internal/ref"
 	"ngd/internal/session"
 	"ngd/internal/update"
@@ -48,6 +50,7 @@ type diffWorkload struct {
 	noPrune   bool    // Σ rewritten so no precondition is index-prunable
 	parallel  bool    // session routes through PIncDect
 	nodeRule  bool    // append an edge-less rule (per-node absorption path)
+	litPaths  bool    // append litPathRules, decorate the graph, stream attr ops
 }
 
 // sigma builds the workload's rule set.
@@ -55,6 +58,9 @@ func (w diffWorkload) sigma() *core.Set {
 	rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
 	if w.nodeRule {
 		rules.Add(noSevenRule())
+	}
+	if w.litPaths {
+		rules.Add(litPathRules(w.profile)...)
 	}
 	if w.noPrune {
 		rules = unprunable(rules)
@@ -80,8 +86,83 @@ func unprunable(rules *core.Set) *core.Set {
 	return out
 }
 
+// litPathRules is one rule per way detect.LitEval can decide a literal, on
+// top of the plain and |·| integer kernels every generated Σ already runs:
+// the string kernel, a literal the kernel compiler refuses (a cancelled
+// term), a sum that leaves int64 on decorated values and falls back to
+// math/big, and an attribute no node carries until a later batch sets it.
+func litPathRules(p gen.Profile) []*core.NGD {
+	hop := func() *pattern.Pattern {
+		q := pattern.New()
+		x, y := q.AddNode("x", "_"), q.AddNode("y", "_")
+		a, b := q.AddNode("a", "integer"), q.AddNode("b", "integer")
+		q.AddEdge(x, y, "next")
+		q.AddEdge(x, a, "p0")
+		q.AddEdge(y, b, "p0")
+		return q
+	}
+	sum := pattern.New()
+	x := sum.AddNode("x", "_")
+	for i, v := range []string{"a", "b", "c"} {
+		sum.AddEdge(x, sum.AddNode(v, "integer"), gen.PropLabels[i+1])
+	}
+	lits := func(srcs ...string) []core.Literal {
+		out := make([]core.Literal, len(srcs))
+		for i, src := range srcs {
+			out[i] = core.MustLiteral(src)
+		}
+		return out
+	}
+	return []*core.NGD{
+		core.MustNew("lit-string", hop(), lits(`x.tag != "living people"`), lits("x.tag = y.tag")),
+		core.MustNew("lit-refused", hop(), lits("a.val - a.val = 0"),
+			lits(fmt.Sprintf("abs(a.val - b.val) <= %d", p.MaxDrift))),
+		core.MustNew("lit-overflow", sum, nil, lits("a.val + b.val <= c.val")),
+		core.MustNew("lit-late", hop(), lits("x.risk - y.risk >= 1"), lits("a.val <= b.val")),
+	}
+}
+
+// decorate gives litPathRules something to decide: a string tag on every
+// entity, and on every ninth one p1 = p2 = 2⁶² against p3 = MaxInt64, so
+// p1 + p2 ≤ p3 is false only in exact arithmetic (wrapped, 2⁶³ is negative).
+func decorate(ds *gen.Dataset) {
+	for i, e := range ds.Entities {
+		tag := "person"
+		if i%4 == 0 {
+			tag = "living people"
+		} else if i%3 == 0 {
+			tag = "place"
+		}
+		ds.G.SetAttr(e, "tag", graph.Str(tag))
+		if i%9 == 0 {
+			ds.G.SetAttr(ds.PropNode[i][1], "val", graph.Int(1<<62))
+			ds.G.SetAttr(ds.PropNode[i][2], "val", graph.Int(1<<62))
+			ds.G.SetAttr(ds.PropNode[i][3], "val", graph.Int(math.MaxInt64))
+		}
+	}
+}
+
+// riskOps is batch b's attribute stream for a litPaths workload: none with
+// the first batch, then a third of the entities get (or change) a risk.
+func riskOps(ds *gen.Dataset, b int) []graph.AttrOp {
+	if b == 0 {
+		return nil
+	}
+	risk := ds.G.Symbols().Attr("risk")
+	var ops []graph.AttrOp
+	for i, e := range ds.Entities {
+		if i%3 == b%3 {
+			ops = append(ops, graph.AttrOp{Node: e, Attr: risk, Val: graph.Int(int64((i + b) % 4))})
+		}
+	}
+	return ops
+}
+
 func (w diffWorkload) name() string {
 	var tags []string
+	if w.litPaths {
+		tags = append(tags, "litpaths")
+	}
 	if w.noPrune {
 		tags = append(tags, "noprune")
 	}
@@ -142,6 +223,9 @@ func diffWorkloads() []diffWorkload {
 			seed: 8, batches: 3, batchFrac: 0.08, gamma: 3.0},
 		diffWorkload{profile: gen.YAGO2, entities: 180, rules: 10,
 			seed: 9, batches: 3, batchFrac: 0.08, gamma: 0.3},
+		// every literal path of detect.LitEval in one Σ (litPathRules)
+		diffWorkload{profile: gen.YAGO2, entities: 180, rules: 10,
+			seed: 10, batches: 3, batchFrac: 0.06, litPaths: true},
 	)
 	return ws
 }
@@ -190,8 +274,17 @@ func TestDifferentialContinuousDetection(t *testing.T) {
 	}
 }
 
-func runDifferential(t *testing.T, w diffWorkload) {
+// generate builds the workload's graph.
+func (w diffWorkload) generate() *gen.Dataset {
 	ds := gen.Generate(w.profile, w.entities, w.seed)
+	if w.litPaths {
+		decorate(ds)
+	}
+	return ds
+}
+
+func runDifferential(t *testing.T, w diffWorkload) {
+	ds := w.generate()
 	rules := w.sigma()
 	sess := session.New(ds.G, rules, session.Options{Parallel: w.parallel})
 	defer sess.Close()
@@ -216,7 +309,11 @@ func runDifferential(t *testing.T, w diffWorkload) {
 		incRes := inc.IncDect(ds.G, rules, delta, inc.Options{})
 		pincRes := par.PIncDect(ds.G, rules, delta, parOpts)
 
-		sess.Commit(delta)
+		var attrs []graph.AttrOp
+		if w.litPaths {
+			attrs = riskOps(ds, b)
+		}
+		sess.CommitBatch(delta, attrs)
 		store := canonKeys(detect.VioKeySet(sess.Violations()))
 
 		// ground truth: the oracle on the committed graph
@@ -235,10 +332,19 @@ func runDifferential(t *testing.T, w diffWorkload) {
 		}
 
 		// the reconciled incremental answers must land on the same store.
-		// An edge-less rule's new-node violations flow through absorption,
-		// not through ΔVio, so the pure-reconcile comparison applies only
-		// to edged rule sets.
-		if !w.nodeRule {
+		// An edge-less rule's new-node violations flow through absorption
+		// and an attribute op's through attribute reconciliation, not
+		// through ΔVio, so the pure-reconcile comparison applies only to
+		// edged rule sets under edge-only batches.
+		if w.litPaths && b == w.batches-1 {
+			// the row is vacuous unless every literal path decides a violation
+			for _, r := range litPathRules(w.profile) {
+				if !strings.Contains(store, r.Name+":") {
+					t.Errorf("workload %s: no %s violation in the final store", w.name(), r.Name)
+				}
+			}
+		}
+		if !w.nodeRule && len(attrs) == 0 {
 			if got := canonKeys(reconcile(prev, incRes.Plus, incRes.Minus)); got != store {
 				t.Fatalf("workload %s batch %d: IncDect-reconciled set != store\nreconciled:\n%s\nstore:\n%s",
 					w.name(), b, got, store)
@@ -267,7 +373,7 @@ func TestDifferentialShardRuntime(t *testing.T) {
 		w := w
 		t.Run(w.name(), func(t *testing.T) {
 			t.Parallel()
-			ds := gen.Generate(w.profile, w.entities, w.seed)
+			ds := w.generate()
 			rules := w.sigma()
 			vio := ref.Detect(ds.G, rules)
 			want := canon(vio)

@@ -20,7 +20,6 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/expr"
-	"ngd/internal/gen"
 	"ngd/internal/par"
 	"ngd/internal/pattern"
 	"ngd/internal/reason"
@@ -66,7 +65,7 @@ func TestDifferentialMinimization(t *testing.T) {
 }
 
 func runMinimizeDifferential(t *testing.T, w diffWorkload) {
-	ds := gen.Generate(w.profile, w.entities, w.seed)
+	ds := w.generate()
 	full := w.sigma()
 	full.Add(deadPreRule())
 	full.Add(emptyConsRule())
