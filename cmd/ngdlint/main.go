@@ -24,9 +24,14 @@
 // a per-traversal allocation regression the benchmarks may take weeks to
 // surface).
 //
-// Finally it keeps the reference oracle (internal/ref, the brute-force
-// detector every differential suite is grounded in) out of production: no
-// non-test file outside internal/ref may import it.
+// It keeps the reference oracle (internal/ref, the brute-force detector
+// every differential suite is grounded in) out of production: no non-test
+// file outside internal/ref may import it.
+//
+// Finally, on the same walk, it fails when a directory under internal/ is
+// imported by no non-test file outside itself: a package nothing ships is
+// paid for by every refactor that must keep it compiling. internal/ref and
+// internal/paperdata are test-only by design and exempt.
 //
 // Usage: ngdlint [repo root]   (default ".")
 // Exit 0 = clean, 1 = violations (one "file:line: message" per finding),
@@ -40,6 +45,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -71,6 +77,13 @@ const (
 	refDir    = "internal/ref"
 	refImport = "ngd/internal/ref"
 )
+
+// modulePrefix turns an import path of this module into a directory relative
+// to the repo root. testOnly lists the directories under internal/ that no
+// production file is meant to import (refDir is never walked at all).
+const modulePrefix = "ngd/"
+
+var testOnly = map[string]bool{"internal/paperdata": true}
 
 func main() {
 	root := "."
@@ -115,27 +128,12 @@ func main() {
 			findings = append(findings, lintSeenSets(fset, path)...)
 		}
 	}
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			// hidden directories hold build caches and VCS state, not source
-			if (path != root && strings.HasPrefix(name, ".")) || path == filepath.Join(root, refDir) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			findings = append(findings, lintRefImport(fset, path)...)
-		}
-		return nil
-	})
+	tree, err := lintTree(fset, root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
 		os.Exit(2)
 	}
+	findings = append(findings, tree...)
 	for _, f := range findings {
 		fmt.Println(f)
 	}
@@ -223,22 +221,65 @@ func lintSeenSets(fset *token.FileSet, path string) []string {
 	return findings
 }
 
-// lintRefImport reports an import of the reference oracle.
-func lintRefImport(fset *token.FileSet, path string) []string {
-	f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
-		os.Exit(2)
-	}
+// lintTree walks every non-test file under root once, for the two rules that
+// are about who imports whom: the reference oracle stays out of production,
+// and every directory under internal/ has a production importer outside
+// itself.
+func lintTree(fset *token.FileSet, root string) ([]string, error) {
 	var findings []string
-	for _, imp := range f.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == refImport {
+	holds := map[string]bool{} // directories under internal/ with a non-test file
+	used := map[string]bool{}  // module directories imported from another directory
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			// hidden directories hold build caches and VCS state, not source
+			if (path != root && strings.HasPrefix(name, ".")) || path == filepath.Join(root, refDir) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		dir = filepath.ToSlash(dir)
+		if strings.HasPrefix(dir, "internal/") {
+			holds[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				continue
+			}
+			if p == refImport {
+				findings = append(findings, fmt.Sprintf(
+					"%s: import %q outside a _test.go file: the reference oracle is for tests only",
+					fset.Position(imp.Pos()), p))
+			}
+			if target, ok := strings.CutPrefix(p, modulePrefix); ok && target != dir {
+				used[target] = true
+			}
+		}
+		return nil
+	})
+	for dir := range holds {
+		if !used[dir] && !testOnly[dir] {
 			findings = append(findings, fmt.Sprintf(
-				"%s: import %q outside a _test.go file: the reference oracle is for tests only",
-				fset.Position(imp.Pos()), p))
+				"%s: imported by no non-test file outside itself: wire it in or delete it", dir))
 		}
 	}
-	return findings
+	sort.Strings(findings)
+	return findings, err
 }
 
 // isNodeIDType matches the identifier NodeID, bare or package-qualified.

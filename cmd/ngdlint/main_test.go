@@ -66,26 +66,66 @@ var _ = big.NewRat(1, 2)
 	}
 }
 
-func TestRefImportBanned(t *testing.T) {
-	write := func(src string) string {
-		path := filepath.Join(t.TempDir(), "x.go")
+// writeTree materializes files (path relative to the root → source) and
+// returns the root.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, src := range files {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
 	}
-	got := lintRefImport(token.NewFileSet(), write(`package p
+	return root
+}
+
+func TestRefImportBanned(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"cmd/x/main.go": `package main
 import oracle "ngd/internal/ref"
 var _ = oracle.Detect
-`))
-	if len(got) != 1 || !strings.Contains(got[0], "for tests only") {
-		t.Fatalf("want one oracle-import finding, got %v", got)
-	}
-	if got := lintRefImport(token.NewFileSet(), write(`package p
+`,
+		"cmd/y/main.go": `package main
 import "ngd/internal/detect"
 var _ = detect.Dect
-`)); len(got) != 0 {
-		t.Fatalf("clean file flagged: %v", got)
+`,
+		"internal/detect/d.go":    "package detect\n",
+		"internal/ref/ref.go":     "package ref\n",
+		"cmd/x/main_test.go":      "package main\nimport _ \"ngd/internal/ref\"\n",
+		"internal/detect/.x/a.go": "package hidden\nimport _ \"ngd/internal/ref\"\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "for tests only") || !strings.Contains(got[0], filepath.Join("cmd", "x", "main.go")) {
+		t.Fatalf("want one oracle-import finding in cmd/x/main.go, got %v", got)
+	}
+}
+
+// TestOrphanPackageFlagged: a directory under internal/ that only its own
+// files and tests import is reported (it would have flagged internal/discover);
+// one imported from elsewhere, a nested one, and the test-only allowlist are
+// not.
+func TestOrphanPackageFlagged(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"cmd/x/main.go":                "package main\nimport _ \"ngd/internal/used\"\n",
+		"internal/used/u.go":           "package used\nimport _ \"ngd/internal/used/sub\"\n",
+		"internal/used/sub/s.go":       "package sub\n",
+		"internal/orphan/o.go":         "package orphan\nimport _ \"ngd/internal/used\"\n",
+		"internal/orphan/o2.go":        "package orphan\nimport _ \"ngd/internal/orphan\"\n",
+		"internal/used/u_test.go":      "package used\nimport _ \"ngd/internal/orphan\"\n",
+		"internal/paperdata/p.go":      "package paperdata\n",
+		"internal/onlytests/t_test.go": "package onlytests\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !strings.HasPrefix(got[0], "internal/orphan: imported by no non-test file") {
+		t.Fatalf("want exactly internal/orphan flagged, got %v", got)
 	}
 }
 
@@ -98,6 +138,9 @@ var _ = detect.Dect
 func TestRepoIsClean(t *testing.T) {
 	fset := token.NewFileSet()
 	root := "../.."
+	if got, err := lintTree(fset, root); err != nil || len(got) != 0 {
+		t.Errorf("import rules: %v %v", got, err)
+	}
 	if allow := guarded["internal/par"]; len(allow) != 1 || !allow["pool.go"] {
 		t.Errorf("internal/par allowlist = %v, want exactly pool.go", allow)
 	}

@@ -13,6 +13,7 @@
 //	GET  /feed               violation change feed (SSE; ?poll=1 long-poll,
 //	                         ?since=epoch cursor resume)
 //	GET  /stats              server, store, feed and last-batch statistics
+//	                         (?mem=1 adds heap and GC counters)
 //	GET  /rules/analysis     Σ admission report (satisfiability, unsat core,
 //	                         minimization), cached by Σ signature
 //	POST /update             {"ops":[...]}; add ?sync=1 to wait for commit

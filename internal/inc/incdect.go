@@ -44,6 +44,21 @@ type edgeKey struct {
 	label    graph.LabelID
 }
 
+// EdgeIndex maps the unit updates of one side of a normalized ΔG (ΔG⁺ or
+// ΔG⁻) to their rank in it. IncDect and PIncDect both decide with it which
+// pivot owns a match that uses several Δ-edges.
+type EdgeIndex map[edgeKey]int
+
+// NewEdgeIndex indexes ops, the insertions or the deletions of a normalized
+// ΔG (one op per edge).
+func NewEdgeIndex(ops []graph.EdgeOp) EdgeIndex {
+	idx := make(EdgeIndex, len(ops))
+	for i, op := range ops {
+		idx[edgeKey{op.Src, op.Dst, op.Label}] = i
+	}
+	return idx
+}
+
 // pivot identifies one update-driven search: Δ-edge rank `rank` pinned at
 // pattern edge slot `slot`.
 type pivot struct {
@@ -87,14 +102,7 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 	ins := norm.Insertions()
 	del := norm.Deletions()
 
-	insIdx := make(map[edgeKey]int, len(ins))
-	for i, op := range ins {
-		insIdx[edgeKey{op.Src, op.Dst, op.Label}] = i
-	}
-	delIdx := make(map[edgeKey]int, len(del))
-	for i, op := range del {
-		delIdx[edgeKey{op.Src, op.Dst, op.Label}] = i
-	}
+	insIdx, delIdx := NewEdgeIndex(ins), NewEdgeIndex(del)
 
 	prog := opts.Program
 	if prog == nil {
@@ -112,7 +120,7 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 
 // search expands all pivots of one rule over one view.
 func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, ops []graph.EdgeOp,
-	idx map[edgeKey]int, plus bool, opts Options) {
+	idx EdgeIndex, plus bool, opts Options) {
 
 	if len(ops) == 0 {
 		return
@@ -143,7 +151,7 @@ func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, op
 				searchers = make([]*detect.Searcher, len(c.Rule.Pattern.Edges))
 				partial = match.NewPartial(len(c.Rule.Pattern.Nodes))
 				emit = func(m core.Match) bool {
-					if !smallestPivot(v, c, m, idx, pv) {
+					if !idx.SmallestPivot(c, m, pv.rank, pv.slot) {
 						return true
 					}
 					vio := core.Violation{Rule: c.Rule, Match: m.Clone()}
@@ -186,18 +194,17 @@ func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, op
 	}
 }
 
-// smallestPivot reports whether pv is the lexicographically smallest
-// (Δ-edge rank, slot) pair realized by match m — the dedup rule that makes
-// each update-driven violation come out exactly once.
-func smallestPivot(v graph.View, c *plan.Compiled, m core.Match,
-	idx map[edgeKey]int, pv pivot) bool {
-	for slot, pe := range c.Rule.Pattern.Edges {
-		k := edgeKey{m[pe.Src], m[pe.Dst], c.CP.EdgeLabels[slot]}
-		rank, ok := idx[k]
+// SmallestPivot reports whether (rank, slot) is the lexicographically
+// smallest (Δ-edge rank, pattern edge slot) pair realized by match m of rule
+// c — the dedup rule that makes each update-driven violation come out
+// exactly once.
+func (idx EdgeIndex) SmallestPivot(c *plan.Compiled, m []graph.NodeID, rank, slot int) bool {
+	for s, pe := range c.Rule.Pattern.Edges {
+		r, ok := idx[edgeKey{m[pe.Src], m[pe.Dst], c.CP.EdgeLabels[s]}]
 		if !ok {
 			continue
 		}
-		if rank < pv.rank || (rank == pv.rank && slot < pv.slot) {
+		if r < rank || (r == rank && s < slot) {
 			return false
 		}
 	}

@@ -5,6 +5,20 @@
 // variants PIncDect_ns (no splitting), PIncDect_nb (no balancing) and
 // PIncDect_NO (neither).
 //
+// There is one kind of work unit and one procedure that expands it, as in
+// the paper (§6.3: a partial solution in BVio_i, expanded one step, split
+// when C·(k+1) + |adj|/p < |adj|, shed when skewed; §5.1 runs the same
+// procedure from batch seeds). The search space is always a prefix forest of
+// plans (plan.Share): PDect adds Σ's batch forest and seeds it with chunks of
+// each root scan (shared.go); PIncDect adds one single-rule chain per rule ×
+// pivot slot × side, built from the pivot-anchored plan, and seeds it with
+// the update pivots (pincdect.go). A unit is a forest node, the path bindings
+// that reach it, each riding rule's literal state, its pivot and a candidate
+// segment; engine.expand scans the step entering the node once for all
+// riding rules and engine.emit applies, from the forest's Δ-edge index and
+// side, what is specific to update-driven search: the smallest-pivot dedup
+// and the ΔVio⁺/ΔVio⁻ tag.
+//
 // One engine executes the work-unit semantics — a worker queue, a unit step
 // (Limit drain, expansion, cost charging, child routing, tallies) and a
 // monitoring round (run.go, balance.go) — and two schedulers decide which
@@ -205,99 +219,194 @@ type Result struct {
 	Metrics    Metrics
 }
 
-// task is one independent violation search: a rule over a view with a plan
-// (batch: one per rule; incremental: one per rule × pivot slot × side).
-type task struct {
-	c    *plan.Compiled
-	view graph.View
-	plan *match.Plan
-	le   *detect.LitEval
-	plus bool // incremental: ΔVio⁺ side
-	inc  bool // incremental task (pivot dedup applies)
+// forest is one search space: a prefix forest of plans over one view (see
+// plan.Share). PDect runs Σ's batch forest; PIncDect runs one single-rule
+// chain per rule × pivot slot × side, built from the pivot-anchored plan.
+type forest struct {
+	view  graph.View
+	share *plan.Share
+	les   []*detect.LitEval // per share rule
+	// idx, on an update-driven forest, indexes the Δ-edges of its side: its
+	// matches pass the smallest-pivot dedup against it and are tagged ΔVio⁺
+	// when plus, ΔVio⁻ otherwise. A batch forest has neither.
+	idx   inc.EdgeIndex
+	plus  bool
+	slot0 int     // first of its rules' slots in engine.locals[w]
+	nodes []fnode // breadth-first, Root first
 }
 
-// unit is a work unit: a partial solution awaiting expansion at plan step
-// `depth` (paper: an element of BVio_i).
+// fnode is a forest node in its forest's table: the plan.ShareNode plus the
+// LiveStats-driven cost estimates of the units waiting on it.
+type fnode struct {
+	f    *forest
+	sn   *plan.ShareNode
+	kids []fnode // aligned with sn.Children (a run of f.nodes)
+	// width ≈ candidates scanned by the step entering the node per expansion
+	// (0 on a Root, which no step enters), below ≈ the expected scan cost of
+	// the whole subtree under one of those candidates. est is false when the
+	// view carries no maintained statistics; splitting and balancing then
+	// fall back to the paper's unweighted forms.
+	width, below float64
+	est          bool
+}
+
+// unit is a work unit: a partial solution awaiting the step that enters its
+// forest node (paper: an element of BVio_i). A unit on a Root has no step
+// left — both ends of a one-edge pattern were pinned by its pivot — and only
+// emits.
 type unit struct {
-	task      int
-	depth     int
-	ySat      int
+	nd *fnode
+	// path holds the bindings that reach nd: the plan's pre-bound slots in
+	// Plan.Bound order, then one binding per step taken. ySatR is the
+	// per-rule literal state, aligned with nd.sn.Rules (-1 = the rule pruned
+	// on this path).
+	path      []graph.NodeID
+	ySatR     []int
 	pivotRank int // -1 for batch units
 	pivotSlot int
-	partial   []graph.NodeID
-	// ySatR is the per-rule literal state of a shared-forest unit, aligned
-	// with its ShareNode.Rules (-1 = the rule pruned on this path); nil for
-	// per-rule task units, whose state is the scalar ySat above. In forest
-	// mode `task` indexes engine.snodes and `partial` holds the path
-	// bindings in step order rather than pattern-node order.
-	ySatR  []int
-	lo, hi int     // candidate segment; (0,-1) = full list
-	bcast  bool    // this unit is a broadcast share (charges latency)
-	ready  float64 // time at which the unit is available (virtual scheduler)
+	lo, hi    int     // candidate segment; (0,-1) = full list
+	bcast     bool    // this unit is a broadcast share (charges latency)
+	ready     float64 // time at which the unit is available (virtual scheduler)
 	// xferCharge is the communication cost of a rebalancing transfer,
 	// charged when the receiving worker processes the unit.
 	xferCharge float64
 }
 
-type edgeKey struct {
-	src, dst graph.NodeID
-	label    graph.LabelID
+// local is one worker's private state for one forest rule: its matcher
+// (Stat counters are per worker to stay race-free) and the pattern-order
+// bindings expand rebuilds from a unit's path. Every use rewrites the
+// positions of the steps it evaluates, so stale deeper bindings are never
+// read (a literal at level L only references nodes bound by steps < L).
+type local struct {
+	m       *match.Matcher
+	partial []graph.NodeID
 }
 
 // engine holds the immutable run state shared by workers.
 type engine struct {
 	opts   Options
-	tasks  []task
-	insIdx map[edgeKey]int
-	delIdx map[edgeKey]int
-	// matchers are per-worker per-task to keep counters race-free.
-	matchers [][]*match.Matcher
-
-	// estWidth/estBelow are the LiveStats-driven cost estimates, per task
-	// per depth: estWidth[t][d] ≈ candidates scanned by step d of task t's
-	// plan per expansion, estBelow[t][d] ≈ the expected scan cost of the
-	// whole subtree under one candidate bound at d. nil when the view
-	// carries no maintained statistics; splitting and balancing then fall
-	// back to the paper's unweighted forms.
-	estWidth [][]float64
-	estBelow [][]float64
-
-	// Shared-forest state (batch PDect under cross-rule sharing): when
-	// share is non-nil the engine runs forest units — unit.task indexes
-	// snodes — and the per-rule task fields above stay empty. See shared.go.
-	share     *plan.Share
-	snodes    []*plan.ShareNode
-	nodeOf    map[*plan.ShareNode]int
-	sles      []*detect.LitEval
-	sview     graph.View
-	sWidth    []float64          // per forest node: entering-step fan estimate
-	sBelow    []float64          // per forest node: est cost below one candidate
-	smatchers [][]*match.Matcher // per worker per share rule (lazy)
-	spartials [][][]graph.NodeID // per worker per share rule scratch
+	nslots int       // Σ over the forests added of len(share.Rules)
+	locals [][]local // per worker per forest rule slot, built on first use
 
 	// ufree/pfree/yfree are per-worker freelists recycling work units and
-	// their buffers (binding slices and forest literal state): a unit is
-	// dropped right after its expansion, so step returns it to the expanding
-	// worker and child units draw from the same lists. kids is the worker's
+	// their buffers (path bindings and literal state): a unit is dropped
+	// right after its expansion, so step returns it to the expanding worker
+	// and child units draw from the same lists. kids is the worker's
 	// expandResult.children buffer, which step drains before the worker
-	// expands again, and scur expandShared's per-candidate survival scratch.
+	// expands again, and riding expand's state per rule of the node at hand.
 	// Each is touched only while its worker steps (the virtual scheduler is
 	// single-threaded), so no synchronization is needed — steady-state
 	// fan-out allocates nothing.
-	ufree [][]*unit
-	pfree [][][]graph.NodeID
-	yfree [][][]int
-	kids  [][]*unit
-	scur  [][]int
+	ufree  [][]*unit
+	pfree  [][][]graph.NodeID
+	yfree  [][][]int
+	kids   [][]*unit
+	riding [][]rider
 }
 
-// initFree sizes the per-worker freelists and scratch.
-func (e *engine) initFree() {
-	e.ufree = make([][]*unit, e.opts.P)
-	e.pfree = make([][][]graph.NodeID, e.opts.P)
-	e.yfree = make([][][]int, e.opts.P)
-	e.kids = make([][]*unit, e.opts.P)
-	e.scur = make([][]int, e.opts.P)
+// rider is what expand holds, while it works on one unit, for one rule
+// riding the unit's node: the rule's binding scratch (local.partial) and its
+// literal state — the unit's on a Root, the current candidate's during a scan
+// (-1 = pruned).
+type rider struct {
+	pp   []graph.NodeID
+	ySat int
+}
+
+func newEngine(opts Options) *engine {
+	return &engine{
+		opts:   opts,
+		locals: make([][]local, opts.P),
+		ufree:  make([][]*unit, opts.P),
+		pfree:  make([][][]graph.NodeID, opts.P),
+		yfree:  make([][][]int, opts.P),
+		kids:   make([][]*unit, opts.P),
+		riding: make([][]rider, opts.P),
+	}
+}
+
+// estCap bounds the fan products so a deep plan over a dense label cannot
+// push the estimates into float territory where comparisons degrade.
+const estCap = 1e9
+
+// addForest completes f from its view, share, idx and plus: the literal
+// schedules, the slots of its rules in the per-worker tables, and the node
+// table — breadth-first, so a node's children are one run behind it and a
+// reverse pass sees every child's estimate before its parent's. The
+// estimates come from the view's maintained statistics (graph.LiveStats),
+// when it has any: deterministic functions of the graph, so the virtual
+// oracle stays bit-reproducible and both schedulers expand the same unit
+// multiset.
+func (e *engine) addForest(f *forest) *forest {
+	sh := f.share
+	f.slot0 = e.nslots
+	e.nslots += len(sh.Rules)
+	f.les = make([]*detect.LitEval, len(sh.Rules))
+	for i := range sh.Rules {
+		f.les[i] = detect.NewLitEval(f.view, sh.Rules[i].C, sh.Rules[i].Plan)
+	}
+	f.nodes = append(f.nodes, fnode{f: f, sn: sh.Root})
+	for i := 0; i < len(f.nodes); i++ {
+		for _, ch := range f.nodes[i].sn.Children {
+			f.nodes = append(f.nodes, fnode{f: f, sn: ch})
+		}
+	}
+	next := 1
+	for i := range f.nodes {
+		k := len(f.nodes[i].sn.Children)
+		f.nodes[i].kids = f.nodes[next : next+k]
+		next += k
+	}
+	var st *graph.LiveStats
+	if s, ok := f.view.(graph.LiveStatted); ok {
+		st = s.LiveStats()
+	}
+	for i := len(f.nodes) - 1; i >= 0 && st != nil; i-- {
+		nd := &f.nodes[i]
+		nd.est = true
+		if i > 0 {
+			nd.width = min(stepFan(f.view, st, sh.Rules[nd.sn.Rep].Plan, nd.sn.Depth-1), estCap)
+		}
+		for k := range nd.kids {
+			nd.below += nd.kids[k].width * (1 + nd.kids[k].below)
+		}
+		nd.below = min(nd.below, estCap)
+	}
+	return f
+}
+
+// stepFan estimates the candidate count of plan step d: the mean adjacency
+// run length for anchored steps (from the maintained per-(node label, edge
+// label) aggregates), the label-bucket size for seed scans.
+func stepFan(v graph.View, st *graph.LiveStats, pl *match.Plan, d int) float64 {
+	s := &pl.Steps[d]
+	if s.AnchorEdge >= 0 {
+		el := pl.CP.EdgeLabels[s.AnchorEdge]
+		from := pl.CP.NodeLabels[s.AnchorFrom]
+		if s.AnchorOut {
+			return st.OutFan(v, from, el)
+		}
+		return st.InFan(v, from, el)
+	}
+	if l := pl.CP.NodeLabels[s.Node]; l != graph.Wildcard {
+		return float64(v.CountLabel(l))
+	}
+	return float64(v.NumNodes())
+}
+
+// local returns worker w's matcher and binding scratch for rule ri of f,
+// built on first use.
+func (e *engine) local(w int, f *forest, ri int) *local {
+	if len(e.locals[w]) < e.nslots {
+		e.locals[w] = append(e.locals[w], make([]local, e.nslots-len(e.locals[w]))...)
+	}
+	l := &e.locals[w][f.slot0+ri]
+	if l.m == nil {
+		sr := &f.share.Rules[ri]
+		l.m = match.NewMatcher(f.view, sr.Plan, match.Hooks{})
+		l.partial = match.NewPartial(len(sr.Rule.Pattern.Nodes))
+	}
+	return l
 }
 
 // newUnit returns a unit from worker w's freelist holding whatever its last
@@ -329,15 +438,8 @@ func (e *engine) newPartialBuf(w, n int) []graph.NodeID {
 	}
 }
 
-// clonePartial copies src into a recycled buffer from worker w's freelist.
-func (e *engine) clonePartial(w int, src []graph.NodeID) []graph.NodeID {
-	b := e.newPartialBuf(w, len(src))
-	copy(b, src)
-	return b
-}
-
 // newYSatBuf returns an uninitialized length-n literal-state buffer from
-// worker w's freelist (the forest unit counterpart of newPartialBuf).
+// worker w's freelist (the counterpart of newPartialBuf).
 func (e *engine) newYSatBuf(w, n int) []int {
 	for {
 		fl := e.yfree[w]
@@ -353,70 +455,20 @@ func (e *engine) newYSatBuf(w, n int) []int {
 	}
 }
 
-// cloneYSat copies a forest unit's per-rule literal state the same way.
-func (e *engine) cloneYSat(w int, src []int) []int {
-	b := e.newYSatBuf(w, len(src))
-	copy(b, src)
-	return b
-}
-
 // recycle returns a consumed unit and its buffers to worker w's freelists.
 // Only call once the unit is dropped — popped from its queue, so neither a
 // queue nor the balancer still sees it — and expanded: emitted violations
 // hold private copies, never aliases of unit buffers.
 func (e *engine) recycle(w int, u *unit) {
-	if u.partial != nil {
-		e.pfree[w] = append(e.pfree[w], u.partial)
-		u.partial = nil
+	if u.path != nil {
+		e.pfree[w] = append(e.pfree[w], u.path)
+		u.path = nil
 	}
 	if u.ySatR != nil {
 		e.yfree[w] = append(e.yfree[w], u.ySatR)
 		u.ySatR = nil
 	}
 	e.ufree[w] = append(e.ufree[w], u)
-}
-
-func newEngine(opts Options, tasks []task) *engine {
-	e := &engine{opts: opts, tasks: tasks}
-	e.initFree()
-	e.matchers = make([][]*match.Matcher, opts.P)
-	for w := 0; w < opts.P; w++ {
-		ms := make([]*match.Matcher, len(tasks))
-		for t := range tasks {
-			ms[t] = match.NewMatcher(tasks[t].view, tasks[t].plan, match.Hooks{})
-		}
-		e.matchers[w] = ms
-	}
-	e.buildEstimates()
-	return e
-}
-
-// sideOf maps a unit to its Limit tally slot; forest units are batch-only
-// (single side).
-func (e *engine) sideOf(u *unit) int {
-	if e.share != nil {
-		return 0
-	}
-	return sideIdx(e.tasks[u.task].plus)
-}
-
-// smallestPivot mirrors inc.smallestPivot for the parallel engine.
-func (e *engine) smallestPivot(t *task, m []graph.NodeID, rank, slot int) bool {
-	idx := e.delIdx
-	if t.plus {
-		idx = e.insIdx
-	}
-	for s, pe := range t.c.Rule.Pattern.Edges {
-		k := edgeKey{m[pe.Src], m[pe.Dst], t.c.CP.EdgeLabels[s]}
-		r, ok := idx[k]
-		if !ok {
-			continue
-		}
-		if r < rank || (r == rank && s < slot) {
-			return false
-		}
-	}
-	return true
 }
 
 // taggedVio is a violation tagged with its side (ΔVio⁺ vs ΔVio⁻; batch
@@ -426,7 +478,7 @@ type taggedVio struct {
 	plus bool
 }
 
-// sideIdx maps a side to its tally slot (0 = ΔVio⁻/batch, 1 = ΔVio⁺).
+// sideIdx maps a side to its Limit tally slot (0 = ΔVio⁻/batch, 1 = ΔVio⁺).
 func sideIdx(plus bool) int {
 	if plus {
 		return 1
@@ -458,146 +510,204 @@ func (e *engine) splitWanted(cnt, depth int, below float64) bool {
 	return par < sub
 }
 
-// taskBelow is the subtree estimate for a per-rule task unit (0 without
-// stats).
-func (e *engine) taskBelow(t, d int) float64 {
-	if e.estBelow == nil || e.estBelow[t] == nil || d >= len(e.estBelow[t]) {
-		return 0
-	}
-	return e.estBelow[t][d]
-}
-
 // unitWeight estimates a queued unit's remaining cost for the balancer's
 // skew measure: entering-scan width × (1 + subtree below). Segment units
-// use their actual [lo,hi) width. Without maintained statistics every unit
-// weighs 1 and the weighted balancer degenerates to the count-based one.
+// use their actual [lo,hi) width. Without an estimate (no maintained
+// statistics, or no forest node at all: the balancer's own tests) every
+// unit weighs 1 and the weighted balancer degenerates to the count-based one.
 func (e *engine) unitWeight(u *unit) float64 {
-	var width, below float64
-	switch {
-	case e.share != nil:
-		if e.sBelow == nil {
-			return 1
-		}
-		width, below = e.sWidth[u.task], e.sBelow[u.task]
-	case e.estBelow != nil && e.estBelow[u.task] != nil && u.depth < len(e.estBelow[u.task]):
-		width, below = e.estWidth[u.task][u.depth], e.estBelow[u.task][u.depth]
-	default:
+	if u.nd == nil || !u.nd.est {
 		return 1
 	}
+	width := u.nd.width
 	if u.hi >= 0 {
 		width = float64(u.hi - u.lo)
 	}
-	if w := width * (1 + below); w > 1 {
-		return w
-	}
-	return 1
+	return max(width*(1+u.nd.below), 1)
 }
 
 // trySplit applies the split decision to a full-range unit about to scan
-// plan step u.depth from the bindings in bound: when the rule of §6.3 holds
-// (splitWanted) the candidate list is cut into at most p contiguous shares,
-// each a broadcast copy of u, and the splitting worker pays the CPU to
-// serialize the broadcast. It reports whether u was split.
-func (e *engine) trySplit(w int, u *unit, m *match.Matcher, bound []graph.NodeID, below float64, res *expandResult) bool {
+// plan step d of matcher m from the bindings in bound: when the rule of §6.3
+// holds (splitWanted) the candidate list is cut into at most p contiguous
+// shares, each a broadcast copy of u, and the splitting worker pays the CPU
+// to serialize the broadcast. It reports whether u was split.
+func (e *engine) trySplit(w int, u *unit, m *match.Matcher, d int, bound []graph.NodeID, res *expandResult) bool {
 	if !e.opts.SplitUnits || u.bcast || u.lo != 0 || u.hi >= 0 {
 		return false
 	}
-	cnt := m.CandidateCount(u.depth, bound)
-	if !e.splitWanted(cnt, u.depth, below) {
+	cnt := m.CandidateCount(d, bound)
+	if !e.splitWanted(cnt, d, u.nd.below) {
 		return false
 	}
 	share := (cnt + e.opts.P - 1) / e.opts.P
 	for lo := 0; lo < cnt; lo += share {
-		hi := lo + share
-		if hi > cnt {
-			hi = cnt
-		}
+		path := e.newPartialBuf(w, len(u.path))
+		copy(path, u.path)
+		ySatR := e.newYSatBuf(w, len(u.ySatR))
+		copy(ySatR, u.ySatR)
 		child := e.newUnit(w)
 		*child = unit{
-			task: u.task, depth: u.depth, ySat: u.ySat,
+			nd: u.nd, path: path, ySatR: ySatR,
 			pivotRank: u.pivotRank, pivotSlot: u.pivotSlot,
-			partial: e.clonePartial(w, u.partial),
-			lo:      lo, hi: hi, bcast: true,
-		}
-		if u.ySatR != nil {
-			child.ySatR = e.cloneYSat(w, u.ySatR)
+			lo: lo, hi: min(lo+share, cnt), bcast: true,
 		}
 		res.children = append(res.children, child)
 	}
 	res.split = true
-	res.cost += float64(u.depth + 1)
+	res.cost += float64(d + 1)
 	return true
 }
 
-// expand processes unit u on worker w. When splitting is enabled and the
-// candidate list is large enough that C·(k+1) + |adj|/p < |adj| (§6.3), the
-// unit is split into p broadcast shares instead of being scanned locally.
-func (e *engine) expand(w int, u *unit) expandResult {
-	if e.share != nil {
-		return e.expandShared(w, u)
+// ruleIdx locates share rule ri in a node's (ascending, tiny) rule list.
+func ruleIdx(rules []int, ri int) int {
+	for i, r := range rules {
+		if r == ri {
+			return i
+		}
 	}
-	t := &e.tasks[u.task]
-	m := e.matchers[w][u.task]
-	res := expandResult{children: e.kids[w]}
+	return -1
+}
 
+// expand processes unit u on worker w: scan the step entering the unit's
+// node once via the representative's matcher, evaluate each riding rule's
+// literal level per candidate, emit the rules completing here, and fan out
+// the surviving continuations as child units. When splitting is enabled and
+// the candidate list is large enough that C·(k+1) + |adj|/p < |adj| (§6.3),
+// the unit is split into p broadcast shares instead of being scanned
+// locally.
+func (e *engine) expand(w int, u *unit) expandResult {
+	nd := u.nd
+	f, sn := nd.f, nd.sn
+	d := sn.Depth - 1 // the step this unit scans (-1: none, a Root unit)
+	res := expandResult{children: e.kids[w]}
 	if u.bcast {
 		// a broadcast share pays CPU to deserialize the partial solution
 		// (size ∝ depth+1); the network latency itself is not CPU time —
 		// step models it as a delay on the unit's ready time.
-		res.cost += float64(u.depth + 1)
+		res.cost += float64(d + 1)
 	}
 	res.cost += u.xferCharge
 
-	if u.depth == len(t.plan.Steps) {
-		// complete match (possible only when a pattern is fully pre-bound)
-		res.vios = e.complete(t, u, u.ySat, res.vios)
+	// rebuild each live rule's pattern-order bindings from the path; the
+	// representative's even when pruned (its plan drives the scan and the
+	// edge checks for the whole subtree)
+	if cap(e.riding[w]) < len(sn.Rules) {
+		e.riding[w] = make([]rider, len(sn.Rules))
+	}
+	rs := e.riding[w][:len(sn.Rules)]
+	var rep *local
+	for i, ri := range sn.Rules {
+		rs[i].ySat = u.ySatR[i]
+		if u.ySatR[i] < 0 && ri != sn.Rep {
+			continue
+		}
+		l := e.local(w, f, ri)
+		if ri == sn.Rep {
+			rep = l
+		}
+		rs[i].pp = l.partial
+		pl := f.share.Rules[ri].Plan
+		for j, b := range pl.Bound {
+			l.partial[b] = u.path[j]
+		}
+		for j := 0; j < d; j++ {
+			l.partial[pl.Steps[j].Node] = u.path[len(pl.Bound)+j]
+		}
+	}
+	if d < 0 {
+		res.vios = e.emit(u, rs, res.vios)
 		return res
 	}
-	if e.trySplit(w, u, m, u.partial, e.taskBelow(u.task, u.depth), &res) {
+	m, rp := rep.m, rep.partial
+	if e.trySplit(w, u, m, d, rp, &res) {
 		return res
 	}
 
-	st := &t.plan.Steps[u.depth]
 	checksBefore := m.Stat.Checks
-	scanned := m.CandidatesRange(u.depth, u.partial, u.lo, u.hi, func(v graph.NodeID) bool {
-		if !m.CheckStep(u.depth, u.partial, v) {
+	scanned := m.CandidatesRange(d, rp, u.lo, u.hi, func(cand graph.NodeID) bool {
+		if !m.CheckStep(d, rp, cand) {
 			return true
 		}
-		u.partial[st.Node] = v
-		prune, ySat := t.le.EvalLevel(u.depth+1, u.partial, u.ySat)
-		if prune {
-			u.partial[st.Node] = match.Unbound
+		any := false
+		for i, ri := range sn.Rules {
+			rs[i].ySat = -1
+			if u.ySatR[i] < 0 {
+				continue
+			}
+			rs[i].pp[f.share.Rules[ri].Plan.Steps[d].Node] = cand
+			prune, ySat := f.les[ri].EvalLevel(d+1, rs[i].pp, u.ySatR[i])
+			if prune {
+				continue
+			}
+			rs[i].ySat = ySat
+			any = true
+		}
+		if !any {
 			return true
 		}
-		if u.depth+1 == len(t.plan.Steps) {
-			res.vios = e.complete(t, u, ySat, res.vios)
-		} else {
-			res.children = append(res.children, &unit{
-				task: u.task, depth: u.depth + 1, ySat: ySat,
+		res.vios = e.emit(u, rs, res.vios)
+		// fan out the divergent continuations that still carry a live rule
+		for k := range nd.kids {
+			gch := &nd.kids[k]
+			live := false
+			j := 0
+			for _, ri := range gch.sn.Rules {
+				for sn.Rules[j] != ri {
+					j++
+				}
+				if rs[j].ySat >= 0 {
+					live = true
+					break
+				}
+			}
+			if !live {
+				continue
+			}
+			ySatR := e.newYSatBuf(w, len(gch.sn.Rules))
+			j = 0
+			for gi, ri := range gch.sn.Rules {
+				for sn.Rules[j] != ri {
+					j++
+				}
+				ySatR[gi] = rs[j].ySat
+			}
+			bind := e.newPartialBuf(w, len(u.path)+1)
+			copy(bind, u.path)
+			bind[len(u.path)] = cand
+			child := e.newUnit(w)
+			*child = unit{
+				nd: gch, path: bind, ySatR: ySatR,
 				pivotRank: u.pivotRank, pivotSlot: u.pivotSlot,
-				partial: e.clonePartial(w, u.partial),
-				lo:      0, hi: -1,
-			})
+				lo: 0, hi: -1,
+			}
+			res.children = append(res.children, child)
 		}
-		u.partial[st.Node] = match.Unbound
 		return true
 	})
 	res.cost += float64(scanned + (m.Stat.Checks - checksBefore))
 	return res
 }
 
-// complete records the complete match currently held in u.partial, whose
-// literal state is ySat. The pivot dedup runs on the scratch bindings; only
-// retained matches copy.
-func (e *engine) complete(t *task, u *unit, ySat int, vios []taggedVio) []taggedVio {
-	if ySat >= t.le.NumY() {
-		return vios // all Y satisfied: not a violation
+// emit is the reduce side of the fan-out: for every rule whose plan
+// completes at u's node and whose literal state in rs (aligned with the
+// node's Rules) still leaves a consequence literal unsatisfied, it records
+// the match held in the rule's binding scratch. An update-driven forest
+// keeps a match only under its smallest pivot; the dedup runs on the
+// scratch bindings and only retained matches copy.
+func (e *engine) emit(u *unit, rs []rider, vios []taggedVio) []taggedVio {
+	f, sn := u.nd.f, u.nd.sn
+	for _, ri := range sn.Terminal {
+		r := &rs[ruleIdx(sn.Rules, ri)]
+		if r.ySat < 0 || r.ySat >= f.les[ri].NumY() {
+			continue // pruned, or all Y satisfied: not a violation
+		}
+		sr := &f.share.Rules[ri]
+		if f.idx != nil && !f.idx.SmallestPivot(sr.C, r.pp, u.pivotRank, u.pivotSlot) {
+			continue
+		}
+		vios = append(vios, taggedVio{core.Violation{Rule: sr.Rule, Match: core.Match(r.pp).Clone()}, f.plus})
 	}
-	if t.inc && !e.smallestPivot(t, u.partial, u.pivotRank, u.pivotSlot) {
-		return vios
-	}
-	mcopy := core.Match(u.partial).Clone()
-	return append(vios, taggedVio{core.Violation{Rule: t.c.Rule, Match: mcopy}, t.plus})
+	return vios
 }
 
 // sortViolations orders output deterministically.

@@ -7,8 +7,11 @@ import (
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
+	"ngd/internal/expr"
 	"ngd/internal/gen"
+	"ngd/internal/graph"
 	"ngd/internal/inc"
+	"ngd/internal/pattern"
 	"ngd/internal/update"
 )
 
@@ -54,20 +57,77 @@ func TestPDectMatchesDect(t *testing.T) {
 	}
 }
 
+// pinnedWorkload is a hand-built Σ over a small ring that the generators
+// only hit by chance: "one" is a one-edge pattern, so a pivot pins both ends
+// and its units sit on a forest Root; "two" has the slots x -a-> y and
+// y -a-> x, whose pivot plans share one cache entry (the bound set {x, y}
+// in either orientation) and whose literal tells the orientations apart.
+// ΔG inserts reverse edges — both edges of a new mutual pair among them, so
+// the smallest-pivot dedup has work — a self loop, and deletes one side of
+// existing pairs.
+func pinnedWorkload() (*graph.Graph, *core.Set, *graph.Delta) {
+	g := graph.New()
+	const n = 12
+	for i := 0; i < n; i++ {
+		g.SetAttr(g.AddNode("p"), "val", graph.Int(int64(i*7%5)))
+	}
+	for i := 0; i < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), "a")
+		if i%3 == 0 {
+			g.AddEdge(graph.NodeID((i+1)%n), graph.NodeID(i), "a")
+		}
+	}
+	one := pattern.New()
+	one.AddEdge(one.AddNode("x", "p"), one.AddNode("y", "p"), "a")
+	two := pattern.New()
+	x, y := two.AddNode("x", "p"), two.AddNode("y", "p")
+	two.AddEdge(x, y, "a")
+	two.AddEdge(y, x, "a")
+	less := []core.Literal{core.Lit(expr.V("x", "val"), expr.Lt, expr.V("y", "val"))}
+	rules := core.NewSet(core.MustNew("one", one, nil, less), core.MustNew("two", two, nil, less))
+
+	a := g.Symbols().LookupLabel("a")
+	d := &graph.Delta{}
+	for _, i := range []int{1, 2, 4, 7} {
+		d.Insert(graph.NodeID((i+1)%n), graph.NodeID(i), a) // closes a pair
+	}
+	d.Insert(5, 9, a)
+	d.Insert(9, 5, a) // a pair made of two Δ-edges
+	d.Insert(8, 8, a) // x = y
+	d.Delete(0, 1, a)
+	d.Delete(4, 3, a)
+	return g, rules, d
+}
+
 // TestPIncDectMatchesIncDect: the parallel incremental algorithm computes
 // exactly ΔVio(Σ, G, ΔG), under both drivers and all variants.
 func TestPIncDectMatchesIncDect(t *testing.T) {
-	for trial := 0; trial < 3; trial++ {
-		seed := int64(31 + trial*17)
-		profile := []gen.Profile{gen.YAGO2, gen.Pokec, gen.DBpedia}[trial]
-		ds := gen.Generate(profile, 200, seed)
-		rules := gen.Rules(profile, gen.RuleConfig{Count: 10, MaxDiameter: 5, Seed: seed})
-		d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.1), Gamma: 1, Seed: seed * 7})
+	for trial := 0; trial < 4; trial++ {
+		var g *graph.Graph
+		var rules *core.Set
+		var d *graph.Delta
+		if trial < 3 {
+			seed := int64(31 + trial*17)
+			profile := []gen.Profile{gen.YAGO2, gen.Pokec, gen.DBpedia}[trial]
+			ds := gen.Generate(profile, 200, seed)
+			g = ds.G
+			rules = gen.Rules(profile, gen.RuleConfig{Count: 10, MaxDiameter: 5, Seed: seed})
+			d = update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.1), Gamma: 1, Seed: seed * 7})
+		} else {
+			g, rules, d = pinnedWorkload()
+		}
 
-		want := inc.IncDect(ds.G, rules, d, inc.Options{})
+		want := inc.IncDect(g, rules, d, inc.Options{})
+		if trial == 3 {
+			if ref := inc.Diff(g, rules, d); !equalKeys(want.Plus, ref.Plus) || !equalKeys(want.Minus, ref.Minus) ||
+				len(ref.Plus) < 4 || len(ref.Minus) < 2 {
+				t.Fatalf("pinned workload: IncDect +%d/-%d, recomputation +%d/-%d (want ≥ +4/-2, equal)",
+					len(want.Plus), len(want.Minus), len(ref.Plus), len(ref.Minus))
+			}
+		}
 
 		for _, opts := range []Options{Hybrid(4), VariantNS(4), VariantNB(4), VariantNO(4), Hybrid(12)} {
-			got := PIncDect(ds.G, rules, d, opts)
+			got := PIncDect(g, rules, d, opts)
 			if !equalKeys(got.Delta.Plus, want.Plus) {
 				t.Errorf("trial %d PIncDect(split=%v,bal=%v,p=%d) ΔVio⁺: got %d want %d",
 					trial, opts.SplitUnits, opts.Balance, opts.P, len(got.Delta.Plus), len(want.Plus))
@@ -77,7 +137,7 @@ func TestPIncDectMatchesIncDect(t *testing.T) {
 					trial, opts.SplitUnits, opts.Balance, opts.P, len(got.Delta.Minus), len(want.Minus))
 			}
 		}
-		got := PIncDect(ds.G, rules, d, Oracle(4))
+		got := PIncDect(g, rules, d, Oracle(4))
 		if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
 			t.Errorf("trial %d virtual driver mismatch", trial)
 		}

@@ -4,8 +4,8 @@ import (
 	"sort"
 
 	"ngd/internal/core"
-	"ngd/internal/detect"
 	"ngd/internal/graph"
+	"ngd/internal/inc"
 	"ngd/internal/match"
 	"ngd/internal/partition"
 	"ngd/internal/plan"
@@ -43,27 +43,22 @@ func (e *engine) placeSeeds(seeds []*unit) [][]*unit {
 	return initial
 }
 
-// runBatch executes prepared batch seeds under the selected scheduler.
-func (e *engine) runBatch(seeds []*unit) *Result {
-	tagged, met := e.exec(e.placeSeeds(seeds), 0)
+// PDect runs parallel batch detection of Vio(Σ, G) (§5.1: the extension of
+// the GFD parallel batch algorithm to NGDs): the engine's one procedure run
+// from batch seeds over Σ's prefix forest, mirroring the sequential
+// detector's shared-prefix enumeration. Initial work units are chunks of
+// each seed-candidate list (shared.go), placed heaviest-first by estimated
+// cost; from there the hybrid strategy applies.
+func PDect(g graph.View, rules *core.Set, opts Options) *Result {
+	opts = opts.Defaults()
+	e := newEngine(opts)
+	f := e.addForest(&forest{view: g, share: opts.program(g, rules).ShareFor(g, rules)})
+	tagged, met := e.exec(e.placeSeeds(e.seedBatch(f)), 0)
 	res := &Result{Metrics: met}
 	for _, tv := range tagged {
 		res.Violations = append(res.Violations, tv.vio)
 	}
 	return res
-}
-
-// PDect runs parallel batch detection of Vio(Σ, G) (§5.1: the extension of
-// the GFD parallel batch algorithm to NGDs). Rules whose plans share a
-// structural prefix are fanned out as forest units (shared.go), mirroring
-// the sequential detector's shared-prefix enumeration. Initial work units
-// are chunks of each seed-candidate list, placed heaviest-first by estimated
-// cost; from there the hybrid strategy applies.
-func PDect(g graph.View, rules *core.Set, opts Options) *Result {
-	opts = opts.Defaults()
-	sh := opts.program(g, rules).ShareFor(g, rules)
-	e := newSharedEngine(opts, g, sh)
-	return e.runBatch(e.seedShared())
 }
 
 // PIncDect runs parallel incremental detection of ΔVio(Σ, G, ΔG) (§6.3,
@@ -81,55 +76,20 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	ins := norm.Insertions()
 	del := norm.Deletions()
 
-	insIdx := make(map[edgeKey]int, len(ins))
-	for i, op := range ins {
-		insIdx[edgeKey{op.Src, op.Dst, op.Label}] = i
-	}
-	delIdx := make(map[edgeKey]int, len(del))
-	for i, op := range del {
-		delIdx[edgeKey{op.Src, op.Dst, op.Label}] = i
-	}
-
-	// tasks: rule × pattern-edge slot × side
 	prog := opts.program(g, rules)
-	var tasks []task
-	taskOf := make(map[[3]int]int) // (ruleIdx, slot, side) -> task index
 	compiled := make([]*plan.Compiled, len(rules.Rules))
 	for ri, r := range rules.Rules {
 		compiled[ri] = prog.CompiledFor(r)
 	}
-	getTask := func(ri, slot int, plus bool) int {
-		side := 0
-		if plus {
-			side = 1
-		}
-		key := [3]int{ri, slot, side}
-		if idx, ok := taskOf[key]; ok {
-			return idx
-		}
-		c := compiled[ri]
-		var view graph.View = g
-		if plus {
-			view = newView
-		}
-		pe := c.Rule.Pattern.Edges[slot]
-		bound := []int{pe.Src}
-		if pe.Dst != pe.Src {
-			bound = append(bound, pe.Dst)
-		}
-		_, pl := prog.PlanFor(view, c.Rule, bound)
-		tasks = append(tasks, task{
-			c: c, view: view, plan: pl,
-			le:   detect.NewLitEval(view, c, pl),
-			plus: plus, inc: true,
-		})
-		taskOf[key] = len(tasks) - 1
-		return len(tasks) - 1
-	}
+	e := newEngine(opts)
 
-	// seed update pivots (paper line 5)
+	// One single-rule forest per rule × pattern-edge slot × side, built when
+	// its first pivot arrives, and the update pivots themselves (paper line
+	// 5) in rank → rule → slot order.
 	var seeds []*unit
 	addPivots := func(ops []graph.EdgeOp, plus bool, view graph.View) {
+		idx := inc.NewEdgeIndex(ops)
+		forestOf := make(map[[2]int]*forest) // (rule, slot) on this side
 		for rank, op := range ops {
 			for ri, c := range compiled {
 				if len(c.Rule.Y) == 0 {
@@ -142,22 +102,47 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 					if pe.Src == pe.Dst && op.Src != op.Dst {
 						continue
 					}
-					ti := getTask(ri, slot, plus)
-					tk := &tasks[ti]
-					partial := match.NewPartial(len(c.Rule.Pattern.Nodes))
+					key := [2]int{ri, slot}
+					f := forestOf[key]
+					if f == nil {
+						bound := []int{pe.Src}
+						if pe.Dst != pe.Src {
+							bound = append(bound, pe.Dst)
+						}
+						_, pl := prog.PlanFor(view, c.Rule, bound)
+						f = e.addForest(&forest{
+							view: view, idx: idx, plus: plus,
+							share: plan.ShareOf([]plan.ShareRule{{Rule: c.Rule, C: c, Plan: pl}}),
+						})
+						forestOf[key] = f
+					}
+					// worker 0's scratch for the forest's rule: its seeds all
+					// bind the same two slots and nothing else is bound yet
+					partial := e.local(0, f, 0).partial
 					partial[pe.Src] = op.Src
 					partial[pe.Dst] = op.Dst
 					if !match.VerifyBound(view, c.CP, partial) {
 						continue
 					}
-					prune, ySat := tk.le.EvalLevel(0, partial, 0)
+					prune, ySat := f.les[0].EvalLevel(0, partial, 0)
 					if prune {
 						continue
 					}
+					// The plan cache keys pivot plans by the sorted bound
+					// set: slots of opposite orientation share one plan, so
+					// the path follows its Bound, not (op.Src, op.Dst).
+					pl := f.share.Rules[0].Plan
+					path := make([]graph.NodeID, len(pl.Bound), len(pl.Bound)+len(pl.Steps))
+					for j, b := range pl.Bound {
+						path[j] = partial[b]
+					}
+					nd := &f.nodes[0] // no step left: the unit sits on the Root
+					if len(pl.Steps) > 0 {
+						nd = &nd.kids[0]
+					}
 					seeds = append(seeds, &unit{
-						task: ti, depth: 0, ySat: ySat,
-						pivotRank: rank, pivotSlot: slot,
-						partial: partial, lo: 0, hi: -1,
+						nd: nd, path: path, ySatR: []int{ySat},
+						pivotRank: rank, pivotSlot: slot, lo: 0, hi: -1,
 					})
 				}
 			}
@@ -165,10 +150,6 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	}
 	addPivots(ins, true, newView)
 	addPivots(del, false, g)
-
-	e := newEngine(opts, tasks)
-	e.insIdx = insIdx
-	e.delIdx = delIdx
 
 	// Pivots are discovered fragment-locally (each processor scans the unit
 	// updates landing in its fragment, Figure 3 lines 1–2), so a pivot's
@@ -185,7 +166,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	initial := make([][]*unit, opts.P)
 	for _, u := range seeds {
 		op := ins
-		if !tasks[u.task].plus {
+		if !u.nd.f.plus {
 			op = del
 		}
 		w := pt.Worker(op[u.pivotRank].Src, opts.P)

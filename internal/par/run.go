@@ -114,7 +114,7 @@ func (r *run) addWork(c float64) {
 func (r *run) step(wi int, u *unit, start float64) float64 {
 	e, w := r.e, r.ws[wi]
 	res := expandResult{cost: u.xferCharge, children: e.kids[wi]}
-	if e.opts.Limit <= 0 || r.sideVios[e.sideOf(u)].Load() < int64(e.opts.Limit) {
+	if e.opts.Limit <= 0 || r.sideVios[sideIdx(u.nd.f.plus)].Load() < int64(e.opts.Limit) {
 		res = e.expand(wi, u)
 	}
 	e.recycle(wi, u) // children and violations hold copies, never aliases

@@ -310,8 +310,7 @@ func churnOf(v graph.View) uint64 {
 
 // ForPattern builds a one-shot, cost-ordered plan for a bare compiled
 // pattern with no rule attached (no filters, no cache) — the entry point
-// for pattern matching outside detection (rule discovery, the reasoner's
-// witness search).
+// for pattern matching outside detection (the reasoner's witness search).
 func ForPattern(v graph.View, cp *pattern.Compiled) *match.Plan {
 	return costPlan(v, cp, nil, nil)
 }

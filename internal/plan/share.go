@@ -95,7 +95,7 @@ func (p *Program) ShareFor(v graph.View, rules *core.Set) *Share {
 	if len(p.shares) >= 16 {
 		clear(p.shares)
 	}
-	sh := buildShare(srs)
+	sh := ShareOf(srs)
 	p.shares[rules] = &shareEntry{share: sh, plans: plans}
 	p.sharedRules.Store(int64(sh.SharedRules))
 	return sh
@@ -113,8 +113,11 @@ func samePlans(a, b []*match.Plan) bool {
 	return true
 }
 
-// buildShare inserts every rule's step-signature path into the forest.
-func buildShare(rules []ShareRule) *Share {
+// ShareOf inserts every rule's step-signature path into a fresh forest. The
+// plans need not be batch plans: PIncDect calls it with one pivot-anchored
+// plan at a time and gets a chain (a plan with no steps left, both ends of a
+// one-edge pattern pinned, is Terminal on the Root itself).
+func ShareOf(rules []ShareRule) *Share {
 	sh := &Share{
 		Rules: rules,
 		Root:  &ShareNode{Depth: 0, Rep: -1, sigs: make(map[string]int)},

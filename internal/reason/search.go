@@ -260,29 +260,10 @@ func (s *search) addLinear(rule *core.NGD, m core.Match, e *expr.Expr, rel solve
 	c.RHS = new(big.Rat).Sub(rhs, lf.Const)
 	if len(c.Vars) == 0 {
 		// ground literal: decide immediately
-		return groundHolds(c.Rel, new(big.Rat).Neg(c.RHS))
+		return c.Rel.Holds(new(big.Rat).Neg(c.RHS))
 	}
 	s.cons = append(s.cons, c)
 	return true
-}
-
-// groundHolds decides 0·x rel rhs, i.e. lhsConst rel 0 given -rhs = const.
-func groundHolds(rel solver.Rel, lhs *big.Rat) bool {
-	sign := lhs.Sign()
-	switch rel {
-	case solver.Le:
-		return sign <= 0
-	case solver.Ge:
-		return sign >= 0
-	case solver.Eq:
-		return sign == 0
-	case solver.Lt:
-		return sign < 0
-	case solver.Gt:
-		return sign > 0
-	default:
-		return sign != 0
-	}
 }
 
 // addStringLiteral handles t ⊗ "c", "c" ⊗ t, "a" ⊗ "b", or t1 ⊗ t2 with a

@@ -301,7 +301,7 @@ func (sb *sysBuilder) addLinear(e2 *expr.Expr, rel solver.Rel, rhs *big.Rat) boo
 		r.Sub(r, new(big.Rat).Mul(c, big.NewRat(iv, 1)))
 	}
 	if len(coefs) == 0 {
-		return groundHolds(rel, new(big.Rat).Neg(r))
+		return rel.Holds(new(big.Rat).Neg(r))
 	}
 	vars := make([]int, 0, len(coefs))
 	for vi := range coefs {
@@ -412,26 +412,6 @@ func (sb *sysBuilder) solveLeaf() (vals []int64, used []bool, dev int64, st leaf
 		}
 	}
 	return vals, used, dev, leafFeasible
-}
-
-// groundHolds decides a fully-ground constraint: v carries the sign of
-// LHS − RHS after all terms folded away.
-func groundHolds(rel solver.Rel, v *big.Rat) bool {
-	s := v.Sign()
-	switch rel {
-	case solver.Le:
-		return s <= 0
-	case solver.Ge:
-		return s >= 0
-	case solver.Eq:
-		return s == 0
-	case solver.Lt:
-		return s < 0
-	case solver.Gt:
-		return s > 0
-	default: // Ne
-		return s != 0
-	}
 }
 
 func cmpToRel(op expr.Cmp) solver.Rel {

@@ -46,7 +46,8 @@ type updateRequest struct {
 //	GET  /violations/{key}     one violation by canonical key
 //	GET  /feed                 violation change feed: SSE by default,
 //	                           long-poll with ?poll=1; cursor: since=epoch
-//	GET  /stats                server + last-batch statistics
+//	GET  /stats                server + last-batch statistics; ?mem=1
+//	                           adds heap and GC counters
 //	POST /update               enqueue update ops ({"ops":[...]}; ?sync=1
 //	                           waits for the batch to commit)
 //	POST /repair/preview       enumerate ranked fixes for one violation
@@ -92,7 +93,11 @@ func (s *Server) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		st := s.Stats()
+		if r.URL.Query().Get("mem") == "1" {
+			st.Mem = readMemCounters()
+		}
+		writeJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /rules/analysis", func(w http.ResponseWriter, r *http.Request) {

@@ -143,11 +143,13 @@ type Stats struct {
 	FeedBacklog int `json:"feed_backlog"`
 	FeedOldest  int `json:"feed_oldest"`
 
-	// Mem reports process heap and GC counters (runtime.ReadMemStats) so
-	// allocation-discipline regressions show up in operations dashboards:
-	// a healthy steady-state server shows mallocs growing slowly relative
-	// to commits and num_gc roughly flat between batches.
-	Mem MemCounters `json:"mem"`
+	// Mem reports process heap and GC counters so allocation-discipline
+	// regressions show up in operations dashboards: a healthy steady-state
+	// server shows mallocs growing slowly relative to commits and num_gc
+	// roughly flat between batches. Reading them (runtime.ReadMemStats)
+	// stops the world, so Server.Stats leaves Mem nil and GET /stats fills
+	// it only on request (?mem=1).
+	Mem *MemCounters `json:"mem,omitempty"`
 
 	// LastBatch reports what the most recent commit did (nil before the
 	// first commit).
@@ -166,10 +168,10 @@ type MemCounters struct {
 	SysBytes        uint64 `json:"sys_bytes"`         // OS-reserved virtual memory
 }
 
-func readMemCounters() MemCounters {
+func readMemCounters() *MemCounters {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return MemCounters{
+	return &MemCounters{
 		HeapAllocBytes:  ms.HeapAlloc,
 		HeapObjects:     ms.HeapObjects,
 		TotalAllocBytes: ms.TotalAlloc,
@@ -332,7 +334,6 @@ func (s *Server) Stats() Stats {
 	}
 	floor, backlog, subs := s.feed.stats()
 	return Stats{
-		Mem:             readMemCounters(),
 		FeedSubs:        subs,
 		FeedBacklog:     backlog,
 		FeedOldest:      floor,

@@ -198,6 +198,31 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatsMemOnRequest: the mem block costs a stop-the-world read, so a
+// plain GET /stats (and Server.Stats) omits it and ?mem=1 asks for it.
+func TestStatsMemOnRequest(t *testing.T) {
+	sess, names := tinyWorld(t)
+	s := serve.New(sess, serve.Options{Names: names})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	var plain, withMem map[string]json.RawMessage
+	if code := getJSON(t, srv, "/stats", &plain); code != 200 {
+		t.Fatalf("stats: code %d", code)
+	}
+	if _, ok := plain["mem"]; ok || plain["epoch"] == nil || s.Stats().Mem != nil {
+		t.Fatalf("plain /stats must carry epoch and no mem block: %s", plain)
+	}
+	if code := getJSON(t, srv, "/stats?mem=1", &withMem); code != 200 {
+		t.Fatalf("stats?mem=1: code %d", code)
+	}
+	var mem serve.MemCounters
+	if err := json.Unmarshal(withMem["mem"], &mem); err != nil || mem.HeapAllocBytes == 0 || mem.Mallocs == 0 {
+		t.Fatalf("/stats?mem=1: mem block %s (%v)", withMem["mem"], err)
+	}
+}
+
 func TestDroppedOps(t *testing.T) {
 	sess, names := tinyWorld(t)
 	s := serve.New(sess, serve.Options{Names: names})

@@ -43,6 +43,26 @@ func (r Rel) String() string {
 	}
 }
 
+// Holds decides the ground constraint v r 0 — a constraint whose terms all
+// folded away, v carrying LHS − RHS — by v's sign.
+func (r Rel) Holds(v *big.Rat) bool {
+	s := v.Sign()
+	switch r {
+	case Le:
+		return s <= 0
+	case Ge:
+		return s >= 0
+	case Eq:
+		return s == 0
+	case Lt:
+		return s < 0
+	case Gt:
+		return s > 0
+	default:
+		return s != 0
+	}
+}
+
 // Constraint is Σᵢ Coef[i]·x_{Var[i]} Rel RHS.
 type Constraint struct {
 	Vars []int
