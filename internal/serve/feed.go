@@ -49,7 +49,7 @@ func toFeedEvent(ev *session.CommitEvent) *FeedEvent {
 	if len(ev.Added) > 0 {
 		fe.Added = make([]vioJSON, len(ev.Added))
 		for i, v := range ev.Added {
-			fe.Added[i] = toVioJSON(v)
+			fe.Added[i] = toVioJSON(v.Key(), v)
 		}
 	}
 	if len(ev.Removed) > 0 {

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -25,12 +23,13 @@ type vioJSON struct {
 	Text  string  `json:"text"`
 }
 
-func toVioJSON(v core.Violation) vioJSON {
+// toVioJSON renders v, whose canonical key the caller already holds.
+func toVioJSON(key string, v core.Violation) vioJSON {
 	m := make([]int32, len(v.Match))
 	for i, id := range v.Match {
 		m[i] = int32(id)
 	}
-	return vioJSON{Key: v.Key(), Rule: v.Rule.Name, Match: m, Text: v.String()}
+	return vioJSON{Key: key, Rule: v.Rule.Name, Match: m, Text: v.String()}
 }
 
 // updateRequest is the body of POST /update.
@@ -80,7 +79,8 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("GET /violations/{key}", func(w http.ResponseWriter, r *http.Request) {
 		sn := s.Snapshot()
-		v, ok := sn.Get(r.PathValue("key"))
+		key := r.PathValue("key")
+		v, ok := sn.Get(key)
 		if !ok {
 			writeJSON(w, http.StatusNotFound, map[string]any{
 				"error": "violation not found", "epoch": sn.Epoch,
@@ -88,7 +88,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"epoch": sn.Epoch, "violation": toVioJSON(v),
+			"epoch": sn.Epoch, "violation": toVioJSON(key, v),
 		})
 	})
 
@@ -211,8 +211,13 @@ func (s *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 //
 //	limit=n        page size (default 100; -1 = the rest)
 //	after=<key>    resume strictly after this canonical key
-//	rule=<name>    only violations of one rule (a range of the sorted run)
+//	rule=<name>    only violations of one rule (a stretch of the sorted keys)
 //	node=<id>      only violations whose match contains the node (postings)
+//
+// Every combination is a session.Range: the cursor and the rule are binary
+// searches on the keys the snapshot stores, and a page costs O(log total +
+// page) whatever the store size — it aliases the snapshot's storage unless
+// it crosses a chunk boundary.
 //
 // Pages are consistent within the request's epoch; because keys are stable
 // identities (unlike offsets), a walk that spans commits resumes at the
@@ -240,56 +245,35 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 
 	sn := s.Snapshot() // one load: the whole request reads one epoch
 
-	var vios []core.Violation
-	rule := q.Get("rule")
-	switch {
-	case q.Has("node"):
+	vios := sn.All()
+	if q.Has("node") {
 		id, err := intParam(q, "node", 0)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 			return
 		}
-		vios = sn.Node(graph.NodeID(id))
-		if rule != "" {
-			// intersect: walk the (short) node posting, keep the rule's
-			vios = slices.DeleteFunc(slices.Clone(vios), func(v core.Violation) bool { return v.Rule.Name != rule })
-		}
-	case rule != "":
-		vios = sn.Rule(rule)
-	default:
-		vios = sn.Violations()
+		vios = sn.Posted(graph.NodeID(id))
 	}
-	page, total, remaining := pageOf(vios, after, limit)
+	if rule := q.Get("rule"); rule != "" {
+		vios = vios.Rule(rule)
+	}
+	rest := vios.After(after) // no cursor: every key is past ""
+	keys, page := rest.Page(limit)
 
 	out := make([]vioJSON, len(page))
-	for i, vv := range page {
-		out[i] = toVioJSON(vv)
+	for i, v := range page {
+		out[i] = toVioJSON(keys[i], v)
 	}
 	resp := map[string]any{
 		"epoch":      sn.Epoch,
-		"total":      total,
+		"total":      vios.Len(),
 		"returned":   len(out),
 		"violations": out,
 	}
-	if remaining > 0 && len(out) > 0 {
-		resp["next"] = out[len(out)-1].Key
+	if len(out) > 0 && len(out) < rest.Len() {
+		resp["next"] = keys[len(keys)-1]
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// pageOf cuts one page out of a key-sorted violation list (the whole run, a
-// rule's range of it, or a node's postings): seek past the cursor, take up
-// to limit. Cost is O(log total + page), independent of store size.
-func pageOf(vios []core.Violation, after string, limit int) (page []core.Violation, total, remaining int) {
-	total = len(vios)
-	if after != "" {
-		vios = vios[sort.Search(len(vios), func(j int) bool { return vios[j].Key() > after }):]
-	}
-	n := len(vios)
-	if limit >= 0 && limit < n {
-		n = limit
-	}
-	return vios[:n], total, len(vios) - n
 }
 
 // handleFeed serves the violation change feed. Server-sent events by

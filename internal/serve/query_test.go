@@ -1,8 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"ngd/internal/core"
@@ -130,5 +133,98 @@ func TestSnapshotReadAllocBudget(t *testing.T) {
 	})
 	if allocs >= 8 {
 		t.Fatalf("snapshot read allocated %.0f objects, budget < 8", allocs)
+	}
+}
+
+// TestCursorWalkMatchesFullListing: at one epoch, walking ?after= with page
+// sizes 1, 7 and 200 concatenates to exactly the limit=-1 response — rows
+// byte for byte, "total" on every page, "next" the last row's key while rows
+// remain — over the whole store (six chunks, so pages cross chunk
+// boundaries), over ?rule= with names that are prefixes of one another, and
+// over ?node= (the hub's posting is longer than a chunk).
+func TestCursorWalkMatchesFullListing(t *testing.T) {
+	const n = 700
+	q := pattern.New()
+	x, y := q.AddNode("x", "item"), q.AddNode("y", "item")
+	q.AddEdge(x, y, "link")
+	hub := core.MustNew("r1-hub", q, nil, []core.Literal{
+		core.Lit(expr.V("x", "val"), expr.Lt, expr.V("y", "val")),
+	})
+	g := graph.New()
+	for i := 0; i < n; i++ {
+		g.SetAttr(g.AddNode("item"), "val", graph.Int(20))
+	}
+	for i := 1; i < n; i++ {
+		g.AddEdge(0, graph.NodeID(i), "link")
+	}
+	rules := core.NewSet(capRule("r1"), capRule("r10"), capRule("r1-b"), hub)
+	s := serve.New(session.New(g, rules, session.Options{}), serve.Options{})
+	defer s.Close()
+	if got := s.Snapshot().Len(); got != 4*n-1 {
+		t.Fatalf("store holds %d violations, want %d", got, 4*n-1)
+	}
+
+	type page struct {
+		Total      int               `json:"total"`
+		Returned   int               `json:"returned"`
+		Next       *string           `json:"next"`
+		Violations []json.RawMessage `json:"violations"`
+	}
+	h := s.Handler()
+	get := func(query string) page {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/violations?"+query, nil))
+		var p page
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil || rec.Code != 200 {
+			t.Fatalf("?%s: code %d, %v", query, rec.Code, err)
+		}
+		if p.Returned != len(p.Violations) {
+			t.Fatalf("?%s: returned %d beside %d rows", query, p.Returned, len(p.Violations))
+		}
+		return p
+	}
+
+	for scope, total := range map[string]int{
+		"": 4*n - 1, "rule=r1": n, "rule=r10": n, "rule=r1-b": n, "rule=r1-hub": n - 1, "rule=r": 0,
+		"node=0": n + 2, "node=0&rule=r1-hub": n - 1, "node=5": 4, "node=5&rule=r1": 1,
+	} {
+		full := get("limit=-1&" + scope)
+		if full.Total != total || len(full.Violations) != total || full.Next != nil {
+			t.Fatalf("?%s: total %d, %d rows, next %v; want %d rows", scope, full.Total, len(full.Violations), full.Next, total)
+		}
+		for _, limit := range []int{1, 7, 200} {
+			var walked []json.RawMessage
+			for after := ""; ; {
+				query := fmt.Sprintf("limit=%d&%s", limit, scope)
+				if after != "" {
+					query += "&after=" + url.QueryEscape(after)
+				}
+				p := get(query)
+				if p.Total != total || len(p.Violations) > limit {
+					t.Fatalf("?%s: total %d, %d rows", query, p.Total, len(p.Violations))
+				}
+				walked = append(walked, p.Violations...)
+				if more := len(walked) < total; more != (p.Next != nil) {
+					t.Fatalf("?%s: %d of %d rows walked, next = %v", query, len(walked), total, p.Next)
+				}
+				if p.Next == nil {
+					break
+				}
+				var last struct{ Key string }
+				if err := json.Unmarshal(p.Violations[len(p.Violations)-1], &last); err != nil || last.Key != *p.Next {
+					t.Fatalf("?%s: next %q after a page ending at %q (%v)", query, *p.Next, last.Key, err)
+				}
+				after = *p.Next
+			}
+			if len(walked) != total {
+				t.Fatalf("?%s by %d: walked %d rows of %d", scope, limit, len(walked), total)
+			}
+			for i, row := range walked {
+				if !bytes.Equal(row, full.Violations[i]) {
+					t.Fatalf("?%s by %d: row %d is %s, the full listing has %s", scope, limit, i, row, full.Violations[i])
+				}
+			}
+		}
 	}
 }

@@ -413,7 +413,7 @@ func (s *Session) Commits() int { return s.commits }
 
 // Has reports whether the store holds a violation with the given canonical
 // key: two map probes into the running commit's delta (both maps are empty
-// between commits), then a binary search of the last snapshot.
+// between commits), then two binary searches of the last snapshot.
 func (s *Session) Has(key string) bool {
 	if _, ok := s.added[key]; ok {
 		return true
@@ -754,9 +754,11 @@ func (s *Session) Recheck() error {
 			return fmt.Errorf("session: store missing violation %s", k)
 		}
 	}
-	for _, k := range s.snap.all.keys {
-		if _, ok := fresh[k]; !ok {
-			return fmt.Errorf("session: store holds stale violation %s", k)
+	for _, ch := range s.snap.all.chunks {
+		for _, k := range ch.keys {
+			if _, ok := fresh[k]; !ok {
+				return fmt.Errorf("session: store holds stale violation %s", k)
+			}
 		}
 	}
 	return nil

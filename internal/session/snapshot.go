@@ -12,13 +12,14 @@ import (
 
 // Snapshot is an immutable, consistent view of a session at one commit
 // epoch, and the only representation of the violation set the session
-// keeps: Vio(Σ, G) as one run sorted by canonical key, plus the same
-// violations posted under every node they bind. Epoch e is derived from
-// epoch e−1 by advance, inside the commit, from the commit's reconciled
-// ΔVio⁺/ΔVio⁻ (the paper's Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪ ΔVio⁺ ∖ ΔVio⁻);
-// published epochs are never touched, so any number of concurrent readers
-// can serve from a Snapshot while the session commits (internal/serve
-// relies on this for snapshot-isolated reads).
+// keeps: Vio(Σ, G) sorted by canonical key in chunks of at most chunkBound
+// entries, plus the same violations posted under every node they bind.
+// Epoch e is derived from epoch e−1 by advance, inside the commit, from the
+// commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪
+// ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and postings the delta falls
+// into; published epochs are never touched, so any number of concurrent
+// readers can serve from a Snapshot while the session commits
+// (internal/serve relies on this for snapshot-isolated reads).
 type Snapshot struct {
 	// Epoch is the commit count at capture (0 = the seeded store).
 	Epoch int
@@ -27,7 +28,7 @@ type Snapshot struct {
 	// epoch that absorbs it, not before.
 	Nodes, Edges int
 
-	all run
+	all chunked
 	// byNode posts every violation under each distinct node of its match.
 	// The map is sharded by id (id >> nodeShardBits) so the per-commit
 	// copy-on-write is O(|V|/shard size + touched shards), not O(distinct
@@ -44,18 +45,28 @@ const nodeShardBits = 8
 // Len reports |Vio(Σ, G)| at the snapshot's epoch.
 func (sn *Snapshot) Len() int { return sn.all.Len() }
 
-// Violations returns the snapshot's violations sorted by canonical key.
-// The slice is shared and must be treated as read-only, like every slice a
-// Snapshot returns.
-func (sn *Snapshot) Violations() []core.Violation { return sn.all.vios }
+// All is the whole store in key order.
+func (sn *Snapshot) All() Range { return Range{sn.all, 0, sn.all.Len()} }
 
-// Get looks up a violation by its canonical key.
+// Violations returns the snapshot's violations sorted by canonical key,
+// materialised: O(|Vio|) for a store of more than one chunk, so page
+// through All for anything but a full listing. Read-only, like every slice
+// a Snapshot returns.
+func (sn *Snapshot) Violations() []core.Violation {
+	_, vios := sn.All().Page(-1)
+	return vios
+}
+
+// Get looks up a violation by its canonical key: one binary search for the
+// chunk, one inside it.
 func (sn *Snapshot) Get(key string) (core.Violation, bool) {
-	i := sn.all.seek(key)
-	if i == len(sn.all.keys) || sn.all.keys[i] != key {
-		return core.Violation{}, false
+	if ci := sn.all.home(key); ci >= 0 {
+		ch := sn.all.chunks[ci]
+		if i := ch.seek(key); i < ch.Len() && ch.keys[i] == key {
+			return ch.vios[i], true
+		}
 	}
-	return sn.all.vios[i], true
+	return core.Violation{}, false
 }
 
 // Has reports whether the snapshot holds a violation with the given key.
@@ -64,21 +75,75 @@ func (sn *Snapshot) Has(key string) bool {
 	return ok
 }
 
-// Rule returns the violations of the named rule in key order: the range of
-// the run whose keys start with "<name>:". Rule names never contain ':'
-// (core.New rejects it), so the range holds that rule's violations only.
-func (sn *Snapshot) Rule(name string) []core.Violation {
-	if strings.Contains(name, ":") {
-		return nil
-	}
-	// ';' is ':'+1: the first key past the prefix
-	return sn.all.vios[sn.all.seek(name+":"):sn.all.seek(name+";")]
-}
-
 // Node returns the violations whose match binds node n, in key order.
 func (sn *Snapshot) Node(n graph.NodeID) []core.Violation { return sn.node(n).vios }
 
+// Posted is Node as a Range, for paging and for narrowing to one rule.
+func (sn *Snapshot) Posted(n graph.NodeID) Range {
+	p := sn.node(n)
+	if p.Len() == 0 {
+		return Range{}
+	}
+	return Range{chunked{[]run{p}, p.keys[:1], []int{0, p.Len()}}, 0, p.Len()}
+}
+
 func (sn *Snapshot) node(n graph.NodeID) run { return sn.byNode[n>>nodeShardBits][n] }
+
+// Range is a stretch of one epoch's key-sorted violations — the whole
+// store, a node's posting, or one rule's share of either — by position, so
+// narrowing and paging cost binary searches, not copies.
+type Range struct {
+	c      chunked
+	lo, hi int
+}
+
+func (r Range) Len() int { return r.hi - r.lo }
+
+// from is the position of the first key ≥ key, kept inside the range.
+func (r Range) from(key string) int { return min(max(r.c.seek(key), r.lo), r.hi) }
+
+// Rule narrows r to the violations of the named rule: the keys that start
+// with "<name>:". Rule names never contain ':' (core.New rejects it), so
+// the stretch holds that rule's violations only.
+func (r Range) Rule(name string) Range {
+	if strings.Contains(name, ":") {
+		return Range{}
+	}
+	// ';' is ':'+1: the first key past the prefix
+	return Range{r.c, r.from(name + ":"), r.from(name + ";")}
+}
+
+// After narrows r to the keys strictly greater than key (a keyset cursor).
+func (r Range) After(key string) Range {
+	r.lo = r.from(key + "\x00")
+	return r
+}
+
+// Page returns the first limit entries of r, or all of them when limit < 0,
+// each key beside its violation. A page that lies inside one chunk aliases
+// the snapshot's storage; one that crosses a boundary is a copy.
+func (r Range) Page(limit int) ([]string, []core.Violation) {
+	n := r.Len()
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	ci := sort.SearchInts(r.c.offs, r.lo+1) - 1
+	i := r.lo - r.c.offs[ci]
+	if ch := r.c.chunks[ci]; i+n <= ch.Len() {
+		return ch.keys[i : i+n : i+n], ch.vios[i : i+n : i+n]
+	}
+	out := run{make([]string, 0, n), make([]core.Violation, 0, n)}
+	for ; out.Len() < n; ci, i = ci+1, 0 {
+		ch := r.c.chunks[ci]
+		j := min(ch.Len(), i+n-out.Len())
+		out.keys = append(out.keys, ch.keys[i:j]...)
+		out.vios = append(out.vios, ch.vios[i:j]...)
+	}
+	return out.keys, out.vios
+}
 
 // run is a list of violations in ascending canonical-key order, each key
 // held beside its violation so lookups and merges compare strings instead
@@ -103,6 +168,9 @@ func (r *run) push(k string, v core.Violation) {
 
 // seek returns the position of the first key ≥ key.
 func (r run) seek(key string) int { return sort.SearchStrings(r.keys, key) }
+
+// slice is r[i:j], capped so that nothing can append over its neighbours.
+func (r run) slice(i, j int) run { return run{r.keys[i:j:j], r.vios[i:j:j]} }
 
 // merge returns r ∖ del ∪ add as a fresh run, leaving r untouched (it is
 // shared with published epochs). All three are key-sorted; one pass over
@@ -139,6 +207,105 @@ func (r run) merge(add, del run) run {
 	return out
 }
 
+// chunkBound is the most entries one chunk of the store holds; a commit
+// copies the chunks its delta falls into, so it is also the unit of a
+// commit's copying.
+const chunkBound = 512
+
+// chunked is the store's two-level sorted array: non-empty runs of at most
+// chunkBound entries in ascending key order, with each chunk's first key
+// and starting position held beside them for the binary searches. The
+// chunks of one epoch are shared with the next unless a change falls into
+// them; the top level is copied per commit (|Vio|/chunkBound entries).
+type chunked struct {
+	chunks []run
+	first  []string // first[i] == chunks[i].keys[0]
+	offs   []int    // offs[i] entries precede chunk i; offs[len(chunks)] is Len
+}
+
+func (c chunked) Len() int {
+	if len(c.offs) == 0 {
+		return 0
+	}
+	return c.offs[len(c.chunks)]
+}
+
+// home returns the chunk whose stretch of the key space holds key: the last
+// one that starts at or below it, -1 when key sorts before the whole store.
+func (c chunked) home(key string) int {
+	return sort.Search(len(c.first), func(i int) bool { return c.first[i] > key }) - 1
+}
+
+// seek returns the position in the whole store of the first key ≥ key.
+func (c chunked) seek(key string) int {
+	ci := c.home(key)
+	if ci < 0 {
+		return 0
+	}
+	return c.offs[ci] + c.chunks[ci].seek(key)
+}
+
+// apply returns c ∖ del ∪ add without touching c, under run.merge's
+// contract. It walks the changes once: a chunk no change falls into is
+// shared with c, the others are re-merged, then dropped when emptied, cut
+// into even pieces when over the bound, and joined with a neighbour when
+// under a quarter of it — without that a delete-heavy stream leaves
+// one-entry chunks behind and the top level creeps back toward |Vio|.
+func (c chunked) apply(add, del run) chunked {
+	if add.Len()+del.Len() == 0 {
+		return c
+	}
+	if len(c.chunks) == 0 {
+		c.chunks = []run{{}} // boot, or a store the last commit emptied: one empty chunk to merge into
+	}
+	out := make([]run, 0, len(c.chunks)+1+add.Len()/chunkBound)
+	put := func(m run) {
+		if n := len(out); n > 0 && 0 < m.Len() && m.Len() < chunkBound/4 {
+			m = out[n-1].merge(m, run{}) // every key of m is past the neighbour's
+			out = out[:n-1]
+		}
+		for pieces := (m.Len() + chunkBound - 1) / chunkBound; pieces > 0; pieces-- {
+			n := m.Len() / pieces
+			out = append(out, m.slice(0, n))
+			m = m.slice(n, m.Len())
+		}
+	}
+	i := 0 // next unread chunk of c
+	for a, d := 0, 0; a < add.Len() || d < del.Len(); {
+		// the chunk the next change falls into, and the changes it shares it
+		// with: those below the following chunk's first key
+		var k string
+		if d == del.Len() || a < add.Len() && add.keys[a] < del.keys[d] {
+			k = add.keys[a]
+		} else {
+			k = del.keys[d]
+		}
+		ci := max(i, c.home(k))
+		a2, d2 := add.Len(), del.Len()
+		if ci+1 < len(c.chunks) {
+			a2 = a + sort.SearchStrings(add.keys[a:], c.first[ci+1])
+			d2 = d + sort.SearchStrings(del.keys[d:], c.first[ci+1])
+		}
+		out = append(out, c.chunks[i:ci]...)
+		m := c.chunks[ci].merge(add.slice(a, a2), del.slice(d, d2))
+		a, d, i = a2, d2, ci+1
+		if len(out) == 0 && 0 < m.Len() && m.Len() < chunkBound/4 && i < len(c.chunks) {
+			// no left neighbour to join: its entries ride into the right one
+			add, a = m.merge(add.slice(a, add.Len()), run{}), 0
+			continue
+		}
+		put(m)
+	}
+	out = append(out, c.chunks[i:]...)
+
+	next := chunked{out, make([]string, len(out)), make([]int, len(out)+1)}
+	for i, ch := range out {
+		next.first[i] = ch.keys[0]
+		next.offs[i+1] = next.offs[i] + ch.Len()
+	}
+	return next
+}
+
 // newSnapshot builds epoch 0 from an unordered violation list (a seeding
 // detection run, or a persisted store): the one whole-store sort the
 // session ever pays, then the same advance every later epoch goes through.
@@ -161,15 +328,15 @@ func newSnapshot(vios []core.Violation, nodes, edges int) *Snapshot {
 
 // advance derives the next epoch from sn and one commit's net violation
 // delta — del ⊆ sn, add disjoint from sn, both key-sorted — without
-// touching sn. The run is merged in one pass (no sort, no map), only the
-// postings of nodes the delta binds are edited, with the same merge, and an
-// empty delta shares all of the predecessor's storage.
+// touching sn. Only the chunks the delta falls into and the postings of the
+// nodes it binds are re-merged (no sort, no map), everything else is shared
+// with sn, and an empty delta shares all of it.
 func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	next := &Snapshot{Epoch: sn.Epoch + 1, Nodes: nodes, Edges: edges, all: sn.all, byNode: sn.byNode}
 	if add.Len()+del.Len() == 0 {
 		return next
 	}
-	next.all = sn.all.merge(add, del)
+	next.all = sn.all.apply(add, del)
 
 	// each node's share of add ([0]) and del ([1]): sub-runs, so sorted
 	changes := make(map[graph.NodeID]*[2]run, add.Len()+del.Len())

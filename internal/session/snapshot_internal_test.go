@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -39,13 +40,15 @@ func (m refStore) render(names []string) string {
 		}
 		fmt.Fprintln(&b, "rule", name, ks)
 	}
-	for n := graph.NodeID(0); n < refIDs; n++ {
-		var ks []string
-		for _, k := range keys {
-			if slices.Contains(m[k].Match, n) {
-				ks = append(ks, k)
+	byNode := make([][]string, refIDs)
+	for _, k := range keys {
+		for i, n := range m[k].Match {
+			if !slices.Contains(m[k].Match[:i], n) {
+				byNode[n] = append(byNode[n], k)
 			}
 		}
+	}
+	for n, ks := range byNode {
 		if ks != nil {
 			fmt.Fprintln(&b, "node", n, ks)
 		}
@@ -66,17 +69,22 @@ func keysOf(vios []core.Violation) []string {
 func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintln(&b, "all", keysOf(sn.Violations()))
-	if sn.Len() != len(sn.Violations()) {
-		t.Fatalf("epoch %d: Len %d, %d violations", sn.Epoch, sn.Len(), len(sn.Violations()))
+	keys, vios := sn.All().Page(-1)
+	fmt.Fprintln(&b, "all", keys)
+	if sn.Len() != len(keys) || !slices.Equal(keys, keysOf(sn.Violations())) {
+		t.Fatalf("epoch %d: Len %d, %d keys paged beside %v", sn.Epoch, sn.Len(), len(keys), keysOf(sn.Violations()))
 	}
-	for _, v := range sn.Violations() {
-		if got, ok := sn.Get(v.Key()); !ok || got.Rule != v.Rule || !slices.Equal(got.Match, v.Match) || !sn.Has(v.Key()) {
-			t.Fatalf("epoch %d: Get(%s) = %v, %v", sn.Epoch, v.Key(), got, ok)
+	for i, k := range keys {
+		if got, ok := sn.Get(k); !ok || got.Rule != vios[i].Rule || !slices.Equal(got.Match, vios[i].Match) || !sn.Has(k) {
+			t.Fatalf("epoch %d: Get(%s) = %v, %v", sn.Epoch, k, got, ok)
 		}
 	}
 	for _, name := range names {
-		fmt.Fprintln(&b, "rule", name, keysOf(sn.Rule(name)))
+		ks, vs := sn.All().Rule(name).Page(-1)
+		if !slices.Equal(ks, keysOf(vs)) {
+			t.Fatalf("epoch %d: rule %s pages keys %v beside %v", sn.Epoch, name, ks, keysOf(vs))
+		}
+		fmt.Fprintln(&b, "rule", name, ks)
 	}
 	for n := graph.NodeID(0); n < refIDs; n++ {
 		if ks := keysOf(sn.Node(n)); ks != nil {
@@ -86,14 +94,58 @@ func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 	return b.String()
 }
 
+// checkChunks asserts the two-level array's invariants: chunks non-empty,
+// within the bound, key-sorted across the whole store, none under a quarter
+// of the bound unless it is the only one, and first/offs/Len in step.
+func checkChunks(t *testing.T, sn *Snapshot) {
+	t.Helper()
+	c := sn.all
+	if len(c.first) != len(c.chunks) || len(c.chunks) > 0 && len(c.offs) != len(c.chunks)+1 {
+		t.Fatalf("epoch %d: %d chunks, %d first keys, %d offsets", sn.Epoch, len(c.chunks), len(c.first), len(c.offs))
+	}
+	n, last := 0, ""
+	for i, ch := range c.chunks {
+		if ch.Len() == 0 || ch.Len() > chunkBound || len(ch.vios) != len(ch.keys) {
+			t.Fatalf("epoch %d: chunk %d holds %d keys, %d violations", sn.Epoch, i, len(ch.keys), len(ch.vios))
+		}
+		if len(c.chunks) > 1 && ch.Len() < chunkBound/4 {
+			t.Fatalf("epoch %d: chunk %d of %d was left with %d entries", sn.Epoch, i, len(c.chunks), ch.Len())
+		}
+		if c.first[i] != ch.keys[0] || c.offs[i] != n {
+			t.Fatalf("epoch %d: chunk %d starts at %q/%d, top level says %q/%d", sn.Epoch, i, ch.keys[0], n, c.first[i], c.offs[i])
+		}
+		for j, k := range ch.keys {
+			if k <= last || ch.vios[j].Key() != k {
+				t.Fatalf("epoch %d: chunk %d entry %d: key %q after %q, violation %s", sn.Epoch, i, j, k, last, ch.vios[j].Key())
+			}
+			last = k
+		}
+		n += ch.Len()
+	}
+	if c.Len() != n {
+		t.Fatalf("epoch %d: Len %d, chunks hold %d", sn.Epoch, c.Len(), n)
+	}
+}
+
 // TestAdvanceMatchesMapReference drives the store's whole write path —
 // Has/add/remove against "last snapshot + the commit's delta", then publish
 // — with random commits and compares every epoch, and every earlier epoch
-// again after each later commit, with the map reference.
+// again after each later commit, with the map reference — on a store of one
+// chunk, and on one of several with commits aimed at the chunk structure.
 func TestAdvanceMatchesMapReference(t *testing.T) {
-	// names that are prefixes of one another: Rule must not confuse them
-	names := []string{"a", "a1", "ab", "b", "none"}
-	rules := make([]*core.NGD, 4)
+	t.Run("one-chunk", func(t *testing.T) { advanceAgainstReference(t, 12, 120, false) })
+	t.Run("chunked", func(t *testing.T) { advanceAgainstReference(t, 1<<nodeShardBits, 10, true) })
+}
+
+// advanceAgainstReference runs the random stream over ids node ids per
+// shard for the given number of commits; structural adds the seeding and the
+// commits that overflow, empty, behead and shrink chunks.
+func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
+	// names that are prefixes of one another: Rule must not confuse them.
+	// The random stream uses the first four; a0, aa and zz sort before, amid
+	// and after them, for the commits that aim at one chunk.
+	names := []string{"a", "a1", "ab", "b", "a0", "aa", "zz", "none"}
+	rules := make([]*core.NGD, 7)
 	for i := range rules {
 		rules[i] = &core.NGD{Name: names[i]}
 	}
@@ -101,9 +153,9 @@ func TestAdvanceMatchesMapReference(t *testing.T) {
 	randVio := func(shard int) core.Violation {
 		m := make(core.Match, 1+rng.Intn(3))
 		for i := range m {
-			m[i] = graph.NodeID(shard<<nodeShardBits + rng.Intn(12)) // few ids: long postings, repeated nodes
+			m[i] = graph.NodeID(shard<<nodeShardBits + rng.Intn(ids)) // few ids: long postings, repeated nodes
 		}
-		return core.Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
+		return core.Violation{Rule: rules[rng.Intn(4)], Match: m}
 	}
 
 	s := &Session{g: graph.New(), snap: newSnapshot(nil, 0, 0),
@@ -176,9 +228,10 @@ func TestAdvanceMatchesMapReference(t *testing.T) {
 		if !slices.Equal(keysOf(ev.Added), wantAdd) || !slices.Equal(keysOf(ev.Removed), wantDel) {
 			t.Fatalf("epoch %d event +%v −%v, want +%v −%v", ev.Epoch, keysOf(ev.Added), keysOf(ev.Removed), wantAdd, wantDel)
 		}
-		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.keys[0] != &prev.all.keys[0] {
-			t.Fatalf("epoch %d: an empty event copied the run", ev.Epoch)
+		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.chunks[0].keys[0] != &prev.all.chunks[0].keys[0] {
+			t.Fatalf("epoch %d: an empty event copied the store", ev.Epoch)
 		}
+		checkChunks(t, s.snap)
 		if s.snap.Epoch != prev.Epoch+1 || s.snap == prev {
 			t.Fatalf("epoch %d follows %d", s.snap.Epoch, prev.Epoch)
 		}
@@ -199,7 +252,11 @@ func TestAdvanceMatchesMapReference(t *testing.T) {
 	commit(func() { remove(v7) }) // the store, and the shard, are empty
 	commit(func() { add(v5) })
 
-	for step := 0; step < 120; step++ {
+	if structural {
+		structuralCommits(t, s, commit, add, remove, rules)
+	}
+
+	for step := 0; step < steps; step++ {
 		commit(func() {
 			switch step % 10 {
 			case 0: // empty event
@@ -256,5 +313,141 @@ func TestAdvanceMatchesMapReference(t *testing.T) {
 	list = append(list, list[0])
 	if got, want := renderSnapshot(t, newSnapshot(list, 0, 0), names), ref.render(names); got != want {
 		t.Fatalf("newSnapshot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// structuralCommits seeds the store past four chunk bounds and then aims one
+// commit at each thing a chunk can do: overflow (at the front, in the middle
+// and at the end of the key space), empty, lose its first key, and fall
+// under the coalescing threshold with a left neighbour and without one.
+func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remove func(core.Violation), rules []*core.NGD) {
+	t.Helper()
+	chunks := func() []run { return s.snap.all.chunks }
+	block := func(rule *core.NGD, n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				add(core.Violation{Rule: rule, Match: core.Match{graph.NodeID(i % refIDs), graph.NodeID(i / refIDs)}})
+			}
+		}
+	}
+	drop := func(ch run, from, to int) {
+		for _, v := range ch.vios[from:to] {
+			remove(v)
+		}
+	}
+
+	commit(block(rules[1], 4*chunkBound+chunkBound/2)) // boot-sized add into a one-entry store
+	if n := len(chunks()); n < 5 {
+		t.Fatalf("seeding left %d chunks", n)
+	}
+	for _, rule := range rules[4:7] { // a0: before chunk 0; aa: inside the run; zz: past the end
+		n := len(chunks())
+		commit(block(rule, chunkBound+chunkBound/2))
+		if len(chunks()) <= n {
+			t.Fatalf("%d entries of rule %s did not split a chunk: %d chunks, then %d", chunkBound+chunkBound/2, rule.Name, n, len(chunks()))
+		}
+	}
+
+	n, third := len(chunks()), chunks()[3].keys[0]
+	commit(func() { drop(chunks()[2], 0, chunks()[2].Len()) })
+	if len(chunks()) != n-1 || chunks()[2].keys[0] != third {
+		t.Fatalf("emptying chunk 2 of %d left %d, chunk 2 starting at %s", n, len(chunks()), chunks()[2].keys[0])
+	}
+
+	second := chunks()[1].keys[1]
+	commit(func() { drop(chunks()[1], 0, 1) })
+	if got := s.snap.all.first[1]; got != second {
+		t.Fatalf("chunk 1 lost its first key and starts at %s, want %s", got, second)
+	}
+
+	// under the threshold in the middle (joins its left neighbour), then at
+	// the front (rides into its right one); checkChunks sees no runt either way
+	for _, ci := range []int{2, 0} {
+		total := s.snap.Len()
+		commit(func() { drop(chunks()[ci], chunkBound/8, chunks()[ci].Len()) })
+		if total-s.snap.Len() < chunkBound/8 {
+			t.Fatalf("chunk %d was too small to shrink: store went %d → %d", ci, total, s.snap.Len())
+		}
+	}
+	// a delete-heavy stream: every chunk down to one entry in one commit
+	commit(func() {
+		for _, ch := range chunks() {
+			drop(ch, 1, ch.Len())
+		}
+	})
+	if got, most := len(chunks()), 1+s.snap.Len()/(chunkBound/4); got > most {
+		t.Fatalf("one entry of every chunk was left as %d chunks of %d entries", got, s.snap.Len())
+	}
+	commit(block(rules[5], 2*chunkBound)) // and grow back
+}
+
+// capStore is a snapshot of n one-node violations cap:0 … cap:n−1, and the
+// run of the sixteen BenchmarkSnapshotAdvance flips (cap:0 … cap:15).
+func capStore(n int) (*Snapshot, run) {
+	rule := &core.NGD{Name: "cap"}
+	vios := make([]core.Violation, n)
+	for i := range vios {
+		vios[i] = core.Violation{Rule: rule, Match: core.Match{graph.NodeID(i)}}
+	}
+	var flips run
+	for _, v := range vios[:16] {
+		flips.push(v.Key(), v)
+	}
+	sort.Sort(flips)
+	return newSnapshot(vios, n, 0), flips
+}
+
+// TestAdvanceSharesUntouchedChunks: a one-key delta re-merges the chunk the
+// key falls into and nothing else — every other chunk of the next epoch is
+// the predecessor's storage.
+func TestAdvanceSharesUntouchedChunks(t *testing.T) {
+	sn, flips := capStore(8 * chunkBound)
+	one := flips.slice(7, 8)
+	for _, step := range []struct {
+		what     string
+		add, del run
+	}{{"delete", run{}, one}, {"add", one, run{}}} {
+		next := sn.advance(step.add, step.del, sn.Nodes, sn.Edges)
+		checkChunks(t, next)
+		if len(next.all.chunks) != len(sn.all.chunks) {
+			t.Fatalf("%s of one key: %d chunks, then %d", step.what, len(sn.all.chunks), len(next.all.chunks))
+		}
+		home := sn.all.home(one.keys[0])
+		for i := range next.all.chunks {
+			if shared := &next.all.chunks[i].keys[0] == &sn.all.chunks[i].keys[0]; shared == (i == home) {
+				t.Fatalf("%s of %s (chunk %d): chunk %d shared = %v", step.what, one.keys[0], home, i, shared)
+			}
+		}
+		sn = next
+	}
+}
+
+// TestPublishIsDeltaSized: the bytes a commit's publish step allocates
+// depend on the delta, not on the store — sixteen-key commits on 200k
+// violations allocate under twice what they do on 20k (the flat run's copy
+// per commit read ≈ 9.5×). A count, not a timing.
+func TestPublishIsDeltaSized(t *testing.T) {
+	perCommit := func(size int) float64 {
+		sn, flips := capStore(size)
+		const commits = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < commits; i++ {
+			if i%2 == 0 {
+				sn = sn.advance(run{}, flips, sn.Nodes, sn.Edges)
+			} else {
+				sn = sn.advance(flips, run{}, sn.Nodes, sn.Edges)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if sn.Len() != size {
+			t.Fatalf("%d flips left %d of %d violations", commits, sn.Len(), size)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / commits
+	}
+	small, large := perCommit(20_000), perCommit(200_000)
+	t.Logf("advance allocates %.0f B per commit at 20k, %.0f B at 200k (×%.2f)", small, large, large/small)
+	if large > 2*small {
+		t.Fatalf("publish grows with the store: %.0f B per commit at 20k, %.0f B at 200k", small, large)
 	}
 }

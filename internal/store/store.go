@@ -391,7 +391,7 @@ func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[str
 		G:          sess.Graph(),
 		Names:      names,
 		RulesText:  st.rulesText,
-		Violations: violationRecs(sess),
+		Violations: violationRecs(sess.Snapshot()),
 	}
 	if err := st.writeSnapshotFile(sd); err != nil {
 		return err
@@ -505,12 +505,34 @@ func (st *Store) Checkpoint() error {
 	return st.startCheckpoint(false)
 }
 
-// startCheckpoint rotates the WAL at the current seq and snapshots the
-// session state. The clone of the graph, names and violation store happens
-// on the calling (writer) goroutine — commits are stalled for a memcpy —
-// while encoding, fsync, rename and pruning run in the background when
-// async. st.ckptBusy is held on entry and released when the job finishes.
+// startCheckpoint captures the session state and writes it out, in the
+// background when async. st.ckptBusy is held on entry and released when the
+// job finishes.
 func (st *Store) startCheckpoint(async bool) error {
+	job, err := st.captureCheckpoint()
+	if err != nil {
+		st.ckptBusy.Store(false)
+		return err
+	}
+	if async {
+		st.ckptWG.Add(1)
+		go func() {
+			defer st.ckptWG.Done()
+			_ = job()
+		}()
+		return nil
+	}
+	return job()
+}
+
+// captureCheckpoint rotates the WAL at the current seq and captures the
+// session state on the calling (writer) goroutine: the graph and the name
+// map are cloned — commits are stalled for that memcpy — and the violation
+// set is the session's current snapshot, a pointer, since epochs are
+// immutable. The returned job renders the violation records, encodes,
+// fsyncs, renames and prunes; commits that land before it runs are not in
+// the file it writes.
+func (st *Store) captureCheckpoint() (job func() error, err error) {
 	st.mu.Lock()
 	seq := st.seq
 	st.ckptSeq = seq
@@ -521,13 +543,11 @@ func (st *Store) startCheckpoint(async bool) error {
 	// recovers from the previous snapshot plus the full chain
 	if st.wal.start != seq {
 		if err := st.wal.close(); err != nil {
-			st.ckptBusy.Store(false)
-			return err
+			return nil, err
 		}
 		w, err := createWAL(filepath.Join(st.dir, walName(seq)), seq, !st.opts.NoSync)
 		if err != nil {
-			st.ckptBusy.Store(false)
-			return err
+			return nil, err
 		}
 		st.wal = w
 	}
@@ -537,16 +557,17 @@ func (st *Store) startCheckpoint(async bool) error {
 		names[k] = v
 	}
 	sd := &snapshotData{
-		Seq:        seq,
-		G:          st.sess.Graph().CloneDetached(),
-		Names:      names,
-		RulesText:  st.rulesText,
-		Violations: violationRecs(st.sess),
+		Seq:       seq,
+		G:         st.sess.Graph().CloneDetached(),
+		Names:     names,
+		RulesText: st.rulesText,
 	}
+	vios := st.sess.Snapshot()
 
-	job := func() error {
+	return func() error {
 		defer st.ckptBusy.Store(false)
 		t0 := time.Now()
+		sd.Violations = violationRecs(vios)
 		if err := st.writeSnapshotFile(sd); err != nil {
 			st.mu.Lock()
 			st.ckptErr = err
@@ -566,16 +587,7 @@ func (st *Store) startCheckpoint(async bool) error {
 		st.ckptErr = nil // durability restored; stop reporting the stale failure
 		st.mu.Unlock()
 		return nil
-	}
-	if async {
-		st.ckptWG.Add(1)
-		go func() {
-			defer st.ckptWG.Done()
-			_ = job()
-		}()
-		return nil
-	}
-	return job()
+	}, nil
 }
 
 // writeSnapshotFile encodes sd to a temp file in the data directory,
@@ -684,9 +696,9 @@ func (st *Store) Close() error {
 	return err
 }
 
-// violationRecs renders the session's live store in persistent form.
-func violationRecs(sess *session.Session) []vioRec {
-	vios := sess.Snapshot().Violations()
+// violationRecs renders one epoch's violation set in persistent form.
+func violationRecs(sn *session.Snapshot) []vioRec {
+	vios := sn.Violations()
 	out := make([]vioRec, len(vios))
 	for i, v := range vios {
 		out[i] = vioRec{Rule: v.Rule.Name, Match: []graph.NodeID(v.Match)}

@@ -15,7 +15,10 @@ import (
 	"strings"
 	"testing"
 
+	"ngd/internal/core"
 	"ngd/internal/graph"
+	"ngd/internal/pattern"
+	"ngd/internal/session"
 )
 
 // fingerprint renders everything the snapshot codec must preserve about a
@@ -321,5 +324,74 @@ func TestWALEmptySegment(t *testing.T) {
 	got, res := scanAll(t, path)
 	if len(got) != 0 || res.Truncated || res.Start != 7 {
 		t.Errorf("empty segment: records=%d truncated=%v start=%d", len(got), res.Truncated, res.Start)
+	}
+}
+
+// TestCheckpointWritesTheCapturedEpoch: the checkpoint captures the
+// violation set as the session's snapshot at capture time and renders it in
+// the job, so commits that land between capture and encode — the writer
+// keeps committing while a background checkpoint runs — are in the WAL
+// suffix, not in the snapshot file.
+func TestCheckpointWritesTheCapturedEpoch(t *testing.T) {
+	q := pattern.New()
+	q.AddNode("x", "item")
+	rules := core.NewSet(core.MustNew("cap", q, nil, []core.Literal{core.MustLiteral("x.val <= 10")}))
+	g := graph.New()
+	for i := 0; i < 8; i++ {
+		g.SetAttr(g.AddNode("item"), "val", graph.Int(1))
+	}
+	sess := session.New(g, rules, session.Options{})
+	set := func(n graph.NodeID, val int64) {
+		sess.CommitBatch(nil, []graph.AttrOp{{Node: n, Attr: g.Symbols().Attr("val"), Val: graph.Int(val)}})
+	}
+
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(sess, rules, nil); err != nil {
+		t.Fatal(err)
+	}
+	set(2, 20)
+	set(5, 20)
+
+	st.ckptBusy.Store(true)
+	job, err := st.captureCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set(5, 1) // cleared after capture
+	set(7, 20)
+	if err := job(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(filepath.Join(dir, snapName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sd, err := readSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sd.Violations); got != "[{cap [2]} {cap [5]}]" {
+		t.Fatalf("snapshot at seq 2 holds %s, want the violations of nodes 2 and 5", got)
+	}
+	if v, _ := sd.G.Attr(7, sd.G.Symbols().Attr("val")).AsInt(); v != 1 {
+		t.Fatalf("snapshot graph has node 7 at val %d: a later commit leaked into it", v)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// and recovery replays the two later commits on top of it
+	_, rec, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rec.Session.Violations()); rec.Replayed != 2 || got != fmt.Sprint(sess.Violations()) {
+		t.Fatalf("recovered %s after %d replayed batches, live store is %v", got, rec.Replayed, sess.Violations())
 	}
 }
