@@ -2,9 +2,9 @@ package dsl
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"ngd/internal/graph"
 )
@@ -22,42 +22,30 @@ import (
 //	delete <srcid> <label> <dstid>
 //
 // ids are arbitrary tokens without whitespace; string attribute values are
-// Go-quoted.
+// Go-quoted. ids, labels and attribute names are opaque bytes: they are
+// compared and stored exactly as they appear in the file, invalid UTF-8
+// included.
 
 // LoadGraph reads the graph format. It returns the graph and the id→node
 // mapping (useful for later update files).
 func LoadGraph(r io.Reader) (*graph.Graph, map[string]graph.NodeID, error) {
-	g := graph.New()
-	ids := make(map[string]graph.NodeID)
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	syms := graph.NewSymbols()
+	b := graph.NewBuilder(syms)
+	ld := newLoader(syms, make(map[string]graph.NodeID), b.AddNodeL,
+		func(_ graph.NodeID, a graph.AttrID, val graph.Value) { b.SetAttrA(a, val) })
+	err := scanLines(r, func(line int, fields [][]byte) error {
+		switch string(fields[0]) {
 		case "node":
-			if len(fields) < 3 {
-				return fmt.Errorf("line %d: node needs id and label", line)
-			}
-			if _, dup := ids[fields[1]]; dup {
-				return fmt.Errorf("line %d: duplicate node id %q", line, fields[1])
-			}
-			v := g.AddNode(fields[2])
-			ids[fields[1]] = v
-			for _, kv := range fields[3:] {
-				if err := setAttr(g, v, kv); err != nil {
-					return fmt.Errorf("line %d: %v", line, err)
-				}
-			}
+			return ld.node(line, fields)
 		case "edge":
 			if len(fields) != 4 {
 				return fmt.Errorf("line %d: edge needs `edge src label dst`", line)
 			}
-			src, ok1 := ids[fields[1]]
-			dst, ok2 := ids[fields[3]]
-			if !ok1 {
-				return fmt.Errorf("line %d: edge references unknown node %q", line, fields[1])
+			src, dst, l, err := ld.edge(line, fields)
+			if err != nil {
+				return err
 			}
-			if !ok2 {
-				return fmt.Errorf("line %d: edge references unknown node %q", line, fields[3])
-			}
-			g.AddEdge(src, dst, fields[2])
+			b.AddEdgeL(src, dst, l)
 		default:
 			return fmt.Errorf("line %d: unknown directive %q", line, fields[0])
 		}
@@ -66,43 +54,27 @@ func LoadGraph(r io.Reader) (*graph.Graph, map[string]graph.NodeID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return g, ids, nil
+	return b.Build(), ld.ids, nil
 }
 
 // LoadDelta reads an update file against g, adding any declared new nodes
 // to g and returning the edge delta.
 func LoadDelta(r io.Reader, g *graph.Graph, ids map[string]graph.NodeID) (*graph.Delta, error) {
 	d := &graph.Delta{}
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	ld := newLoader(g.Symbols(), ids, g.AddNodeL, g.SetAttrA)
+	err := scanLines(r, func(line int, fields [][]byte) error {
+		switch verb := string(fields[0]); verb {
 		case "node":
-			if len(fields) < 3 {
-				return fmt.Errorf("line %d: node needs id and label", line)
-			}
-			if _, dup := ids[fields[1]]; dup {
-				return fmt.Errorf("line %d: duplicate node id %q", line, fields[1])
-			}
-			v := g.AddNode(fields[2])
-			ids[fields[1]] = v
-			for _, kv := range fields[3:] {
-				if err := setAttr(g, v, kv); err != nil {
-					return fmt.Errorf("line %d: %v", line, err)
-				}
-			}
+			return ld.node(line, fields)
 		case "insert", "delete":
 			if len(fields) != 4 {
-				return fmt.Errorf("line %d: %s needs `src label dst`", line, fields[0])
+				return fmt.Errorf("line %d: %s needs `src label dst`", line, verb)
 			}
-			src, ok1 := ids[fields[1]]
-			dst, ok2 := ids[fields[3]]
-			if !ok1 {
-				return fmt.Errorf("line %d: %s references unknown node %q", line, fields[0], fields[1])
+			src, dst, l, err := ld.edge(line, fields)
+			if err != nil {
+				return err
 			}
-			if !ok2 {
-				return fmt.Errorf("line %d: %s references unknown node %q", line, fields[0], fields[3])
-			}
-			l := g.Symbols().Label(fields[2])
-			if fields[0] == "insert" {
+			if verb == "insert" {
 				d.Insert(src, dst, l)
 			} else {
 				d.Delete(src, dst, l)
@@ -116,6 +88,113 @@ func LoadDelta(r io.Reader, g *graph.Graph, ids map[string]graph.NodeID) (*graph
 		return nil, err
 	}
 	return d, nil
+}
+
+// loader holds what LoadGraph and LoadDelta share: the external-id map,
+// the node sink (a Builder for a whole graph, the graph's own mutators for
+// an update file's inline nodes) and a text → id cache in front of the
+// symbol table. Fields alias the scanner's buffer and die at the next line,
+// so map lookups convert in place (m[string(b)] does not copy) and a string
+// is made only for what is kept: a new node id, a first-seen name.
+type loader struct {
+	syms    *graph.Symbols
+	ids     map[string]graph.NodeID
+	labels  map[string]graph.LabelID
+	attrs   map[string]graph.AttrID
+	addNode func(graph.LabelID) graph.NodeID
+	setAttr func(graph.NodeID, graph.AttrID, graph.Value)
+}
+
+func newLoader(syms *graph.Symbols, ids map[string]graph.NodeID,
+	addNode func(graph.LabelID) graph.NodeID,
+	setAttr func(graph.NodeID, graph.AttrID, graph.Value)) *loader {
+	return &loader{
+		syms: syms, ids: ids, addNode: addNode, setAttr: setAttr,
+		labels: make(map[string]graph.LabelID),
+		attrs:  make(map[string]graph.AttrID),
+	}
+}
+
+func (ld *loader) label(b []byte) graph.LabelID {
+	id, ok := ld.labels[string(b)]
+	if !ok {
+		name := string(b)
+		id = ld.syms.Label(name)
+		ld.labels[name] = id
+	}
+	return id
+}
+
+func (ld *loader) attr(b []byte) graph.AttrID {
+	id, ok := ld.attrs[string(b)]
+	if !ok {
+		name := string(b)
+		id = ld.syms.Attr(name)
+		ld.attrs[name] = id
+	}
+	return id
+}
+
+// node handles `node <id> <label> [attr=value ...]`.
+func (ld *loader) node(line int, fields [][]byte) error {
+	if len(fields) < 3 {
+		return fmt.Errorf("line %d: node needs id and label", line)
+	}
+	if _, dup := ld.ids[string(fields[1])]; dup {
+		return fmt.Errorf("line %d: duplicate node id %q", line, fields[1])
+	}
+	v := ld.addNode(ld.label(fields[2]))
+	ld.ids[string(fields[1])] = v
+	for _, kv := range fields[3:] {
+		i := bytes.IndexByte(kv, '=')
+		if i <= 0 {
+			return fmt.Errorf("line %d: bad attribute %q (want name=value)", line, kv)
+		}
+		val, err := parseValue(kv[i+1:])
+		if err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
+		}
+		ld.setAttr(v, ld.attr(kv[:i]), val)
+	}
+	return nil
+}
+
+// edge resolves `<verb> <src> <label> <dst>` (arity already checked). The
+// label is interned only once both endpoints are known.
+func (ld *loader) edge(line int, fields [][]byte) (src, dst graph.NodeID, l graph.LabelID, err error) {
+	src, ok := ld.ids[string(fields[1])]
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("line %d: %s references unknown node %q", line, fields[0], fields[1])
+	}
+	dst, ok = ld.ids[string(fields[3])]
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("line %d: %s references unknown node %q", line, fields[0], fields[3])
+	}
+	return src, dst, ld.label(fields[2]), nil
+}
+
+// parseValue is graph.ParseValue over bytes: a decimal integer of at most
+// 18 digits (it cannot overflow) is read in place, anything else takes the
+// string route.
+func parseValue(b []byte) (graph.Value, error) {
+	digits := b
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		digits = b[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return graph.ParseValue(string(b))
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return graph.ParseValue(string(b))
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if b[0] == '-' {
+		n = -n
+	}
+	return graph.Int(n), nil
 }
 
 // WriteGraph renders g in the graph format with node ids "n<index>".
@@ -149,37 +228,23 @@ func WriteDelta(w io.Writer, g *graph.Graph, d *graph.Delta) error {
 	return bw.Flush()
 }
 
-func setAttr(g *graph.Graph, v graph.NodeID, kv string) error {
-	i := strings.IndexByte(kv, '=')
-	if i <= 0 {
-		return fmt.Errorf("bad attribute %q (want name=value)", kv)
-	}
-	val, err := graph.ParseValue(kv[i+1:])
-	if err != nil {
-		return err
-	}
-	g.SetAttr(v, kv[:i], val)
-	return nil
-}
-
 // scanLines tokenizes non-empty, non-comment lines. Quoted strings in
 // attribute values survive because fields are split on spaces outside
-// quotes. Every error — directive errors from fn and scanner failures
-// alike — carries the 1-based line number it arose on.
-func scanLines(r io.Reader, fn func(line int, fields []string) error) error {
+// quotes. The fields alias the scanner's buffer: fn must copy what it keeps.
+// Every error — directive errors from fn and scanner failures alike —
+// carries the 1-based line number it arose on.
+func scanLines(r io.Reader, fn func(line int, fields [][]byte) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	var fields [][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || s[0] == '#' {
+		s := bytes.TrimSpace(sc.Bytes())
+		if len(s) == 0 || s[0] == '#' {
 			continue
 		}
-		fields := splitQuoted(s)
-		if len(fields) == 0 {
-			continue
-		}
+		fields = splitQuoted(fields[:0], s)
 		if err := fn(line, fields); err != nil {
 			return fmt.Errorf("dsl: %w", err)
 		}
@@ -192,36 +257,34 @@ func scanLines(r io.Reader, fn func(line int, fields []string) error) error {
 	return nil
 }
 
-// splitQuoted splits on whitespace, keeping double-quoted spans (with
-// backslash escapes) intact.
-func splitQuoted(s string) []string {
-	var out []string
-	var cur strings.Builder
-	inQ := false
-	esc := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range s {
+// splitQuoted appends to dst the fields of s: maximal spans free of spaces
+// and tabs outside double quotes (backslash escapes the next byte inside
+// quotes). Every separator is ASCII, so the scan is by byte and multi-byte
+// or invalid sequences pass through untouched; fields are subslices of s.
+func splitQuoted(dst [][]byte, s []byte) [][]byte {
+	start := -1
+	inQ, esc := false, false
+	for i, c := range s {
 		switch {
 		case esc:
-			cur.WriteRune(r)
 			esc = false
-		case r == '\\' && inQ:
-			cur.WriteRune(r)
+		case c == '\\' && inQ:
 			esc = true
-		case r == '"':
-			cur.WriteRune(r)
+		case c == '"':
 			inQ = !inQ
-		case (r == ' ' || r == '\t') && !inQ:
-			flush()
-		default:
-			cur.WriteRune(r)
+		case (c == ' ' || c == '\t') && !inQ:
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+			continue
+		}
+		if start < 0 {
+			start = i
 		}
 	}
-	flush()
-	return out
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }

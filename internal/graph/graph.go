@@ -431,30 +431,50 @@ func (g *Graph) InducedEdges(set map[NodeID]struct{}, fn func(u, v NodeID, l Lab
 	}
 }
 
-// Clone returns a deep copy sharing the symbol table. Attribute indexes and
-// maintained statistics are not copied; the clone rebuilds them on the next
-// EnsureAttrIndex / LiveStats call.
+// slab is one backing array that per-node lists are copied into back to
+// back. Every copy's capacity is clipped to its length, so an append to it
+// reallocates that one list instead of writing into its neighbour's.
+type slab[T any] []T
+
+func (s *slab[T]) copyOf(l []T) []T {
+	if len(l) == 0 {
+		return nil
+	}
+	lo := len(*s)
+	*s = append(*s, l...)
+	return (*s)[lo:len(*s):len(*s)]
+}
+
+// Clone returns a deep copy sharing the symbol table, in the layout
+// Builder.Build produces: attribute tuples, out-lists, in-lists and
+// by-label postings each copied into one backing array. Attribute indexes
+// and maintained statistics are not copied; the clone rebuilds them on the
+// next EnsureAttrIndex / LiveStats call.
 func (g *Graph) Clone() *Graph {
+	n := len(g.nodes)
 	c := &Graph{
 		syms:      g.syms,
-		nodes:     make([]nodeData, len(g.nodes)),
-		out:       make([][]Half, len(g.out)),
-		in:        make([][]Half, len(g.in)),
+		nodes:     make([]nodeData, n),
+		out:       make([][]Half, n),
+		in:        make([][]Half, n),
 		edgeCount: g.edgeCount,
 		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
 	}
-	copy(c.nodes, g.nodes)
+	nAttrs := 0
 	for i := range g.nodes {
-		if g.nodes[i].attrs != nil {
-			c.nodes[i].attrs = append([]attrPair(nil), g.nodes[i].attrs...)
-		}
+		nAttrs += len(g.nodes[i].attrs)
 	}
-	for i := range g.out {
-		c.out[i] = append([]Half(nil), g.out[i]...)
-		c.in[i] = append([]Half(nil), g.in[i]...)
+	attrs := make(slab[attrPair], 0, nAttrs)
+	out := make(slab[Half], 0, g.edgeCount)
+	in := make(slab[Half], 0, g.edgeCount)
+	for i := range g.nodes {
+		c.nodes[i] = nodeData{label: g.nodes[i].label, attrs: attrs.copyOf(g.nodes[i].attrs)}
+		c.out[i] = out.copyOf(g.out[i])
+		c.in[i] = in.copyOf(g.in[i])
 	}
+	ids := make(slab[NodeID], 0, n)
 	for l, ns := range g.byLabel {
-		c.byLabel[l] = append([]NodeID(nil), ns...)
+		c.byLabel[l] = ids.copyOf(ns)
 	}
 	return c
 }

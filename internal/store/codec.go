@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -26,17 +25,23 @@ import (
 // absurd allocation.
 const maxString = 64 << 20
 
+// strChunk is how much of a string is allocated ahead of the bytes read.
+const strChunk = 1 << 16
+
 // cwriter streams bytes to an underlying writer while folding them into a
-// CRC-32 and counting them.
+// CRC-32 and counting them. Every field is rendered into (strings: copied
+// through) scratch, which lives in the struct so that handing it to the
+// writer does not make a fresh array escape on every call.
 type cwriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	n   int64
-	err error
+	w       *bufio.Writer
+	crc     uint32
+	n       int64
+	err     error
+	scratch [64]byte
 }
 
 func newCWriter(w io.Writer) *cwriter {
-	return &cwriter{w: bufio.NewWriterSize(w, 1<<16), crc: crc32.NewIEEE()}
+	return &cwriter{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 func (c *cwriter) write(p []byte) {
@@ -47,25 +52,29 @@ func (c *cwriter) write(p []byte) {
 		c.err = err
 		return
 	}
-	c.crc.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	c.n += int64(len(p))
 }
 
-func (c *cwriter) byte(b byte)   { c.write([]byte{b}) }
-func (c *cwriter) sum32() uint32 { return c.crc.Sum32() }
-func (c *cwriter) u32(v uint32)  { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); c.write(b[:]) }
-func (c *cwriter) u64(v uint64)  { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); c.write(b[:]) }
-func (c *cwriter) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	c.write(b[:binary.PutUvarint(b[:], v)])
+func (c *cwriter) byte(b byte)   { c.scratch[0] = b; c.write(c.scratch[:1]) }
+func (c *cwriter) sum32() uint32 { return c.crc }
+func (c *cwriter) u32(v uint32) {
+	binary.LittleEndian.PutUint32(c.scratch[:], v)
+	c.write(c.scratch[:4])
 }
-func (c *cwriter) svarint(v int64) {
-	var b [binary.MaxVarintLen64]byte
-	c.write(b[:binary.PutVarint(b[:], v)])
+func (c *cwriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(c.scratch[:], v)
+	c.write(c.scratch[:8])
 }
+func (c *cwriter) uvarint(v uint64) { c.write(c.scratch[:binary.PutUvarint(c.scratch[:], v)]) }
+func (c *cwriter) svarint(v int64)  { c.write(c.scratch[:binary.PutVarint(c.scratch[:], v)]) }
 func (c *cwriter) str(s string) {
 	c.uvarint(uint64(len(s)))
-	c.write([]byte(s))
+	for len(s) > 0 {
+		n := copy(c.scratch[:], s)
+		c.write(c.scratch[:n])
+		s = s[n:]
+	}
 }
 
 // rawU32 writes a u32 without folding it into the CRC — the trailer holding
@@ -74,9 +83,8 @@ func (c *cwriter) rawU32(v uint32) {
 	if c.err != nil {
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	if _, err := c.w.Write(b[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.scratch[:], v)
+	if _, err := c.w.Write(c.scratch[:4]); err != nil {
 		c.err = err
 		return
 	}
@@ -119,12 +127,13 @@ func (c *cwriter) value(v graph.Value) {
 // every byte into a CRC-32. It implements io.ByteReader so binary varint
 // decoding works directly on it.
 type creader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
+	r       *bufio.Reader
+	crc     uint32
+	scratch [64]byte
 }
 
 func newCReader(r io.Reader) *creader {
-	return &creader{r: bufio.NewReaderSize(r, 1<<16), crc: crc32.NewIEEE()}
+	return &creader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
 func (c *creader) ReadByte() (byte, error) {
@@ -132,7 +141,8 @@ func (c *creader) ReadByte() (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.crc.Write([]byte{b})
+	c.scratch[0] = b
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.scratch[:1])
 	return b, nil
 }
 
@@ -140,31 +150,34 @@ func (c *creader) read(p []byte) error {
 	if _, err := io.ReadFull(c.r, p); err != nil {
 		return err
 	}
-	c.crc.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	return nil
 }
 
-func (c *creader) sum32() uint32 { return c.crc.Sum32() }
+func (c *creader) sum32() uint32 { return c.crc }
 
 func (c *creader) u32() (uint32, error) {
-	var b [4]byte
-	if err := c.read(b[:]); err != nil {
+	if err := c.read(c.scratch[:4]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(c.scratch[:]), nil
 }
 
 func (c *creader) u64() (uint64, error) {
-	var b [8]byte
-	if err := c.read(b[:]); err != nil {
+	if err := c.read(c.scratch[:8]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(c.scratch[:]), nil
 }
 
 func (c *creader) uvarint() (uint64, error) { return binary.ReadUvarint(c) }
 func (c *creader) svarint() (int64, error)  { return binary.ReadVarint(c) }
 
+// str reads a length-prefixed string; a short one (ids, labels, names) goes
+// through scratch and costs the one allocation it is kept in. The length is
+// unverified, so a long one's buffer grows with the bytes that actually
+// arrive, strChunk at a time: a lying length fails at EOF having allocated
+// no more than the input held.
 func (c *creader) str() (string, error) {
 	n, err := c.uvarint()
 	if err != nil {
@@ -173,20 +186,29 @@ func (c *creader) str() (string, error) {
 	if n > maxString {
 		return "", fmt.Errorf("store: string length %d exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if err := c.read(b); err != nil {
-		return "", err
+	if n <= uint64(len(c.scratch)) {
+		if err := c.read(c.scratch[:n]); err != nil {
+			return "", err
+		}
+		return string(c.scratch[:n]), nil
+	}
+	b := make([]byte, 0, min(n, strChunk))
+	for uint64(len(b)) < n {
+		lo := len(b)
+		b = append(b, make([]byte, min(n-uint64(lo), strChunk))...)
+		if err := c.read(b[lo:]); err != nil {
+			return "", err
+		}
 	}
 	return string(b), nil
 }
 
 // rawU32 reads a u32 bypassing the CRC (the trailer).
 func (c *creader) rawU32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.scratch[:4]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(c.scratch[:]), nil
 }
 
 func (c *creader) value() (graph.Value, error) {

@@ -119,10 +119,19 @@ func writeSnapshot(w io.Writer, sd *snapshotData) error {
 	return c.flush()
 }
 
-// readSnapshot decodes a snapshot, rebuilding the graph (including its
-// derived structures: in-lists and by-label postings; attribute indexes are
-// rebuilt lazily by the first matching plan that wants them). The CRC
-// trailer is verified before the result is returned.
+// presizeCap bounds every allocation sized from a count in the file. Counts
+// are read before the CRC is verified, so a 31-byte file may claim 2^34
+// names; beyond the cap, append and map growth follow the bytes that
+// actually arrive.
+const presizeCap = 1 << 12
+
+func presize(n uint64) int { return int(min(n, presizeCap)) }
+
+// readSnapshot decodes a snapshot, rebuilding the graph through a
+// graph.Builder (including its derived structures: in-lists and by-label
+// postings; attribute indexes are rebuilt lazily by the first matching plan
+// that wants them). The CRC trailer is verified before the result is
+// returned.
 func readSnapshot(r io.Reader) (*snapshotData, error) {
 	c := newCReader(r)
 	magic := make([]byte, len(snapMagic))
@@ -169,12 +178,12 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 		syms.Attr(s)
 	}
 
-	g := graph.NewWithSymbols(syms)
-	sd.G = g
+	b := graph.NewBuilder(syms)
 	nNodes, err := c.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	b.Grow(presize(nNodes), presize(nNodes))
 	for i := uint64(0); i < nNodes; i++ {
 		lbl, err := c.uvarint()
 		if err != nil {
@@ -183,7 +192,7 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 		if lbl >= uint64(syms.NumLabels()) {
 			return nil, fmt.Errorf("store: node %d references unknown label id %d", i, lbl)
 		}
-		v := g.AddNodeL(graph.LabelID(lbl))
+		b.AddNodeL(graph.LabelID(lbl))
 		na, err := c.uvarint()
 		if err != nil {
 			return nil, err
@@ -200,7 +209,7 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 			if err != nil {
 				return nil, err
 			}
-			g.SetAttrA(v, graph.AttrID(a), val)
+			b.SetAttrA(graph.AttrID(a), val)
 		}
 	}
 
@@ -221,15 +230,16 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 			if to >= nNodes || lbl >= uint64(syms.NumLabels()) {
 				return nil, fmt.Errorf("store: edge (%d -%d-> %d) out of range", v, lbl, to)
 			}
-			g.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.LabelID(lbl))
+			b.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.LabelID(lbl))
 		}
 	}
+	sd.G = b.Build()
 
 	nNames, err := c.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	sd.Names = make(map[string]graph.NodeID, nNames)
+	sd.Names = make(map[string]graph.NodeID, presize(nNames))
 	for i := uint64(0); i < nNames; i++ {
 		id, err := c.str()
 		if err != nil {
@@ -252,6 +262,7 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 	if err != nil {
 		return nil, err
 	}
+	sd.Violations = make([]vioRec, 0, presize(nVios))
 	for i := uint64(0); i < nVios; i++ {
 		name, err := c.str()
 		if err != nil {
