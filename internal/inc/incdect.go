@@ -14,6 +14,12 @@
 // least one deleted edge. A match using several Δ-edges is emitted exactly
 // once, by its lexicographically smallest (Δ-edge, pattern-edge-slot) pivot
 // (the paper's "marks the combination of multiple update pivots").
+//
+// IncDect searches both sides and needs nothing but G and ΔG. A caller that
+// already holds Vio(Σ, G) — the session's store — needs only Plus: its ΔVio⁻
+// is the stored violations that use a deleted edge, which it can look up
+// instead (plan.Compiled.UsesEdge); IncDect's searched ΔVio⁻ is the
+// specification that lookup is tested against.
 package inc
 
 import (
@@ -96,35 +102,46 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 	if !opts.AssumeNormalized {
 		norm = delta.Normalize(g)
 	}
-	newView := graph.NewOverlay(g, norm)
-	res := &Result{}
-
-	ins := norm.Insertions()
-	del := norm.Deletions()
-
-	insIdx, delIdx := NewEdgeIndex(ins), NewEdgeIndex(del)
-
-	prog := opts.Program
-	if prog == nil {
-		prog = plan.New(g, rules, plan.Options{})
+	if opts.Program == nil {
+		opts.Program = plan.New(g, rules, plan.Options{})
 	}
-	for _, r := range rules.Rules {
-		c := prog.CompiledFor(r)
-		// ΔVio⁺: search G ⊕ ΔG from insertion pivots.
-		res.search(newView, prog, c, ins, insIdx, true, opts)
-		// ΔVio⁻: search G from deletion pivots.
-		res.search(g, prog, c, del, delIdx, false, opts)
-	}
+	// ΔVio⁺: search G ⊕ ΔG from insertion pivots.
+	res := Plus(graph.NewOverlay(g, norm), rules, norm.Insertions(), opts)
+	// ΔVio⁻: search G from deletion pivots.
+	res.search(g, rules, norm.Deletions(), false, opts)
 	return res
 }
 
-// search expands all pivots of one rule over one view.
-func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, ops []graph.EdgeOp,
-	idx EdgeIndex, plus bool, opts Options) {
+// Plus computes ΔVio⁺ alone: the violating matches over v that use at least
+// one edge of ins, the insertions of a normalized ΔG. v is G ⊕ ΔG — an
+// overlay of the pre-update graph (IncDect) or the graph itself once ΔG is
+// applied (the session, which reads ΔVio⁻ off its store instead of searching
+// for it). opts.AssumeNormalized is implied.
+func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Result {
+	if opts.Program == nil {
+		opts.Program = plan.New(v, rules, plan.Options{})
+	}
+	res := &Result{}
+	res.search(v, rules, ins, true, opts)
+	return res
+}
 
+// search expands the pivots of one side of ΔG — ops, its insertions or its
+// deletions — over one view, rule by rule.
+func (res *Result) search(v graph.View, rules *core.Set, ops []graph.EdgeOp, plus bool, opts Options) {
 	if len(ops) == 0 {
 		return
 	}
+	idx := NewEdgeIndex(ops)
+	for _, r := range rules.Rules {
+		res.searchRule(v, opts.Program.CompiledFor(r), ops, idx, plus, opts)
+	}
+}
+
+// searchRule expands all pivots of one rule over one view.
+func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp,
+	idx EdgeIndex, plus bool, opts Options) {
+
 	// Per-call scratch, built on the first pivot that matches a pattern
 	// edge label — a rule whose labels don't appear in ΔG costs nothing:
 	//   - one searcher per pattern-edge slot (plan and literal schedule are
@@ -175,7 +192,7 @@ func (res *Result) search(v graph.View, prog *plan.Program, c *plan.Compiled, op
 				if pe.Dst != pe.Src {
 					bound = append(bound, pe.Dst)
 				}
-				_, pl := prog.PlanFor(v, c.Rule, bound)
+				_, pl := opts.Program.PlanFor(v, c.Rule, bound)
 				if opts.Searchers != nil {
 					s = opts.Searchers.Get(v, c, pl, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
 				} else {

@@ -112,7 +112,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 						_, pl := prog.PlanFor(view, c.Rule, bound)
 						f = e.addForest(&forest{
 							view: view, idx: idx, plus: plus,
-							share: plan.ShareOf([]plan.ShareRule{{Rule: c.Rule, C: c, Plan: pl}}),
+							share: plan.ShareOf([]plan.ShareRule{{Rule: c.Rule, C: c, Plan: pl, Pins: bound}}),
 						})
 						forestOf[key] = f
 					}

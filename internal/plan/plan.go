@@ -89,6 +89,20 @@ func CompileRule(r *core.NGD, syms *graph.Symbols) *Compiled {
 	return c
 }
 
+// UsesEdge reports whether match m of the rule maps a pattern edge labelled
+// label onto the graph edge (src, dst): whether deleting that edge kills m.
+// The session reads ΔVio⁻ off its store with it and the repair engine an
+// edge deletion's clearance; both walk the violations posted under one
+// endpoint, so a match that merely binds src or dst is the common "no".
+func (c *Compiled) UsesEdge(m core.Match, src, dst graph.NodeID, label graph.LabelID) bool {
+	for i, pe := range c.Rule.Pattern.Edges {
+		if c.CP.EdgeLabels[i] == label && m[pe.Src] == src && m[pe.Dst] == dst {
+			return true
+		}
+	}
+	return false
+}
+
 // Options configure a Program.
 type Options struct {
 	// ChurnThreshold is the number of graph mutations after which a cached

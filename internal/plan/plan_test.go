@@ -262,3 +262,61 @@ func TestForPattern(t *testing.T) {
 		t.Fatalf("ForPattern plan = %+v, want tiny-seeded 2-step plan", pl.Steps)
 	}
 }
+
+// TestPivotPlansSignPinsByRole: a pre-bound node is no step, so it used to
+// sign as depth 0 like the step-0 node, and the two pins of one pivot alike;
+// a forest over pivot-anchored plans of several rules would then merge chains
+// that enumerate different candidates.
+func TestPivotPlansSignPinsByRole(t *testing.T) {
+	ds := gen.Generate(gen.YAGO2, 60, 4)
+
+	// the peer rule's two pivot slots (x→y, y→x) share one cached plan;
+	// pinned as (x, y) its first step extends the source pin, as (y, x) the
+	// destination pin
+	peer := gen.PeerCycleRule(gen.YAGO2, 1)
+	prog := plan.New(ds.G, core.NewSet(peer), plan.Options{})
+	c, pl := prog.PlanFor(ds.G, peer, []int{0, 1})
+	sh := plan.ShareOf([]plan.ShareRule{
+		{Rule: peer, C: c, Plan: pl, Pins: []int{0, 1}},
+		{Rule: peer, C: c, Plan: pl, Pins: []int{1, 0}},
+	})
+	if len(sh.Root.Children) != 2 {
+		t.Fatalf("peer pivots of opposite orientation share a chain (%d root branches, want 2)", len(sh.Root.Children))
+	}
+	again := plan.ShareOf([]plan.ShareRule{
+		{Rule: peer, C: c, Plan: pl, Pins: []int{0, 1}},
+		{Rule: peer, C: c, Plan: pl, Pins: []int{0, 1}},
+	})
+	if len(again.Root.Children) != 1 {
+		t.Fatalf("equal pins must still share (%d root branches, want 1)", len(again.Root.Children))
+	}
+
+	// x→y pinned; step 0 binds z from y in both; step 1 binds w from z (the
+	// step-0 node) in the chain, from y (a pin) in the fork
+	shape := func(name string, wFromZ bool) *core.NGD {
+		q := pattern.New()
+		x, y, z, w := q.AddNode("x", "_"), q.AddNode("y", "_"), q.AddNode("z", "_"), q.AddNode("w", "_")
+		q.AddEdge(x, y, "next")
+		q.AddEdge(y, z, "next")
+		if wFromZ {
+			q.AddEdge(z, w, "next")
+		} else {
+			q.AddEdge(y, w, "next")
+		}
+		return core.MustNew(name, q, nil, []core.Literal{core.Lit(expr.V("x", "v"), expr.Eq, expr.C(1))})
+	}
+	chain, fork := shape("chain", true), shape("fork", false)
+	prog = plan.New(ds.G, core.NewSet(chain, fork), plan.Options{})
+	var srs []plan.ShareRule
+	for _, r := range []*core.NGD{chain, fork} {
+		c, pl := prog.PlanFor(ds.G, r, []int{0, 1})
+		srs = append(srs, plan.ShareRule{Rule: r, C: c, Plan: pl, Pins: []int{0, 1}})
+	}
+	sh = plan.ShareOf(srs)
+	if len(sh.Root.Children) != 1 {
+		t.Fatalf("chain and fork must share step 0 (%d root branches)", len(sh.Root.Children))
+	}
+	if got := len(sh.Root.Children[0].Children); got != 2 {
+		t.Fatalf("a pin-anchored and a step-0-anchored step share a node (%d branches at depth 1, want 2)", got)
+	}
+}

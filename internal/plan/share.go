@@ -32,6 +32,12 @@ type ShareRule struct {
 	Rule *core.NGD
 	C    *Compiled
 	Plan *match.Plan
+	// Pins lists the pattern nodes a pivot pre-binds, by role: the pivot
+	// edge's source, then its destination (one entry for a self-loop pattern
+	// edge); nil for a batch plan. Plan.Bound cannot stand in for it: the
+	// plan cache keys pivot plans by the sorted bound set, so Bound is in the
+	// order of whichever slot built the entry.
+	Pins []int
 }
 
 // ShareNode is one forest node: the state after binding the steps of the
@@ -115,15 +121,16 @@ func samePlans(a, b []*match.Plan) bool {
 
 // ShareOf inserts every rule's step-signature path into a fresh forest. The
 // plans need not be batch plans: PIncDect calls it with one pivot-anchored
-// plan at a time and gets a chain (a plan with no steps left, both ends of a
-// one-edge pattern pinned, is Terminal on the Root itself).
+// plan at a time, its pins named in ShareRule.Pins, and gets a chain (a plan
+// with no steps left, both ends of a one-edge pattern pinned, is Terminal on
+// the Root itself).
 func ShareOf(rules []ShareRule) *Share {
 	sh := &Share{
 		Rules: rules,
 		Root:  &ShareNode{Depth: 0, Rep: -1, sigs: make(map[string]int)},
 	}
 	for ri := range rules {
-		sigs := stepSigs(rules[ri].Plan)
+		sigs := stepSigs(rules[ri].Plan, rules[ri].Pins)
 		nd := sh.Root
 		nd.Rules = append(nd.Rules, ri)
 		for d, sig := range sigs {
@@ -148,9 +155,15 @@ func ShareOf(rules []ShareRule) *Share {
 	return sh
 }
 
-// stepSigs canonicalizes a plan's steps into depth-relative signatures.
-func stepSigs(pl *match.Plan) []string {
-	depthOf := make(map[int]int, len(pl.Steps))
+// stepSigs canonicalizes a plan's steps into depth-relative signatures. A
+// pinned node signs as a negative depth by role (−1 the pivot's source, −2
+// its destination), so "anchored at the source pin", "at the destination
+// pin" and "at the step-0 node" are three different steps.
+func stepSigs(pl *match.Plan, pins []int) []string {
+	depthOf := make(map[int]int, len(pins)+len(pl.Steps))
+	for i, b := range pins {
+		depthOf[b] = -1 - i
+	}
 	for d, st := range pl.Steps {
 		depthOf[st.Node] = d
 	}

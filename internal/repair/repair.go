@@ -12,12 +12,13 @@
 //
 // Every candidate is then previewed without committing: attribute fixes on
 // a graph.Overlay carrying the reassignment (SetAttr overrides + masked
-// index pairs), edge deletions through inc.IncDect on the would-be delta.
-// The preview yields the fix's cross-violation clearance — which *other*
-// stored violations it removes and which new ones it introduces — and the
-// ranking orders fixes by net clearance. Applying a chosen fix is the
-// serving layer's job (it routes the fix through the ordinary ingest path);
-// this package never mutates the graph.
+// index pairs), edge deletions by reading the store's postings of the edge's
+// endpoints for the violations whose match uses it. The preview yields the
+// fix's cross-violation clearance — which *other* stored violations it
+// removes and which new ones it introduces — and the ranking orders fixes by
+// net clearance. Applying a chosen fix is the serving layer's job (it routes
+// the fix through the ordinary ingest path); this package never mutates the
+// graph.
 //
 // Determinism: candidates are enumerated in match-slot and pattern-edge
 // order, store postings are read in canonical-key order, and the solver is
@@ -33,7 +34,6 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/graph"
-	"ngd/internal/inc"
 	"ngd/internal/match"
 	"ngd/internal/plan"
 	"ngd/internal/solver"
@@ -316,19 +316,14 @@ func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces
 	return clears, introduces, true
 }
 
-// edgeFixes enumerates the distinct graph edges of the target match and
-// previews each deletion with IncDect on the would-be delta.
+// edgeFixes enumerates the distinct graph edges of the target match. What
+// deleting one clears is read off the store: the stored violations whose
+// match uses the edge bind both its endpoints, so they are among those posted
+// under either, and a deletion introduces nothing. The target uses its own
+// edges, so every fix clears at least it.
 func (e *enum) edgeFixes() []Fix {
 	r, m := e.target.Rule, e.target.Match
 	c := e.prog.CompiledFor(r)
-
-	// edge-bearing rules only: IncDect derives pivots from delta edges
-	edgeRules := core.NewSet()
-	for _, rr := range e.rules.Rules {
-		if len(rr.Pattern.Edges) > 0 {
-			edgeRules.Add(rr)
-		}
-	}
 
 	type ekey struct {
 		src, dst graph.NodeID
@@ -349,44 +344,22 @@ func (e *enum) edgeFixes() []Fix {
 		tried[k] = true
 		e.stats.EdgeCands++
 
-		d := &graph.Delta{}
-		d.Delete(k.src, k.dst, l)
-		dv := inc.IncDect(e.g, edgeRules, d, inc.Options{
-			AssumeNormalized: true,
-			Program:          e.prog,
-		})
-		var clears, intro []string
-		for _, w := range dv.Minus {
-			if wk := w.Key(); e.store.Has(wk) {
-				clears = append(clears, wk)
-			}
+		posted := e.store.Node(k.src)
+		if other := e.store.Node(k.dst); len(other) < len(posted) {
+			posted = other
 		}
-		for _, w := range dv.Plus {
-			if wk := w.Key(); !e.store.Has(wk) {
-				intro = append(intro, wk)
+		var clears []string
+		for _, w := range posted {
+			if e.prog.CompiledFor(w.Rule).UsesEdge(w.Match, k.src, k.dst, l) {
+				clears = append(clears, w.Key())
 			}
-		}
-		sort.Strings(clears)
-		sort.Strings(intro)
-		cleared := false
-		for _, wk := range clears {
-			if wk == e.target.Key() {
-				cleared = true
-				break
-			}
-		}
-		if !cleared {
-			// deleting a match edge always kills this match; reaching here
-			// means the preview disagrees — trust the preview, drop the fix
-			e.stats.Discarded++
-			continue
 		}
 		fixes = append(fixes, Fix{
 			ID:   fmt.Sprintf("del:%d:%s:%d", k.src, e.g.Symbols().LabelName(l), k.dst),
 			Kind: KindEdgeDelete,
 			Src:  k.src, Dst: k.dst, Label: e.g.Symbols().LabelName(l),
-			Clears: clears, Introduces: intro,
-			Score: len(clears) - len(intro),
+			Clears: clears,
+			Score:  len(clears),
 		})
 	}
 	return fixes

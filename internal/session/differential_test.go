@@ -309,12 +309,45 @@ func runDifferential(t *testing.T, w diffWorkload) {
 		incRes := inc.IncDect(ds.G, rules, delta, inc.Options{})
 		pincRes := par.PIncDect(ds.G, rules, delta, parOpts)
 
+		// the searched ΔVio is the specification of what the commit does
+		// instead: its ΔVio⁻, as far as the store held it, is what the lookup
+		// must remove, and its ΔVio⁺ over the overlay is what inc.Plus must
+		// find on the applied graph (a clone: the session applies attribute
+		// ops in the same commit)
+		wantMinus := make(map[string]core.Violation)
+		for _, v := range incRes.Minus {
+			if _, ok := prev[v.Key()]; ok {
+				wantMinus[v.Key()] = v
+			}
+		}
+		applied := ds.G.Clone()
+		norm := delta.Normalize(applied)
+		applied.Apply(norm)
+		plusRes := inc.Plus(applied, rules, norm.Insertions(), inc.Options{})
+		if got, want := canon(plusRes.Plus), canon(incRes.Plus); got != want {
+			t.Fatalf("workload %s batch %d: Plus on G′ != IncDect's ΔVio⁺ on the overlay\nPlus:\n%s\nIncDect:\n%s",
+				w.name(), b, got, want)
+		}
+
 		var attrs []graph.AttrOp
 		if w.litPaths {
 			attrs = riskOps(ds, b)
 		}
-		sess.CommitBatch(delta, attrs)
+		st := sess.CommitBatch(delta, attrs)
 		store := canonKeys(detect.VioKeySet(sess.Violations()))
+
+		// the attribute pass may clear further violations, the edge phase
+		// removes exactly the searched ones
+		removed := detect.VioKeySet(st.Event.Removed)
+		for k := range wantMinus {
+			if _, ok := removed[k]; !ok {
+				t.Fatalf("workload %s batch %d: commit kept %s, which IncDect's ΔVio⁻ clears", w.name(), b, k)
+			}
+		}
+		if st.Minus != len(wantMinus) || len(attrs) == 0 && len(removed) != len(wantMinus) {
+			t.Fatalf("workload %s batch %d: commit removed %d (event −%d), IncDect's ΔVio⁻ ∩ store has %d\nevent:\n%s\nIncDect:\n%s",
+				w.name(), b, st.Minus, len(removed), len(wantMinus), canonKeys(removed), canonKeys(wantMinus))
+		}
 
 		// ground truth: the oracle on the committed graph
 		if want := canon(ref.Detect(ds.G, rules)); store != want {

@@ -2,13 +2,19 @@
 // serving layer the batch and incremental algorithms plug into. A Session
 // owns a graph G and a rule set Σ, commits batch updates ΔG in place with
 // graph.(*Graph).Apply, and keeps the violation store Vio(Σ, G) live across
-// commits by reconciling IncDect's ΔVio⁺/ΔVio⁻ (or PIncDect's, under the
-// parallel toggle) instead of re-running batch detection.
+// commits instead of re-running batch detection. The paper's incremental
+// problem (§6.1) hands the algorithm Vio(Σ, G) along with ΔG, and the session
+// holds exactly that: ΔVio⁻ is read off the store (the violations posted
+// under a deleted edge's endpoints whose match uses the edge), ΔG is applied,
+// and only ΔVio⁺ is searched, by inc.Plus on G′ itself. Under the parallel
+// toggle PIncDect searches both sides on the pre-commit graph instead.
 //
 // Store invariant: after every Commit the store equals Dect(Σ, G) on the
 // committed graph, keyed by canonical violation identity (core.Violation.Key).
-// Recheck audits the invariant; differential_test.go enforces it against all
-// four detectors on seeded update streams.
+// The ΔVio⁻ lookup is derived from the invariant, so nothing re-establishes a
+// missed removal: Recheck audits it, differential_test.go enforces it against
+// all four detectors on seeded update streams and the lookup against
+// inc.IncDect's searched ΔVio⁻, FuzzCommitSequence on arbitrary batches.
 //
 // Each batch is coalesced before pivot generation — duplicate unit updates
 // dedupe (last op per edge wins), insert+delete pairs annihilate, and ops
@@ -88,13 +94,22 @@ type BatchStats struct {
 	AttrOps, AttrSets   int
 	AttrPlus, AttrMinus int
 
-	Plus  int // |ΔVio⁺| reconciled into the store
-	Minus int // |ΔVio⁻| reconciled out of the store
+	// Plus counts the violations of ΔVio⁺ the commit added to the store.
+	// Minus counts the violations the commit took out of it for ΔVio⁻: the
+	// ones the lookup over the deleted edges' postings removed (under
+	// Parallel, the ones PIncDect's deletion pivots found).
+	Plus, Minus int
 	// Absorbed counts violations added by the arriving-node searches
 	// (isolated pattern slots), so the store-size delta always accounts:
 	// StoreSize == previous + Absorbed + Plus − Minus.
 	Absorbed int
-	// Pivots is the number of update pivots expanded (sequential route only).
+	// Looked is the number of posting entries the ΔVio⁻ lookup examined: per
+	// deleted edge, the shorter of its two endpoints' postings. A deleted
+	// edge at a hub whose other endpoint is as busy shows up here.
+	// Sequential route only.
+	Looked int
+	// Pivots is the number of insertion pivots expanded: deletions expand
+	// none. Sequential route only.
 	Pivots int
 	// PartPlaced / PartMoved report the incremental partition maintenance
 	// done by this commit (parallel route only): nodes newly placed by
@@ -110,8 +125,9 @@ type BatchStats struct {
 	// SharedRules is the number of rules riding a shared matching prefix
 	// in the program's latest batch forest (level gauge, not a delta).
 	SharedRules int64
-	// Cost is the batch's deterministic detection cost: work units
-	// (candidates + checks) under IncDect, simulated makespan under PIncDect.
+	// Cost is the batch's deterministic detection cost: the work units
+	// (candidates + checks) of the ΔVio⁺ search plus Looked on the
+	// sequential route, simulated makespan under PIncDect.
 	Cost float64
 	// StoreSize is |Vio(Σ, G)| after the commit.
 	StoreSize int
@@ -168,7 +184,7 @@ type Session struct {
 	// prog is the session's shared rule program: Σ compiled once, matching
 	// plans cached across commits, shared prefixes arranged once. Every
 	// detector the session routes through — seeding Dect/PDect, per-batch
-	// IncDect/PIncDect, absorption searches — draws plans from it.
+	// inc.Plus/PIncDect, absorption searches — draws plans from it.
 	prog *plan.Program
 
 	// searchers reuses pre-bound violation searchers across commits: the
@@ -390,8 +406,8 @@ func (s *Session) ensurePartition(p int) int {
 	return s.part.Extend(s.g)
 }
 
-// SetParallel flips batch routing between IncDect and PIncDect for
-// subsequent commits. The resulting stores are identical either way.
+// SetParallel flips batch routing between the sequential route and PIncDect
+// for subsequent commits. The resulting stores are identical either way.
 func (s *Session) SetParallel(on bool) { s.opts.Parallel = on }
 
 // Graph exposes the owned graph (read it freely; mutate edges only via
@@ -478,9 +494,10 @@ func (s *Session) Program() *plan.Program { return s.prog }
 // writer commits).
 func (s *Session) PlanStats() plan.Counters { return s.prog.Counters() }
 
-// Commit coalesces ΔG, computes ΔVio against the pre-commit graph with the
-// routed incremental detector, commits ΔG into G in place, and reconciles
-// the store. A nil or empty delta still absorbs externally arrived nodes.
+// Commit coalesces ΔG, takes ΔVio⁻ out of the store, commits ΔG into G in
+// place, and adds the ΔVio⁺ it finds on G′ (the parallel route computes both
+// sides with PIncDect before it commits ΔG). A nil or empty delta still
+// absorbs externally arrived nodes.
 func (s *Session) Commit(d *graph.Delta) BatchStats {
 	return s.CommitBatch(d, nil)
 }
@@ -510,59 +527,66 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	st.AttrSets = len(attrs)
 
 	// write-ahead: log the normalized batch (plus the arriving-node range)
-	// before detection and before the in-place Apply, so a crash at any
-	// later point replays to exactly this commit's outcome
+	// before the store or the graph changes, so a crash at any later point
+	// replays to exactly this commit's outcome
 	if s.hook != nil {
 		st.LogErr = s.hook(s.g, norm, attrs, graph.NodeID(s.seenNodes), graph.NodeID(s.g.NumNodes()))
 	}
 
 	planBefore := s.prog.Counters()
-
-	// absorb nodes that arrived since the last commit (isolated pattern
-	// slots gain matches the edge-driven pivots cannot see)
 	st.NewNodes = s.g.NumNodes() - s.seenNodes
-	st.Absorbed = s.absorbNewNodes()
 
-	// incremental answer on the pre-commit graph
-	if norm.Len() > 0 {
-		var plus, minus []core.Violation
-		if s.opts.Parallel {
+	var ap graph.ApplyStats
+	var plus []core.Violation
+	if s.opts.Parallel {
+		// the exception: PIncDect searches both sides of ΔVio itself, on the
+		// pre-commit graph and an overlay of it, so this route detects first
+		// and applies afterwards
+		st.Absorbed = s.absorbNewNodes()
+		if norm.Len() > 0 {
 			// maintain the owned partition instead of letting PIncDect
 			// rebuild one: place nodes that arrived since the last commit,
 			// then hand it through parOpts
 			st.PartPlaced = s.ensurePartition(s.parOpts().Defaults().P)
 			r := par.PIncDect(s.g, s.edgeRules, norm, s.parOpts())
-			plus, minus = r.Delta.Plus, r.Delta.Minus
+			for _, v := range r.Delta.Minus {
+				if s.remove(v.Key(), v) {
+					st.Minus++
+				}
+			}
+			plus = r.Delta.Plus
 			st.Cost = r.Metrics.Makespan
-		} else {
-			r := inc.IncDect(s.g, s.edgeRules, norm, inc.Options{
-				AssumeNormalized: true,
-				Program:          s.prog,
-				Searchers:        &s.searchers,
-			})
-			plus, minus = r.Plus, r.Minus
-			st.Cost = float64(r.Counters.Candidates + r.Counters.Checks)
+		}
+		ap = s.g.Apply(norm)
+	} else {
+		// ΔVio⁻ is read off the last snapshot; ΔG commits; ΔVio⁺ is searched
+		// on G′ itself. Arrivals are absorbed on G′ too: an arriving node
+		// binds an isolated slot whatever the edges are, and the rest of such
+		// a match is a match of G′.
+		st.Minus, st.Looked = s.removeDeleted(norm.Deletions())
+		ap = s.g.Apply(norm)
+		st.Absorbed = s.absorbNewNodes()
+		if ins := norm.Insertions(); len(ins) > 0 {
+			r := inc.Plus(s.g, s.edgeRules, ins, inc.Options{Program: s.prog, Searchers: &s.searchers})
+			plus = r.Plus
 			st.Pivots = r.Pivots
+			st.Cost = float64(r.Counters.Candidates + r.Counters.Checks)
 		}
-		// reconcile: only *effective* store changes reach the event — a
-		// ΔVio⁻ key the store never held (or a ΔVio⁺ key it already holds)
-		// is not echoed
-		for _, v := range minus {
-			s.remove(v.Key(), v)
+		st.Cost += float64(st.Looked)
+	}
+	st.Inserted, st.Deleted, st.Compacted = ap.Inserted, ap.Deleted, ap.Compacted
+	// only *effective* store changes are counted and reach the event: a
+	// ΔVio⁺ key the store already holds (an absorbed arrival's match that
+	// also uses an inserted edge) is not echoed
+	for _, v := range plus {
+		if s.add(v.Key(), v) {
+			st.Plus++
 		}
-		for _, v := range plus {
-			s.add(v.Key(), v)
-		}
-		st.Plus, st.Minus = len(plus), len(minus)
 	}
 
 	planNow := s.prog.Counters().Sub(planBefore)
 	st.PlanHits, st.PlanMisses = planNow.Hits, planNow.Misses
 	st.PlanInvalidations, st.SharedRules = planNow.Invalidations, planNow.SharedRules
-
-	// commit ΔG into G
-	ap := s.g.Apply(norm)
-	st.Inserted, st.Deleted, st.Compacted = ap.Inserted, ap.Deleted, ap.Compacted
 
 	// commit the attribute ops and reconcile the store against them (on the
 	// post-Apply graph, so the pass sees the batch's final attribute *and*
@@ -581,6 +605,31 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	}
 	st.StoreSize = s.snap.Len()
 	return st
+}
+
+// removeDeleted takes ΔVio⁻ out of the store without searching for it: the
+// violations whose match maps a pattern edge onto a deleted edge. Such a
+// match binds both endpoints, so it is posted under both and the shorter
+// posting is the one walked. Exact because the store is Vio(Σ, G) when the
+// commit starts, a deleted edge can only kill the matches that use it, and a
+// normalized ΔG deletes no edge it also inserts. It reads the last snapshot
+// only, never the graph, and reports the violations removed and the posting
+// entries examined.
+func (s *Session) removeDeleted(del []graph.EdgeOp) (removed, looked int) {
+	for _, op := range del {
+		posted := s.snap.node(op.Src)
+		if other := s.snap.node(op.Dst); other.Len() < posted.Len() {
+			posted = other
+		}
+		looked += posted.Len()
+		for i, v := range posted.vios {
+			// a violation using two deleted edges is removed by the first
+			if s.prog.CompiledFor(v.Rule).UsesEdge(v.Match, op.Src, op.Dst, op.Label) && s.remove(posted.keys[i], v) {
+				removed++
+			}
+		}
+	}
+	return removed, looked
 }
 
 // applyAttrOps commits normalized attribute ops into G and reconciles the
@@ -669,8 +718,12 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 // at isolated slots is emitted exactly once, by its smallest such slot.
 // Arriving nodes cannot extend any *old* match (they had no edges before
 // this commit, and isolated slots bind every candidate independently), so
-// only the seeded searches are needed. It returns how many violations it
-// added to the store.
+// only the seeded searches are needed; a match through an arriving node at
+// any other slot uses an inserted edge and is ΔVio⁺'s to find. That holds on
+// G (the parallel route absorbs before it detects) and on G′ (the sequential
+// route absorbs after Apply, where a match that also uses an inserted edge is
+// found here first and not counted again under Plus). It returns how many
+// violations it added to the store.
 func (s *Session) absorbNewNodes() (absorbed int) {
 	n := s.g.NumNodes()
 	lo := s.seenNodes

@@ -17,6 +17,7 @@ import (
 
 	"ngd/internal/gen"
 	"ngd/internal/graph"
+	"ngd/internal/pattern"
 	"ngd/internal/serve"
 	"ngd/internal/session"
 	"ngd/internal/store"
@@ -533,16 +534,27 @@ func TestRecoveryRebuildsProgram(t *testing.T) {
 	sessionsEqual(t, "program-rebuild", live, rec.Session)
 
 	// the recovered program must be live: a fresh commit plans against the
-	// restored graph and keeps the invariant
+	// restored graph and keeps the invariant. The probe inserts an edge that
+	// the first pattern edge of Σ can pivot on; it used to delete one, but a
+	// deleted edge's ΔVio⁻ is read off the store's postings since PR 24 and
+	// plans nothing.
 	rg := rec.Session.Graph()
 	d := &graph.Delta{}
-	for v := 0; v < rg.NumNodes() && d.Len() == 0; v++ {
-		if out := rg.Out(graph.NodeID(v)); len(out) > 0 {
-			d.Delete(graph.NodeID(v), out[0].To, out[0].Label)
+	r0 := rules.Rules[0]
+	pe, cp := r0.Pattern.Edges[0], pattern.Compile(r0.Pattern, rg.Symbols())
+	for u := 0; u < rg.NumNodes() && d.Len() == 0; u++ {
+		if !cp.NodeMatches(pe.Src, rg.Label(graph.NodeID(u))) {
+			continue
+		}
+		for w := 0; w < rg.NumNodes() && d.Len() == 0; w++ {
+			if cp.NodeMatches(pe.Dst, rg.Label(graph.NodeID(w))) &&
+				!rg.HasEdgeL(graph.NodeID(u), graph.NodeID(w), cp.EdgeLabels[0]) {
+				d.Insert(graph.NodeID(u), graph.NodeID(w), cp.EdgeLabels[0])
+			}
 		}
 	}
 	if d.Len() == 0 {
-		t.Fatal("recovered graph has no edges to perturb")
+		t.Fatalf("recovered graph has no room for another %s edge", pe.Label)
 	}
 	bs := rec.Session.Commit(d)
 	if bs.PlanHits+bs.PlanMisses == 0 && bs.Ops > 0 {
