@@ -86,7 +86,6 @@ var registry = []experiment{
 	{"reason", "§4 worked examples (Example 5 verdicts)", reasonDemo},
 	{"analyze", "Σ admission-gate and unsat-core cost vs ‖Σ‖", analyzeExp},
 	{"plan", "plan cache on small batches; cross-rule sharing in cost units", planExp},
-	{"partition", "maintained vs rebuilt partition per batch as |V| grows", partitionExp},
 	{"shards", "wall-clock PDect/PIncDect at p = 1..8; by name, writes -shards-out", shardsExp},
 	{"repair", "fix-enumeration counters and drain applies vs |Vio|", repairExp},
 }
@@ -501,50 +500,6 @@ func isGFDExpressible(r *core.NGD) bool {
 		}
 	}
 	return true
-}
-
-// ---- partition: maintained vs rebuilt fragments (beyond the paper) ----
-
-// partitionExp shows per-batch session cost staying flat as |V| grows for
-// fixed |ΔG|. The maintain column is the session's actual per-commit
-// partition work (Extend + Refine); the rebuild column is what PIncDect
-// used to pay — a full partition.Greedy over the graph — every batch.
-func partitionExp(out io.Writer, c config) error {
-	p := gen.YAGO2
-	fixedOps := update.SizeFor(gen.Generate(p, c.n, c.seed).G, 0.02)
-	fmt.Fprintf(out, "# partition %s: incremental partition maintenance, fixed |ΔG|=%d ops, growing |V| (p=8); wall clock, this host\n",
-		p.Name, fixedOps)
-	fmt.Fprintf(out, "%-16s %10s %14s %14s %10s\n", "|V|/|E|", "batch ms", "maintain ms", "rebuild ms", "ratio")
-	for _, scale := range []int{1, 2, 4} {
-		ds := gen.Generate(p, c.n*scale, c.seed)
-		rules := gen.Rules(p, gen.RuleConfig{Count: c.rules, MaxDiameter: 5, Seed: c.seed})
-		d := update.Random(ds, update.Config{Size: fixedOps, Gamma: 1, Seed: c.seed * 17})
-		st := ds.G.ComputeStats()
-
-		sess := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(8)})
-		t0 := time.Now()
-		sess.Commit(d)
-		batchWall := time.Since(t0)
-
-		// maintenance cost of the *next* batch (partition already built)
-		d2 := update.Random(ds, update.Config{Size: fixedOps, Gamma: 1, Seed: c.seed * 19})
-		t0 = time.Now()
-		sess.Partition().Extend(ds.G)
-		sess.Partition().Refine(ds.G, d2.TouchedNodes())
-		maintainWall := time.Since(t0)
-
-		t0 = time.Now()
-		partition.Greedy(ds.G, 8)
-		rebuildWall := time.Since(t0)
-		sess.Close()
-
-		ratio := float64(rebuildWall) / float64(max(1, int(maintainWall)))
-		fmt.Fprintf(out, "%-16s %10.2f %14.3f %14.3f %9.0fx\n",
-			fmt.Sprintf("%d/%d", st.Nodes, st.Edges), ms(batchWall), ms(maintainWall), ms(rebuildWall), ratio)
-	}
-	fmt.Fprintf(out, "# maintain stays O(|ΔG|) while rebuild grows with |V|: the per-batch\n")
-	fmt.Fprintf(out, "# session cost no longer contains a full-graph partition pass\n")
-	return nil
 }
 
 // ---- plan: the shared rule-program layer (beyond the paper) ----

@@ -180,7 +180,6 @@ func runIncremental(g *ngd.Graph, rules *ngd.RuleSet, delta *ngd.Delta) {
 // preview — the graph is never mutated.
 func runRepair(g *ngd.Graph, rules *ngd.RuleSet) {
 	sess := ngd.NewSession(g, rules, ngd.SessionOptions{})
-	defer sess.Close()
 	vios := sess.Violations()
 	fmt.Printf("violations: %d\n", len(vios))
 	repairable := 0

@@ -67,7 +67,6 @@ import (
 	"ngd/internal/dsl"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
-	"ngd/internal/par"
 	"ngd/internal/serve"
 	"ngd/internal/session"
 	"ngd/internal/store"
@@ -81,8 +80,6 @@ var (
 	entities  = flag.Int("n", 300, "generated graph size (entities)")
 	numRules  = flag.Int("k", 12, "generated rule count (0 = the profile's effectiveness rule set, which flags the generator's injected errors)")
 	seed      = flag.Int64("seed", 1, "generator seed")
-	parallel  = flag.Bool("parallel", false, "route commits through PIncDect")
-	workers   = flag.Int("p", 8, "parallel workers (with -parallel)")
 	queue     = flag.Int("queue", 256, "ingest queue depth")
 	dataDir   = flag.String("data", "", "durable state directory (snapshot + write-ahead log); empty = in-memory only")
 	ckptEvery = flag.Int("checkpoint", 64, "with -data: batches between background checkpoints")
@@ -106,7 +103,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sessOpts := session.Options{Parallel: *parallel, Par: par.Hybrid(*workers)}
+	var sessOpts session.Options
 	if gateMode == analyze.ModeOff {
 		sessOpts.Analyze.NoMinimize = true
 	}

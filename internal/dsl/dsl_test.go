@@ -105,6 +105,31 @@ func TestParseRulesNameHygiene(t *testing.T) {
 	}
 }
 
+// FuzzParseRules: the rule parser never panics, and every set it accepts
+// renders to a fixed point — FormatRules(ParseRules(FormatRules(s))) ==
+// FormatRules(s). internal/store persists Σ as that text and recovers it
+// with ParseRules, and analyze.Signature hashes it, so a rendering that
+// re-parsed to another Σ would change the rules, or their signature, across
+// a restart. The seeds (testdata/fuzz/FuzzParseRules) are the examples'
+// rule files plus literals with |·|, division, strings and negative
+// constants.
+func FuzzParseRules(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text []byte) {
+		set, err := ParseRules(strings.NewReader(string(text)))
+		if err != nil {
+			return
+		}
+		once := FormatRules(set)
+		again, err := ParseRules(strings.NewReader(once))
+		if err != nil {
+			t.Fatalf("the rendering does not re-parse: %v\n%s", err, once)
+		}
+		if twice := FormatRules(again); twice != once {
+			t.Fatalf("the rendering is not a fixed point:\n%s\nre-rendered:\n%s", once, twice)
+		}
+	})
+}
+
 func TestGraphRoundTrip(t *testing.T) {
 	g := paperdata.MergedGraph()
 	var sb strings.Builder

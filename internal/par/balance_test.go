@@ -251,8 +251,8 @@ func TestPIncDectManyWorkers(t *testing.T) {
 }
 
 // TestMaintainedPartitionMatches: a partition supplied via Options.Part —
-// including one that is stale with respect to nodes added afterwards —
-// yields the same ΔVio as the internally built one.
+// including one built before the update added nodes, which it then owns by
+// the modulo fallback — yields the same ΔVio as the internally built one.
 func TestMaintainedPartitionMatches(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 220, 61)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 61})
@@ -264,6 +264,6 @@ func TestMaintainedPartitionMatches(t *testing.T) {
 	opts.Part = pt
 	got := PIncDect(ds.G, rules, d, opts)
 	if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
-		t.Errorf("PIncDect with maintained partition diverges from IncDect")
+		t.Errorf("PIncDect with a supplied partition diverges from IncDect")
 	}
 }

@@ -27,9 +27,10 @@
 //   - the goroutine scheduler (default; pool.go): p shard goroutines each
 //     popping the back of their own queue, parked on a wake channel when it
 //     is empty, plus a ticker that fires the monitoring round, for
-//     wall-clock use. Long-lived callers (the session/serve layer) hand in
-//     a persistent Pool so the shard goroutines survive across calls; every
-//     other run borrows a temporary pool that is closed before it returns.
+//     wall-clock use. A caller timing repeated runs (ngdbench shards) hands
+//     in a persistent Pool so the shard goroutines survive across calls;
+//     every other run borrows a temporary pool that is closed before it
+//     returns.
 //
 //   - the virtual scheduler (Options.Virtual; virtual.go): a deterministic
 //     discrete-event loop that always steps the worker whose front unit can
@@ -99,16 +100,16 @@ type Options struct {
 	// side hits its limit, that side's remaining units are drained without
 	// expansion but still accounted in Metrics.Units.
 	Limit int
-	// Part is a maintained partition to distribute PIncDect's seed pivots
-	// with (see partition.Partition: built once, kept current with
-	// Extend/Refine). When nil, PIncDect builds a fresh partition.Greedy
-	// over the whole graph — correct, but O(|V|+|E|) per call; long-lived
-	// sessions own a maintained partition instead (internal/session).
+	// Part is a prebuilt partition to distribute PIncDect's seed pivots
+	// with; nodes it has not placed fall back to modulo ownership. When
+	// nil, PIncDect builds a fresh partition.Greedy over the whole graph —
+	// correct, but O(|V|+|E|) per call, so a caller timing repeated runs
+	// over one graph (ngdbench shards) builds it once and passes it here.
 	Part *partition.Partition
 	// Program is the shared rule program to plan with; nil builds a
-	// private one per call. Long-lived callers (the session) pass their
-	// own so every worker's task plans come from one compiled Σ and one
-	// plan cache instead of a per-batch rebuild.
+	// private one per call. Callers running many detections over one Σ
+	// pass their own so every worker's task plans come from one compiled Σ
+	// and one plan cache instead of a per-call rebuild.
 	Program *plan.Program
 }
 

@@ -156,9 +156,8 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// initial owner is the shard its source node's fragment folds onto
 	// (partition.Worker). This is what produces the regionally-skewed
 	// workloads the hybrid strategy then splits and rebalances; see
-	// partition.Greedy. A maintained partition supplied via opts.Part is
-	// used as-is (the serving session keeps one current across commits);
-	// only a one-shot call without one pays the full-graph build here.
+	// partition.Greedy. A partition supplied via opts.Part is used as-is;
+	// only a call without one pays the full-graph build here.
 	pt := opts.Part
 	if pt == nil {
 		pt = partition.Greedy(g, opts.P)

@@ -1,14 +1,12 @@
 package par
 
 // The goroutine scheduler: p long-lived shard goroutines — one per
-// maintained partition fragment; the session sizes the pool and the
-// partition together — plus one balancer goroutine, kept in a Pool so a
-// serving runtime committing a batch every few milliseconds does not
-// respawn them. A Pool serves one run at a time (the session/serve layer is
-// single-writer; concurrent runs serialize), and Close terminates the
-// goroutines deterministically: the serve layer's goroutine-leak test pins
-// that nothing survives Server.Close. This is the only file of the package
-// that may read the wall clock (cmd/ngdlint).
+// partition fragment — plus one balancer goroutine, kept in a Pool so a
+// caller running detection after detection (ngdbench shards times repeated
+// runs) does not respawn them. A Pool serves one run at a time (concurrent
+// runs serialize), and Close terminates the goroutines deterministically:
+// pool_test.go pins that nothing survives it. This is the only file of the
+// package that may read the wall clock (cmd/ngdlint).
 
 import (
 	"sync"

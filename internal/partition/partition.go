@@ -12,13 +12,6 @@
 // Fragmentation drives worker ownership of update pivots and the
 // communication-cost accounting of the parallel engine: an edge whose
 // endpoints live in different fragments is a crossing edge.
-//
-// A Partition is a *maintained* structure: built once over the initial
-// graph, then kept current across commits with Extend (place nodes added
-// since the build) and Refine (churn-driven local improvement around the
-// nodes an update touched). A long-lived serving session therefore never
-// pays the O(|V|+|E|) rebuild per batch — per-batch maintenance is
-// proportional to |ΔG| and the degree of the touched nodes.
 package partition
 
 import (
@@ -29,12 +22,12 @@ import (
 type Partition struct {
 	P    int
 	Frag []int32 // Frag[v] = fragment of node v
-	load []int   // node count per fragment (maintained by Extend/Refine)
+	load []int   // node count per fragment
 }
 
 // Owner returns the fragment owning node v. Nodes added to the graph after
-// the partition was built (and not yet absorbed by Extend) fall back to
-// modulo placement, so Owner never indexes out of range or goes negative.
+// the partition was built fall back to modulo placement, so Owner never
+// indexes out of range or goes negative.
 func (pt *Partition) Owner(v graph.NodeID) int {
 	if int(v) >= len(pt.Frag) {
 		return int(v) % pt.P
@@ -43,12 +36,11 @@ func (pt *Partition) Owner(v graph.NodeID) int {
 }
 
 // Worker maps node v's fragment onto one of p shard workers. When the
-// partition has more fragments than the run has workers (a maintained
-// partition serving a smaller shard pool), consecutive fragments fold onto
-// workers modulo p; with p ≥ P the mapping is the fragment itself. This
-// keeps pivot placement fragment-local — the locality the paper's Figure 3
-// lines 1–2 assume — without requiring the partition and the pool to agree
-// on a size.
+// partition has more fragments than the run has workers, consecutive
+// fragments fold onto workers modulo p; with p ≥ P the mapping is the
+// fragment itself. This keeps pivot placement fragment-local — the locality
+// the paper's Figure 3 lines 1–2 assume — without requiring the partition
+// and the run to agree on a size.
 func (pt *Partition) Worker(v graph.NodeID, p int) int {
 	if p < 1 {
 		p = 1
@@ -82,8 +74,8 @@ func (pt *Partition) capacity(n int) int {
 }
 
 // neighborScores tallies, per fragment, how many of v's already-placed
-// neighbors (id < len(Frag), self-loops excluded) live there — the
-// affinity objective shared by the initial build, Extend and Refine.
+// neighbors (id < len(Frag), self-loops excluded) live there — Greedy's
+// affinity objective.
 func (pt *Partition) neighborScores(g *graph.Graph, v graph.NodeID, scores []int) {
 	for i := range scores {
 		scores[i] = 0
@@ -125,72 +117,18 @@ func (pt *Partition) place(g *graph.Graph, v graph.NodeID, scores []int, capacit
 
 // Greedy streams nodes in id order, placing each on the fragment with the
 // highest score: (#neighbors already there) − load_penalty. Balance is
-// enforced with a hard capacity of ⌈1.1·|V|/p⌉ per fragment. It is an
-// Extend from the empty placement, so builds and incremental extends can
-// never diverge.
+// enforced with a hard capacity of ⌈1.1·|V|/p⌉ per fragment.
 func Greedy(g *graph.Graph, p int) *Partition {
-	pt := newPartition(p, 0)
-	pt.Extend(g)
-	return pt
-}
-
-// Extend places every node added to g since the partition was built (or
-// last extended), with the same greedy streaming rule as the initial build.
-// It returns the number of nodes placed. Cost is proportional to the new
-// nodes and their degrees, not to |V|.
-func (pt *Partition) Extend(g *graph.Graph) int {
 	n := g.NumNodes()
-	lo := len(pt.Frag)
-	if n <= lo {
-		return 0
-	}
+	pt := newPartition(p, 0)
 	capacity := pt.capacity(n)
 	scores := make([]int, pt.P)
-	for v := lo; v < n; v++ {
+	for v := 0; v < n; v++ {
 		best := pt.place(g, graph.NodeID(v), scores, capacity, n)
 		pt.Frag = append(pt.Frag, int32(best))
 		pt.load[best]++
 	}
-	return n - lo
-}
-
-// Refine locally improves the placement of the given nodes (typically the
-// nodes a batch update touched): a node moves to the fragment holding the
-// strict majority of its neighbors when that fragment has room. One pass,
-// cost proportional to the touched nodes' degrees. It returns the number
-// of nodes moved.
-func (pt *Partition) Refine(g *graph.Graph, nodes []graph.NodeID) int {
-	if len(pt.Frag) == 0 {
-		return 0
-	}
-	capacity := pt.capacity(len(pt.Frag))
-	scores := make([]int, pt.P)
-	moved := 0
-	for _, v := range nodes {
-		if int(v) >= len(pt.Frag) {
-			continue // not yet placed; Extend owns it
-		}
-		pt.neighborScores(g, v, scores)
-		cur := int(pt.Frag[v])
-		best := cur
-		for i := 0; i < pt.P; i++ {
-			if i == cur || pt.load[i] >= capacity {
-				continue
-			}
-			// strictly better affinity only: ties stay put, so refinement
-			// terminates and does not thrash between equal fragments
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
-		if best != cur {
-			pt.Frag[v] = int32(best)
-			pt.load[cur]--
-			pt.load[best]++
-			moved++
-		}
-	}
-	return moved
+	return pt
 }
 
 // CrossingEdges counts edges whose endpoints are in different fragments
@@ -212,7 +150,3 @@ func (pt *Partition) CrossingEdges(g *graph.Graph) int {
 func (pt *Partition) Loads() []int {
 	return append([]int(nil), pt.load...)
 }
-
-// Placed reports how many nodes the partition has assigned; nodes with ids
-// ≥ Placed() are served by the Owner fallback until the next Extend.
-func (pt *Partition) Placed() int { return len(pt.Frag) }

@@ -64,7 +64,6 @@ func TestAttrFixMinimalPerturbation(t *testing.T) {
 	g.SetAttr(n, "discount", graph.Int(0))
 
 	s := session.New(g, core.NewSet(r), session.Options{})
-	defer s.Close()
 	if s.Len() != 1 {
 		t.Fatalf("seed store: %d violations, want 1", s.Len())
 	}
@@ -107,7 +106,6 @@ func TestAttrFixCreatesAbsentAttribute(t *testing.T) {
 	g.AddNode("item")
 
 	s := session.New(g, core.NewSet(r), session.Options{})
-	defer s.Close()
 	if s.Len() != 1 {
 		t.Fatalf("seed store: %d violations, want 1", s.Len())
 	}
@@ -145,7 +143,6 @@ func TestEdgeDeleteCandidate(t *testing.T) {
 	g.AddEdge(u, v, "owes")
 
 	s := session.New(g, core.NewSet(r), session.Options{})
-	defer s.Close()
 	if s.Len() != 1 {
 		t.Fatalf("seed store: %d violations, want 1", s.Len())
 	}
@@ -197,7 +194,6 @@ func TestCrossViolationClearance(t *testing.T) {
 	g.SetAttr(n, "a", graph.Int(50))
 
 	s := session.New(g, core.NewSet(r1, r2), session.Options{})
-	defer s.Close()
 	if s.Len() != 2 {
 		t.Fatalf("seed store: %d violations, want 2", s.Len())
 	}
@@ -310,7 +306,6 @@ func TestPreviewLeavesSessionUntouched(t *testing.T) {
 	g.SetAttr(n, "discount", graph.Int(0))
 
 	s := session.New(g, core.NewSet(r), session.Options{})
-	defer s.Close()
 	before := s.Snapshot()
 	key := s.Violations()[0].Key()
 	if _, err := s.PreviewRepair(key, repair.Options{}); err != nil {
@@ -336,7 +331,6 @@ func TestStaleKey(t *testing.T) {
 		[]core.Literal{core.MustLiteral("x.discount = 10")})
 	g := graph.New()
 	s := session.New(g, core.NewSet(r), session.Options{})
-	defer s.Close()
 	if _, err := s.PreviewRepair("disc:0", repair.Options{}); err == nil {
 		t.Fatal("want an error for a stale key")
 	} else if !strings.Contains(err.Error(), "not in store") {

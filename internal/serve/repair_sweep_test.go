@@ -2,13 +2,13 @@ package serve_test
 
 // Repair differential sweep: the repair engine re-runs the session
 // differential fuzz table (internal/session's seeded workloads — every
-// profile, prunable and unprunable Σ, parallel routing, edge-less rules,
-// uniform and skewed streams) and, on each workload's final state,
-// drains the violation store by applying the top-ranked fix per
-// violation through /repair/apply's backing call. After every apply the
-// live store must be byte-identical to Vio(Σ, G') recomputed by the
-// brute-force oracle (internal/ref) on the repaired graph — the repair
-// commit is an ordinary batch, invisible to the detection invariant.
+// profile, prunable and unprunable Σ, edge-less rules, uniform and skewed
+// streams) and, on each workload's final state, drains the violation store
+// by applying the top-ranked fix per violation through /repair/apply's
+// backing call. After every apply the live store must be byte-identical to
+// Vio(Σ, G') recomputed by the brute-force oracle (internal/ref) on the
+// repaired graph — the repair commit is an ordinary batch, invisible to
+// the detection invariant.
 // Previews run alongside and must never move the epoch or the store.
 
 import (
@@ -42,7 +42,7 @@ type sweepWorkload struct {
 	gamma     float64 // 0 = 1 (paper default)
 	hotspot   float64 // 0 = generator default (burst-skewed); -1 = uniform
 	noPrune   bool    // Σ rewritten so no precondition is index-prunable
-	parallel  bool    // session routes through PIncDect
+	parTag    bool    // name carries "par"; see sweepWorkloads
 	nodeRule  bool    // append an edge-less rule (per-node absorption path)
 }
 
@@ -51,7 +51,7 @@ func (w sweepWorkload) name() string {
 	if w.noPrune {
 		tags = append(tags, "noprune")
 	}
-	if w.parallel {
+	if w.parTag {
 		tags = append(tags, "par")
 	}
 	if w.nodeRule {
@@ -84,10 +84,13 @@ func sweepWorkloads() []sweepWorkload {
 			}
 		}
 	}
+	// seeds 3–6, one per profile: these rows once routed the session
+	// through PIncDect and commit sequentially like every row now; the "par"
+	// tag stays in their names so their test ids do not change
 	for i, p := range profiles {
 		ws = append(ws, sweepWorkload{
 			profile: p, entities: entities[p.Name], rules: 10,
-			seed: int64(3 + i), batches: 3, batchFrac: 0.06, parallel: true,
+			seed: int64(3 + i), batches: 3, batchFrac: 0.06, parTag: true,
 		})
 	}
 	for _, seed := range []int64{5, 6} {
@@ -165,7 +168,7 @@ func runRepairSweep(t *testing.T, w sweepWorkload) {
 	if w.noPrune {
 		rules = sweepUnprunable(rules)
 	}
-	sess := session.New(ds.G, rules, session.Options{Parallel: w.parallel})
+	sess := session.New(ds.G, rules, session.Options{})
 
 	// replay the workload's stream first — repair runs against the state a
 	// served session would actually be in, not a freshly seeded store

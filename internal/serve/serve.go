@@ -229,10 +229,9 @@ type Server struct {
 	anMu     sync.Mutex
 	anCache  map[string]*analyze.Report
 
-	mu        sync.Mutex // guards closed
-	closed    bool
-	done      chan struct{} // writer exited
-	closeSess sync.Once     // sess.Close after the writer exits
+	mu     sync.Mutex // guards closed
+	closed bool
+	done   chan struct{} // writer exited
 
 	enqueued   atomic.Int64
 	commits    atomic.Int64
@@ -380,10 +379,9 @@ func (s *Server) Flush() error {
 	return nil
 }
 
-// Close stops the writer after it drains the queue, then stops the
-// session's shard pool, so no goroutine the server (transitively) owns
-// survives the call. Reads keep working against the final snapshot;
-// Enqueue fails with ErrClosed.
+// Close stops the writer after it drains the queue and closes the change
+// feed, so no goroutine the server owns survives the call. Reads keep
+// working against the final snapshot; Enqueue fails with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -395,7 +393,6 @@ func (s *Server) Close() {
 	}
 	<-s.done
 	s.feed.close() // the writer has exited: no publish can race this
-	s.closeSess.Do(s.sess.Close)
 }
 
 // writer is the single mutating goroutine: drain, coalesce, materialize,

@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -220,6 +222,56 @@ func TestStatsMemOnRequest(t *testing.T) {
 	var mem serve.MemCounters
 	if err := json.Unmarshal(withMem["mem"], &mem); err != nil || mem.HeapAllocBytes == 0 || mem.Mallocs == 0 {
 		t.Fatalf("/stats?mem=1: mem block %s (%v)", withMem["mem"], err)
+	}
+}
+
+// TestStatsReportsCommitHookError: a failed write-ahead append reaches
+// /stats as durability_error with its message, and last_batch carries no
+// LogErr key — encoding/json would render the error as {} or as the fields
+// of an *fs.PathError, never as its message.
+func TestStatsReportsCommitHookError(t *testing.T) {
+	sess, names := tinyWorld(t)
+	walErr := &fs.PathError{Op: "write", Path: "wal/000001.log", Err: errors.New("no space left on device")}
+	var failed atomic.Bool
+	sess.SetCommitHook(func(*graph.Graph, *graph.Delta, []graph.AttrOp, graph.NodeID, graph.NodeID) error {
+		failed.Store(true)
+		return walErr
+	})
+	s := serve.New(sess, serve.Options{Names: names, DurabilityErr: func() error {
+		if failed.Load() {
+			return walErr
+		}
+		return nil
+	}})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	if _, err := s.Enqueue([]serve.UpdateOp{{Op: "insert", Src: "bob", Dst: "alice", Label: "knows"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if lb := s.Stats().LastBatch; lb == nil || lb.LogErr != walErr {
+		t.Fatalf("Stats().LastBatch = %+v, want LogErr %v", lb, walErr)
+	}
+
+	var body struct {
+		DurabilityError string                     `json:"durability_error"`
+		LastBatch       map[string]json.RawMessage `json:"last_batch"`
+	}
+	if code := getJSON(t, srv, "/stats", &body); code != 200 {
+		t.Fatalf("stats: code %d", code)
+	}
+	if body.DurabilityError != walErr.Error() {
+		t.Errorf("durability_error = %q, want %q", body.DurabilityError, walErr.Error())
+	}
+	if body.LastBatch == nil {
+		t.Fatal("/stats has no last_batch after a commit")
+	}
+	if v, ok := body.LastBatch["LogErr"]; ok {
+		t.Errorf("last_batch carries LogErr = %s", v)
 	}
 }
 

@@ -1,11 +1,11 @@
 package serve_test
 
-// Shard-pool stress + leak check (the -race CI target for the serving
-// path): a *parallel* session routes every commit through PIncDect on the
-// session-owned persistent shard pool, so this drives concurrent snapshot
-// readers against real shard goroutines committing batches — and then pins
-// that Server.Close tears all of it down: the writer, the shard pool and
-// its balancer. Nothing the server transitively owns may survive Close.
+// Serving stress + leak check (the -race CI target for the serving path):
+// four snapshot readers polling Snapshot and Stats run against the single
+// writer while a burst of batches is enqueued from eight goroutines at once,
+// so coalescing, commits and publishes all race the reads. Then it pins that
+// Server.Close tears everything down: the writer and the change feed. No
+// goroutine the server owns may survive Close.
 
 import (
 	"fmt"
@@ -17,7 +17,6 @@ import (
 
 	"ngd/internal/gen"
 	"ngd/internal/graph"
-	"ngd/internal/par"
 	"ngd/internal/serve"
 	"ngd/internal/session"
 	"ngd/internal/update"
@@ -56,7 +55,7 @@ func TestShardPoolStressAndGoroutineLeak(t *testing.T) {
 		return ops
 	}
 
-	sess := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(4)})
+	sess := session.New(ds.G, rules, session.Options{})
 	s := serve.New(sess, serve.Options{QueueDepth: 64})
 
 	var stop atomic.Bool
@@ -111,8 +110,8 @@ func TestShardPoolStressAndGoroutineLeak(t *testing.T) {
 		t.Fatalf("store invariant after serving: %v", err)
 	}
 
-	// Close tears down the writer AND the session's shard pool: the process
-	// goroutine count must return to its pre-server baseline.
+	// Close tears down the writer: the process goroutine count must return
+	// to its pre-server baseline.
 	s.Close()
 	s.Close() // idempotent
 	deadline := time.Now().Add(5 * time.Second)

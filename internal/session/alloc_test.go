@@ -24,7 +24,6 @@ func TestSteadyStateCommitAllocBudget(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 17)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 17})
 	sess := session.New(ds.G, rules, session.Options{})
-	defer sess.Close()
 
 	deltas := make([]*graph.Delta, 0, 48)
 	for b := 0; b < 48; b++ {

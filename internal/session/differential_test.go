@@ -10,19 +10,16 @@ package session_test
 //   - the previous store reconciled with IncDect's  ΔVio⁺/ΔVio⁻,
 //   - the previous store reconciled with PIncDect's ΔVio⁺/ΔVio⁻,
 //
-// with prunable and unprunable preconditions, sequential and parallel
-// session routing, uniform and burst-skewed streams. Failures log the
-// workload (profile, seed, batch) so any counterexample reproduces from its
-// seeds.
+// with prunable and unprunable preconditions, edge-less and literal-path
+// rules, uniform and burst-skewed streams. Failures log the workload
+// (profile, seed, batch) so any counterexample reproduces from its seeds.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
@@ -48,7 +45,7 @@ type diffWorkload struct {
 	gamma     float64 // 0 = 1 (paper default)
 	hotspot   float64 // 0 = generator default (burst-skewed); -1 = uniform
 	noPrune   bool    // Σ rewritten so no precondition is index-prunable
-	parallel  bool    // session routes through PIncDect
+	parTag    bool    // name carries "par"; see diffWorkloads
 	nodeRule  bool    // append an edge-less rule (per-node absorption path)
 	litPaths  bool    // append litPathRules, decorate the graph, stream attr ops
 }
@@ -166,7 +163,7 @@ func (w diffWorkload) name() string {
 	if w.noPrune {
 		tags = append(tags, "noprune")
 	}
-	if w.parallel {
+	if w.parTag {
 		tags = append(tags, "par")
 	}
 	if w.nodeRule {
@@ -186,7 +183,7 @@ func (w diffWorkload) name() string {
 }
 
 // diffWorkloads is the seeded workload table: every profile, prunable and
-// unprunable Σ, two seeds each, plus routing/stream/rule-shape variants.
+// unprunable Σ, two seeds each, plus seed/stream/rule-shape variants.
 func diffWorkloads() []diffWorkload {
 	var ws []diffWorkload
 	profiles := []gen.Profile{gen.DBpedia, gen.YAGO2, gen.Pokec, gen.Synthetic}
@@ -201,11 +198,13 @@ func diffWorkloads() []diffWorkload {
 			}
 		}
 	}
-	// parallel session routing, one per profile
+	// seeds 3–6, one per profile: these rows once routed the session
+	// through PIncDect and commit sequentially like every row now; the "par"
+	// tag stays in their names so their test ids do not change
 	for i, p := range profiles {
 		ws = append(ws, diffWorkload{
 			profile: p, entities: entities[p.Name], rules: 10,
-			seed: int64(3 + i), batches: 3, batchFrac: 0.06, parallel: true,
+			seed: int64(3 + i), batches: 3, batchFrac: 0.06, parTag: true,
 		})
 	}
 	// edge-less rule in Σ: new-node absorption must stay consistent
@@ -286,9 +285,8 @@ func (w diffWorkload) generate() *gen.Dataset {
 func runDifferential(t *testing.T, w diffWorkload) {
 	ds := w.generate()
 	rules := w.sigma()
-	sess := session.New(ds.G, rules, session.Options{Parallel: w.parallel})
-	defer sess.Close()
-	parOpts := par.Hybrid(6)
+	sess := session.New(ds.G, rules, session.Options{})
+	popts := par.Hybrid(6)
 
 	// the session's seed store must already match the oracle
 	if got, want := canon(sess.Violations()), canon(ref.Detect(ds.G, rules)); got != want {
@@ -307,7 +305,7 @@ func runDifferential(t *testing.T, w diffWorkload) {
 		// incremental answers against the pre-commit graph (neither call
 		// mutates G; the session commits afterwards)
 		incRes := inc.IncDect(ds.G, rules, delta, inc.Options{})
-		pincRes := par.PIncDect(ds.G, rules, delta, parOpts)
+		pincRes := par.PIncDect(ds.G, rules, delta, popts)
 
 		// the searched ΔVio is the specification of what the commit does
 		// instead: its ΔVio⁻, as far as the store held it, is what the lookup
@@ -358,7 +356,7 @@ func runDifferential(t *testing.T, w diffWorkload) {
 			t.Fatalf("workload %s batch %d: session store != Dect(Σ,G)\nstore:\n%s\nDect:\n%s",
 				w.name(), b, store, dect)
 		}
-		pdect := canon(par.PDect(ds.G, rules, parOpts).Violations)
+		pdect := canon(par.PDect(ds.G, rules, popts).Violations)
 		if store != pdect {
 			t.Fatalf("workload %s batch %d: session store != PDect(Σ,G)\nstore:\n%s\nPDect:\n%s",
 				w.name(), b, store, pdect)
@@ -444,58 +442,28 @@ func TestDifferentialShardRuntime(t *testing.T) {
 	}
 }
 
-// TestDifferentialRealDriver runs one workload through the goroutine
-// scheduler (the -race CI job's target): the real-thread PIncDect must agree
-// with the session store batch for batch.
+// TestDifferentialRealDriver runs the goroutine scheduler beside the session
+// (the -race CI job's target): each batch's ΔVio comes from a real-thread
+// PIncDect on the pre-commit graph, then the session commits the batch, and
+// the previous store reconciled with that ΔVio must equal both the session's
+// store and Vio(Σ, G′) from the reference detector.
 func TestDifferentialRealDriver(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 150, 11)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 11})
-	sess := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(4)})
-	defer sess.Close()
+	sess := session.New(ds.G, rules, session.Options{})
 	for b := 0; b < 3; b++ {
 		delta := update.Random(ds, update.Config{
 			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 11000 + int64(b),
 		})
+		prev := detect.VioKeySet(sess.Violations())
+		r := par.PIncDect(ds.G, rules, delta, par.Hybrid(4))
 		sess.Commit(delta)
-		store := canonKeys(detect.VioKeySet(sess.Violations()))
-		if want := canon(ref.Detect(ds.G, rules)); store != want {
-			t.Fatalf("real driver batch %d (seed 11): store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b, store, want)
+		want := canon(ref.Detect(ds.G, rules))
+		if got := canonKeys(reconcile(prev, r.Delta.Plus, r.Delta.Minus)); got != want {
+			t.Fatalf("goroutine scheduler, batch %d (seed 11): store ⊕ PIncDect != Vio(Σ,G′)\nreconciled:\n%s\nreference:\n%s", b, got, want)
 		}
-	}
-}
-
-// TestCloseThenParallelCommit: Close stops the session's shard pool for
-// good, yet the session stays usable — every later parallel commit runs on
-// a temporary pool that is closed before the commit returns, so the store
-// still equals Vio(Σ, G) and the goroutine count stays at its pre-session
-// baseline.
-func TestCloseThenParallelCommit(t *testing.T) {
-	ds := gen.Generate(gen.Pokec, 150, 17)
-	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 17})
-	baseline := runtime.NumGoroutine()
-	sess := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(4)})
-	for b := 0; b < 3; b++ {
-		if b == 1 {
-			sess.Close()
-		}
-		delta := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 17000 + int64(b),
-		})
-		sess.CommitBatch(delta, nil)
-		store := canonKeys(detect.VioKeySet(sess.Violations()))
-		if want := canon(ref.Detect(ds.G, rules)); store != want {
-			t.Fatalf("batch %d: store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b, store, want)
-		}
-		if b == 0 {
-			continue // the session's own pool is still up
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > baseline {
-			if time.Now().After(deadline) {
-				t.Fatalf("batch %d after Close: %d goroutines alive, baseline %d",
-					b, runtime.NumGoroutine(), baseline)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if store := canonKeys(detect.VioKeySet(sess.Violations())); store != want {
+			t.Fatalf("goroutine scheduler, batch %d (seed 11): store != Vio(Σ,G′)\nstore:\n%s\nreference:\n%s", b, store, want)
 		}
 	}
 }

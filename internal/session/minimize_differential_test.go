@@ -92,8 +92,7 @@ func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 	// continuous detection: a session handed the FULL Σ (admission
 	// minimization on by default) must track from-scratch detection with
 	// the full Σ across every committed batch
-	sess := session.New(ds.G, full, session.Options{Parallel: w.parallel})
-	defer sess.Close()
+	sess := session.New(ds.G, full, session.Options{})
 	if got := len(sess.DroppedRules()); got != 2 {
 		t.Fatalf("workload %s: session dropped %d rules, want 2", w.name(), got)
 	}

@@ -6,8 +6,8 @@
 // problem (§6.1) hands the algorithm Vio(Σ, G) along with ΔG, and the session
 // holds exactly that: ΔVio⁻ is read off the store (the violations posted
 // under a deleted edge's endpoints whose match uses the edge), ΔG is applied,
-// and only ΔVio⁺ is searched, by inc.Plus on G′ itself. Under the parallel
-// toggle PIncDect searches both sides on the pre-commit graph instead.
+// and only ΔVio⁺ is searched, by inc.Plus on G′ itself. That is the one
+// commit path; the parallel detectors of internal/par are offline tools.
 //
 // Store invariant: after every Commit the store equals Dect(Σ, G) on the
 // committed graph, keyed by canonical violation identity (core.Violation.Key).
@@ -35,7 +35,6 @@ package session
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"ngd/internal/analyze"
 	"ngd/internal/core"
@@ -44,24 +43,15 @@ import (
 	"ngd/internal/inc"
 	"ngd/internal/match"
 	"ngd/internal/par"
-	"ngd/internal/partition"
 	"ngd/internal/plan"
 )
 
 // Options configure a detection session.
 type Options struct {
-	// Parallel routes batches through par.PIncDect (and the initial store
-	// seeding through par.PDect) instead of the sequential algorithms. Both
-	// routes produce identical stores; the toggle can also be flipped
-	// per-batch with SetParallel.
-	Parallel bool
-	// Par configures the parallel engine when Parallel is set. The zero
-	// value means the full hybrid strategy (splitting + balancing) at the
-	// default worker count on the goroutine shard runtime, executed on a
-	// persistent pool the session owns (created at first parallel use,
-	// stopped by Close); set Par.Virtual for the deterministic virtual-time
-	// driver. Par.Limit is ignored: the store invariant needs complete
-	// violation sets, so detection always runs unbounded.
+	// Par is read by nothing: every commit takes the one sequential path.
+	//
+	// Deprecated: the session has no parallel route; the field is kept only
+	// so that callers setting it still compile.
 	Par par.Options
 	// Plan configures the session's shared rule program (the plan-cache
 	// churn threshold; the zero value picks it automatically).
@@ -96,8 +86,7 @@ type BatchStats struct {
 
 	// Plus counts the violations of ΔVio⁺ the commit added to the store.
 	// Minus counts the violations the commit took out of it for ΔVio⁻: the
-	// ones the lookup over the deleted edges' postings removed (under
-	// Parallel, the ones PIncDect's deletion pivots found).
+	// ones the lookup over the deleted edges' postings removed.
 	Plus, Minus int
 	// Absorbed counts violations added by the arriving-node searches
 	// (isolated pattern slots), so the store-size delta always accounts:
@@ -106,16 +95,10 @@ type BatchStats struct {
 	// Looked is the number of posting entries the ΔVio⁻ lookup examined: per
 	// deleted edge, the shorter of its two endpoints' postings. A deleted
 	// edge at a hub whose other endpoint is as busy shows up here.
-	// Sequential route only.
 	Looked int
 	// Pivots is the number of insertion pivots expanded: deletions expand
-	// none. Sequential route only.
+	// none.
 	Pivots int
-	// PartPlaced / PartMoved report the incremental partition maintenance
-	// done by this commit (parallel route only): nodes newly placed by
-	// Extend and nodes relocated by the churn-driven Refine pass. The
-	// partition is never rebuilt from scratch.
-	PartPlaced, PartMoved int
 	// PlanHits / PlanMisses / PlanInvalidations report this batch's plan
 	// cache traffic: plans served from the shared program's cache, plans
 	// compiled fresh, and cached plans discarded for stats drift. A warm
@@ -126,8 +109,7 @@ type BatchStats struct {
 	// in the program's latest batch forest (level gauge, not a delta).
 	SharedRules int64
 	// Cost is the batch's deterministic detection cost: the work units
-	// (candidates + checks) of the ΔVio⁺ search plus Looked on the
-	// sequential route, simulated makespan under PIncDect.
+	// (candidates + checks) of the ΔVio⁺ search plus Looked.
 	Cost float64
 	// StoreSize is |Vio(Σ, G)| after the commit.
 	StoreSize int
@@ -138,8 +120,10 @@ type BatchStats struct {
 	// LogErr is the error returned by the commit hook (write-ahead logging;
 	// see SetCommitHook), nil when no hook is installed or the append
 	// succeeded. The commit itself still completes: in-memory state stays
-	// consistent, only durability of this batch is in doubt.
-	LogErr error
+	// consistent, only durability of this batch is in doubt. Excluded from
+	// JSON, which renders most errors as {}: the message reaches /stats as
+	// durability_error (see serve.Options.DurabilityErr).
+	LogErr error `json:"-"`
 }
 
 // CommitEvent is the reconciled violation delta of one commit: exactly the
@@ -176,15 +160,14 @@ type CommitHook func(g *graph.Graph, norm *graph.Delta, attrs []graph.AttrOp, ne
 type Session struct {
 	g     *graph.Graph
 	rules *core.Set
-	opts  Options
 	// dropped names the rules removed by the admission pass (unviolable
 	// rules; see Options.Analyze), in Σ order.
 	dropped []string
 
 	// prog is the session's shared rule program: Σ compiled once, matching
 	// plans cached across commits, shared prefixes arranged once. Every
-	// detector the session routes through — seeding Dect/PDect, per-batch
-	// inc.Plus/PIncDect, absorption searches — draws plans from it.
+	// search the session runs — the seeding Dect, the per-batch inc.Plus, the
+	// absorption and attribute searches — draws plans from it.
 	prog *plan.Program
 
 	// searchers reuses pre-bound violation searchers across commits: the
@@ -206,21 +189,6 @@ type Session struct {
 	edgeRules *core.Set
 	isoRules  []isoRule
 
-	// part is the maintained partition the parallel route distributes seed
-	// pivots with: built once at first parallel use, then kept current
-	// with Extend (new nodes) and Refine (churn) on every Commit — never
-	// rebuilt over the full graph.
-	part *partition.Partition
-
-	// pool is the session-owned persistent shard pool the goroutine driver
-	// runs on: created at first parallel use, sized like the partition (one
-	// shard per worker), reused by every PDect/PIncDect the session routes,
-	// stopped by Close. poolMu guards it against Close racing a late
-	// ensurePool.
-	pool     *par.Pool
-	poolMu   sync.Mutex
-	poolDone bool
-
 	// hook, when set, logs each batch before the in-place Apply (write-ahead
 	// logging for durable serving; see SetCommitHook).
 	hook CommitHook
@@ -239,15 +207,10 @@ type isoRule struct {
 }
 
 // New opens a session over g and rules, seeding the store with a full
-// batch detection run (Dect, or PDect under Options.Parallel).
+// batch detection run (Dect).
 func New(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	s := newSession(g, rules, opts)
-	var vios []core.Violation
-	if opts.Parallel {
-		vios = par.PDect(g, s.rules, s.parOpts()).Violations
-	} else {
-		vios = detect.Dect(g, s.rules, detect.Options{Program: s.prog}).Violations
-	}
+	vios := detect.Dect(g, s.rules, detect.Options{Program: s.prog}).Violations
 	s.snap = newSnapshot(vios, g.NumNodes(), g.NumEdges())
 	return s
 }
@@ -282,7 +245,6 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 	s := &Session{
 		g:         g,
 		rules:     rules,
-		opts:      opts,
 		dropped:   dropped,
 		prog:      plan.New(g, rules, opts.Plan),
 		added:     make(map[string]core.Violation),
@@ -342,73 +304,12 @@ func internSymbols(syms *graph.Symbols, rules *core.Set) {
 // re-logged.
 func (s *Session) SetCommitHook(h CommitHook) { s.hook = h }
 
-// parOpts resolves the session's parallel-engine options: an untouched
-// zero value means the full hybrid strategy at the default worker count.
-// The session's maintained partition and persistent shard pool are
-// threaded through so PIncDect never rebuilds a partition and the
-// goroutine scheduler never respawns its shards.
-func (s *Session) parOpts() par.Options {
-	o := s.opts.Par
-	if o.P == 0 && !o.SplitUnits && !o.Balance && !o.Virtual {
-		o = par.Hybrid(0)
-	}
-	o.AssumeNormalized = true
-	o.Limit = 0
-	o.Part = s.part
-	o.Program = s.prog
-	if !o.Virtual && o.Pool == nil {
-		o.Pool = s.ensurePool(o.Defaults().P)
-	}
-	return o
-}
-
-// ensurePool lazily creates the session-owned shard pool for p workers.
-// After Close it returns nil — each later parallel run then borrows a
-// temporary pool that par closes before the run returns — so a straggling
-// commit can never leave behind shard goroutines the caller believes
-// stopped.
-func (s *Session) ensurePool(p int) *par.Pool {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.poolDone {
-		return nil
-	}
-	if s.pool == nil {
-		s.pool = par.NewPool(p)
-	}
-	return s.pool
-}
-
-// Close stops the session's shard pool, blocking until its goroutines have
-// exited. Idempotent and safe after any number of commits; a session whose
-// parallel route was never used has nothing to stop. The session remains
-// usable afterwards — every parallel detection then starts and stops a
-// temporary pool of its own.
-func (s *Session) Close() {
-	s.poolMu.Lock()
-	pl := s.pool
-	s.pool = nil
-	s.poolDone = true
-	s.poolMu.Unlock()
-	if pl != nil {
-		pl.Close()
-	}
-}
-
-// ensurePartition builds the maintained partition on first parallel use
-// (the one full-graph pass it ever pays) and extends it over nodes that
-// arrived since. It returns how many nodes Extend placed.
-func (s *Session) ensurePartition(p int) int {
-	if s.part == nil {
-		s.part = partition.Greedy(s.g, p)
-		return 0
-	}
-	return s.part.Extend(s.g)
-}
-
-// SetParallel flips batch routing between the sequential route and PIncDect
-// for subsequent commits. The resulting stores are identical either way.
-func (s *Session) SetParallel(on bool) { s.opts.Parallel = on }
+// Close does nothing: a session owns no goroutine and holds nothing that
+// needs releasing.
+//
+// Deprecated: there is nothing to close; the method is kept only so that
+// callers invoking it still compile.
+func (s *Session) Close() {}
 
 // Graph exposes the owned graph (read it freely; mutate edges only via
 // Commit).
@@ -481,10 +382,6 @@ func (s *Session) Violations() []core.Violation {
 // be handed to any number of concurrent readers.
 func (s *Session) Snapshot() *Snapshot { return s.snap }
 
-// Partition exposes the maintained partition (nil until the first parallel
-// commit builds it).
-func (s *Session) Partition() *partition.Partition { return s.part }
-
 // Program exposes the session's shared rule program. It is rebuilt from Σ
 // on every session open (including recovery) and never persisted.
 func (s *Session) Program() *plan.Program { return s.prog }
@@ -495,8 +392,7 @@ func (s *Session) Program() *plan.Program { return s.prog }
 func (s *Session) PlanStats() plan.Counters { return s.prog.Counters() }
 
 // Commit coalesces ΔG, takes ΔVio⁻ out of the store, commits ΔG into G in
-// place, and adds the ΔVio⁺ it finds on G′ (the parallel route computes both
-// sides with PIncDect before it commits ΔG). A nil or empty delta still
+// place, and adds the ΔVio⁺ it finds on G′. A nil or empty delta still
 // absorbs externally arrived nodes.
 func (s *Session) Commit(d *graph.Delta) BatchStats {
 	return s.CommitBatch(d, nil)
@@ -536,51 +432,26 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	planBefore := s.prog.Counters()
 	st.NewNodes = s.g.NumNodes() - s.seenNodes
 
-	var ap graph.ApplyStats
-	var plus []core.Violation
-	if s.opts.Parallel {
-		// the exception: PIncDect searches both sides of ΔVio itself, on the
-		// pre-commit graph and an overlay of it, so this route detects first
-		// and applies afterwards
-		st.Absorbed = s.absorbNewNodes()
-		if norm.Len() > 0 {
-			// maintain the owned partition instead of letting PIncDect
-			// rebuild one: place nodes that arrived since the last commit,
-			// then hand it through parOpts
-			st.PartPlaced = s.ensurePartition(s.parOpts().Defaults().P)
-			r := par.PIncDect(s.g, s.edgeRules, norm, s.parOpts())
-			for _, v := range r.Delta.Minus {
-				if s.remove(v.Key(), v) {
-					st.Minus++
-				}
-			}
-			plus = r.Delta.Plus
-			st.Cost = r.Metrics.Makespan
-		}
-		ap = s.g.Apply(norm)
-	} else {
-		// ΔVio⁻ is read off the last snapshot; ΔG commits; ΔVio⁺ is searched
-		// on G′ itself. Arrivals are absorbed on G′ too: an arriving node
-		// binds an isolated slot whatever the edges are, and the rest of such
-		// a match is a match of G′.
-		st.Minus, st.Looked = s.removeDeleted(norm.Deletions())
-		ap = s.g.Apply(norm)
-		st.Absorbed = s.absorbNewNodes()
-		if ins := norm.Insertions(); len(ins) > 0 {
-			r := inc.Plus(s.g, s.edgeRules, ins, inc.Options{Program: s.prog, Searchers: &s.searchers})
-			plus = r.Plus
-			st.Pivots = r.Pivots
-			st.Cost = float64(r.Counters.Candidates + r.Counters.Checks)
-		}
-		st.Cost += float64(st.Looked)
-	}
+	// ΔVio⁻ is read off the last snapshot; ΔG commits; ΔVio⁺ is searched on
+	// G′ itself. Arrivals are absorbed on G′ too: an arriving node binds an
+	// isolated slot whatever the edges are, and the rest of such a match is a
+	// match of G′.
+	st.Minus, st.Looked = s.removeDeleted(norm.Deletions())
+	st.Cost = float64(st.Looked)
+	ap := s.g.Apply(norm)
 	st.Inserted, st.Deleted, st.Compacted = ap.Inserted, ap.Deleted, ap.Compacted
-	// only *effective* store changes are counted and reach the event: a
-	// ΔVio⁺ key the store already holds (an absorbed arrival's match that
-	// also uses an inserted edge) is not echoed
-	for _, v := range plus {
-		if s.add(v.Key(), v) {
-			st.Plus++
+	st.Absorbed = s.absorbNewNodes()
+	if ins := norm.Insertions(); len(ins) > 0 {
+		r := inc.Plus(s.g, s.edgeRules, ins, inc.Options{Program: s.prog, Searchers: &s.searchers})
+		st.Pivots = r.Pivots
+		st.Cost += float64(r.Counters.Candidates + r.Counters.Checks)
+		// only *effective* store changes are counted and reach the event: a
+		// ΔVio⁺ key the store already holds (an absorbed arrival's match
+		// that also uses an inserted edge) is not echoed
+		for _, v := range r.Plus {
+			if s.add(v.Key(), v) {
+				st.Plus++
+			}
 		}
 	}
 
@@ -596,13 +467,6 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	}
 
 	st.Event = s.publish()
-
-	// churn-driven local refinement keeps the maintained partition's cut
-	// quality from decaying as the graph evolves; cost ∝ |ΔG| degrees,
-	// never a rebuild
-	if s.part != nil {
-		st.PartMoved = s.part.Refine(s.g, norm.TouchedNodes())
-	}
 	st.StoreSize = s.snap.Len()
 	return st
 }
@@ -719,10 +583,9 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 // Arriving nodes cannot extend any *old* match (they had no edges before
 // this commit, and isolated slots bind every candidate independently), so
 // only the seeded searches are needed; a match through an arriving node at
-// any other slot uses an inserted edge and is ΔVio⁺'s to find. That holds on
-// G (the parallel route absorbs before it detects) and on G′ (the sequential
-// route absorbs after Apply, where a match that also uses an inserted edge is
-// found here first and not counted again under Plus). It returns how many
+// any other slot uses an inserted edge and is ΔVio⁺'s to find. Commit
+// absorbs after Apply, on G′, so a match that also uses an inserted edge is
+// found here first and not counted again under Plus. It returns how many
 // violations it added to the store.
 func (s *Session) absorbNewNodes() (absorbed int) {
 	n := s.g.NumNodes()

@@ -131,23 +131,6 @@ func TestSessionCoalescing(t *testing.T) {
 	}
 }
 
-func TestSessionParallelToggleMidStream(t *testing.T) {
-	ds, rules := mkStreamWorkload(t, gen.DBpedia, 200, 8, 3)
-	s := session.New(ds.G, rules, session.Options{})
-	for b := 0; b < 4; b++ {
-		s.SetParallel(b%2 == 1) // alternate IncDect / PIncDect routing
-		d := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.06), Gamma: 1, Seed: int64(500 + b),
-		})
-		if st := s.Commit(d); b%2 == 1 && st.Ops > 0 && st.Cost == 0 {
-			t.Fatalf("batch %d: parallel route reported no makespan", b)
-		}
-		if err := s.Recheck(); err != nil {
-			t.Fatalf("batch %d (parallel=%v): %v", b, b%2 == 1, err)
-		}
-	}
-}
-
 func TestSessionAbsorbsNewNodes(t *testing.T) {
 	ds, rules := mkStreamWorkload(t, gen.YAGO2, 120, 6, 4)
 	rules.Add(noSevenRule())

@@ -7,7 +7,6 @@ import (
 	"ngd/internal/expr"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
-	"ngd/internal/par"
 	"ngd/internal/pattern"
 	"ngd/internal/session"
 	"ngd/internal/update"
@@ -65,44 +64,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if _, ok := after.Get("no-such-violation:0"); ok {
 		t.Error("snapshot Get returned a violation for a bogus key")
-	}
-}
-
-// TestSessionMaintainsPartition: the parallel route builds the partition
-// once and then maintains it — every committed node ends up placed, loads
-// stay consistent, and the store invariant holds throughout.
-func TestSessionMaintainsPartition(t *testing.T) {
-	ds, rules := mkStreamWorkload(t, gen.Pokec, 250, 8, 31)
-	s := session.New(ds.G, rules, session.Options{Parallel: true, Par: par.Hybrid(6)})
-	defer s.Close()
-
-	if s.Partition() != nil {
-		t.Fatal("partition built before any parallel commit")
-	}
-	for b := 0; b < 4; b++ {
-		d := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: int64(300 + b),
-		})
-		s.Commit(d)
-		if err := s.Recheck(); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		pt := s.Partition()
-		if pt == nil {
-			t.Fatal("no maintained partition after parallel commit")
-		}
-		// update.Random adds arriving nodes to g before Commit, and Commit
-		// extends the partition before detection, so placement is complete
-		if pt.Placed() != ds.G.NumNodes() {
-			t.Fatalf("batch %d: partition placed %d of %d nodes", b, pt.Placed(), ds.G.NumNodes())
-		}
-		total := 0
-		for _, l := range pt.Loads() {
-			total += l
-		}
-		if total != pt.Placed() {
-			t.Fatalf("batch %d: loads sum %d != placed %d", b, total, pt.Placed())
-		}
 	}
 }
 

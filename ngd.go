@@ -47,7 +47,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
-	"ngd/internal/partition"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
 	"ngd/internal/reason"
@@ -101,8 +100,8 @@ type (
 	// batch updates in place, and keeps the violation store Vio(Σ, G) live
 	// by reconciling incremental answers (internal/session).
 	Session = session.Session
-	// SessionOptions configure a session (parallel routing, admission
-	// analysis, plan-cache threshold).
+	// SessionOptions configure a session (admission analysis, plan-cache
+	// threshold).
 	SessionOptions = session.Options
 	// BatchStats report what one session commit did (coalescing, commit
 	// effects, ΔVio sizes, detection cost, store size).
@@ -154,10 +153,6 @@ type (
 	// RepairApplied reports an applied fix: the commit epoch it landed in
 	// and the store size after (Server.ApplyRepair, POST /repair/apply).
 	RepairApplied = serve.ApplyResult
-	// Partition assigns graph nodes to fragments for the parallel engine;
-	// a maintained Partition is kept current across session commits with
-	// incremental Extend/Refine passes instead of per-batch rebuilds.
-	Partition = partition.Partition
 	// Program is the shared rule-program layer (internal/plan): Σ compiled
 	// once, cost-based matching plans cached with churn invalidation, and
 	// overlapping rules arranged into shared matching prefixes. Sessions
