@@ -475,7 +475,8 @@ func groundWitnesses(rules []*core.NGD) []string {
 			if !okL || !okR || (ground(l.L) && ground(l.R)) {
 				continue // open terms remain, or nothing was substituted
 			}
-			holds, err := evalGround(ls, l.Op, rs)
+			// ground: Compare never consults the binding
+			holds, err := expr.Compare(ls, l.Op, rs, nil)
 			if err == nil && !holds {
 				out = append(out, fmt.Sprintf("witness: %s fails under %s",
 					expr.FormatComparison(ls, l.Op, rs), l))
@@ -514,36 +515,6 @@ func ground(e *expr.Expr) bool {
 	open := false
 	e.Terms(func(string, string) { open = true })
 	return !open
-}
-
-// evalGround evaluates a term-free comparison exactly.
-func evalGround(l *expr.Expr, op expr.Cmp, r *expr.Expr) (bool, error) {
-	lf, err := expr.Linearize(l)
-	if err != nil {
-		return false, err
-	}
-	rf, err := expr.Linearize(r)
-	if err != nil {
-		return false, err
-	}
-	if len(lf.Coeffs) != 0 || len(rf.Coeffs) != 0 {
-		return false, fmt.Errorf("analyze: not ground")
-	}
-	cmp := lf.Const.Cmp(rf.Const)
-	switch op {
-	case expr.Eq:
-		return cmp == 0, nil
-	case expr.Ne:
-		return cmp != 0, nil
-	case expr.Lt:
-		return cmp < 0, nil
-	case expr.Le:
-		return cmp <= 0, nil
-	case expr.Gt:
-		return cmp > 0, nil
-	default:
-		return cmp >= 0, nil
-	}
 }
 
 // minimize runs stage 3 on a satisfiable Σ: parallel unviolability and

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"ngd/internal/core"
-	"ngd/internal/expr"
 	"ngd/internal/graph"
 	"ngd/internal/match"
 	"ngd/internal/plan"
@@ -57,30 +55,19 @@ func (le *LitEval) NumY() int { return len(le.C.Y) }
 // EvalLevel evaluates the literals scheduled at level lv against partial.
 // It returns prune=true when the branch cannot yield a violation (an
 // X-literal failed, or all |Y| literals are now known satisfied), and the
-// updated ySat count otherwise.
+// updated ySat count otherwise. le.G is read per call: Searcher.Rebind swaps
+// the view under a cached searcher between runs.
 func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune bool, newYSat int) {
 	c := le.C
 	for _, i := range le.sched.xAt[lv] {
-		if !le.satisfied(&c.X[i], c.Rule.X[i], partial) {
+		if !c.Satisfied(le.G, &c.X[i], c.Rule.X[i], partial) {
 			return true, ySat
 		}
 	}
 	for _, i := range le.sched.yAt[lv] {
-		if le.satisfied(&c.Y[i], c.Rule.Y[i], partial) {
+		if c.Satisfied(le.G, &c.Y[i], c.Rule.Y[i], partial) {
 			ySat++
 		}
 	}
 	return ySat == len(c.Y), ySat
-}
-
-// satisfied decides h ⊨ l with the literal's compiled kernel, and asks the
-// specification (Literal.Satisfied, which escalates to math/big) only where
-// the kernel declines: a refused literal, int64 overflow, a string value
-// inside arithmetic. le.G is read per call: Searcher.Rebind swaps the view
-// under a cached searcher between runs.
-func (le *LitEval) satisfied(k *expr.Kernel, l core.Literal, partial []graph.NodeID) bool {
-	if sat, decided := k.Eval(le.G, partial); decided {
-		return sat
-	}
-	return l.Satisfied(le.C.Rule.Binding(le.G, partial))
 }

@@ -6,9 +6,11 @@ import (
 
 	"ngd/internal/core"
 	"ngd/internal/detect"
+	"ngd/internal/expr"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
 	"ngd/internal/paperdata"
+	"ngd/internal/pattern"
 	"ngd/internal/update"
 )
 
@@ -69,6 +71,43 @@ func TestRulesRoundTrip(t *testing.T) {
 	if len(vo.Violations) != len(vp.Violations) {
 		t.Fatalf("round-tripped rules find %d violations, original %d",
 			len(vp.Violations), len(vo.Violations))
+	}
+}
+
+// TestRulesRoundTripHashInString: '#' starts a comment only outside a string
+// literal, so a rule built through the API with one survives FormatRules →
+// ParseRules, escaped quotes and backslashes included, and a comment after
+// the literal is still cut.
+func TestRulesRoundTripHashInString(t *testing.T) {
+	p := pattern.New()
+	p.AddNode("x", "item")
+	strs := []string{"a # b", `q"#`, `\#\`, `"`}
+	var y []core.Literal
+	for _, s := range strs {
+		y = append(y, core.Lit(expr.V("x", "tag"), expr.Ne, expr.S(s)))
+	}
+	set := core.NewSet(core.MustNew("hashes", p, nil, y))
+	text := FormatRules(set)
+	parsed, err := ParseRules(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("re-parse failed: %v\n%s", err, text)
+	}
+	if again := FormatRules(parsed); again != text {
+		t.Fatalf("round trip changed the rules:\n%s\nre-rendered:\n%s", text, again)
+	}
+	for i, l := range parsed.Rules[0].Y {
+		if l.R.Op != expr.OpStr || l.R.Str != strs[i] {
+			t.Errorf("literal %d = %s, want the constant %q", i, l, strs[i])
+		}
+	}
+
+	commented := "rule c {\n match {\n x: item\n }\n then {\n x.tag = \"#\\\"#\" # a comment\n }\n}\n"
+	set, err = ParseRules(strings.NewReader(commented))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := set.Rules[0].Y[0]; l.R.Op != expr.OpStr || l.R.Str != `#"#` {
+		t.Fatalf("literal = %s, want x.tag = %q", l, `#"#`)
 	}
 }
 

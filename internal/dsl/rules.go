@@ -2,7 +2,8 @@
 // format for NGDs and a line-oriented graph/update format, so rule sets and
 // datasets can live outside Go code (cmd/ngdcheck, cmd/ngdgen consume them).
 //
-// Rule syntax (one or more rules per file; '#' starts a comment):
+// Rule syntax (one or more rules per file; '#' outside a string literal
+// starts a comment):
 //
 //	rule phi1 {
 //	  match {
@@ -55,10 +56,7 @@ func ParseRulesLocated(r io.Reader) (*core.Set, map[string]int, error) {
 	next := func() (string, bool) {
 		for sc.Scan() {
 			line++
-			s := strings.TrimSpace(sc.Text())
-			if i := strings.IndexByte(s, '#'); i >= 0 {
-				s = strings.TrimSpace(s[:i])
-			}
+			s := strings.TrimSpace(stripComment(sc.Text()))
 			if s == "" {
 				continue
 			}
@@ -93,6 +91,24 @@ func ParseRulesLocated(r io.Reader) (*core.Set, map[string]int, error) {
 		return nil, nil, err
 	}
 	return set, lines, nil
+}
+
+// stripComment cuts s at its first '#' outside a "…" string literal, whose
+// escapes are those strconv.Quote writes (FormatRules renders string
+// constants with it).
+func stripComment(s string) string {
+	quoted := false
+	for i := 0; i < len(s); i++ {
+		switch {
+		case quoted && s[i] == '\\':
+			i++ // the escaped byte cannot close the literal
+		case s[i] == '"':
+			quoted = !quoted
+		case s[i] == '#' && !quoted:
+			return s[:i]
+		}
+	}
+	return s
 }
 
 func parseRuleHeader(s string, line int) (string, error) {

@@ -3,8 +3,10 @@
 // constants and terms x.A, plus the non-linear extension (e×e, e÷e) of §4
 // that the static analyses must reject (Theorem 3: undecidable).
 //
-// Evaluation is exact: an int64 rational fast path with overflow detection
-// escalating to math/big. String constants are admitted so literals can
+// A literal is decided two ways, both exact. Compare evaluates it over
+// math/big and is the specification. Kernel compiles a linear literal once
+// to int64 arithmetic for the hot paths and hands back to Compare wherever
+// int64 could not be exact. String constants are admitted so literals can
 // express the CFD-style constant bindings the paper's Exp-5 rules use
 // (e.g. z.val ≠ "living people"); strings never participate in arithmetic.
 package expr

@@ -193,17 +193,20 @@ func TestEvalErrors(t *testing.T) {
 		"x.s": graph.Str("hello"),
 		"x.f": graph.Float(1.5),
 	})
-	if _, err := Eval(V("x", "missing"), b); err != ErrMissingAttr {
+	if _, err := Compare(V("x", "missing"), Eq, C(5), b); err != ErrMissingAttr {
 		t.Errorf("missing attr: got %v", err)
 	}
-	if _, err := Eval(Add(V("x", "s"), C(1)), b); err != ErrType {
+	if _, err := Compare(C(6), Eq, Add(V("x", "s"), C(1)), b); err != ErrType {
 		t.Errorf("string arithmetic: got %v", err)
 	}
-	if _, err := Eval(Div(V("x", "a"), C(0)), b); err != ErrDivZero {
+	if _, err := Compare(Div(V("x", "a"), C(0)), Lt, C(1), b); err != ErrDivZero {
 		t.Errorf("div zero: got %v", err)
 	}
-	if _, err := Eval(V("x", "f"), b); err != ErrType {
+	if _, err := Compare(V("x", "f"), Ne, C(1), b); err != ErrType {
 		t.Errorf("non-integer float: got %v", err)
+	}
+	if _, err := Compare(V("x", "s"), Eq, C(1), b); err != ErrType {
+		t.Errorf("string against number: got %v", err)
 	}
 	if _, err := Compare(V("x", "s"), Lt, S("x"), b); err != ErrType {
 		t.Errorf("ordered string comparison: got %v", err)

@@ -7,12 +7,14 @@ import (
 	"ngd/internal/graph"
 )
 
-// Kernel is a literal L ⊗ R compiled once for the detection hot path, where
-// Compare would re-walk both expression trees through a string-keyed Binding
-// per candidate. Each side is a string constant or an integer linear form
-// Σ cᵢ·(slotᵢ, attrᵢ) + c₀, optionally in absolute value, with both sides
-// multiplied by the positive LCM of every denominator — which changes
-// neither ⊗ nor |·|. Compare stays the specification: Eval answers only
+// Kernel is a literal L ⊗ R compiled once for the hot paths — detection, the
+// session's attribute pass and the repair preview — where Compare would
+// re-walk both expression trees through a string-keyed Binding and allocate
+// big.Rat values per match. Each side is a string constant or an integer
+// linear form Σ cᵢ·(slotᵢ, attrᵢ) + c₀, optionally in absolute value, with
+// both sides multiplied by the positive LCM of every denominator — which
+// changes neither ⊗ nor |·|. Kernel and Compare are the package's only two
+// evaluators, and Compare is the specification: Eval answers in int64 only
 // where it provably agrees with it and reports decided=false otherwise.
 //
 // The zero Kernel decides nothing. A Kernel is immutable and safe for
@@ -238,4 +240,30 @@ func (k *Kernel) Eval(g graph.View, partial []graph.NodeID) (sat, decided bool) 
 	default:
 		return k.op.holds(0), true
 	}
+}
+
+const minInt64 = -1 << 63
+
+func addOvf(a, b int64) (int64, bool) {
+	s := a + b
+	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+		return 0, false
+	}
+	return s, true
+}
+
+func mulOvf(a, b int64) (int64, bool) {
+	if int64(int32(a)) == a && int64(int32(b)) == b {
+		return a * b, true // 32-bit factors cannot overflow: skip the division
+	}
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	// MinInt64 / -1 wraps back to MinInt64, so the division check alone
+	// would accept MinInt64 × -1
+	if p/b != a || (a == minInt64 && b == -1) {
+		return 0, false
+	}
+	return p, true
 }

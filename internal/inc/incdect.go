@@ -78,11 +78,6 @@ type Options struct {
 	// each (0 = unlimited). par.Options.Limit follows the same per-side
 	// semantics, so the sequential and parallel detectors truncate alike.
 	Limit int
-	// AssumeNormalized skips the internal Normalize pass: the caller
-	// guarantees ΔG already has the normalized shape (ΔG⁺ disjoint from G,
-	// ΔG⁻ ⊆ G, ΔG⁺ ∩ ΔG⁻ = ∅, one op per edge). The session commit path
-	// coalesces each batch once and sets this to avoid a second pass.
-	AssumeNormalized bool
 	// Program is the shared rule program to plan with; nil builds a
 	// private one for this call. Long-lived callers (the session) pass
 	// their own so the per-(rule, pivot-slot) plans are compiled once and
@@ -98,10 +93,7 @@ type Options struct {
 // and ΔG⁻ only existing ones). g is not mutated: the caller decides when to
 // Apply the delta.
 func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) *Result {
-	norm := delta
-	if !opts.AssumeNormalized {
-		norm = delta.Normalize(g)
-	}
+	norm := delta.Normalize(g)
 	if opts.Program == nil {
 		opts.Program = plan.New(g, rules, plan.Options{})
 	}
@@ -116,7 +108,7 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 // one edge of ins, the insertions of a normalized ΔG. v is G ⊕ ΔG — an
 // overlay of the pre-update graph (IncDect) or the graph itself once ΔG is
 // applied (the session, which reads ΔVio⁻ off its store instead of searching
-// for it). opts.AssumeNormalized is implied.
+// for it).
 func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Result {
 	if opts.Program == nil {
 		opts.Program = plan.New(v, rules, plan.Options{})

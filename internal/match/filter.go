@@ -18,20 +18,32 @@ package match
 
 import (
 	"math"
+	"math/big"
 
 	"ngd/internal/expr"
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 )
 
-// AttrPred is one compiled candidate predicate: node.Attr Op Const.
+// AttrPred is one compiled candidate predicate: node.Attr Op Const. The
+// constant is evaluated once, at compile time, with expr.EvalBig; a
+// candidate's value is then tested against what that leaves: the string
+// itself, or the int64 interval [Lo, Hi] of the integers that satisfy the
+// predicate (for ≠, of those that equal the constant). Clamping to int64 is
+// exact because attribute values are int64, and the index seed run
+// (seedRun) and the per-candidate check (Holds) read the same interval.
 type AttrPred struct {
 	// Attr is the interned attribute, or -1 when the attribute name never
 	// occurs in the graph (the predicate is then unsatisfiable: absent
 	// attributes satisfy no literal).
-	Attr  graph.AttrID
-	Op    expr.Cmp
-	Const expr.Result
+	Attr graph.AttrID
+	Op   expr.Cmp
+	// Const is the constant as plan keys render it: the string when IsStr,
+	// otherwise the exact value as n or n/d.
+	Const string
+	IsStr bool
+	// Lo, Hi bound a numeric constant's integers; Lo > Hi when none.
+	Lo, Hi int64
 }
 
 // NodeFilter is the conjunction of predicates for one pattern node.
@@ -56,6 +68,10 @@ func (f Filters) Empty() bool {
 	return true
 }
 
+// noBinding resolves nothing, so EvalBig rejects a side that mentions a
+// variable.
+func noBinding(string, string) (graph.Value, bool) { return graph.Value{}, false }
+
 // AddLiteral compiles one precondition literal L op R into a predicate when
 // it has the single-node constant shape (x.A ⊗ const-expr, either side). It
 // returns the pattern node the predicate was attached to, or -1 when the
@@ -63,20 +79,11 @@ func (f Filters) Empty() bool {
 // attributes of one node, or arithmetic over a term stay with the
 // level-by-level literal evaluation (detect.LitEval) untouched.
 func (f Filters) AddLiteral(p *pattern.Pattern, syms *graph.Symbols, L *expr.Expr, op expr.Cmp, R *expr.Expr) int {
-	term, c, cop := L, expr.Result{}, op
+	term, c, cop := L, R, op
 	switch {
 	case L.Op == expr.OpVar:
-		cv, ok := expr.ConstValue(R)
-		if !ok {
-			return -1
-		}
-		c = cv
 	case R.Op == expr.OpVar:
-		cv, ok := expr.ConstValue(L)
-		if !ok {
-			return -1
-		}
-		term, c, cop = R, cv, op.Flip()
+		term, c, cop = R, L, op.Flip()
 	default:
 		return -1
 	}
@@ -84,78 +91,75 @@ func (f Filters) AddLiteral(p *pattern.Pattern, syms *graph.Symbols, L *expr.Exp
 	if idx < 0 || idx >= len(f) {
 		return -1
 	}
-	f[idx].Preds = append(f[idx].Preds, AttrPred{
-		Attr:  syms.LookupAttr(term.Attr), // -1 (unsatisfiable) when unseen
-		Op:    cop,
-		Const: c,
-	})
+	pr := AttrPred{
+		Attr: syms.LookupAttr(term.Attr), // -1 (unsatisfiable) when unseen
+		Op:   cop,
+	}
+	if c.Op == expr.OpStr {
+		pr.Const, pr.IsStr = c.Str, true
+	} else {
+		q, err := expr.EvalBig(c, noBinding)
+		if err != nil {
+			return -1 // a variable, a string in arithmetic, a zero divisor
+		}
+		pr.Const = q.RatString()
+		pr.Lo, pr.Hi = intBounds(cop, q)
+	}
+	f[idx].Preds = append(f[idx].Preds, pr)
 	return idx
 }
 
-// Holds evaluates the predicate against a candidate's attribute value.
+// Holds evaluates the predicate against a candidate's attribute value, with
+// exactly the semantics of expr.Compare on the literal: an absent attribute,
+// a non-integral float, a string against a number and an ordered string
+// comparison all leave it unsatisfied.
 func (pr *AttrPred) Holds(g graph.View, v graph.NodeID) bool {
 	if pr.Attr < 0 {
 		return false
 	}
-	return expr.CompareValue(g.Attr(v, pr.Attr), pr.Op, pr.Const)
+	val := g.Attr(v, pr.Attr)
+	if pr.IsStr { // strings are not ordered: only = and ≠ can hold
+		s, ok := val.AsString()
+		return ok && (pr.Op == expr.Eq && s == pr.Const || pr.Op == expr.Ne && s != pr.Const)
+	}
+	x, ok := val.AsInt()
+	return ok && (pr.Lo <= x && x <= pr.Hi) != (pr.Op == expr.Ne)
 }
 
-// intBounds converts an integer-candidate predicate into inclusive int64
-// bounds: an integer x satisfies (x ⊗ n/d) iff lo ≤ x ≤ hi. empty=true
-// means no integer satisfies it; ok=false means the predicate shape is not
-// range-expressible (≠, string operands).
-func intBounds(op expr.Cmp, c expr.Result) (lo, hi int64, empty, ok bool) {
-	if c.IsStr {
-		switch op {
-		case expr.Eq:
-			// handled by the string hash index, not here
-			return 0, 0, false, false
-		case expr.Ne:
-			return 0, 0, false, false
-		default:
-			// ordered comparison with a string is a type error: no
-			// candidate can satisfy it.
-			return 0, 0, true, true
-		}
+// intBounds returns the int64 interval [lo, hi] of the integers x with
+// x op q — for ≠, with x = q, the complement of a point being no one
+// interval — and lo > hi when no int64 qualifies.
+func intBounds(op expr.Cmp, q *big.Rat) (lo, hi int64) {
+	one := big.NewInt(1)
+	floor := new(big.Int).Div(q.Num(), q.Denom()) // Euclidean: the denominator is positive
+	ceil := new(big.Int).Set(floor)
+	if !q.IsInt() {
+		ceil.Add(ceil, one)
 	}
-	n, d := c.N.Rat() // d ≥ 1
-	q := n / d
-	if (n%d != 0) && (n < 0) != (d < 0) {
-		q-- // floor division
-	}
-	exact := n%d == 0
+	l, h := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
 	switch op {
-	case expr.Eq:
-		if !exact {
-			return 0, 0, true, true // no integer equals a non-integral rational
-		}
-		return q, q, false, true
+	case expr.Eq, expr.Ne:
+		l, h = ceil, floor // empty unless q is an integer
 	case expr.Lt:
-		if exact {
-			if q == math.MinInt64 {
-				return 0, 0, true, true
-			}
-			return math.MinInt64, q - 1, false, true
-		}
-		return math.MinInt64, q, false, true
+		h = ceil.Sub(ceil, one)
 	case expr.Le:
-		return math.MinInt64, q, false, true
+		h = floor
 	case expr.Gt:
-		if q == math.MaxInt64 {
-			return 0, 0, true, true
-		}
-		return q + 1, math.MaxInt64, false, true
+		l = floor.Add(floor, one)
 	case expr.Ge:
-		if exact {
-			return q, math.MaxInt64, false, true
-		}
-		if q == math.MaxInt64 {
-			return 0, 0, true, true
-		}
-		return q + 1, math.MaxInt64, false, true
-	default: // Ne: the complement of a point is not one contiguous range
-		return 0, 0, false, false
+		l = ceil
 	}
+	if l.Cmp(h) > 0 || (!l.IsInt64() && l.Sign() > 0) || (!h.IsInt64() && h.Sign() < 0) {
+		return 1, 0
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	if l.IsInt64() {
+		lo = l.Int64()
+	}
+	if h.IsInt64() {
+		hi = h.Int64()
+	}
+	return lo, hi
 }
 
 // seedable reports whether the predicate can drive index-based seed
@@ -164,7 +168,7 @@ func seedable(pr *AttrPred) bool {
 	if pr.Attr < 0 {
 		return false
 	}
-	if pr.Const.IsStr {
+	if pr.IsStr {
 		return pr.Op == expr.Eq
 	}
 	return pr.Op != expr.Ne
@@ -186,20 +190,15 @@ func seedRun(g graph.View, cp *pattern.Compiled, node int, pr *AttrPred) (graph.
 	if ix == nil {
 		return graph.IndexRun{}, false
 	}
-	if pr.Const.IsStr {
-		return ix.Strs(pr.Const.S), true
-	}
-	lo, hi, empty, ok := intBounds(pr.Op, pr.Const)
-	if !ok {
-		return graph.IndexRun{}, false
-	}
-	if empty {
+	switch {
+	case pr.IsStr:
+		return ix.Strs(pr.Const), true
+	case pr.Lo > pr.Hi:
 		return ix.IntRange(1, 0), true // canonical empty run
+	case pr.Op == expr.Eq:
+		return ix.Ints(pr.Lo), true
 	}
-	if pr.Op == expr.Eq {
-		return ix.Ints(lo), true
-	}
-	return ix.IntRange(lo, hi), true
+	return ix.IntRange(pr.Lo, pr.Hi), true
 }
 
 // EnsureIndexes builds the attribute indexes the filters can exploit over

@@ -59,45 +59,61 @@ func TestAddLiteralShapes(t *testing.T) {
 	}
 }
 
+// TestIntBounds: a numeric constant compiles to its rendering (what plan
+// keys print) and to the int64 interval of the integers that satisfy the
+// predicate — for ≠, of those that equal the constant — clamped to int64.
 func TestIntBounds(t *testing.T) {
-	num := func(n, d int64) expr.Result {
-		r, ok := expr.ConstValue(expr.Div(expr.C(n), expr.C(d)))
-		if !ok {
-			t.Fatalf("const %d/%d", n, d)
-		}
-		return r
-	}
+	p := pattern.New()
+	p.AddNode("x", "T")
+	syms := graph.NewSymbols()
+	syms.Attr("a")
+	q := func(n, d int64) *expr.Expr { return expr.Div(expr.C(n), expr.C(d)) }
+	two63 := expr.Add(expr.C(math.MaxInt64), expr.C(1))
+	const lo, hi = math.MinInt64, math.MaxInt64
 	cases := []struct {
 		op     expr.Cmp
-		n, d   int64
+		c      *expr.Expr
+		konst  string
 		lo, hi int64
 		empty  bool
 	}{
-		{expr.Eq, 5, 1, 5, 5, false},
-		{expr.Eq, 7, 2, 0, 0, true}, // no integer equals 3.5
-		{expr.Lt, 7, 2, math.MinInt64, 3, false},
-		{expr.Lt, 6, 2, math.MinInt64, 2, false},
-		{expr.Le, 7, 2, math.MinInt64, 3, false},
-		{expr.Le, 6, 2, math.MinInt64, 3, false},
-		{expr.Gt, 7, 2, 4, math.MaxInt64, false},
-		{expr.Gt, 6, 2, 4, math.MaxInt64, false},
-		{expr.Ge, 7, 2, 4, math.MaxInt64, false},
-		{expr.Ge, 6, 2, 3, math.MaxInt64, false},
-		{expr.Lt, -7, 2, math.MinInt64, -4, false},
-		{expr.Ge, -7, 2, -3, math.MaxInt64, false},
+		{expr.Eq, q(5, 1), "5", 5, 5, false},
+		{expr.Eq, q(7, 2), "7/2", 0, 0, true}, // no integer equals 3.5
+		{expr.Lt, q(7, 2), "7/2", lo, 3, false},
+		{expr.Lt, q(6, 2), "3", lo, 2, false},
+		{expr.Le, q(7, 2), "7/2", lo, 3, false},
+		{expr.Le, q(6, 2), "3", lo, 3, false},
+		{expr.Gt, q(7, 2), "7/2", 4, hi, false},
+		{expr.Gt, q(6, 2), "3", 4, hi, false},
+		{expr.Ge, q(7, 2), "7/2", 4, hi, false},
+		{expr.Ge, q(6, 2), "3", 3, hi, false},
+		{expr.Lt, q(-7, 2), "-7/2", lo, -4, false},
+		{expr.Ge, q(-7, 2), "-7/2", -3, hi, false},
+		{expr.Ne, q(5, 1), "5", 5, 5, false},
+		{expr.Ne, q(7, 2), "7/2", 0, 0, true},
+		// the int64 edges, and constants beyond them
+		{expr.Lt, expr.C(lo), "-9223372036854775808", 0, 0, true},
+		{expr.Gt, expr.C(hi), "9223372036854775807", 0, 0, true},
+		{expr.Ge, q(hi, 2), "9223372036854775807/2", hi/2 + 1, hi, false},
+		{expr.Eq, two63, "9223372036854775808", 0, 0, true},
+		{expr.Lt, two63, "9223372036854775808", lo, hi, false},
+		{expr.Ge, two63, "9223372036854775808", 0, 0, true},
+		{expr.Gt, expr.Neg(two63), "-9223372036854775808", lo + 1, hi, false},
+		{expr.Ge, expr.Sub(expr.Neg(two63), expr.C(1)), "-9223372036854775809", lo, hi, false},
 	}
 	for _, tc := range cases {
-		lo, hi, empty, ok := IntBounds(tc.op, num(tc.n, tc.d))
-		if !ok {
-			t.Fatalf("%v %d/%d: not range-expressible", tc.op, tc.n, tc.d)
+		f := NewFilters(1)
+		if f.AddLiteral(p, syms, expr.V("x", "a"), tc.op, tc.c) != 0 {
+			t.Fatalf("x.a %v %s: not compiled", tc.op, tc.c)
 		}
-		if empty != tc.empty || (!empty && (lo != tc.lo || hi != tc.hi)) {
-			t.Errorf("%v %d/%d: got [%d,%d] empty=%v, want [%d,%d] empty=%v",
-				tc.op, tc.n, tc.d, lo, hi, empty, tc.lo, tc.hi, tc.empty)
+		pr := f[0].Preds[0]
+		if pr.IsStr || pr.Const != tc.konst {
+			t.Errorf("x.a %v %s: constant %q (string %v), want %q", tc.op, tc.c, pr.Const, pr.IsStr, tc.konst)
 		}
-	}
-	if _, _, _, ok := IntBounds(expr.Ne, num(5, 1)); ok {
-		t.Fatal("!= must not be range-expressible")
+		if empty := pr.Lo > pr.Hi; empty != tc.empty || (!empty && (pr.Lo != tc.lo || pr.Hi != tc.hi)) {
+			t.Errorf("x.a %v %s: got [%d,%d], want [%d,%d] empty=%v",
+				tc.op, tc.c, pr.Lo, pr.Hi, tc.lo, tc.hi, tc.empty)
+		}
 	}
 }
 

@@ -264,7 +264,7 @@ func TestHooksPruneAndBacktrack(t *testing.T) {
 	p.AddEdge(x, y, "e")
 
 	plan := planFor(g, p, nil)
-	extends, backtracks := 0, 0
+	extends := 0
 	pruneAfter := 2
 	m := NewMatcher(g, plan, Hooks{
 		OnExtend: func(step int, partial []graph.NodeID) bool {
@@ -272,13 +272,9 @@ func TestHooksPruneAndBacktrack(t *testing.T) {
 			// prune every leaf binding after the first two
 			return !(plan.Steps[step].Node == y && extends > pruneAfter)
 		},
-		OnBacktrack: func(step int) { backtracks++ },
 	})
 	matches := 0
 	m.Run(NewPartial(2), func([]graph.NodeID) bool { matches++; return true })
-	if extends != backtracks {
-		t.Errorf("extend/backtrack mismatch: %d vs %d", extends, backtracks)
-	}
 	if matches >= 5 {
 		t.Errorf("pruning had no effect: %d matches", matches)
 	}

@@ -10,9 +10,6 @@ type Hooks struct {
 	// OnExtend runs after binding step k's node; return false to prune the
 	// branch (used for literal-based candidate pruning, §6.2 step (3)).
 	OnExtend func(step int, partial []graph.NodeID) bool
-	// OnBacktrack runs when step k's binding is undone, mirroring OnExtend
-	// so hooks can keep per-depth state.
-	OnBacktrack func(step int)
 }
 
 // Counters accumulate work metrics for the localizability analysis and the
@@ -262,9 +259,6 @@ func (m *Matcher) expand(k int, partial []graph.NodeID, emit func([]graph.NodeID
 		partial[st.Node] = v
 		if m.Hook.OnExtend == nil || m.Hook.OnExtend(k, partial) {
 			m.expand(k+1, partial, emit)
-		}
-		if m.Hook.OnBacktrack != nil {
-			m.Hook.OnBacktrack(k)
 		}
 		partial[st.Node] = Unbound
 		return !m.stop

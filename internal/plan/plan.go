@@ -53,7 +53,7 @@ type FilterLit struct {
 // symbols, the candidate filters derived from its precondition literals
 // (nil when no X-literal has the single-node constant shape), and the
 // integer kernels of its literals: X[i] decides Rule.X[i] and Y[i] decides
-// Rule.Y[i] wherever expr.Kernel can (see detect.LitEval).
+// Rule.Y[i] wherever expr.Kernel can (see Satisfied).
 type Compiled struct {
 	Rule       *core.NGD
 	CP         *pattern.Compiled
@@ -97,6 +97,34 @@ func CompileRule(r *core.NGD, syms *graph.Symbols) *Compiled {
 func (c *Compiled) UsesEdge(m core.Match, src, dst graph.NodeID, label graph.LabelID) bool {
 	for i, pe := range c.Rule.Pattern.Edges {
 		if c.CP.EdgeLabels[i] == label && m[pe.Src] == src && m[pe.Dst] == dst {
+			return true
+		}
+	}
+	return false
+}
+
+// Satisfied decides literal l, compiled as k (an entry of c.X or c.Y), for
+// the match held in partial over g: through the kernel, and through
+// Literal.Satisfied only where the kernel declines (a refused literal, int64
+// overflow, a string value inside arithmetic).
+func (c *Compiled) Satisfied(g graph.View, k *expr.Kernel, l core.Literal, partial []graph.NodeID) bool {
+	if sat, decided := k.Eval(g, partial); decided {
+		return sat
+	}
+	return l.Satisfied(c.Rule.Binding(g, partial))
+}
+
+// Violated is core.NGD.Violated decided through Satisfied: the complete
+// match m satisfies X but not Y over g. The session's attribute pass and the
+// repair preview re-decide stored violations with it.
+func (c *Compiled) Violated(g graph.View, m core.Match) bool {
+	for i := range c.X {
+		if !c.Satisfied(g, &c.X[i], c.Rule.X[i], m) {
+			return false
+		}
+	}
+	for i := range c.Y {
+		if !c.Satisfied(g, &c.Y[i], c.Rule.Y[i], m) {
 			return true
 		}
 	}
@@ -391,8 +419,8 @@ func filterKey(f match.Filters) string {
 
 // predKey canonicalizes one candidate predicate.
 func predKey(pr *match.AttrPred) string {
-	if pr.Const.IsStr {
-		return fmt.Sprintf("%d#%d#s:%q", pr.Attr, pr.Op, pr.Const.S)
+	if pr.IsStr {
+		return fmt.Sprintf("%d#%d#s:%q", pr.Attr, pr.Op, pr.Const)
 	}
-	return fmt.Sprintf("%d#%d#n:%s", pr.Attr, pr.Op, pr.Const.N.String())
+	return fmt.Sprintf("%d#%d#n:%s", pr.Attr, pr.Op, pr.Const)
 }

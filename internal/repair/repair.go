@@ -268,13 +268,13 @@ func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces
 	for _, s := range sets {
 		ov.SetAttr(n, syms.Attr(s.Attr), graph.Int(s.New))
 	}
-	if e.target.Rule.Violated(ov, e.target.Match) {
+	if e.prog.CompiledFor(e.target.Rule).Violated(ov, e.target.Match) {
 		return nil, nil, false
 	}
 
 	// removed: stored violations binding n that no longer violate
 	for _, w := range e.store.Node(n) {
-		if !w.Rule.Violated(ov, w.Match) {
+		if !e.prog.CompiledFor(w.Rule).Violated(ov, w.Match) {
 			clears = append(clears, w.Key())
 		}
 	}

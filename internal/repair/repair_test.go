@@ -1,6 +1,7 @@
 package repair_test
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -122,6 +123,33 @@ func TestAttrFixCreatesAbsentAttribute(t *testing.T) {
 	}
 	if top.Perturb != 3 {
 		t.Fatalf("perturb %d, want 3 (absent counts from 0)", top.Perturb)
+	}
+}
+
+// TestAttrFixPerturbationLeavesInt64: a fix whose Σ|x − o| leaves int64 is
+// unknown to the solver, like an out-of-range witness, never a fix with a
+// wrapped (negative) perturbation. Clearing val = MinInt64 under
+// x.val ≥ 0, or val = MaxInt64 under x.val < 0, moves it by at least 2⁶³.
+func TestAttrFixPerturbationLeavesInt64(t *testing.T) {
+	for _, tc := range []struct {
+		old int64
+		lit string
+	}{
+		{math.MinInt64, "x.val >= 0"},
+		{math.MaxInt64, "x.val < 0"},
+	} {
+		r := singleNodeRule("far", "item", nil, []core.Literal{core.MustLiteral(tc.lit)})
+		g := graph.New()
+		n := g.AddNode("item")
+		g.SetAttr(n, "val", graph.Int(tc.old))
+		v := core.Violation{Rule: r, Match: core.Match{n}}
+		res := repair.Enumerate(g, core.NewSet(r), nil, storeOf(v), v, repair.Options{})
+		for _, f := range res.Fixes {
+			t.Errorf("val=%d under %s: fix %s with perturbation %d", tc.old, tc.lit, f.ID, f.Perturb)
+		}
+		if !res.Unrepairable || !strings.Contains(res.Reason, "budget") {
+			t.Errorf("val=%d under %s: unrepairable=%v (%q), want an unknown solve", tc.old, tc.lit, res.Unrepairable, res.Reason)
+		}
 	}
 }
 

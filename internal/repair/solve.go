@@ -371,20 +371,20 @@ func (sb *sysBuilder) solveLeaf() (vals []int64, used []bool, dev int64, st leaf
 			return status, nil, 0
 		}
 		xs := make([]int64, k)
-		var d int64
+		d := new(big.Int)
 		for i := 0; i < k; i++ {
 			num := w[i].Num()
 			if !num.IsInt64() {
 				return solver.Unknown, nil, 0 // out-of-range witness: give up
 			}
 			xs[i] = num.Int64()
-			if delta := xs[i] - sb.oldVals[i]; delta >= 0 {
-				d += delta
-			} else {
-				d -= delta
-			}
+			dev := new(big.Int).Sub(num, big.NewInt(sb.oldVals[i]))
+			d.Add(d, dev.Abs(dev))
 		}
-		return solver.Feasible, xs, d
+		if !d.IsInt64() {
+			return solver.Unknown, nil, 0 // Σ|x − o| leaves int64: give up alike
+		}
+		return solver.Feasible, xs, d.Int64()
 	}
 
 	status, xs, d0 := solve(0, false)

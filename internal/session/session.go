@@ -518,7 +518,7 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 	// last epoch are posted under the node, the ones this commit found
 	// before the attribute phase are in added (small; re-evaluate them all)
 	stale := func(k string, v core.Violation) {
-		if !v.Rule.Violated(s.g, v.Match) && s.remove(k, v) {
+		if !s.prog.CompiledFor(v.Rule).Violated(s.g, v.Match) && s.remove(k, v) {
 			minus++
 		}
 	}

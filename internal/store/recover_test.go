@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ngd/internal/core"
+	"ngd/internal/expr"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
@@ -563,4 +565,43 @@ func TestRecoveryRebuildsProgram(t *testing.T) {
 	if err := rec.Session.Recheck(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReopenKeepsHashInStringLiteral: Σ is persisted as dsl.FormatRules text,
+// so a string constant holding '#' must come back from a reopen whole rather
+// than cut where a comment would start.
+func TestReopenKeepsHashInStringLiteral(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.New()
+	g.SetAttr(g.AddNode("item"), "tag", graph.Str("a # b"))
+	p := pattern.New()
+	p.AddNode("x", "item")
+	lit := core.Lit(expr.V("x", "tag"), expr.Ne, expr.S("a # b"))
+	live := session.New(g, core.NewSet(core.MustNew("hashed", p, nil, []core.Literal{lit})), session.Options{})
+	if live.Len() != 1 {
+		t.Fatalf("seed store: %d violations, want 1", live.Len())
+	}
+	st, _, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(live, live.Rules(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st2.Close()
+	if rec == nil {
+		t.Fatal("nothing recovered")
+	}
+	if got := rec.Session.Rules().Rules[0].Y[0]; got.String() != lit.String() {
+		t.Fatalf("recovered literal %s, want %s", got, lit)
+	}
+	sessionsEqual(t, "reopened", live, rec.Session)
 }
