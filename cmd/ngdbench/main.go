@@ -220,9 +220,16 @@ func sharedWork(v graph.View, rules *core.Set) float64 {
 	return float64(c.Candidates + c.Checks)
 }
 
+// incWork is the IncDect yardstick on the same convention: Σ_r IncDect(G,
+// {r}, ΔG), one independent search per rule, where production IncDect
+// searches a clone class once.
 func incWork(g *graph.Graph, rules *core.Set, d *graph.Delta) float64 {
-	r := inc.IncDect(g, rules, d, inc.Options{})
-	return float64(r.Counters.Candidates + r.Counters.Checks)
+	var w float64
+	for _, r := range rules.Rules {
+		c := inc.IncDect(g, core.NewSet(r), d, inc.Options{}).Counters
+		w += float64(c.Candidates + c.Checks)
+	}
+	return w
 }
 
 // pinc is PIncDect's simulated makespan on w under one balancing variant.

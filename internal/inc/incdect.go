@@ -15,6 +15,13 @@
 // once, by its lexicographically smallest (Δ-edge, pattern-edge-slot) pivot
 // (the paper's "marks the combination of multiple update pivots").
 //
+// The paper expands every pivot once per rule. Here the pivots are expanded
+// once per clone class (plan.Program.Classes): rules that are one dependency
+// under several names have the same matches, so the class's first member is
+// searched and each later member is handed its violations under its own
+// name. The lists come out in Σ order, element for element as a search per
+// rule would give them; the work counters and Pivots count a class once.
+//
 // IncDect searches both sides and needs nothing but G and ΔG. A caller that
 // already holds Vio(Σ, G) — the session's store — needs only Plus: its ΔVio⁻
 // is the stored violations that use a deleted edge, which it can look up
@@ -37,7 +44,8 @@ type DeltaVio struct {
 }
 
 // Result carries the answer plus work counters (for the localizability and
-// speedup analyses).
+// speedup analyses). A clone class's search counts once, however many rules
+// it answers for.
 type Result struct {
 	DeltaVio
 	Counters match.Counters
@@ -74,10 +82,6 @@ type pivot struct {
 
 // Options tune IncDect.
 type Options struct {
-	// Limit stops after this many violations per side — ΔVio⁺ and ΔVio⁻
-	// each (0 = unlimited). par.Options.Limit follows the same per-side
-	// semantics, so the sequential and parallel detectors truncate alike.
-	Limit int
 	// Program is the shared rule program to plan with; nil builds a
 	// private one for this call. Long-lived callers (the session) pass
 	// their own so the per-(rule, pivot-slot) plans are compiled once and
@@ -119,20 +123,49 @@ func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Resu
 }
 
 // search expands the pivots of one side of ΔG — ops, its insertions or its
-// deletions — over one view, rule by rule.
+// deletions — over one view, once per clone class of rules, and lists the
+// violations rule by rule in Σ order. A class is searched at its first
+// member, straight into the side's list; every later member is handed the
+// same matches under its own name. Clones have the same matches, so the list
+// is element for element the one a search per rule would give.
 func (res *Result) search(v graph.View, rules *core.Set, ops []graph.EdgeOp, plus bool, opts Options) {
 	if len(ops) == 0 {
 		return
 	}
+	out := res.side(plus)
 	idx := NewEdgeIndex(ops)
-	for _, r := range rules.Rules {
-		res.searchRule(v, opts.Program.CompiledFor(r), ops, idx, plus, opts)
+	classes, of := opts.Program.Classes(rules)
+	// found[k] is class k's matches, (*out)[first:end], once its first member
+	// is searched
+	type span struct{ first, end int }
+	found := make([]span, len(classes))
+	for i, r := range rules.Rules {
+		cl, sp := &classes[of[i]], &found[of[i]]
+		if r == cl.C.Rule {
+			sp.first = len(*out)
+			res.searchRule(v, cl.C, ops, idx, plus, opts)
+			sp.end = len(*out)
+			continue
+		}
+		for _, vio := range (*out)[sp.first:sp.end] {
+			*out = append(*out, core.Violation{Rule: r, Match: vio.Match})
+		}
 	}
 }
 
-// searchRule expands all pivots of one rule over one view.
+// side returns the list the search of one side of ΔG appends to.
+func (res *Result) side(plus bool) *[]core.Violation {
+	if plus {
+		return &res.Plus
+	}
+	return &res.Minus
+}
+
+// searchRule expands all pivots of one rule over one view, appending its
+// violations to the side's list.
 func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp,
 	idx EdgeIndex, plus bool, opts Options) {
+	out := res.side(plus)
 
 	// Per-call scratch, built on the first pivot that matches a pattern
 	// edge label — a rule whose labels don't appear in ΔG costs nothing:
@@ -163,13 +196,8 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 					if !idx.SmallestPivot(c, m, pv.rank, pv.slot) {
 						return true
 					}
-					vio := core.Violation{Rule: c.Rule, Match: m.Clone()}
-					if plus {
-						res.Plus = append(res.Plus, vio)
-						return opts.Limit == 0 || len(res.Plus) < opts.Limit
-					}
-					res.Minus = append(res.Minus, vio)
-					return opts.Limit == 0 || len(res.Minus) < opts.Limit
+					*out = append(*out, core.Violation{Rule: c.Rule, Match: m.Clone()})
+					return true
 				}
 			}
 			partial[pe.Src] = op.Src

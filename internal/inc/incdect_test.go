@@ -2,6 +2,7 @@ package inc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/paperdata"
 	"ngd/internal/pattern"
+	"ngd/internal/plan"
 	"ngd/internal/update"
 )
 
@@ -226,6 +228,66 @@ func TestGammaInsensitivity(t *testing.T) {
 		if !sameKeys(incRes.Plus, diff.Plus) || !sameKeys(incRes.Minus, diff.Minus) {
 			t.Errorf("γ=%v: IncDect != diff", gamma)
 		}
+	}
+}
+
+// perRule is IncDect with one search per rule: the paper's loop, which the
+// class search must reproduce list for list.
+func perRule(g *graph.Graph, rules *core.Set, d *graph.Delta) *Result {
+	norm := d.Normalize(g)
+	opts := Options{Program: plan.New(g, rules, plan.Options{})}
+	res := &Result{}
+	for _, side := range []struct {
+		v    graph.View
+		ops  []graph.EdgeOp
+		plus bool
+	}{{graph.NewOverlay(g, norm), norm.Insertions(), true}, {g, norm.Deletions(), false}} {
+		idx := NewEdgeIndex(side.ops)
+		for _, r := range rules.Rules {
+			res.searchRule(side.v, opts.Program.CompiledFor(r), side.ops, idx, side.plus, opts)
+		}
+	}
+	return res
+}
+
+func keysInOrder(vs []core.Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Key()
+	}
+	return out
+}
+
+// TestClassSearchMatchesPerRule: searched once per clone class, both sides
+// list the violations of one search per rule in the same order, and expand
+// fewer pivots doing it.
+func TestClassSearchMatchesPerRule(t *testing.T) {
+	// a generated Σ, whose follower, peer and sum shapes repeat
+	p := gen.YAGO2
+	p.ErrorRate = 0.3
+	ds := gen.Generate(p, 150, 4)
+	rules := gen.Rules(p, gen.RuleConfig{Count: 50, MaxDiameter: 4, Seed: 4})
+	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.2), Gamma: 1, Seed: 41})
+	handed := map[*core.NGD]bool{} // the rules a class search answers for unsearched
+	classes, of := plan.New(ds.G, rules, plan.Options{}).Classes(rules)
+	for i, r := range rules.Rules {
+		handed[r] = classes[of[i]].C.Rule != r
+	}
+	got, want := IncDect(ds.G, rules, d, Options{}), perRule(ds.G, rules, d)
+	for _, side := range []struct {
+		name      string
+		got, want []core.Violation
+	}{{"ΔVio⁺", got.Plus, want.Plus}, {"ΔVio⁻", got.Minus, want.Minus}} {
+		if !slices.Equal(keysInOrder(side.got), keysInOrder(side.want)) {
+			t.Fatalf("%s by class\n%v\nper rule\n%v", side.name, keysInOrder(side.got), keysInOrder(side.want))
+		}
+		if !slices.ContainsFunc(side.got, func(v core.Violation) bool { return handed[v.Rule] }) {
+			t.Fatalf("vacuous workload: %s has no violation of a clone class's later member", side.name)
+		}
+	}
+	t.Logf("|ΔVio⁺| %d, |ΔVio⁻| %d; pivots %d by class, %d by rule", len(got.Plus), len(got.Minus), got.Pivots, want.Pivots)
+	if got.Pivots >= want.Pivots {
+		t.Fatal("the class search expanded no fewer pivots than the per-rule search")
 	}
 }
 

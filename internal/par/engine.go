@@ -90,11 +90,11 @@ type Options struct {
 	// state and no goroutine outlives the call.
 	Pool *Pool
 	// AssumeNormalized skips PIncDect's internal Normalize pass; the caller
-	// guarantees ΔG already has the normalized shape (see inc.Options).
+	// guarantees ΔG already has the normalized shape (graph.Delta.Normalize).
 	AssumeNormalized bool
 	// Limit stops after this many violations *per side* — ΔVio⁺ and ΔVio⁻
-	// each under PIncDect, matching inc.Options.Limit; a batch run (PDect)
-	// has a single side, so there it is a total limit. 0 = unlimited; the
+	// each under PIncDect; a batch run (PDect) has a single side, so there
+	// it is a total limit. 0 = unlimited; the
 	// limit is approximate (a unit emits all its violations before the
 	// check applies, and the goroutine scheduler races against it). Once a
 	// side hits its limit, that side's remaining units are drained without

@@ -129,8 +129,8 @@ func (r *run) step(wi int, u *unit, start float64) float64 {
 	r.units.Add(1)
 	if len(res.vios) > 0 {
 		w.vios = append(w.vios, res.vios...)
-		// ΔVio⁺ and ΔVio⁻ are limited independently, matching
-		// inc.Options.Limit; batch runs have a single side
+		// ΔVio⁺ and ΔVio⁻ are limited independently; batch runs have a
+		// single side
 		for _, tv := range res.vios {
 			r.sideVios[sideIdx(tv.plus)].Add(1)
 		}

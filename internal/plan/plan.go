@@ -20,7 +20,9 @@
 //   - sharing: rules whose plans begin with structurally identical step
 //     prefixes are arranged into a prefix forest (share.go) so the batch
 //     detector runs each shared prefix once and fans out only at the
-//     divergence point, with per-rule literal schedules layered on top.
+//     divergence point, with per-rule literal schedules layered on top;
+//     rules that are one dependency under several names form a clone class
+//     (class.go), which the incremental detector searches once.
 //
 // A Program is cheap to build relative to detection and is never persisted:
 // recovery (internal/store) restores Σ and the graph, then rebuilds the
@@ -147,11 +149,13 @@ type Counters struct {
 	Invalidations int64 `json:"invalidations"` // cached plan discarded for churn drift and rebuilt
 	SharedRules   int64 `json:"shared_rules"`  // rules riding a shared prefix in the latest batch forest
 	Groups        int64 `json:"groups"`        // distinct (pattern, filters) groups across Σ
+	Classes       int64 `json:"classes"`       // distinct clone classes across Σ (see Class)
 	Rules         int64 `json:"rules"`         // rules compiled into the program
 }
 
 // Sub returns the per-interval delta c − prev for the monotone counters
-// (SharedRules/Groups/Rules are level gauges and pass through unchanged).
+// (SharedRules/Groups/Classes/Rules are level gauges and pass through
+// unchanged).
 func (c Counters) Sub(prev Counters) Counters {
 	return Counters{
 		Hits:          c.Hits - prev.Hits,
@@ -159,6 +163,7 @@ func (c Counters) Sub(prev Counters) Counters {
 		Invalidations: c.Invalidations - prev.Invalidations,
 		SharedRules:   c.SharedRules,
 		Groups:        c.Groups,
+		Classes:       c.Classes,
 		Rules:         c.Rules,
 	}
 }
@@ -205,9 +210,12 @@ type Program struct {
 	byRule   map[*core.NGD]int
 	groupOf  []int
 	groups   []*group
+	classOf  []int          // program rule index -> clone class id
+	classIDs map[string]int // clone key -> clone class id
 	patCP    map[string]*pattern.Compiled
 	cache    map[planKey]*cachedPlan
 	shares   map[*core.Set]*shareEntry // memoized prefix forests, by set
+	classes  map[*core.Set]*classEntry // memoized clone classes, by set
 
 	hits, misses, invalidations atomic.Int64
 	sharedRules                 atomic.Int64
@@ -223,12 +231,14 @@ type Program struct {
 // the old entries would be retained and recompiled alongside.
 func New(v graph.View, rules *core.Set, opts Options) *Program {
 	p := &Program{
-		opts:   opts,
-		syms:   v.Symbols(),
-		byRule: make(map[*core.NGD]int),
-		patCP:  make(map[string]*pattern.Compiled),
-		cache:  make(map[planKey]*cachedPlan),
-		shares: make(map[*core.Set]*shareEntry),
+		opts:     opts,
+		syms:     v.Symbols(),
+		byRule:   make(map[*core.NGD]int),
+		classIDs: make(map[string]int),
+		patCP:    make(map[string]*pattern.Compiled),
+		cache:    make(map[planKey]*cachedPlan),
+		shares:   make(map[*core.Set]*shareEntry),
+		classes:  make(map[*core.Set]*classEntry),
 	}
 	p.mu.Lock()
 	for _, r := range rules.Rules {
@@ -248,7 +258,7 @@ func (p *Program) NumRules() int {
 // Counters snapshots the plan-cache activity.
 func (p *Program) Counters() Counters {
 	p.mu.Lock()
-	groups, rules := len(p.groups), len(p.rules)
+	groups, classes, rules := len(p.groups), len(p.classIDs), len(p.rules)
 	p.mu.Unlock()
 	return Counters{
 		Hits:          p.hits.Load(),
@@ -256,12 +266,13 @@ func (p *Program) Counters() Counters {
 		Invalidations: p.invalidations.Load(),
 		SharedRules:   p.sharedRules.Load(),
 		Groups:        int64(groups),
+		Classes:       int64(classes),
 		Rules:         int64(rules),
 	}
 }
 
 // addRuleLocked compiles r, dedupes its pattern against previously compiled
-// ones, and files it into its (pattern, filters) group.
+// ones, and files it into its (pattern, filters) group and its clone class.
 func (p *Program) addRuleLocked(r *core.NGD) int {
 	if i, ok := p.byRule[r]; ok {
 		return i
@@ -285,12 +296,19 @@ func (p *Program) addRuleLocked(r *core.NGD) int {
 		gi = len(p.groups)
 		p.groups = append(p.groups, &group{key: gk})
 	}
+	ck := cloneKey(gk, r)
+	ci, ok := p.classIDs[ck]
+	if !ok {
+		ci = len(p.classIDs)
+		p.classIDs[ck] = ci
+	}
 	i := len(p.rules)
 	p.rules = append(p.rules, r)
 	p.compiled = append(p.compiled, c)
 	p.byRule[r] = i
 	p.groupOf = append(p.groupOf, gi)
 	p.groups[gi].rules = append(p.groups[gi].rules, i)
+	p.classOf = append(p.classOf, ci)
 	return i
 }
 

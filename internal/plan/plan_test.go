@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"slices"
 	"testing"
 
 	"ngd/internal/core"
@@ -123,6 +124,78 @@ func TestIdenticalRulesShareGroupAndPattern(t *testing.T) {
 	if pa != pb {
 		t.Fatal("rules in one group must share cached plans")
 	}
+}
+
+// TestCloneClasses pins what makes two rules clones: the same (pattern,
+// filters) group and the same X and Y up to variable names and literal
+// order — and nothing looser.
+func TestCloneClasses(t *testing.T) {
+	g := graph.New()
+	for _, l := range []string{"person", "city", "lives", "born"} {
+		g.Symbols().Label(l)
+	}
+	rule := func(name, x, y, edge string, X, Y []string) *core.NGD {
+		q := pattern.New()
+		q.AddEdge(q.AddNode(x, "person"), q.AddNode(y, "city"), edge)
+		lits := func(srcs []string) []core.Literal {
+			out := make([]core.Literal, len(srcs))
+			for i, s := range srcs {
+				out[i] = core.MustLiteral(s)
+			}
+			return out
+		}
+		return core.MustNew(name, q, lits(X), lits(Y))
+	}
+	X := []string{"x.age >= 18", "x.a = y.a"}
+	Y := []string{"x.b <= y.b", "y.c = 1"}
+	base := rule("base", "x", "y", "lives", X, Y)
+	clone := rule("clone", "p", "q", "lives", []string{"p.a = q.a", "p.age >= 18"}, []string{"q.c = 1", "p.b <= q.b"})
+	set := core.NewSet(base,
+		rule("near-constant", "x", "y", "lives", X, []string{"x.b <= y.b", "y.c = 2"}),
+		clone,
+		rule("other-filter", "x", "y", "lives", []string{"x.height >= 18", "x.a = y.a"}, Y),
+		rule("other-edge", "x", "y", "born", X, Y),
+		rule("literal-twice", "x", "y", "lives", X, append([]string{"y.c = 1"}, Y...)),
+	)
+	prog := plan.New(g, set, plan.Options{})
+	classes, of := prog.Classes(set)
+	if len(classes) != 5 || !slices.Equal(of, []int{0, 1, 0, 2, 3, 4}) {
+		t.Fatalf("classes of %v = %v, want base and clone together, the rest alone", names(set.Rules), of)
+	}
+	if got := names(classes[0].Rules); !slices.Equal(got, []string{"base", "clone"}) || classes[0].C.Rule != base {
+		t.Fatalf("class 0 = %v led by %s, want [base clone] led by base", got, classes[0].C.Rule.Name)
+	}
+	if c := prog.Counters(); c.Classes != 5 || c.Rules != 6 {
+		t.Fatalf("counters = %+v, want 5 classes over 6 rules", c)
+	}
+	if again, _ := prog.Classes(set); &again[0] != &classes[0] {
+		t.Fatal("Classes of an unchanged set must be memoized")
+	}
+
+	// a class holds the members of the set passed, led by the first of them
+	sub := core.NewSet(set.Rules[1], clone)
+	if cs, of := prog.Classes(sub); len(cs) != 2 || cs[1].C.Rule != clone || len(cs[1].Rules) != 1 || !slices.Equal(of, []int{0, 1}) {
+		t.Fatalf("classes of a subset = %v / %v, want two singletons", cs, of)
+	}
+
+	// a rule added to the set after New is absorbed into its class
+	late := rule("late", "u", "v", "lives", []string{"u.age >= 18", "u.a = v.a"}, []string{"u.b <= v.b", "v.c = 1"})
+	set.Add(late)
+	classes, of = prog.Classes(set)
+	if got := names(classes[0].Rules); !slices.Equal(got, []string{"base", "clone", "late"}) || of[6] != 0 {
+		t.Fatalf("class 0 after a late rule = %v (of %v)", got, of)
+	}
+	if c := prog.Counters(); c.Classes != 5 || c.Rules != 7 {
+		t.Fatalf("counters after a late clone = %+v, want 5 classes over 7 rules", c)
+	}
+}
+
+func names(rules []*core.NGD) []string {
+	out := make([]string, len(rules))
+	for i, r := range rules {
+		out[i] = r.Name
+	}
+	return out
 }
 
 func TestShareForestMergesPrefixes(t *testing.T) {

@@ -273,6 +273,14 @@ func TestStatsReportsCommitHookError(t *testing.T) {
 	if v, ok := body.LastBatch["LogErr"]; ok {
 		t.Errorf("last_batch carries LogErr = %s", v)
 	}
+	// the commit's stage laps render by name, in nanoseconds, beside its wall
+	var laps map[string]int64
+	if err := json.Unmarshal(body.LastBatch["Laps"], &laps); err != nil || len(laps) != 8 {
+		t.Errorf("last_batch Laps = %s (%v), want the 8 stages", body.LastBatch["Laps"], err)
+	}
+	if _, ok := body.LastBatch["Wall"]; !ok {
+		t.Error("last_batch has no Wall")
+	}
 }
 
 func TestDroppedOps(t *testing.T) {

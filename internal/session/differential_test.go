@@ -17,8 +17,10 @@ package session_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ngd/internal/core"
@@ -386,6 +388,72 @@ func runDifferential(t *testing.T, w diffWorkload) {
 			}
 		}
 	}
+}
+
+// TestIncDectClassesMatchPerRule: IncDect searches a clone class once and
+// hands its violations to every member; on every workload of the table, with
+// each rule's twin (same dependency, another name) appended to Σ, its ΔVio⁺
+// and ΔVio⁻ must be the concatenation of the per-rule runs over singleton
+// sets, slice for slice.
+func TestIncDectClassesMatchPerRule(t *testing.T) {
+	var handed atomic.Int64 // twins' violations, over the table
+	t.Run("table", func(t *testing.T) {
+		for _, w := range diffWorkloads() {
+			t.Run(w.name(), func(t *testing.T) {
+				t.Parallel()
+				compareClassSearch(t, w, &handed)
+			})
+		}
+	})
+	if handed.Load() == 0 {
+		t.Fatal("vacuous table: no twin has a violation")
+	}
+}
+
+func compareClassSearch(t *testing.T, w diffWorkload, handed *atomic.Int64) {
+	ds := w.generate()
+	rules := w.sigma()
+	for _, r := range slices.Clone(rules.Rules) {
+		rules.Add(core.MustNew(r.Name+"-twin", r.Pattern, r.X, r.Y))
+	}
+	delta := update.Random(ds, update.Config{
+		Size:    update.SizeFor(ds.G, w.batchFrac),
+		Gamma:   w.gamma,
+		Seed:    w.seed*1000 + 700,
+		Hotspot: w.hotspot,
+	})
+	got := inc.IncDect(ds.G, rules, delta, inc.Options{})
+	var want inc.DeltaVio
+	for _, r := range rules.Rules {
+		one := inc.IncDect(ds.G, core.NewSet(r), delta, inc.Options{})
+		want.Plus = append(want.Plus, one.Plus...)
+		want.Minus = append(want.Minus, one.Minus...)
+	}
+	for _, side := range []struct {
+		name      string
+		got, want []core.Violation
+	}{{"ΔVio⁺", got.Plus, want.Plus}, {"ΔVio⁻", got.Minus, want.Minus}} {
+		if !slices.EqualFunc(side.got, side.want, func(a, b core.Violation) bool {
+			return a.Rule == b.Rule && slices.Equal(a.Match, b.Match)
+		}) {
+			t.Fatalf("workload %s: %s by class != per-rule concatenation\nclass:\n%s\nper rule:\n%s",
+				w.name(), side.name, keyList(side.got), keyList(side.want))
+		}
+		for _, v := range side.got {
+			if strings.HasSuffix(v.Rule.Name, "-twin") {
+				handed.Add(1)
+			}
+		}
+	}
+}
+
+// keyList renders a violation list in its order, one key a line.
+func keyList(vs []core.Violation) string {
+	keys := make([]string, len(vs))
+	for i, v := range vs {
+		keys[i] = v.Key()
+	}
+	return strings.Join(keys, "\n")
 }
 
 // TestDifferentialShardRuntime sweeps the goroutine shard runtime over the

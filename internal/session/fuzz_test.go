@@ -49,9 +49,13 @@ var (
 
 // fuzzSigma is the paper's Σ plus the two pattern shapes it lacks: a
 // disconnected rule (two edge components and an isolated node, so arrivals
-// are absorbed and pivot plans seed) and a self-loop pattern edge.
+// are absorbed and pivot plans seed) and a self-loop pattern edge — and two
+// clones, searched once with the rule they copy: φ3 under another name, and
+// the self-loop rule with its variable renamed.
 func fuzzSigma() *core.Set {
 	rules := paperdata.AllRules()
+	phi3 := paperdata.Phi3()
+	rules.Add(core.MustNew("phi3-copy", phi3.Pattern, phi3.X, phi3.Y))
 
 	q := pattern.New()
 	x, m := q.AddNode("x", "place"), q.AddNode("m", "integer")
@@ -67,6 +71,11 @@ func fuzzSigma() *core.Set {
 	x = q.AddNode("x", "_")
 	q.AddEdge(x, x, "partof")
 	rules.Add(core.MustNew("loop", q, nil, []core.Literal{core.Lit(expr.V("x", "val"), expr.Ge, expr.C(0))}))
+
+	q = pattern.New()
+	v := q.AddNode("v", "_")
+	q.AddEdge(v, v, "partof")
+	rules.Add(core.MustNew("loop-renamed", q, nil, []core.Literal{core.Lit(expr.V("v", "val"), expr.Ge, expr.C(0))}))
 	return rules
 }
 
@@ -92,6 +101,10 @@ func FuzzCommitSequence(f *testing.F) {
 		// φ4's fake account marked and one of its edges deleted in one batch
 		{fzSetAttr, 4, 0, 129, fzSetAttr, 5, 0, 129, fzSetAttr, 6, 0, 130, fzCommit,
 			fzSetAttr, 21, 0, 128, fzDeleteAt, 17, 0, fzCommit},
+		// both clone classes violated by insertions: a self-loop on California
+		// (no val) for loop and loop-renamed, then Corona's census-date edge
+		// back after its deletion for φ3 and phi3-copy
+		{fzLoopOrDup, 7, 0, fzDeleteAt, 8, 0, fzCommit, fzInsert, 8, 10, 3, fzCommit},
 	} {
 		f.Add(seed)
 	}

@@ -35,6 +35,7 @@ package session
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"ngd/internal/analyze"
 	"ngd/internal/core"
@@ -97,7 +98,8 @@ type BatchStats struct {
 	// edge at a hub whose other endpoint is as busy shows up here.
 	Looked int
 	// Pivots is the number of insertion pivots expanded: deletions expand
-	// none.
+	// none. A clone class (plan.Class) expands its pivots once, however many
+	// rules it answers for.
 	Pivots int
 	// PlanHits / PlanMisses / PlanInvalidations report this batch's plan
 	// cache traffic: plans served from the shared program's cache, plans
@@ -109,10 +111,16 @@ type BatchStats struct {
 	// in the program's latest batch forest (level gauge, not a delta).
 	SharedRules int64
 	// Cost is the batch's deterministic detection cost: the work units
-	// (candidates + checks) of the ΔVio⁺ search plus Looked.
+	// (candidates + checks) of the ΔVio⁺ search plus Looked. A clone class's
+	// search counts once.
 	Cost float64
 	// StoreSize is |Vio(Σ, G)| after the commit.
 	StoreSize int
+	// Laps splits the commit's wall time by stage, and Wall is that time:
+	// both read one monotonic clock, so the laps sum to Wall exactly.
+	// Nanoseconds in JSON.
+	Laps Laps
+	Wall time.Duration
 	// Event is the commit's reconciled violation delta (the actual ΔVio⁺/
 	// ΔVio⁻ sets, not just the counts above). Excluded from JSON: /stats
 	// reports counts; the sets travel on the change feed.
@@ -125,6 +133,41 @@ type BatchStats struct {
 	// durability_error (see serve.Options.DurabilityErr).
 	LogErr error `json:"-"`
 }
+
+// Laps holds the stages of one CommitBatch, in the order it runs them. A
+// stage with nothing to do (no hook installed, no deletions, no attribute
+// ops) still takes its lap, of the few nanoseconds it spends finding that
+// out.
+type Laps struct {
+	Coalesce time.Duration // normalize ΔG and the attribute ops
+	WAL      time.Duration // the commit hook (write-ahead append)
+	Lookup   time.Duration // ΔVio⁻ read off the postings (removeDeleted)
+	Apply    time.Duration // ΔG committed into G
+	Absorb   time.Duration // arriving nodes' isolated-slot searches
+	Plus     time.Duration // the ΔVio⁺ search (inc.Plus) and its store adds
+	Attr     time.Duration // attribute ops applied and reconciled
+	Publish  time.Duration // the next snapshot and the commit event
+}
+
+// lapClock times consecutive stages on the monotonic clock: each lap ends
+// where the next begins, so the laps of one clock add up to its wall time.
+type lapClock struct{ start, last time.Time }
+
+func startLaps() lapClock {
+	now := time.Now()
+	return lapClock{start: now, last: now}
+}
+
+// lap ends the running stage and returns its length.
+func (c *lapClock) lap() time.Duration {
+	now := time.Now()
+	d := now.Sub(c.last)
+	c.last = now
+	return d
+}
+
+// wall is the time from the start to the end of the last lap.
+func (c *lapClock) wall() time.Duration { return c.last.Sub(c.start) }
 
 // CommitEvent is the reconciled violation delta of one commit: exactly the
 // change a subscriber must apply to the previous epoch's violation set to
@@ -408,6 +451,7 @@ func (s *Session) Commit(d *graph.Delta) BatchStats {
 // commits its attribute fixes through here, making them ordinary batches in
 // the eyes of the WAL, the change feed and the snapshot's postings.
 func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
+	clock := startLaps()
 	s.commits++
 	st := BatchStats{Batch: s.commits}
 	if d == nil {
@@ -421,6 +465,9 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	st.Ops = norm.Len()
 	attrs = graph.NormalizeAttrOps(s.g, attrs)
 	st.AttrSets = len(attrs)
+	planBefore := s.prog.Counters()
+	st.NewNodes = s.g.NumNodes() - s.seenNodes
+	st.Laps.Coalesce = clock.lap()
 
 	// write-ahead: log the normalized batch (plus the arriving-node range)
 	// before the store or the graph changes, so a crash at any later point
@@ -428,9 +475,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	if s.hook != nil {
 		st.LogErr = s.hook(s.g, norm, attrs, graph.NodeID(s.seenNodes), graph.NodeID(s.g.NumNodes()))
 	}
-
-	planBefore := s.prog.Counters()
-	st.NewNodes = s.g.NumNodes() - s.seenNodes
+	st.Laps.WAL = clock.lap()
 
 	// ΔVio⁻ is read off the last snapshot; ΔG commits; ΔVio⁺ is searched on
 	// G′ itself. Arrivals are absorbed on G′ too: an arriving node binds an
@@ -438,9 +483,12 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	// match of G′.
 	st.Minus, st.Looked = s.removeDeleted(norm.Deletions())
 	st.Cost = float64(st.Looked)
+	st.Laps.Lookup = clock.lap()
 	ap := s.g.Apply(norm)
 	st.Inserted, st.Deleted, st.Compacted = ap.Inserted, ap.Deleted, ap.Compacted
+	st.Laps.Apply = clock.lap()
 	st.Absorbed = s.absorbNewNodes()
+	st.Laps.Absorb = clock.lap()
 	if ins := norm.Insertions(); len(ins) > 0 {
 		r := inc.Plus(s.g, s.edgeRules, ins, inc.Options{Program: s.prog, Searchers: &s.searchers})
 		st.Pivots = r.Pivots
@@ -458,6 +506,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	planNow := s.prog.Counters().Sub(planBefore)
 	st.PlanHits, st.PlanMisses = planNow.Hits, planNow.Misses
 	st.PlanInvalidations, st.SharedRules = planNow.Invalidations, planNow.SharedRules
+	st.Laps.Plus = clock.lap()
 
 	// commit the attribute ops and reconcile the store against them (on the
 	// post-Apply graph, so the pass sees the batch's final attribute *and*
@@ -465,9 +514,12 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	if len(attrs) > 0 {
 		st.AttrPlus, st.AttrMinus = s.applyAttrOps(attrs)
 	}
+	st.Laps.Attr = clock.lap()
 
 	st.Event = s.publish()
 	st.StoreSize = s.snap.Len()
+	st.Laps.Publish = clock.lap()
+	st.Wall = clock.wall()
 	return st
 }
 

@@ -2,6 +2,7 @@ package session_test
 
 import (
 	"testing"
+	"time"
 
 	"ngd/internal/core"
 	"ngd/internal/expr"
@@ -277,6 +278,47 @@ func TestSessionEmptyCommit(t *testing.T) {
 	}
 	if s.Len() != before {
 		t.Fatalf("store changed on empty commit: %d -> %d", before, s.Len())
+	}
+}
+
+// TestCommitLapsSumToWall pins an identity, not a timing: the stage laps of
+// every commit — with a hook, arrivals, deletions, insertions, attribute ops,
+// or nothing at all — read one clock and add up to its wall time exactly.
+func TestCommitLapsSumToWall(t *testing.T) {
+	ds, rules := mkStreamWorkload(t, gen.YAGO2, 120, 6, 5)
+	rules.Add(noSevenRule())
+	s := session.New(ds.G, rules, session.Options{})
+	hooked := 0
+	s.SetCommitHook(func(*graph.Graph, *graph.Delta, []graph.AttrOp, graph.NodeID, graph.NodeID) error {
+		hooked++
+		return nil
+	})
+	val := ds.G.Symbols().Attr("val")
+	check := func(st session.BatchStats) {
+		t.Helper()
+		l := st.Laps
+		var sum time.Duration
+		for _, d := range []time.Duration{l.Coalesce, l.WAL, l.Lookup, l.Apply, l.Absorb, l.Plus, l.Attr, l.Publish} {
+			if d < 0 {
+				t.Fatalf("batch %d: negative lap in %+v", st.Batch, l)
+			}
+			sum += d
+		}
+		if sum != st.Wall {
+			t.Fatalf("batch %d: laps sum to %v, wall %v (%+v)", st.Batch, sum, st.Wall, l)
+		}
+	}
+	for b := 0; b < 3; b++ {
+		ds.G.SetAttr(ds.G.AddNode("integer"), "val", graph.Int(7))
+		d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: 300 + int64(b)})
+		check(s.CommitBatch(d, []graph.AttrOp{{Node: ds.Entities[b], Attr: val, Val: graph.Int(int64(b))}}))
+	}
+	check(s.Commit(nil))
+	if hooked != 4 {
+		t.Fatalf("hook ran %d times, want 4", hooked)
+	}
+	if err := s.Recheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -173,6 +173,15 @@ func (c *creader) u64() (uint64, error) {
 func (c *creader) uvarint() (uint64, error) { return binary.ReadUvarint(c) }
 func (c *creader) svarint() (int64, error)  { return binary.ReadVarint(c) }
 
+// nodeID reads a node id, refusing one graph.NodeID cannot hold.
+func (c *creader) nodeID() (graph.NodeID, error) {
+	id, err := c.uvarint()
+	if err == nil && id > math.MaxInt32 {
+		err = fmt.Errorf("store: node id %d out of range", id)
+	}
+	return graph.NodeID(id), err
+}
+
 // str reads a length-prefixed string; a short one (ids, labels, names) goes
 // through scratch and costs the one allocation it is kept in. The length is
 // unverified, so a long one's buffer grows with the bytes that actually

@@ -124,7 +124,8 @@ func (r *walRecord) encodePayload(buf *bytes.Buffer) {
 	_ = c.flush() // bytes.Buffer writes cannot fail
 }
 
-// decodePayload parses one record payload.
+// decodePayload parses one record payload, refusing a node id that
+// graph.NodeID cannot hold.
 func decodePayload(p []byte) (*walRecord, error) {
 	c := newCReader(bytes.NewReader(p))
 	r := &walRecord{}
@@ -138,11 +139,9 @@ func decodePayload(p []byte) (*walRecord, error) {
 	}
 	for i := uint64(0); i < nNodes; i++ {
 		var nr nodeRec
-		id, err := c.uvarint()
-		if err != nil {
+		if nr.Node, err = c.nodeID(); err != nil {
 			return nil, err
 		}
-		nr.Node = graph.NodeID(id)
 		if nr.ExtID, err = c.str(); err != nil {
 			return nil, err
 		}
@@ -176,15 +175,12 @@ func decodePayload(p []byte) (*walRecord, error) {
 			return nil, err
 		}
 		op.Insert = k == 1
-		src, err := c.uvarint()
-		if err != nil {
+		if op.Src, err = c.nodeID(); err != nil {
 			return nil, err
 		}
-		dst, err := c.uvarint()
-		if err != nil {
+		if op.Dst, err = c.nodeID(); err != nil {
 			return nil, err
 		}
-		op.Src, op.Dst = graph.NodeID(src), graph.NodeID(dst)
 		if op.Label, err = c.str(); err != nil {
 			return nil, err
 		}
@@ -200,11 +196,9 @@ func decodePayload(p []byte) (*walRecord, error) {
 	}
 	for i := uint64(0); i < nAttrs; i++ {
 		var a attrRec
-		id, err := c.uvarint()
-		if err != nil {
+		if a.Node, err = c.nodeID(); err != nil {
 			return nil, err
 		}
-		a.Node = graph.NodeID(id)
 		if a.Name, err = c.str(); err != nil {
 			return nil, err
 		}
