@@ -16,7 +16,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 const (
@@ -41,8 +40,8 @@ func BenchmarkSessionStream(b *testing.B) {
 	batches := make([]*graph.Delta, nBatches)
 	totalOps := 0
 	for i := range batches {
-		batches[i] = update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.04), Gamma: 1, Seed: int64(100 + i),
+		batches[i] = gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.04), Gamma: 1, Seed: int64(100 + i),
 		})
 		totalOps += batches[i].Len()
 	}

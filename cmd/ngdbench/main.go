@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,21 +38,18 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
-	"ngd/internal/partition"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
 	"ngd/internal/reason"
 	"ngd/internal/repair"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // config is what an experiment may depend on besides its own constants.
 type config struct {
-	n, rules  int    // entities per generated graph, rules in Σ
-	seed      int64  // base RNG seed
-	shardsOut string // where shards writes its JSON series; empty writes nothing
+	n, rules int   // entities per generated graph, rules in Σ
+	seed     int64 // base RNG seed
 	// analyze's two wall-clock budgets: no flag sets them, EXPERIMENTS.md's
 	// table is read against main's values and only the test shrinks them
 	gateBudget, conflictBudget time.Duration
@@ -86,14 +82,11 @@ var registry = []experiment{
 	{"reason", "§4 worked examples (Example 5 verdicts)", reasonDemo},
 	{"analyze", "Σ admission-gate and unsat-core cost vs ‖Σ‖", analyzeExp},
 	{"plan", "plan cache on small batches; cross-rule sharing in cost units", planExp},
-	{"shards", "wall-clock PDect/PIncDect at p = 1..8; by name, writes -shards-out", shardsExp},
 	{"repair", "fix-enumeration counters and drain applies vs |Vio|", repairExp},
 }
 
-// runAll runs the registry in order. It writes no file: shards' series is
-// host-dependent and checked in, so only `ngdbench shards` may replace it.
+// runAll runs the registry in order.
 func runAll(w io.Writer, c config) error {
-	c.shardsOut = ""
 	for _, e := range registry {
 		if err := e.run(w, c); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
@@ -108,7 +101,6 @@ func main() {
 	flag.IntVar(&c.n, "n", 1200, "entities per generated graph (scale knob)")
 	flag.Int64Var(&c.seed, "seed", 1, "base RNG seed")
 	flag.IntVar(&c.rules, "rules", 50, "rules in Σ (the paper's default)")
-	flag.StringVar(&c.shardsOut, "shards-out", "BENCH_shards.json", "shards: machine-readable output path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Usage = func() {
@@ -117,7 +109,7 @@ func main() {
 		for _, e := range registry {
 			fmt.Fprintf(out, "  %-10s %s\n", e.name, e.doc)
 		}
-		fmt.Fprintf(out, "  %-10s every experiment above, in that order; writes no file\n", "all")
+		fmt.Fprintf(out, "  %-10s every experiment above, in that order\n", "all")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -179,15 +171,6 @@ func ku(v float64) string { return fmt.Sprintf("%8.1f", v/1000) }
 // ms formats a duration's milliseconds at microsecond resolution.
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// oracle pins an options value to the deterministic virtual-time driver.
-// The goroutine shard runtime is the engine default now, but every fig4
-// series reports simulated cost units, which must stay machine-independent
-// and reproducible; the `shards` experiment is the wall-clock counterpart.
-func oracle(o par.Options) par.Options {
-	o.Virtual = true
-	return o
-}
-
 type workload struct {
 	ds    *gen.Dataset
 	rules *core.Set
@@ -197,7 +180,7 @@ type workload struct {
 func makeWorkload(p gen.Profile, entities, rules, maxDiam int, deltaFrac float64, s int64) workload {
 	ds := gen.Generate(p, entities, s)
 	rs := gen.Rules(p, gen.RuleConfig{Count: rules, MaxDiameter: maxDiam, Seed: s})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, deltaFrac), Gamma: 1, Seed: s * 31})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, deltaFrac), Gamma: 1, Seed: s * 31})
 	return workload{ds: ds, rules: rs, delta: d}
 }
 
@@ -234,7 +217,7 @@ func incWork(g *graph.Graph, rules *core.Set, d *graph.Delta) float64 {
 
 // pinc is PIncDect's simulated makespan on w under one balancing variant.
 func pinc(w workload, o par.Options) float64 {
-	return par.PIncDect(w.ds.G, w.rules, w.delta, oracle(o)).Metrics.Makespan
+	return par.PIncDect(w.ds.G, w.rules, w.delta, o).Metrics.Makespan
 }
 
 // fourWay measures the cells every fig4(a–h) row starts with and ends on:
@@ -245,7 +228,7 @@ func fourWay(w workload) (cells, shared string) {
 	after := graph.NewOverlay(w.ds.G, w.delta.Normalize(w.ds.G))
 	dect := dectWork(after, w.rules)
 	incD := incWork(w.ds.G, w.rules, w.delta)
-	pdect := par.PDect(after, w.rules, oracle(par.Hybrid(8))).Metrics.Makespan
+	pdect := par.PDect(after, w.rules, par.Hybrid(8)).Metrics.Makespan
 	hyb := pinc(w, par.Hybrid(8))
 	return ku(dect) + " " + ku(incD) + " " + ku(pdect) + " " + ku(hyb), ku(sharedWork(after, w.rules))
 }
@@ -316,7 +299,7 @@ func varyP(p gen.Profile) func(io.Writer, config) error {
 		fmt.Fprintf(out, "%-6s %10s %10s %12s %12s %12s\n", "p", "PDect", "PIncDect", "PIncDect_ns", "PIncDect_nb", "PIncDect_NO")
 		after := graph.NewOverlay(w.ds.G, w.delta.Normalize(w.ds.G))
 		for _, pp := range []int{4, 8, 12, 16, 20} {
-			pdect := par.PDect(after, w.rules, oracle(par.Hybrid(pp))).Metrics.Makespan
+			pdect := par.PDect(after, w.rules, par.Hybrid(pp)).Metrics.Makespan
 			fmt.Fprintf(out, "%-6d %s %s   %s   %s   %s\n", pp, ku(pdect), ku(pinc(w, par.Hybrid(pp))),
 				ku(pinc(w, par.VariantNS(pp))), ku(pinc(w, par.VariantNB(pp))), ku(pinc(w, par.VariantNO(pp))))
 		}
@@ -345,108 +328,6 @@ func varyIntvl(out io.Writer, c config) error {
 		hy.Intvl, ns.Intvl = iv, iv
 		fmt.Fprintf(out, "%-10.0f %s   %s\n", iv, ku(pinc(w, hy)), ku(pinc(w, ns)))
 	}
-	return nil
-}
-
-// ---- shards: wall-clock scaling of the goroutine shard runtime ----
-
-// shardPoint and shardReport are BENCH_shards.json: the one struct both
-// writes the artifact and, in the test, decodes it with unknown fields
-// disallowed.
-type shardPoint struct {
-	P               int     `json:"p"`
-	PDectMS         float64 `json:"pdect_ms"`
-	PIncDectMS      float64 `json:"pincdect_ms"`
-	PDectSpeedup    float64 `json:"pdect_speedup"`
-	PIncDectSpeedup float64 `json:"pincdect_speedup"`
-}
-
-type shardReport struct {
-	Experiment  string       `json:"experiment"`
-	HostCores   int          `json:"host_cores"`
-	Gomaxprocs  int          `json:"gomaxprocs"`
-	Profile     string       `json:"profile"`
-	Entities    int          `json:"entities"`
-	Rules       int          `json:"rules"`
-	DeltaFrac   float64      `json:"delta_frac"`
-	Series      []shardPoint `json:"series"`
-	GeneratedBy string       `json:"generated_by"`
-}
-
-// shardsExp measures real elapsed time of PDect and PIncDect executing on
-// a persistent shard pool at p = 1, 2, 4, 8 — the wall-clock counterpart
-// of the simulated fig4(i–l) curves — and writes the series as
-// machine-readable JSON (-shards-out, default BENCH_shards.json). Unlike
-// every other ngdbench table these are only milliseconds on *this* host:
-// host_cores and gomaxprocs are recorded so a single-core container's flat
-// curve is not mistaken for a scaling regression. Each cell is the best of
-// three runs after a warm-up pass.
-func shardsExp(out io.Writer, c config) error {
-	w := makeWorkload(gen.Pokec, c.n, c.rules, 5, 0.15, c.seed)
-	norm := w.delta.Normalize(w.ds.G)
-	after := graph.NewOverlay(w.ds.G, norm)
-	st := w.ds.G.ComputeStats()
-
-	report := shardReport{
-		Experiment: "shards", HostCores: runtime.NumCPU(),
-		Gomaxprocs: runtime.GOMAXPROCS(0), Profile: gen.Pokec.Name,
-		Entities: c.n, Rules: c.rules, DeltaFrac: 0.15,
-		GeneratedBy: "ngdbench shards",
-	}
-
-	fmt.Fprintf(out, "# shards %s: wall-clock scaling of the goroutine shard runtime on %d core(s)\n",
-		gen.Pokec.Name, runtime.NumCPU())
-	fmt.Fprintf(out, "# |V|=%d |E|=%d, ‖Σ‖=%d, ΔG=15%%; best of 3 after warm-up\n",
-		st.Nodes, st.Edges, c.rules)
-	fmt.Fprintf(out, "%-6s %12s %12s %10s %10s\n", "p", "PDect ms", "PIncDect ms", "PD spd", "PI spd")
-
-	timeIt := func(f func()) float64 {
-		f() // warm-up: pool goroutines parked, caches hot
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			f()
-			if el := ms(time.Since(t0)); rep == 0 || el < best {
-				best = el
-			}
-		}
-		return best
-	}
-
-	for _, p := range []int{1, 2, 4, 8} {
-		pool := par.NewPool(p)
-		opts := par.Hybrid(p)
-		opts.Pool = pool
-		opts.Part = partition.Greedy(w.ds.G, p)
-		opts.AssumeNormalized = true
-
-		pd := timeIt(func() { par.PDect(after, w.rules, opts) })
-		pi := timeIt(func() { par.PIncDect(w.ds.G, w.rules, norm, opts) })
-		pool.Close()
-
-		pp := shardPoint{P: p, PDectMS: pd, PIncDectMS: pi, PDectSpeedup: 1, PIncDectSpeedup: 1}
-		if len(report.Series) > 0 {
-			base := report.Series[0]
-			pp.PDectSpeedup = base.PDectMS / pd
-			pp.PIncDectSpeedup = base.PIncDectMS / pi
-		}
-		report.Series = append(report.Series, pp)
-		fmt.Fprintf(out, "%-6d %12.2f %12.2f %9.2fx %9.2fx\n",
-			p, pd, pi, pp.PDectSpeedup, pp.PIncDectSpeedup)
-	}
-
-	if c.shardsOut == "" {
-		return nil
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shards: marshal: %w", err)
-	}
-	if err := os.WriteFile(c.shardsOut, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shards: %w", err)
-	}
-	fmt.Fprintf(out, "# wrote %s (host_cores=%d; wall-clock speedup needs real cores)\n",
-		c.shardsOut, runtime.NumCPU())
 	return nil
 }
 
@@ -531,7 +412,7 @@ func planExp(out io.Writer, c config) error {
 	// serving shape the Program exists for
 	batches := make([]*graph.Delta, 128)
 	for b := range batches {
-		batches[b] = update.Random(ds, update.Config{Size: 4, Gamma: 1, Seed: c.seed*61 + int64(b)})
+		batches[b] = gen.RandomDelta(ds, gen.DeltaConfig{Size: 4, Gamma: 1, Seed: c.seed*61 + int64(b)})
 	}
 
 	fmt.Fprintf(out, "# plan %s: |V|=%d |E|=%d, ‖Σ‖=%d, %d batches of 4 ops; wall clock, this host\n",

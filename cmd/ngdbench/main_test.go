@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +27,6 @@ func runTiny(t *testing.T, e experiment, c config) []byte {
 // reproducible: same flags, same numbers".
 func TestEveryExperimentRuns(t *testing.T) {
 	c := tiny
-	c.shardsOut = filepath.Join(t.TempDir(), "shards.json")
 	seen := map[string]bool{}
 	for _, e := range registry {
 		if seen[e.name] || e.name == "all" || e.doc == "" {
@@ -57,59 +54,19 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
-// TestAllWritesNoFile: `ngdbench -n 400 all` must not replace the
-// checked-in BENCH_shards.json with a 400-entity series.
+// TestAllWritesNoFile: `ngdbench all` prints every table and leaves nothing
+// in its working directory.
 func TestAllWritesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	t.Chdir(dir)
-	c := tiny
-	c.shardsOut = "BENCH_shards.json" // main's default
 	var buf bytes.Buffer
-	if err := runAll(&buf, c); err != nil {
+	if err := runAll(&buf, tiny); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "# shards ") {
-		t.Error("all skipped the shards table")
+	if !strings.Contains(buf.String(), "# repair ") {
+		t.Error("all skipped the last table")
 	}
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 		t.Errorf("all left %v in its working directory (err %v)", left, err)
 	}
-}
-
-// checkShards decodes a BENCH_shards.json into the struct that writes it,
-// unknown keys disallowed, and makes the assertions of the validator CI used
-// to run: a key that is missing or not numeric decodes to an error or to a
-// zero the range checks reject.
-func checkShards(t *testing.T, path string) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var r shardReport
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if r.Experiment != "shards" || r.HostCores < 1 || r.Gomaxprocs < 1 || r.Profile == "" ||
-		r.Entities < 1 || r.Rules < 1 || r.DeltaFrac <= 0 || r.GeneratedBy == "" || len(r.Series) == 0 {
-		t.Fatalf("%s: missing or out-of-range key in %+v", path, r)
-	}
-	for _, pt := range r.Series {
-		if pt.P < 1 || pt.PDectMS <= 0 || pt.PIncDectMS <= 0 || pt.PDectSpeedup <= 0 || pt.PIncDectSpeedup <= 0 {
-			t.Errorf("%s: missing or out-of-range key in point %+v", path, pt)
-		}
-	}
-}
-
-func TestShardsArtifact(t *testing.T) {
-	c := tiny
-	c.shardsOut = filepath.Join(t.TempDir(), "shards.json")
-	if err := shardsExp(&bytes.Buffer{}, c); err != nil {
-		t.Fatal(err)
-	}
-	checkShards(t, c.shardsOut)
-	checkShards(t, filepath.Join("..", "..", "BENCH_shards.json"))
 }

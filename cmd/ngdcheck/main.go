@@ -3,12 +3,13 @@
 //
 // Usage:
 //
-//	ngdcheck -rules rules.ngd -graph g.txt [-update delta.txt] [-p 8] [-limit n]
+//	ngdcheck -rules rules.ngd -graph g.txt [-update delta.txt] [-limit n]
 //	ngdcheck -rules rules.ngd -analyze [-graph g.txt]
 //
-// Without -update it runs batch detection (Dect, or PDect when -p > 1) and
-// prints Vio(Σ, G). With -update it runs incremental detection (IncDect /
-// PIncDect) and prints ΔVio⁺ and ΔVio⁻.
+// Without -update it runs batch detection (Dect) and prints Vio(Σ, G). With
+// -update it runs incremental detection (IncDect) and prints ΔVio⁺ and
+// ΔVio⁻. The -p flag is accepted and ignored: it is deprecated, and will be
+// removed.
 //
 // With -analyze it first runs the Σ admission analysis (satisfiability
 // triage, unsat-core extraction, minimization report); -graph becomes
@@ -42,7 +43,7 @@ var (
 	rulesPath  = flag.String("rules", "", "rule file (required)")
 	graphPath  = flag.String("graph", "", "graph file (required unless -analyze)")
 	updatePath = flag.String("update", "", "update file (optional: incremental mode)")
-	workers    = flag.Int("p", 1, "parallel workers (1 = sequential)")
+	_          = flag.Int("p", 1, "deprecated and ignored: detection is sequential")
 	limit      = flag.Int("limit", 0, "stop after this many violations (0 = all)")
 	quiet      = flag.Bool("q", false, "print only counts")
 	doAnalyze  = flag.Bool("analyze", false, "run the Σ admission analysis (satisfiability, unsat core, minimization); exit 3 = unsatisfiable, 4 = undecided")
@@ -140,14 +141,7 @@ func runAnalysis(rules *ngd.RuleSet, lines map[string]int) {
 
 func runBatch(g *ngd.Graph, rules *ngd.RuleSet) {
 	var vios []ngd.Violation
-	if *workers > 1 {
-		opts := ngd.Parallel(*workers)
-		opts.Limit = *limit
-		res, met := ngd.PDetect(g, rules, opts)
-		vios = res.Violations
-		fmt.Printf("PDect p=%d: %d work units, makespan %.0f cost units\n",
-			*workers, met.Units, met.Makespan)
-	} else if *limit > 0 {
+	if *limit > 0 {
 		vios = ngd.DetectLimit(g, rules, *limit).Violations
 	} else {
 		vios = ngd.Detect(g, rules).Violations
@@ -158,15 +152,7 @@ func runBatch(g *ngd.Graph, rules *ngd.RuleSet) {
 
 func runIncremental(g *ngd.Graph, rules *ngd.RuleSet, delta *ngd.Delta) {
 	fmt.Printf("ΔG: %d unit updates\n", delta.Len())
-	var dv *ngd.DeltaVio
-	if *workers > 1 {
-		res, met := ngd.PIncDetect(g, rules, delta, ngd.Parallel(*workers))
-		dv = res
-		fmt.Printf("PIncDect p=%d: %d work units, %d splits, %d moved, makespan %.0f cost units\n",
-			*workers, met.Units, met.Splits, met.Moved, met.Makespan)
-	} else {
-		dv = ngd.IncDetect(g, rules, delta)
-	}
+	dv := ngd.IncDetect(g, rules, delta)
 	fmt.Printf("ΔVio⁺: %d new violations\n", len(dv.Plus))
 	printVios(dv.Plus)
 	fmt.Printf("ΔVio⁻: %d removed violations\n", len(dv.Minus))

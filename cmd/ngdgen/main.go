@@ -15,7 +15,6 @@ import (
 
 	"ngd/internal/dsl"
 	"ngd/internal/gen"
-	"ngd/internal/update"
 )
 
 var (
@@ -45,8 +44,8 @@ func main() {
 	var deltaOps = 0
 	var deltaOut string
 	if *deltaFrac > 0 {
-		d := update.Random(ds, update.Config{
-			Size:  update.SizeFor(ds.G, *deltaFrac),
+		d := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size:  gen.DeltaSize(ds.G, *deltaFrac),
 			Gamma: 1,
 			Seed:  *seed * 31,
 		})

@@ -3,20 +3,18 @@
 //
 // The reasoning oracle (internal/reason), the repair engine
 // (internal/repair), the exact integer solver (internal/solver) and the
-// parallel engine's unit step, balance round and virtual scheduler
-// (internal/par) must be pure functions of their inputs: replaying a
-// WAL, re-running an admission analysis, or re-simulating a makespan must
-// produce byte-identical results. Reading a clock or a random source breaks
-// that silently — budgets and deadlines in those packages are therefore
-// expressed as caller-supplied counters and Done channels, never as
-// time.Now() comparisons (see reason.Options and solver.Options.Done).
+// parallel engine with its virtual-time scheduler (internal/par) must be
+// pure functions of their inputs: replaying a WAL, re-running an admission
+// analysis, or re-simulating a makespan must produce byte-identical results.
+// Reading a clock or a random source breaks that silently — budgets and
+// deadlines in those packages are therefore expressed as caller-supplied
+// counters and Done channels, never as time.Now() comparisons (see
+// reason.Options and solver.Options.Done).
 //
 // ngdlint walks the source with go/parser and fails the build when a
-// guarded file imports "time" or "math/rand" (any API from either package
-// smuggles nondeterminism in). Real wall-clock code is confined to the one
-// allowlisted file: internal/par/pool.go hosts the goroutine scheduler,
-// whose balancer ticker is genuinely temporal.
-// Test files are exempt — they may time themselves freely.
+// non-test file of a guarded package imports "time" or "math/rand" (any API
+// from either package smuggles nondeterminism in). Test files may time
+// themselves freely.
 //
 // It also enforces the allocation discipline of the hot detect path: the
 // match, detect and inc packages may not declare map[NodeID]struct{}
@@ -50,14 +48,9 @@ import (
 	"strings"
 )
 
-// guarded maps each package directory (relative to the repo root) to its
-// allowlisted file names.
-var guarded = map[string]map[string]bool{
-	"internal/reason": {},
-	"internal/repair": {},
-	"internal/solver": {},
-	"internal/par":    {"pool.go": true},
-}
+// guarded lists the package directories (relative to the repo root) whose
+// non-test files may not import a banned package.
+var guarded = []string{"internal/reason", "internal/repair", "internal/solver", "internal/par"}
 
 var banned = map[string]string{
 	"time":      "wall-clock reads break replay determinism (use budgets / Done channels)",
@@ -97,34 +90,13 @@ func main() {
 
 	fset := token.NewFileSet()
 	var findings []string
-	for dir, allow := range guarded {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-				strings.HasSuffix(name, "_test.go") || allow[name] {
-				continue
-			}
-			path := filepath.Join(root, dir, name)
+	for _, dir := range guarded {
+		for _, path := range sourceFiles(root, dir) {
 			findings = append(findings, lintFile(fset, path)...)
 		}
 	}
 	for _, dir := range hotPackages {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			path := filepath.Join(root, dir, name)
+		for _, path := range sourceFiles(root, dir) {
 			findings = append(findings, lintSeenSets(fset, path)...)
 		}
 	}
@@ -141,6 +113,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ngdlint: %d violation(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+// sourceFiles lists the non-test .go files of one package directory.
+func sourceFiles(root, dir string) []string {
+	entries, err := os.ReadDir(filepath.Join(root, dir))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
+		os.Exit(2)
+	}
+	var paths []string
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			paths = append(paths, filepath.Join(root, dir, name))
+		}
+	}
+	return paths
 }
 
 // lintFile reports every banned import in the file, and — defense in depth,

@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,38 +131,22 @@ func TestOrphanPackageFlagged(t *testing.T) {
 }
 
 // TestRepoIsClean runs the real walk over this repository: the guarded
-// packages must stay free of wall-clock and randomness imports, and every
-// allowlisted file must exist — a stale entry would exempt whatever file
-// next takes the name. internal/par allows exactly one: the goroutine
-// scheduler's pool.go, so the unit step, the balance round and the virtual
-// scheduler are statically clock-free.
+// packages must stay free of wall-clock and randomness imports, with no file
+// exempt — internal/par included, so the unit step, the balance round and
+// the scheduler are statically clock-free.
 func TestRepoIsClean(t *testing.T) {
 	fset := token.NewFileSet()
 	root := "../.."
 	if got, err := lintTree(fset, root); err != nil || len(got) != 0 {
 		t.Errorf("import rules: %v %v", got, err)
 	}
-	if allow := guarded["internal/par"]; len(allow) != 1 || !allow["pool.go"] {
-		t.Errorf("internal/par allowlist = %v, want exactly pool.go", allow)
+	if !slices.Contains(guarded, "internal/par") {
+		t.Errorf("guarded = %v, want internal/par among them", guarded)
 	}
-	for dir, allow := range guarded {
-		for name := range allow {
-			if _, err := os.Stat(filepath.Join(root, dir, name)); err != nil {
-				t.Errorf("stale allowlist entry: %v", err)
-			}
-		}
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-				strings.HasSuffix(name, "_test.go") || allow[name] {
-				continue
-			}
-			if got := lintFile(fset, filepath.Join(root, dir, name)); len(got) != 0 {
-				t.Errorf("%s: %v", name, got)
+	for _, dir := range guarded {
+		for _, path := range sourceFiles(root, dir) {
+			if got := lintFile(fset, path); len(got) != 0 {
+				t.Errorf("%s: %v", path, got)
 			}
 		}
 	}

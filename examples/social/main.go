@@ -94,11 +94,10 @@ func main() {
 		fmt.Printf("  no longer flagged (status evidence deleted): %s\n", name)
 	}
 
-	// the parallel incremental algorithm returns the same answer; the
-	// Oracle preset runs the deterministic virtual-time driver so the
-	// makespan below is reproducible (ngd.Parallel(8) would run the
-	// same units on 8 real goroutine shards)
-	pdv, metrics := ngd.PIncDetect(g, set, delta, ngd.Oracle(8))
+	// the parallel incremental algorithm returns the same answer; it runs
+	// as a deterministic simulation of 8 processors, so the makespan below
+	// is reproducible
+	pdv, metrics := ngd.PIncDetect(g, set, delta, ngd.Parallel(8))
 	if len(pdv.Plus) != len(dv.Plus) || len(pdv.Minus) != len(dv.Minus) {
 		log.Fatal("PIncDetect disagrees with IncDetect")
 	}

@@ -20,7 +20,6 @@ import (
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
 	"ngd/internal/ref"
-	"ngd/internal/update"
 )
 
 // keyLines canonicalizes a violation list to sorted newline-joined keys, so
@@ -155,8 +154,8 @@ func TestPlanPolicyDifferentialDect(t *testing.T) {
 func TestPlanPolicyDifferentialIncDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			d := update.Random(w.ds, update.Config{
-				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 42})
+			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
+				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 42})
 			plus, minus := refDelta(w.ds.G, w.rules, d)
 			prog := plan.New(w.ds.G, w.rules, plan.Options{})
 			for _, run := range []string{"cold", "cache-served"} {
@@ -175,8 +174,8 @@ func TestPlanPolicyDifferentialIncDect(t *testing.T) {
 func TestPruningDifferentialIncDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			d := update.Random(w.ds, update.Config{
-				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 99})
+			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
+				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 99})
 			got := inc.IncDect(w.ds.G, w.rules, d, inc.Options{})
 			plus, minus := refDelta(w.ds.G, w.rules, d)
 			if got := keyLines(got.Plus); got != plus {
@@ -198,25 +197,16 @@ func TestPruningDifferentialParallel(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
 			want := keyLines(ref.Detect(w.ds.G, w.rules))
-			// par.Hybrid runs the default goroutine driver, par.Oracle the
-			// virtual one; both share the pruned matcher paths
 			if keyLines(par.PDect(w.ds.G, w.rules, par.Hybrid(4)).Violations) != want {
 				t.Fatal("PDect disagrees with the reference")
 			}
-			if keyLines(par.PDect(w.ds.G, w.rules, par.Oracle(4)).Violations) != want {
-				t.Fatal("PDect (virtual driver) disagrees with the reference")
-			}
 
-			d := update.Random(w.ds, update.Config{
-				Size: update.SizeFor(w.ds.G, 0.2), Gamma: 1, Seed: 99})
+			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
+				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 99})
 			plus, minus := refDelta(w.ds.G, w.rules, d)
 			pinc := par.PIncDect(w.ds.G, w.rules, d, par.Hybrid(4))
 			if keyLines(pinc.Delta.Plus) != plus || keyLines(pinc.Delta.Minus) != minus {
 				t.Fatal("PIncDect disagrees with the reference ΔVio")
-			}
-			pvirt := par.PIncDect(w.ds.G, w.rules, d, par.Oracle(4))
-			if keyLines(pvirt.Delta.Plus) != plus || keyLines(pvirt.Delta.Minus) != minus {
-				t.Fatal("PIncDect (virtual driver) disagrees with the reference ΔVio")
 			}
 		})
 	}
@@ -238,7 +228,7 @@ func TestPruningAfterDeltaApply(t *testing.T) {
 	// churn: apply an edge delta and rewrite attribute values under the
 	// live indexes (flag flips change equality postings, score writes move
 	// ordered-index entries)
-	d := update.Random(w.ds, update.Config{Size: update.SizeFor(g, 0.25), Gamma: 1, Seed: 5})
+	d := gen.RandomDelta(w.ds, gen.DeltaConfig{Size: gen.DeltaSize(g, 0.25), Gamma: 1, Seed: 5})
 	d.Normalize(g).Apply(g)
 	val := g.Symbols().LookupAttr("val")
 	for i, props := range w.ds.PropNode {

@@ -11,7 +11,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/paperdata"
 	"ngd/internal/pattern"
-	"ngd/internal/update"
 )
 
 const phi1Text = `
@@ -233,7 +232,7 @@ func TestGraphErrors(t *testing.T) {
 
 func TestDeltaRoundTrip(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 100, 4)
-	d := update.Random(ds, update.Config{Size: 40, Gamma: 1, Seed: 5})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: 40, Gamma: 1, Seed: 5})
 
 	// write graph (after delta generation: it may add nodes) and delta
 	var gb, db strings.Builder

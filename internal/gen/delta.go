@@ -1,6 +1,8 @@
-// Package update generates batch updates ΔG for the incremental-detection
-// experiments (paper §7: ΔG is random, controlled by |ΔG| and the ratio γ
-// of edge insertions to deletions, γ = 1 unless stated otherwise).
+package gen
+
+// Batch updates ΔG for the incremental-detection experiments (paper §7: ΔG
+// is random, controlled by |ΔG| and the ratio γ of edge insertions to
+// deletions, γ = 1 unless stated otherwise).
 //
 // Deletions remove random existing edges (links only; nodes stay, matching
 // the paper's unit-update semantics). Insertions are a mix of new relation
@@ -8,18 +10,16 @@
 // invariant, producing ΔVio⁺) and entirely new entities arriving with their
 // property stars (new nodes + edges, the paper's "insertions possibly
 // introduce new nodes").
-package update
 
 import (
 	"fmt"
 	"math/rand"
 
-	"ngd/internal/gen"
 	"ngd/internal/graph"
 )
 
-// Config controls ΔG generation.
-type Config struct {
+// DeltaConfig controls ΔG generation.
+type DeltaConfig struct {
 	Size  int     // number of unit updates |ΔG|
 	Gamma float64 // insertions : deletions ratio (γ); 1 keeps |G| steady
 	Seed  int64
@@ -35,20 +35,20 @@ type Config struct {
 	HotRegion float64
 }
 
-// SizeFor converts a fraction of |E| into a unit-update count (the paper
+// DeltaSize converts a fraction of |E| into a unit-update count (the paper
 // varies |ΔG| as 5%–40% of |G|).
-func SizeFor(g *graph.Graph, frac float64) int {
+func DeltaSize(g *graph.Graph, frac float64) int {
 	return int(frac * float64(g.NumEdges()))
 }
 
-// Random generates ΔG against the dataset's graph. New entities are added
+// RandomDelta generates ΔG against the dataset's graph. New entities are added
 // to the graph's node set immediately (isolated until their edges apply);
 // edge ops go into the returned delta. The delta may contain duplicates and
 // ops that are no-ops against G — the consuming paths all coalesce it:
 // session.Commit normalizes once before pivot generation (and absorbs the
 // new nodes), while IncDect/PIncDect normalize internally when driven
 // directly.
-func Random(ds *gen.Dataset, cfg Config) *graph.Delta {
+func RandomDelta(ds *Dataset, cfg DeltaConfig) *graph.Delta {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := &graph.Delta{}
 	if cfg.Size <= 0 {
@@ -94,7 +94,7 @@ func Random(ds *gen.Dataset, cfg Config) *graph.Delta {
 	return d
 }
 
-func genDeletes(ds *gen.Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity func() int) {
+func genDeletes(ds *Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity func() int) {
 	g := ds.G
 	if g.NumNodes() == 0 || len(ds.Entities) == 0 {
 		return
@@ -114,7 +114,7 @@ func genDeletes(ds *gen.Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEnti
 	}
 }
 
-func genInserts(ds *gen.Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity func() int) {
+func genInserts(ds *Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity func() int) {
 	g := ds.G
 	nEnt := len(ds.Entities)
 	if nEnt < 2 {
@@ -146,9 +146,9 @@ func genInserts(ds *gen.Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEnti
 			if i == j {
 				continue
 			}
-			ti := gen.EntityType(g, ds.Entities[i])
-			tj := gen.EntityType(g, ds.Entities[j])
-			lbl := syms.Label(gen.RelForTypes(ds.Profile, ti, tj))
+			ti := EntityType(g, ds.Entities[i])
+			tj := EntityType(g, ds.Entities[j])
+			lbl := syms.Label(relLabel(ds.Profile, ti, tj))
 			d.Insert(ds.Entities[i], ds.Entities[j], lbl)
 			budget--
 		case r < 0.7:
@@ -189,7 +189,7 @@ func genInserts(ds *gen.Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEnti
 			for k := 0; k < 7; k++ {
 				pn := g.AddNodeL(intLabel)
 				g.SetAttrA(pn, valAttr, graph.Int(vals[k]))
-				d.Insert(ent, pn, syms.Label(gen.PropLabels[k]))
+				d.Insert(ent, pn, syms.Label(PropLabels[k]))
 			}
 			// link it near a random entity
 			j := pickEntity()

@@ -1,15 +1,11 @@
-package update
+package gen
 
-import (
-	"testing"
+import "testing"
 
-	"ngd/internal/gen"
-)
-
-func TestSizeAndGamma(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 300, 1)
+func TestDeltaSizeAndGamma(t *testing.T) {
+	ds := Generate(YAGO2, 300, 1)
 	for _, gamma := range []float64{0.5, 1, 3} {
-		d := Random(ds, Config{Size: 200, Gamma: gamma, Seed: 2})
+		d := RandomDelta(ds, DeltaConfig{Size: 200, Gamma: gamma, Seed: 2})
 		ins, del := len(d.Insertions()), len(d.Deletions())
 		if ins+del < 190 || ins+del > 210 {
 			t.Errorf("γ=%v: |ΔG| = %d, want ≈200", gamma, ins+del)
@@ -21,17 +17,17 @@ func TestSizeAndGamma(t *testing.T) {
 	}
 }
 
-func TestSizeFor(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 100, 1)
-	if got := SizeFor(ds.G, 0.1); got != ds.G.NumEdges()/10 {
-		t.Errorf("SizeFor = %d, want %d", got, ds.G.NumEdges()/10)
+func TestDeltaSize(t *testing.T) {
+	ds := Generate(YAGO2, 100, 1)
+	if got := DeltaSize(ds.G, 0.1); got != ds.G.NumEdges()/10 {
+		t.Errorf("DeltaSize = %d, want %d", got, ds.G.NumEdges()/10)
 	}
 }
 
-func TestDeterministic(t *testing.T) {
+func TestDeltaDeterministic(t *testing.T) {
 	mk := func() int {
-		ds := gen.Generate(gen.Pokec, 200, 5)
-		d := Random(ds, Config{Size: 100, Gamma: 1, Seed: 9})
+		ds := Generate(Pokec, 200, 5)
+		d := RandomDelta(ds, DeltaConfig{Size: 100, Gamma: 1, Seed: 9})
 		return d.Len()
 	}
 	if mk() != mk() {
@@ -39,9 +35,9 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestDeletionsExist(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 200, 3)
-	d := Random(ds, Config{Size: 100, Gamma: 1, Seed: 4})
+func TestDeltaDeletionsExist(t *testing.T) {
+	ds := Generate(YAGO2, 200, 3)
+	d := RandomDelta(ds, DeltaConfig{Size: 100, Gamma: 1, Seed: 4})
 	for _, op := range d.Deletions() {
 		if !ds.G.HasEdgeL(op.Src, op.Dst, op.Label) {
 			t.Fatalf("deletion of non-existent edge %v", op)
@@ -49,10 +45,10 @@ func TestDeletionsExist(t *testing.T) {
 	}
 }
 
-func TestNewEntityInsertions(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 200, 3)
+func TestDeltaNewEntityInsertions(t *testing.T) {
+	ds := Generate(YAGO2, 200, 3)
 	before := ds.G.NumNodes()
-	d := Random(ds, Config{Size: 400, Gamma: 4, Seed: 4})
+	d := RandomDelta(ds, DeltaConfig{Size: 400, Gamma: 4, Seed: 4})
 	if ds.G.NumNodes() <= before {
 		t.Error("large insert-heavy ΔG should add new entity nodes")
 	}
@@ -64,10 +60,10 @@ func TestNewEntityInsertions(t *testing.T) {
 	}
 }
 
-func TestHotspotConcentration(t *testing.T) {
-	ds := gen.Generate(gen.Pokec, 500, 7)
-	hot := Random(ds, Config{Size: 300, Gamma: 1, Seed: 8, Hotspot: 0.9, HotRegion: 0.05})
-	uniform := Random(ds, Config{Size: 300, Gamma: 1, Seed: 8, Hotspot: -1})
+func TestDeltaHotspotConcentration(t *testing.T) {
+	ds := Generate(Pokec, 500, 7)
+	hot := RandomDelta(ds, DeltaConfig{Size: 300, Gamma: 1, Seed: 8, Hotspot: 0.9, HotRegion: 0.05})
+	uniform := RandomDelta(ds, DeltaConfig{Size: 300, Gamma: 1, Seed: 8, Hotspot: -1})
 
 	// measure source-entity spread: hot deltas touch fewer distinct sources
 	hotSrcs := map[int32]bool{}
@@ -84,9 +80,9 @@ func TestHotspotConcentration(t *testing.T) {
 	}
 }
 
-func TestZeroSize(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 50, 1)
-	if d := Random(ds, Config{Size: 0, Gamma: 1, Seed: 1}); d.Len() != 0 {
+func TestDeltaZeroSize(t *testing.T) {
+	ds := Generate(YAGO2, 50, 1)
+	if d := RandomDelta(ds, DeltaConfig{Size: 0, Gamma: 1, Seed: 1}); d.Len() != 0 {
 		t.Error("size 0 should produce empty delta")
 	}
 }

@@ -294,8 +294,8 @@ func Generate(p Profile, n int, seed int64) *Dataset {
 	return ds
 }
 
-// RelForTypes exposes the deterministic type-pair → relation-label mapping
-// so rule and update generators stay consistent with the graph.
+// RelForTypes exposes the deterministic type-pair → relation-label mapping,
+// so a caller can add the relation edge the generator would have added.
 func RelForTypes(p Profile, ti, tj int) string { return relLabel(p, ti, tj) }
 
 func relLabel(p Profile, ti, tj int) string {

@@ -13,7 +13,6 @@ import (
 	"ngd/internal/paperdata"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
-	"ngd/internal/update"
 )
 
 func keysOf(vs []core.Violation) []string {
@@ -196,8 +195,8 @@ func TestIncDectEquivalenceProperty(t *testing.T) {
 		seed := int64(1000 + trial)
 		ds := gen.Generate(p, 120, seed)
 		rules := gen.Rules(p, gen.RuleConfig{Count: 12, MaxDiameter: 5, Seed: seed})
-		d := update.Random(ds, update.Config{
-			Size:  update.SizeFor(ds.G, 0.15),
+		d := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size:  gen.DeltaSize(ds.G, 0.15),
 			Gamma: 1,
 			Seed:  seed * 3,
 		})
@@ -222,7 +221,7 @@ func TestGammaInsensitivity(t *testing.T) {
 	for _, gamma := range []float64{0.25, 1, 4} {
 		ds := gen.Generate(gen.YAGO2, 100, 5)
 		rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 9, MaxDiameter: 4, Seed: 5})
-		d := update.Random(ds, update.Config{Size: 60, Gamma: gamma, Seed: 11})
+		d := gen.RandomDelta(ds, gen.DeltaConfig{Size: 60, Gamma: gamma, Seed: 11})
 		incRes := IncDect(ds.G, rules, d, Options{})
 		diff := Diff(ds.G, rules, d)
 		if !sameKeys(incRes.Plus, diff.Plus) || !sameKeys(incRes.Minus, diff.Minus) {
@@ -267,7 +266,7 @@ func TestClassSearchMatchesPerRule(t *testing.T) {
 	p.ErrorRate = 0.3
 	ds := gen.Generate(p, 150, 4)
 	rules := gen.Rules(p, gen.RuleConfig{Count: 50, MaxDiameter: 4, Seed: 4})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.2), Gamma: 1, Seed: 41})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.2), Gamma: 1, Seed: 41})
 	handed := map[*core.NGD]bool{} // the rules a class search answers for unsearched
 	classes, of := plan.New(ds.G, rules, plan.Options{}).Classes(rules)
 	for i, r := range rules.Rules {
@@ -365,7 +364,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 func TestVioUpdateConsistency(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 100, 21)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 10, MaxDiameter: 4, Seed: 21})
-	d := update.Random(ds, update.Config{Size: 40, Gamma: 1, Seed: 22})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: 40, Gamma: 1, Seed: 22})
 
 	before := detect.Dect(ds.G, rules, detect.Options{})
 	inc := IncDect(ds.G, rules, d, Options{})

@@ -60,26 +60,22 @@ func shedAssign(q []*unit, excess float64, targets []*balTarget, weigh func(*uni
 	return len(dest), dest
 }
 
-// balance is one monitoring round at time T (virtual time under the virtual
-// scheduler; the goroutine ticker passes 0, which no clock is behind). Every
-// worker pays a monitoring cost on its clock; senders shed their excess from
-// the front, under their queue lock so the owner cannot pop a unit that is
-// being re-homed; each moved unit costs the sender CPU to serialize, carries
-// an xferCharge the receiving worker pays on expansion, and becomes ready a
-// transfer latency after T.
+// balance is one monitoring round at virtual time T. Every worker pays a
+// monitoring cost on its clock; senders shed their excess from the front;
+// each moved unit costs the sender CPU to serialize, carries an xferCharge
+// the receiving worker pays on expansion, and becomes ready a transfer
+// latency after T.
 func (r *run) balance(T float64) {
-	r.balances.Add(1)
+	r.balances++
 	e, ws := r.e, r.ws
 	loads := make([]float64, len(ws))
 	queued := 0
 	var totalLoad float64
 	for i, w := range ws {
-		w.mu.Lock()
 		queued += len(w.q) - w.head
 		for _, u := range w.q[w.head:] {
 			loads[i] += e.unitWeight(u)
 		}
-		w.mu.Unlock()
 		totalLoad += loads[i]
 	}
 	if queued == 0 {
@@ -88,12 +84,10 @@ func (r *run) balance(T float64) {
 	avg := totalLoad / float64(len(ws))
 	// monitoring cost: a status round-trip per worker
 	for _, w := range ws {
-		w.mu.Lock()
 		if w.clock < T {
 			w.clock = T
 		}
 		w.clock += trueLatency / 2
-		w.mu.Unlock()
 	}
 	targets := balReceivers(loads, avg, etaLow)
 	if len(targets) == 0 {
@@ -107,23 +101,19 @@ func (r *run) balance(T float64) {
 		if excess <= 0 {
 			continue
 		}
-		w.mu.Lock()
 		take, dest := shedAssign(w.q[w.head:], excess, targets, e.unitWeight)
-		shed := append([]*unit(nil), w.q[w.head:w.head+take]...)
-		for k := range shed {
+		for k, to := range dest {
+			u := w.q[w.head+k]
 			w.q[w.head+k] = nil
+			u.ready = T + trueLatency
+			u.xferCharge = xferCPU // deserialize on arrival
+			ws[to].push(u)
 		}
 		w.head += take
 		// serializing the shed units costs the sender CPU (a partial
 		// solution is a few dozen bytes — far less than expanding it); the
 		// latency is a delay on availability, not CPU time
 		w.clock += xferCPU * float64(take)
-		w.mu.Unlock()
-		for k, u := range shed {
-			u.ready = T + trueLatency
-			u.xferCharge = xferCPU // deserialize on arrival
-			ws[dest[k]].push(u)
-		}
-		r.moved.Add(int64(take))
+		r.moved += take
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/partition"
-	"ngd/internal/update"
 )
 
 // mkUnits builds n distinguishable units (pivotRank doubles as identity).
@@ -49,27 +48,22 @@ var balScenarios = []balScenario{
 	{"no-skew-no-op", 12, []int{10, 11, 9}, 0},
 }
 
-// TestBalanceRound runs every scenario through the monitoring round twice.
-// Driven single-threaded at T=1000, the way the virtual scheduler calls it,
-// the outcome is exact: the moved count, the front of the sender's queue
-// shed in order, every receiver within its deficit, xferCharge and
-// ready = T+latency on the moved units, latency/2 of monitoring on every
-// clock and xferCPU per moved unit on the sender's. Driven at T=0 while the
-// sender's owner concurrently pops the back of its queue, the way the
-// goroutine scheduler's ticker calls it (run under -race in CI), the loads
-// the round measures can only be lower, so the counts become upper bounds
-// and everything else must still hold — in particular no unit is lost,
-// duplicated, or both popped and re-homed.
+// TestBalanceRound runs every scenario through the monitoring round at
+// T=1000, the way the scheduler calls it, and checks the exact outcome: the
+// moved count, the front of the sender's queue shed in order, every receiver
+// within its deficit, xferCharge and ready = T+latency on the moved units,
+// latency/2 of monitoring on every clock and xferCPU per moved unit on the
+// sender's — and no unit lost or duplicated.
 func TestBalanceRound(t *testing.T) {
 	for _, sc := range balScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			t.Run("single", func(t *testing.T) { checkBalanceRound(t, sc, false, 1000) })
-			t.Run("concurrent-owner", func(t *testing.T) { checkBalanceRound(t, sc, true, 0) })
+			t.Run("single", func(t *testing.T) { checkBalanceRound(t, sc) })
 		})
 	}
 }
 
-func checkBalanceRound(t *testing.T, sc balScenario, concurrent bool, T float64) {
+func checkBalanceRound(t *testing.T, sc balScenario) {
+	const T = 1000.0
 	p := 1 + len(sc.recv)
 	initial := make([][]*unit, p)
 	initial[0] = mkUnits(sc.sender)
@@ -83,50 +77,21 @@ func checkBalanceRound(t *testing.T, sc balScenario, concurrent bool, T float64)
 	}
 	r := newRun(&engine{opts: Options{P: p}.Defaults()}, initial, 0)
 	ws := r.ws
+	r.balance(T)
 
-	var popped []*unit // by the sender's owner, newest first
-	if concurrent {
-		// the owner stops short of draining its queue, so the round always
-		// finds queued units and the monitoring charge is unconditional
-		ownerDone := make(chan struct{})
-		go func() {
-			defer close(ownerDone)
-			for len(popped) < sc.sender/4 {
-				u, ok := ws[0].pop(false)
-				if !ok {
-					return
-				}
-				popped = append(popped, u)
-			}
-		}()
-		r.balance(T)
-		<-ownerDone
-	} else {
-		r.balance(T)
+	moved := r.moved
+	if r.balances != 1 {
+		t.Errorf("round counted %d times, want 1", r.balances)
 	}
-
-	moved := int(r.moved.Load())
-	if r.balances.Load() != 1 {
-		t.Errorf("round counted %d times, want 1", r.balances.Load())
-	}
-	if !concurrent && moved != sc.wantMoved {
+	if moved != sc.wantMoved {
 		t.Fatalf("moved %d units, want %d", moved, sc.wantMoved)
 	}
-	if moved > sc.wantMoved {
-		t.Fatalf("moved %d units, more than the %d the full queue allows", moved, sc.wantMoved)
-	}
 
-	// front-shedding: units 0..moved-1 left, the owner took the newest, and
-	// the sender keeps exactly what lies between, in place
-	for i, u := range popped {
-		if u.pivotRank != sc.sender-1-i || u.xferCharge != 0 {
-			t.Fatalf("owner pop %d returned unit %d (xferCharge %v), want untouched unit %d",
-				i, u.pivotRank, u.xferCharge, sc.sender-1-i)
-		}
-	}
+	// front-shedding: units 0..moved-1 left, the sender keeps the rest in
+	// place
 	kept := ws[0].q[ws[0].head:]
-	if len(kept) != sc.sender-moved-len(popped) {
-		t.Fatalf("sender kept %d units, want %d", len(kept), sc.sender-moved-len(popped))
+	if len(kept) != sc.sender-moved {
+		t.Fatalf("sender kept %d units, want %d", len(kept), sc.sender-moved)
 	}
 	for i, u := range kept {
 		if u.pivotRank != moved+i {
@@ -180,12 +145,10 @@ func checkBalanceRound(t *testing.T, sc balScenario, concurrent bool, T float64)
 }
 
 // TestWorkerFoldsFragments: p greater than the partition's fragment count
-// folds shard ownership (partition.Worker = Owner mod p), so the extra
-// shards start empty and rebalancing has to fill them — the run must stay
-// exact under both schedulers.
+// folds shard ownership (partition.Worker = Owner mod p), and p < 1 folds
+// everything onto shard 0.
 func TestWorkerFoldsFragments(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 81)
-	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 81})
 	pt := partition.Greedy(ds.G, 3) // 3 fragments, 8 shards
 
 	for v := 0; v < ds.G.NumNodes(); v++ {
@@ -197,39 +160,28 @@ func TestWorkerFoldsFragments(t *testing.T) {
 			t.Fatalf("Worker(%d, p<1) must fold to shard 0", v)
 		}
 	}
-
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.15), Gamma: 1, Seed: 82})
-	want := inc.IncDect(ds.G, rules, d, inc.Options{})
-	for _, opts := range []Options{Hybrid(8), Oracle(8)} {
-		opts.Part = pt
-		got := PIncDect(ds.G, rules, d, opts)
-		if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
-			t.Errorf("PIncDect(p=8 over 3 fragments, virtual=%v) diverges from IncDect", opts.Virtual)
-		}
-	}
 }
 
-// TestRealDriverDifferentialP3: PDect and PIncDect under the goroutine
-// scheduler at p=3 produce exactly the sequential answers (run under -race in
-// CI; odd p exercises the round-robin broadcast paths).
+// TestRealDriverDifferentialP3: PDect and PIncDect at p=3 produce exactly
+// the sequential answers (odd p exercises the round-robin broadcast paths).
 func TestRealDriverDifferentialP3(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 250, 41)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 10, MaxDiameter: 4, Seed: 41})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.12), Gamma: 1, Seed: 42})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.12), Gamma: 1, Seed: 42})
 
-	opts := Hybrid(3) // the goroutine scheduler is the default
+	opts := Hybrid(3)
 
 	wantBatch := detect.Dect(ds.G, rules, detect.Options{}).Violations
 	gotBatch := PDect(ds.G, rules, opts)
 	if !equalKeys(gotBatch.Violations, wantBatch) {
-		t.Errorf("PDect real p=3: got %d violations, want %d",
+		t.Errorf("PDect p=3: got %d violations, want %d",
 			len(gotBatch.Violations), len(wantBatch))
 	}
 
 	wantInc := inc.IncDect(ds.G, rules, d, inc.Options{})
 	gotInc := PIncDect(ds.G, rules, d, opts)
 	if !equalKeys(gotInc.Delta.Plus, wantInc.Plus) || !equalKeys(gotInc.Delta.Minus, wantInc.Minus) {
-		t.Errorf("PIncDect real p=3: ΔVio⁺ %d/%d ΔVio⁻ %d/%d",
+		t.Errorf("PIncDect p=3: ΔVio⁺ %d/%d ΔVio⁻ %d/%d",
 			len(gotInc.Delta.Plus), len(wantInc.Plus),
 			len(gotInc.Delta.Minus), len(wantInc.Minus))
 	}
@@ -241,29 +193,11 @@ func TestRealDriverDifferentialP3(t *testing.T) {
 func TestPIncDectManyWorkers(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 51)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 51})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.1), Gamma: 1, Seed: 52})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.1), Gamma: 1, Seed: 52})
 
 	want := inc.IncDect(ds.G, rules, d, inc.Options{})
 	got := PIncDect(ds.G, rules, d, Hybrid(130))
 	if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
 		t.Errorf("PIncDect p=130 diverges from IncDect")
-	}
-}
-
-// TestMaintainedPartitionMatches: a partition supplied via Options.Part —
-// including one built before the update added nodes, which it then owns by
-// the modulo fallback — yields the same ΔVio as the internally built one.
-func TestMaintainedPartitionMatches(t *testing.T) {
-	ds := gen.Generate(gen.Pokec, 220, 61)
-	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 61})
-	pt := partition.Greedy(ds.G, 8) // built before the update adds nodes
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.15), Gamma: 1, Seed: 62})
-
-	want := inc.IncDect(ds.G, rules, d, inc.Options{})
-	opts := Hybrid(8)
-	opts.Part = pt
-	got := PIncDect(ds.G, rules, d, opts)
-	if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
-		t.Errorf("PIncDect with a supplied partition diverges from IncDect")
 	}
 }

@@ -19,35 +19,19 @@
 // side, what is specific to update-driven search: the smallest-pivot dedup
 // and the ΔVio⁺/ΔVio⁻ tag.
 //
-// One engine executes the work-unit semantics — a worker queue, a unit step
-// (Limit drain, expansion, cost charging, child routing, tallies) and a
-// monitoring round (run.go, balance.go) — and two schedulers decide which
-// worker steps next:
+// The engine executes the work-unit semantics — a worker queue, a unit step
+// (expansion, cost charging, child routing, tallies) and a monitoring round
+// (run.go, balance.go) — under one scheduler: a deterministic discrete-event
+// loop on the caller's goroutine that always steps the worker whose front
+// unit can start earliest and fires the monitoring round every Intvl cost
+// units. Per-unit costs are the real adjacency scans and edge checks
+// performed, plus a fixed communication latency per broadcast/transfer. It
+// reports the simulated makespan (max worker clock), which reproduces the
+// paper's relative curves — speedup vs p, the U-shaped optima in C and
+// intvl — independently of how many physical cores the host has.
+// (Substitution for the paper's 20-machine cluster; see DESIGN.md §1.)
 //
-//   - the goroutine scheduler (default; pool.go): p shard goroutines each
-//     popping the back of their own queue, parked on a wake channel when it
-//     is empty, plus a ticker that fires the monitoring round, for
-//     wall-clock use. A caller timing repeated runs (ngdbench shards) hands
-//     in a persistent Pool so the shard goroutines survive across calls;
-//     every other run borrows a temporary pool that is closed before it
-//     returns.
-//
-//   - the virtual scheduler (Options.Virtual; virtual.go): a deterministic
-//     discrete-event loop that always steps the worker whose front unit can
-//     start earliest and fires the monitoring round every Intvl cost units.
-//     Per-unit costs are the real adjacency scans and edge checks
-//     performed, plus a fixed communication latency per broadcast/transfer.
-//     It reports the simulated makespan (max worker clock), which
-//     reproduces the paper's relative curves — speedup vs p, the U-shaped
-//     optima in C and intvl — independently of how many physical cores the
-//     host has. (Substitution for the paper's 20-machine cluster; see
-//     DESIGN.md.) It is the reference the shard runtime's differential
-//     tests compare against: with the same options both schedulers expand
-//     the exact same unit multiset, because the step they drive is the
-//     same code.
-//
-// Both produce identical violation sets, equal to the sequential
-// algorithms' output.
+// The violation sets equal the sequential algorithms' output.
 package par
 
 import (
@@ -58,7 +42,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/match"
-	"ngd/internal/partition"
 	"ngd/internal/plan"
 )
 
@@ -78,34 +61,6 @@ type Options struct {
 	SplitUnits bool
 	// Balance enables periodic redistribution (off = _nb).
 	Balance bool
-	// Virtual runs the deterministic virtual-time scheduler instead of the
-	// goroutine shard runtime. The zero value — the default — is the
-	// goroutine scheduler; the virtual one is the machine-independent
-	// oracle used by differential tests and the fig4 cost-unit benchmarks.
-	Virtual bool
-	// Pool executes goroutine runs on a persistent shard pool (see NewPool).
-	// Ignored by the virtual scheduler. With a nil, closed, or
-	// differently-sized pool the run borrows a temporary NewPool(P) that is
-	// closed before the call returns, so correctness never depends on pool
-	// state and no goroutine outlives the call.
-	Pool *Pool
-	// AssumeNormalized skips PIncDect's internal Normalize pass; the caller
-	// guarantees ΔG already has the normalized shape (graph.Delta.Normalize).
-	AssumeNormalized bool
-	// Limit stops after this many violations *per side* — ΔVio⁺ and ΔVio⁻
-	// each under PIncDect; a batch run (PDect) has a single side, so there
-	// it is a total limit. 0 = unlimited; the
-	// limit is approximate (a unit emits all its violations before the
-	// check applies, and the goroutine scheduler races against it). Once a
-	// side hits its limit, that side's remaining units are drained without
-	// expansion but still accounted in Metrics.Units.
-	Limit int
-	// Part is a prebuilt partition to distribute PIncDect's seed pivots
-	// with; nodes it has not placed fall back to modulo ownership. When
-	// nil, PIncDect builds a fresh partition.Greedy over the whole graph —
-	// correct, but O(|V|+|E|) per call, so a caller timing repeated runs
-	// over one graph (ngdbench shards) builds it once and passes it here.
-	Part *partition.Partition
 	// Program is the shared rule program to plan with; nil builds a
 	// private one per call. Callers running many detections over one Σ
 	// pass their own so every worker's task plans come from one compiled Σ
@@ -180,20 +135,7 @@ func VariantNO(p int) Options {
 	return o
 }
 
-// Oracle returns the hybrid configuration pinned to the virtual-time
-// scheduler: the deterministic discrete-event simulation used as the
-// machine-independent reference by tests and the fig4 benchmarks.
-func Oracle(p int) Options {
-	o := Hybrid(p)
-	o.Virtual = true
-	return o
-}
-
-// Metrics summarize a parallel run. Every field means the same thing under
-// both schedulers; under the goroutine scheduler the clocks advance by
-// charged cost only (no idle time, and transfer latency is not waited for),
-// and whatever depends on timing — Moved, BalanceEvents, the spread of
-// WorkerCost — varies from run to run.
+// Metrics summarize a parallel run, in cost units of the simulated cluster.
 type Metrics struct {
 	// Makespan is the parallel time in cost units: the largest worker clock.
 	Makespan float64
@@ -267,17 +209,17 @@ type unit struct {
 	pivotSlot int
 	lo, hi    int     // candidate segment; (0,-1) = full list
 	bcast     bool    // this unit is a broadcast share (charges latency)
-	ready     float64 // time at which the unit is available (virtual scheduler)
+	ready     float64 // virtual time at which the unit is available
 	// xferCharge is the communication cost of a rebalancing transfer,
 	// charged when the receiving worker processes the unit.
 	xferCharge float64
 }
 
-// local is one worker's private state for one forest rule: its matcher
-// (Stat counters are per worker to stay race-free) and the pattern-order
-// bindings expand rebuilds from a unit's path. Every use rewrites the
-// positions of the steps it evaluates, so stale deeper bindings are never
-// read (a literal at level L only references nodes bound by steps < L).
+// local is one worker's private state for one forest rule: its matcher and
+// the pattern-order bindings expand rebuilds from a unit's path. Every use
+// rewrites the positions of the steps it evaluates, so stale deeper bindings
+// are never read (a literal at level L only references nodes bound by steps
+// < L).
 type local struct {
 	m       *match.Matcher
 	partial []graph.NodeID
@@ -295,9 +237,7 @@ type engine struct {
 	// and child units draw from the same lists. kids is the worker's
 	// expandResult.children buffer, which step drains before the worker
 	// expands again, and riding expand's state per rule of the node at hand.
-	// Each is touched only while its worker steps (the virtual scheduler is
-	// single-threaded), so no synchronization is needed — steady-state
-	// fan-out allocates nothing.
+	// Steady-state fan-out allocates nothing.
 	ufree  [][]*unit
 	pfree  [][][]graph.NodeID
 	yfree  [][][]int
@@ -335,9 +275,8 @@ const estCap = 1e9
 // table — breadth-first, so a node's children are one run behind it and a
 // reverse pass sees every child's estimate before its parent's. The
 // estimates come from the view's maintained statistics (graph.LiveStats),
-// when it has any: deterministic functions of the graph, so the virtual
-// oracle stays bit-reproducible and both schedulers expand the same unit
-// multiset.
+// when it has any: deterministic functions of the graph, so a run stays
+// bit-reproducible.
 func (e *engine) addForest(f *forest) *forest {
 	sh := f.share
 	f.slot0 = e.nslots
@@ -477,14 +416,6 @@ func (e *engine) recycle(w int, u *unit) {
 type taggedVio struct {
 	vio  core.Violation
 	plus bool
-}
-
-// sideIdx maps a side to its Limit tally slot (0 = ΔVio⁻/batch, 1 = ΔVio⁺).
-func sideIdx(plus bool) int {
-	if plus {
-		return 1
-	}
-	return 0
 }
 
 // expandResult carries what one unit expansion produced. children is the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ngd/internal/gen"
-	"ngd/internal/update"
 )
 
 // oracleGolden pins the virtual scheduler's Metrics to the values the
@@ -72,15 +71,10 @@ func TestOracleGolden(t *testing.T) {
 		"pokec": {gen.Pokec, 500, 77},
 		"yago2": {gen.YAGO2, 400, 3},
 	}
-	virtual := func(mk func(int) Options, p int) Options {
-		o := mk(p)
-		o.Virtual = true
-		return o
-	}
 	for name, w := range workloads {
 		ds := gen.Generate(w.profile, w.n, w.seed)
 		rules := gen.Rules(w.profile, gen.RuleConfig{Count: 10, MaxDiameter: 5, Seed: w.seed})
-		d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.2), Gamma: 1, Seed: w.seed + 1})
+		d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.2), Gamma: 1, Seed: w.seed + 1})
 		for _, g := range oracleGolden {
 			if g.workload != name {
 				continue
@@ -88,15 +82,15 @@ func TestOracleGolden(t *testing.T) {
 			var got Metrics
 			switch g.run {
 			case "PDect":
-				got = PDect(ds.G, rules, Oracle(g.p)).Metrics
+				got = PDect(ds.G, rules, Hybrid(g.p)).Metrics
 			case "PIncDect":
-				got = PIncDect(ds.G, rules, d, Oracle(g.p)).Metrics
+				got = PIncDect(ds.G, rules, d, Hybrid(g.p)).Metrics
 			case "PIncDect_ns":
-				got = PIncDect(ds.G, rules, d, virtual(VariantNS, g.p)).Metrics
+				got = PIncDect(ds.G, rules, d, VariantNS(g.p)).Metrics
 			case "PIncDect_nb":
-				got = PIncDect(ds.G, rules, d, virtual(VariantNB, g.p)).Metrics
+				got = PIncDect(ds.G, rules, d, VariantNB(g.p)).Metrics
 			case "PIncDect_NO":
-				got = PIncDect(ds.G, rules, d, virtual(VariantNO, g.p)).Metrics
+				got = PIncDect(ds.G, rules, d, VariantNO(g.p)).Metrics
 			default:
 				t.Fatalf("unknown run %q", g.run)
 			}

@@ -12,7 +12,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/pattern"
-	"ngd/internal/update"
 )
 
 func vioKeys(vs []core.Violation) []string {
@@ -38,7 +37,7 @@ func equalKeys(a, b []core.Violation) bool {
 }
 
 // TestPDectMatchesDect: the parallel batch algorithm computes exactly
-// Vio(Σ, G), under both drivers and all variants.
+// Vio(Σ, G), under all variants.
 func TestPDectMatchesDect(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 250, 11)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 12, MaxDiameter: 5, Seed: 11})
@@ -50,10 +49,6 @@ func TestPDectMatchesDect(t *testing.T) {
 			t.Errorf("PDect(split=%v,bal=%v,p=%d) = %d violations, want %d",
 				opts.SplitUnits, opts.Balance, opts.P, len(got.Violations), len(want))
 		}
-	}
-	got := PDect(ds.G, rules, Oracle(4))
-	if !equalKeys(got.Violations, want) {
-		t.Errorf("PDect virtual driver = %d violations, want %d", len(got.Violations), len(want))
 	}
 }
 
@@ -100,7 +95,7 @@ func pinnedWorkload() (*graph.Graph, *core.Set, *graph.Delta) {
 }
 
 // TestPIncDectMatchesIncDect: the parallel incremental algorithm computes
-// exactly ΔVio(Σ, G, ΔG), under both drivers and all variants.
+// exactly ΔVio(Σ, G, ΔG), under all variants.
 func TestPIncDectMatchesIncDect(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		var g *graph.Graph
@@ -112,7 +107,7 @@ func TestPIncDectMatchesIncDect(t *testing.T) {
 			ds := gen.Generate(profile, 200, seed)
 			g = ds.G
 			rules = gen.Rules(profile, gen.RuleConfig{Count: 10, MaxDiameter: 5, Seed: seed})
-			d = update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.1), Gamma: 1, Seed: seed * 7})
+			d = gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.1), Gamma: 1, Seed: seed * 7})
 		} else {
 			g, rules, d = pinnedWorkload()
 		}
@@ -137,28 +132,24 @@ func TestPIncDectMatchesIncDect(t *testing.T) {
 					trial, opts.SplitUnits, opts.Balance, opts.P, len(got.Delta.Minus), len(want.Minus))
 			}
 		}
-		got := PIncDect(g, rules, d, Oracle(4))
-		if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
-			t.Errorf("trial %d virtual driver mismatch", trial)
-		}
 	}
 }
 
-// TestVirtualDeterminism: the virtual driver must be bit-for-bit
-// reproducible (metrics and output order included).
+// TestVirtualDeterminism: the scheduler must be bit-for-bit reproducible
+// (metrics and output order included).
 func TestVirtualDeterminism(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 150, 5)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 5})
-	d := update.Random(ds, update.Config{Size: 80, Gamma: 1, Seed: 6})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: 80, Gamma: 1, Seed: 6})
 
-	r1 := PIncDect(ds.G, rules, d, Oracle(8))
-	r2 := PIncDect(ds.G, rules, d, Oracle(8))
+	r1 := PIncDect(ds.G, rules, d, Hybrid(8))
+	r2 := PIncDect(ds.G, rules, d, Hybrid(8))
 	if r1.Metrics.Makespan != r2.Metrics.Makespan || r1.Metrics.Units != r2.Metrics.Units ||
 		r1.Metrics.Moved != r2.Metrics.Moved {
-		t.Errorf("virtual driver not deterministic: %+v vs %+v", r1.Metrics, r2.Metrics)
+		t.Errorf("scheduler not deterministic: %+v vs %+v", r1.Metrics, r2.Metrics)
 	}
 	if !equalKeys(r1.Delta.Plus, r2.Delta.Plus) || !equalKeys(r1.Delta.Minus, r2.Delta.Minus) {
-		t.Error("virtual driver violation sets differ across runs")
+		t.Error("violation sets differ across runs")
 	}
 }
 
@@ -168,11 +159,11 @@ func TestVirtualDeterminism(t *testing.T) {
 func TestParallelScalability(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 600, 13)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 16, MaxDiameter: 5, Seed: 13})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.15), Gamma: 1, Seed: 14})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.15), Gamma: 1, Seed: 14})
 
 	spans := map[int]float64{}
 	for _, p := range []int{4, 20} {
-		r := PIncDect(ds.G, rules, d, Oracle(p))
+		r := PIncDect(ds.G, rules, d, Hybrid(p))
 		spans[p] = r.Metrics.Makespan
 	}
 	if spans[20] >= spans[4] {
@@ -191,33 +182,15 @@ func TestParallelScalability(t *testing.T) {
 func TestHybridBeatsNO(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 800, 23)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 14, MaxDiameter: 5, Seed: 23})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.2), Gamma: 1, Seed: 24})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.2), Gamma: 1, Seed: 24})
 
-	hybrid := PIncDect(ds.G, rules, d, Oracle(8))
-	noOpts := VariantNO(8)
-	noOpts.Virtual = true
-	no := PIncDect(ds.G, rules, d, noOpts)
+	hybrid := PIncDect(ds.G, rules, d, Hybrid(8))
+	no := PIncDect(ds.G, rules, d, VariantNO(8))
 	t.Logf("hybrid=%.0f no=%.0f (ratio %.2f)", hybrid.Metrics.Makespan, no.Metrics.Makespan,
 		no.Metrics.Makespan/hybrid.Metrics.Makespan)
 	if hybrid.Metrics.Makespan > no.Metrics.Makespan*1.15 {
 		t.Errorf("hybrid slower than NO variant: %v vs %v",
 			hybrid.Metrics.Makespan, no.Metrics.Makespan)
-	}
-}
-
-// TestLimit stops early.
-func TestLimit(t *testing.T) {
-	ds := gen.Generate(gen.YAGO2, 400, 3)
-	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 12, MaxDiameter: 4, Seed: 3})
-	full := PDect(ds.G, rules, Oracle(4))
-	if len(full.Violations) < 3 {
-		t.Skip("not enough violations to test limiting")
-	}
-	opts := Oracle(4)
-	opts.Limit = 2
-	limited := PDect(ds.G, rules, opts)
-	if len(limited.Violations) < 2 || len(limited.Violations) >= len(full.Violations) {
-		t.Errorf("limit: got %d violations (full %d)", len(limited.Violations), len(full.Violations))
 	}
 }
 
@@ -229,13 +202,9 @@ func TestEmptyInputs(t *testing.T) {
 		t.Error("PDect with no rules returned violations")
 	}
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 4, MaxDiameter: 3, Seed: 2})
-	var d = update.Random(ds, update.Config{Size: 0, Gamma: 1, Seed: 1})
+	var d = gen.RandomDelta(ds, gen.DeltaConfig{Size: 0, Gamma: 1, Seed: 1})
 	if r := PIncDect(ds.G, rules, d, Hybrid(4)); len(r.Delta.Plus)+len(r.Delta.Minus) != 0 {
 		t.Error("PIncDect with empty delta returned changes")
-	}
-	// the virtual oracle with empty work must terminate cleanly too
-	if r := PIncDect(ds.G, rules, d, Oracle(2)); len(r.Delta.Plus)+len(r.Delta.Minus) != 0 {
-		t.Error("virtual driver with empty delta returned changes")
 	}
 }
 
@@ -244,7 +213,7 @@ func TestEmptyInputs(t *testing.T) {
 func TestMetricsSanity(t *testing.T) {
 	ds := gen.Generate(gen.Pokec, 500, 77)
 	rules := gen.Rules(gen.Pokec, gen.RuleConfig{Count: 10, MaxDiameter: 5, Seed: 77})
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.2), Gamma: 1, Seed: 78})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.2), Gamma: 1, Seed: 78})
 
 	opts := Hybrid(8)
 	opts.Intvl = 2000

@@ -68,10 +68,7 @@ func PDect(g graph.View, rules *core.Set, opts Options) *Result {
 // front and its construction and replication cost charged to all workers.
 func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) *Result {
 	opts = opts.Defaults()
-	norm := delta
-	if !opts.AssumeNormalized {
-		norm = delta.Normalize(g)
-	}
+	norm := delta.Normalize(g)
 	newView := graph.NewOverlay(g, norm)
 	ins := norm.Insertions()
 	del := norm.Deletions()
@@ -156,12 +153,8 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// initial owner is the shard its source node's fragment folds onto
 	// (partition.Worker). This is what produces the regionally-skewed
 	// workloads the hybrid strategy then splits and rebalances; see
-	// partition.Greedy. A partition supplied via opts.Part is used as-is;
-	// only a call without one pays the full-graph build here.
-	pt := opts.Part
-	if pt == nil {
-		pt = partition.Greedy(g, opts.P)
-	}
+	// partition.Greedy.
+	pt := partition.Greedy(g, opts.P)
 	initial := make([][]*unit, opts.P)
 	for _, u := range seeds {
 		op := ins

@@ -24,7 +24,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // feedEvent mirrors the wire form of one change-feed event.
@@ -52,7 +51,7 @@ type vioPage struct {
 }
 
 // deltaOps converts a generated graph delta to wire ops (the graph already
-// contains any arrived nodes; update.Random mutates it, so deltas must be
+// contains any arrived nodes; gen.RandomDelta mutates it, so deltas must be
 // pre-generated before the server's writer takes ownership).
 func deltaOps(ds *gen.Dataset, d *graph.Delta) []serve.UpdateOp {
 	ops := make([]serve.UpdateOp, len(d.Ops))
@@ -82,8 +81,8 @@ func TestFeedDifferentialAgainstStore(t *testing.T) {
 	const batches = 6
 	deltas := make([]*graph.Delta, batches)
 	for b := range deltas {
-		deltas[b] = update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: int64(2300 + b),
+		deltas[b] = gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.05), Gamma: 1, Seed: int64(2300 + b),
 		})
 	}
 
@@ -304,8 +303,8 @@ func TestCursorPaginationStableAcrossCommit(t *testing.T) {
 	profile.ErrorRate = 0.4 // dense store: the walk needs many pages
 	ds := gen.Generate(profile, 300, 31)
 	rules := gen.EffectivenessRules(profile)
-	mid := update.Random(ds, update.Config{
-		Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 3100,
+	mid := gen.RandomDelta(ds, gen.DeltaConfig{
+		Size: gen.DeltaSize(ds.G, 0.08), Gamma: 1, Seed: 3100,
 	})
 	sess := session.New(ds.G, rules, session.Options{})
 	s := serve.New(sess, serve.Options{})
@@ -388,8 +387,8 @@ func TestIndexedQueriesMatchNaiveFilter(t *testing.T) {
 	rules := gen.EffectivenessRules(profile)
 	deltas := make([]*graph.Delta, 4)
 	for b := range deltas {
-		deltas[b] = update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.06), Gamma: 1, Seed: int64(4100 + b),
+		deltas[b] = gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.06), Gamma: 1, Seed: int64(4100 + b),
 		})
 	}
 	sess := session.New(ds.G, rules, session.Options{})

@@ -26,7 +26,6 @@ import (
 	"ngd/internal/repair"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // sweepWorkload mirrors internal/session's diffWorkload table (that suite
@@ -173,8 +172,8 @@ func runRepairSweep(t *testing.T, w sweepWorkload) {
 	// replay the workload's stream first — repair runs against the state a
 	// served session would actually be in, not a freshly seeded store
 	for b := 0; b < w.batches; b++ {
-		sess.Commit(update.Random(ds, update.Config{
-			Size:    update.SizeFor(ds.G, w.batchFrac),
+		sess.Commit(gen.RandomDelta(ds, gen.DeltaConfig{
+			Size:    gen.DeltaSize(ds.G, w.batchFrac),
 			Gamma:   w.gamma,
 			Seed:    w.seed*1000 + int64(b),
 			Hotspot: w.hotspot,

@@ -14,7 +14,6 @@ import (
 	"ngd/internal/repair"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // TestRepairHTTPRoundTrip drives the full repair cycle over HTTP: preview a
@@ -144,8 +143,8 @@ func TestRepairPreviewRaceWithCommits(t *testing.T) {
 	const batches = 5
 	deltas := make([][]serve.UpdateOp, batches)
 	for b := range deltas {
-		d := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: int64(1100 + b),
+		d := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.05), Gamma: 1, Seed: int64(1100 + b),
 		})
 		deltas[b] = deltaOps(ds, d)
 	}

@@ -21,7 +21,6 @@ import (
 	"ngd/internal/pattern"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // ageRule: x -knows-> y requires x.age ≤ y.age (violated when an older
@@ -317,13 +316,13 @@ func TestConcurrentReadersNeverBlockedByCommits(t *testing.T) {
 	ds := gen.Generate(profile, 200, 5)
 	rules := gen.Rules(profile, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 5})
 
-	// pre-generate the update stream: update.Random mutates the graph
+	// pre-generate the update stream: gen.RandomDelta mutates the graph
 	// (node arrivals), which is only safe before the server's writer owns it
 	const batches = 6
 	deltas := make([]*graph.Delta, batches)
 	for b := range deltas {
-		deltas[b] = update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: int64(500 + b),
+		deltas[b] = gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.05), Gamma: 1, Seed: int64(500 + b),
 		})
 	}
 	toOps := func(d *graph.Delta) []serve.UpdateOp {
@@ -451,7 +450,7 @@ func TestServeSurfacesPlanCounters(t *testing.T) {
 	sess := session.New(ds.G, rules, session.Options{})
 	deltas := make([]*graph.Delta, 6)
 	for b := range deltas {
-		deltas[b] = update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.03), Gamma: 1, Seed: 900 + int64(b)})
+		deltas[b] = gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.03), Gamma: 1, Seed: 900 + int64(b)})
 	}
 	s := serve.New(sess, serve.Options{})
 	defer s.Close()

@@ -19,7 +19,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/serve"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 func TestShardPoolStressAndGoroutineLeak(t *testing.T) {
@@ -29,13 +28,13 @@ func TestShardPoolStressAndGoroutineLeak(t *testing.T) {
 	ds := gen.Generate(profile, 200, 19)
 	rules := gen.Rules(profile, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 19})
 
-	// pre-generate the stream: update.Random mutates the graph (node
+	// pre-generate the stream: gen.RandomDelta mutates the graph (node
 	// arrivals), which is only safe before the writer owns it
 	const batches = 8
 	deltas := make([]*graph.Delta, batches)
 	for b := range deltas {
-		deltas[b] = update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.04), Gamma: 1, Seed: int64(1900 + b),
+		deltas[b] = gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.04), Gamma: 1, Seed: int64(1900 + b),
 		})
 	}
 	toOps := func(d *graph.Delta) []serve.UpdateOp {

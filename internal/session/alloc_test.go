@@ -14,7 +14,6 @@ import (
 	"ngd/internal/gen"
 	"ngd/internal/graph"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 func TestSteadyStateCommitAllocBudget(t *testing.T) {
@@ -27,8 +26,8 @@ func TestSteadyStateCommitAllocBudget(t *testing.T) {
 
 	deltas := make([]*graph.Delta, 0, 48)
 	for b := 0; b < 48; b++ {
-		deltas = append(deltas, update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.01),
+		deltas = append(deltas, gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.01),
 			Seed: 1700 + int64(b),
 		}))
 	}

@@ -33,7 +33,6 @@ import (
 	"ngd/internal/pattern"
 	"ngd/internal/ref"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // diffWorkload seeds one continuous-detection scenario.
@@ -296,8 +295,8 @@ func runDifferential(t *testing.T, w diffWorkload) {
 	}
 
 	for b := 0; b < w.batches; b++ {
-		delta := update.Random(ds, update.Config{
-			Size:    update.SizeFor(ds.G, w.batchFrac),
+		delta := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size:    gen.DeltaSize(ds.G, w.batchFrac),
 			Gamma:   w.gamma,
 			Seed:    w.seed*1000 + int64(b),
 			Hotspot: w.hotspot,
@@ -416,8 +415,8 @@ func compareClassSearch(t *testing.T, w diffWorkload, handed *atomic.Int64) {
 	for _, r := range slices.Clone(rules.Rules) {
 		rules.Add(core.MustNew(r.Name+"-twin", r.Pattern, r.X, r.Y))
 	}
-	delta := update.Random(ds, update.Config{
-		Size:    update.SizeFor(ds.G, w.batchFrac),
+	delta := gen.RandomDelta(ds, gen.DeltaConfig{
+		Size:    gen.DeltaSize(ds.G, w.batchFrac),
 		Gamma:   w.gamma,
 		Seed:    w.seed*1000 + 700,
 		Hotspot: w.hotspot,
@@ -456,13 +455,10 @@ func keyList(vs []core.Violation) string {
 	return strings.Join(keys, "\n")
 }
 
-// TestDifferentialShardRuntime sweeps the goroutine shard runtime over the
-// full fuzz workload table: on every workload's seed graph, the wall-clock
-// driver must compute exactly Vio(Σ, G) at p ∈ {1, 2, 4, 8}, exactly
-// ΔVio(Σ, G, ΔG) for a committed-size batch, and the virtual oracle must
-// account the exact same number of work units as the real shards — the
-// contract that makes the deterministic driver a valid stand-in for the
-// real one in the cost-model tests.
+// TestDifferentialShardRuntime sweeps the parallel detectors over the full
+// fuzz workload table: on every workload's seed graph, PDect must compute
+// exactly Vio(Σ, G) at p ∈ {1, 2, 4, 8}, and PIncDect exactly
+// ΔVio(Σ, G, ΔG) for a committed-size batch.
 func TestDifferentialShardRuntime(t *testing.T) {
 	workloads := diffWorkloads()
 	if len(workloads) < 24 {
@@ -478,60 +474,51 @@ func TestDifferentialShardRuntime(t *testing.T) {
 			want := canon(vio)
 			for _, p := range []int{1, 2, 4, 8} {
 				if got := canon(par.PDect(ds.G, rules, par.Hybrid(p)).Violations); got != want {
-					t.Fatalf("workload %s: PDect(real, p=%d) != Vio(Σ,G)\nPDect:\n%s\nreference:\n%s",
+					t.Fatalf("workload %s: PDect(p=%d) != Vio(Σ,G)\nPDect:\n%s\nreference:\n%s",
 						w.name(), p, got, want)
 				}
 			}
 
-			ropts := par.Hybrid(4)
-			ru := par.PDect(ds.G, rules, ropts).Metrics.Units
-			vu := par.PDect(ds.G, rules, par.Oracle(4)).Metrics.Units
-			if ru != vu {
-				t.Errorf("workload %s: real driver processed %d units, virtual oracle %d",
-					w.name(), ru, vu)
-			}
-
-			delta := update.Random(ds, update.Config{
-				Size:    update.SizeFor(ds.G, w.batchFrac),
+			delta := gen.RandomDelta(ds, gen.DeltaConfig{
+				Size:    gen.DeltaSize(ds.G, w.batchFrac),
 				Gamma:   w.gamma,
 				Seed:    w.seed*1000 + 500,
 				Hotspot: w.hotspot,
 			})
 			// ΔVio by definition: reconciling it into Vio(Σ,G) must give
 			// the oracle's Vio(Σ, G⊕ΔG)
-			gotInc := par.PIncDect(ds.G, rules, delta, ropts)
+			gotInc := par.PIncDect(ds.G, rules, delta, par.Hybrid(4))
 			after := ref.Detect(graph.NewOverlay(ds.G, delta.Normalize(ds.G)), rules)
 			if got := canonKeys(reconcile(detect.VioKeySet(vio),
 				gotInc.Delta.Plus, gotInc.Delta.Minus)); got != canon(after) {
-				t.Fatalf("workload %s: Vio(Σ,G) ⊕ PIncDect(real, p=4) != Vio(Σ,G⊕ΔG)\ngot:\n%s\nreference:\n%s",
+				t.Fatalf("workload %s: Vio(Σ,G) ⊕ PIncDect(p=4) != Vio(Σ,G⊕ΔG)\ngot:\n%s\nreference:\n%s",
 					w.name(), got, canon(after))
 			}
 		})
 	}
 }
 
-// TestDifferentialRealDriver runs the goroutine scheduler beside the session
-// (the -race CI job's target): each batch's ΔVio comes from a real-thread
-// PIncDect on the pre-commit graph, then the session commits the batch, and
-// the previous store reconciled with that ΔVio must equal both the session's
-// store and Vio(Σ, G′) from the reference detector.
+// TestDifferentialRealDriver runs PIncDect beside the session: each batch's
+// ΔVio comes from PIncDect on the pre-commit graph, then the session commits
+// the batch, and the previous store reconciled with that ΔVio must equal both
+// the session's store and Vio(Σ, G′) from the reference detector.
 func TestDifferentialRealDriver(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 150, 11)
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 11})
 	sess := session.New(ds.G, rules, session.Options{})
 	for b := 0; b < 3; b++ {
-		delta := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 11000 + int64(b),
+		delta := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.08), Gamma: 1, Seed: 11000 + int64(b),
 		})
 		prev := detect.VioKeySet(sess.Violations())
 		r := par.PIncDect(ds.G, rules, delta, par.Hybrid(4))
 		sess.Commit(delta)
 		want := canon(ref.Detect(ds.G, rules))
 		if got := canonKeys(reconcile(prev, r.Delta.Plus, r.Delta.Minus)); got != want {
-			t.Fatalf("goroutine scheduler, batch %d (seed 11): store ⊕ PIncDect != Vio(Σ,G′)\nreconciled:\n%s\nreference:\n%s", b, got, want)
+			t.Fatalf("batch %d (seed 11): store ⊕ PIncDect != Vio(Σ,G′)\nreconciled:\n%s\nreference:\n%s", b, got, want)
 		}
 		if store := canonKeys(detect.VioKeySet(sess.Violations())); store != want {
-			t.Fatalf("goroutine scheduler, batch %d (seed 11): store != Vio(Σ,G′)\nstore:\n%s\nreference:\n%s", b, store, want)
+			t.Fatalf("batch %d (seed 11): store != Vio(Σ,G′)\nstore:\n%s\nreference:\n%s", b, store, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // keySet snapshots a violation key set.
@@ -59,8 +58,8 @@ func TestCommitEventDifferential(t *testing.T) {
 
 			mirror := keySet(sess.Snapshot())
 			for b := 0; b < 6; b++ {
-				d := update.Random(ds, update.Config{
-					Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: int64(300*b + 7),
+				d := gen.RandomDelta(ds, gen.DeltaConfig{
+					Size: gen.DeltaSize(ds.G, 0.05), Gamma: 1, Seed: int64(300*b + 7),
 				})
 				st := sess.Commit(d)
 				if st.Event == nil {

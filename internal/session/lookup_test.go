@@ -15,7 +15,6 @@ import (
 	"ngd/internal/inc"
 	"ngd/internal/pattern"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // eventKeys lists an event side's canonical keys.
@@ -258,7 +257,7 @@ func TestCommitCountsSayWhatRan(t *testing.T) {
 	s := session.New(ds.G, gen.EffectivenessRules(gen.YAGO2), session.Options{})
 
 	// random deletions, and an edge under each of the first stored violations
-	rnd := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 1}).Normalize(ds.G)
+	rnd := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.08), Gamma: 1, Seed: 1}).Normalize(ds.G)
 	del := &graph.Delta{Ops: rnd.Deletions()}
 	for _, v := range s.Violations()[:min(5, s.Len())] {
 		pe := v.Rule.Pattern.Edges[0]
@@ -274,7 +273,7 @@ func TestCommitCountsSayWhatRan(t *testing.T) {
 	}
 	mustRecheck(t, s)
 
-	rnd = update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: 2}).Normalize(ds.G)
+	rnd = gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.08), Gamma: 1, Seed: 2}).Normalize(ds.G)
 	ins := &graph.Delta{Ops: rnd.Insertions()}
 	want := inc.IncDect(ds.G, s.Rules(), ins, inc.Options{Program: s.Program()})
 	st = s.Commit(ins)

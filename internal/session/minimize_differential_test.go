@@ -20,12 +20,12 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/expr"
+	"ngd/internal/gen"
 	"ngd/internal/par"
 	"ngd/internal/pattern"
 	"ngd/internal/reason"
 	"ngd/internal/ref"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // deadPreRule can never fire: its precondition x.val < 0 ∧ x.val > 0 is
@@ -97,8 +97,8 @@ func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 		t.Fatalf("workload %s: session dropped %d rules, want 2", w.name(), got)
 	}
 	for b := 0; b < w.batches; b++ {
-		delta := update.Random(ds, update.Config{
-			Size:    update.SizeFor(ds.G, w.batchFrac),
+		delta := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size:    gen.DeltaSize(ds.G, w.batchFrac),
 			Gamma:   w.gamma,
 			Seed:    w.seed*1000 + int64(b),
 			Hotspot: w.hotspot,

@@ -23,7 +23,7 @@
 // normalized ΔG.
 //
 // Node arrivals are allowed between commits (a new entity lands with its
-// attribute star before its edges do; see internal/update): Commit absorbs
+// attribute star before its edges do; see gen.RandomDelta): Commit absorbs
 // nodes added since the previous commit. Update-driven pivots are
 // edge-only, so the one match shape they can never see is a new node bound
 // to an *isolated* pattern node (a pattern node with no incident pattern

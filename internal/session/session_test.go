@@ -12,7 +12,6 @@ import (
 	"ngd/internal/plan"
 	"ngd/internal/ref"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // mkStreamWorkload builds a small generated dataset plus rule set.
@@ -50,8 +49,8 @@ func TestSessionCommitKeepsInvariant(t *testing.T) {
 	ds, rules := mkStreamWorkload(t, gen.YAGO2, 200, 8, 2)
 	s := session.New(ds.G, rules, session.Options{})
 	for b := 0; b < 3; b++ {
-		d := update.Random(ds, update.Config{
-			Size: update.SizeFor(ds.G, 0.08), Gamma: 1, Seed: int64(100 + b),
+		d := gen.RandomDelta(ds, gen.DeltaConfig{
+			Size: gen.DeltaSize(ds.G, 0.08), Gamma: 1, Seed: int64(100 + b),
 		})
 		st := s.Commit(d)
 		if st.StoreSize != s.Len() {
@@ -310,7 +309,7 @@ func TestCommitLapsSumToWall(t *testing.T) {
 	}
 	for b := 0; b < 3; b++ {
 		ds.G.SetAttr(ds.G.AddNode("integer"), "val", graph.Int(7))
-		d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.05), Gamma: 1, Seed: 300 + int64(b)})
+		d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.05), Gamma: 1, Seed: 300 + int64(b)})
 		check(s.CommitBatch(d, []graph.AttrOp{{Node: ds.Entities[b], Attr: val, Val: graph.Int(int64(b))}}))
 	}
 	check(s.Commit(nil))
@@ -357,7 +356,7 @@ func TestSessionPlanCacheWarm(t *testing.T) {
 
 	var warmBatches int
 	for b := 0; b < 6; b++ {
-		d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.03), Gamma: 1, Seed: 100 + int64(b)})
+		d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.03), Gamma: 1, Seed: 100 + int64(b)})
 		bs := s.Commit(d)
 		if b >= 2 {
 			// by now every (rule, slot) pair this stream touches has been
@@ -391,9 +390,9 @@ func TestSessionPlanPolicyDifferential(t *testing.T) {
 	sWarm, dsA := mk(plan.Options{})
 	sCold, dsB := mk(plan.Options{ChurnThreshold: 1})
 	for b := 0; b < 4; b++ {
-		cfg := update.Config{Size: update.SizeFor(dsA.G, 0.05), Gamma: 1, Seed: 500 + int64(b)}
-		sWarm.Commit(update.Random(dsA, cfg))
-		sCold.Commit(update.Random(dsB, cfg))
+		cfg := gen.DeltaConfig{Size: gen.DeltaSize(dsA.G, 0.05), Gamma: 1, Seed: 500 + int64(b)}
+		sWarm.Commit(gen.RandomDelta(dsA, cfg))
+		sCold.Commit(gen.RandomDelta(dsB, cfg))
 		want := canon(ref.Detect(dsA.G, sWarm.Rules()))
 		if got := canon(sWarm.Violations()); got != want {
 			t.Fatalf("batch %d: warm-cache store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b+1, got, want)

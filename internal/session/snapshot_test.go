@@ -9,7 +9,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 	"ngd/internal/session"
-	"ngd/internal/update"
 )
 
 // TestSnapshotIsolation: a snapshot taken before a commit must be
@@ -31,7 +30,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		beforeKeys[i] = v.Key()
 	}
 
-	d := update.Random(ds, update.Config{Size: update.SizeFor(ds.G, 0.1), Gamma: 1, Seed: 22})
+	d := gen.RandomDelta(ds, gen.DeltaConfig{Size: gen.DeltaSize(ds.G, 0.1), Gamma: 1, Seed: 22})
 	st := s.Commit(d)
 
 	// the old epoch is immutable

@@ -23,7 +23,6 @@ import (
 	"ngd/internal/serve"
 	"ngd/internal/session"
 	"ngd/internal/store"
-	"ngd/internal/update"
 )
 
 const (
@@ -40,8 +39,8 @@ func makeWorkload(t *testing.T) (*gen.Dataset, *session.Session) {
 }
 
 func batchFor(ds *gen.Dataset, b int) *graph.Delta {
-	return update.Random(ds, update.Config{
-		Size:  update.SizeFor(ds.G, 0.04),
+	return gen.RandomDelta(ds, gen.DeltaConfig{
+		Size:  gen.DeltaSize(ds.G, 0.04),
 		Gamma: 1,
 		Seed:  tSeed*97 + int64(b),
 	})

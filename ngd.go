@@ -92,9 +92,8 @@ type (
 	// the latency parameter C, balancing interval, and the hybrid
 	// strategy toggles.
 	ParallelOptions = par.Options
-	// ParallelMetrics report makespan (simulated cost units under the
-	// virtual oracle, accumulated work cost under the goroutine shard
-	// runtime), total work, splits and balancing moves.
+	// ParallelMetrics report the simulated makespan in cost units, total
+	// work, splits and balancing moves.
 	ParallelMetrics = par.Metrics
 	// Session is a continuous detection session: it owns a graph, commits
 	// batch updates in place, and keeps the violation store Vio(Σ, G) live
@@ -311,13 +310,10 @@ func PIncDetect(g *Graph, rules *RuleSet, delta *Delta, opts ParallelOptions) (*
 }
 
 // Parallel returns the default hybrid parallel configuration for p
-// workers, running on the goroutine shard runtime.
+// workers. PDetect and PIncDetect run it as a deterministic virtual-time
+// simulation of p processors: the answers are exact and the makespan is
+// reported in machine-independent cost units.
 func Parallel(p int) ParallelOptions { return par.Hybrid(p) }
-
-// Oracle returns the hybrid configuration pinned to the deterministic
-// virtual-time driver — the machine-independent reference used by the
-// differential tests and the paper-figure benchmarks.
-func Oracle(p int) ParallelOptions { return par.Oracle(p) }
 
 // NewSession opens a continuous detection session over g: the store seeds
 // from a full batch run, then each Commit(delta) coalesces ΔG, detects
