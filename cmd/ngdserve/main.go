@@ -265,6 +265,9 @@ func runGate(rules *core.Set, lines map[string]int, mode analyze.Mode) *analyze.
 	log.Printf("Σ analysis (%s): satisfiable=%v strongly=%v rules=%d dropped=%d in %dms, signature %.12s…",
 		mode, rep.Satisfiable, rep.StronglySatisfiable, rep.NumRules, len(rep.Dropped),
 		rep.ElapsedMS, rep.Signature)
+	if slow := rep.SlowestProbe(); slow != nil {
+		log.Printf("Σ analysis: slowest probe %s, %.3fms", slow.Name, slow.ProbeMS)
+	}
 	if d := rep.Diagnostic(); d != "" {
 		for _, line := range strings.Split(strings.TrimRight(d, "\n"), "\n") {
 			log.Print(line)

@@ -121,10 +121,17 @@ type RuleReport struct {
 	Satisfiable reason.Verdict `json:"satisfiable"`
 	// Implied: Σ∖{φ} ⊨ φ.
 	Implied reason.Verdict `json:"implied"`
+	// ImpliedBy names the rule of Σ∖{φ} that subsumes φ, set only when
+	// subsumption decided Implied (reason.ImpliedBy); under Cover, the rule
+	// that subsumes φ in the working set it was dropped from.
+	ImpliedBy string `json:"implied_by,omitempty"`
 	// Unviolable: ∅ ⊨ φ — no graph can violate φ.
 	Unviolable bool `json:"unviolable"`
 	// Dropped: minimization removed this rule from the working set.
 	Dropped bool `json:"dropped"`
+	// ProbeMS is the wall time, in milliseconds, of this rule's probes:
+	// pattern consistency, unviolability and implication.
+	ProbeMS float64 `json:"probe_ms"`
 	// Err records a per-rule analysis failure (e.g. non-linear literal).
 	Err string `json:"error,omitempty"`
 }
@@ -226,16 +233,37 @@ func (r *Report) Diagnostic() string {
 		case rr.Dropped && rr.Unviolable:
 			fmt.Fprintf(&b, "rule %s%s: unviolable (∅ ⊨ φ), dropped — detection output unchanged\n", rr.Name, loc)
 		case rr.Dropped:
-			fmt.Fprintf(&b, "rule %s%s: implied by the rest of Σ, dropped (cover mode)\n", rr.Name, loc)
+			fmt.Fprintf(&b, "rule %s%s: implied by %s, dropped (cover mode)\n", rr.Name, loc, rr.implier("the rest of Σ"))
 		case rr.Unviolable:
 			fmt.Fprintf(&b, "rule %s%s: unviolable (∅ ⊨ φ) — dead weight, minimization disabled\n", rr.Name, loc)
 		case rr.Satisfiable == reason.No && r.Core == nil:
 			fmt.Fprintf(&b, "rule %s%s: pattern cannot be materialized in any model of Σ\n", rr.Name, loc)
 		case rr.Implied == reason.Yes && r.Core == nil:
-			fmt.Fprintf(&b, "rule %s%s: implied by Σ∖{φ} (kept: violations carry rule identity)\n", rr.Name, loc)
+			fmt.Fprintf(&b, "rule %s%s: implied by %s (kept: violations carry rule identity)\n", rr.Name, loc, rr.implier("Σ∖{φ}"))
 		}
 	}
 	return b.String()
+}
+
+// implier names what implies the rule: the subsuming rule when one decided,
+// else rest.
+func (rr *RuleReport) implier(rest string) string {
+	if rr.ImpliedBy != "" {
+		return rr.ImpliedBy
+	}
+	return rest
+}
+
+// SlowestProbe returns the rule whose probes took the longest (nil for an
+// empty Σ).
+func (r *Report) SlowestProbe() *RuleReport {
+	var slow *RuleReport
+	for i := range r.Rules {
+		if slow == nil || r.Rules[i].ProbeMS > slow.ProbeMS {
+			slow = &r.Rules[i]
+		}
+	}
+	return slow
 }
 
 // MinimizeUnviolable drops exactly the rules φ with ∅ ⊨ φ — the
@@ -284,6 +312,12 @@ func Analyze(set *core.Set, opts Options) *Report {
 	for i, rule := range set.Rules {
 		rep.Rules[i] = RuleReport{Name: rule.Name, Line: opts.Lines[rule.Name]}
 	}
+	spent := make([]time.Duration, len(set.Rules)) // each rule's probe wall time
+	defer func() {
+		for i := range rep.Rules {
+			rep.Rules[i].ProbeMS = millis(spent[i])
+		}
+	}()
 
 	// Stage 1: satisfiability triage. Per-rule pattern probes against the
 	// whole set run in parallel; Satisfiable(Σ) is their disjunction.
@@ -299,8 +333,10 @@ func Analyze(set *core.Set, opts Options) *Report {
 			probes[i] = probe{v, err}
 			return
 		}
+		began := time.Now()
 		v, err := reason.PatternConsistent(set, set.Rules[i], ropts)
 		probes[i] = probe{v, err}
+		spent[i] = time.Since(began)
 	})
 	sat := reason.No
 	for i := range set.Rules {
@@ -345,10 +381,15 @@ func Analyze(set *core.Set, opts Options) *Report {
 	case rep.Unsat():
 		rep.Core = extractCore(set, ropts, opts.Lines)
 	case rep.Satisfiable == reason.Yes:
-		minimize(set, rep, ropts, opts)
+		minimize(set, rep, spent, ropts, opts)
 	}
 	rep.ElapsedMS = time.Since(start).Milliseconds()
 	return rep
+}
+
+// millis renders d in milliseconds, to the microsecond.
+func millis(d time.Duration) float64 {
+	return float64(d.Microseconds()) / 1000
 }
 
 // runParallel executes fn(0..n-1) on up to par goroutines.
@@ -518,31 +559,22 @@ func ground(e *expr.Expr) bool {
 }
 
 // minimize runs stage 3 on a satisfiable Σ: parallel unviolability and
-// implication probes, then the drop decision.
-func minimize(set *core.Set, rep *Report, ropts reason.Options, opts Options) {
+// implication probes, whose wall time it adds to spent, then the drop
+// decision.
+func minimize(set *core.Set, rep *Report, spent []time.Duration, ropts reason.Options, opts Options) {
 	empty := core.NewSet()
-	type probe struct {
-		unviolable reason.Verdict
-		implied    reason.Verdict
-	}
-	probes := make([]probe, len(set.Rules))
 	runParallel(len(set.Rules), opts.parallelism(), func(i int) {
-		r := set.Rules[i]
+		began := time.Now()
+		r, rr := set.Rules[i], &rep.Rules[i]
 		uv, err := reason.Implies(empty, r, ropts)
-		if err != nil {
-			uv = reason.Unknown
-		}
-		rest := without(set, i)
-		im, err := reason.Implies(rest, r, ropts)
+		rr.Unviolable = err == nil && uv == reason.Yes
+		im, by, err := reason.ImpliedBy(without(set, i), r, ropts)
 		if err != nil {
 			im = reason.Unknown
 		}
-		probes[i] = probe{unviolable: uv, implied: im}
+		rr.Implied, rr.ImpliedBy = im, name(by)
+		spent[i] += time.Since(began)
 	})
-	for i := range set.Rules {
-		rep.Rules[i].Unviolable = probes[i].unviolable == reason.Yes
-		rep.Rules[i].Implied = probes[i].implied
-	}
 
 	// Drop decision. Default: unviolable rules only (Vio-preserving for
 	// every G). Cover: greedy classical cover — recheck each candidate
@@ -580,11 +612,20 @@ func minimize(set *core.Set, rep *Report, ropts reason.Options, opts Options) {
 				rest.Add(r)
 			}
 		}
-		v, err := reason.Implies(rest, set.Rules[i], ropts)
+		v, by, err := reason.ImpliedBy(rest, set.Rules[i], ropts)
 		if err == nil && v == reason.Yes {
+			rep.Rules[i].ImpliedBy = name(by)
 			drop(i)
 		}
 	}
+}
+
+// name returns r's name, or "" for nil.
+func name(r *core.NGD) string {
+	if r == nil {
+		return ""
+	}
+	return r.Name
 }
 
 // without returns Σ∖{rules[i]}.

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,62 @@ func TestImpliedReportedNotDropped(t *testing.T) {
 	crep := Analyze(core.NewSet(twinA, twinB), Options{Cover: true})
 	if len(crep.Dropped) != 1 {
 		t.Fatalf("twins: dropped = %v, want exactly one", crep.Dropped)
+	}
+}
+
+func TestImpliedByNamesTheSubsumer(t *testing.T) {
+	// twinB is twinA with its variable renamed: each subsumes the other, so
+	// the report names the subsumer. weak is implied by strong only through
+	// the search (a differing constant), so it names nobody.
+	twinA := rule("twinA", "a", lits("x.A > 0"), lits("x.B = 1"))
+	p := pattern.New()
+	p.AddNode("v", "a")
+	twinB := core.MustNew("twinB", p, lits("v.A > 0"), lits("v.B = 1"))
+	strong := rule("strong", "b", nil, lits("x.B > 6"))
+	weak := rule("weak", "b", nil, lits("x.B > 5"))
+	set := core.NewSet(twinA, twinB, strong, weak)
+	rep := Analyze(set, Options{Lines: map[string]int{"twinB": 9}})
+
+	by := map[string]string{}
+	for _, rr := range rep.Rules {
+		if rr.ProbeMS < 0 {
+			t.Fatalf("%s: probe_ms %v", rr.Name, rr.ProbeMS)
+		}
+		by[rr.Name] = rr.ImpliedBy
+	}
+	if want := map[string]string{"twinA": "twinB", "twinB": "twinA", "strong": "", "weak": ""}; !maps.Equal(by, want) {
+		t.Fatalf("implied_by = %v, want %v", by, want)
+	}
+	if rep.Rules[3].Implied != reason.Yes {
+		t.Fatalf("weak implied = %v, want yes", rep.Rules[3].Implied)
+	}
+	d := rep.Diagnostic()
+	for _, want := range []string{
+		"rule twinB (line 9): implied by twinA (kept: violations carry rule identity)",
+		"rule weak: implied by Σ∖{φ} (kept: violations carry rule identity)",
+	} {
+		if !strings.Contains(d, want) {
+			t.Fatalf("diagnostic lacks %q:\n%s", want, d)
+		}
+	}
+	slow := rep.SlowestProbe()
+	for _, rr := range rep.Rules {
+		if rr.ProbeMS > slow.ProbeMS {
+			t.Fatalf("slowest probe %s (%v ms) but %s took %v ms", slow.Name, slow.ProbeMS, rr.Name, rr.ProbeMS)
+		}
+	}
+	raw, _ := json.Marshal(rep)
+	if !strings.Contains(string(raw), `"implied_by":"twinB"`) || !strings.Contains(string(raw), `"probe_ms":`) {
+		t.Fatalf("JSON lacks implied_by or probe_ms:\n%s", raw)
+	}
+
+	// cover drops one twin and names the twin it keeps
+	cover := Analyze(core.NewSet(twinA, twinB), Options{Cover: true})
+	if got := strings.Join(cover.Dropped, ","); got != "twinA" || cover.Rules[0].ImpliedBy != "twinB" {
+		t.Fatalf("cover: dropped %q implied by %q, want twinA by twinB", got, cover.Rules[0].ImpliedBy)
+	}
+	if d := cover.Diagnostic(); !strings.Contains(d, "rule twinA: implied by twinB, dropped (cover mode)") {
+		t.Fatalf("cover diagnostic:\n%s", d)
 	}
 }
 

@@ -250,6 +250,38 @@ func AllRules() *core.Set {
 	return core.NewSet(Phi1(365), Phi2(), Phi3(), Phi4(1, 1, 10000))
 }
 
+// ExtendedRules is AllRules plus the two pattern shapes φ1–φ4 lack: a
+// disconnected rule (two edge components and an isolated node, so arrivals
+// are absorbed and pivot plans seed) and a self-loop pattern edge — and two
+// clones: φ3 under another name, and the self-loop rule with its variable
+// renamed. The commit fuzzer runs it over MergedGraph.
+func ExtendedRules() *core.Set {
+	rules := AllRules()
+	phi3 := Phi3()
+	rules.Add(core.MustNew("phi3-copy", phi3.Pattern, phi3.X, phi3.Y))
+
+	q := pattern.New()
+	x, m := q.AddNode("x", "place"), q.AddNode("m", "integer")
+	a, n := q.AddNode("a", "account"), q.AddNode("n", "integer")
+	q.AddNode("z", "date")
+	q.AddEdge(x, m, "population")
+	q.AddEdge(a, n, "follower")
+	rules.Add(core.MustNew("apart", q, nil, []core.Literal{
+		core.Lit(expr.Add(expr.V("m", "val"), expr.V("n", "val")), expr.Gt, expr.V("z", "val")),
+	}))
+
+	q = pattern.New()
+	x = q.AddNode("x", "_")
+	q.AddEdge(x, x, "partof")
+	rules.Add(core.MustNew("loop", q, nil, []core.Literal{core.Lit(expr.V("x", "val"), expr.Ge, expr.C(0))}))
+
+	q = pattern.New()
+	v := q.AddNode("v", "_")
+	q.AddEdge(v, v, "partof")
+	rules.Add(core.MustNew("loop-renamed", q, nil, []core.Literal{core.Lit(expr.V("v", "val"), expr.Ge, expr.C(0))}))
+	return rules
+}
+
 // MergedGraph unions G1–G4 into a single graph (fresh node ids, shared
 // symbol table) so one Σ can be validated against all four at once.
 func MergedGraph() *graph.Graph {

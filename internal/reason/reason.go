@@ -20,6 +20,10 @@
 // semantics), with exact integer linear feasibility (package solver) as the
 // base case. Inputs with non-linear expressions are rejected up front: by
 // Theorem 3 the analyses are undecidable already at degree 2.
+//
+// Implication tests each obligation for subsumption as it is enumerated
+// (subsume.go): a rule of Σ that already states φ, under some match, decides
+// Σ ⊨ φ in polynomial time, and the search runs only when none does.
 package reason
 
 import (
@@ -151,10 +155,7 @@ func Satisfiable(rules *core.Set, opts Options) (Verdict, error) {
 		if opts.expired() {
 			return Unknown, nil
 		}
-		v, err := consistentCanonical(rules, []*pattern.Pattern{r.Pattern}, nil, opts)
-		if err != nil {
-			return Unknown, err
-		}
+		v, _ := consistentCanonical(rules, []*pattern.Pattern{r.Pattern}, nil, false, opts)
 		switch v {
 		case Yes:
 			return Yes, nil
@@ -179,7 +180,8 @@ func PatternConsistent(rules *core.Set, anchor *core.NGD, opts Options) (Verdict
 		return Unknown, err
 	}
 	opts = opts.defaults()
-	return consistentCanonical(rules, []*pattern.Pattern{anchor.Pattern}, nil, opts)
+	v, _ := consistentCanonical(rules, []*pattern.Pattern{anchor.Pattern}, nil, false, opts)
+	return v, nil
 }
 
 // StronglySatisfiable decides whether Σ has a model in which *every*
@@ -193,28 +195,41 @@ func StronglySatisfiable(rules *core.Set, opts Options) (Verdict, error) {
 	for _, r := range rules.Rules {
 		pats = append(pats, r.Pattern)
 	}
-	return consistentCanonical(rules, pats, nil, opts)
+	v, _ := consistentCanonical(rules, pats, nil, false, opts)
+	return v, nil
 }
 
 // Implies decides Σ ⊨ φ: Yes when every model of Σ satisfies φ.
 func Implies(rules *core.Set, phi *core.NGD, opts Options) (Verdict, error) {
+	v, _, err := ImpliedBy(rules, phi, opts)
+	return v, err
+}
+
+// ImpliedBy decides Σ ⊨ φ like Implies and also names the rule ψ ∈ Σ that
+// subsumes φ when subsumption decided the answer (see subsumes); by is nil
+// when the witness search decided it.
+func ImpliedBy(rules *core.Set, phi *core.NGD, opts Options) (v Verdict, by *core.NGD, err error) {
+	return implies(rules, phi, opts, true)
+}
+
+// implies decides Σ ⊨ φ, trying subsumption first when subsume is set.
+// Without it the answer is the witness search's alone: the specification
+// the tests hold the subsumption check to.
+func implies(rules *core.Set, phi *core.NGD, opts Options, subsume bool) (Verdict, *core.NGD, error) {
 	if err := checkLinear(append(append([]*core.NGD{}, rules.Rules...), phi)...); err != nil {
-		return Unknown, err
+		return Unknown, nil, err
 	}
 	opts = opts.defaults()
 	// witness search: canonical(Q_φ) satisfying Σ with the identity match
 	// violating X_φ → Y_φ
-	v, err := consistentCanonical(rules, []*pattern.Pattern{phi.Pattern}, phi, opts)
-	if err != nil {
-		return Unknown, err
-	}
+	v, by := consistentCanonical(rules, []*pattern.Pattern{phi.Pattern}, phi, subsume, opts)
 	switch v {
 	case Yes:
-		return No, nil // witness exists: not implied
+		return No, nil, nil // witness exists: not implied
 	case No:
-		return Yes, nil
+		return Yes, by, nil
 	default:
-		return Unknown, nil
+		return Unknown, nil, nil
 	}
 }
 
@@ -263,9 +278,17 @@ type implication struct {
 // consistentCanonical reports whether the canonical instance of pats admits
 // an attribute assignment making every match of every Σ-rule satisfy its
 // dependency, and (when negate != nil) making the identity match of
-// negate's pattern violate negate.
-func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.NGD, opts Options) (Verdict, error) {
+// negate's pattern violate negate. With subsume set, each obligation is
+// tested as it is enumerated: one that subsumes negate answers No at once,
+// before MaxMatches or the search could turn it into Unknown, and is
+// returned as by.
+func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.NGD, subsume bool, opts Options) (v Verdict, by *core.NGD) {
 	g, idMatches := canonical(pats)
+	var idm core.Match
+	if len(idMatches) > 0 {
+		idm = idMatches[0]
+	}
+	subsume = subsume && negate != nil
 
 	// enumerate obligations: all matches of all Σ-patterns
 	var obligations []implication
@@ -278,13 +301,21 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 		mr := match.NewMatcher(g, pl, match.Hooks{})
 		over := false
 		mr.Run(match.NewPartial(len(r.Pattern.Nodes)), func(sol []graph.NodeID) bool {
-			obligations = append(obligations, implication{rule: r, m: append(core.Match(nil), sol...)})
+			ob := implication{rule: r, m: append(core.Match(nil), sol...)}
+			if subsume && subsumes(ob, negate, idm) {
+				by = r
+				return false
+			}
+			obligations = append(obligations, ob)
 			if len(obligations) > opts.MaxMatches {
 				over = true
 				return false
 			}
 			return len(obligations)&0x3f != 0 || !opts.expired()
 		})
+		if by != nil {
+			return No, by
+		}
 		if over || opts.expired() {
 			return Unknown, nil
 		}
@@ -292,10 +323,5 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 
 	st := newSearch(g, opts)
 	budget := opts.MaxBranches
-	var idm core.Match
-	if len(idMatches) > 0 {
-		idm = idMatches[0]
-	}
-	v := st.searchImplications(obligations, 0, negate, idm, &budget)
-	return v, nil
+	return st.searchImplications(obligations, 0, negate, idm, &budget), nil
 }

@@ -229,9 +229,10 @@ type Server struct {
 	anMu     sync.Mutex
 	anCache  map[string]*analyze.Report
 
-	mu     sync.Mutex // guards closed
-	closed bool
-	done   chan struct{} // writer exited
+	mu      sync.Mutex // guards closed and the senders count
+	closed  bool
+	senders sync.WaitGroup // admitted sends to in not yet completed
+	done    chan struct{}  // writer exited
 
 	enqueued   atomic.Int64
 	commits    atomic.Int64
@@ -354,19 +355,33 @@ func (s *Server) Stats() Stats {
 // Enqueue queues update ops for the writer. The returned Ack reports
 // commit completion (Done) and the exact epoch the batch landed in
 // (Epoch); callers that don't care simply drop it. Blocks only when the
-// ingest queue is full (backpressure).
+// ingest queue is full (backpressure), and then blocks only its own
+// caller: other enqueuers and Close proceed.
 func (s *Server) Enqueue(ops []UpdateOp) (*Ack, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.admit() {
 		return nil, ErrClosed
 	}
+	defer s.senders.Done()
 	ing := ingest{ops: ops, ack: &Ack{done: make(chan struct{})}}
 	s.enqueued.Add(1)
 	s.queued.Add(1)
 	s.in <- ing
-	s.mu.Unlock()
 	return ing.ack, nil
+}
+
+// admit registers one send on the ingest queue, or reports false once
+// Close has begun. The send itself runs outside the mutex, so a full queue
+// parks its sender without holding the lock; Close waits for every
+// admitted send to land before it closes the queue. The caller must call
+// s.senders.Done after its send.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.senders.Add(1)
+	return true
 }
 
 // Flush blocks until every update queued before the call has committed.
@@ -384,12 +399,13 @@ func (s *Server) Flush() error {
 // working against the final snapshot; Enqueue fails with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-	} else {
-		s.closed = true
+	first := !s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if first {
+		// the writer keeps draining, so every admitted send lands
+		s.senders.Wait()
 		close(s.in)
-		s.mu.Unlock()
 	}
 	<-s.done
 	s.feed.close() // the writer has exited: no publish can race this
@@ -443,14 +459,12 @@ func (s *Server) writer() {
 // Close (it would deadlock the writer against itself); committing through
 // s.commitBatch directly is the sanctioned mutation path.
 func (s *Server) runOnWriter(job func()) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.admit() {
 		return ErrClosed
 	}
 	done := make(chan struct{})
 	s.in <- ingest{job: func() { defer close(done); job() }}
-	s.mu.Unlock()
+	s.senders.Done()
 	<-done
 	return nil
 }

@@ -8,6 +8,7 @@ package serve_test
 // goroutine the server owns may survive Close.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -122,5 +123,121 @@ func TestShardPoolStressAndGoroutineLeak(t *testing.T) {
 				runtime.NumGoroutine(), before, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFullQueueParksOnlyItsSenders holds the writer inside a commit, so
+// that with a one-slot ingest queue N enqueuers pile up: one fills the slot
+// and the rest park on the full queue. A parked sender must hold up neither
+// the other enqueuers nor Close: every enqueuer reaches the queue, a Close
+// started meanwhile refuses new work at once, and once the writer is
+// released Close returns with every accepted op acked exactly once and
+// committed.
+func TestFullQueueParksOnlyItsSenders(t *testing.T) {
+	sess, names := tinyWorld(t)
+	var hold sync.Once
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	s := serve.New(sess, serve.Options{QueueDepth: 1, Names: names, AfterCommit: func(session.BatchStats) {
+		hold.Do(func() { close(held); <-release })
+	}})
+	person := func(id string) []serve.UpdateOp {
+		return []serve.UpdateOp{{Op: "node", ID: id, Label: "person"}}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	var (
+		mu       sync.Mutex
+		accepted []*serve.Ack
+	)
+	accept := func(ack *serve.Ack) {
+		mu.Lock()
+		accepted = append(accepted, ack)
+		mu.Unlock()
+	}
+	first, err := s.Enqueue(person("p0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept(first)
+	<-held // the writer sits in p0's commit
+
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ack, err := s.Enqueue(person(fmt.Sprintf("p%d", i)))
+			if err != nil {
+				t.Errorf("enqueuer %d, admitted before Close: %v", i, err)
+				return
+			}
+			accept(ack)
+		}()
+	}
+	waitFor("every enqueuer to reach the queue (p0 in the writer, one in the slot, the rest parked)",
+		func() bool { return s.Stats().Queued == n+1 })
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	// Close refuses new work while the senders are still parked; a fresh
+	// Enqueue that beat it to the mutex parks too and is accepted
+	refused := false
+	for deadline := time.Now().Add(5 * time.Second); !refused; {
+		if time.Now().After(deadline) {
+			t.Fatal("Enqueue not refused while Close waits on parked senders")
+		}
+		res := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ack, err := s.Enqueue(nil)
+			if err == nil {
+				accept(ack)
+			}
+			res <- err
+		}()
+		select {
+		case err := <-res:
+			if !errors.Is(err, serve.ErrClosed) {
+				t.Fatalf("fresh Enqueue during Close: %v", err)
+			}
+			refused = true
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	unblock()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the writer was released")
+	}
+	wg.Wait() // every enqueuer, the parked fresh ones too, has returned
+	for i, ack := range accepted {
+		select {
+		case <-ack.Done():
+		default:
+			t.Fatalf("accepted op %d never acked", i)
+		}
+		if ack.Epoch() < 1 {
+			t.Fatalf("accepted op %d acked at epoch %d", i, ack.Epoch())
+		}
+	}
+	if st := s.Stats(); st.Queued != 0 || st.Enqueued != int64(len(accepted)) {
+		t.Fatalf("queued %d, enqueued %d, accepted %d: an ack went missing or twice", st.Queued, st.Enqueued, len(accepted))
+	}
+	if got, want := s.Snapshot().Nodes, 2+1+n; got != want {
+		t.Fatalf("%d nodes after Close, want %d: an accepted op was not committed", got, want)
 	}
 }

@@ -3,11 +3,8 @@ package session_test
 import (
 	"testing"
 
-	"ngd/internal/core"
-	"ngd/internal/expr"
 	"ngd/internal/graph"
 	"ngd/internal/paperdata"
-	"ngd/internal/pattern"
 	"ngd/internal/ref"
 	"ngd/internal/session"
 )
@@ -47,38 +44,6 @@ var (
 	fzAttrs      = []string{"val", "cap"}
 )
 
-// fuzzSigma is the paper's Σ plus the two pattern shapes it lacks: a
-// disconnected rule (two edge components and an isolated node, so arrivals
-// are absorbed and pivot plans seed) and a self-loop pattern edge — and two
-// clones, searched once with the rule they copy: φ3 under another name, and
-// the self-loop rule with its variable renamed.
-func fuzzSigma() *core.Set {
-	rules := paperdata.AllRules()
-	phi3 := paperdata.Phi3()
-	rules.Add(core.MustNew("phi3-copy", phi3.Pattern, phi3.X, phi3.Y))
-
-	q := pattern.New()
-	x, m := q.AddNode("x", "place"), q.AddNode("m", "integer")
-	a, n := q.AddNode("a", "account"), q.AddNode("n", "integer")
-	q.AddNode("z", "date")
-	q.AddEdge(x, m, "population")
-	q.AddEdge(a, n, "follower")
-	rules.Add(core.MustNew("apart", q, nil, []core.Literal{
-		core.Lit(expr.Add(expr.V("m", "val"), expr.V("n", "val")), expr.Gt, expr.V("z", "val")),
-	}))
-
-	q = pattern.New()
-	x = q.AddNode("x", "_")
-	q.AddEdge(x, x, "partof")
-	rules.Add(core.MustNew("loop", q, nil, []core.Literal{core.Lit(expr.V("x", "val"), expr.Ge, expr.C(0))}))
-
-	q = pattern.New()
-	v := q.AddNode("v", "_")
-	q.AddEdge(v, v, "partof")
-	rules.Add(core.MustNew("loop-renamed", q, nil, []core.Literal{core.Lit(expr.V("v", "val"), expr.Ge, expr.C(0))}))
-	return rules
-}
-
 func FuzzCommitSequence(f *testing.F) {
 	// Node ids of the merged graph: 0–2 G1 (institution, two dates), 3–6 G2
 	// (area, three integers), 7–14 G3 (California, Corona, Downey, census,
@@ -111,7 +76,7 @@ func FuzzCommitSequence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := paperdata.MergedGraph()
-		rules := fuzzSigma()
+		rules := paperdata.ExtendedRules()
 		s := session.New(g, rules, session.Options{})
 		syms := g.Symbols()
 		prev := keySet(s.Snapshot())
