@@ -195,8 +195,8 @@ type SearcherKey struct {
 	Plus bool
 }
 
-// SlotKey keys a single-pattern-slot search (attribute reconciliation and
-// new-node absorption both bind exactly one slot over the session graph).
+// SlotKey keys a single-pattern-slot search (inc.Seeded, which attribute
+// reconciliation, new-node absorption and the repair preview run).
 func SlotKey(r *core.NGD, slot int) SearcherKey {
 	return SearcherKey{Rule: r, A: slot, B: -1}
 }

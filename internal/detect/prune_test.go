@@ -184,11 +184,6 @@ func TestPruningDifferentialIncDect(t *testing.T) {
 			if got := keyLines(got.Minus); got != minus {
 				t.Fatalf("ΔVio⁻ differs:\nIncDect:\n%s\nreference:\n%s", got, minus)
 			}
-			// and the engine's own recompute-from-scratch Diff agrees too
-			diff := inc.Diff(w.ds.G, w.rules, d)
-			if keyLines(diff.Plus) != plus || keyLines(diff.Minus) != minus {
-				t.Fatal("inc.Diff disagrees with the reference ΔVio")
-			}
 		})
 	}
 }

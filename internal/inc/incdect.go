@@ -23,10 +23,11 @@
 // rule would give them; the work counters and Pivots count a class once.
 //
 // IncDect searches both sides and needs nothing but G and ΔG. A caller that
-// already holds Vio(Σ, G) — the session's store — needs only Plus: its ΔVio⁻
-// is the stored violations that use a deleted edge, which it can look up
-// instead (plan.Compiled.UsesEdge); IncDect's searched ΔVio⁻ is the
-// specification that lookup is tested against.
+// already holds Vio(Σ, G) — the session's store — searches only Plus: its
+// ΔVio⁻ is the stored violations that use a deleted edge, which Minus looks
+// up instead (reconcile.go, with the attribute reconciliation and the seeded
+// one-slot search); IncDect's searched ΔVio⁻ is the specification that
+// lookup is tested against.
 package inc
 
 import (
@@ -90,6 +91,21 @@ type Options struct {
 	// Searchers reuses pre-bound searchers across calls (see
 	// detect.SearcherCache); nil builds per-call searchers.
 	Searchers *detect.SearcherCache
+}
+
+// Reusing returns the Options of a long-lived caller (the session): plans
+// from prog, and searchers kept across calls.
+func Reusing(prog *plan.Program) Options {
+	return Options{Program: prog, Searchers: new(detect.SearcherCache)}
+}
+
+// searcher returns the pre-bound searcher for key: the cached one when
+// Searchers is set, else a fresh one.
+func (o Options) searcher(v graph.View, c *plan.Compiled, pl *match.Plan, key detect.SearcherKey) *detect.Searcher {
+	if o.Searchers != nil {
+		return o.Searchers.Get(v, c, pl, key)
+	}
+	return detect.NewSearcher(v, c, pl)
 }
 
 // IncDect computes ΔVio(Σ, G, ΔG). g is the *pre-update* graph; ΔG is
@@ -213,11 +229,7 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 					bound = append(bound, pe.Dst)
 				}
 				_, pl := opts.Program.PlanFor(v, c.Rule, bound)
-				if opts.Searchers != nil {
-					s = opts.Searchers.Get(v, c, pl, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
-				} else {
-					s = detect.NewSearcher(v, c, pl)
-				}
+				s = opts.searcher(v, c, pl, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
 				searchers[slot] = s
 			}
 			res.Pivots++
@@ -246,27 +258,4 @@ func (idx EdgeIndex) SmallestPivot(c *plan.Compiled, m []graph.NodeID, rank, slo
 		}
 	}
 	return true
-}
-
-// Diff computes ΔVio by brute force from two full detection runs
-// (Vio(G⊕ΔG) \ Vio(G), Vio(G) \ Vio(G⊕ΔG)); the oracle the property tests
-// compare IncDect against, and the "recompute from scratch" baseline.
-func Diff(g *graph.Graph, rules *core.Set, delta *graph.Delta) *DeltaVio {
-	norm := delta.Normalize(g)
-	before := detect.Dect(g, rules, detect.Options{})
-	after := detect.Dect(graph.NewOverlay(g, norm), rules, detect.Options{})
-	beforeKeys := detect.VioKeySet(before.Violations)
-	afterKeys := detect.VioKeySet(after.Violations)
-	dv := &DeltaVio{}
-	for k, vio := range afterKeys {
-		if _, ok := beforeKeys[k]; !ok {
-			dv.Plus = append(dv.Plus, vio)
-		}
-	}
-	for k, vio := range beforeKeys {
-		if _, ok := afterKeys[k]; !ok {
-			dv.Minus = append(dv.Minus, vio)
-		}
-	}
-	return dv
 }

@@ -10,13 +10,13 @@
 //   - edge deletions: removing any edge the match uses breaks the match
 //     itself.
 //
-// Every candidate is then previewed without committing: attribute fixes on
-// a graph.Overlay carrying the reassignment (SetAttr overrides + masked
-// index pairs), edge deletions by reading the store's postings of the edge's
-// endpoints for the violations whose match uses it. The preview yields the
-// fix's cross-violation clearance — which *other* stored violations it
-// removes and which new ones it introduces — and the ranking orders fixes by
-// net clearance. Applying a chosen fix is the serving layer's job (it routes
+// Every candidate is then previewed without committing, by the
+// reconciliation a commit of it runs (internal/inc): attribute fixes with
+// inc.Attr on a graph.Overlay carrying the reassignment (SetAttr overrides +
+// masked index pairs), edge deletions with inc.Minus over the store's
+// postings. The preview yields the fix's cross-violation clearance — which
+// *other* stored violations it removes and which new ones it introduces —
+// and the ranking orders fixes by net clearance. Applying a chosen fix is the serving layer's job (it routes
 // the fix through the ordinary ingest path); this package never mutates the
 // graph.
 //
@@ -32,9 +32,8 @@ import (
 	"sort"
 
 	"ngd/internal/core"
-	"ngd/internal/detect"
 	"ngd/internal/graph"
-	"ngd/internal/match"
+	"ngd/internal/inc"
 	"ngd/internal/plan"
 	"ngd/internal/solver"
 )
@@ -137,23 +136,13 @@ type Options struct {
 	Solver solver.Options
 }
 
-// Store is the read view of the live violation store the enumerator ranks
-// against (the session's snapshot). Node lists the stored violations whose
-// match binds n in ascending canonical-key order, which keeps Clears lists
-// deterministic.
-type Store interface {
-	Has(key string) bool
-	Len() int
-	Node(n graph.NodeID) []core.Violation
-}
-
 // enum carries one enumeration's state.
 type enum struct {
-	g     *graph.Graph
-	rules *core.Set
-	prog  *plan.Program
-	store Store
-	opts  Options
+	g      *graph.Graph
+	rules  *core.Set
+	search inc.Options
+	store  inc.Store
+	opts   Options
 
 	target core.Violation
 	stats  Stats
@@ -179,18 +168,19 @@ func (e *enum) note(why string) {
 }
 
 // Enumerate produces the ranked candidate fixes for target, which must be a
-// current violation of g (callers take it from the live store). prog may be
-// nil (a private program is built); sessions pass their shared program so
-// compiled rules are reused. g is never mutated beyond attribute-index
-// cache fills, so Enumerate is a pure preview.
-func Enumerate(g *graph.Graph, rules *core.Set, prog *plan.Program, st Store, target core.Violation, opts Options) *Result {
+// current violation of g held by st (callers take it from the live store).
+// The previews run the reconciliations a commit of the fix runs (inc.Minus,
+// inc.Attr) with search: a session passes its program and searcher cache;
+// with no Program a private one is built. g is never mutated beyond
+// attribute-index cache fills, so Enumerate is a pure preview.
+func Enumerate(g *graph.Graph, rules *core.Set, search inc.Options, st inc.Store, target core.Violation, opts Options) *Result {
 	if opts.MaxFixes <= 0 {
 		opts.MaxFixes = 8
 	}
-	if prog == nil {
-		prog = plan.New(g, rules, plan.Options{})
+	if search.Program == nil {
+		search.Program = plan.New(g, rules, plan.Options{})
 	}
-	e := &enum{g: g, rules: rules, prog: prog, store: st, opts: opts, target: target}
+	e := &enum{g: g, rules: rules, search: search, store: st, opts: opts, target: target}
 	res := &Result{Target: target.Key(), Rule: target.Rule.Name}
 
 	var fixes []Fix
@@ -259,71 +249,40 @@ func (e *enum) attrFix(n graph.NodeID) (Fix, bool) {
 }
 
 // attrClearance previews sets applied to node n on an overlay of the live
-// graph: which stored violations disappear, which new violations appear.
-// ok is false when the assignment does not actually clear the target (a
-// solver-level artifact the preview is the ground truth for).
+// graph with inc.Attr, the reconciliation a commit of the fix runs: which
+// stored violations disappear, which new violations appear. ok is false when
+// the assignment does not actually clear the target (a solver-level artifact
+// the preview is the ground truth for).
 func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces []string, ok bool) {
 	ov := graph.NewOverlay(e.g, &graph.Delta{})
 	syms := e.g.Symbols()
 	for _, s := range sets {
 		ov.SetAttr(n, syms.Attr(s.Attr), graph.Int(s.New))
 	}
-	if e.prog.CompiledFor(e.target.Rule).Violated(ov, e.target.Match) {
+	if e.search.Program.CompiledFor(e.target.Rule).Violated(ov, e.target.Match) {
 		return nil, nil, false
 	}
-
-	// removed: stored violations binding n that no longer violate
-	for _, w := range e.store.Node(n) {
-		if !e.prog.CompiledFor(w.Rule).Violated(ov, w.Match) {
-			clears = append(clears, w.Key())
-		}
-	}
-
-	// introduced: matches binding n that violate on the overlay but are not
-	// in the store. Plans come from the shared program like everywhere else:
-	// a plan is valid over any view of the same graph (seed runs resolve at
-	// match time against the matcher's view, and the overlay masks the
-	// index of every attribute it overrides).
 	seen := make(map[string]bool)
-	for _, r := range e.rules.Rules {
-		if len(r.Y) == 0 {
-			continue // X → ∅ can never be violated
-		}
-		c := e.prog.CompiledFor(r)
-		nPat := len(r.Pattern.Nodes)
-		for slot := 0; slot < nPat; slot++ {
-			if !c.CP.NodeMatches(slot, e.g.Label(n)) {
-				continue
+	inc.Attr(ov, e.rules, e.store, []graph.NodeID{n}, e.search,
+		func(k string, _ core.Violation) { clears = append(clears, k) },
+		func(r *core.NGD, m core.Match) {
+			k := core.Violation{Rule: r, Match: m}.Key()
+			if !e.store.Has(k) && !seen[k] {
+				seen[k] = true
+				introduces = append(introduces, k)
 			}
-			partial := match.NewPartial(nPat)
-			partial[slot] = n
-			if !match.VerifyBound(ov, c.CP, partial) {
-				continue
-			}
-			_, pl := e.prog.PlanFor(ov, r, []int{slot})
-			searcher := detect.NewSearcher(ov, c, pl)
-			searcher.Run(partial, func(m core.Match) bool {
-				k := core.Violation{Rule: r, Match: m}.Key()
-				if !e.store.Has(k) && !seen[k] {
-					seen[k] = true
-					introduces = append(introduces, k)
-				}
-				return true
-			})
-		}
-	}
+		})
 	sort.Strings(introduces)
 	return clears, introduces, true
 }
 
 // edgeFixes enumerates the distinct graph edges of the target match. What
-// deleting one clears is read off the store: the stored violations whose
-// match uses the edge bind both its endpoints, so they are among those posted
-// under either, and a deletion introduces nothing. The target uses its own
-// edges, so every fix clears at least it.
+// deleting one clears is what a commit of the deletion takes out of the
+// store (inc.Minus), and a deletion introduces nothing. The target uses its
+// own edges, so every fix clears at least it.
 func (e *enum) edgeFixes() []Fix {
 	r, m := e.target.Rule, e.target.Match
-	c := e.prog.CompiledFor(r)
+	c := e.search.Program.CompiledFor(r)
 
 	type ekey struct {
 		src, dst graph.NodeID
@@ -344,16 +303,11 @@ func (e *enum) edgeFixes() []Fix {
 		tried[k] = true
 		e.stats.EdgeCands++
 
-		posted := e.store.Node(k.src)
-		if other := e.store.Node(k.dst); len(other) < len(posted) {
-			posted = other
-		}
 		var clears []string
-		for _, w := range posted {
-			if e.prog.CompiledFor(w.Rule).UsesEdge(w.Match, k.src, k.dst, l) {
-				clears = append(clears, w.Key())
-			}
-		}
+		del := []graph.EdgeOp{{Src: k.src, Dst: k.dst, Label: l}}
+		inc.Minus(e.store, e.search.Program, del, func(key string, _ core.Violation) {
+			clears = append(clears, key)
+		})
 		fixes = append(fixes, Fix{
 			ID:   fmt.Sprintf("del:%d:%s:%d", k.src, e.g.Symbols().LabelName(l), k.dst),
 			Kind: KindEdgeDelete,

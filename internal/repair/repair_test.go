@@ -10,31 +10,29 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/expr"
 	"ngd/internal/graph"
+	"ngd/internal/inc"
 	"ngd/internal/pattern"
 	"ngd/internal/repair"
 	"ngd/internal/session"
 	"ngd/internal/solver"
 )
 
-// mapStore adapts a plain violation map to repair.Store for direct
-// Enumerate tests that bypass the session.
+// mapStore adapts a plain violation map to inc.Store for direct Enumerate
+// tests that bypass the session.
 type mapStore map[string]core.Violation
 
-func (m mapStore) Has(key string) bool { return false || m[key].Rule != nil }
-func (m mapStore) Len() int            { return len(m) }
-func (m mapStore) Node(n graph.NodeID) []core.Violation {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []core.Violation
-	for _, k := range keys {
-		if slices.Contains(m[k].Match, n) {
-			out = append(out, m[k])
+func (m mapStore) Has(key string) bool { return m[key].Rule != nil }
+func (m mapStore) NodeKeyed(n graph.NodeID) (keys []string, vios []core.Violation) {
+	for k, v := range m {
+		if slices.Contains(v.Match, n) {
+			keys = append(keys, k)
 		}
 	}
-	return out
+	sort.Strings(keys)
+	for _, k := range keys {
+		vios = append(vios, m[k])
+	}
+	return keys, vios
 }
 
 func storeOf(vs ...core.Violation) mapStore {
@@ -143,7 +141,7 @@ func TestAttrFixPerturbationLeavesInt64(t *testing.T) {
 		n := g.AddNode("item")
 		g.SetAttr(n, "val", graph.Int(tc.old))
 		v := core.Violation{Rule: r, Match: core.Match{n}}
-		res := repair.Enumerate(g, core.NewSet(r), nil, storeOf(v), v, repair.Options{})
+		res := repair.Enumerate(g, core.NewSet(r), inc.Options{}, storeOf(v), v, repair.Options{})
 		for _, f := range res.Fixes {
 			t.Errorf("val=%d under %s: fix %s with perturbation %d", tc.old, tc.lit, f.ID, f.Perturb)
 		}
@@ -257,7 +255,7 @@ func TestInfeasibleSystemIsUnrepairable(t *testing.T) {
 	if !r.Violated(g, v.Match) {
 		t.Fatal("setup: expected a violation")
 	}
-	res := repair.Enumerate(g, core.NewSet(r), nil, storeOf(v), v, repair.Options{})
+	res := repair.Enumerate(g, core.NewSet(r), inc.Options{}, storeOf(v), v, repair.Options{})
 	if !res.Unrepairable || len(res.Fixes) != 0 {
 		t.Fatalf("want unrepairable with no fixes, got %+v", res)
 	}
@@ -289,7 +287,7 @@ func TestNonLinearRuleIsUnrepairable(t *testing.T) {
 	if !r.Violated(g, v.Match) {
 		t.Fatal("setup: expected a violation")
 	}
-	res := repair.Enumerate(g, core.NewSet(r), nil, storeOf(v), v, repair.Options{})
+	res := repair.Enumerate(g, core.NewSet(r), inc.Options{}, storeOf(v), v, repair.Options{})
 	if !res.Unrepairable || len(res.Fixes) != 0 {
 		t.Fatalf("want unrepairable with no fixes, got %+v", res)
 	}
@@ -312,7 +310,7 @@ func TestDeadlineExhaustion(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	v := core.Violation{Rule: r, Match: core.Match{n}}
-	res := repair.Enumerate(g, core.NewSet(r), nil, storeOf(v), v,
+	res := repair.Enumerate(g, core.NewSet(r), inc.Options{}, storeOf(v), v,
 		repair.Options{Solver: solver.Options{Done: done}})
 	if !res.Unrepairable || len(res.Fixes) != 0 {
 		t.Fatalf("want unrepairable under an expired deadline, got %+v", res)

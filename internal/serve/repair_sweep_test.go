@@ -9,12 +9,16 @@ package serve_test
 // Vio(Σ, G') recomputed by the brute-force oracle (internal/ref) on the
 // repaired graph — the repair commit is an ordinary batch, invisible to
 // the detection invariant.
-// Previews run alongside and must never move the epoch or the store.
+// Previews run alongside and must never move the epoch or the store, and
+// each apply's commit must be its preview: the keys it removes are the fix's
+// Clears, the keys it adds its Introduces.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ngd/internal/core"
@@ -144,21 +148,65 @@ func sweepCanon(vs []core.Violation) string {
 	return strings.Join(keys, "\n")
 }
 
+// sweepKeyDiff lists the keys of before missing from after (removed) and
+// those of after missing from before (added), both sorted.
+func sweepKeyDiff(before, after []core.Violation) (removed, added []string) {
+	b, a := detect.VioKeySet(before), detect.VioKeySet(after)
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			removed = append(removed, k)
+		}
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			added = append(added, k)
+		}
+	}
+	sort.Strings(removed)
+	sort.Strings(added)
+	return removed, added
+}
+
+// sweepTally counts the applies the preview≡commit check covered, by kind.
+type sweepTally struct {
+	mu                      sync.Mutex
+	applies, attr, edge, in int
+}
+
+func (st *sweepTally) add(f repair.Fix) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.applies++
+	if f.Kind == repair.KindAttr {
+		st.attr++
+	} else {
+		st.edge++
+	}
+	if len(f.Introduces) > 0 {
+		st.in++
+	}
+}
+
 func TestRepairDifferentialSweep(t *testing.T) {
 	workloads := sweepWorkloads()
 	if len(workloads) < 24 {
 		t.Fatalf("workload table shrank to %d entries", len(workloads))
 	}
+	stats := &sweepTally{}
+	t.Cleanup(func() {
+		t.Logf("preview≡commit over %d applies: %d attribute fixes, %d edge deletions, %d introducing violations",
+			stats.applies, stats.attr, stats.edge, stats.in)
+	})
 	for _, w := range workloads {
 		w := w
 		t.Run(w.name(), func(t *testing.T) {
 			t.Parallel()
-			runRepairSweep(t, w)
+			runRepairSweep(t, w, stats)
 		})
 	}
 }
 
-func runRepairSweep(t *testing.T, w sweepWorkload) {
+func runRepairSweep(t *testing.T, w sweepWorkload, stats *sweepTally) {
 	ds := gen.Generate(w.profile, w.entities, w.seed)
 	rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
 	if w.nodeRule {
@@ -224,6 +272,15 @@ func runRepairSweep(t *testing.T, w sweepWorkload) {
 			t.Fatalf("workload %s: applied %s, preview ranked %s first",
 				w.name(), applied.Fix.ID, top.ID)
 		}
+
+		// the commit is the preview: it takes out exactly the keys the fix
+		// said it clears and adds exactly the ones it said it introduces
+		removed, added := sweepKeyDiff(sn.Violations(), s.Snapshot().Violations())
+		if !slices.Equal(removed, applied.Fix.Clears) || !slices.Equal(added, applied.Fix.Introduces) {
+			t.Fatalf("workload %s apply %d (%s): commit removed %v added %v, preview said clears %v introduces %v",
+				w.name(), applies, applied.Fix.ID, removed, added, applied.Fix.Clears, applied.Fix.Introduces)
+		}
+		stats.add(applied.Fix)
 
 		// the differential: after the repair commit the live store must be
 		// byte-identical to the oracle's answer on the repaired graph

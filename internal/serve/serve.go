@@ -81,15 +81,15 @@ type Options struct {
 	// Analysis, when set, is the Σ admission report computed at boot
 	// (cmd/ngdserve's -analyze gate over the full, pre-minimization rule
 	// set); GET /rules/analysis serves it verbatim. When nil the endpoint
-	// computes a report over the session's (minimized) Σ on first request
-	// and caches it keyed by Σ signature — the same signature a recovered
-	// process derives from the persisted rule text, and the key shape a
-	// future per-tenant registry will index by.
+	// computes a report over the session's (minimized) Σ on first request,
+	// within analyzeTimeout, and serves that one from then on: a Server's Σ
+	// never changes.
 	Analysis *analyze.Report
-	// AnalyzeOptions budgets the lazily computed report (default: 10s
-	// wall-clock timeout on top of reason's branch/match caps).
-	AnalyzeOptions analyze.Options
 }
+
+// analyzeTimeout is the wall-clock budget of the lazily computed Σ report,
+// on top of reason's branch and match caps.
+const analyzeTimeout = 10 * time.Second
 
 // UpdateOp is one ingested operation, the wire format of POST /update.
 type UpdateOp struct {
@@ -222,12 +222,10 @@ type Server struct {
 	pollTimeout   time.Duration
 
 	// Σ analysis served by GET /rules/analysis: the boot report when the
-	// gate ran in cmd/ngdserve, else lazily computed and cached by Σ
-	// signature (anMu guards the cache; requests never block the writer).
+	// gate ran in cmd/ngdserve, else computed on first request (anMu guards
+	// it; requests never block the writer).
 	analysis *analyze.Report
-	anOpts   analyze.Options
 	anMu     sync.Mutex
-	anCache  map[string]*analyze.Report
 
 	mu      sync.Mutex // guards closed and the senders count
 	closed  bool
@@ -267,9 +265,6 @@ func New(sess *session.Session, opts Options) *Server {
 	if opts.PollTimeout <= 0 {
 		opts.PollTimeout = 25 * time.Second
 	}
-	if opts.AnalyzeOptions.Timeout <= 0 {
-		opts.AnalyzeOptions.Timeout = 10 * time.Second
-	}
 	s := &Server{
 		sess:          sess,
 		names:         opts.Names,
@@ -279,8 +274,6 @@ func New(sess *session.Session, opts Options) *Server {
 		maxBody:       opts.MaxBody,
 		pollTimeout:   opts.PollTimeout,
 		analysis:      opts.Analysis,
-		anOpts:        opts.AnalyzeOptions,
-		anCache:       make(map[string]*analyze.Report),
 		in:            make(chan ingest, opts.QueueDepth),
 		done:          make(chan struct{}),
 	}
@@ -297,22 +290,17 @@ func (s *Server) Snapshot() *session.Snapshot { return s.cur.Load() }
 
 // Analysis returns the Σ admission report and whether it was served from
 // cache: the boot-time report when one was injected (Options.Analysis),
-// else a lazily computed report over the session's rules, cached by Σ
-// signature. Safe from any goroutine; the analysis touches only the rule
-// set, never the graph, so it cannot race the writer.
+// else the report over the session's rules, computed by the first call.
+// Safe from any goroutine; the analysis touches only the rule set, never the
+// graph, so it cannot race the writer.
 func (s *Server) Analysis() (*analyze.Report, bool) {
 	s.anMu.Lock()
 	defer s.anMu.Unlock()
 	if s.analysis != nil {
 		return s.analysis, true
 	}
-	sig := analyze.Signature(s.sess.Rules())
-	if rep, ok := s.anCache[sig]; ok {
-		return rep, true
-	}
-	rep := analyze.Analyze(s.sess.Rules(), s.anOpts)
-	s.anCache[sig] = rep
-	return rep, false
+	s.analysis = analyze.Analyze(s.sess.Rules(), analyze.Options{Timeout: analyzeTimeout})
+	return s.analysis, false
 }
 
 // Subscribe opens a change-feed subscription resuming after epoch since

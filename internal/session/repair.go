@@ -16,8 +16,9 @@ var ErrNoViolation = errors.New("session: violation not in store")
 // PreviewRepair enumerates the ranked candidate fixes for the stored
 // violation named by key. The preview never mutates the session: the graph,
 // the violation store and the snapshot epoch are exactly as before the call
-// (candidate effects are staged on graph overlays and would-be deltas
-// inside internal/repair). Applying a chosen fix is a separate, ordinary
+// (candidate effects are staged on graph overlays and read off the store by
+// the commit's own reconciliations, with the session's program and
+// searchers). Applying a chosen fix is a separate, ordinary
 // commit — see the serving layer's /repair/apply.
 //
 // Callers are responsible for serializing PreviewRepair with Commit (the
@@ -28,5 +29,5 @@ func (s *Session) PreviewRepair(key string, opts repair.Options) (*repair.Result
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoViolation, key)
 	}
-	return repair.Enumerate(s.g, s.rules, s.prog, s.snap, v, opts), nil
+	return repair.Enumerate(s.g, s.rules, s.search, s.snap, v, opts), nil
 }

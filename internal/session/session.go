@@ -4,10 +4,13 @@
 // graph.(*Graph).Apply, and keeps the violation store Vio(Σ, G) live across
 // commits instead of re-running batch detection. The paper's incremental
 // problem (§6.1) hands the algorithm Vio(Σ, G) along with ΔG, and the session
-// holds exactly that: ΔVio⁻ is read off the store (the violations posted
-// under a deleted edge's endpoints whose match uses the edge), ΔG is applied,
-// and only ΔVio⁺ is searched, by inc.Plus on G′ itself. That is the one
-// commit path; the parallel detectors of internal/par are offline tools.
+// holds exactly that: ΔVio⁻ is read off the store by inc.Minus (the
+// violations posted under a deleted edge's endpoints whose match uses the
+// edge), ΔG is applied, and only ΔVio⁺ is searched, by inc.Plus on G′
+// itself. That is the one commit path; the parallel detectors of
+// internal/par are offline tools. What a change does to the store is
+// internal/inc's to say (inc.Minus, inc.Plus, inc.Attr, inc.Seeded); the
+// session decides only what its store keeps.
 //
 // Store invariant: after every Commit the store equals Dect(Σ, G) on the
 // committed graph, keyed by canonical violation identity (core.Violation.Key).
@@ -42,7 +45,6 @@ import (
 	"ngd/internal/detect"
 	"ngd/internal/graph"
 	"ngd/internal/inc"
-	"ngd/internal/match"
 	"ngd/internal/par"
 	"ngd/internal/plan"
 )
@@ -60,8 +62,8 @@ type Options struct {
 	// Analyze configures the Σ admission pass run at construction. The
 	// zero value minimizes: unviolable rules (∅ ⊨ φ — no graph can violate
 	// them) are dropped before the program is compiled, which preserves
-	// Vio(Σ, G) exactly for every G while shrinking what every detector,
-	// plan and shard pays for. Set Analyze.NoMinimize to keep the full Σ;
+	// Vio(Σ, G) exactly for every G while shrinking what every detector
+	// and plan pays for. Set Analyze.NoMinimize to keep the full Σ;
 	// Analyze.Reason budgets the implication probes. Dropped rule names
 	// are reported by DroppedRules.
 	Analyze analyze.Options
@@ -141,7 +143,7 @@ type BatchStats struct {
 type Laps struct {
 	Coalesce time.Duration // normalize ΔG and the attribute ops
 	WAL      time.Duration // the commit hook (write-ahead append)
-	Lookup   time.Duration // ΔVio⁻ read off the postings (removeDeleted)
+	Lookup   time.Duration // ΔVio⁻ read off the postings (inc.Minus)
 	Apply    time.Duration // ΔG committed into G
 	Absorb   time.Duration // arriving nodes' isolated-slot searches
 	Plus     time.Duration // the ΔVio⁺ search (inc.Plus) and its store adds
@@ -213,10 +215,12 @@ type Session struct {
 	// absorption and attribute searches — draws plans from it.
 	prog *plan.Program
 
-	// searchers reuses pre-bound violation searchers across commits: the
+	// search is what every inc call of the session runs with: prog, and a
+	// cache that reuses pre-bound violation searchers across commits (the
 	// same (rule, slot) searches fire every batch, and rebuilding their
-	// matchers and literal schedules dominated steady-state allocations.
-	searchers detect.SearcherCache
+	// matchers and literal schedules dominated steady-state allocations).
+	// The repair preview runs with it too.
+	search inc.Options
 
 	// snap is the violation set as of the last commit (see Snapshot).
 	// Between commits it is the whole store; during one, the store is snap
@@ -285,11 +289,13 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 		rules, dropped = analyze.MinimizeUnviolable(rules, opts.Analyze.Reason)
 	}
 	internSymbols(g.Symbols(), rules)
+	prog := plan.New(g, rules, opts.Plan)
 	s := &Session{
 		g:         g,
 		rules:     rules,
 		dropped:   dropped,
-		prog:      plan.New(g, rules, opts.Plan),
+		prog:      prog,
+		search:    inc.Reusing(prog),
 		added:     make(map[string]core.Violation),
 		removed:   make(map[string]core.Violation),
 		edgeRules: core.NewSet(),
@@ -477,11 +483,17 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	}
 	st.Laps.WAL = clock.lap()
 
-	// ΔVio⁻ is read off the last snapshot; ΔG commits; ΔVio⁺ is searched on
-	// G′ itself. Arrivals are absorbed on G′ too: an arriving node binds an
+	// ΔVio⁻ is read off the last snapshot (exact: it is Vio(Σ, G) until ΔG
+	// commits, and a normalized ΔG deletes no edge it also inserts); ΔG
+	// commits; ΔVio⁺ is searched on G′ itself. Arrivals are absorbed on G′ too: an arriving node binds an
 	// isolated slot whatever the edges are, and the rest of such a match is a
 	// match of G′.
-	st.Minus, st.Looked = s.removeDeleted(norm.Deletions())
+	st.Looked = inc.Minus(s.snap, s.prog, norm.Deletions(), func(k string, v core.Violation) {
+		// a violation using two deleted edges is removed by the first
+		if s.remove(k, v) {
+			st.Minus++
+		}
+	})
 	st.Cost = float64(st.Looked)
 	st.Laps.Lookup = clock.lap()
 	ap := s.g.Apply(norm)
@@ -490,7 +502,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	st.Absorbed = s.absorbNewNodes()
 	st.Laps.Absorb = clock.lap()
 	if ins := norm.Insertions(); len(ins) > 0 {
-		r := inc.Plus(s.g, s.edgeRules, ins, inc.Options{Program: s.prog, Searchers: &s.searchers})
+		r := inc.Plus(s.g, s.edgeRules, ins, s.search)
 		st.Pivots = r.Pivots
 		st.Cost += float64(r.Counters.Candidates + r.Counters.Checks)
 		// only *effective* store changes are counted and reach the event: a
@@ -523,38 +535,11 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	return st
 }
 
-// removeDeleted takes ΔVio⁻ out of the store without searching for it: the
-// violations whose match maps a pattern edge onto a deleted edge. Such a
-// match binds both endpoints, so it is posted under both and the shorter
-// posting is the one walked. Exact because the store is Vio(Σ, G) when the
-// commit starts, a deleted edge can only kill the matches that use it, and a
-// normalized ΔG deletes no edge it also inserts. It reads the last snapshot
-// only, never the graph, and reports the violations removed and the posting
-// entries examined.
-func (s *Session) removeDeleted(del []graph.EdgeOp) (removed, looked int) {
-	for _, op := range del {
-		posted := s.snap.node(op.Src)
-		if other := s.snap.node(op.Dst); other.Len() < posted.Len() {
-			posted = other
-		}
-		looked += posted.Len()
-		for i, v := range posted.vios {
-			// a violation using two deleted edges is removed by the first
-			if s.prog.CompiledFor(v.Rule).UsesEdge(v.Match, op.Src, op.Dst, op.Label) && s.remove(posted.keys[i], v) {
-				removed++
-			}
-		}
-	}
-	return removed, looked
-}
-
 // applyAttrOps commits normalized attribute ops into G and reconciles the
-// store. Topology is untouched, so the only matches whose violation status
-// can flip are those binding a touched node: stored violations binding one
-// are re-evaluated (drop the ones no longer violated), and new violations
-// are found by pre-bound searches seeded at each touched node for every
-// slot it can occupy. The store's Has-guard dedupes a match reachable from
-// several touched nodes or slots.
+// store with inc.Attr: stored violations binding a touched node are
+// re-evaluated, and new ones are found by searches seeded at each touched
+// node for every slot it can occupy. The store's Has-guard dedupes a match
+// reachable from several touched nodes or slots.
 func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 	touchedSet := graph.AcquireNodeSet(s.g.NumNodes())
 	defer graph.ReleaseNodeSet(touchedSet)
@@ -566,79 +551,41 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 		}
 	}
 
-	// drop the violations a touched node no longer sustains: those of the
-	// last epoch are posted under the node, the ones this commit found
-	// before the attribute phase are in added (small; re-evaluate them all)
-	stale := func(k string, v core.Violation) {
-		if !s.prog.CompiledFor(v.Rule).Violated(s.g, v.Match) && s.remove(k, v) {
+	gone := func(k string, v core.Violation) {
+		if s.remove(k, v) {
 			minus++
 		}
 	}
-	for _, n := range touched {
-		posted := s.snap.node(n)
-		for i, v := range posted.vios {
-			stale(posted.keys[i], v)
-		}
-	}
+	// the violations this commit found before the attribute phase are not
+	// posted yet: re-evaluate them all (added is small); inc.Attr covers the
+	// last epoch's
 	for k, v := range s.added {
-		stale(k, v)
-	}
-
-	// find matches a touched node now violates: one pre-bound search per
-	// (rule, slot, touched node) with a label-compatible binding. One
-	// scratch partial per rule serves every (slot, node) pair — the searcher
-	// restores it on return, so only the seeded slot needs unbinding.
-	for _, r := range s.rules.Rules {
-		if len(r.Y) == 0 {
-			continue // X → ∅ can never be violated
-		}
-		c := s.prog.CompiledFor(r)
-		nPat := len(r.Pattern.Nodes)
-		partial := match.NewPartial(nPat)
-		for slot := 0; slot < nPat; slot++ {
-			var searcher *detect.Searcher
-			for _, n := range touched {
-				if !c.CP.NodeMatches(slot, s.g.Label(n)) {
-					continue
-				}
-				partial[slot] = n
-				// a self-loop pattern edge at the bound slot is fully bound
-				// before the search starts; VerifyBound checks it
-				if !match.VerifyBound(s.g, c.CP, partial) {
-					partial[slot] = match.Unbound
-					continue
-				}
-				if searcher == nil {
-					_, pl := s.prog.PlanFor(s.g, r, []int{slot})
-					searcher = s.searchers.Get(s.g, c, pl, detect.SlotKey(r, slot))
-				}
-				searcher.Run(partial, func(m core.Match) bool {
-					vio := core.Violation{Rule: r, Match: m.Clone()}
-					if s.add(vio.Key(), vio) {
-						plus++
-					}
-					return true
-				})
-				partial[slot] = match.Unbound
-			}
+		if !s.prog.CompiledFor(v.Rule).Violated(s.g, v.Match) {
+			gone(k, v)
 		}
 	}
+	inc.Attr(s.g, s.rules, s.snap, touched, s.search, gone, func(r *core.NGD, m core.Match) {
+		vio := core.Violation{Rule: r, Match: m.Clone()}
+		if s.add(vio.Key(), vio) {
+			plus++
+		}
+	})
 	return plus, minus
 }
 
 // absorbNewNodes finds the violating matches that bind a node added since
 // the previous commit to an isolated pattern slot, and advances the node
-// watermark. Each arriving node seeds a pre-bound violation search (the
-// rest of the pattern — other isolated slots, disconnected edge
-// components — expands as usual); a match binding several arriving nodes
-// at isolated slots is emitted exactly once, by its smallest such slot.
-// Arriving nodes cannot extend any *old* match (they had no edges before
-// this commit, and isolated slots bind every candidate independently), so
-// only the seeded searches are needed; a match through an arriving node at
-// any other slot uses an inserted edge and is ΔVio⁺'s to find. Commit
-// absorbs after Apply, on G′, so a match that also uses an inserted edge is
-// found here first and not counted again under Plus. It returns how many
-// violations it added to the store.
+// watermark. Each arriving node seeds a pre-bound violation search
+// (inc.Seeded; the rest of the pattern — other isolated slots, disconnected
+// edge components — expands as usual); a match binding several arriving
+// nodes at isolated slots is emitted exactly once, by its smallest such
+// slot. Arriving nodes cannot extend any *old* match (they had no edges
+// before this commit, and isolated slots bind every candidate
+// independently), so only the seeded searches are needed; a match through
+// an arriving node at any other slot uses an inserted edge and is ΔVio⁺'s to
+// find. Commit absorbs after Apply, on G′, so a match that also uses an
+// inserted edge is found here first and not counted again under Plus. It
+// returns how many violations it added to the store.
 func (s *Session) absorbNewNodes() (absorbed int) {
 	n := s.g.NumNodes()
 	lo := s.seenNodes
@@ -646,42 +593,27 @@ func (s *Session) absorbNewNodes() (absorbed int) {
 	if n == lo || len(s.isoRules) == 0 {
 		return 0
 	}
+	arrivals := make([]graph.NodeID, 0, n-lo)
+	for v := lo; v < n; v++ {
+		arrivals = append(arrivals, graph.NodeID(v))
+	}
 	for _, ir := range s.isoRules {
-		if len(ir.rule.Y) == 0 {
-			continue // X → ∅ can never be violated
-		}
-		c := s.prog.CompiledFor(ir.rule)
-		nPat := len(ir.rule.Pattern.Nodes)
-		partial := match.NewPartial(nPat)
 		for _, slot := range ir.slots {
-			var searcher *detect.Searcher
-			for v := lo; v < n; v++ {
-				id := graph.NodeID(v)
-				if !c.CP.NodeMatches(slot, s.g.Label(id)) {
-					continue
-				}
-				if searcher == nil {
-					_, pl := s.prog.PlanFor(s.g, ir.rule, []int{slot})
-					searcher = s.searchers.Get(s.g, c, pl, detect.SlotKey(ir.rule, slot))
-				}
-				partial[slot] = id
-				searcher.Run(partial, func(m core.Match) bool {
-					for _, s2 := range ir.slots {
-						if s2 == slot {
-							break
-						}
-						if int(m[s2]) >= lo {
-							return true // a smaller isolated slot owns this match
-						}
+			inc.Seeded(s.g, ir.rule, slot, arrivals, s.search, func(m core.Match) bool {
+				for _, s2 := range ir.slots {
+					if s2 == slot {
+						break
 					}
-					vio := core.Violation{Rule: ir.rule, Match: m.Clone()}
-					if s.add(vio.Key(), vio) {
-						absorbed++
+					if int(m[s2]) >= lo {
+						return true // a smaller isolated slot owns this match
 					}
-					return true
-				})
-				partial[slot] = match.Unbound
-			}
+				}
+				vio := core.Violation{Rule: ir.rule, Match: m.Clone()}
+				if s.add(vio.Key(), vio) {
+					absorbed++
+				}
+				return true
+			})
 		}
 	}
 	return absorbed

@@ -78,6 +78,13 @@ func (sn *Snapshot) Has(key string) bool {
 // Node returns the violations whose match binds node n, in key order.
 func (sn *Snapshot) Node(n graph.NodeID) []core.Violation { return sn.node(n).vios }
 
+// NodeKeyed is Node with each violation's canonical key beside it: the
+// posting as inc.Store reads it.
+func (sn *Snapshot) NodeKeyed(n graph.NodeID) ([]string, []core.Violation) {
+	p := sn.node(n)
+	return p.keys, p.vios
+}
+
 // Posted is Node as a Range, for paging and for narrowing to one rule.
 func (sn *Snapshot) Posted(n graph.NodeID) Range {
 	p := sn.node(n)
