@@ -6,8 +6,6 @@
 package detect_test
 
 import (
-	"sort"
-	"strings"
 	"testing"
 
 	"ngd/internal/core"
@@ -21,36 +19,6 @@ import (
 	"ngd/internal/plan"
 	"ngd/internal/ref"
 )
-
-// keyLines canonicalizes a violation list to sorted newline-joined keys, so
-// equality really is byte-identity of the violation sets.
-func keyLines(vs []core.Violation) string {
-	keys := make([]string, len(vs))
-	for i, v := range vs {
-		keys[i] = v.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-// refDelta is ΔVio(Σ, G, ΔG) by definition: Vio(G⊕ΔG) \ Vio(G) and
-// Vio(G) \ Vio(G⊕ΔG), both sides from the oracle, as canonical key lines.
-func refDelta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus string) {
-	before := detect.VioKeySet(ref.Detect(g, rules))
-	after := detect.VioKeySet(ref.Detect(graph.NewOverlay(g, d.Normalize(g)), rules))
-	var p, m []core.Violation
-	for k, v := range after {
-		if _, ok := before[k]; !ok {
-			p = append(p, v)
-		}
-	}
-	for k, v := range before {
-		if _, ok := after[k]; !ok {
-			m = append(m, v)
-		}
-	}
-	return keyLines(p), keyLines(m)
-}
 
 // rangeRule exercises the ordered index: f.val >= 1 ⇒ c.val = 7 over the
 // generator's flag/p2 property stars of untyped entities (flag values are
@@ -110,7 +78,7 @@ func TestPruningDifferentialDect(t *testing.T) {
 				t.Fatal("workload produced no violations; differential test is vacuous")
 			}
 			got := detect.Dect(w.ds.G, w.rules, detect.Options{})
-			if got, want := keyLines(got.Violations), keyLines(want); got != want {
+			if got, want := ref.Keys(got.Violations), ref.Keys(want); got != want {
 				t.Fatalf("violation sets differ:\nDect:\n%s\nreference:\n%s", got, want)
 			}
 		})
@@ -126,14 +94,14 @@ func TestPruningDifferentialDect(t *testing.T) {
 func TestPlanPolicyDifferentialDect(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			want := keyLines(ref.Detect(w.ds.G, w.rules))
+			want := ref.Keys(ref.Detect(w.ds.G, w.rules))
 			if want == "" {
 				t.Fatal("vacuous workload")
 			}
 			prog := plan.New(w.ds.G, w.rules, plan.Options{})
 			for _, run := range []string{"cold", "memoized"} {
 				res := detect.Dect(w.ds.G, w.rules, detect.Options{Program: prog})
-				if keyLines(res.Violations) != want {
+				if ref.Keys(res.Violations) != want {
 					t.Fatalf("shared Dect (%s) diverged from the reference", run)
 				}
 			}
@@ -141,7 +109,7 @@ func TestPlanPolicyDifferentialDect(t *testing.T) {
 			for _, r := range w.rules.Rules {
 				solo = append(solo, detect.Dect(w.ds.G, core.NewSet(r), detect.Options{}).Violations...)
 			}
-			if keyLines(solo) != want {
+			if ref.Keys(solo) != want {
 				t.Fatal("per-rule Dect union diverged from the reference")
 			}
 		})
@@ -156,11 +124,12 @@ func TestPlanPolicyDifferentialIncDect(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
 				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 42})
-			plus, minus := refDelta(w.ds.G, w.rules, d)
+			p, m := ref.Delta(w.ds.G, w.rules, d)
+			plus, minus := ref.Keys(p), ref.Keys(m)
 			prog := plan.New(w.ds.G, w.rules, plan.Options{})
 			for _, run := range []string{"cold", "cache-served"} {
 				r := inc.IncDect(w.ds.G, w.rules, d, inc.Options{Program: prog})
-				if keyLines(r.Plus) != plus || keyLines(r.Minus) != minus {
+				if ref.Keys(r.Plus) != plus || ref.Keys(r.Minus) != minus {
 					t.Fatalf("IncDect (%s) diverged from the reference ΔVio", run)
 				}
 			}
@@ -177,11 +146,12 @@ func TestPruningDifferentialIncDect(t *testing.T) {
 			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
 				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 99})
 			got := inc.IncDect(w.ds.G, w.rules, d, inc.Options{})
-			plus, minus := refDelta(w.ds.G, w.rules, d)
-			if got := keyLines(got.Plus); got != plus {
+			p, m := ref.Delta(w.ds.G, w.rules, d)
+			plus, minus := ref.Keys(p), ref.Keys(m)
+			if got := ref.Keys(got.Plus); got != plus {
 				t.Fatalf("ΔVio⁺ differs:\nIncDect:\n%s\nreference:\n%s", got, plus)
 			}
-			if got := keyLines(got.Minus); got != minus {
+			if got := ref.Keys(got.Minus); got != minus {
 				t.Fatalf("ΔVio⁻ differs:\nIncDect:\n%s\nreference:\n%s", got, minus)
 			}
 		})
@@ -191,16 +161,17 @@ func TestPruningDifferentialIncDect(t *testing.T) {
 func TestPruningDifferentialParallel(t *testing.T) {
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			want := keyLines(ref.Detect(w.ds.G, w.rules))
-			if keyLines(par.PDect(w.ds.G, w.rules, par.Hybrid(4)).Violations) != want {
+			want := ref.Keys(ref.Detect(w.ds.G, w.rules))
+			if ref.Keys(par.PDect(w.ds.G, w.rules, par.Hybrid(4)).Violations) != want {
 				t.Fatal("PDect disagrees with the reference")
 			}
 
 			d := gen.RandomDelta(w.ds, gen.DeltaConfig{
 				Size: gen.DeltaSize(w.ds.G, 0.2), Gamma: 1, Seed: 99})
-			plus, minus := refDelta(w.ds.G, w.rules, d)
+			p, m := ref.Delta(w.ds.G, w.rules, d)
+			plus, minus := ref.Keys(p), ref.Keys(m)
 			pinc := par.PIncDect(w.ds.G, w.rules, d, par.Hybrid(4))
-			if keyLines(pinc.Delta.Plus) != plus || keyLines(pinc.Delta.Minus) != minus {
+			if ref.Keys(pinc.Delta.Plus) != plus || ref.Keys(pinc.Delta.Minus) != minus {
 				t.Fatal("PIncDect disagrees with the reference ΔVio")
 			}
 		})
@@ -236,7 +207,7 @@ func TestPruningAfterDeltaApply(t *testing.T) {
 	}
 
 	got := detect.Dect(g, w.rules, detect.Options{})
-	if got, want := keyLines(got.Violations), keyLines(ref.Detect(g, w.rules)); got != want {
+	if got, want := ref.Keys(got.Violations), ref.Keys(ref.Detect(g, w.rules)); got != want {
 		t.Fatalf("after delta+attr churn, violation sets differ:\nDect:\n%s\nreference:\n%s",
 			got, want)
 	}

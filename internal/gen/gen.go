@@ -21,6 +21,11 @@
 // A fraction ErrorRate of entities is corrupted, breaking one invariant
 // each; the generator returns the injected-error log as ground truth for
 // the Exp-5 effectiveness study.
+//
+// Workloads (workloads.go) is the differential table: the rows every suite
+// that checks a fast path against internal/ref iterates, with the Σ
+// transforms (Unprunable, NodeRule, LitPathRules) and the seeded batch
+// stream each row runs.
 package gen
 
 import (

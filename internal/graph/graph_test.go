@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -99,6 +101,41 @@ func TestAttributes(t *testing.T) {
 	}
 }
 
+// TestValueEqualIsExact: numeric values are equal exactly when literals,
+// which compare them as big.Rat, say so — never through float64, where
+// 2⁶² − 1 and 2⁶² are one number.
+func TestValueEqualIsExact(t *testing.T) {
+	rat := func(v Value) *big.Rat {
+		if v.kind == KindFloat {
+			return new(big.Rat).SetFloat64(v.f)
+		}
+		return new(big.Rat).SetInt64(v.i)
+	}
+	for _, c := range []struct {
+		a, b Value
+		want bool
+	}{
+		{Int(1), Bool(true), true},
+		{Int(3), Float(3.0), true},
+		{Int(1<<62 - 1), Int(1 << 62), false},
+		{Int(1<<53 + 1), Float(1 << 53), false},
+		{Int(math.MaxInt64), Float(1 << 63), false},
+		{Int(math.MinInt64), Float(-(1 << 63)), true},
+		{Bool(false), Float(0), true},
+		{Int(3), Float(3.5), false},
+		{Float(2.5), Float(2.5), true},
+	} {
+		for _, p := range [][2]Value{{c.a, c.b}, {c.b, c.a}} {
+			if got := p[0].Equal(p[1]); got != c.want {
+				t.Errorf("%v.Equal(%v) = %v, want %v", p[0], p[1], got, c.want)
+			}
+		}
+		if byRat := rat(c.a).Cmp(rat(c.b)) == 0; byRat != c.want {
+			t.Errorf("row %v = %v disagrees with big.Rat (%v)", c.a, c.b, byRat)
+		}
+	}
+}
+
 func TestValues(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -121,12 +158,6 @@ func TestValues(t *testing.T) {
 		if !parsed.Equal(c.v) {
 			t.Errorf("round trip %q: got %v", c.text, parsed)
 		}
-	}
-	if !Int(1).Equal(Bool(true)) {
-		t.Error("Bool(true) should equal Int(1) numerically")
-	}
-	if !Int(3).Equal(Float(3.0)) {
-		t.Error("Int(3) should equal Float(3)")
 	}
 	if Int(3).Equal(Str("3")) {
 		t.Error("numbers must not equal strings")

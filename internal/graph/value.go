@@ -77,15 +77,18 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) Valid() bool { return v.kind != KindInvalid }
 
 // AsInt returns the value as an int64 and whether the conversion is exact.
-// Ints and bools convert; floats convert only when integral.
+// Ints and bools convert; floats convert only when integral and in int64
+// range.
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt, KindBool:
 		return v.i, true
 	case KindFloat:
-		i := int64(v.f)
-		if float64(i) == v.f {
-			return i, true
+		// -2⁶³ ≤ f < 2⁶³: both bounds are exact float64s
+		if v.f >= -(1<<63) && v.f < 1<<63 {
+			if i := int64(v.f); float64(i) == v.f {
+				return i, true
+			}
 		}
 	}
 	return 0, false
@@ -119,8 +122,8 @@ func (v Value) AsFloat() (float64, bool) {
 }
 
 // Equal reports whether two values are equal. Numeric kinds compare by
-// numeric value (Int(3) == Float(3.0), Bool(true) == Int(1)); strings only
-// equal strings.
+// exact numeric value, as literals do (Int(3) == Float(3.0), Bool(true) ==
+// Int(1), Int(2⁶²−1) != Int(2⁶²)); strings only equal strings.
 func (v Value) Equal(o Value) bool {
 	if v.kind == KindString || o.kind == KindString {
 		return v.kind == KindString && o.kind == KindString && v.s == o.s
@@ -128,8 +131,12 @@ func (v Value) Equal(o Value) bool {
 	if !v.Valid() || !o.Valid() {
 		return v.kind == o.kind
 	}
-	a, aok := v.AsFloat()
-	b, bok := o.AsFloat()
+	if v.kind == KindFloat && o.kind == KindFloat {
+		return v.f == o.f
+	}
+	// at most one float: equal only as the same int64
+	a, aok := v.AsInt()
+	b, bok := o.AsInt()
 	return aok && bok && a == b
 }
 

@@ -3,7 +3,6 @@ package inc
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 
 	"ngd/internal/core"
@@ -15,47 +14,6 @@ import (
 	"ngd/internal/plan"
 	"ngd/internal/ref"
 )
-
-func keysOf(vs []core.Violation) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.Key()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// refDiff is ΔVio by recomputation with the reference oracle:
-// Vio(G⊕ΔG) ∖ Vio(G) and Vio(G) ∖ Vio(G⊕ΔG).
-func refDiff(g *graph.Graph, rules *core.Set, d *graph.Delta) *DeltaVio {
-	before := detect.VioKeySet(ref.Detect(g, rules))
-	after := detect.VioKeySet(ref.Detect(graph.NewOverlay(g, d.Normalize(g)), rules))
-	dv := &DeltaVio{}
-	for k, v := range after {
-		if _, ok := before[k]; !ok {
-			dv.Plus = append(dv.Plus, v)
-		}
-	}
-	for k, v := range before {
-		if _, ok := after[k]; !ok {
-			dv.Minus = append(dv.Minus, v)
-		}
-	}
-	return dv
-}
-
-func sameKeys(a, b []core.Violation) bool {
-	ka, kb := keysOf(a), keysOf(b)
-	if len(ka) != len(kb) {
-		return false
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // TestPaperExample6 reproduces Example 6: deleting the status edge of the
 // real NatWest account removes the φ4 violation (ΔVio⁻), and inserting a
@@ -159,8 +117,8 @@ func TestInsertionCreatesViolation(t *testing.T) {
 		t.Fatalf("ΔVio⁺ = %v, want 1 new violation", res.Plus)
 	}
 	// the new violation must equal the brute-force diff
-	diff := refDiff(g, rules, d)
-	if !sameKeys(res.Plus, diff.Plus) || !sameKeys(res.Minus, diff.Minus) {
+	plus, minus := ref.Delta(g, rules, d)
+	if ref.Keys(res.Plus) != ref.Keys(plus) || ref.Keys(res.Minus) != ref.Keys(minus) {
 		t.Error("IncDect disagrees with batch diff")
 	}
 }
@@ -197,8 +155,8 @@ func TestNoDuplicateAcrossPivots(t *testing.T) {
 	if len(res.Plus) != 1 {
 		t.Fatalf("ΔVio⁺ = %d violations, want exactly 1 (no duplicates)", len(res.Plus))
 	}
-	diff := refDiff(g, rules, d)
-	if !sameKeys(res.Plus, diff.Plus) {
+	plus, _ := ref.Delta(g, rules, d)
+	if ref.Keys(res.Plus) != ref.Keys(plus) {
 		t.Error("IncDect disagrees with diff")
 	}
 }
@@ -222,14 +180,14 @@ func TestIncDectEquivalenceProperty(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("%s-%d", p.Name, trial), func(t *testing.T) {
 			incRes := IncDect(ds.G, rules, d, Options{})
-			diff := refDiff(ds.G, rules, d)
-			if !sameKeys(incRes.Plus, diff.Plus) {
-				t.Errorf("ΔVio⁺ mismatch: inc=%d diff=%d\ninc: %v\ndiff: %v",
-					len(incRes.Plus), len(diff.Plus), keysOf(incRes.Plus), keysOf(diff.Plus))
+			plus, minus := ref.Delta(ds.G, rules, d)
+			if ref.Keys(incRes.Plus) != ref.Keys(plus) {
+				t.Errorf("ΔVio⁺ mismatch: inc=%d diff=%d\ninc:\n%s\ndiff:\n%s",
+					len(incRes.Plus), len(plus), ref.Keys(incRes.Plus), ref.Keys(plus))
 			}
-			if !sameKeys(incRes.Minus, diff.Minus) {
+			if ref.Keys(incRes.Minus) != ref.Keys(minus) {
 				t.Errorf("ΔVio⁻ mismatch: inc=%d diff=%d",
-					len(incRes.Minus), len(diff.Minus))
+					len(incRes.Minus), len(minus))
 			}
 		})
 	}
@@ -243,8 +201,8 @@ func TestGammaInsensitivity(t *testing.T) {
 		rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 9, MaxDiameter: 4, Seed: 5})
 		d := gen.RandomDelta(ds, gen.DeltaConfig{Size: 60, Gamma: gamma, Seed: 11})
 		incRes := IncDect(ds.G, rules, d, Options{})
-		diff := refDiff(ds.G, rules, d)
-		if !sameKeys(incRes.Plus, diff.Plus) || !sameKeys(incRes.Minus, diff.Minus) {
+		plus, minus := ref.Delta(ds.G, rules, d)
+		if ref.Keys(incRes.Plus) != ref.Keys(plus) || ref.Keys(incRes.Minus) != ref.Keys(minus) {
 			t.Errorf("γ=%v: IncDect != diff", gamma)
 		}
 	}

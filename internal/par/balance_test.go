@@ -7,7 +7,7 @@ import (
 	"ngd/internal/gen"
 	"ngd/internal/graph"
 	"ngd/internal/inc"
-	"ngd/internal/partition"
+	"ngd/internal/ref"
 )
 
 // mkUnits builds n distinguishable units (pivotRank doubles as identity).
@@ -145,19 +145,19 @@ func checkBalanceRound(t *testing.T, sc balScenario) {
 }
 
 // TestWorkerFoldsFragments: p greater than the partition's fragment count
-// folds shard ownership (partition.Worker = Owner mod p), and p < 1 folds
+// folds shard ownership (partition.worker = owner mod p), and p < 1 folds
 // everything onto shard 0.
 func TestWorkerFoldsFragments(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 81)
-	pt := partition.Greedy(ds.G, 3) // 3 fragments, 8 shards
+	pt := greedy(ds.G, 3) // 3 fragments, 8 shards
 
 	for v := 0; v < ds.G.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		if w := pt.Worker(id, 8); w != pt.Owner(id)%8 || w < 0 || w >= 8 {
-			t.Fatalf("Worker(%d, 8) = %d, owner %d", v, w, pt.Owner(id))
+		if w := pt.worker(id, 8); w != pt.owner(id)%8 || w < 0 || w >= 8 {
+			t.Fatalf("worker(%d, 8) = %d, owner %d", v, w, pt.owner(id))
 		}
-		if pt.Worker(id, 0) != 0 {
-			t.Fatalf("Worker(%d, p<1) must fold to shard 0", v)
+		if pt.worker(id, 0) != 0 {
+			t.Fatalf("worker(%d, p<1) must fold to shard 0", v)
 		}
 	}
 }
@@ -173,14 +173,14 @@ func TestRealDriverDifferentialP3(t *testing.T) {
 
 	wantBatch := detect.Dect(ds.G, rules, detect.Options{}).Violations
 	gotBatch := PDect(ds.G, rules, opts)
-	if !equalKeys(gotBatch.Violations, wantBatch) {
+	if ref.Keys(gotBatch.Violations) != ref.Keys(wantBatch) {
 		t.Errorf("PDect p=3: got %d violations, want %d",
 			len(gotBatch.Violations), len(wantBatch))
 	}
 
 	wantInc := inc.IncDect(ds.G, rules, d, inc.Options{})
 	gotInc := PIncDect(ds.G, rules, d, opts)
-	if !equalKeys(gotInc.Delta.Plus, wantInc.Plus) || !equalKeys(gotInc.Delta.Minus, wantInc.Minus) {
+	if ref.Keys(gotInc.Delta.Plus) != ref.Keys(wantInc.Plus) || ref.Keys(gotInc.Delta.Minus) != ref.Keys(wantInc.Minus) {
 		t.Errorf("PIncDect p=3: ΔVio⁺ %d/%d ΔVio⁻ %d/%d",
 			len(gotInc.Delta.Plus), len(wantInc.Plus),
 			len(gotInc.Delta.Minus), len(wantInc.Minus))
@@ -197,7 +197,7 @@ func TestPIncDectManyWorkers(t *testing.T) {
 
 	want := inc.IncDect(ds.G, rules, d, inc.Options{})
 	got := PIncDect(ds.G, rules, d, Hybrid(130))
-	if !equalKeys(got.Delta.Plus, want.Plus) || !equalKeys(got.Delta.Minus, want.Minus) {
+	if ref.Keys(got.Delta.Plus) != ref.Keys(want.Plus) || ref.Keys(got.Delta.Minus) != ref.Keys(want.Minus) {
 		t.Errorf("PIncDect p=130 diverges from IncDect")
 	}
 }

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"ngd/internal/core"
@@ -15,46 +14,6 @@ import (
 	"ngd/internal/ref"
 )
 
-func vioKeys(vs []core.Violation) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.Key()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// refDelta is ΔVio by recomputation with the reference oracle:
-// Vio(G⊕ΔG) ∖ Vio(G) and Vio(G) ∖ Vio(G⊕ΔG).
-func refDelta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus []core.Violation) {
-	before := detect.VioKeySet(ref.Detect(g, rules))
-	after := detect.VioKeySet(ref.Detect(graph.NewOverlay(g, d.Normalize(g)), rules))
-	for k, v := range after {
-		if _, ok := before[k]; !ok {
-			plus = append(plus, v)
-		}
-	}
-	for k, v := range before {
-		if _, ok := after[k]; !ok {
-			minus = append(minus, v)
-		}
-	}
-	return plus, minus
-}
-
-func equalKeys(a, b []core.Violation) bool {
-	ka, kb := vioKeys(a), vioKeys(b)
-	if len(ka) != len(kb) {
-		return false
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPDectMatchesDect: the parallel batch algorithm computes exactly
 // Vio(Σ, G), under all variants.
 func TestPDectMatchesDect(t *testing.T) {
@@ -64,7 +23,7 @@ func TestPDectMatchesDect(t *testing.T) {
 
 	for _, opts := range []Options{Hybrid(4), VariantNS(4), VariantNB(4), VariantNO(4), Hybrid(1), Hybrid(9)} {
 		got := PDect(ds.G, rules, opts)
-		if !equalKeys(got.Violations, want) {
+		if ref.Keys(got.Violations) != ref.Keys(want) {
 			t.Errorf("PDect(split=%v,bal=%v,p=%d) = %d violations, want %d",
 				opts.SplitUnits, opts.Balance, opts.P, len(got.Violations), len(want))
 		}
@@ -133,7 +92,7 @@ func TestPIncDectMatchesIncDect(t *testing.T) {
 
 		want := inc.IncDect(g, rules, d, inc.Options{})
 		if trial == 3 {
-			if plus, minus := refDelta(g, rules, d); !equalKeys(want.Plus, plus) || !equalKeys(want.Minus, minus) ||
+			if plus, minus := ref.Delta(g, rules, d); ref.Keys(want.Plus) != ref.Keys(plus) || ref.Keys(want.Minus) != ref.Keys(minus) ||
 				len(plus) < 4 || len(minus) < 2 {
 				t.Fatalf("pinned workload: IncDect +%d/-%d, recomputation +%d/-%d (want ≥ +4/-2, equal)",
 					len(want.Plus), len(want.Minus), len(plus), len(minus))
@@ -142,11 +101,11 @@ func TestPIncDectMatchesIncDect(t *testing.T) {
 
 		for _, opts := range []Options{Hybrid(4), VariantNS(4), VariantNB(4), VariantNO(4), Hybrid(12)} {
 			got := PIncDect(g, rules, d, opts)
-			if !equalKeys(got.Delta.Plus, want.Plus) {
+			if ref.Keys(got.Delta.Plus) != ref.Keys(want.Plus) {
 				t.Errorf("trial %d PIncDect(split=%v,bal=%v,p=%d) ΔVio⁺: got %d want %d",
 					trial, opts.SplitUnits, opts.Balance, opts.P, len(got.Delta.Plus), len(want.Plus))
 			}
-			if !equalKeys(got.Delta.Minus, want.Minus) {
+			if ref.Keys(got.Delta.Minus) != ref.Keys(want.Minus) {
 				t.Errorf("trial %d PIncDect(split=%v,bal=%v,p=%d) ΔVio⁻: got %d want %d",
 					trial, opts.SplitUnits, opts.Balance, opts.P, len(got.Delta.Minus), len(want.Minus))
 			}
@@ -167,7 +126,7 @@ func TestVirtualDeterminism(t *testing.T) {
 		r1.Metrics.Moved != r2.Metrics.Moved {
 		t.Errorf("scheduler not deterministic: %+v vs %+v", r1.Metrics, r2.Metrics)
 	}
-	if !equalKeys(r1.Delta.Plus, r2.Delta.Plus) || !equalKeys(r1.Delta.Minus, r2.Delta.Minus) {
+	if ref.Keys(r1.Delta.Plus) != ref.Keys(r2.Delta.Plus) || ref.Keys(r1.Delta.Minus) != ref.Keys(r2.Delta.Minus) {
 		t.Error("violation sets differ across runs")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/match"
-	"ngd/internal/partition"
 	"ngd/internal/plan"
 )
 
@@ -151,17 +150,16 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// Pivots are discovered fragment-locally (each processor scans the unit
 	// updates landing in its fragment, Figure 3 lines 1–2), so a pivot's
 	// initial owner is the shard its source node's fragment folds onto
-	// (partition.Worker). This is what produces the regionally-skewed
-	// workloads the hybrid strategy then splits and rebalances; see
-	// partition.Greedy.
-	pt := partition.Greedy(g, opts.P)
+	// (partition.worker). This is what produces the regionally-skewed
+	// workloads the hybrid strategy then splits and rebalances; see greedy.
+	pt := greedy(g, opts.P)
 	initial := make([][]*unit, opts.P)
 	for _, u := range seeds {
 		op := ins
 		if !u.nd.f.plus {
 			op = del
 		}
-		w := pt.Worker(op[u.pivotRank].Src, opts.P)
+		w := pt.worker(op[u.pivotRank].Src, opts.P)
 		initial[w] = append(initial[w], u)
 	}
 

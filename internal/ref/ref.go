@@ -9,10 +9,48 @@
 package ref
 
 import (
+	"sort"
+	"strings"
+
 	"ngd/internal/core"
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 )
+
+// Keys renders a violation list in the form every differential compares:
+// its keys sorted, one a line, duplicates kept.
+func Keys(vs []core.Violation) string {
+	keys := make([]string, len(vs))
+	for i, v := range vs {
+		keys[i] = v.Key()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
+// Delta returns ΔVio(Σ, G, ΔG) by definition: the violations of G ⊕ ΔG
+// that G lacks (plus) and those of G that G ⊕ ΔG lacks (minus), each in
+// Detect's order. g is not modified.
+func Delta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus []core.Violation) {
+	before := Detect(g, rules)
+	after := Detect(graph.NewOverlay(g, d.Normalize(g)), rules)
+	return missing(after, before), missing(before, after)
+}
+
+// missing lists the violations of a whose keys b lacks.
+func missing(a, b []core.Violation) []core.Violation {
+	in := make(map[string]bool, len(b))
+	for _, v := range b {
+		in[v.Key()] = true
+	}
+	var out []core.Violation
+	for _, v := range a {
+		if !in[v.Key()] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
 
 // step binds one pattern node.
 type step struct {

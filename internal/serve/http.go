@@ -413,6 +413,7 @@ func (s *Server) servePoll(w http.ResponseWriter, r *http.Request, sub *FeedSub,
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
+	dec.UseNumber() // attribute integers stay exact past 2⁵³
 	var req updateRequest
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"runtime"
 	"sort"
@@ -575,16 +576,27 @@ func (s *Server) resolve(ref string) (graph.NodeID, bool) {
 	return graph.NodeID(n), true
 }
 
-// toValue converts a JSON-decoded attribute value.
+// toValue converts a JSON-decoded attribute value. POST /update decodes
+// numbers as json.Number: an integer in int64 range is taken exactly, any
+// other number as a float.
 func toValue(raw any) (graph.Value, bool) {
 	switch v := raw.(type) {
 	case string:
 		return graph.Str(v), true
 	case bool:
 		return graph.Bool(v), true
+	case json.Number:
+		if i, err := v.Int64(); err == nil {
+			return graph.Int(i), true
+		}
+		f, err := v.Float64()
+		if err != nil {
+			return graph.Value{}, false
+		}
+		return toValue(f)
 	case float64:
-		if v == float64(int64(v)) {
-			return graph.Int(int64(v)), true
+		if i, ok := graph.Float(v).AsInt(); ok {
+			return graph.Int(i), true
 		}
 		return graph.Float(v), true
 	case int:

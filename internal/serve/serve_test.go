@@ -624,3 +624,27 @@ func TestRulesAnalysisInjectedReport(t *testing.T) {
 		t.Fatalf("dropped = %v", got.Report.Dropped)
 	}
 }
+
+// TestUpdateKeepsLargeIntegersExact: POST /update takes an integer attribute
+// exactly anywhere in int64 range, not through float64, which rounds
+// 2⁶² − 1 up to 2⁶².
+func TestUpdateKeepsLargeIntegersExact(t *testing.T) {
+	sess, names := tinyWorld(t)
+	s := serve.New(sess, serve.Options{Names: names})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const big = 1<<62 - 1
+	body := json.RawMessage(fmt.Sprintf(`{"ops":[{"op":"setattr","id":"alice","attrs":{"age":%d}},`+
+		`{"op":"node","id":"carol","label":"person","attrs":{"age":%d}}]}`, big, big))
+	if code := postJSON(t, srv, "/update?sync=1", body, nil); code != 200 {
+		t.Fatalf("update: code %d", code)
+	}
+	// the sync ack returned after the commit: the writer is idle
+	for _, v := range []graph.NodeID{names["alice"], graph.NodeID(sess.Graph().NumNodes() - 1)} {
+		if got := sess.Graph().AttrByName(v, "age"); got != graph.Int(big) {
+			t.Errorf("node %d: age = %v, want %d", v, got, big)
+		}
+	}
+}

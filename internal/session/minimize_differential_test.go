@@ -6,7 +6,7 @@ package session_test
 //	Vio(minimize(Σ), G) ≡ Vio(Σ, G)
 //
 // where minimize drops exactly the unviolable rules (∅ ⊨ φ). The suite
-// sweeps the full fuzz workload table with two planted unviolable rules —
+// sweeps the workload table (gen.Workloads) with two planted unviolable rules —
 // one with an unsatisfiable precondition, one with an empty consequent —
 // and checks that sequential Dect and parallel PDect over minimize(Σ), and a
 // committing session handed the full Σ (which minimizes by default), all
@@ -51,42 +51,37 @@ func emptyConsRule() *core.NGD {
 }
 
 func TestDifferentialMinimization(t *testing.T) {
-	workloads := diffWorkloads()
-	if len(workloads) < 24 {
-		t.Fatalf("workload table shrank to %d entries", len(workloads))
-	}
-	for _, w := range workloads {
-		w := w
-		t.Run(w.name(), func(t *testing.T) {
+	for _, w := range gen.Workloads() {
+		t.Run(w.Name(), func(t *testing.T) {
 			t.Parallel()
 			runMinimizeDifferential(t, w)
 		})
 	}
 }
 
-func runMinimizeDifferential(t *testing.T, w diffWorkload) {
-	ds := w.generate()
-	full := w.sigma()
+func runMinimizeDifferential(t *testing.T, w gen.Workload) {
+	ds := w.Dataset()
+	full := w.Sigma()
 	full.Add(deadPreRule())
 	full.Add(emptyConsRule())
 
 	min, dropped := analyze.MinimizeUnviolable(full, reason.Options{})
 	if len(dropped) != 2 {
 		t.Fatalf("workload %s: expected both planted unviolable rules dropped, got %v",
-			w.name(), dropped)
+			w.Name(), dropped)
 	}
 	if min.Len() != full.Len()-2 {
 		t.Fatalf("workload %s: minimize removed a live rule: %d -> %d",
-			w.name(), full.Len(), min.Len())
+			w.Name(), full.Len(), min.Len())
 	}
 
 	// batch equivalence on the seed graph, sequential and parallel
-	want := canon(ref.Detect(ds.G, full))
-	if got := canon(detect.Dect(ds.G, min, detect.Options{}).Violations); got != want {
-		t.Fatalf("workload %s: Dect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
+	want := ref.Keys(ref.Detect(ds.G, full))
+	if got := ref.Keys(detect.Dect(ds.G, min, detect.Options{}).Violations); got != want {
+		t.Fatalf("workload %s: Dect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.Name(), got, want)
 	}
-	if got := canon(par.PDect(ds.G, min, par.Hybrid(6)).Violations); got != want {
-		t.Fatalf("workload %s: PDect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.name(), got, want)
+	if got := ref.Keys(par.PDect(ds.G, min, par.Hybrid(6)).Violations); got != want {
+		t.Fatalf("workload %s: PDect(minΣ) != Vio(Σ,G)\nmin:\n%s\nfull:\n%s", w.Name(), got, want)
 	}
 
 	// continuous detection: a session handed the FULL Σ (admission
@@ -94,21 +89,15 @@ func runMinimizeDifferential(t *testing.T, w diffWorkload) {
 	// the full Σ across every committed batch
 	sess := session.New(ds.G, full, session.Options{})
 	if got := len(sess.DroppedRules()); got != 2 {
-		t.Fatalf("workload %s: session dropped %d rules, want 2", w.name(), got)
+		t.Fatalf("workload %s: session dropped %d rules, want 2", w.Name(), got)
 	}
-	for b := 0; b < w.batches; b++ {
-		delta := gen.RandomDelta(ds, gen.DeltaConfig{
-			Size:    gen.DeltaSize(ds.G, w.batchFrac),
-			Gamma:   w.gamma,
-			Seed:    w.seed*1000 + int64(b),
-			Hotspot: w.hotspot,
-		})
-		sess.Commit(delta)
-		store := canon(sess.Violations())
-		truth := canon(ref.Detect(ds.G, full))
+	for b := 0; b < w.Batches; b++ {
+		sess.CommitBatch(w.Delta(ds, b), w.AttrOps(ds, b))
+		store := ref.Keys(sess.Violations())
+		truth := ref.Keys(ref.Detect(ds.G, full))
 		if store != truth {
 			t.Fatalf("workload %s batch %d: minimized session store != Vio(Σ,G)\nstore:\n%s\ntruth:\n%s",
-				w.name(), b, store, truth)
+				w.Name(), b, store, truth)
 		}
 	}
 }

@@ -22,17 +22,6 @@ func mkStreamWorkload(t *testing.T, p gen.Profile, entities, rules int, seed int
 	return ds, rs
 }
 
-// noSevenRule is an edge-less (single-node) rule: integer nodes must not
-// hold the value 7. It exercises the per-node absorption path that the
-// edge-driven pivot detectors cannot cover.
-func noSevenRule() *core.NGD {
-	q := pattern.New()
-	q.AddNode("x", "integer")
-	return core.MustNew("no-seven", q, nil, []core.Literal{
-		core.Lit(expr.V("x", "val"), expr.Ne, expr.C(7)),
-	})
-}
-
 func TestSessionSeedsFromBatchDetection(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 1)
 	rules := gen.EffectivenessRules(gen.YAGO2)
@@ -133,7 +122,7 @@ func TestSessionCoalescing(t *testing.T) {
 
 func TestSessionAbsorbsNewNodes(t *testing.T) {
 	ds, rules := mkStreamWorkload(t, gen.YAGO2, 120, 6, 4)
-	rules.Add(noSevenRule())
+	rules.Add(gen.NodeRule())
 	s := session.New(ds.G, rules, session.Options{})
 	before := s.Len()
 
@@ -285,7 +274,7 @@ func TestSessionEmptyCommit(t *testing.T) {
 // or nothing at all — read one clock and add up to its wall time exactly.
 func TestCommitLapsSumToWall(t *testing.T) {
 	ds, rules := mkStreamWorkload(t, gen.YAGO2, 120, 6, 5)
-	rules.Add(noSevenRule())
+	rules.Add(gen.NodeRule())
 	s := session.New(ds.G, rules, session.Options{})
 	hooked := 0
 	s.SetCommitHook(func(*graph.Graph, *graph.Delta, []graph.AttrOp, graph.NodeID, graph.NodeID) error {
@@ -393,11 +382,11 @@ func TestSessionPlanPolicyDifferential(t *testing.T) {
 		cfg := gen.DeltaConfig{Size: gen.DeltaSize(dsA.G, 0.05), Gamma: 1, Seed: 500 + int64(b)}
 		sWarm.Commit(gen.RandomDelta(dsA, cfg))
 		sCold.Commit(gen.RandomDelta(dsB, cfg))
-		want := canon(ref.Detect(dsA.G, sWarm.Rules()))
-		if got := canon(sWarm.Violations()); got != want {
+		want := ref.Keys(ref.Detect(dsA.G, sWarm.Rules()))
+		if got := ref.Keys(sWarm.Violations()); got != want {
 			t.Fatalf("batch %d: warm-cache store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b+1, got, want)
 		}
-		if got := canon(sCold.Violations()); got != want {
+		if got := ref.Keys(sCold.Violations()); got != want {
 			t.Fatalf("batch %d: always-replanning store != Vio(Σ,G)\nstore:\n%s\nreference:\n%s", b+1, got, want)
 		}
 	}

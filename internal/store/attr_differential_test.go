@@ -17,40 +17,31 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
-	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
+	"ngd/internal/ref"
 )
 
-type attrWorkload struct {
-	profile  gen.Profile
-	entities int
-	rules    int
-	seed     int64
-}
-
-// attrWorkloads is the 27-entry fuzz table: every profile at two sizes and
-// three seeds, plus three wide-rule-set variants.
-func attrWorkloads() []attrWorkload {
-	var ws []attrWorkload
+// attrTable is the suite's 27 rows: every profile at two sizes and three
+// seeds, plus three wide-rule-set variants. They are smaller than the
+// differential table's and named by size, so they stay a table of their own.
+func attrTable() []gen.Workload {
+	var ws []gen.Workload
 	for _, p := range []gen.Profile{gen.DBpedia, gen.YAGO2, gen.Pokec, gen.Synthetic} {
 		for _, n := range []int{80, 150} {
 			for _, seed := range []int64{1, 2, 3} {
-				ws = append(ws, attrWorkload{profile: p, entities: n, rules: 8, seed: seed})
+				ws = append(ws, gen.Workload{Profile: p, Entities: n, Rules: 8, Seed: seed})
 			}
 		}
 	}
-	ws = append(ws,
-		attrWorkload{profile: gen.YAGO2, entities: 120, rules: 16, seed: 4},
-		attrWorkload{profile: gen.DBpedia, entities: 120, rules: 16, seed: 5},
-		attrWorkload{profile: gen.Synthetic, entities: 120, rules: 16, seed: 6},
+	return append(ws,
+		gen.Workload{Profile: gen.YAGO2, Entities: 120, Rules: 16, Seed: 4},
+		gen.Workload{Profile: gen.DBpedia, Entities: 120, Rules: 16, Seed: 5},
+		gen.Workload{Profile: gen.Synthetic, Entities: 120, Rules: 16, Seed: 6},
 	)
-	return ws
 }
 
 // mapRefView is the map-backed reference: it delegates structure to the
@@ -95,15 +86,6 @@ func (r *mapRefView) NodesWithLabel(l graph.LabelID) []graph.NodeID { return r.g
 func (r *mapRefView) CountLabel(l graph.LabelID) int                { return r.g.CountLabel(l) }
 
 var _ graph.View = (*mapRefView)(nil)
-
-func canonVioSet(vs []core.Violation) string {
-	keys := make([]string, 0, len(vs))
-	for k := range detect.VioKeySet(vs) {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
 
 // shuffledRebuild reconstructs g node-by-node on a cloned symbol table,
 // inserting each node's attributes and the edge list in random order.
@@ -153,28 +135,22 @@ func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
 }
 
 func TestAttrStorageDifferential(t *testing.T) {
-	workloads := attrWorkloads()
-	if len(workloads) != 27 {
-		t.Fatalf("fuzz table has %d workloads, want 27", len(workloads))
-	}
-	for i, w := range workloads {
-		w, i := w, i
-		t.Run(fmt.Sprintf("%s/n%d/seed%d", w.profile.Name, w.entities, w.seed), func(t *testing.T) {
+	for i, w := range attrTable() {
+		t.Run(fmt.Sprintf("%s/n%d/seed%d", w.Profile.Name, w.Entities, w.Seed), func(t *testing.T) {
 			t.Parallel()
-			ds := gen.Generate(w.profile, w.entities, w.seed)
-			rules := gen.Rules(w.profile, gen.RuleConfig{Count: w.rules, MaxDiameter: 4, Seed: w.seed})
+			ds := w.Dataset()
+			rules := w.Sigma()
 
 			// 1. columnar vs map-backed reference: identical violation sets
-			ref := newMapRef(ds.G)
-			want := canonVioSet(detect.Dect(ds.G, rules, detect.Options{}).Violations)
-			got := canonVioSet(detect.Dect(ref, rules, detect.Options{}).Violations)
+			want := ref.Keys(detect.Dect(ds.G, rules, detect.Options{}).Violations)
+			got := ref.Keys(detect.Dect(newMapRef(ds.G), rules, detect.Options{}).Violations)
 			if got != want {
 				t.Fatalf("Dect(columnar) != Dect(map reference)\ncolumnar:\n%s\nreference:\n%s", want, got)
 			}
 
 			// 2. snapshot bytes are insertion-order canonical
 			orig := snapshotBytes(t, ds.G)
-			rebuilt := shuffledRebuild(ds.G, rand.New(rand.NewSource(w.seed*31+int64(i))))
+			rebuilt := shuffledRebuild(ds.G, rand.New(rand.NewSource(w.Seed*31+int64(i))))
 			if !bytes.Equal(orig, snapshotBytes(t, rebuilt)) {
 				t.Fatal("snapshot bytes depend on attribute/edge insertion order")
 			}
