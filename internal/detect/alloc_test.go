@@ -56,7 +56,7 @@ func TestEvalLevelKernelPathAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		ySat = 0
 		for lv := 0; lv <= len(pl.Steps); lv++ {
-			_, ySat = le.EvalLevel(lv, partial, ySat)
+			_, _, ySat = le.EvalLevel(lv, partial, ySat)
 		}
 	})
 	if ySat != 2 {

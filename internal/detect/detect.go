@@ -130,8 +130,11 @@ func NewSearcher(g graph.View, c *plan.Compiled, pl *match.Plan) *Searcher {
 	s.ySat = make([]int, len(pl.Steps)+1)
 	s.m = match.NewMatcher(g, pl, match.Hooks{
 		OnExtend: func(k int, p []graph.NodeID) bool {
-			prune, ySat := s.le.EvalLevel(k+1, p, s.ySat[k])
+			prune, cut, ySat := s.le.EvalLevel(k+1, p, s.ySat[k])
 			if prune {
+				if cut {
+					s.m.Stat.Cuts++
+				}
 				return false
 			}
 			s.ySat[k+1] = ySat
@@ -155,8 +158,12 @@ func (s *Searcher) Run(partial []graph.NodeID, emit func(core.Match) bool) match
 		return match.Counters{}
 	}
 
-	prune, ySat0 := s.le.EvalLevel(0, partial, 0)
+	s.le.resolveCut()
+	prune, cut, ySat0 := s.le.EvalLevel(0, partial, 0)
 	if prune {
+		if cut {
+			return match.Counters{Cuts: 1}
+		}
 		return match.Counters{}
 	}
 	s.ySat[0] = ySat0
@@ -171,6 +178,7 @@ func (s *Searcher) Run(partial []graph.NodeID, emit func(core.Match) bool) match
 	st.Candidates -= before.Candidates
 	st.Checks -= before.Checks
 	st.Matches -= before.Matches
+	st.Cuts -= before.Cuts
 	return st
 }
 

@@ -12,12 +12,22 @@ import (
 // §6.2 step (3), shared by the sequential Searcher and the parallel workers
 // (which carry explicit work units instead of a recursion stack).
 //
-// A LitEval is immutable after construction and safe for concurrent use;
+// Beyond X and Y it applies the rule's ¬Y cut (plan.Cut) at the one level
+// where the cut's bound side is bound and its free side is not yet: a
+// branch there cannot violate when every value the free side can take
+// satisfies Y, so it is pruned before the scans below it run.
+//
+// A LitEval is immutable between searches and safe for concurrent use;
 // per-call state lives in the caller's partial solution and ySat counter.
+// The cut's index is looked up when it is built and again by every
+// Searcher.Run (see resolveCut).
 type LitEval struct {
 	C     *plan.Compiled
 	G     graph.View
 	sched litSchedule
+	cut   *plan.Cut           // the cut this plan can take (nil: none)
+	cutAt int                 // the level it is taken at
+	cutIx *graph.EdgeValIndex // the cut's index over G, nil while the cut cannot fire
 }
 
 // NewLitEval builds the evaluation schedule of rule c along plan.
@@ -46,7 +56,45 @@ func NewLitEval(g graph.View, c *plan.Compiled, pl *match.Plan) *LitEval {
 			}
 		}
 	}
-	return &LitEval{C: c, G: g, sched: buildSchedule(c.Rule, pl, skipX)}
+	le := &LitEval{C: c, G: g, sched: buildSchedule(c.Rule, pl, skipX)}
+	le.placeCut(pl)
+	le.resolveCut()
+	return le
+}
+
+// resolveCut looks the cut's index up over le.G (plan.Cut.Live). Call it
+// before a search whenever the view or the graph may have changed since the
+// last one; not safe against a concurrent search.
+func (le *LitEval) resolveCut() {
+	le.cutIx = nil
+	if le.cut != nil {
+		le.cutIx = le.cut.Live(le.G)
+	}
+}
+
+// placeCut picks, among the rule's cuts, the one whose bound side the plan
+// binds earliest while the free side is still unbound.
+func (le *LitEval) placeCut(pl *match.Plan) {
+	level := func(slot int) int {
+		for _, b := range pl.Bound {
+			if b == slot {
+				return 0
+			}
+		}
+		for k := range pl.Steps {
+			if pl.Steps[k].Node == slot {
+				return k + 1
+			}
+		}
+		return len(pl.Steps) + 1
+	}
+	for i := range le.C.Cuts {
+		cut := &le.C.Cuts[i]
+		at := level(cut.Band.Bound)
+		if at < level(cut.Band.Free) && (le.cut == nil || at < le.cutAt) {
+			le.cut, le.cutAt = cut, at
+		}
+	}
 }
 
 // NumY reports |Y|; a match violates iff ySat < NumY at completion.
@@ -54,14 +102,15 @@ func (le *LitEval) NumY() int { return len(le.C.Y) }
 
 // EvalLevel evaluates the literals scheduled at level lv against partial.
 // It returns prune=true when the branch cannot yield a violation (an
-// X-literal failed, or all |Y| literals are now known satisfied), and the
-// updated ySat count otherwise. le.G is read per call: Searcher.Rebind swaps
-// the view under a cached searcher between runs.
-func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune bool, newYSat int) {
+// X-literal failed, all |Y| literals are now known satisfied, or the ¬Y cut
+// applies — then cut=true too), and the updated ySat count otherwise. le.G
+// is read per call: Searcher.Rebind swaps the view under a cached searcher
+// between runs.
+func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune, cut bool, newYSat int) {
 	c := le.C
 	for _, i := range le.sched.xAt[lv] {
 		if !c.Satisfied(le.G, &c.X[i], c.Rule.X[i], partial) {
-			return true, ySat
+			return true, false, ySat
 		}
 	}
 	for _, i := range le.sched.yAt[lv] {
@@ -69,5 +118,8 @@ func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune bo
 			ySat++
 		}
 	}
-	return ySat == len(c.Y), ySat
+	if lv == le.cutAt && le.cutIx != nil && le.cut.Holds(le.G, le.cutIx, partial) {
+		return true, true, ySat
+	}
+	return ySat == len(c.Y), false, ySat
 }

@@ -67,8 +67,11 @@ func RunShared(v graph.View, sh *plan.Share, emit func(*core.NGD, core.Match) bo
 		s.partials[i] = match.NewPartial(len(sr.Rule.Pattern.Nodes))
 		s.ySat[i] = make([]int, len(sr.Plan.Steps)+1)
 		s.prunedAt[i] = math.MaxInt
-		if prune, y0 := s.les[i].EvalLevel(0, s.partials[i], 0); prune {
+		if prune, cut, y0 := s.les[i].EvalLevel(0, s.partials[i], 0); prune {
 			s.prunedAt[i] = 0
+			if cut {
+				s.stat.Cuts++
+			}
 		} else {
 			s.ySat[i][0] = y0
 		}
@@ -137,9 +140,12 @@ func (s *sharedSearcher) descend(ch *plan.ShareNode, d int) {
 		for _, ri := range ch.Rules {
 			s.partials[ri][s.sh.Rules[ri].Plan.Steps[d].Node] = cand
 			if s.prunedAt[ri] > d {
-				prune, ySat := s.les[ri].EvalLevel(d+1, s.partials[ri], s.ySat[ri][d])
+				prune, cut, ySat := s.les[ri].EvalLevel(d+1, s.partials[ri], s.ySat[ri][d])
 				if prune {
 					s.prunedAt[ri] = d + 1
+					if cut {
+						s.stat.Cuts++
+					}
 				} else {
 					s.ySat[ri][d+1] = ySat
 					live = true

@@ -31,6 +31,7 @@ type Workload struct {
 	ParTag    bool    // name carries "par"; see Workloads
 	NodeRule  bool    // Σ gains NodeRule (the per-node absorption path)
 	LitPaths  bool    // Σ gains LitPathRules, the graph is decorated, batches carry attribute ops
+	Band      bool    // Σ gains BandRule, its targets are decorated, batches move them (BandOps)
 }
 
 // Workloads is the differential table: every profile, prunable and
@@ -76,6 +77,9 @@ func Workloads() []Workload {
 		// every way a literal is decided in one Σ (LitPathRules)
 		Workload{Profile: YAGO2, Entities: 180, Rules: 10,
 			Seed: 10, Batches: 3, BatchFrac: 0.06, LitPaths: true},
+		// the ¬Y cut's soundness trap (BandRule)
+		Workload{Profile: YAGO2, Entities: 180, Rules: 10,
+			Seed: 11, Batches: 4, BatchFrac: 0.06, Band: true},
 	)
 	return ws
 }
@@ -83,6 +87,9 @@ func Workloads() []Workload {
 // Name is the row's subtest name: profile/seed, then its tags.
 func (w Workload) Name() string {
 	var tags []string
+	if w.Band {
+		tags = append(tags, "band")
+	}
 	if w.LitPaths {
 		tags = append(tags, "litpaths")
 	}
@@ -117,6 +124,9 @@ func (w Workload) Sigma() *core.Set {
 	if w.LitPaths {
 		rules.Add(LitPathRules(w.Profile)...)
 	}
+	if w.Band {
+		rules.Add(BandRule(w.Profile))
+	}
 	if w.NoPrune {
 		rules = Unprunable(rules)
 	}
@@ -128,6 +138,9 @@ func (w Workload) Dataset() *Dataset {
 	ds := Generate(w.Profile, w.Entities, w.Seed)
 	if w.LitPaths {
 		decorate(ds)
+	}
+	if w.Band {
+		decorateBand(ds)
 	}
 	return ds
 }
@@ -143,10 +156,13 @@ func (w Workload) Delta(ds *Dataset, b int) *graph.Delta {
 	})
 }
 
-// AttrOps is batch b's attribute ops: none but on a LitPaths row, and there
-// none with the first batch, then a third of the entities get (or change) a
-// risk.
+// AttrOps is batch b's attribute ops: BandOps on a Band row; none but on a
+// LitPaths row, and there none with the first batch, then a third of the
+// entities get (or change) a risk.
 func (w Workload) AttrOps(ds *Dataset, b int) []graph.AttrOp {
+	if w.Band {
+		return bandOps(ds, b)
+	}
 	if !w.LitPaths || b == 0 {
 		return nil
 	}
@@ -243,4 +259,76 @@ func decorate(ds *Dataset) {
 			ds.G.SetAttr(ds.PropNode[i][3], "val", graph.Int(math.MaxInt64))
 		}
 	}
+}
+
+// BandRule is the follower shape with a tolerance that spans every value
+// the generator draws: two followers of one hub whose p4 values differ by
+// at most 4·ValueRange. Only a p4 target without an integer value (absent,
+// a string, a non-integral float) or a far outlier violates it, so the ¬Y
+// cut (plan.Cut) prunes nearly every branch — and must prune none while such
+// a target exists.
+func BandRule(p Profile) *core.NGD {
+	r := FollowerRule(p, 0)
+	return core.MustNew("band-follower", r.Pattern, nil, []core.Literal{
+		core.MustLiteral(fmt.Sprintf("abs(a.val - b.val) <= %d", 4*p.ValueRange)),
+	})
+}
+
+// bandTargets returns the p4 targets of the first four entities other than
+// hub 0, which decorateBand makes follow it: each decorated target then sits
+// in BandRule's matches, at the same node ids whatever the stream does.
+func bandTargets(ds *Dataset) []graph.NodeID {
+	var ts []graph.NodeID
+	for i := 0; len(ts) < 4; i++ {
+		if ds.Entities[i] != ds.Hubs[0] {
+			ts = append(ts, ds.PropNode[i][4])
+		}
+	}
+	return ts
+}
+
+// decorateBand leaves BandRule's targets the four ways the cut must not
+// ignore: one entity gains a second p4 target without a value, one target
+// holds a string, one a non-integral float, one a far outlier.
+func decorateBand(ds *Dataset) {
+	g := ds.G
+	for i := 0; i < 5; i++ {
+		if e := ds.Entities[i]; e != ds.Hubs[0] {
+			g.AddEdge(e, ds.Hubs[0], "follows")
+		}
+	}
+	ts := bandTargets(ds)
+	g.AddEdge(g.In(ts[0])[0].To, g.AddNode("integer"), "p4")
+	g.SetAttr(ts[1], "val", graph.Str("n/a"))
+	g.SetAttr(ts[2], "val", graph.Float(2.5))
+	g.SetAttr(ts[3], "val", graph.Int(1<<40))
+}
+
+// bandOps moves BandRule's targets in and out of its band, batch by batch:
+// the outlier comes in while three targets stay uncovered; an edge-only
+// batch; every target covered and inside the band, so the cut takes every
+// branch; then a string and a far outlier again.
+func bandOps(ds *Dataset, b int) []graph.AttrOp {
+	g := ds.G
+	ts := bandTargets(ds)
+	val := g.Symbols().Attr("val")
+	in := graph.Int(ds.Profile.ValueRange / 2)
+	switch b {
+	case 0:
+		return []graph.AttrOp{{Node: ts[3], Attr: val, Val: in}}
+	case 2:
+		ops := []graph.AttrOp{{Node: ts[1], Attr: val, Val: in}, {Node: ts[2], Attr: val, Val: graph.Float(3)}}
+		// the valueless target: the one integer node the stream never gives
+		// a value
+		for _, v := range g.NodesWithLabel(g.Symbols().Label("integer")) {
+			if !g.Attr(v, val).Valid() {
+				ops = append(ops, graph.AttrOp{Node: v, Attr: val, Val: in})
+			}
+		}
+		return ops
+	case 3:
+		return []graph.AttrOp{{Node: ts[1], Attr: val, Val: graph.Str("n/a")},
+			{Node: ts[0], Attr: val, Val: graph.Int(-1 << 40)}}
+	}
+	return nil
 }

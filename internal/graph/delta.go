@@ -155,7 +155,8 @@ type ApplyStats struct {
 //
 // Attribute indexes need no maintenance here: ΔG carries edge ops only,
 // and node/attribute arrivals are indexed at SetAttrA time, so every index
-// built by EnsureAttrIndex stays identical to a fresh rebuild.
+// built by EnsureAttrIndex stays identical to a fresh rebuild. Edge-value
+// indexes follow the edge ops through AddEdgeL and DeleteEdgeL.
 func (g *Graph) Apply(d *Delta) ApplyStats {
 	var st ApplyStats
 	touched := make(map[NodeID]struct{}, len(d.Ops)*2)

@@ -178,6 +178,9 @@ type Graph struct {
 	// attrIdx holds the attribute value indexes built by EnsureAttrIndex
 	// (candidate pruning, §6.2 step (3)); SetAttrA keeps them in sync.
 	attrIdx map[attrIndexKey]*AttrIndex
+	// edgeIdx holds the edge-value indexes built by EnsureEdgeValIndex (the
+	// ¬Y cut); AddEdgeL, DeleteEdgeL and SetAttrA keep them exact.
+	edgeIdx []*EdgeValIndex
 	// stats holds the maintained planning statistics (see stats.go); nil
 	// until the first LiveStats call, then kept current by every mutator.
 	stats *LiveStats
@@ -229,18 +232,23 @@ func (g *Graph) SetAttr(v NodeID, name string, val Value) {
 }
 
 // SetAttrA sets an attribute by interned id, updating any attribute index
-// covering (label(v), a).
+// covering (label(v), a) and any edge-value index keyed on a.
 func (g *Graph) SetAttrA(v NodeID, a AttrID, val Value) {
 	nd := &g.nodes[v]
 	i, found := findAttr(nd.attrs, a)
+	var old Value
+	if found {
+		old = nd.attrs[i].val
+	}
 	if ix := g.attrIdx[attrIndexKey{nd.label, a}]; ix != nil {
-		if found && nd.attrs[i].val.Valid() {
-			ix.remove(v, nd.attrs[i].val)
+		if old.Valid() {
+			ix.remove(v, old)
 		}
 		if val.Valid() {
 			ix.add(v, val)
 		}
 	}
+	g.reindexEdges(v, a, old, val)
 	if found {
 		nd.attrs[i].val = val
 	} else {
@@ -324,6 +332,7 @@ func (g *Graph) AddEdgeL(u, v NodeID, label LabelID) bool {
 	g.in[v], _ = insertHalf(g.in[v], Half{Label: label, To: u})
 	g.edgeCount++
 	g.noteEdge(u, v, label, 1)
+	g.noteEdgeIdx(u, v, label, 1)
 	return true
 }
 
@@ -337,6 +346,7 @@ func (g *Graph) DeleteEdgeL(u, v NodeID, label LabelID) bool {
 	g.in[v], _ = removeHalf(g.in[v], Half{Label: label, To: u})
 	g.edgeCount--
 	g.noteEdge(u, v, label, -1)
+	g.noteEdgeIdx(u, v, label, -1)
 	return true
 }
 
@@ -447,9 +457,10 @@ func (s *slab[T]) copyOf(l []T) []T {
 
 // Clone returns a deep copy sharing the symbol table, in the layout
 // Builder.Build produces: attribute tuples, out-lists, in-lists and
-// by-label postings each copied into one backing array. Attribute indexes
-// and maintained statistics are not copied; the clone rebuilds them on the
-// next EnsureAttrIndex / LiveStats call.
+// by-label postings each copied into one backing array. Attribute indexes,
+// edge-value indexes and maintained statistics are not copied; the clone
+// rebuilds them on the next EnsureAttrIndex / EnsureEdgeValIndex /
+// LiveStats call.
 func (g *Graph) Clone() *Graph {
 	n := len(g.nodes)
 	c := &Graph{

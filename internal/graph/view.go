@@ -35,6 +35,7 @@ type Overlay struct {
 	edgeDelta int
 	attrs     map[NodeID]map[AttrID]Value // overridden attribute values
 	dirtyIdx  map[attrIndexKey]bool       // (label,attr) pairs masked from index seeding
+	insLabels []LabelID                   // labels of the edges ΔG⁺ inserts (masks edge-value indexes)
 }
 
 // NewOverlay builds the view of base ⊕ delta. Operations that have no
@@ -70,6 +71,7 @@ func NewOverlay(base *Graph, delta *Delta) *Overlay {
 			o.out[op.Src] = l
 			o.in[op.Dst], _ = insertHalf(inOf(op.Dst), Half{Label: op.Label, To: op.Src})
 			o.edgeDelta++
+			o.noteInsLabel(op.Label)
 		} else {
 			l, removed := removeHalf(outOf(op.Src), Half{Label: op.Label, To: op.Dst})
 			if !removed {
@@ -81,6 +83,15 @@ func NewOverlay(base *Graph, delta *Delta) *Overlay {
 		}
 	}
 	return o
+}
+
+func (o *Overlay) noteInsLabel(l LabelID) {
+	for _, il := range o.insLabels {
+		if il == l {
+			return
+		}
+	}
+	o.insLabels = append(o.insLabels, l)
 }
 
 // Symbols returns the base graph's symbol table.

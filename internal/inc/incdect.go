@@ -236,9 +236,7 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 			pv = pivot{rank: rank, slot: slot}
 			stat := s.Run(partial, emit)
 			partial[pe.Src], partial[pe.Dst] = match.Unbound, match.Unbound
-			res.Counters.Candidates += stat.Candidates
-			res.Counters.Checks += stat.Checks
-			res.Counters.Matches += stat.Matches
+			res.Counters.Add(stat)
 		}
 	}
 }

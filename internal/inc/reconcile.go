@@ -59,9 +59,9 @@ func Minus(st Store, prog *plan.Program, del []graph.EdgeOp, emit func(key strin
 // may be an overlay of the graph the program plans for (the repair preview):
 // a plan is valid over any view of the same graph, because seed runs resolve
 // at match time against the matcher's view and an overlay masks the index of
-// every attribute it overrides.
+// every attribute it overrides. Attr returns the searches' work counters.
 func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts Options,
-	gone func(key string, v core.Violation), found func(*core.NGD, core.Match)) {
+	gone func(key string, v core.Violation), found func(*core.NGD, core.Match)) (work match.Counters) {
 	for _, n := range touched {
 		keys, vios := st.NodeKeyed(n)
 		for i, w := range vios {
@@ -76,9 +76,10 @@ func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts 
 			return true
 		}
 		for slot := range r.Pattern.Nodes {
-			Seeded(v, r, slot, touched, opts, emit)
+			work.Add(Seeded(v, r, slot, touched, opts, emit))
 		}
 	}
+	return work
 }
 
 // Seeded searches the violations of r over v that bind a node of seeds at
@@ -86,9 +87,10 @@ func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts 
 // admits and whose self-loops at the slot v holds (match.VerifyBound). The
 // plan is asked of opts.Program, which must be set, once, at the first seed
 // searched. emit sees each violating match, valid only during the call.
-func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(core.Match) bool) {
+// Seeded returns the searches' work counters.
+func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(core.Match) bool) (work match.Counters) {
 	if len(r.Y) == 0 {
-		return // X → ∅ can never be violated
+		return work // X → ∅ can never be violated
 	}
 	c := opts.Program.CompiledFor(r)
 	var partial []graph.NodeID
@@ -106,8 +108,9 @@ func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Opti
 				_, pl := opts.Program.PlanFor(v, r, []int{slot})
 				s = opts.searcher(v, c, pl, detect.SlotKey(r, slot))
 			}
-			s.Run(partial, emit)
+			work.Add(s.Run(partial, emit))
 		}
 		partial[slot] = match.Unbound
 	}
+	return work
 }

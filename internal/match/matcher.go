@@ -18,6 +18,15 @@ type Counters struct {
 	Candidates int // adjacency entries / label-index entries scanned
 	Checks     int // edge verifications performed
 	Matches    int // complete matches emitted
+	Cuts       int // branches the ¬Y cut pruned (detect.LitEval)
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.Candidates += o.Candidates
+	c.Checks += o.Checks
+	c.Matches += o.Matches
+	c.Cuts += o.Cuts
 }
 
 // Matcher enumerates homomorphisms of a compiled pattern in a graph view

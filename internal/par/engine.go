@@ -567,7 +567,7 @@ func (e *engine) expand(w int, u *unit) expandResult {
 				continue
 			}
 			rs[i].pp[f.share.Rules[ri].Plan.Steps[d].Node] = cand
-			prune, ySat := f.les[ri].EvalLevel(d+1, rs[i].pp, u.ySatR[i])
+			prune, _, ySat := f.les[ri].EvalLevel(d+1, rs[i].pp, u.ySatR[i])
 			if prune {
 				continue
 			}

@@ -83,6 +83,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// its first pivot arrives, and the update pivots themselves (paper line
 	// 5) in rank → rule → slot order.
 	var seeds []*unit
+	var slab seedSlab
 	addPivots := func(ops []graph.EdgeOp, plus bool, view graph.View) {
 		idx := inc.NewEdgeIndex(ops)
 		forestOf := make(map[[2]int]*forest) // (rule, slot) on this side
@@ -120,7 +121,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 					if !match.VerifyBound(view, c.CP, partial) {
 						continue
 					}
-					prune, ySat := f.les[0].EvalLevel(0, partial, 0)
+					prune, _, ySat := f.les[0].EvalLevel(0, partial, 0)
 					if prune {
 						continue
 					}
@@ -128,18 +129,17 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 					// set: slots of opposite orientation share one plan, so
 					// the path follows its Bound, not (op.Src, op.Dst).
 					pl := f.share.Rules[0].Plan
-					path := make([]graph.NodeID, len(pl.Bound), len(pl.Bound)+len(pl.Steps))
+					u := slab.unit(len(pl.Bound), len(pl.Bound)+len(pl.Steps))
 					for j, b := range pl.Bound {
-						path[j] = partial[b]
+						u.path[j] = partial[b]
 					}
 					nd := &f.nodes[0] // no step left: the unit sits on the Root
 					if len(pl.Steps) > 0 {
 						nd = &nd.kids[0]
 					}
-					seeds = append(seeds, &unit{
-						nd: nd, path: path, ySatR: []int{ySat},
-						pivotRank: rank, pivotSlot: slot, lo: 0, hi: -1,
-					})
+					u.nd, u.ySatR[0] = nd, ySat
+					u.pivotRank, u.pivotSlot, u.lo, u.hi = rank, slot, 0, -1
+					seeds = append(seeds, u)
 				}
 			}
 		}
@@ -180,4 +180,38 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 		}
 	}
 	return res
+}
+
+// seedSlab hands out the pivot units PIncDect seeds, with their path and
+// literal-state buffers, from chunks: most pivots are pruned within a level
+// or two (the ¬Y cut takes whole classes at their first step), so a seed's
+// own three allocations would outweigh its work. The buffers are clipped to
+// their capacity, so recycling them into the workers' freelists is safe.
+type seedSlab struct {
+	units []unit
+	paths []graph.NodeID
+	ysats []int
+}
+
+const seedChunk = 256
+
+func (s *seedSlab) unit(n, capacity int) *unit {
+	if len(s.units) == cap(s.units) {
+		s.units = make([]unit, 0, seedChunk)
+	}
+	if cap(s.paths)-len(s.paths) < capacity {
+		s.paths = make([]graph.NodeID, 0, seedChunk*capacity)
+	}
+	if len(s.ysats) == cap(s.ysats) {
+		s.ysats = make([]int, 0, seedChunk)
+	}
+	s.units = s.units[:len(s.units)+1]
+	u := &s.units[len(s.units)-1]
+	lo := len(s.paths)
+	s.paths = s.paths[:lo+capacity]
+	u.path = s.paths[lo : lo+n : lo+capacity]
+	i := len(s.ysats)
+	s.ysats = s.ysats[:i+1]
+	u.ySatR = s.ysats[i : i+1 : i+1]
+	return u
 }

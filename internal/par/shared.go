@@ -17,7 +17,7 @@ func (e *engine) seedBatch(f *forest) []*unit {
 	y0 := make([]int, len(sh.Rules))
 	alive := make([]bool, len(sh.Rules))
 	for ri := range sh.Rules {
-		prune, y := f.les[ri].EvalLevel(0, e.local(0, f, ri).partial, 0)
+		prune, _, y := f.les[ri].EvalLevel(0, e.local(0, f, ri).partial, 0)
 		alive[ri] = !prune
 		y0[ri] = y
 	}

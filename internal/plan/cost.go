@@ -32,9 +32,13 @@ import (
 // of high-fan-out extensions.
 const cardCap = 1e18
 
+// cutSlots is the (bound side, free side) slot pair of one ¬Y cut.
+type cutSlots struct{ bound, free int }
+
 // costPlan computes a matching order for (the unbound part of) cp over v.
-// f carries the candidate filters to attach (nil: the rule has none).
-func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) *match.Plan {
+// f carries the candidate filters to attach (nil: the rule has none), cuts
+// the ¬Y cuts of the rules the plan serves.
+func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters, cuts []cutSlots) *match.Plan {
 	if f != nil && f.Empty() {
 		f = nil
 	}
@@ -80,6 +84,7 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) 
 			anchorFrom int
 			anchorOut  bool
 			boundEdges int     // anchored edges into the bound set
+			fan        float64 // expected fan-out of the anchor edge
 			cost       float64 // expected scan work of this step
 			out        float64 // estimated partial-match count after the step
 		}
@@ -112,6 +117,7 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) 
 			}
 			if ch.anchorEdge >= 0 {
 				anyAnchored = true
+				ch.fan = minFan
 				ch.cost = card * minFan
 				ch.out = ch.cost
 				// every extra anchored edge is a verified constraint that
@@ -127,14 +133,26 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) 
 			choices = append(choices, ch)
 		}
 		var best *choice
+		// a cut's bound side reached with fan-out ≤ 1 goes first, while its
+		// free side is unbound: the cut then runs before the scans it removes
 		for j := range choices {
 			ch := &choices[j]
-			if anyAnchored && ch.anchorEdge < 0 {
-				continue // never seed while an extension is available
-			}
-			if best == nil || ch.cost < best.cost ||
-				(ch.cost == best.cost && ch.boundEdges > best.boundEdges) {
+			if ch.anchorEdge >= 0 && ch.fan <= 1 && opensCut(ch.node, isBound, cuts) &&
+				(best == nil || ch.cost < best.cost) {
 				best = ch
+			}
+		}
+		if best == nil {
+			// otherwise the cheapest step, anchored before seeded
+			for j := range choices {
+				ch := &choices[j]
+				if anyAnchored && ch.anchorEdge < 0 {
+					continue // never seed while an extension is available
+				}
+				if best == nil || ch.cost < best.cost ||
+					(ch.cost == best.cost && ch.boundEdges > best.boundEdges) {
+					best = ch
+				}
 			}
 		}
 
@@ -163,6 +181,17 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) 
 		card = math.Min(math.Max(best.out, 1), cardCap)
 	}
 	return pl
+}
+
+// opensCut reports whether binding node next enables a cut: next is a cut's
+// bound side and its free side is still unbound.
+func opensCut(next int, isBound []bool, cuts []cutSlots) bool {
+	for _, c := range cuts {
+		if c.bound == next && !isBound[c.free] {
+			return true
+		}
+	}
+	return false
 }
 
 // fanEstimate is the expected run length of the (label(from), edgeLabel)

@@ -53,15 +53,90 @@ type FilterLit struct {
 
 // Compiled bundles a rule with its pattern compiled against a graph's
 // symbols, the candidate filters derived from its precondition literals
-// (nil when no X-literal has the single-node constant shape), and the
-// integer kernels of its literals: X[i] decides Rule.X[i] and Y[i] decides
-// Rule.Y[i] wherever expr.Kernel can (see Satisfied).
+// (nil when no X-literal has the single-node constant shape), the integer
+// kernels of its literals — X[i] decides Rule.X[i] and Y[i] decides
+// Rule.Y[i] wherever expr.Kernel can (see Satisfied) — and the ¬Y cuts of a
+// one-literal Y (at most one per orientation).
 type Compiled struct {
 	Rule       *core.NGD
 	CP         *pattern.Compiled
 	Filters    match.Filters
 	FilterLits []FilterLit
 	X, Y       []expr.Kernel
+	Cuts       []Cut
+}
+
+// Cut is the ¬Y cut of a rule whose Y is one literal with a band (see
+// expr.Band): a match violates only if its free side's value lies outside
+// the band its bound side's value fixes. The free side is bound through
+// pattern edges of label Label, so every value it can take is the Attr-value
+// of an endpoint of such an edge — its target, or its source when BySrc
+// (the free side is the edge's source). Once the bound side is bound, a
+// branch is cut when the graph's edge-value index for (Label, Band.FreeAttr,
+// BySrc) has no uncovered edge and its span lies inside the band.
+type Cut struct {
+	Band  expr.Band
+	Label graph.LabelID
+	BySrc bool
+}
+
+// Live returns the cut's edge-value index over v when the cut can fire
+// there, or nil: v serves no index (none built, or an overlay masking it),
+// an edge of the label has an uncovered endpoint, or no band can hold the
+// index's span. None of that changes within a search, so a detector asks
+// once per search and then calls Holds per branch.
+func (c *Cut) Live(v graph.View) *graph.EdgeValIndex {
+	ev, ok := v.(graph.EdgeValIndexed)
+	if !ok {
+		return nil
+	}
+	ix := ev.EdgeValIndexFor(c.Label, c.Band.FreeAttr, c.BySrc)
+	if ix == nil || ix.Uncovered() > 0 || !c.fits(ix) {
+		return nil
+	}
+	return ix
+}
+
+// fits reports whether some band of the cut could hold ix's span.
+func (c *Cut) fits(ix *graph.EdgeValIndex) bool {
+	lo, hi, ok := ix.Span()
+	return !ok || c.Band.CanHold(lo, hi)
+}
+
+// Holds reports whether the cut applies to partial, whose bound side is
+// bound: every free value the index holds lies in the band, so no
+// completion of partial violates the rule over v. ix is Live(v), which has
+// no uncovered edge.
+func (c *Cut) Holds(v graph.View, ix *graph.EdgeValIndex, partial []graph.NodeID) bool {
+	lo, hi, ok := c.Band.Of(v.Attr(partial[c.Band.Bound], c.Band.BoundAttr))
+	if !ok {
+		return false
+	}
+	min, max, any := ix.Span()
+	return !any || (min >= lo && max <= hi)
+}
+
+// compileCuts derives the cuts of a one-literal Y compiled as k: one per
+// slot the band can be solved from, through the free slot's first pattern
+// edge.
+func compileCuts(cp *pattern.Compiled, k *expr.Kernel) []Cut {
+	var cuts []Cut
+	for bound := range cp.Src.Nodes {
+		b, ok := k.Band(bound)
+		if !ok {
+			continue
+		}
+		for i, e := range cp.Src.Edges {
+			if e.Src != b.Free && e.Dst != b.Free {
+				continue
+			}
+			if l := cp.EdgeLabels[i]; l != graph.NoLabel && l != graph.Wildcard {
+				cuts = append(cuts, Cut{Band: b, Label: l, BySrc: e.Dst != b.Free})
+			}
+			break
+		}
+	}
+	return cuts
 }
 
 // CompileRule resolves the rule's pattern against syms and compiles the
@@ -88,6 +163,9 @@ func CompileRule(r *core.NGD, syms *graph.Symbols) *Compiled {
 		return ks
 	}
 	c.X, c.Y = kernels(r.X), kernels(r.Y)
+	if len(c.Y) == 1 {
+		c.Cuts = compileCuts(c.CP, &c.Y[0])
+	}
 	return c
 }
 
@@ -342,9 +420,32 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *m
 	} else {
 		p.misses.Add(1)
 	}
-	pl := costPlan(v, c.CP, bound, c.Filters)
+	pl := costPlan(v, c.CP, bound, c.Filters, p.groupCutsLocked(v, p.groupOf[ri]))
 	p.cache[key] = &cachedPlan{p: pl, churnAt: churn}
 	return c, pl
+}
+
+// groupCutsLocked builds the edge-value indexes the cuts of group gi's
+// rules read (plan time, like the attribute indexes costPlan builds) and
+// lists the (bound, free) slot pairs of the cuts whose band could hold
+// their index's span: the planner binds a bound side early when that is
+// cheap, so the cut runs before the scans it removes. A cut that can never
+// fire leaves the plan as it would be without it.
+func (p *Program) groupCutsLocked(v graph.View, gi int) []cutSlots {
+	ev, ok := v.(graph.EdgeValIndexed)
+	if !ok {
+		return nil
+	}
+	var cs []cutSlots
+	for _, ri := range p.groups[gi].rules {
+		for i := range p.compiled[ri].Cuts {
+			cut := &p.compiled[ri].Cuts[i]
+			if ix := ev.EnsureEdgeValIndex(cut.Label, cut.Band.FreeAttr, cut.BySrc); ix != nil && cut.fits(ix) {
+				cs = append(cs, cutSlots{bound: cut.Band.Bound, free: cut.Band.Free})
+			}
+		}
+	}
+	return cs
 }
 
 // threshold resolves the churn drift threshold for the current graph size.
@@ -372,7 +473,7 @@ func churnOf(v graph.View) uint64 {
 // pattern with no rule attached (no filters, no cache) — the entry point
 // for pattern matching outside detection (the reasoner's witness search).
 func ForPattern(v graph.View, cp *pattern.Compiled) *match.Plan {
-	return costPlan(v, cp, nil, nil)
+	return costPlan(v, cp, nil, nil, nil)
 }
 
 // boundSig canonicalizes a bound-slot set into a cache-key string. Runs on

@@ -9,6 +9,7 @@ import (
 	"ngd/internal/expr"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
+	"ngd/internal/match"
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
 	"ngd/internal/ref"
@@ -391,5 +392,90 @@ func TestPivotPlansSignPinsByRole(t *testing.T) {
 	}
 	if got := len(sh.Root.Children[0].Children); got != 2 {
 		t.Fatalf("a pin-anchored and a step-0-anchored step share a node (%d branches at depth 1, want 2)", got)
+	}
+}
+
+// followerHub builds the benchmark's follower shape around one hub: n
+// entities follow it, each with a p4 edge to an integer node whose val
+// lies in [0, 100000) — inside the follower rule's band whatever a's value.
+func followerHub(n int) (*graph.Graph, graph.NodeID, []graph.NodeID, []graph.NodeID) {
+	g := graph.New()
+	hub := g.AddNode("entity")
+	var xs, as []graph.NodeID
+	for i := 0; i < n; i++ {
+		x, a := g.AddNode("entity"), g.AddNode("integer")
+		g.SetAttr(a, "val", graph.Int(int64(i*997%100000)))
+		g.AddEdge(x, hub, "follows")
+		g.AddEdge(x, a, "p4")
+		xs, as = append(xs, x), append(as, a)
+	}
+	return g, hub, xs, as
+}
+
+// TestCutBindsBoundSideFirst pins the ¬Y cut of the follower rule: its two
+// orientations are compiled, the pivot plans bind the cut's bound side
+// before the hub's fan-in scan, the edge-value index is built at plan time,
+// and a search from a pivot is cut before it scans the hub's followers —
+// until an outlier target leaves the band, when it finds what ref finds.
+func TestCutBindsBoundSideFirst(t *testing.T) {
+	g, hub, xs, as := followerHub(200)
+	r := gen.FollowerRule(gen.YAGO2, 0) // x y z a b; Y |a.val − b.val| ≤ 100000
+	rules := core.NewSet(r)
+	prog := plan.New(g, rules, plan.Options{})
+	c := prog.CompiledFor(r)
+	p4 := g.Symbols().Label("p4")
+	if len(c.Cuts) != 2 {
+		t.Fatalf("%d cuts, want 2 (a bound, b bound)", len(c.Cuts))
+	}
+	for i, want := range [][2]int{{3, 4}, {4, 3}} {
+		if cut := c.Cuts[i]; cut.Band.Bound != want[0] || cut.Band.Free != want[1] || cut.Label != p4 || cut.BySrc {
+			t.Errorf("cut %d = bound %d free %d label %d bySrc %v, want %v through p4 targets",
+				i, cut.Band.Bound, cut.Band.Free, cut.Label, cut.BySrc, want)
+		}
+	}
+	for _, tc := range []struct {
+		bound, order []int
+	}{
+		{[]int{0, 2}, []int{3, 1, 4}}, // x, z pinned: a, y, b
+		{[]int{1, 2}, []int{4, 0, 3}}, // y, z pinned: b, x, a
+	} {
+		_, pl := prog.PlanFor(g, r, tc.bound)
+		var order []int
+		for _, st := range pl.Steps {
+			order = append(order, st.Node)
+		}
+		if !slices.Equal(order, tc.order) {
+			t.Errorf("pivot plan for %v binds %v, want %v", tc.bound, order, tc.order)
+		}
+	}
+	if g.EdgeValIndexFor(p4, g.Symbols().LookupAttr("val"), false) == nil {
+		t.Fatal("PlanFor did not build the cut's edge-value index")
+	}
+
+	search := func() (match.Counters, int) {
+		_, pl := prog.PlanFor(g, r, []int{0, 2})
+		s := detect.NewSearcher(g, c, pl)
+		partial := match.NewPartial(5)
+		partial[0], partial[2] = xs[0], hub
+		vios := 0
+		st := s.Run(partial, func(core.Match) bool { vios++; return true })
+		return st, vios
+	}
+	if st, vios := search(); st.Cuts != 1 || st.Candidates > 1 || vios != 0 {
+		t.Fatalf("in band: %d cuts, %d candidates, %d violations; want the pivot cut after one candidate", st.Cuts, st.Candidates, vios)
+	}
+	g.SetAttr(as[7], "val", graph.Int(1<<40))
+	st, vios := search()
+	if st.Cuts != 0 || vios == 0 {
+		t.Fatalf("with an outlier: %d cuts, %d violations; want no cut", st.Cuts, vios)
+	}
+	want := 0
+	for _, v := range ref.Detect(g, rules) {
+		if v.Match[0] == xs[0] {
+			want++
+		}
+	}
+	if vios != want {
+		t.Fatalf("the pivot found %d violations, ref %d", vios, want)
 	}
 }

@@ -10,8 +10,8 @@ package session_test
 //   - the previous store reconciled with IncDect's  ΔVio⁺/ΔVio⁻,
 //   - the previous store reconciled with PIncDect's ΔVio⁺/ΔVio⁻,
 //
-// with prunable and unprunable preconditions, edge-less and literal-path
-// rules, uniform and burst-skewed streams. Failures log the workload
+// with prunable and unprunable preconditions, edge-less, literal-path and
+// band rules, uniform and burst-skewed streams. Failures log the workload
 // (profile, seed, batch) so any counterexample reproduces from its seeds.
 
 import (
@@ -135,6 +135,18 @@ func runDifferential(t *testing.T, w gen.Workload) {
 				if !strings.Contains(store, r.Name+":") {
 					t.Errorf("workload %s: no %s violation in the final store", w.Name(), r.Name)
 				}
+			}
+		}
+		if w.Band {
+			// the trap is vacuous unless uncovered targets violate while the
+			// span sits in the band (batch 0), the cut runs once all are
+			// covered (batch 2), and they violate again after (batch 3)
+			bandVios := strings.Contains(store, "band-follower:")
+			if want := b != 2; bandVios != want {
+				t.Errorf("workload %s batch %d: band-follower violations in the store: %v, want %v", w.Name(), b, bandVios, want)
+			}
+			if b == 2 && st.Cuts == 0 {
+				t.Errorf("workload %s batch %d: the commit took no ¬Y cut", w.Name(), b)
 			}
 		}
 		if !w.NodeRule && len(attrs) == 0 {

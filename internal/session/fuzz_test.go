@@ -3,8 +3,10 @@ package session_test
 import (
 	"testing"
 
+	"ngd/internal/core"
 	"ngd/internal/graph"
 	"ngd/internal/paperdata"
+	"ngd/internal/pattern"
 	"ngd/internal/ref"
 	"ngd/internal/session"
 )
@@ -25,7 +27,7 @@ const (
 	fzDeleteAt         // node i: delete the node's i-th out-edge
 	fzBoth             // src dst label: insert and delete one edge in this batch
 	fzArrive           // label val: a node arrives, with val·4096 set
-	fzSetAttr          // node attr val: attribute op riding the batch
+	fzSetAttr          // node attr val: attribute op riding the batch; attr's top three bits pick the value's kind (fzValue)
 	fzLoopOrDup        // node label: insert a self-loop; label ≥ 128 repeats the batch's last edge op
 )
 
@@ -43,6 +45,39 @@ var (
 	fzNodeLabels = []string{"integer", "date", "place", "account", "boolean", "company", "area", "institution"}
 	fzAttrs      = []string{"val", "cap"}
 )
+
+// fzValue decodes a set-attribute op's value: an int in [-128, 127] unless
+// the attr byte's top three bits ask for a string, a non-integral float, a
+// far outlier or no value — the values the ¬Y cut must see uncovered or
+// outside fzBandRule's band.
+func fzValue(attr, val byte) graph.Value {
+	switch attr >> 5 {
+	case 2:
+		return graph.Str("s")
+	case 3:
+		return graph.Float(float64(val) + 0.5)
+	case 4:
+		return graph.Int((int64(val) - 128) << 44)
+	case 5:
+		return graph.Value{}
+	}
+	return graph.Int(int64(val) - 128)
+}
+
+// fzBandRule is the follower shape over G4's accounts: two accounts keyed
+// to one company, whose follower counts differ by at most 2⁴⁰ — a band that
+// holds every value but fzValue's outliers, so the ¬Y cut takes its branches
+// whenever every follower edge's target holds an integer in it.
+func fzBandRule() *core.NGD {
+	q := pattern.New()
+	x, y, w := q.AddNode("x", "account"), q.AddNode("y", "account"), q.AddNode("w", "company")
+	a, b := q.AddNode("a", "integer"), q.AddNode("b", "integer")
+	q.AddEdge(x, w, "keys")
+	q.AddEdge(y, w, "keys")
+	q.AddEdge(x, a, "follower")
+	q.AddEdge(y, b, "follower")
+	return core.MustNew("band", q, nil, []core.Literal{core.MustLiteral("abs(a.val - b.val) <= 1099511627776")})
+}
 
 func FuzzCommitSequence(f *testing.F) {
 	// Node ids of the merged graph: 0–2 G1 (institution, two dates), 3–6 G2
@@ -70,6 +105,20 @@ func FuzzCommitSequence(f *testing.F) {
 		// (no val) for loop and loop-renamed, then Corona's census-date edge
 		// back after its deletion for φ3 and phi3-copy
 		{fzLoopOrDup, 7, 0, fzDeleteAt, 8, 0, fzCommit, fzInsert, 8, 10, 3, fzCommit},
+		// band: the fake account's follower count leaves the band and comes
+		// back
+		{fzSetAttr, 22, 0x80, 0x90, fzCommit, fzSetAttr, 22, 0, 130, fzCommit},
+		// band: the real account's follower count turns into a string, a
+		// non-integral float, then no value, while the fake account's keys
+		// edge goes and comes back — each re-insertion's pivot binds a
+		// follower count inside the band while an uncovered one waits across
+		// the company
+		{fzSetAttr, 19, 0x40, 0, fzDelete, 17, 15, 4, fzCommit, fzInsert, 17, 15, 4, fzCommit,
+			fzSetAttr, 19, 0x60, 0, fzDelete, 17, 15, 4, fzCommit, fzInsert, 17, 15, 4, fzCommit,
+			fzSetAttr, 19, 0xa0, 0, fzDelete, 17, 15, 4, fzCommit, fzInsert, 17, 15, 4, fzCommit},
+		// band: a third account arrives, is keyed to the company and follows
+		// an arriving count: all inside the band, so the cut takes it
+		{fzArrive, 3, 0, fzArrive, 0, 9, fzCommit, fzInsert, 24, 15, 4, fzInsert, 24, 25, 6, fzCommit},
 	} {
 		f.Add(seed)
 	}
@@ -77,6 +126,7 @@ func FuzzCommitSequence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := paperdata.MergedGraph()
 		rules := paperdata.ExtendedRules()
+		rules.Add(fzBandRule())
 		s := session.New(g, rules, session.Options{})
 		syms := g.Symbols()
 		prev := keySet(s.Snapshot())
@@ -169,7 +219,7 @@ func FuzzCommitSequence(f *testing.F) {
 					attrs = append(attrs, graph.AttrOp{
 						Node: node(b[0]),
 						Attr: syms.Attr(fzAttrs[int(b[1])%len(fzAttrs)]),
-						Val:  graph.Int(int64(b[2]) - 128),
+						Val:  fzValue(b[1], b[2]),
 					})
 				}
 			case fzLoopOrDup:

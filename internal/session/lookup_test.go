@@ -285,5 +285,35 @@ func TestCommitCountsSayWhatRan(t *testing.T) {
 		t.Fatalf("insert-only commit: Pivots=%d Plus=%d Cost=%v Looked=%d, IncDect: %d/%d/%d",
 			st.Pivots, st.Plus, st.Cost, st.Looked, want.Pivots, len(want.Plus), want.Counters.Candidates+want.Counters.Checks)
 	}
+	if st.Cuts != 0 {
+		t.Fatalf("insert-only commit under Σ without a band rule: Cuts=%d", st.Cuts)
+	}
+	mustRecheck(t, s)
+
+	// the ¬Y cut: a new follower of a hub whose followers' p4 values all
+	// lie in the band is cut at both pivot slots, right after its own p4
+	// target binds; once that target is a far outlier, the attribute pass
+	// searches from it without a cut and finds its violations
+	g := graph.New()
+	hub := g.AddNode("entity")
+	for i := 0; i < 50; i++ {
+		x, a := g.AddNode("entity"), g.AddNode("integer")
+		g.SetAttr(a, "val", graph.Int(int64(i*1000)))
+		g.AddEdge(x, hub, "follows")
+		g.AddEdge(x, a, "p4")
+	}
+	x, a := g.AddNode("entity"), g.AddNode("integer")
+	g.SetAttr(a, "val", graph.Int(500))
+	g.AddEdge(x, a, "p4")
+	s = session.New(g, core.NewSet(gen.FollowerRule(gen.YAGO2, 0)), session.Options{})
+	follow := &graph.Delta{}
+	follow.Insert(x, hub, g.Symbols().Label("follows"))
+	if st = s.Commit(follow); st.Pivots != 2 || st.Cuts != 2 || st.Plus != 0 || st.Cost > 4 {
+		t.Fatalf("in-band follower: Pivots=%d Cuts=%d Plus=%d Cost=%v, want 2 pivots both cut", st.Pivots, st.Cuts, st.Plus, st.Cost)
+	}
+	st = s.CommitBatch(nil, []graph.AttrOp{{Node: a, Attr: g.Symbols().Attr("val"), Val: graph.Int(1 << 40)}})
+	if st.Cuts != 0 || st.AttrPlus == 0 {
+		t.Fatalf("outlier: Cuts=%d AttrPlus=%d, want no cut and its violations found", st.Cuts, st.AttrPlus)
+	}
 	mustRecheck(t, s)
 }

@@ -112,6 +112,9 @@ type BatchStats struct {
 	// SharedRules is the number of rules riding a shared matching prefix
 	// in the program's latest batch forest (level gauge, not a delta).
 	SharedRules int64
+	// Cuts is the number of branches the ¬Y cut pruned in the commit's
+	// searches: ΔVio⁺, arrivals and the attribute pass (plan.Cut).
+	Cuts int
 	// Cost is the batch's deterministic detection cost: the work units
 	// (candidates + checks) of the ΔVio⁺ search plus Looked. A clone class's
 	// search counts once.
@@ -499,12 +502,13 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	ap := s.g.Apply(norm)
 	st.Inserted, st.Deleted, st.Compacted = ap.Inserted, ap.Deleted, ap.Compacted
 	st.Laps.Apply = clock.lap()
-	st.Absorbed = s.absorbNewNodes()
+	st.Absorbed, st.Cuts = s.absorbNewNodes()
 	st.Laps.Absorb = clock.lap()
 	if ins := norm.Insertions(); len(ins) > 0 {
 		r := inc.Plus(s.g, s.edgeRules, ins, s.search)
 		st.Pivots = r.Pivots
 		st.Cost += float64(r.Counters.Candidates + r.Counters.Checks)
+		st.Cuts += r.Counters.Cuts
 		// only *effective* store changes are counted and reach the event: a
 		// ΔVio⁺ key the store already holds (an absorbed arrival's match
 		// that also uses an inserted edge) is not echoed
@@ -524,7 +528,9 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	// post-Apply graph, so the pass sees the batch's final attribute *and*
 	// edge state)
 	if len(attrs) > 0 {
-		st.AttrPlus, st.AttrMinus = s.applyAttrOps(attrs)
+		var cuts int
+		st.AttrPlus, st.AttrMinus, cuts = s.applyAttrOps(attrs)
+		st.Cuts += cuts
 	}
 	st.Laps.Attr = clock.lap()
 
@@ -540,7 +546,7 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 // re-evaluated, and new ones are found by searches seeded at each touched
 // node for every slot it can occupy. The store's Has-guard dedupes a match
 // reachable from several touched nodes or slots.
-func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
+func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus, cuts int) {
 	touchedSet := graph.AcquireNodeSet(s.g.NumNodes())
 	defer graph.ReleaseNodeSet(touchedSet)
 	touched := make([]graph.NodeID, 0, len(attrs))
@@ -564,13 +570,13 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 			gone(k, v)
 		}
 	}
-	inc.Attr(s.g, s.rules, s.snap, touched, s.search, gone, func(r *core.NGD, m core.Match) {
+	work := inc.Attr(s.g, s.rules, s.snap, touched, s.search, gone, func(r *core.NGD, m core.Match) {
 		vio := core.Violation{Rule: r, Match: m.Clone()}
 		if s.add(vio.Key(), vio) {
 			plus++
 		}
 	})
-	return plus, minus
+	return plus, minus, work.Cuts
 }
 
 // absorbNewNodes finds the violating matches that bind a node added since
@@ -586,12 +592,12 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus int) {
 // find. Commit absorbs after Apply, on G′, so a match that also uses an
 // inserted edge is found here first and not counted again under Plus. It
 // returns how many violations it added to the store.
-func (s *Session) absorbNewNodes() (absorbed int) {
+func (s *Session) absorbNewNodes() (absorbed, cuts int) {
 	n := s.g.NumNodes()
 	lo := s.seenNodes
 	s.seenNodes = n
 	if n == lo || len(s.isoRules) == 0 {
-		return 0
+		return 0, 0
 	}
 	arrivals := make([]graph.NodeID, 0, n-lo)
 	for v := lo; v < n; v++ {
@@ -599,7 +605,7 @@ func (s *Session) absorbNewNodes() (absorbed int) {
 	}
 	for _, ir := range s.isoRules {
 		for _, slot := range ir.slots {
-			inc.Seeded(s.g, ir.rule, slot, arrivals, s.search, func(m core.Match) bool {
+			work := inc.Seeded(s.g, ir.rule, slot, arrivals, s.search, func(m core.Match) bool {
 				for _, s2 := range ir.slots {
 					if s2 == slot {
 						break
@@ -614,9 +620,10 @@ func (s *Session) absorbNewNodes() (absorbed int) {
 				}
 				return true
 			})
+			cuts += work.Cuts
 		}
 	}
-	return absorbed
+	return absorbed, cuts
 }
 
 // publish ends a commit. added and removed hold its *net* store change (a
