@@ -259,15 +259,19 @@ func (v Violation) Key() string {
 	return string(b)
 }
 
+// String renders v as rule(x=id, y=id, …), pattern variables in order.
 func (v Violation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s(", v.Rule.Name)
+	var a [96]byte
+	b := append(a[:0], v.Rule.Name...)
+	b = append(b, '(')
 	for i, id := range v.Match {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s=%d", v.Rule.Pattern.Nodes[i].Var, id)
+		b = append(b, v.Rule.Pattern.Nodes[i].Var...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	b.WriteString(")")
-	return b.String()
+	b = append(b, ')')
+	return string(b)
 }

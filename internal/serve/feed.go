@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ngd/internal/session"
 )
@@ -29,37 +30,45 @@ import (
 //     410): the subscriber must full-resync from GET /violations and
 //     re-subscribe from the epoch that read was served at.
 
-// FeedEvent is one committed epoch's reconciled violation delta, the wire
-// payload of GET /feed: applying Removed then Added to the previous
-// epoch's violation set yields this epoch's set exactly.
+// FeedEvent is one committed epoch's reconciled violation delta as the
+// feed carries it. The writer publishes the session's event as is; the wire
+// payload of GET /feed is rendered by the first reader that asks for it,
+// once, so an event no subscriber reads is never rendered.
 type FeedEvent struct {
+	Epoch int
+	// Commit is the session's delta: applying Removed then Added to the
+	// previous epoch's violation set yields this epoch's set exactly. It is
+	// shared with the store and every subscriber, so it is read-only.
+	Commit *session.CommitEvent
+
+	once     sync.Once
+	raw      []byte        // the wire form, set by the first JSON call
+	rendered *atomic.Int64 // the hub's count of rendered events
+}
+
+// feedWire is the wire form of one event.
+type feedWire struct {
 	Epoch   int       `json:"epoch"`
 	Added   []vioJSON `json:"added,omitempty"`
 	Removed []string  `json:"removed,omitempty"` // canonical keys
-
-	raw []byte // marshaled once at publish, shared by every subscriber
 }
 
-// JSON returns the event's marshaled form (stable across subscribers).
-func (e *FeedEvent) JSON() []byte { return e.raw }
-
-// toFeedEvent converts a session commit event to its wire form.
-func toFeedEvent(ev *session.CommitEvent) *FeedEvent {
-	fe := &FeedEvent{Epoch: ev.Epoch}
-	if len(ev.Added) > 0 {
-		fe.Added = make([]vioJSON, len(ev.Added))
-		for i, v := range ev.Added {
-			fe.Added[i] = toVioJSON(v.Key(), v)
+// JSON returns the event's marshaled form. The first call renders it, from
+// the keys the commit already holds; every call returns the same bytes.
+// Safe from any goroutine.
+func (e *FeedEvent) JSON() []byte {
+	e.once.Do(func() {
+		w := feedWire{Epoch: e.Epoch, Removed: e.Commit.RemovedKeys}
+		if len(e.Commit.Added) > 0 {
+			w.Added = make([]vioJSON, len(e.Commit.Added))
+			for i, v := range e.Commit.Added {
+				w.Added[i] = toVioJSON(e.Commit.AddedKeys[i], v)
+			}
 		}
-	}
-	if len(ev.Removed) > 0 {
-		fe.Removed = make([]string, len(ev.Removed))
-		for i, v := range ev.Removed {
-			fe.Removed[i] = v.Key()
-		}
-	}
-	fe.raw, _ = json.Marshal(fe)
-	return fe
+		e.raw, _ = json.Marshal(w)
+		e.rendered.Add(1)
+	})
+	return e.raw
 }
 
 // ErrSlowConsumer reports that a subscription was disconnected because its
@@ -109,6 +118,8 @@ type feedHub struct {
 	cap     int          // max backlog length
 	buf     int          // per-subscriber buffer beyond replay
 	closed  bool
+
+	rendered atomic.Int64 // events whose JSON has been rendered
 }
 
 func newFeedHub(floorEpoch, backlogCap, subBuf int) *feedHub {
@@ -118,6 +129,11 @@ func newFeedHub(floorEpoch, backlogCap, subBuf int) *feedHub {
 		cap:   backlogCap,
 		buf:   subBuf,
 	}
+}
+
+// event wraps a commit's delta for publish, unrendered.
+func (h *feedHub) event(ev *session.CommitEvent) *FeedEvent {
+	return &FeedEvent{Epoch: ev.Epoch, Commit: ev, rendered: &h.rendered}
 }
 
 // publish appends the event to the backlog (aging out the oldest past

@@ -293,6 +293,51 @@ func TestFeedLongPollAndCursors(t *testing.T) {
 	}
 }
 
+// TestFeedRenderedCount pins /stats feed_rendered: an event is rendered by
+// the first reader that asks for it, once, and never without a reader.
+func TestFeedRenderedCount(t *testing.T) {
+	sess, names := tinyWorld(t)
+	s := serve.New(sess, serve.Options{Names: names, PollTimeout: 100 * time.Millisecond})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	rendered := func() int64 {
+		t.Helper()
+		var st struct {
+			FeedRendered *int64 `json:"feed_rendered"`
+		}
+		if code := getJSON(t, srv, "/stats", &st); code != 200 || st.FeedRendered == nil {
+			t.Fatalf("stats: code %d, feed_rendered %v", code, st.FeedRendered)
+		}
+		return *st.FeedRendered
+	}
+
+	const k = 4
+	for i := 1; i <= k; i++ {
+		if code := postJSON(t, srv, "/update?sync=1", map[string]any{"ops": addPerson(i)}, nil); code != 200 {
+			t.Fatalf("update %d: code %d", i, code)
+		}
+	}
+	if n := rendered(); n != 0 {
+		t.Fatalf("feed_rendered = %d after %d commits with no subscriber, want 0", n, k)
+	}
+
+	// two subscribers replay the same backlog, twice each
+	for round := 0; round < 2; round++ {
+		for sub := 0; sub < 2; sub++ {
+			var poll struct {
+				Events []json.RawMessage `json:"events"`
+			}
+			if code := getJSON(t, srv, "/feed?poll=1&since=0", &poll); code != 200 || len(poll.Events) != k {
+				t.Fatalf("replay %d/%d: code %d, %d events, want %d", round, sub, code, len(poll.Events), k)
+			}
+		}
+		if n := rendered(); n != k {
+			t.Fatalf("feed_rendered = %d after replay round %d, want %d", n, round, k)
+		}
+	}
+}
+
 // TestCursorPaginationStableAcrossCommit walks the store in keyset pages
 // while a commit lands mid-walk. Keys are stable identities, so the walk
 // must stay strictly ascending with no duplicates, and every violation

@@ -13,6 +13,7 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/graph"
 	"ngd/internal/repair"
+	"ngd/internal/session"
 )
 
 // vioJSON is the wire form of one violation.
@@ -252,7 +253,11 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 			return
 		}
-		vios = sn.Posted(graph.NodeID(id))
+		if id == int(graph.NodeID(id)) {
+			vios = sn.Posted(graph.NodeID(id))
+		} else {
+			vios = session.Range{} // past int32: no node has this id
+		}
 	}
 	if rule := q.Get("rule"); rule != "" {
 		vios = vios.Rule(rule)

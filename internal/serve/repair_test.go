@@ -106,7 +106,7 @@ func TestRepairHTTPRoundTrip(t *testing.T) {
 	select {
 	case ev := <-sub.C:
 		found := false
-		for _, rm := range ev.Removed {
+		for _, rm := range ev.Commit.RemovedKeys {
 			if rm == key {
 				found = true
 			}

@@ -143,6 +143,10 @@ type Stats struct {
 	FeedSubs    int `json:"feed_subs"`
 	FeedBacklog int `json:"feed_backlog"`
 	FeedOldest  int `json:"feed_oldest"`
+	// FeedRendered counts the events rendered to wire JSON since boot: an
+	// event is rendered once, by the first subscriber that reads it, and
+	// never when nobody does.
+	FeedRendered int64 `json:"feed_rendered"`
 
 	// Mem reports process heap and GC counters so allocation-discipline
 	// regressions show up in operations dashboards: a healthy steady-state
@@ -326,6 +330,7 @@ func (s *Server) Stats() Stats {
 		FeedSubs:        subs,
 		FeedBacklog:     backlog,
 		FeedOldest:      floor,
+		FeedRendered:    s.feed.rendered.Load(),
 		DurabilityError: durability,
 		Plan:            s.sess.PlanStats(),
 		Epoch:           sn.Epoch,
@@ -516,10 +521,11 @@ func (s *Server) commitBatch(batch []ingest) {
 
 	// publish the next epoch — the commit already derived its snapshot, run
 	// and node postings alike, from this batch's reconciled ΔVio⁺/ΔVio⁻ —
-	// then the same delta on the feed
+	// then the same delta on the feed, unrendered: the first subscriber
+	// that reads the event renders its wire form
 	s.cur.Store(s.sess.Snapshot())
 	if ev := st.Event; len(ev.Added)+len(ev.Removed) > 0 {
-		s.feed.publish(toFeedEvent(ev))
+		s.feed.publish(s.feed.event(ev))
 	}
 	if s.afterCommit != nil {
 		s.afterCommit(st)

@@ -128,13 +128,23 @@ func TestHTTPEndpoints(t *testing.T) {
 	// hostile-but-parseable paging params must clamp, not panic the handler
 	for _, q := range []string{
 		"?limit=-3", "?limit=9223372036854775807", "?limit=-1",
-		"?after=zzzz", "?node=-7", "?node=999999",
+		"?after=zzzz",
 	} {
 		var page struct {
 			Returned int `json:"returned"`
 		}
 		if code := getJSON(t, srv, "/violations"+q, &page); code != 200 {
 			t.Fatalf("violations%s: code %d", q, code)
+		}
+	}
+	// an id no node has answers an empty page; 2³² and 2³² + 1 must not
+	// wrap onto nodes 0 and 1, which both post the violation
+	for _, q := range []string{"?node=-7", "?node=999999", "?node=4294967296", "?node=4294967297"} {
+		var page struct {
+			Total int `json:"total"`
+		}
+		if code := getJSON(t, srv, "/violations"+q, &page); code != 200 || page.Total != 0 {
+			t.Fatalf("violations%s: code %d, total %d, want 200 and 0", q, code, page.Total)
 		}
 	}
 

@@ -24,18 +24,29 @@ func keySet(sn *session.Snapshot) map[string]bool {
 // applyEvent replays a commit event onto a key set the way a feed
 // subscriber would: removals first, then additions. Every op must be
 // effective — a removal of an absent key or an addition of a present one
-// means the event is not an exact differential.
+// means the event is not an exact differential. The keys the event carries
+// must be its violations' keys.
 func applyEvent(t *testing.T, set map[string]bool, ev *session.CommitEvent) {
 	t.Helper()
-	for _, v := range ev.Removed {
+	if len(ev.AddedKeys) != len(ev.Added) || len(ev.RemovedKeys) != len(ev.Removed) {
+		t.Fatalf("epoch %d: %d/%d keys for +%d/−%d violations",
+			ev.Epoch, len(ev.AddedKeys), len(ev.RemovedKeys), len(ev.Added), len(ev.Removed))
+	}
+	for i, v := range ev.Removed {
 		k := v.Key()
+		if ev.RemovedKeys[i] != k {
+			t.Fatalf("epoch %d: RemovedKeys[%d] = %s, violation %s", ev.Epoch, i, ev.RemovedKeys[i], k)
+		}
 		if !set[k] {
 			t.Fatalf("epoch %d: event removes %s which the subscriber never had", ev.Epoch, k)
 		}
 		delete(set, k)
 	}
-	for _, v := range ev.Added {
+	for i, v := range ev.Added {
 		k := v.Key()
+		if ev.AddedKeys[i] != k {
+			t.Fatalf("epoch %d: AddedKeys[%d] = %s, violation %s", ev.Epoch, i, ev.AddedKeys[i], k)
+		}
 		if set[k] {
 			t.Fatalf("epoch %d: event adds %s which the subscriber already has", ev.Epoch, k)
 		}

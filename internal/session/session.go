@@ -181,11 +181,15 @@ func (c *lapClock) wall() time.Duration { return c.last.Sub(c.start) }
 // found by the arriving-node absorption searches; both slices are sorted by
 // canonical key and deduplicated against the store, so replaying events in
 // epoch order is a faithful differential stream (the next Snapshot and the
-// serving layer's change feed are built from it).
+// serving layer's change feed are built from it). AddedKeys[i] is
+// Added[i].Key() and RemovedKeys[i] is Removed[i].Key(), computed once by
+// the commit. An event is immutable: its slices may alias the snapshot's.
 type CommitEvent struct {
-	Epoch   int
-	Added   []core.Violation
-	Removed []core.Violation
+	Epoch       int
+	Added       []core.Violation
+	AddedKeys   []string
+	Removed     []core.Violation
+	RemovedKeys []string
 }
 
 // CommitHook observes every commit before it mutates the graph: it receives
@@ -635,7 +639,7 @@ func (s *Session) publish() *CommitEvent {
 	clear(s.added)
 	clear(s.removed)
 	s.snap = s.snap.advance(add, del, s.g.NumNodes(), s.g.NumEdges())
-	return &CommitEvent{Epoch: s.commits, Added: add.vios, Removed: del.vios}
+	return &CommitEvent{Epoch: s.commits, Added: add.vios, AddedKeys: add.keys, Removed: del.vios, RemovedKeys: del.keys}
 }
 
 // sortedRun puts a commit's added or removed set in canonical key order

@@ -131,8 +131,9 @@ type (
 	// ΔVio⁺/ΔVio⁻ sets, carried on BatchStats.Event and streamed to feed
 	// subscribers.
 	CommitEvent = session.CommitEvent
-	// FeedEvent is the change feed's wire payload: one committed epoch's
-	// added violations and removed keys (GET /feed on the HTTP API).
+	// FeedEvent is one change-feed event: a committed epoch's CommitEvent,
+	// whose wire payload (GET /feed on the HTTP API) JSON renders on first
+	// use.
 	FeedEvent = serve.FeedEvent
 	// FeedSub is a live change-feed subscription (Server.Subscribe):
 	// events arrive on C in epoch order; when C closes, Err says whether
