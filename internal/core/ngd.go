@@ -246,6 +246,15 @@ type Violation struct {
 	Match Match
 }
 
+// Keyed is a violation with its canonical key beside it: the record a
+// violation store holds once per stored violation, so that every index
+// over the store can point at it instead of copying it. The field Key is
+// Violation.Key() computed once; it shadows the method.
+type Keyed struct {
+	Key string
+	Violation
+}
+
 // Key returns a canonical dedup key for the violation. Keys are computed on
 // every reconcile/index/feed step of the serving path, so the encoding is
 // hand-rolled: one stack buffer, one string allocation for typical sizes.

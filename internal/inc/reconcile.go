@@ -17,13 +17,14 @@ import (
 // emitted — the commit changes its store, the preview lists keys.
 
 // Store is the read view of a violation store Vio(Σ, G) the reconciliations
-// work against (the session's snapshot). NodeKeyed lists the stored
-// violations whose match binds n in ascending canonical-key order, keys[i]
-// the key of vios[i], so a caller keeps or drops an entry without deriving
-// its key.
+// work against (the session's snapshot). Posting lists the records of the
+// stored violations whose match binds n, in ascending canonical-key order,
+// each violation beside its key so a caller keeps or drops an entry
+// without deriving the key. The slice is the store's own: read it, never
+// write it.
 type Store interface {
 	Has(key string) bool
-	NodeKeyed(n graph.NodeID) (keys []string, vios []core.Violation)
+	Posting(n graph.NodeID) []*core.Keyed
 }
 
 // Minus reads ΔVio⁻ of the edge deletions del off st, which must be
@@ -35,14 +36,14 @@ type Store interface {
 // edge it uses. Minus returns the number of posting entries examined.
 func Minus(st Store, prog *plan.Program, del []graph.EdgeOp, emit func(key string, v core.Violation)) (looked int) {
 	for _, op := range del {
-		keys, vios := st.NodeKeyed(op.Src)
-		if k, v := st.NodeKeyed(op.Dst); len(v) < len(vios) {
-			keys, vios = k, v
+		p := st.Posting(op.Src)
+		if q := st.Posting(op.Dst); len(q) < len(p) {
+			p = q
 		}
-		looked += len(vios)
-		for i, v := range vios {
-			if prog.CompiledFor(v.Rule).UsesEdge(v.Match, op.Src, op.Dst, op.Label) {
-				emit(keys[i], v)
+		looked += len(p)
+		for _, k := range p {
+			if prog.CompiledFor(k.Rule).UsesEdge(k.Match, op.Src, op.Dst, op.Label) {
+				emit(k.Key, k.Violation)
 			}
 		}
 	}
@@ -63,10 +64,9 @@ func Minus(st Store, prog *plan.Program, del []graph.EdgeOp, emit func(key strin
 func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts Options,
 	gone func(key string, v core.Violation), found func(*core.NGD, core.Match)) (work match.Counters) {
 	for _, n := range touched {
-		keys, vios := st.NodeKeyed(n)
-		for i, w := range vios {
-			if !opts.Program.CompiledFor(w.Rule).Violated(v, w.Match) {
-				gone(keys[i], w)
+		for _, k := range st.Posting(n) {
+			if !opts.Program.CompiledFor(k.Rule).Violated(v, k.Match) {
+				gone(k.Key, k.Violation)
 			}
 		}
 	}

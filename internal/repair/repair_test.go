@@ -22,17 +22,19 @@ import (
 type mapStore map[string]core.Violation
 
 func (m mapStore) Has(key string) bool { return m[key].Rule != nil }
-func (m mapStore) NodeKeyed(n graph.NodeID) (keys []string, vios []core.Violation) {
+func (m mapStore) Posting(n graph.NodeID) []*core.Keyed {
+	var keys []string
 	for k, v := range m {
 		if slices.Contains(v.Match, n) {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		vios = append(vios, m[k])
+	p := make([]*core.Keyed, len(keys))
+	for i, k := range keys {
+		p[i] = &core.Keyed{Key: k, Violation: m[k]}
 	}
-	return keys, vios
+	return p
 }
 
 func storeOf(vs ...core.Violation) mapStore {

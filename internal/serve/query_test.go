@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ngd/internal/core"
@@ -144,6 +150,88 @@ func TestSnapshotReadAllocBudget(t *testing.T) {
 // over ?node= (the hub's posting is longer than a chunk).
 func TestCursorWalkMatchesFullListing(t *testing.T) {
 	const n = 700
+	s := hubWorld(n, true)
+	defer s.Close()
+	if got := s.Snapshot().Len(); got != 4*n-1 {
+		t.Fatalf("store holds %d violations, want %d", got, 4*n-1)
+	}
+
+	for scope, total := range map[string]int{
+		"": 4*n - 1, "rule=r1": n, "rule=r10": n, "rule=r1-b": n, "rule=r1-hub": n - 1, "rule=r": 0,
+		"node=0": n + 2, "node=0&rule=r1-hub": n - 1, "node=5": 4, "node=5&rule=r1": 1,
+	} {
+		cursorWalk(t, s.Handler(), scope, total)
+	}
+}
+
+// TestCursorWalkOverCommittedPosting is TestCursorWalkMatchesFullListing's
+// ?node= walk over a hub posting built by commits rather than at boot: its
+// edges arrive in batches out of key order, then a stretch from the middle
+// of the key order is deleted. The walk concatenates to the limit=-1
+// listing, and that listing is the sorted reference.
+func TestCursorWalkOverCommittedPosting(t *testing.T) {
+	const n = 700
+	s := hubWorld(n, false)
+	defer s.Close()
+	commit := func(op string, dsts []int) {
+		t.Helper()
+		ops := make([]serve.UpdateOp, len(dsts))
+		for i, d := range dsts {
+			ops[i] = serve.UpdateOp{Op: op, Src: "0", Dst: strconv.Itoa(d), Label: "link"}
+		}
+		ack, err := s.Enqueue(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-ack.Done()
+	}
+
+	// numeric order is not key order ("r1-hub:0:10" < "r1-hub:0:9"), and
+	// each batch is shuffled on top of that
+	rng := rand.New(rand.NewSource(36))
+	dsts := rng.Perm(n - 1)
+	for i := range dsts {
+		dsts[i]++
+	}
+	for b := 0; b < len(dsts); b += 97 {
+		commit("insert", dsts[b:min(b+97, len(dsts))])
+	}
+	keyed := func(d int) string { return "r1-hub:0:" + strconv.Itoa(d) }
+	byKey := make([]int, n-1)
+	for i := range byKey {
+		byKey[i] = i + 1
+	}
+	slices.SortFunc(byKey, func(a, b int) int { return strings.Compare(keyed(a), keyed(b)) })
+	middle := byKey[(n-1)/3 : 2*(n-1)/3]
+	kept := append(slices.Clone(byKey[:(n-1)/3]), byKey[2*(n-1)/3:]...)
+	commit("delete", slices.Clone(middle))
+
+	wantHub := make([]string, len(kept))
+	for i, d := range kept {
+		wantHub[i] = keyed(d)
+	}
+	wantAll := append([]string{"r1-b:0", "r10:0", "r1:0"}, wantHub...)
+	sort.Strings(wantAll)
+	for scope, want := range map[string][]string{"node=0": wantAll, "node=0&rule=r1-hub": wantHub} {
+		var got []string
+		for _, row := range cursorWalk(t, s.Handler(), scope, len(want)) {
+			var v struct{ Key string }
+			if err := json.Unmarshal(row, &v); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, v.Key)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("?%s lists %d keys, want the %d of the reference:\n%v\nwant\n%v", scope, len(got), len(want), got, want)
+		}
+	}
+}
+
+// hubWorld serves n items with val 20 under three cap rules and r1-hub
+// (x -link-> y with x.val < y.val), every item violating each cap rule;
+// linked adds the hub edges 0 → 1 … n−1 before the boot, each an r1-hub
+// violation.
+func hubWorld(n int, linked bool) *serve.Server {
 	q := pattern.New()
 	x, y := q.AddNode("x", "item"), q.AddNode("y", "item")
 	q.AddEdge(x, y, "link")
@@ -154,23 +242,25 @@ func TestCursorWalkMatchesFullListing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.SetAttr(g.AddNode("item"), "val", graph.Int(20))
 	}
-	for i := 1; i < n; i++ {
+	for i := 1; linked && i < n; i++ {
 		g.AddEdge(0, graph.NodeID(i), "link")
 	}
 	rules := core.NewSet(capRule("r1"), capRule("r10"), capRule("r1-b"), hub)
-	s := serve.New(session.New(g, rules, session.Options{}), serve.Options{})
-	defer s.Close()
-	if got := s.Snapshot().Len(); got != 4*n-1 {
-		t.Fatalf("store holds %d violations, want %d", got, 4*n-1)
-	}
+	return serve.New(session.New(g, rules, session.Options{}), serve.Options{})
+}
 
+// cursorWalk walks ?<scope> with ?after= at page sizes 1, 7 and 200, checks
+// that each walk concatenates to exactly the limit=-1 response — rows byte
+// for byte, "total" on every page, "next" the last row's key while rows
+// remain — and returns the limit=-1 rows.
+func cursorWalk(t *testing.T, h http.Handler, scope string, total int) []json.RawMessage {
+	t.Helper()
 	type page struct {
 		Total      int               `json:"total"`
 		Returned   int               `json:"returned"`
 		Next       *string           `json:"next"`
 		Violations []json.RawMessage `json:"violations"`
 	}
-	h := s.Handler()
 	get := func(query string) page {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -185,46 +275,42 @@ func TestCursorWalkMatchesFullListing(t *testing.T) {
 		return p
 	}
 
-	for scope, total := range map[string]int{
-		"": 4*n - 1, "rule=r1": n, "rule=r10": n, "rule=r1-b": n, "rule=r1-hub": n - 1, "rule=r": 0,
-		"node=0": n + 2, "node=0&rule=r1-hub": n - 1, "node=5": 4, "node=5&rule=r1": 1,
-	} {
-		full := get("limit=-1&" + scope)
-		if full.Total != total || len(full.Violations) != total || full.Next != nil {
-			t.Fatalf("?%s: total %d, %d rows, next %v; want %d rows", scope, full.Total, len(full.Violations), full.Next, total)
+	full := get("limit=-1&" + scope)
+	if full.Total != total || len(full.Violations) != total || full.Next != nil {
+		t.Fatalf("?%s: total %d, %d rows, next %v; want %d rows", scope, full.Total, len(full.Violations), full.Next, total)
+	}
+	for _, limit := range []int{1, 7, 200} {
+		var walked []json.RawMessage
+		for after := ""; ; {
+			query := fmt.Sprintf("limit=%d&%s", limit, scope)
+			if after != "" {
+				query += "&after=" + url.QueryEscape(after)
+			}
+			p := get(query)
+			if p.Total != total || len(p.Violations) > limit {
+				t.Fatalf("?%s: total %d, %d rows", query, p.Total, len(p.Violations))
+			}
+			walked = append(walked, p.Violations...)
+			if more := len(walked) < total; more != (p.Next != nil) {
+				t.Fatalf("?%s: %d of %d rows walked, next = %v", query, len(walked), total, p.Next)
+			}
+			if p.Next == nil {
+				break
+			}
+			var last struct{ Key string }
+			if err := json.Unmarshal(p.Violations[len(p.Violations)-1], &last); err != nil || last.Key != *p.Next {
+				t.Fatalf("?%s: next %q after a page ending at %q (%v)", query, *p.Next, last.Key, err)
+			}
+			after = *p.Next
 		}
-		for _, limit := range []int{1, 7, 200} {
-			var walked []json.RawMessage
-			for after := ""; ; {
-				query := fmt.Sprintf("limit=%d&%s", limit, scope)
-				if after != "" {
-					query += "&after=" + url.QueryEscape(after)
-				}
-				p := get(query)
-				if p.Total != total || len(p.Violations) > limit {
-					t.Fatalf("?%s: total %d, %d rows", query, p.Total, len(p.Violations))
-				}
-				walked = append(walked, p.Violations...)
-				if more := len(walked) < total; more != (p.Next != nil) {
-					t.Fatalf("?%s: %d of %d rows walked, next = %v", query, len(walked), total, p.Next)
-				}
-				if p.Next == nil {
-					break
-				}
-				var last struct{ Key string }
-				if err := json.Unmarshal(p.Violations[len(p.Violations)-1], &last); err != nil || last.Key != *p.Next {
-					t.Fatalf("?%s: next %q after a page ending at %q (%v)", query, *p.Next, last.Key, err)
-				}
-				after = *p.Next
-			}
-			if len(walked) != total {
-				t.Fatalf("?%s by %d: walked %d rows of %d", scope, limit, len(walked), total)
-			}
-			for i, row := range walked {
-				if !bytes.Equal(row, full.Violations[i]) {
-					t.Fatalf("?%s by %d: row %d is %s, the full listing has %s", scope, limit, i, row, full.Violations[i])
-				}
+		if len(walked) != total {
+			t.Fatalf("?%s by %d: walked %d rows of %d", scope, limit, len(walked), total)
+		}
+		for i, row := range walked {
+			if !bytes.Equal(row, full.Violations[i]) {
+				t.Fatalf("?%s by %d: row %d is %s, the full listing has %s", scope, limit, i, row, full.Violations[i])
 			}
 		}
 	}
+	return full.Violations
 }

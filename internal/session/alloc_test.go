@@ -3,10 +3,10 @@ package session_test
 // Allocation budget for the steady-state commit loop. The pooled searcher
 // cache, allocation-free literal kernels and bitset seen-sets brought a warm
 // commit from ~6,000 allocations down to ~1,000 on the ngdbench workload;
-// this test pins a coarse ceiling on a smaller workload so a regression
-// that reintroduces per-commit rebuild costs (fresh searchers, per-emit
-// closures, map seen-sets) fails statically in CI rather than surfacing
-// as a benchmark drift.
+// this test pins a ceiling on a smaller workload so a regression that
+// reintroduces per-commit rebuild costs (fresh searchers, per-emit
+// closures, map seen-sets, copied postings) fails statically in CI rather
+// than surfacing as a benchmark drift.
 
 import (
 	"testing"
@@ -40,10 +40,12 @@ func TestSteadyStateCommitAllocBudget(t *testing.T) {
 		sess.Commit(deltas[i])
 		i++
 	})
-	// ~1k allocs/commit measured warm on the larger ngdbench workload; the
-	// ceiling is deliberately loose (workload-dependent violation churn)
-	// while still far below the pre-overhaul ~6k.
-	const budget = 3000
+	t.Logf("steady-state commit: %.0f objects per run", allocs)
+	// 114 measured since postings point at shared records (149 when each
+	// posting copied its violations; ~6k before the searcher and kernel
+	// overhaul): the budget is about 1.2× the measurement, so the copying
+	// postings fail it.
+	const budget = 137
 	if allocs > budget {
 		t.Fatalf("steady-state commit allocated %.0f objects per run, budget %d", allocs, budget)
 	}

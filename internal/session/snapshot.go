@@ -29,16 +29,17 @@ type Snapshot struct {
 	Nodes, Edges int
 
 	all chunked
-	// byNode posts every violation under each distinct node of its match.
-	// The map is sharded by id (id >> nodeShardBits) so the per-commit
-	// copy-on-write is O(|V|/shard size + touched shards), not O(distinct
-	// violating nodes).
+	// byNode posts every violation under each distinct node of its match:
+	// a posting is the node's records in key order, each violation one
+	// *core.Keyed that every posting listing it shares. The map is sharded
+	// by id (id >> nodeShardBits) so the per-commit copy-on-write is
+	// O(|V|/shard size + touched shards), not O(distinct violating nodes).
 	byNode map[graph.NodeID]nodeShard
 }
 
-// nodeShard holds the posting runs of one contiguous id range; cloned
+// nodeShard holds the postings of one contiguous id range; cloned
 // wholesale when a commit touches any of its nodes.
-type nodeShard map[graph.NodeID]run
+type nodeShard map[graph.NodeID][]*core.Keyed
 
 const nodeShardBits = 8
 
@@ -75,26 +76,31 @@ func (sn *Snapshot) Has(key string) bool {
 	return ok
 }
 
-// Node returns the violations whose match binds node n, in key order.
-func (sn *Snapshot) Node(n graph.NodeID) []core.Violation { return sn.node(n).vios }
-
-// NodeKeyed is Node with each violation's canonical key beside it: the
+// Posting returns the records of the violations whose match binds node n,
+// in key order: the snapshot's own slice, no copy, read-only. This is the
 // posting as inc.Store reads it.
-func (sn *Snapshot) NodeKeyed(n graph.NodeID) ([]string, []core.Violation) {
-	p := sn.node(n)
-	return p.keys, p.vios
+func (sn *Snapshot) Posting(n graph.NodeID) []*core.Keyed { return sn.byNode[n>>nodeShardBits][n] }
+
+// Node returns the violations whose match binds node n, in key order: a
+// copy, O(posting).
+func (sn *Snapshot) Node(n graph.NodeID) []core.Violation {
+	_, vios := sn.Posted(n).Page(-1)
+	return vios
 }
 
-// Posted is Node as a Range, for paging and for narrowing to one rule.
+// Posted is Node as a Range, for paging and for narrowing to one rule. The
+// run it pages is built from the posting, O(posting).
 func (sn *Snapshot) Posted(n graph.NodeID) Range {
-	p := sn.node(n)
-	if p.Len() == 0 {
+	p := sn.Posting(n)
+	if len(p) == 0 {
 		return Range{}
 	}
-	return Range{chunked{[]run{p}, p.keys[:1], []int{0, p.Len()}}, 0, p.Len()}
+	r := run{make([]string, len(p)), make([]core.Violation, len(p))}
+	for i, k := range p {
+		r.keys[i], r.vios[i] = k.Key, k.Violation
+	}
+	return Range{chunked{[]run{r}, r.keys[:1], []int{0, r.Len()}}, 0, r.Len()}
 }
-
-func (sn *Snapshot) node(n graph.NodeID) run { return sn.byNode[n>>nodeShardBits][n] }
 
 // Range is a stretch of one epoch's key-sorted violations — the whole
 // store, a node's posting, or one rule's share of either — by position, so
@@ -183,8 +189,8 @@ func (r run) slice(i, j int) run { return run{r.keys[i:j:j], r.vios[i:j:j]} }
 // shared with published epochs). All three are key-sorted; one pass over
 // the changes, block-copying the stretches of r between them. A del key r
 // does not hold is ignored; an add key must not be in r ∖ del. Merging into
-// an empty run returns add itself (every posting at boot, every first
-// posting of a node).
+// an empty run returns add itself (at boot, or into a store the last commit
+// emptied; apply then cuts it into chunks).
 func (r run) merge(add, del run) run {
 	if len(r.keys) == 0 {
 		return add
@@ -336,8 +342,10 @@ func newSnapshot(vios []core.Violation, nodes, edges int) *Snapshot {
 // advance derives the next epoch from sn and one commit's net violation
 // delta — del ⊆ sn, add disjoint from sn, both key-sorted — without
 // touching sn. Only the chunks the delta falls into and the postings of the
-// nodes it binds are re-merged (no sort, no map), everything else is shared
-// with sn, and an empty delta shares all of it.
+// nodes it binds are rebuilt (no map of changes, no search), everything
+// else is shared with sn, and an empty delta shares all of it. Each added
+// violation becomes one record, which every posting that lists it shares
+// until a later commit deletes it.
 func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	next := &Snapshot{Epoch: sn.Epoch + 1, Nodes: nodes, Edges: edges, all: sn.all, byNode: sn.byNode}
 	if add.Len()+del.Len() == 0 {
@@ -345,28 +353,41 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	}
 	next.all = sn.all.apply(add, del)
 
-	// each node's share of add ([0]) and del ([1]): sub-runs, so sorted
-	changes := make(map[graph.NodeID]*[2]run, add.Len()+del.Len())
+	recs := make([]*core.Keyed, add.Len())
+	for i, k := range add.keys {
+		recs[i] = &core.Keyed{Key: k, Violation: add.vios[i]}
+	}
+	// every (distinct match node, side, index) as one change, node<<32 |
+	// side<<31 | i, side 0 for add and 1 for del: sorted, a node's changes
+	// lie together, its adds before its deletes and each in key order
+	changes := make([]uint64, 0, 2*(add.Len()+del.Len()))
 	for side, r := range [2]run{add, del} {
 		for i, v := range r.vios {
 			for j, id := range v.Match {
 				if slices.Contains(v.Match[:j], id) {
 					continue // a homomorphism may bind one node twice
 				}
-				c := changes[id]
-				if c == nil {
-					c = new([2]run)
-					changes[id] = c
-				}
-				c[side].push(r.keys[i], v)
+				changes = append(changes, uint64(id)<<32|uint64(side)<<31|uint64(i))
 			}
 		}
 	}
+	slices.Sort(changes)
 
 	next.byNode = make(map[graph.NodeID]nodeShard, len(sn.byNode))
 	maps.Copy(next.byNode, sn.byNode)
 	cloned := make(map[graph.NodeID]bool)
-	for id, c := range changes {
+	for len(changes) > 0 {
+		id := graph.NodeID(changes[0] >> 32)
+		n, a := 0, 0 // the node's changes, and its adds among them
+		for n < len(changes) && changes[n]>>32 == changes[0]>>32 {
+			if changes[n]&delSide == 0 {
+				a++
+			}
+			n++
+		}
+		adds, dels := changes[:a], changes[a:n]
+		changes = changes[n:]
+
 		s := id >> nodeShardBits
 		if !cloned[s] {
 			cloned[s] = true
@@ -376,11 +397,37 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 		}
 		// a shard the commit empties stays, empty: at most |V|/shard size
 		sh := next.byNode[s]
-		if p := sh[id].merge(c[0], c[1]); p.Len() > 0 {
-			sh[id] = p
-		} else {
+		old := sh[id]
+		size := len(old) + len(adds) - len(dels)
+		if size == 0 {
 			delete(sh, id)
+			continue
 		}
+		// one pass over the old posting: drop what dels names (every one is
+		// in it, in the same order), interleave adds
+		p := make([]*core.Keyed, 0, size)
+		for i, k := range old {
+			if len(adds)+len(dels) == 0 {
+				p = append(p, old[i:]...)
+				break
+			}
+			if len(dels) > 0 && k.Key == del.keys[uint32(dels[0])&^delSide] {
+				dels = dels[1:]
+				continue
+			}
+			for len(adds) > 0 && recs[uint32(adds[0])].Key < k.Key {
+				p = append(p, recs[uint32(adds[0])])
+				adds = adds[1:]
+			}
+			p = append(p, k)
+		}
+		for _, a := range adds {
+			p = append(p, recs[uint32(a)])
+		}
+		sh[id] = p
 	}
 	return next
 }
+
+// delSide is the side bit of a packed change in advance: set for a delete.
+const delSide = 1 << 31

@@ -316,6 +316,134 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 	}
 }
 
+// TestPostingsShareOneRecordPerViolation drives advance with random deltas
+// and checks at every epoch that each stored violation is one record: the
+// same *core.Keyed in the posting of every distinct node of its match, and
+// the same one as long as it stays stored. Every posting is strictly
+// key-sorted and lists what the map reference lists, and every earlier
+// epoch's postings still hold the records they held when published.
+func TestPostingsShareOneRecordPerViolation(t *testing.T) {
+	rules := []*core.NGD{{Name: "a"}, {Name: "a1"}, {Name: "b"}}
+	rng := rand.New(rand.NewSource(36))
+	randVio := func() core.Violation {
+		m := make(core.Match, 1+rng.Intn(3))
+		for i := range m {
+			m[i] = graph.NodeID(rng.Intn(3)<<nodeShardBits + rng.Intn(10)) // repeats within a match too
+		}
+		return core.Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
+	}
+	ref := refStore{}
+	seed := make([]core.Violation, 40)
+	for i := range seed {
+		seed[i] = randVio()
+		ref[seed[i].Key()] = seed[i]
+	}
+
+	type frozen struct {
+		sn       *Snapshot
+		postings map[graph.NodeID][]*core.Keyed // copies of the slices published
+	}
+	var epochs []frozen
+	var last map[string]*core.Keyed
+	check := func(sn *Snapshot) {
+		t.Helper()
+		recs := make(map[string]*core.Keyed)
+		posted := make(map[graph.NodeID][]*core.Keyed)
+		want := make(map[graph.NodeID][]string)
+		for k, v := range ref {
+			for i, n := range v.Match {
+				if !slices.Contains(v.Match[:i], n) {
+					want[n] = append(want[n], k)
+				}
+			}
+		}
+		for n := graph.NodeID(0); n < refIDs; n++ {
+			p := sn.Posting(n)
+			var ks []string
+			for i, k := range p {
+				if i > 0 && p[i-1].Key >= k.Key {
+					t.Fatalf("epoch %d node %d: %s after %s", sn.Epoch, n, k.Key, p[i-1].Key)
+				}
+				if r, ok := recs[k.Key]; ok && r != k {
+					t.Fatalf("epoch %d: %s is two records, one under node %d", sn.Epoch, k.Key, n)
+				}
+				if v, ok := ref[k.Key]; !ok || k.Rule != v.Rule || !slices.Equal(k.Match, v.Match) || k.Violation.Key() != k.Key {
+					t.Fatalf("epoch %d node %d: record %s (violation %s) is not a stored violation", sn.Epoch, n, k.Key, k.Violation.Key())
+				}
+				recs[k.Key] = k
+				ks = append(ks, k.Key)
+			}
+			sort.Strings(want[n])
+			if !slices.Equal(ks, want[n]) {
+				t.Fatalf("epoch %d node %d: posting %v, want %v", sn.Epoch, n, ks, want[n])
+			}
+			if len(p) > 0 {
+				posted[n] = slices.Clone(p)
+			}
+		}
+		if len(recs) != len(ref) {
+			t.Fatalf("epoch %d: %d records posted for %d violations", sn.Epoch, len(recs), len(ref))
+		}
+		for k, r := range recs {
+			if was, ok := last[k]; ok && was != r {
+				t.Fatalf("epoch %d: %s stayed stored but its record was replaced", sn.Epoch, k)
+			}
+		}
+		last = recs
+		epochs = append(epochs, frozen{sn, posted})
+		for _, e := range epochs {
+			for n := graph.NodeID(0); n < refIDs; n++ {
+				if got := e.sn.Posting(n); !slices.Equal(got, e.postings[n]) {
+					t.Fatalf("epoch %d read at epoch %d: node %d posts %d records, published %d", e.sn.Epoch, sn.Epoch, n, len(got), len(e.postings[n]))
+				}
+			}
+			for _, p := range e.postings {
+				for _, k := range p {
+					if k.Key != k.Violation.Key() {
+						t.Fatalf("epoch %d read at epoch %d: record %s now holds %s", e.sn.Epoch, sn.Epoch, k.Key, k.Violation.Key())
+					}
+				}
+			}
+		}
+	}
+
+	sn := newSnapshot(seed, 0, 0)
+	check(sn)
+	for step := 0; step < 60; step++ {
+		var add, del run
+		for n := rng.Intn(10); n > 0; n-- {
+			v := randVio()
+			k := v.Key()
+			if _, ok := ref[k]; !ok && !slices.Contains(add.keys, k) {
+				add.push(k, v)
+			}
+		}
+		keys := make([]string, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for n := rng.Intn(8); n > 0 && len(keys) > 0; n-- {
+			i := rng.Intn(len(keys))
+			del.push(keys[i], ref[keys[i]])
+			keys = slices.Delete(keys, i, i+1)
+		}
+		sort.Sort(add)
+		sort.Sort(del)
+		for i, k := range add.keys {
+			ref[k] = add.vios[i]
+		}
+		for _, k := range del.keys {
+			delete(ref, k)
+		}
+		sn = sn.advance(add, del, 0, 0)
+		check(sn)
+	}
+	if len(ref) < 20 {
+		t.Fatalf("the stream left only %d violations stored", len(ref))
+	}
+}
+
 // structuralCommits seeds the store past four chunk bounds and then aims one
 // commit at each thing a chunk can do: overflow (at the front, in the middle
 // and at the end of the key space), empty, lose its first key, and fall
