@@ -1,9 +1,9 @@
 // Micro-benchmarks with no harness counterpart. The paper's tables are
 // cmd/ngdbench's (kept from bit-rotting by its registry test), wall-clock
 // numbers of the serving, recovery and streaming paths are bench/'s
-// (BENCHMARK.json); what stays here are the two measurements neither
-// prints: the incremental-vs-recompute cost_units of a continuous session,
-// and the publish-path cost curve.
+// (BENCHMARK.json); what stays here are the measurements neither prints:
+// the incremental-vs-recompute cost_units of a continuous session, the
+// publish-path cost curve, and the planning preamble of a first detection.
 package ngd_test
 
 import (
@@ -15,6 +15,7 @@ import (
 	"ngd/internal/gen"
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
+	"ngd/internal/plan"
 	"ngd/internal/session"
 )
 
@@ -118,5 +119,23 @@ func BenchmarkSnapshotAdvance(b *testing.B) {
 			}
 			b.ReportMetric(float64(s.Len()), "store_size")
 		})
+	}
+}
+
+// BenchmarkFirstPlan is what a fresh process pays between loading G and its
+// first hit (ngdcheck -limit 1) on a graph of roughly cold-batch size
+// (48k nodes, 50 rules): compiling Σ, then the first Dect builds the
+// attribute indexes, the edge-value indexes and LiveStats its plans read.
+// Each op starts from an untimed Clone, which carries none of them.
+func BenchmarkFirstPlan(b *testing.B) {
+	g := gen.Generate(gen.YAGO2, 6000, 1).G
+	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 50, MaxDiameter: 5, Seed: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := g.Clone()
+		b.StartTimer()
+		prog := plan.New(c, rules, plan.Options{})
+		detect.Dect(c, rules, detect.Options{Limit: 1, Program: prog})
 	}
 }

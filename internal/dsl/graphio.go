@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 
 	"ngd/internal/graph"
 )
@@ -95,14 +96,36 @@ func LoadDelta(r io.Reader, g *graph.Graph, ids map[string]graph.NodeID) (*graph
 // an update file's inline nodes) and a text → id cache in front of the
 // symbol table. Fields alias the scanner's buffer and die at the next line,
 // so map lookups convert in place (m[string(b)] does not copy) and a string
-// is made only for what is kept: a new node id, a first-seen name.
+// is made only for what is kept: a first-seen name, or a new node id, which
+// is carved from the id arena.
 type loader struct {
 	syms    *graph.Symbols
 	ids     map[string]graph.NodeID
+	idText  arena
 	labels  map[string]graph.LabelID
 	attrs   map[string]graph.AttrID
 	addNode func(graph.LabelID) graph.NodeID
 	setAttr func(graph.NodeID, graph.AttrID, graph.Value)
+}
+
+// arenaChunk is the size of one id arena chunk in bytes.
+const arenaChunk = 32 << 10
+
+// arena hands out strings carved from shared chunks: each is a substring
+// of its chunk's text, so a chunk costs one allocation however many ids it
+// holds. A strings.Builder never rewrites bytes it has written and a chunk
+// is never written past its capacity, so every string handed out stays
+// as it was.
+type arena struct{ chunk strings.Builder }
+
+func (a *arena) string(b []byte) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(b) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(arenaChunk, len(b)))
+	}
+	lo := a.chunk.Len()
+	a.chunk.Write(b)
+	return a.chunk.String()[lo:]
 }
 
 func newLoader(syms *graph.Symbols, ids map[string]graph.NodeID,
@@ -144,7 +167,7 @@ func (ld *loader) node(line int, fields [][]byte) error {
 		return fmt.Errorf("line %d: duplicate node id %q", line, fields[1])
 	}
 	v := ld.addNode(ld.label(fields[2]))
-	ld.ids[string(fields[1])] = v
+	ld.ids[ld.idText.string(fields[1])] = v
 	for _, kv := range fields[3:] {
 		i := bytes.IndexByte(kv, '=')
 		if i <= 0 {
@@ -259,32 +282,32 @@ func scanLines(r io.Reader, fn func(line int, fields [][]byte) error) error {
 
 // splitQuoted appends to dst the fields of s: maximal spans free of spaces
 // and tabs outside double quotes (backslash escapes the next byte inside
-// quotes). Every separator is ASCII, so the scan is by byte and multi-byte
-// or invalid sequences pass through untouched; fields are subslices of s.
+// quotes). A field is scanned byte by byte and a quoted span inside it is
+// skipped by an inner loop up to its closing quote; an unterminated quote
+// runs to the end of the line. Every separator is ASCII, so multi-byte or
+// invalid sequences pass through untouched; fields are subslices of s.
 func splitQuoted(dst [][]byte, s []byte) [][]byte {
-	start := -1
-	inQ, esc := false, false
-	for i, c := range s {
-		switch {
-		case esc:
-			esc = false
-		case c == '\\' && inQ:
-			esc = true
-		case c == '"':
-			inQ = !inQ
-		case (c == ' ' || c == '\t') && !inQ:
-			if start >= 0 {
-				dst = append(dst, s[start:i])
-				start = -1
-			}
+	for i := 0; i < len(s); {
+		if c := s[i]; c == ' ' || c == '\t' {
+			i++
 			continue
 		}
-		if start < 0 {
-			start = i
+		start := i
+		for i < len(s) && s[i] != ' ' && s[i] != '\t' {
+			i++
+			if s[i-1] != '"' {
+				continue
+			}
+			for i < len(s) && s[i] != '"' {
+				if s[i] == '\\' {
+					i++
+				}
+				i++
+			}
+			i++ // the closing quote
 		}
-	}
-	if start >= 0 {
-		dst = append(dst, s[start:])
+		i = min(i, len(s))
+		dst = append(dst, s[start:i])
 	}
 	return dst
 }

@@ -20,13 +20,13 @@ import (
 // list and can never write into its neighbour's.
 type Builder struct {
 	syms  *Symbols
-	nodes []nodeData
+	nodes stage[nodeData]
 	// chunk is the attribute slab being filled; the tuple of the node added
 	// last is its tail. Chunks are never grown, only succeeded, so tuples
 	// already handed out stay where they are and loading leaves no trail
 	// of outgrown slabs behind.
 	chunk []attrPair
-	edges []builderEdge
+	edges stage[builderEdge]
 }
 
 type builderEdge struct {
@@ -37,26 +37,49 @@ type builderEdge struct {
 // attrChunk is the capacity of one attribute slab chunk, in pairs (192 KB).
 const attrChunk = 4096
 
+// stageChunk is the capacity of one staging chunk, in entries: 128 KB of
+// nodes or 48 KB of edges.
+const stageChunk = 4096
+
+// stage is an append-only sequence staged in chunks of stageChunk entries.
+// Like the attribute slab, a chunk is never grown, only succeeded by the
+// next one: staging copies nothing and leaves no outgrown slice behind.
+type stage[T any] struct {
+	full [][]T // chunks filled to capacity, in order
+	open []T   // the chunk being filled
+}
+
+func (s *stage[T]) push(x T) {
+	if len(s.open) == cap(s.open) {
+		if s.open != nil {
+			s.full = append(s.full, s.open)
+		}
+		s.open = make([]T, 0, stageChunk)
+	}
+	s.open = append(s.open, x)
+}
+
+func (s *stage[T]) len() int { return len(s.full)*stageChunk + len(s.open) }
+
+// last returns the entry pushed last.
+func (s *stage[T]) last() *T { return &s.open[len(s.open)-1] }
+
+// chunks returns every staged chunk in order, the open one last.
+func (s *stage[T]) chunks() [][]T { return append(s.full, s.open) }
+
 // NewBuilder returns an empty builder over an existing symbol table.
 func NewBuilder(s *Symbols) *Builder { return &Builder{syms: s} }
 
-// Grow reserves room for that many further nodes and edges. It is a hint;
-// callers decoding untrusted input must bound it themselves.
-func (b *Builder) Grow(nodes, edges int) {
-	b.nodes = slices.Grow(b.nodes, nodes)
-	b.edges = slices.Grow(b.edges, edges)
-}
-
 // AddNodeL adds a node with an interned label and returns its id.
 func (b *Builder) AddNodeL(label LabelID) NodeID {
-	b.nodes = append(b.nodes, nodeData{label: label})
-	return NodeID(len(b.nodes) - 1)
+	b.nodes.push(nodeData{label: label})
+	return NodeID(b.nodes.len() - 1)
 }
 
 // SetAttrA sets an attribute of the node added last (its tuple is the open
 // tail of the current chunk, so it is the only one that can grow).
 func (b *Builder) SetAttrA(a AttrID, val Value) {
-	nd := &b.nodes[len(b.nodes)-1]
+	nd := b.nodes.last()
 	i, found := findAttr(nd.attrs, a)
 	if found {
 		nd.attrs[i].val = val
@@ -78,7 +101,7 @@ func (b *Builder) SetAttrA(a AttrID, val Value) {
 // AddEdgeL records edge (u -label-> v) between nodes already added.
 // Duplicates are dropped by Build.
 func (b *Builder) AddEdgeL(u, v NodeID, label LabelID) {
-	b.edges = append(b.edges, builderEdge{src: u, dst: v, label: label})
+	b.edges.push(builderEdge{src: u, dst: v, label: label})
 }
 
 func cmpHalf(a, b Half) int {
@@ -96,15 +119,20 @@ func sortHalves(run []Half) {
 	}
 }
 
-// Build lays the collected graph out by counting sort and returns it. The
-// builder must not be used afterwards: the graph owns its slabs.
+// Build lays the collected graph out and returns it: the node chunks are
+// copied into one exact table, the edges placed straight from their chunks
+// by counting sort. The builder must not be used afterwards: the graph owns
+// its slabs.
 func (b *Builder) Build() *Graph {
-	n := len(b.nodes)
+	n := b.nodes.len()
 	g := &Graph{
 		syms:  b.syms,
-		nodes: b.nodes,
+		nodes: make([]nodeData, 0, n),
 		out:   make([][]Half, n),
 		in:    make([][]Half, n),
+	}
+	for _, c := range b.nodes.chunks() {
+		g.nodes = append(g.nodes, c...)
 	}
 
 	// attribute tuples are in place but for their capacity; by-label
@@ -139,17 +167,22 @@ func (b *Builder) Build() *Graph {
 	}
 
 	// out-lists: place by source, then order and deduplicate each run
+	edges := b.edges.chunks()
 	off := make([]int, n+1)
-	for _, e := range b.edges {
-		off[e.src+1]++
+	for _, c := range edges {
+		for _, e := range c {
+			off[e.src+1]++
+		}
 	}
 	for v := range n {
 		off[v+1] += off[v]
 	}
-	halves := make([]Half, len(b.edges))
-	for _, e := range b.edges {
-		halves[off[e.src]] = Half{Label: e.label, To: e.dst}
-		off[e.src]++
+	halves := make([]Half, b.edges.len())
+	for _, c := range edges {
+		for _, e := range c {
+			halves[off[e.src]] = Half{Label: e.label, To: e.dst}
+			off[e.src]++
+		}
 	}
 	for v, lo := 0, 0; v < n; v++ {
 		hi := off[v]

@@ -142,6 +142,43 @@ func manyTuples() recipe {
 	return r
 }
 
+// chunkBoundary crosses the Builder's staging chunks (4,096 nodes or edges
+// each, as many pairs as an attribute slab chunk) with a tuple open across
+// each node-chunk boundary: nodes before it carry one pair each, so the
+// last node of the first chunk starts its tuple in the slab's last slot and
+// its second write moves the tuple to a fresh slab chunk; the first node of
+// the third chunk does the same and repeats an attribute after the move.
+// Every node has an out-edge to the next, so the edges span three chunks.
+func chunkBoundary() recipe {
+	const chunk = 4096
+	s := graph.NewSymbols()
+	r := recipe{syms: s}
+	l, e := s.Label("n"), s.Label("e")
+	a, b, c := s.Attr("a"), s.Attr("b"), s.Attr("c")
+	abc := []graph.AttrID{a, b, c}
+	wide := []attrCall{{c, graph.Int(3)}, {b, graph.Int(2)}, {a, graph.Int(1)}} // each write shifts the tuple
+	n := 2*chunk + 2
+	for v := range n {
+		nc := nodeCall{label: l}
+		switch {
+		case v == chunk-1:
+			nc.attrs = wide
+		case v == 2*chunk:
+			nc.attrs = append(slices.Clone(wide), attrCall{b, graph.Str("again")})
+		case v >= chunk && v < chunk+4:
+			// four bare nodes, so that node 2·chunk starts in the last slot too
+		default:
+			nc.attrs = []attrCall{{abc[v%3], graph.Int(int64(v))}}
+		}
+		r.nodes = append(r.nodes, nc)
+		r.edges = append(r.edges, edgeCall{graph.NodeID(v), graph.NodeID((v + 1) % n), e})
+		if v%1000 == 0 {
+			r.edges = append(r.edges, edgeCall{graph.NodeID(v), graph.NodeID(v), e}, edgeCall{graph.NodeID(n - 1 - v), graph.NodeID(v), e})
+		}
+	}
+	return r
+}
+
 // sameGraph compares everything a View, the planner or the snapshot codec
 // can observe.
 func sameGraph(t *testing.T, got, want *graph.Graph) {
@@ -222,7 +259,10 @@ func churn(rnd *rand.Rand, gs ...*graph.Graph) {
 }
 
 func TestBuilderMatchesMutators(t *testing.T) {
-	cases := map[string]recipe{"hostile": hostile(), "empty": {syms: graph.NewSymbols()}, "many-tuples": manyTuples()}
+	cases := map[string]recipe{"hostile": hostile(), "empty": {syms: graph.NewSymbols()}, "many-tuples": manyTuples(),
+		"chunk-boundary": chunkBoundary()}
+	// ≈ 16k nodes and 20k staged edges: several staging chunks of each
+	cases["yago2-2000/scrambled"] = scrambled(gen.Generate(gen.YAGO2, 2000, 1).G, rand.New(rand.NewSource(1)))
 	for _, p := range []gen.Profile{gen.DBpedia, gen.YAGO2, gen.Pokec, gen.Synthetic} {
 		for seed := int64(1); seed <= 2; seed++ {
 			g := gen.Generate(p, 120, seed).G

@@ -145,7 +145,9 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 	if ix := g.EdgeValIndexFor(l, a, bySrc); ix != nil {
 		return ix
 	}
+	// bulk build: append in (src, dst) order, then one stable pass by key
 	ix := &EdgeValIndex{label: l, attr: a, bySrc: bySrc}
+	ix.ord = make([]edgeEntry, 0, g.LiveStats().outTot[l])
 	for u := range g.out {
 		if len(g.out[u]) == 0 {
 			continue
@@ -159,7 +161,7 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 			}
 		}
 	}
-	slices.SortFunc(ix.ord, cmpEntry)
+	ix.ord = sortByKey(ix.ord, func(e edgeEntry) int64 { return e.val })
 	g.edgeIdx = append(g.edgeIdx, ix)
 	return ix
 }

@@ -188,6 +188,47 @@ func (ix *AttrIndex) remove(v NodeID, val Value) {
 	}
 }
 
+// sortByKey orders s stably by key and returns it (in s's array or in one
+// of the same length): an LSD radix sort over the key's eight bytes, least
+// significant first, with the sign bit flipped so that the unsigned order
+// of the bytes is the signed order of the keys. A byte every key shares is
+// skipped. Both index kinds are built by appending entries in id order and
+// sorting once with it, which yields exactly the (key, id…) order their
+// binary searches read.
+func sortByKey[T any](s []T, key func(T) int64) []T {
+	if len(s) < 2 {
+		return s
+	}
+	var count [8][256]int
+	for _, e := range s {
+		k := uint64(key(e)) ^ 1<<63
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	var buf []T
+	first := uint64(key(s[0])) ^ 1<<63
+	for b := range count {
+		c := &count[b]
+		if c[byte(first>>(8*b))] == len(s) {
+			continue
+		}
+		for d, sum := 0, 0; d < len(c); d++ {
+			c[d], sum = sum, sum+c[d]
+		}
+		if buf == nil {
+			buf = make([]T, len(s))
+		}
+		for _, e := range s {
+			d := byte((uint64(key(e)) ^ 1<<63) >> (8 * b))
+			buf[c[d]] = e
+			c[d]++
+		}
+		s, buf = buf, s
+	}
+	return s
+}
+
 type attrIndexKey struct {
 	label LabelID
 	attr  AttrID
@@ -225,9 +266,12 @@ func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 		attr:  a,
 		strs:  make(map[string][]NodeID),
 	}
-	// bulk build: append everything, sort once (byLabel lists nodes in
-	// ascending id order, so string postings come out sorted already)
-	for _, v := range g.byLabel[l] {
+	// bulk build: append in byLabel order, which is ascending ids (so
+	// string postings come out sorted already), then one stable pass by
+	// value puts the ordered index in (val, node) order
+	bucket := g.byLabel[l]
+	ix.ord = make([]ordEntry, 0, len(bucket))
+	for _, v := range bucket {
 		val := g.Attr(v, a)
 		if !val.Valid() {
 			continue
@@ -238,12 +282,7 @@ func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 			ix.ord = append(ix.ord, ordEntry{val: k, node: v})
 		}
 	}
-	sort.Slice(ix.ord, func(i, j int) bool {
-		if ix.ord[i].val != ix.ord[j].val {
-			return ix.ord[i].val < ix.ord[j].val
-		}
-		return ix.ord[i].node < ix.ord[j].node
-	})
+	ix.ord = sortByKey(ix.ord, func(e ordEntry) int64 { return e.val })
 	if g.attrIdx == nil {
 		g.attrIdx = make(map[attrIndexKey]*AttrIndex)
 	}

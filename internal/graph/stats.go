@@ -13,10 +13,11 @@ package graph
 //     mutation, which the plan cache uses for drift-threshold invalidation.
 //
 // The structure is built lazily on first use (one O(|E|) scan of the current
-// adjacency) and maintained incrementally by AddNodeL / AddEdgeL /
-// DeleteEdgeL / SetAttrA afterwards — (*Graph).Apply goes through those, so
-// batch commits keep the stats current for free. Clone drops the stats (the
-// clone rebuilds on demand), keeping copies independent.
+// adjacency, counted per node-label bucket) and maintained incrementally by
+// AddNodeL / AddEdgeL / DeleteEdgeL / SetAttrA afterwards — (*Graph).Apply
+// goes through those, so batch commits keep the stats current for free.
+// Clone drops the stats (the clone rebuilds on demand), keeping copies
+// independent.
 
 // degKey indexes the fan-out aggregates: half-edges with edge label `edge`
 // incident to nodes carrying node label `node`.
@@ -49,7 +50,11 @@ var (
 )
 
 // LiveStats returns the maintained statistics, building them on first use
-// with one scan of the current graph.
+// with one scan of the current graph: each node label's bucket counts its
+// half-edges into dense rows indexed by edge label (every label a graph
+// carries is interned in its symbol table), and the rows are folded into
+// the maps once per bucket — one map write per (node label, edge label)
+// pair instead of four per edge.
 func (g *Graph) LiveStats() *LiveStats {
 	if g.stats != nil {
 		return g.stats
@@ -60,15 +65,44 @@ func (g *Graph) LiveStats() *LiveStats {
 		outTot:  make(map[LabelID]int),
 		inTot:   make(map[LabelID]int),
 	}
-	for v := range g.nodes {
-		l := g.nodes[v].label
-		for _, h := range g.out[v] {
-			st.outRuns[degKey{l, h.Label}]++
-			st.outTot[h.Label]++
+	nl := g.syms.NumLabels()
+	outRow, inRow := make([]int, nl), make([]int, nl)
+	outTot, inTot := make([]int, nl), make([]int, nl)
+	var touched []LabelID // the edge labels the current bucket counted
+	for l, bucket := range g.byLabel {
+		for _, v := range bucket {
+			for _, h := range g.out[v] {
+				if outRow[h.Label]+inRow[h.Label] == 0 {
+					touched = append(touched, h.Label)
+				}
+				outRow[h.Label]++
+			}
+			for _, h := range g.in[v] {
+				if outRow[h.Label]+inRow[h.Label] == 0 {
+					touched = append(touched, h.Label)
+				}
+				inRow[h.Label]++
+			}
 		}
-		for _, h := range g.in[v] {
-			st.inRuns[degKey{l, h.Label}]++
-			st.inTot[h.Label]++
+		for _, el := range touched {
+			if n := outRow[el]; n > 0 {
+				st.outRuns[degKey{l, el}] = n
+				outTot[el] += n
+			}
+			if n := inRow[el]; n > 0 {
+				st.inRuns[degKey{l, el}] = n
+				inTot[el] += n
+			}
+			outRow[el], inRow[el] = 0, 0
+		}
+		touched = touched[:0]
+	}
+	for el := range nl {
+		if n := outTot[el]; n > 0 {
+			st.outTot[LabelID(el)] = n
+		}
+		if n := inTot[el]; n > 0 {
+			st.inTot[LabelID(el)] = n
 		}
 	}
 	g.stats = st

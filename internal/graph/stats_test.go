@@ -1,37 +1,89 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
-// rebuildStats recomputes the aggregates from scratch for comparison with
-// the incrementally maintained ones.
-func rebuildStats(g *Graph) *LiveStats {
-	saved := g.stats
-	g.stats = nil
-	fresh := g.LiveStats()
-	g.stats = saved
-	return fresh
+// refStats computes the aggregates by definition, one map write per
+// half-edge and total: the reference for both the first build and the
+// incrementally maintained figures.
+func refStats(g *Graph) *LiveStats {
+	st := &LiveStats{
+		outRuns: make(map[degKey]int),
+		inRuns:  make(map[degKey]int),
+		outTot:  make(map[LabelID]int),
+		inTot:   make(map[LabelID]int),
+	}
+	for v := range g.nodes {
+		l := g.nodes[v].label
+		for _, h := range g.out[v] {
+			st.outRuns[degKey{l, h.Label}]++
+			st.outTot[h.Label]++
+		}
+		for _, h := range g.in[v] {
+			st.inRuns[degKey{l, h.Label}]++
+			st.inTot[h.Label]++
+		}
+	}
+	return st
 }
 
-func sameAggregates(t *testing.T, live, fresh *LiveStats) {
+// sameMap fails unless got and want hold the same keys with the same counts.
+func sameMap[K comparable](t *testing.T, name string, got, want map[K]int) {
 	t.Helper()
-	if len(live.outRuns) != len(fresh.outRuns) || len(live.inRuns) != len(fresh.inRuns) {
-		t.Fatalf("aggregate key counts diverged: live out=%d in=%d, fresh out=%d in=%d",
-			len(live.outRuns), len(live.inRuns), len(fresh.outRuns), len(fresh.inRuns))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, reference %d", name, len(got), len(want))
 	}
-	for k, v := range fresh.outRuns {
-		if live.outRuns[k] != v {
-			t.Fatalf("outRuns[%v] = %d, fresh rebuild says %d", k, live.outRuns[k], v)
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s[%v] = %d, reference %d", name, k, got[k], v)
 		}
 	}
-	for k, v := range fresh.inRuns {
-		if live.inRuns[k] != v {
-			t.Fatalf("inRuns[%v] = %d, fresh rebuild says %d", k, live.inRuns[k], v)
+}
+
+func sameAggregates(t *testing.T, live, ref *LiveStats) {
+	t.Helper()
+	sameMap(t, "outRuns", live.outRuns, ref.outRuns)
+	sameMap(t, "inRuns", live.inRuns, ref.inRuns)
+	sameMap(t, "outTot", live.outTot, ref.outTot)
+	sameMap(t, "inTot", live.inTot, ref.inTot)
+}
+
+// TestLiveStatsFirstBuild holds the first build, which counts per node-label
+// bucket, to the per-half-edge reference on random graphs with self-loops,
+// isolated nodes, a label interned but carried by nothing, and labels that
+// name nodes and edges alike.
+func TestLiveStatsFirstBuild(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		syms := g.Symbols()
+		var labels []LabelID
+		for i := range 2 + rng.Intn(6) {
+			labels = append(labels, syms.Label(fmt.Sprint("l", i)))
 		}
-	}
-	for k, v := range fresh.outTot {
-		if live.outTot[k] != v {
-			t.Fatalf("outTot[%v] = %d, fresh rebuild says %d", k, live.outTot[k], v)
+		syms.Label("unused")
+		// labels[0] names nodes and edges; the others name either or both
+		nodeLabels := labels[:1+rng.Intn(len(labels)-1)]
+		edgeLabels := append([]LabelID{labels[0]}, labels[1+rng.Intn(len(labels)-1):]...)
+		n := 1 + rng.Intn(60)
+		for range n {
+			g.AddNodeL(nodeLabels[rng.Intn(len(nodeLabels))])
 		}
+		g.AddNodeL(nodeLabels[0]) // isolated: no edge reaches it
+		for range rng.Intn(4 * n) {
+			u := NodeID(rng.Intn(n))
+			v := u // a self-loop one time in five
+			if rng.Intn(5) > 0 {
+				v = NodeID(rng.Intn(n))
+			}
+			g.AddEdgeL(u, v, edgeLabels[rng.Intn(len(edgeLabels))])
+		}
+		sameAggregates(t, g.LiveStats(), refStats(g))
+		// and on a clone, which drops the stats and builds its own
+		sameAggregates(t, g.Clone().LiveStats(), refStats(g))
 	}
 }
 
@@ -67,7 +119,7 @@ func TestLiveStatsMaintained(t *testing.T) {
 	if st.Churn() == churn0 {
 		t.Fatal("churn counter did not advance under mutation")
 	}
-	sameAggregates(t, st, rebuildStats(g))
+	sameAggregates(t, st, refStats(g))
 
 	if fan := st.OutFan(g, person, lives); fan <= 0 || fan > 1 {
 		t.Fatalf("OutFan(person, lives) = %v, want in (0, 1]", fan)
@@ -105,11 +157,11 @@ func TestLiveStatsApplyAndClone(t *testing.T) {
 	d.Delete(ns[0], ns[1], rel)
 	d.Insert(ns[0], ns[1], rel) // net no-op pair after normalize? applied in order: delete then re-insert
 	g.Apply(d)
-	sameAggregates(t, st, rebuildStats(g))
+	sameAggregates(t, st, refStats(g))
 
 	c := g.Clone()
 	cs := c.LiveStats()
-	sameAggregates(t, cs, rebuildStats(c))
+	sameAggregates(t, cs, refStats(c))
 	// mutating the clone must not move the original's aggregates
 	before := st.HalfEdges(a, rel, true)
 	c.DeleteEdgeL(ns[7], ns[0], rel)

@@ -183,7 +183,6 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.Grow(presize(nNodes), presize(nNodes))
 	for i := uint64(0); i < nNodes; i++ {
 		lbl, err := c.uvarint()
 		if err != nil {
