@@ -142,7 +142,8 @@ func (c Cmp) String() string {
 	}
 }
 
-func (c Cmp) holds(sign int) bool {
+// Holds decides a ⊗ b from the sign of a − b.
+func (c Cmp) Holds(sign int) bool {
 	switch c {
 	case Eq:
 		return sign == 0
@@ -177,7 +178,7 @@ func Compare(l *Expr, op Cmp, r *Expr, b Binding) (bool, error) {
 	}
 	switch {
 	case lq != nil && rq != nil:
-		return op.holds(lq.Cmp(rq)), nil
+		return op.Holds(lq.Cmp(rq)), nil
 	case lq != nil || rq != nil || (op != Eq && op != Ne):
 		return false, ErrType
 	}

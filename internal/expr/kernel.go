@@ -234,11 +234,11 @@ func (k *Kernel) Eval(g graph.View, partial []graph.NodeID) (sat, decided bool) 
 	}
 	switch {
 	case ln < rn:
-		return k.op.holds(-1), true
+		return k.op.Holds(-1), true
 	case ln > rn:
-		return k.op.holds(1), true
+		return k.op.Holds(1), true
 	default:
-		return k.op.holds(0), true
+		return k.op.Holds(0), true
 	}
 }
 

@@ -245,6 +245,48 @@ func AbsVariants(e *Expr) []AbsVariant {
 	return out
 }
 
+// Atom is the linear constraint Form ⊗ 0.
+type Atom struct {
+	Form *LinearForm
+	Op   Cmp
+}
+
+// Cases translates the literal l ⊗ r into the solver's shape: a
+// disjunction of cases, each a conjunction of atoms. Every |·| over
+// variables in l − r is split on the sign of its argument (AbsVariants);
+// a case lists its sign conditions first and the literal last. A case that
+// does not linearize (a string, a non-linear product, a zero divisor) is
+// nil: callers fail it, and it stays in the list so that they count it
+// like any other case.
+func Cases(l *Expr, op Cmp, r *Expr) [][]Atom {
+	variants := AbsVariants(Sub(l, r))
+	out := make([][]Atom, len(variants))
+	for i, v := range variants {
+		out[i] = linearCase(v, op)
+	}
+	return out
+}
+
+func linearCase(v AbsVariant, op Cmp) []Atom {
+	atoms := make([]Atom, 0, len(v.Conds)+1)
+	for _, c := range v.Conds {
+		f, err := Linearize(c.Inner)
+		if err != nil {
+			return nil
+		}
+		sign := Lt
+		if c.NonNeg {
+			sign = Ge
+		}
+		atoms = append(atoms, Atom{Form: f, Op: sign})
+	}
+	f, err := Linearize(v.Expr)
+	if err != nil {
+		return nil
+	}
+	return append(atoms, Atom{Form: f, Op: op})
+}
+
 type absSite struct {
 	Inner *Expr
 	Path  []byte // 'L'/'R' steps from the root to the Abs node

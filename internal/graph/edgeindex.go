@@ -125,16 +125,6 @@ var (
 	_ EdgeValIndexed = (*Overlay)(nil)
 )
 
-// labelRun returns the halves of a sorted adjacency list that carry label l.
-func labelRun(list []Half, l LabelID) []Half {
-	lo, _ := searchHalf(list, Half{Label: l, To: -1 << 31})
-	hi := lo
-	for hi < len(list) && list[hi].Label == l {
-		hi++
-	}
-	return list[lo:hi]
-}
-
 // EnsureEdgeValIndex returns the index of label l's edges by attribute a of
 // their target (bySrc: of their source), building it on first use. It
 // returns nil for the wildcard and for uninterned labels or attributes.
@@ -152,7 +142,7 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 		if len(g.out[u]) == 0 {
 			continue
 		}
-		for _, h := range labelRun(g.out[u], l) {
+		for _, h := range LabelRun(g.out[u], l) {
 			src := NodeID(u)
 			if k, ok := intKey(g.Attr(ix.end(src, h.To), a)); ok {
 				ix.ord = append(ix.ord, edgeEntry{val: k, src: src, dst: h.To})
@@ -200,12 +190,12 @@ func (g *Graph) reindexEdges(v NodeID, a AttrID, old, val Value) {
 			continue
 		}
 		if ix.bySrc {
-			for _, h := range labelRun(g.out[v], ix.label) {
+			for _, h := range LabelRun(g.out[v], ix.label) {
 				ix.remove(v, h.To, old)
 				ix.add(v, h.To, val)
 			}
 		} else {
-			for _, h := range labelRun(g.in[v], ix.label) {
+			for _, h := range LabelRun(g.in[v], ix.label) {
 				ix.remove(h.To, v, old)
 				ix.add(h.To, v, val)
 			}

@@ -90,7 +90,7 @@ func TestEdgeValIndexMaintained(t *testing.T) {
 func countLabel(g *Graph, l LabelID) int {
 	n := 0
 	for u := range g.out {
-		n += len(labelRun(g.out[u], l))
+		n += len(LabelRun(g.out[u], l))
 	}
 	return n
 }

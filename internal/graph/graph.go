@@ -287,6 +287,14 @@ func (g *Graph) Attrs(v NodeID, fn func(AttrID, Value)) {
 // NumAttrs reports the arity of v's attribute tuple.
 func (g *Graph) NumAttrs(v NodeID) int { return len(g.nodes[v].attrs) }
 
+// LabelRun returns the contiguous run of halves carrying label l within a
+// sorted adjacency list (binary search on both bounds).
+func LabelRun(list []Half, l LabelID) []Half {
+	lo := sort.Search(len(list), func(i int) bool { return list[i].Label >= l })
+	hi := sort.Search(len(list), func(i int) bool { return list[i].Label > l })
+	return list[lo:hi]
+}
+
 func searchHalf(list []Half, h Half) (int, bool) {
 	i := sort.Search(len(list), func(i int) bool {
 		if list[i].Label != h.Label {

@@ -77,6 +77,19 @@ func TestDeleteEdge(t *testing.T) {
 	}
 }
 
+func TestLabelRun(t *testing.T) {
+	list := []Half{{Label: 1, To: 5}, {Label: 2, To: 1}, {Label: 2, To: 9}, {Label: 4, To: 0}}
+	if got := LabelRun(list, 2); len(got) != 2 {
+		t.Errorf("LabelRun(2) = %v", got)
+	}
+	if got := LabelRun(list, 3); len(got) != 0 {
+		t.Errorf("LabelRun(3) = %v", got)
+	}
+	if got := LabelRun(nil, 1); len(got) != 0 {
+		t.Errorf("LabelRun(nil) = %v", got)
+	}
+}
+
 func TestAttributes(t *testing.T) {
 	g := New()
 	v := g.AddNode("x")

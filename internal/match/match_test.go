@@ -298,16 +298,3 @@ func TestEarlyStop(t *testing.T) {
 		t.Errorf("early stop: got %d matches, want 3", count)
 	}
 }
-
-func TestLabelSlice(t *testing.T) {
-	list := []graph.Half{{Label: 1, To: 5}, {Label: 2, To: 1}, {Label: 2, To: 9}, {Label: 4, To: 0}}
-	if got := LabelSlice(list, 2); len(got) != 2 {
-		t.Errorf("LabelSlice(2) = %v", got)
-	}
-	if got := LabelSlice(list, 3); len(got) != 0 {
-		t.Errorf("LabelSlice(3) = %v", got)
-	}
-	if got := LabelSlice(nil, 1); len(got) != 0 {
-		t.Errorf("LabelSlice(nil) = %v", got)
-	}
-}

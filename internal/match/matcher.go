@@ -100,9 +100,9 @@ func (m *Matcher) CandidateCount(k int, partial []graph.NodeID) int {
 	}
 	from := partial[st.AnchorFrom]
 	if st.AnchorOut {
-		return len(LabelSlice(m.G.Out(from), el))
+		return len(graph.LabelRun(m.G.Out(from), el))
 	}
-	return len(LabelSlice(m.G.In(from), el))
+	return len(graph.LabelRun(m.G.In(from), el))
 }
 
 // CandidatesRange is Candidates restricted to the half-open slot range
@@ -171,7 +171,7 @@ func (m *Matcher) CandidatesRange(k int, partial []graph.NodeID, lo, hi int, yie
 	} else {
 		adj = m.G.In(from)
 	}
-	run := LabelSlice(adj, el)
+	run := graph.LabelRun(adj, el)
 	if hi < 0 || hi > len(run) {
 		hi = len(run)
 	}

@@ -9,8 +9,6 @@
 package match
 
 import (
-	"sort"
-
 	"ngd/internal/graph"
 	"ngd/internal/pattern"
 )
@@ -51,12 +49,4 @@ type Plan struct {
 	// Filters holds the compiled candidate predicates per pattern node
 	// (§6.2 step (3)); nil when the rule has no prunable literal.
 	Filters Filters
-}
-
-// LabelSlice returns the contiguous run of halves carrying label l within a
-// sorted adjacency list (binary search on both bounds).
-func LabelSlice(list []graph.Half, l graph.LabelID) []graph.Half {
-	lo := sort.Search(len(list), func(i int) bool { return list[i].Label >= l })
-	hi := sort.Search(len(list), func(i int) bool { return list[i].Label > l })
-	return list[lo:hi]
 }

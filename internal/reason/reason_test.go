@@ -245,6 +245,25 @@ func TestAbsInReasoning(t *testing.T) {
 	}
 }
 
+// TestGroundAtoms: a consequent whose terms cancel leaves an atom with no
+// variable, decided when it is asserted, by the sign of its constant.
+func TestGroundAtoms(t *testing.T) {
+	for _, tc := range []struct {
+		y    string
+		want Verdict
+	}{
+		{"x.a >= x.a + 1", No},
+		{"x.a + 1 > x.a", Yes},
+		{"2 * x.a < x.a + x.a", No},
+		{"x.a - x.a = 0", Yes},
+	} {
+		r := singleNodeRule("ground", "_", nil, []core.Literal{core.MustLiteral(tc.y)})
+		if v, err := Satisfiable(core.NewSet(r), Options{}); err != nil || v != tc.want {
+			t.Errorf("%s: %v %v, want %v", tc.y, v, err, tc.want)
+		}
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	// a cancelled context degrades every analysis to Unknown — never to a
 	// wrong Yes/No — and a live context leaves the answers untouched.

@@ -1,8 +1,6 @@
 package reason
 
 import (
-	"math/big"
-
 	"ngd/internal/core"
 	"ngd/internal/expr"
 	"ngd/internal/graph"
@@ -21,7 +19,6 @@ type varKey struct {
 type search struct {
 	g    *graph.Graph
 	opts Options
-	done <-chan struct{} // Options.Ctx cancellation; nil = unbounded
 
 	varIdx map[varKey]int
 	nVars  int
@@ -41,27 +38,12 @@ func newSearch(g *graph.Graph, opts Options) *search {
 	// solver polls the same channel per node and per pivot batch
 	opts.Solver.Done = opts.done()
 	return &search{
-		g: g, opts: opts, done: opts.done(),
+		g: g, opts: opts,
 		varIdx:   make(map[varKey]int),
 		presence: make(map[varKey]bool),
 		strEq:    make(map[varKey]string),
 		strNe:    make(map[varKey][]string),
 		isStr:    make(map[varKey]bool),
-	}
-}
-
-// expired polls the wall-clock deadline. Polled once per branch: the
-// non-blocking select is noise next to the per-branch snapshot map copies,
-// and a coarser stride lets expensive solver leaves overshoot the deadline.
-func (s *search) expired() bool {
-	if s.done == nil {
-		return false
-	}
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -185,85 +167,39 @@ func (s *search) addLiteral(rule *core.NGD, m core.Match, l core.Literal, neg bo
 		}
 		return s.addStringLiteral(rule, m, l.L, op, l.R)
 	}
-	// numeric path: lhs − rhs ⊗ 0, with abs expanded by case analysis
-	diff := expr.Sub(l.L.Clone(), l.R.Clone())
-	variants := expr.AbsVariants(diff)
+	// numeric path: every term present and numeric, then one case of l ⊗ r
+	keys, okL := termKeysOf(l.L, rule, m)
+	keysR, okR := termKeysOf(l.R, rule, m)
+	if !okL || !okR {
+		return nil
+	}
+	keys = append(keys, keysR...)
+	term := func(k expr.TermKey) (int, int64, bool) {
+		// termKeysOf has checked every variable of l
+		idx := rule.Pattern.VarIndex(k.Var)
+		return s.varOf(varKey{m[idx], k.Attr}), 0, true
+	}
 	var alts []func() bool
-	for _, v := range variants {
-		v := v
+	for _, atoms := range expr.Cases(l.L, op, l.R) {
 		alts = append(alts, func() bool {
-			// presence + type for every term
-			keys, ok := termKeysOf(v.Expr, rule, m)
-			if !ok {
-				return false
-			}
 			for _, k := range keys {
 				if !s.requirePresent(k) || !s.setType(k, false) {
 					return false
 				}
 			}
-			for _, c := range v.Conds {
-				if !s.addLinear(rule, m, c.Inner, condRel(c.NonNeg), new(big.Rat)) {
+			if atoms == nil {
+				return false
+			}
+			for _, a := range atoms {
+				var ok bool
+				if s.cons, ok = solver.Assert(s.cons, a, term); !ok {
 					return false
 				}
 			}
-			return s.addLinear(rule, m, v.Expr, cmpToRel(op), new(big.Rat))
+			return true
 		})
 	}
 	return alts
-}
-
-func condRel(nonNeg bool) solver.Rel {
-	if nonNeg {
-		return solver.Ge
-	}
-	return solver.Lt
-}
-
-func cmpToRel(c expr.Cmp) solver.Rel {
-	switch c {
-	case expr.Eq:
-		return solver.Eq
-	case expr.Ne:
-		return solver.Ne
-	case expr.Lt:
-		return solver.Lt
-	case expr.Le:
-		return solver.Le
-	case expr.Gt:
-		return solver.Gt
-	default:
-		return solver.Ge
-	}
-}
-
-// addLinear linearizes e (abs-free) under the match and appends e rel rhs.
-func (s *search) addLinear(rule *core.NGD, m core.Match, e *expr.Expr, rel solver.Rel, rhs *big.Rat) bool {
-	lf, err := expr.Linearize(e)
-	if err != nil {
-		return false
-	}
-	var c solver.Constraint
-	for tk, co := range lf.Coeffs {
-		idx := rule.Pattern.VarIndex(tk.Var)
-		if idx < 0 || idx >= len(m) {
-			return false
-		}
-		k := varKey{m[idx], tk.Attr}
-		if !s.requirePresent(k) || !s.setType(k, false) {
-			return false
-		}
-		c.Vars = append(c.Vars, s.varOf(k))
-		c.Coef = append(c.Coef, new(big.Rat).Set(co))
-	}
-	c.Rel = rel
-	c.RHS = new(big.Rat).Sub(rhs, lf.Const)
-	if len(c.Vars) == 0 {
-		// ground literal: decide immediately
-		return c.Rel.Holds(new(big.Rat).Neg(c.RHS))
-	}
-	s.cons = append(s.cons, c)
-	return true
 }
 
 // addStringLiteral handles t ⊗ "c", "c" ⊗ t, "a" ⊗ "b", or t1 ⊗ t2 with a
@@ -343,7 +279,10 @@ func (s *search) addStringLiteral(rule *core.NGD, m core.Match, lhs *expr.Expr, 
 // negated rule fail, when negate != nil). Yes = a consistent assignment
 // exists.
 func (s *search) searchImplications(obls []implication, i int, negate *core.NGD, negMatch core.Match, budget *int) Verdict {
-	if *budget <= 0 || s.expired() {
+	// the deadline is polled once per branch: the poll is noise next to the
+	// per-branch snapshot map copies, and a coarser stride lets expensive
+	// solver leaves overshoot the deadline
+	if *budget <= 0 || s.opts.Solver.Expired() {
 		return Unknown
 	}
 	*budget--

@@ -149,18 +149,6 @@ type enum struct {
 	reason string // first failure reason seen (reported if nothing survives)
 }
 
-func (e *enum) expired() bool {
-	if e.opts.Solver.Done == nil {
-		return false
-	}
-	select {
-	case <-e.opts.Solver.Done:
-		return true
-	default:
-		return false
-	}
-}
-
 func (e *enum) note(why string) {
 	if e.reason == "" {
 		e.reason = why
@@ -192,7 +180,7 @@ func Enumerate(g *graph.Graph, rules *core.Set, search inc.Options, st inc.Store
 			continue
 		}
 		seen[n] = true
-		if e.expired() {
+		if e.opts.Solver.Expired() {
 			e.note("deadline exhausted mid-enumeration")
 			break
 		}
@@ -291,7 +279,7 @@ func (e *enum) edgeFixes() []Fix {
 	tried := make(map[ekey]bool)
 	var fixes []Fix
 	for ei, pe := range r.Pattern.Edges {
-		if e.expired() {
+		if e.opts.Solver.Expired() {
 			e.note("deadline exhausted mid-enumeration")
 			break
 		}

@@ -1,6 +1,7 @@
 package repair_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -150,6 +151,54 @@ func TestAttrFixPerturbationLeavesInt64(t *testing.T) {
 		if !res.Unrepairable || !strings.Contains(res.Reason, "budget") {
 			t.Errorf("val=%d under %s: unrepairable=%v (%q), want an unknown solve", tc.old, tc.lit, res.Unrepairable, res.Reason)
 		}
+	}
+}
+
+// TestAttrFixFoldsOtherNodes: solving for one node folds the other node's
+// committed value into the constraint. Under |a.val − b.val| ≤ 5 with
+// a.val = 100 and b.val = 40, freeing a must land on 45 (b's 40 folded in)
+// and freeing b on 95; a fold with the wrong sign solves for values the
+// preview then discards.
+func TestAttrFixFoldsOtherNodes(t *testing.T) {
+	p := pattern.New()
+	a := p.AddNode("a", "item")
+	b := p.AddNode("b", "item")
+	p.AddEdge(a, b, "mirror")
+	r := core.MustNew("near", p, nil,
+		[]core.Literal{core.MustLiteral("abs(a.val - b.val) <= 5")})
+
+	g := graph.New()
+	u := g.AddNode("item")
+	v := g.AddNode("item")
+	g.SetAttr(u, "val", graph.Int(100))
+	g.SetAttr(v, "val", graph.Int(40))
+	g.AddEdge(u, v, "mirror")
+
+	vio := core.Violation{Rule: r, Match: core.Match{u, v}}
+	res := repair.Enumerate(g, core.NewSet(r), inc.Options{}, storeOf(vio), vio, repair.Options{})
+	if res.Stats.Discarded != 0 {
+		t.Errorf("discarded %d candidates, want 0", res.Stats.Discarded)
+	}
+	want := map[string][3]int64{ // fix ID → old, new, perturbation
+		fmt.Sprintf("attr:%d", u): {100, 45, 55},
+		fmt.Sprintf("attr:%d", v): {40, 95, 55},
+	}
+	if len(res.Fixes) != 3 {
+		t.Fatalf("fixes %+v, want two attr fixes and one edge delete", res.Fixes)
+	}
+	for _, f := range res.Fixes {
+		if f.Kind == repair.KindEdgeDelete {
+			continue
+		}
+		w, ok := want[f.ID]
+		if !ok || len(f.Sets) != 1 || f.Sets[0].Attr != "val" || f.Sets[0].Old == nil ||
+			*f.Sets[0].Old != w[0] || f.Sets[0].New != w[1] || f.Perturb != w[2] {
+			t.Errorf("fix %s: sets %+v perturb %d, want val %d→%d perturb %d", f.ID, f.Sets, f.Perturb, w[0], w[1], w[2])
+		}
+		delete(want, f.ID)
+	}
+	if len(want) != 0 {
+		t.Errorf("missing attr fixes %v", want)
 	}
 }
 

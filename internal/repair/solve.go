@@ -6,11 +6,13 @@ package repair
 // cleared either by making X ∧ Y hold outright (branch A) or by falsifying
 // one antecedent literal that mentions a freed attribute (branches B_i); the
 // feasible assignment of minimal L1 perturbation over all branches wins.
-// The machinery mirrors internal/reason's literal→constraint translation
-// (abs-variant expansion, sign conditions, ground folding) but solves for a
-// witness instead of deciding satisfiability, and minimizes Σ|x_i − o_i| by
-// binary search over an added deviation bound (the solver has no objective
-// row; over integers the search needs ⌈log₂ D₀⌉ extra Solve calls).
+// A literal reaches the solver the way internal/reason's do: expr.Cases
+// splits it into linear atoms and solver.Assert turns each atom into a
+// constraint; only the resolution of a term is this package's own. The
+// system is solved for a witness instead of being decided, and Σ|x_i − o_i|
+// is minimized by binary search over an added deviation bound (the solver
+// has no objective row; over integers the search needs ⌈log₂ D₀⌉ extra
+// Solve calls).
 
 import (
 	"math/big"
@@ -94,7 +96,7 @@ func (e *enum) solveNode(n graph.NodeID) (sets []AttrSet, perturb int64, why str
 		if sb.unknown {
 			unknown = true
 		}
-		if e.expired() {
+		if e.opts.Solver.Expired() {
 			unknown = true
 			break
 		}
@@ -213,10 +215,11 @@ func (sb *sysBuilder) touchesFreed(l core.Literal) bool {
 	return found
 }
 
-// explore asserts lits[i:] into the system, fanning out over abs-variant
-// case splits, and calls leaf once per fully-asserted consistent leaf.
+// explore asserts lits[i:] into the system, fanning out over each
+// literal's cases (expr.Cases), and calls leaf once per fully-asserted
+// consistent leaf.
 func (sb *sysBuilder) explore(lits []lit, i int, leaf func()) {
-	if sb.e.expired() {
+	if sb.e.opts.Solver.Expired() {
 		sb.unknown = true
 		return
 	}
@@ -244,76 +247,51 @@ func (sb *sysBuilder) explore(lits []lit, i int, leaf func()) {
 	if li.neg {
 		op = op.Negate()
 	}
-	diff := expr.Sub(li.l.L.Clone(), li.l.R.Clone())
-	for _, v := range expr.AbsVariants(diff) {
+	for _, atoms := range expr.Cases(li.l.L, op, li.l.R) {
 		mark := len(sb.cons)
-		ok := true
-		for _, c := range v.Conds {
-			if !sb.addLinear(c.Inner, condRel(c.NonNeg), new(big.Rat)) {
-				ok = false
-				break
-			}
-		}
-		if ok && sb.addLinear(v.Expr, cmpToRel(op), new(big.Rat)) {
+		if sb.assert(atoms) {
 			sb.explore(lits, i+1, leaf)
 		}
 		sb.cons = sb.cons[:mark]
-		if sb.e.expired() || sb.unknown && sb.leaves >= maxLeaves {
+		if sb.e.opts.Solver.Expired() || sb.unknown && sb.leaves >= maxLeaves {
 			sb.unknown = true
 			return
 		}
 	}
 }
 
-// addLinear linearizes e2 and appends the constraint (e2 rel rhs) over the
-// freed variables, folding every other term in as its committed graph value.
-// false means the constraint is unsatisfiable as grounded (or a ground term
-// failed to resolve to an integer), killing the current case split.
-func (sb *sysBuilder) addLinear(e2 *expr.Expr, rel solver.Rel, rhs *big.Rat) bool {
-	lf, err := expr.Linearize(e2)
-	if err != nil {
+// assert appends one case's atoms to the system; false means the case
+// cannot hold as grounded (a nil case, a false ground atom, or a term that
+// does not resolve to an integer).
+func (sb *sysBuilder) assert(atoms []expr.Atom) bool {
+	if atoms == nil {
 		return false
 	}
-	r := new(big.Rat).Sub(rhs, lf.Const)
-	coefs := make(map[int]*big.Rat)
-	for tk, c := range lf.Coeffs {
-		idx := sb.rule.Pattern.VarIndex(tk.Var)
-		if idx < 0 {
+	for _, a := range atoms {
+		var ok bool
+		if sb.cons, ok = solver.Assert(sb.cons, a, sb.term); !ok {
 			return false
 		}
-		if vi, ok := sb.freedIdx[tk.Attr]; ok && sb.m[idx] == sb.n {
-			if prev, dup := coefs[vi]; dup {
-				prev.Add(prev, c)
-			} else {
-				coefs[vi] = new(big.Rat).Set(c)
-			}
-			continue
-		}
-		val, ok := sb.b(tk.Var, tk.Attr)
-		if !ok {
-			return false // term unresolvable and not freed: cannot hold
-		}
-		iv, ok := val.AsInt()
-		if !ok {
-			return false
-		}
-		// ground term moves to the RHS: r −= c·val
-		r.Sub(r, new(big.Rat).Mul(c, big.NewRat(iv, 1)))
 	}
-	if len(coefs) == 0 {
-		return rel.Holds(new(big.Rat).Neg(r))
-	}
-	vars := make([]int, 0, len(coefs))
-	for vi := range coefs {
-		vars = append(vars, vi)
-	}
-	sortInts(vars)
-	cs := make([]*big.Rat, len(vars))
-	for i, vi := range vars {
-		cs[i] = coefs[vi]
-	}
-	sb.cons = append(sb.cons, solver.NewConstraint(vars, cs, rel, r))
 	return true
+}
+
+// term resolves x.A to its freed variable when x binds node n and A is
+// freed, and otherwise folds it in as its committed graph value.
+func (sb *sysBuilder) term(k expr.TermKey) (int, int64, bool) {
+	idx := sb.rule.Pattern.VarIndex(k.Var)
+	if idx < 0 {
+		return 0, 0, false
+	}
+	if vi, ok := sb.freedIdx[k.Attr]; ok && sb.m[idx] == sb.n {
+		return vi, 0, true
+	}
+	val, ok := sb.b(k.Var, k.Attr)
+	if !ok {
+		return 0, 0, false // unresolvable and not freed: cannot hold
+	}
+	iv, ok := val.AsInt()
+	return -1, iv, ok
 }
 
 type leafStatus int
@@ -346,9 +324,9 @@ func (sb *sysBuilder) solveLeaf() (vals []int64, used []bool, dev int64, st leaf
 	for i := 0; i < k; i++ {
 		o := big.NewRat(sb.oldVals[i], 1)
 		base = append(base,
-			solver.NewConstraint([]int{i, k + i}, []*big.Rat{one, negOne}, solver.Le, o),
-			solver.NewConstraint([]int{i, k + i}, []*big.Rat{negOne, negOne}, solver.Le, new(big.Rat).Neg(o)),
-			solver.NewConstraint([]int{k + i}, []*big.Rat{one}, solver.Ge, new(big.Rat)),
+			solver.NewConstraint([]int{i, k + i}, []*big.Rat{one, negOne}, expr.Le, o),
+			solver.NewConstraint([]int{i, k + i}, []*big.Rat{negOne, negOne}, expr.Le, new(big.Rat).Neg(o)),
+			solver.NewConstraint([]int{k + i}, []*big.Rat{one}, expr.Ge, new(big.Rat)),
 		)
 	}
 	sumVars := make([]int, k)
@@ -362,7 +340,7 @@ func (sb *sysBuilder) solveLeaf() (vals []int64, used []bool, dev int64, st leaf
 		cons := base
 		if bounded {
 			cons = append(base[:len(base):len(base)],
-				solver.NewConstraint(sumVars, sumCoef, solver.Le, big.NewRat(bound, 1)))
+				solver.NewConstraint(sumVars, sumCoef, expr.Le, big.NewRat(bound, 1)))
 		}
 		sys := &solver.System{NumVars: 2 * k, Cons: cons, Integer: true}
 		sb.e.stats.SolverCalls++
@@ -412,36 +390,4 @@ func (sb *sysBuilder) solveLeaf() (vals []int64, used []bool, dev int64, st leaf
 		}
 	}
 	return vals, used, dev, leafFeasible
-}
-
-func cmpToRel(op expr.Cmp) solver.Rel {
-	switch op {
-	case expr.Eq:
-		return solver.Eq
-	case expr.Ne:
-		return solver.Ne
-	case expr.Lt:
-		return solver.Lt
-	case expr.Le:
-		return solver.Le
-	case expr.Gt:
-		return solver.Gt
-	default:
-		return solver.Ge
-	}
-}
-
-func condRel(nonNeg bool) solver.Rel {
-	if nonNeg {
-		return solver.Ge
-	}
-	return solver.Lt
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -8,71 +8,27 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
+	"slices"
+	"strings"
+
+	"ngd/internal/expr"
 )
 
-// Rel is a constraint relation.
-type Rel uint8
-
-// Constraint relations. Ne is handled by disjunctive branching; Lt/Gt over
-// integers become Le/Ge with a ±1 adjustment.
-const (
-	Le Rel = iota
-	Ge
-	Eq
-	Lt
-	Gt
-	Ne
-)
-
-func (r Rel) String() string {
-	switch r {
-	case Le:
-		return "<="
-	case Ge:
-		return ">="
-	case Eq:
-		return "="
-	case Lt:
-		return "<"
-	case Gt:
-		return ">"
-	default:
-		return "!="
-	}
-}
-
-// Holds decides the ground constraint v r 0 — a constraint whose terms all
-// folded away, v carrying LHS − RHS — by v's sign.
-func (r Rel) Holds(v *big.Rat) bool {
-	s := v.Sign()
-	switch r {
-	case Le:
-		return s <= 0
-	case Ge:
-		return s >= 0
-	case Eq:
-		return s == 0
-	case Lt:
-		return s < 0
-	case Gt:
-		return s > 0
-	default:
-		return s != 0
-	}
-}
-
-// Constraint is Σᵢ Coef[i]·x_{Var[i]} Rel RHS.
+// Constraint is Σᵢ Coef[i]·x_{Var[i]} Rel RHS. Ne is handled by
+// disjunctive branching; Lt/Gt over integers become Le/Ge with a ±1
+// adjustment.
 type Constraint struct {
 	Vars []int
 	Coef []*big.Rat
-	Rel  Rel
+	Rel  expr.Cmp
 	RHS  *big.Rat
 }
 
 // NewConstraint builds a constraint from parallel slices.
-func NewConstraint(vars []int, coef []*big.Rat, rel Rel, rhs *big.Rat) Constraint {
+func NewConstraint(vars []int, coef []*big.Rat, rel expr.Cmp, rhs *big.Rat) Constraint {
 	return Constraint{Vars: vars, Coef: coef, Rel: rel, RHS: rhs}
 }
 
@@ -85,6 +41,51 @@ func (c Constraint) String() string {
 		s += fmt.Sprintf("%s·x%d", c.Coef[i].RatString(), v)
 	}
 	return fmt.Sprintf("%s %s %s", s, c.Rel, c.RHS.RatString())
+}
+
+// Term resolves a term x.A of an atom: to solver variable v, or, when
+// v < 0, to the integer c that Assert folds into the right-hand side.
+// ok=false means the term cannot be resolved, so the atom cannot hold.
+type Term func(expr.TermKey) (v int, c int64, ok bool)
+
+// Assert appends atom a (Form ⊗ 0) to cons as a constraint over the
+// variables term resolves Form's terms to. Terms resolving to the same
+// variable are merged, and the variables are sorted; a merged coefficient
+// that cancels keeps its variable, which callers may count as constrained.
+// An atom left with no variable is decided on the spot and appends nothing. ok=false means the
+// atom cannot hold: a term did not resolve, or the ground atom is false.
+func Assert(cons []Constraint, a expr.Atom, term Term) ([]Constraint, bool) {
+	keys := make([]expr.TermKey, 0, len(a.Form.Coeffs))
+	for k := range a.Form.Coeffs {
+		keys = append(keys, k)
+	}
+	// resolve in a fixed order: term may number variables as it meets them
+	slices.SortFunc(keys, func(x, y expr.TermKey) int {
+		return cmp.Or(strings.Compare(x.Var, y.Var), strings.Compare(x.Attr, y.Attr))
+	})
+	c := Constraint{Rel: a.Op, RHS: new(big.Rat).Neg(a.Form.Const)}
+	for _, k := range keys {
+		coef := a.Form.Coeffs[k]
+		v, x, ok := term(k)
+		if !ok {
+			return cons, false
+		}
+		if v < 0 {
+			c.RHS.Sub(c.RHS, new(big.Rat).Mul(coef, new(big.Rat).SetInt64(x)))
+			continue
+		}
+		i, dup := slices.BinarySearch(c.Vars, v)
+		if dup {
+			c.Coef[i].Add(c.Coef[i], coef)
+			continue
+		}
+		c.Vars = slices.Insert(c.Vars, i, v)
+		c.Coef = slices.Insert(c.Coef, i, new(big.Rat).Set(coef))
+	}
+	if len(c.Vars) == 0 {
+		return cons, a.Op.Holds(-c.RHS.Sign())
+	}
+	return append(cons, c), true
 }
 
 // System is a conjunction of constraints over NumVars variables.
@@ -132,8 +133,8 @@ type Options struct {
 	Done <-chan struct{}
 }
 
-// expired is a non-blocking poll of the Done channel.
-func (o Options) expired() bool {
+// Expired is a non-blocking poll of the Done channel.
+func (o Options) Expired() bool {
 	if o.Done == nil {
 		return false
 	}
@@ -162,7 +163,7 @@ func (s *System) Solve(opts Options) (Status, []*big.Rat) {
 	// expand ≠ by branching into < and > (bounded)
 	neCount := 0
 	for _, c := range s.Cons {
-		if c.Rel == Ne {
+		if c.Rel == expr.Ne {
 			neCount++
 		}
 	}
@@ -175,11 +176,11 @@ func (s *System) Solve(opts Options) (Status, []*big.Rat) {
 
 func (s *System) solveNe(opts Options, budget *int) (Status, []*big.Rat) {
 	for i, c := range s.Cons {
-		if c.Rel != Ne {
+		if c.Rel != expr.Ne {
 			continue
 		}
 		sawUnknown := false
-		for _, rel := range [2]Rel{Lt, Gt} {
+		for _, rel := range [2]expr.Cmp{expr.Lt, expr.Gt} {
 			branch := &System{NumVars: s.NumVars, Integer: s.Integer}
 			branch.Cons = append(branch.Cons, s.Cons[:i]...)
 			branch.Cons = append(branch.Cons, Constraint{Vars: c.Vars, Coef: c.Coef, Rel: rel, RHS: c.RHS})
@@ -213,17 +214,17 @@ func (s *System) normalized() ([]Constraint, bool) {
 	var out []Constraint
 	for _, c := range s.Cons {
 		switch c.Rel {
-		case Le:
+		case expr.Le:
 			out = append(out, c)
-		case Ge:
-			out = append(out, negate(c, Le))
-		case Eq:
-			out = append(out, Constraint{Vars: c.Vars, Coef: c.Coef, Rel: Le, RHS: c.RHS})
-			out = append(out, negate(c, Le))
-		case Lt:
+		case expr.Ge:
+			out = append(out, negate(c, expr.Le))
+		case expr.Eq:
+			out = append(out, Constraint{Vars: c.Vars, Coef: c.Coef, Rel: expr.Le, RHS: c.RHS})
+			out = append(out, negate(c, expr.Le))
+		case expr.Lt:
 			out = append(out, s.strictToLe(c))
-		case Gt:
-			out = append(out, s.strictToLe(negate(c, Lt)))
+		case expr.Gt:
+			out = append(out, s.strictToLe(negate(c, expr.Lt)))
 		default:
 			return nil, false // Ne must be eliminated before
 		}
@@ -241,7 +242,7 @@ func (s *System) normalized() ([]Constraint, bool) {
 // always uses the exact integer path.
 func (s *System) strictToLe(c Constraint) Constraint {
 	if !s.Integer {
-		nc := Constraint{Vars: c.Vars, Coef: c.Coef, Rel: Le,
+		nc := Constraint{Vars: c.Vars, Coef: c.Coef, Rel: expr.Le,
 			RHS: new(big.Rat).Sub(c.RHS, big.NewRat(1, 1000000))}
 		return nc
 	}
@@ -250,7 +251,7 @@ func (s *System) strictToLe(c Constraint) Constraint {
 		l = lcm(l, co.Denom())
 	}
 	lr := new(big.Rat).SetInt(l)
-	nc := Constraint{Vars: append([]int(nil), c.Vars...), Rel: Le}
+	nc := Constraint{Vars: append([]int(nil), c.Vars...), Rel: expr.Le}
 	nc.Coef = make([]*big.Rat, len(c.Coef))
 	for i, co := range c.Coef {
 		nc.Coef[i] = new(big.Rat).Mul(co, lr)
@@ -285,7 +286,7 @@ func floorBig(r *big.Rat) *big.Int {
 	return q
 }
 
-func negate(c Constraint, rel Rel) Constraint {
+func negate(c Constraint, rel expr.Cmp) Constraint {
 	nc := Constraint{Vars: append([]int(nil), c.Vars...), Rel: rel}
 	nc.Coef = make([]*big.Rat, len(c.Coef))
 	for i, co := range c.Coef {
@@ -297,7 +298,7 @@ func negate(c Constraint, rel Rel) Constraint {
 
 // branchAndBound solves the ≠-free system.
 func (s *System) branchAndBound(opts Options, budget *int) (Status, []*big.Rat) {
-	if *budget <= 0 || opts.expired() {
+	if *budget <= 0 || opts.Expired() {
 		return Unknown, nil
 	}
 	*budget--
@@ -334,7 +335,7 @@ func (s *System) branchAndBound(opts Options, budget *int) (Status, []*big.Rat) 
 	// x ≤ ⌊v⌋ branch
 	left := &System{NumVars: s.NumVars, Integer: true,
 		Cons: append(append([]Constraint(nil), s.Cons...),
-			Constraint{Vars: []int{frac}, Coef: []*big.Rat{big.NewRat(1, 1)}, Rel: Le, RHS: flRat})}
+			Constraint{Vars: []int{frac}, Coef: []*big.Rat{big.NewRat(1, 1)}, Rel: expr.Le, RHS: flRat})}
 	st, a := left.branchAndBound(opts, budget)
 	if st == Feasible {
 		return Feasible, a
@@ -345,7 +346,7 @@ func (s *System) branchAndBound(opts Options, budget *int) (Status, []*big.Rat) 
 	// x ≥ ⌈v⌉ branch
 	right := &System{NumVars: s.NumVars, Integer: true,
 		Cons: append(append([]Constraint(nil), s.Cons...),
-			Constraint{Vars: []int{frac}, Coef: []*big.Rat{big.NewRat(1, 1)}, Rel: Ge, RHS: ceRat})}
+			Constraint{Vars: []int{frac}, Coef: []*big.Rat{big.NewRat(1, 1)}, Rel: expr.Ge, RHS: ceRat})}
 	st, a = right.branchAndBound(opts, budget)
 	if st == Feasible {
 		return Feasible, a

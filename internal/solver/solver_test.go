@@ -4,11 +4,13 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"ngd/internal/expr"
 )
 
 func r(n, d int64) *big.Rat { return big.NewRat(n, d) }
 
-func cons(rel Rel, rhs *big.Rat, terms ...any) Constraint {
+func cons(rel expr.Cmp, rhs *big.Rat, terms ...any) Constraint {
 	// terms: var, coef, var, coef, ...
 	var c Constraint
 	for i := 0; i < len(terms); i += 2 {
@@ -33,17 +35,17 @@ func checkSolution(t *testing.T, s *System, asg []*big.Rat) {
 		sign := lhs.Cmp(c.RHS)
 		ok := false
 		switch c.Rel {
-		case Le:
+		case expr.Le:
 			ok = sign <= 0
-		case Ge:
+		case expr.Ge:
 			ok = sign >= 0
-		case Eq:
+		case expr.Eq:
 			ok = sign == 0
-		case Lt:
+		case expr.Lt:
 			ok = sign < 0
-		case Gt:
+		case expr.Gt:
 			ok = sign > 0
-		case Ne:
+		case expr.Ne:
 			ok = sign != 0
 		}
 		if !ok {
@@ -62,8 +64,8 @@ func checkSolution(t *testing.T, s *System, asg []*big.Rat) {
 func TestSimpleFeasible(t *testing.T) {
 	// x + y = 11, x = 7 → y = 4
 	s := &System{NumVars: 2, Integer: true, Cons: []Constraint{
-		cons(Eq, r(11, 1), 0, r(1, 1), 1, r(1, 1)),
-		cons(Eq, r(7, 1), 0, r(1, 1)),
+		cons(expr.Eq, r(11, 1), 0, r(1, 1), 1, r(1, 1)),
+		cons(expr.Eq, r(7, 1), 0, r(1, 1)),
 	}}
 	st, asg := s.Solve(Options{})
 	if st != Feasible {
@@ -78,9 +80,9 @@ func TestSimpleFeasible(t *testing.T) {
 func TestPaperExample5Phi5Phi6(t *testing.T) {
 	// Example 5: A = 7, B = 7, A + B = 11 is infeasible
 	s := &System{NumVars: 2, Integer: true, Cons: []Constraint{
-		cons(Eq, r(7, 1), 0, r(1, 1)),
-		cons(Eq, r(7, 1), 1, r(1, 1)),
-		cons(Eq, r(11, 1), 0, r(1, 1), 1, r(1, 1)),
+		cons(expr.Eq, r(7, 1), 0, r(1, 1)),
+		cons(expr.Eq, r(7, 1), 1, r(1, 1)),
+		cons(expr.Eq, r(11, 1), 0, r(1, 1), 1, r(1, 1)),
 	}}
 	if st, _ := s.Solve(Options{}); st != Infeasible {
 		t.Fatalf("φ5 ∧ φ6 system should be infeasible, got %v", st)
@@ -90,8 +92,8 @@ func TestPaperExample5Phi5Phi6(t *testing.T) {
 func TestStrictAndNegative(t *testing.T) {
 	// x < 3, x > -2, integer → x ∈ {-1, 0, 1, 2}
 	s := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Lt, r(3, 1), 0, r(1, 1)),
-		cons(Gt, r(-2, 1), 0, r(1, 1)),
+		cons(expr.Lt, r(3, 1), 0, r(1, 1)),
+		cons(expr.Gt, r(-2, 1), 0, r(1, 1)),
 	}}
 	st, asg := s.Solve(Options{})
 	if st != Feasible {
@@ -101,8 +103,8 @@ func TestStrictAndNegative(t *testing.T) {
 
 	// x < 3, x > 2 over integers: empty
 	s2 := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Lt, r(3, 1), 0, r(1, 1)),
-		cons(Gt, r(2, 1), 0, r(1, 1)),
+		cons(expr.Lt, r(3, 1), 0, r(1, 1)),
+		cons(expr.Gt, r(2, 1), 0, r(1, 1)),
 	}}
 	if st, _ := s2.Solve(Options{}); st != Infeasible {
 		t.Fatalf("2 < x < 3 over ℤ should be infeasible, got %v", st)
@@ -117,8 +119,8 @@ func TestStrictAndNegative(t *testing.T) {
 func TestRationalCoefficientsStrict(t *testing.T) {
 	// x/2 < 3/4 over ℤ: x ≤ 1 (regression: naive ⌈r⌉−1 over-tightens)
 	s := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Lt, r(3, 4), 0, r(1, 2)),
-		cons(Ge, r(1, 1), 0, r(1, 1)), // force x ≥ 1 so only x=1 remains
+		cons(expr.Lt, r(3, 4), 0, r(1, 2)),
+		cons(expr.Ge, r(1, 1), 0, r(1, 1)), // force x ≥ 1 so only x=1 remains
 	}}
 	st, asg := s.Solve(Options{})
 	if st != Feasible {
@@ -133,9 +135,9 @@ func TestRationalCoefficientsStrict(t *testing.T) {
 func TestNotEqualBranching(t *testing.T) {
 	// x ≠ 0, 0 ≤ x ≤ 1 → x = 1 over ℤ
 	s := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Ne, r(0, 1), 0, r(1, 1)),
-		cons(Ge, r(0, 1), 0, r(1, 1)),
-		cons(Le, r(1, 1), 0, r(1, 1)),
+		cons(expr.Ne, r(0, 1), 0, r(1, 1)),
+		cons(expr.Ge, r(0, 1), 0, r(1, 1)),
+		cons(expr.Le, r(1, 1), 0, r(1, 1)),
 	}}
 	st, asg := s.Solve(Options{})
 	if st != Feasible {
@@ -148,8 +150,8 @@ func TestNotEqualBranching(t *testing.T) {
 
 	// x ≠ 0 ∧ x = 0: infeasible
 	s2 := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Ne, r(0, 1), 0, r(1, 1)),
-		cons(Eq, r(0, 1), 0, r(1, 1)),
+		cons(expr.Ne, r(0, 1), 0, r(1, 1)),
+		cons(expr.Eq, r(0, 1), 0, r(1, 1)),
 	}}
 	if st, _ := s2.Solve(Options{}); st != Infeasible {
 		t.Fatalf("x≠0 ∧ x=0 should be infeasible, got %v", st)
@@ -159,7 +161,7 @@ func TestNotEqualBranching(t *testing.T) {
 func TestIntegerGap(t *testing.T) {
 	// 2x = 1: rational-feasible, integer-infeasible
 	s := &System{NumVars: 1, Integer: true, Cons: []Constraint{
-		cons(Eq, r(1, 1), 0, r(2, 1)),
+		cons(expr.Eq, r(1, 1), 0, r(2, 1)),
 	}}
 	if st, _ := s.Solve(Options{}); st != Infeasible {
 		t.Fatalf("2x=1 over ℤ should be infeasible, got %v", st)
@@ -174,8 +176,8 @@ func TestIntegerGap(t *testing.T) {
 func TestUnboundedDirections(t *testing.T) {
 	// x - y = 1000000 with free vars: feasible (splitting handles sign)
 	s := &System{NumVars: 2, Integer: true, Cons: []Constraint{
-		cons(Eq, r(1000000, 1), 0, r(1, 1), 1, r(-1, 1)),
-		cons(Le, r(-5, 1), 1, r(1, 1)), // y ≤ -5
+		cons(expr.Eq, r(1000000, 1), 0, r(1, 1), 1, r(-1, 1)),
+		cons(expr.Le, r(-5, 1), 1, r(1, 1)), // y ≤ -5
 	}}
 	st, asg := s.Solve(Options{})
 	if st != Feasible {
@@ -203,8 +205,8 @@ func TestRandomSoundness(t *testing.T) {
 		// box the variables so brute force is possible
 		for v := 0; v < nv; v++ {
 			s.Cons = append(s.Cons,
-				cons(Ge, r(-4, 1), v, r(1, 1)),
-				cons(Le, r(4, 1), v, r(1, 1)))
+				cons(expr.Ge, r(-4, 1), v, r(1, 1)),
+				cons(expr.Le, r(4, 1), v, r(1, 1)))
 		}
 		nc := 1 + rng.Intn(4)
 		for i := 0; i < nc; i++ {
@@ -219,7 +221,7 @@ func TestRandomSoundness(t *testing.T) {
 			if len(vars) == 0 {
 				continue
 			}
-			rel := Rel(rng.Intn(6))
+			rel := expr.Cmp(rng.Intn(6))
 			s.Cons = append(s.Cons, Constraint{Vars: vars, Coef: coef, Rel: rel, RHS: r(int64(rng.Intn(11)-5), 1)})
 		}
 		st, asg := s.Solve(Options{})
@@ -248,17 +250,17 @@ func bruteFeasible(s *System, nv int) bool {
 				sign := lhs.Cmp(c.RHS)
 				ok := false
 				switch c.Rel {
-				case Le:
+				case expr.Le:
 					ok = sign <= 0
-				case Ge:
+				case expr.Ge:
 					ok = sign >= 0
-				case Eq:
+				case expr.Eq:
 					ok = sign == 0
-				case Lt:
+				case expr.Lt:
 					ok = sign < 0
-				case Gt:
+				case expr.Gt:
 					ok = sign > 0
-				case Ne:
+				case expr.Ne:
 					ok = sign != 0
 				}
 				if !ok {
