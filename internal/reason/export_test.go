@@ -1,0 +1,17 @@
+package reason
+
+import (
+	"testing"
+
+	"ngd/internal/core"
+)
+
+// searchWhole makes the analyses search every obligation as one group until
+// t ends: the one-group case that the grouped search must agree with.
+func searchWhole(t *testing.T) {
+	grouped := groupObligations
+	groupObligations = func(_ int, obls []implication, _ core.Match) [][]implication {
+		return [][]implication{obls}
+	}
+	t.Cleanup(func() { groupObligations = grouped })
+}

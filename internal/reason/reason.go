@@ -18,8 +18,11 @@
 // enumeration of matches and in the disjunctive search over ways to satisfy
 // or falsify literals (missing attribute vs. negated comparison, paper §3
 // semantics), with exact integer linear feasibility (package solver) as the
-// base case. Inputs with non-linear expressions are rejected up front: by
-// Theorem 3 the analyses are undecidable already at degree 2.
+// base case. The canonical instance is a disjoint union, so the obligations
+// fall into groups that bind disjoint nodes; each group is searched on its
+// own, and the exponential is paid per group, not over their product.
+// Inputs with non-linear expressions are rejected up front: by Theorem 3
+// the analyses are undecidable already at degree 2.
 //
 // Implication tests each obligation for subsumption as it is enumerated
 // (subsume.go): a rule of Σ that already states φ, under some match, decides
@@ -94,7 +97,8 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 //   - MaxMatches bounds how many homomorphic matches of Σ-patterns into a
 //     canonical instance are enumerated (the obligation set);
 //   - MaxBranches bounds the disjunctive search tree over ways to satisfy
-//     or falsify literals (where the Σp2 exponential lives);
+//     or falsify literals (where the Σp2 exponential lives), per group of
+//     obligations that bind disjoint nodes;
 //   - Ctx, when non-nil, bounds the whole call in wall-clock time: the
 //     search polls the context between branches and between candidate
 //     patterns, and returns Unknown once it is done. Pair it with
@@ -106,7 +110,8 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 type Options struct {
 	// MaxMatches caps pattern-match enumeration per canonical instance.
 	MaxMatches int
-	// MaxBranches caps the disjunctive search tree.
+	// MaxBranches caps the disjunctive search tree of each independent
+	// group of obligations.
 	MaxBranches int
 	// Ctx, when non-nil, carries a cancellation/deadline signal into the
 	// search; an expired context makes the analyses return Unknown.
@@ -282,6 +287,10 @@ type implication struct {
 // tested as it is enumerated: one that subsumes negate answers No at once,
 // before MaxMatches or the search could turn it into Unknown, and is
 // returned as by.
+//
+// The obligations are decided one independent group at a time (see
+// groupObligations): the answer is No as soon as one group's search says
+// No, and Yes only when every group's says Yes.
 func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.NGD, subsume bool, opts Options) (v Verdict, by *core.NGD) {
 	g, idMatches := canonical(pats)
 	var idm core.Match
@@ -295,6 +304,9 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 	for _, r := range rules.Rules {
 		if opts.expired() {
 			return Unknown, nil
+		}
+		if !labelsIn(g.Symbols(), r.Pattern) {
+			continue // no match: a label the instance lacks
 		}
 		cp := pattern.Compile(r.Pattern, g.Symbols())
 		pl := plan.ForPattern(g, cp)
@@ -321,7 +333,99 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 		}
 	}
 
-	st := newSearch(g, opts)
-	budget := opts.MaxBranches
-	return st.searchImplications(obligations, 0, negate, idm, &budget), nil
+	var neg core.Match
+	if negate != nil {
+		neg = idm
+	}
+	sawUnknown := false
+	for i, grp := range groupObligations(g.NumNodes(), obligations, neg) {
+		var gneg *core.NGD
+		if i == 0 {
+			gneg = negate
+		}
+		budget := opts.MaxBranches
+		switch newSearch(g, opts).searchImplications(grp, 0, gneg, idm, &budget) {
+		case No:
+			return No, nil
+		case Unknown:
+			sawUnknown = true
+		}
+	}
+	if sawUnknown {
+		return Unknown, nil
+	}
+	return Yes, nil
+}
+
+// labelsIn reports whether every node and edge label p names is in syms;
+// otherwise p has no match in a graph over syms.
+func labelsIn(syms *graph.Symbols, p *pattern.Pattern) bool {
+	for _, n := range p.Nodes {
+		if syms.LookupLabel(n.Label) == graph.NoLabel {
+			return false
+		}
+	}
+	for _, e := range p.Edges {
+		if syms.LookupLabel(e.Label) == graph.NoLabel {
+			return false
+		}
+	}
+	return true
+}
+
+// groupObligations splits the obligations over a canonical instance of n
+// nodes into groups that bind disjoint sets of nodes, transitively, in the
+// order of their first obligations. The negated rule's identity match neg,
+// when non-nil, joins the group of its nodes, which comes first, even if it
+// holds no obligation.
+//
+// Deciding the groups apart is exact: an unknown is an attribute of one
+// node (varKey), so groups share no unknown, and no presence, type, string
+// or numeric decision in one group constrains another. An assignment
+// satisfies every obligation iff its restriction to each group satisfies
+// that group's. Each group's search has its own MaxBranches, as each
+// solver part has its own caps: a group the whole search would refute is
+// refuted within the budget whatever the other groups cost.
+var groupObligations = func(n int, obls []implication, neg core.Match) [][]implication {
+	root := make([]graph.NodeID, n)
+	for v := range root {
+		root[v] = graph.NodeID(v)
+	}
+	find := func(v graph.NodeID) graph.NodeID {
+		for root[v] != v {
+			root[v] = root[root[v]]
+			v = root[v]
+		}
+		return v
+	}
+	union := func(m core.Match) {
+		for _, v := range m {
+			root[find(v)] = find(m[0])
+		}
+	}
+	union(neg)
+	for _, ob := range obls {
+		union(ob.m)
+	}
+	of := make([]int, n+1) // root node (n: a match of no node) → group + 1
+	var out [][]implication
+	add := func(m core.Match) int {
+		r := n
+		if len(m) > 0 {
+			r = int(find(m[0]))
+		}
+		if of[r] == 0 {
+			out = append(out, nil)
+			of[r] = len(out)
+		}
+		return of[r] - 1
+	}
+	if neg != nil {
+		add(neg)
+	}
+	for _, ob := range obls {
+		i := add(ob.m)
+		out[i] = append(out[i], ob)
+	}
+	return out
 }

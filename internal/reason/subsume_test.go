@@ -126,27 +126,7 @@ func TestSubsumptionShapes(t *testing.T) {
 // check decides must be Yes. The branch budget keeps the search-only
 // probes of the clone-heavy sets short, so they end in Unknown.
 func TestSubsumptionAgreesWithSearch(t *testing.T) {
-	type corpus struct {
-		name string
-		set  *core.Set
-	}
-	var corpora []corpus
-	for _, p := range []gen.Profile{gen.YAGO2, gen.Pokec} {
-		for _, n := range []int{7, 14, 28} {
-			for _, seed := range []int64{1, 3} {
-				corpora = append(corpora, corpus{fmt.Sprintf("%s/n=%d/seed=%d", p.Name, n, seed),
-					gen.Rules(p, gen.RuleConfig{Count: n, MaxDiameter: 4, Seed: seed})})
-			}
-		}
-	}
-	corpora = append(corpora,
-		corpus{"effectiveness/yago2", gen.EffectivenessRules(gen.YAGO2)},
-		corpus{"paper", paperdata.AllRules()},
-		corpus{"commit-fuzz", paperdata.ExtendedRules()})
-	for _, tc := range shapes {
-		corpora = append(corpora, corpus{"shape/" + tc.shape, core.NewSet(tc.psi, tc.phi)})
-	}
-
+	corpora := probeCorpora()
 	opts := Options{MaxBranches: 200}
 	probes, subsumed, rescued := 0, 0, 0
 	for _, c := range corpora {
@@ -181,4 +161,32 @@ func TestSubsumptionAgreesWithSearch(t *testing.T) {
 	if subsumed == 0 || rescued == 0 {
 		t.Fatal("the corpora no longer exercise the subsumption check")
 	}
+}
+
+// corpus is a named rule set to probe.
+type corpus struct {
+	name string
+	set  *core.Set
+}
+
+// probeCorpora is the generated, effectiveness, paper and commit-fuzz rule
+// sets, and the hand table's pairs.
+func probeCorpora() []corpus {
+	var corpora []corpus
+	for _, p := range []gen.Profile{gen.YAGO2, gen.Pokec} {
+		for _, n := range []int{7, 14, 28} {
+			for _, seed := range []int64{1, 3} {
+				corpora = append(corpora, corpus{fmt.Sprintf("%s/n=%d/seed=%d", p.Name, n, seed),
+					gen.Rules(p, gen.RuleConfig{Count: n, MaxDiameter: 4, Seed: seed})})
+			}
+		}
+	}
+	corpora = append(corpora,
+		corpus{"effectiveness/yago2", gen.EffectivenessRules(gen.YAGO2)},
+		corpus{"paper", paperdata.AllRules()},
+		corpus{"commit-fuzz", paperdata.ExtendedRules()})
+	for _, tc := range shapes {
+		corpora = append(corpora, corpus{"shape/" + tc.shape, core.NewSet(tc.psi, tc.phi)})
+	}
+	return corpora
 }

@@ -1,0 +1,17 @@
+package solver
+
+import "math/big"
+
+// SolveWhole decides s as one part, on one tableau: the whole-system solve
+// that Solve's split must agree with wherever it decides.
+func (s *System) SolveWhole(opts Options) (Status, []*big.Rat) {
+	return s.solve(opts.defaults())
+}
+
+// SetPivotsPerLine sets the simplex's pivot cap and returns the function
+// that restores it.
+func SetPivotsPerLine(n int) (restore func()) {
+	old := pivotsPerLine
+	pivotsPerLine = n
+	return func() { pivotsPerLine = old }
+}

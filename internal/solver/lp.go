@@ -13,8 +13,10 @@ import "math/big"
 //
 // done, when non-nil, aborts the pivot loop once closed (polled every 32
 // pivots — a pivot over a large exact-rational tableau can cost
-// milliseconds, so this is where wall-clock deadlines bite). An aborted
-// run returns aborted=true and the other results are meaningless.
+// milliseconds, so this is where wall-clock deadlines bite). A run that
+// reaches the pivot cap, or finds phase 1 unbounded (which a correct
+// tableau cannot), aborts too: neither proves anything. An aborted run
+// returns aborted=true and the other results are meaningless.
 func lpFeasible(numVars int, cons []Constraint, done <-chan struct{}) (asg []*big.Rat, feasible, aborted bool) {
 	m := len(cons)
 	if m == 0 {
@@ -104,8 +106,8 @@ func lpFeasible(numVars int, cons []Constraint, done <-chan struct{}) (asg []*bi
 	}
 
 	for iter := 0; ; iter++ {
-		if iter > 10000*(nTotal+m) {
-			return nil, false, false // safety net; Bland's rule should terminate long before
+		if iter > pivotsPerLine*(nTotal+m) {
+			return nil, false, true // Bland's rule terminates long before
 		}
 		if done != nil && iter&0x1f == 0 {
 			select {
@@ -143,8 +145,8 @@ func lpFeasible(numVars int, cons []Constraint, done <-chan struct{}) (asg []*bi
 		}
 		if leave < 0 {
 			// unbounded in a minimization with objective bounded below by 0
-			// cannot happen; treat defensively as infeasible
-			return nil, false, false
+			// cannot happen
+			return nil, false, true
 		}
 		pivot(rows, rhs, obj, objVal, leave, enter)
 		basis[leave] = enter
@@ -168,6 +170,10 @@ func lpFeasible(numVars int, cons []Constraint, done <-chan struct{}) (asg []*bi
 	}
 	return out, true, false
 }
+
+// pivotsPerLine caps the pivots of one simplex run at this many per row
+// and column of its tableau.
+var pivotsPerLine = 10000
 
 // pivot performs a simplex pivot on (leave, enter).
 func pivot(rows [][]*big.Rat, rhs []*big.Rat, obj []*big.Rat, objVal *big.Rat, leave, enter int) {

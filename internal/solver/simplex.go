@@ -4,7 +4,7 @@
 // that linear arithmetic over integers has an NP-complete satisfiability
 // problem; this solver runs a two-phase exact simplex (Bland's rule, so it
 // always terminates) on the rational relaxation and branches-and-bounds to
-// integrality.
+// integrality, one independent part of the system at a time.
 package solver
 
 import (
@@ -100,8 +100,8 @@ type System struct {
 // Status of a feasibility check.
 type Status uint8
 
-// Feasibility outcomes. Unknown is reported only when the branch-and-bound
-// node budget is exhausted.
+// Feasibility outcomes. Unknown is reported only when a budget (the node
+// or ≠-split cap, the simplex's pivot cap, the Done channel) is exhausted.
 const (
 	Infeasible Status = iota
 	Feasible
@@ -119,7 +119,8 @@ func (s Status) String() string {
 	}
 }
 
-// Options bound the search.
+// Options bound the search. Both caps apply to each independent part of
+// the system (see Solve) on its own.
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes (default 4096).
 	MaxNodes int
@@ -158,9 +159,112 @@ func (o Options) defaults() Options {
 
 // Solve decides feasibility; on Feasible, the returned assignment satisfies
 // every constraint (integral when s.Integer).
+//
+// Constraints that share a variable, transitively, form a part; the parts
+// share no variable, so s is feasible iff every part is, and a witness is
+// the parts' witnesses side by side (a variable no constraint names is 0).
+// Each part is solved on its own tableau, under its own node and ≠-split
+// caps: a part the whole-system search would refute is then refuted here
+// within the same caps, whatever the other parts cost, so splitting can
+// turn Unknown into a verdict but never a verdict into Unknown. Solve
+// answers Infeasible at the first infeasible part and looks past an
+// Unknown one for it.
 func (s *System) Solve(opts Options) (Status, []*big.Rat) {
 	opts = opts.defaults()
-	// expand ≠ by branching into < and > (bounded)
+	asg := make([]*big.Rat, s.NumVars)
+	sawUnknown := false
+	for _, p := range s.parts() {
+		st, w := p.sys.solve(opts)
+		switch st {
+		case Infeasible:
+			return Infeasible, nil
+		case Unknown:
+			sawUnknown = true
+		default:
+			for i, v := range p.vars {
+				asg[v] = w[i]
+			}
+		}
+	}
+	if sawUnknown {
+		return Unknown, nil
+	}
+	for v := range asg {
+		if asg[v] == nil {
+			asg[v] = new(big.Rat)
+		}
+	}
+	return Feasible, asg
+}
+
+// part is one independent part of a system: its constraints renumbered
+// onto variables 0..len(vars)−1, where variable i is vars[i] of the whole.
+type part struct {
+	sys  *System
+	vars []int
+}
+
+// parts splits s into its independent parts, in the order of their first
+// constraints. Renumbering keeps the variables' and the constraints'
+// relative order, so a part's simplex pivots and branches as it would
+// inside the whole tableau. Constraints over no variable form one part of
+// their own.
+func (s *System) parts() []part {
+	root := make([]int, s.NumVars)
+	for v := range root {
+		root[v] = v
+	}
+	find := func(v int) int {
+		for root[v] != v {
+			root[v] = root[root[v]]
+			v = root[v]
+		}
+		return v
+	}
+	for _, c := range s.Cons {
+		for _, v := range c.Vars {
+			root[find(v)] = find(c.Vars[0])
+		}
+	}
+	key := func(c Constraint) int { // c's root variable, NumVars for none
+		if len(c.Vars) == 0 {
+			return s.NumVars
+		}
+		return find(c.Vars[0])
+	}
+	of := make([]int, s.NumVars+1) // key → part + 1
+	var out []part
+	for _, c := range s.Cons {
+		if k := key(c); of[k] == 0 {
+			out = append(out, part{sys: &System{Integer: s.Integer}})
+			of[k] = len(out)
+		}
+	}
+	local := make([]int, s.NumVars)
+	for v := range local {
+		if i := of[find(v)]; i > 0 {
+			p := &out[i-1]
+			local[v] = len(p.vars)
+			p.vars = append(p.vars, v)
+		}
+	}
+	for _, c := range s.Cons {
+		p := out[of[key(c)]-1].sys
+		vars := make([]int, len(c.Vars))
+		for k, v := range c.Vars {
+			vars[k] = local[v]
+		}
+		p.Cons = append(p.Cons, Constraint{Vars: vars, Coef: c.Coef, Rel: c.Rel, RHS: c.RHS})
+	}
+	for i := range out {
+		out[i].sys.NumVars = len(out[i].vars)
+	}
+	return out
+}
+
+// solve decides s as one part: ≠ constraints are split into < and >, then
+// branch and bound runs on each ≠-free branch.
+func (s *System) solve(opts Options) (Status, []*big.Rat) {
 	neCount := 0
 	for _, c := range s.Cons {
 		if c.Rel == expr.Ne {

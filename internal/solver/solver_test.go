@@ -28,28 +28,8 @@ func checkSolution(t *testing.T, s *System, asg []*big.Rat) {
 		t.Fatalf("assignment has %d vars, want %d", len(asg), s.NumVars)
 	}
 	for _, c := range s.Cons {
-		lhs := new(big.Rat)
-		for i, v := range c.Vars {
-			lhs.Add(lhs, new(big.Rat).Mul(c.Coef[i], asg[v]))
-		}
-		sign := lhs.Cmp(c.RHS)
-		ok := false
-		switch c.Rel {
-		case expr.Le:
-			ok = sign <= 0
-		case expr.Ge:
-			ok = sign >= 0
-		case expr.Eq:
-			ok = sign == 0
-		case expr.Lt:
-			ok = sign < 0
-		case expr.Gt:
-			ok = sign > 0
-		case expr.Ne:
-			ok = sign != 0
-		}
-		if !ok {
-			t.Errorf("solution violates %v (lhs=%v)", c, lhs.RatString())
+		if !holds(c, asg) {
+			t.Errorf("solution violates %v (assignment %v)", c, asg)
 		}
 	}
 	if s.Integer {
@@ -59,6 +39,15 @@ func checkSolution(t *testing.T, s *System, asg []*big.Rat) {
 			}
 		}
 	}
+}
+
+// holds decides c under asg with exact rationals.
+func holds(c Constraint, asg []*big.Rat) bool {
+	lhs := new(big.Rat)
+	for i, v := range c.Vars {
+		lhs.Add(lhs, new(big.Rat).Mul(c.Coef[i], asg[v]))
+	}
+	return c.Rel.Holds(lhs.Cmp(c.RHS))
 }
 
 func TestSimpleFeasible(t *testing.T) {
@@ -243,27 +232,7 @@ func bruteFeasible(s *System, nv int) bool {
 	rec = func(v int) bool {
 		if v == nv {
 			for _, c := range s.Cons {
-				lhs := new(big.Rat)
-				for i, vv := range c.Vars {
-					lhs.Add(lhs, new(big.Rat).Mul(c.Coef[i], asg[vv]))
-				}
-				sign := lhs.Cmp(c.RHS)
-				ok := false
-				switch c.Rel {
-				case expr.Le:
-					ok = sign <= 0
-				case expr.Ge:
-					ok = sign >= 0
-				case expr.Eq:
-					ok = sign == 0
-				case expr.Lt:
-					ok = sign < 0
-				case expr.Gt:
-					ok = sign > 0
-				case expr.Ne:
-					ok = sign != 0
-				}
-				if !ok {
+				if !holds(c, asg) {
 					return false
 				}
 			}
