@@ -8,8 +8,10 @@ package ngd_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"ngd/internal/analyze"
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/gen"
@@ -119,6 +121,31 @@ func BenchmarkSnapshotAdvance(b *testing.B) {
 			}
 			b.ReportMetric(float64(s.Len()), "store_size")
 		})
+	}
+}
+
+// BenchmarkNewSnapshot seeds a violation store the size of bigstore-mixed's
+// (17,500 violations over the 64k nodes of an 8,000-entity yago2 graph):
+// session.Restore over a persisted store, the part of a durable boot that
+// follows decoding. Each violation of the 41-rule effectiveness Σ binds an
+// entity and three of its property nodes. The admission pass is off, so Σ's
+// compilation is about a millisecond of the op.
+func BenchmarkNewSnapshot(b *testing.B) {
+	p := gen.YAGO2
+	ds := gen.Generate(p, 8000, 1)
+	rules := gen.EffectivenessRules(p)
+	rng := rand.New(rand.NewSource(1))
+	vios := make([]core.Violation, 17_500)
+	for i := range vios {
+		e := rng.Intn(len(ds.Entities))
+		props := rng.Perm(len(ds.PropNode[e]))[:3]
+		m := core.Match{ds.Entities[e], ds.PropNode[e][props[0]], ds.PropNode[e][props[1]], ds.PropNode[e][props[2]]}
+		vios[i] = core.Violation{Rule: rules.Rules[rng.Intn(len(rules.Rules))], Match: m}
+	}
+	opts := session.Options{Analyze: analyze.Options{NoMinimize: true}}
+	b.ReportAllocs()
+	for b.Loop() {
+		session.Restore(ds.G, rules, vios, opts)
 	}
 }
 

@@ -263,11 +263,11 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		vios = vios.Rule(rule)
 	}
 	rest := vios.After(after) // no cursor: every key is past ""
-	keys, page := rest.Page(limit)
+	page := rest.Page(limit)
 
 	out := make([]vioJSON, len(page))
-	for i, v := range page {
-		out[i] = toVioJSON(keys[i], v)
+	for i, k := range page {
+		out[i] = toVioJSON(k.Key, k.Violation)
 	}
 	resp := map[string]any{
 		"epoch":      sn.Epoch,
@@ -276,7 +276,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		"violations": out,
 	}
 	if len(out) > 0 && len(out) < rest.Len() {
-		resp["next"] = keys[len(keys)-1]
+		resp["next"] = page[len(page)-1].Key
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

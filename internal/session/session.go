@@ -37,7 +37,7 @@ package session
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ngd/internal/analyze"
@@ -232,11 +232,13 @@ type Session struct {
 	// snap is the violation set as of the last commit (see Snapshot).
 	// Between commits it is the whole store; during one, the store is snap
 	// plus the commit's net delta so far: added holds violations the commit
-	// found that snap lacks, removed those of snap it cleared (a violation
-	// added and then cleared again, or the reverse, is in neither). Both are
-	// empty outside CommitBatch, which ends by advancing snap with them.
-	snap           *Snapshot
-	added, removed map[string]core.Violation
+	// found that snap lacks, removed the records of snap it cleared (a
+	// violation added and then cleared again, or the reverse, is in
+	// neither). Both are empty outside CommitBatch, which ends by advancing
+	// snap with them.
+	snap    *Snapshot
+	added   map[string]core.Violation
+	removed map[string]*core.Keyed
 	// edgeRules (patterns with ≥1 edge) produce update pivots and go to the
 	// incremental detectors; isoRules additionally need the arriving-node
 	// searches of absorbNewNodes.
@@ -304,7 +306,7 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 		prog:      prog,
 		search:    inc.Reusing(prog),
 		added:     make(map[string]core.Violation),
-		removed:   make(map[string]core.Violation),
+		removed:   make(map[string]*core.Keyed),
 		edgeRules: core.NewSet(),
 	}
 	for _, r := range rules.Rules {
@@ -412,22 +414,26 @@ func (s *Session) add(k string, v core.Violation) bool {
 
 // remove takes the violation keyed k out of the store and reports whether
 // the store held it.
-func (s *Session) remove(k string, v core.Violation) bool {
+func (s *Session) remove(k string) bool {
 	if _, ok := s.added[k]; ok {
 		delete(s.added, k) // found earlier in this commit: never published
 		return true
 	}
-	if _, ok := s.removed[k]; ok || !s.snap.Has(k) {
+	if _, ok := s.removed[k]; ok {
 		return false
 	}
-	s.removed[k] = v
+	rec := s.snap.record(k)
+	if rec == nil {
+		return false
+	}
+	s.removed[k] = rec
 	return true
 }
 
 // Violations returns the live store sorted by canonical key. The slice is
 // the caller's to keep.
 func (s *Session) Violations() []core.Violation {
-	return append([]core.Violation(nil), s.snap.Violations()...)
+	return s.snap.Violations()
 }
 
 // Snapshot returns the immutable view of the current epoch. CommitBatch
@@ -495,9 +501,9 @@ func (s *Session) CommitBatch(d *graph.Delta, attrs []graph.AttrOp) BatchStats {
 	// commits; ΔVio⁺ is searched on G′ itself. Arrivals are absorbed on G′ too: an arriving node binds an
 	// isolated slot whatever the edges are, and the rest of such a match is a
 	// match of G′.
-	st.Looked = inc.Minus(s.snap, s.prog, norm.Deletions(), func(k string, v core.Violation) {
+	st.Looked = inc.Minus(s.snap, s.prog, norm.Deletions(), func(k string, _ core.Violation) {
 		// a violation using two deleted edges is removed by the first
-		if s.remove(k, v) {
+		if s.remove(k) {
 			st.Minus++
 		}
 	})
@@ -561,8 +567,8 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus, cuts int) {
 		}
 	}
 
-	gone := func(k string, v core.Violation) {
-		if s.remove(k, v) {
+	gone := func(k string, _ core.Violation) {
+		if s.remove(k) {
 			minus++
 		}
 	}
@@ -634,23 +640,39 @@ func (s *Session) absorbNewNodes() (absorbed, cuts int) {
 // violation the edge phase adds and the attribute phase then clears, or
 // vice versa, is in neither), so the event is an exact differential of the
 // epoch's store and the next snapshot is the last one advanced by it.
+//
+// Each added violation becomes its record here, the one the store keeps; a
+// removed one is named by the record the last epoch stored.
 func (s *Session) publish() *CommitEvent {
-	add, del := sortedRun(s.added), sortedRun(s.removed)
+	add, del := make(run, 0, len(s.added)), make(run, 0, len(s.removed))
+	for k, v := range s.added {
+		add = append(add, &core.Keyed{Key: k, Violation: v})
+	}
+	for _, rec := range s.removed {
+		del = append(del, rec)
+	}
+	slices.SortFunc(add, byKey)
+	slices.SortFunc(del, byKey)
 	clear(s.added)
 	clear(s.removed)
 	s.snap = s.snap.advance(add, del, s.g.NumNodes(), s.g.NumEdges())
-	return &CommitEvent{Epoch: s.commits, Added: add.vios, AddedKeys: add.keys, Removed: del.vios, RemovedKeys: del.keys}
+	ev := &CommitEvent{Epoch: s.commits}
+	ev.AddedKeys, ev.Added = add.split()
+	ev.RemovedKeys, ev.Removed = del.split()
+	return ev
 }
 
-// sortedRun puts a commit's added or removed set in canonical key order
-// (the order snapshots and feed events expose); nil slices when empty.
-func sortedRun(m map[string]core.Violation) run {
-	var r run
-	for k, v := range m {
-		r.push(k, v)
+// split lays a run out as a feed event's keys and violations, in key
+// order; nil slices when empty.
+func (r run) split() ([]string, []core.Violation) {
+	if len(r) == 0 {
+		return nil, nil
 	}
-	sort.Sort(r)
-	return r
+	keys := make([]string, len(r))
+	for i, k := range r {
+		keys[i] = k.Key
+	}
+	return keys, violationsOf(r)
 }
 
 // Recheck audits the store invariant store ≡ Dect(Σ, G) with a from-scratch
@@ -666,9 +688,9 @@ func (s *Session) Recheck() error {
 		}
 	}
 	for _, ch := range s.snap.all.chunks {
-		for _, k := range ch.keys {
-			if _, ok := fresh[k]; !ok {
-				return fmt.Errorf("session: store holds stale violation %s", k)
+		for _, k := range ch {
+			if _, ok := fresh[k.Key]; !ok {
+				return fmt.Errorf("session: store holds stale violation %s", k.Key)
 			}
 		}
 	}

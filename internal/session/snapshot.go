@@ -1,7 +1,6 @@
 package session
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -12,14 +11,15 @@ import (
 
 // Snapshot is an immutable, consistent view of a session at one commit
 // epoch, and the only representation of the violation set the session
-// keeps: Vio(Σ, G) sorted by canonical key in chunks of at most chunkBound
-// entries, plus the same violations posted under every node they bind.
-// Epoch e is derived from epoch e−1 by advance, inside the commit, from the
-// commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪
-// ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and postings the delta falls
-// into; published epochs are never touched, so any number of concurrent
-// readers can serve from a Snapshot while the session commits
-// (internal/serve relies on this for snapshot-isolated reads).
+// keeps: one *core.Keyed record per violation of Vio(Σ, G), listed in key
+// order in chunks of at most chunkBound records, and posted under every
+// node the violation binds. Epoch e is derived from epoch e−1 by advance,
+// inside the commit, from the commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's
+// Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪ ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and
+// posting pages the delta falls into; published epochs are never touched,
+// so any number of concurrent readers can serve from a Snapshot while the
+// session commits (internal/serve relies on this for snapshot-isolated
+// reads).
 type Snapshot struct {
 	// Epoch is the commit count at capture (0 = the seeded store).
 	Epoch int
@@ -30,18 +30,20 @@ type Snapshot struct {
 
 	all chunked
 	// byNode posts every violation under each distinct node of its match:
-	// a posting is the node's records in key order, each violation one
-	// *core.Keyed that every posting listing it shares. The map is sharded
-	// by id (id >> nodeShardBits) so the per-commit copy-on-write is
-	// O(|V|/shard size + touched shards), not O(distinct violating nodes).
-	byNode map[graph.NodeID]nodeShard
+	// a posting is the node's records in key order, the very records all's
+	// chunks hold. Postings sit in pages of pageSize consecutive node ids,
+	// nil where no node of the page has one; a commit copies this table and
+	// the pages it touches.
+	byNode []*page
 }
 
-// nodeShard holds the postings of one contiguous id range; cloned
-// wholesale when a commit touches any of its nodes.
-type nodeShard map[graph.NodeID][]*core.Keyed
+// page holds the postings of pageSize consecutive node ids.
+type page [pageSize][]*core.Keyed
 
-const nodeShardBits = 8
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
 
 // Len reports |Vio(Σ, G)| at the snapshot's epoch.
 func (sn *Snapshot) Len() int { return sn.all.Len() }
@@ -49,57 +51,67 @@ func (sn *Snapshot) Len() int { return sn.all.Len() }
 // All is the whole store in key order.
 func (sn *Snapshot) All() Range { return Range{sn.all, 0, sn.all.Len()} }
 
-// Violations returns the snapshot's violations sorted by canonical key,
-// materialised: O(|Vio|) for a store of more than one chunk, so page
-// through All for anything but a full listing. Read-only, like every slice
-// a Snapshot returns.
-func (sn *Snapshot) Violations() []core.Violation {
-	_, vios := sn.All().Page(-1)
-	return vios
-}
+// Violations returns the snapshot's violations sorted by canonical key, a
+// copy: O(|Vio|), so page through All for anything but a full listing.
+func (sn *Snapshot) Violations() []core.Violation { return violationsOf(sn.All().Page(-1)) }
 
 // Get looks up a violation by its canonical key: one binary search for the
 // chunk, one inside it.
 func (sn *Snapshot) Get(key string) (core.Violation, bool) {
-	if ci := sn.all.home(key); ci >= 0 {
-		ch := sn.all.chunks[ci]
-		if i := ch.seek(key); i < ch.Len() && ch.keys[i] == key {
-			return ch.vios[i], true
-		}
+	if k := sn.record(key); k != nil {
+		return k.Violation, true
 	}
 	return core.Violation{}, false
 }
 
-// Has reports whether the snapshot holds a violation with the given key.
-func (sn *Snapshot) Has(key string) bool {
-	_, ok := sn.Get(key)
-	return ok
+// record is the stored record keyed key, nil when there is none.
+func (sn *Snapshot) record(key string) *core.Keyed {
+	if ci := sn.all.home(key); ci >= 0 {
+		ch := sn.all.chunks[ci]
+		if i := ch.seek(key); i < len(ch) && ch[i].Key == key {
+			return ch[i]
+		}
+	}
+	return nil
 }
+
+// Has reports whether the snapshot holds a violation with the given key.
+func (sn *Snapshot) Has(key string) bool { return sn.record(key) != nil }
 
 // Posting returns the records of the violations whose match binds node n,
 // in key order: the snapshot's own slice, no copy, read-only. This is the
 // posting as inc.Store reads it.
-func (sn *Snapshot) Posting(n graph.NodeID) []*core.Keyed { return sn.byNode[n>>nodeShardBits][n] }
+func (sn *Snapshot) Posting(n graph.NodeID) []*core.Keyed {
+	if i := uint32(n) >> pageBits; i < uint32(len(sn.byNode)) && sn.byNode[i] != nil {
+		return sn.byNode[i][n&(pageSize-1)]
+	}
+	return nil
+}
 
 // Node returns the violations whose match binds node n, in key order: a
 // copy, O(posting).
-func (sn *Snapshot) Node(n graph.NodeID) []core.Violation {
-	_, vios := sn.Posted(n).Page(-1)
-	return vios
-}
+func (sn *Snapshot) Node(n graph.NodeID) []core.Violation { return violationsOf(sn.Posting(n)) }
 
-// Posted is Node as a Range, for paging and for narrowing to one rule. The
-// run it pages is built from the posting, O(posting).
+// Posted is Node as a Range, for paging and for narrowing to one rule. It
+// pages the posting in place: O(1).
 func (sn *Snapshot) Posted(n graph.NodeID) Range {
 	p := sn.Posting(n)
 	if len(p) == 0 {
 		return Range{}
 	}
-	r := run{make([]string, len(p)), make([]core.Violation, len(p))}
-	for i, k := range p {
-		r.keys[i], r.vios[i] = k.Key, k.Violation
+	return Range{chunked{[]run{p}, []int{0, len(p)}}, 0, len(p)}
+}
+
+// violationsOf copies the records' violations out.
+func violationsOf(recs []*core.Keyed) []core.Violation {
+	if len(recs) == 0 {
+		return nil
 	}
-	return Range{chunked{[]run{r}, r.keys[:1], []int{0, r.Len()}}, 0, r.Len()}
+	out := make([]core.Violation, len(recs))
+	for i, k := range recs {
+		out[i] = k.Violation
+	}
+	return out
 }
 
 // Range is a stretch of one epoch's key-sorted violations — the whole
@@ -132,58 +144,44 @@ func (r Range) After(key string) Range {
 	return r
 }
 
-// Page returns the first limit entries of r, or all of them when limit < 0,
-// each key beside its violation. A page that lies inside one chunk aliases
-// the snapshot's storage; one that crosses a boundary is a copy.
-func (r Range) Page(limit int) ([]string, []core.Violation) {
+// Page returns the records of the first limit entries of r, or of all of
+// them when limit < 0. A page that lies inside one chunk (or posting)
+// aliases the snapshot's storage; one that crosses a boundary is a copy.
+// Read-only either way.
+func (r Range) Page(limit int) []*core.Keyed {
 	n := r.Len()
 	if limit >= 0 && limit < n {
 		n = limit
 	}
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	ci := sort.SearchInts(r.c.offs, r.lo+1) - 1
 	i := r.lo - r.c.offs[ci]
-	if ch := r.c.chunks[ci]; i+n <= ch.Len() {
-		return ch.keys[i : i+n : i+n], ch.vios[i : i+n : i+n]
+	if ch := r.c.chunks[ci]; i+n <= len(ch) {
+		return ch[i : i+n : i+n]
 	}
-	out := run{make([]string, 0, n), make([]core.Violation, 0, n)}
-	for ; out.Len() < n; ci, i = ci+1, 0 {
+	out := make([]*core.Keyed, 0, n)
+	for ; len(out) < n; ci, i = ci+1, 0 {
 		ch := r.c.chunks[ci]
-		j := min(ch.Len(), i+n-out.Len())
-		out.keys = append(out.keys, ch.keys[i:j]...)
-		out.vios = append(out.vios, ch.vios[i:j]...)
+		out = append(out, ch[i:min(len(ch), i+n-len(out))]...)
 	}
-	return out.keys, out.vios
+	return out
 }
 
-// run is a list of violations in ascending canonical-key order, each key
-// held beside its violation so lookups and merges compare strings instead
-// of re-deriving Key(). It implements sort.Interface for the two places a
-// run is put in order: the boot path (whole store) and a commit's Δ.
-type run struct {
-	keys []string
-	vios []core.Violation
-}
+// run is a list of records in ascending key order: a chunk of the store, a
+// node's posting, or one side of a commit's Δ.
+type run []*core.Keyed
 
-func (r run) Len() int           { return len(r.keys) }
-func (r run) Less(i, j int) bool { return r.keys[i] < r.keys[j] }
-func (r run) Swap(i, j int) {
-	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
-	r.vios[i], r.vios[j] = r.vios[j], r.vios[i]
-}
-
-func (r *run) push(k string, v core.Violation) {
-	r.keys = append(r.keys, k)
-	r.vios = append(r.vios, v)
-}
+func byKey(a, b *core.Keyed) int { return strings.Compare(a.Key, b.Key) }
 
 // seek returns the position of the first key ≥ key.
-func (r run) seek(key string) int { return sort.SearchStrings(r.keys, key) }
+func (r run) seek(key string) int {
+	return sort.Search(len(r), func(i int) bool { return r[i].Key >= key })
+}
 
 // slice is r[i:j], capped so that nothing can append over its neighbours.
-func (r run) slice(i, j int) run { return run{r.keys[i:j:j], r.vios[i:j:j]} }
+func (r run) slice(i, j int) run { return r[i:j:j] }
 
 // merge returns r ∖ del ∪ add as a fresh run, leaving r untouched (it is
 // shared with published epochs). All three are key-sorted; one pass over
@@ -192,31 +190,29 @@ func (r run) slice(i, j int) run { return run{r.keys[i:j:j], r.vios[i:j:j]} }
 // an empty run returns add itself (at boot, or into a store the last commit
 // emptied; apply then cuts it into chunks).
 func (r run) merge(add, del run) run {
-	if len(r.keys) == 0 {
+	if len(r) == 0 {
 		return add
 	}
-	n := len(r.keys) + len(add.keys)
-	out := run{make([]string, 0, n), make([]core.Violation, 0, n)}
+	out := make(run, 0, len(r)+len(add))
 	i := 0 // next unread entry of r
 	copyTo := func(j int) {
-		out.keys = append(out.keys, r.keys[i:j]...)
-		out.vios = append(out.vios, r.vios[i:j]...)
+		out = append(out, r[i:j]...)
 		i = j
 	}
-	for a, d := 0, 0; a < len(add.keys) || d < len(del.keys); {
-		if d == len(del.keys) || a < len(add.keys) && add.keys[a] < del.keys[d] {
-			copyTo(i + sort.SearchStrings(r.keys[i:], add.keys[a]))
-			out.push(add.keys[a], add.vios[a])
+	for a, d := 0, 0; a < len(add) || d < len(del); {
+		if d == len(del) || a < len(add) && add[a].Key < del[d].Key {
+			copyTo(i + r[i:].seek(add[a].Key))
+			out = append(out, add[a])
 			a++
 		} else {
-			copyTo(i + sort.SearchStrings(r.keys[i:], del.keys[d]))
-			if i < len(r.keys) && r.keys[i] == del.keys[d] {
+			copyTo(i + r[i:].seek(del[d].Key))
+			if i < len(r) && r[i].Key == del[d].Key {
 				i++
 			}
 			d++
 		}
 	}
-	copyTo(len(r.keys))
+	copyTo(len(r))
 	return out
 }
 
@@ -226,14 +222,13 @@ func (r run) merge(add, del run) run {
 const chunkBound = 512
 
 // chunked is the store's two-level sorted array: non-empty runs of at most
-// chunkBound entries in ascending key order, with each chunk's first key
-// and starting position held beside them for the binary searches. The
-// chunks of one epoch are shared with the next unless a change falls into
-// them; the top level is copied per commit (|Vio|/chunkBound entries).
+// chunkBound records in ascending key order, with each chunk's starting
+// position held beside them for the binary searches. The chunks of one
+// epoch are shared with the next unless a change falls into them; the top
+// level is copied per commit (|Vio|/chunkBound entries).
 type chunked struct {
 	chunks []run
-	first  []string // first[i] == chunks[i].keys[0]
-	offs   []int    // offs[i] entries precede chunk i; offs[len(chunks)] is Len
+	offs   []int // offs[i] entries precede chunk i; offs[len(chunks)] is Len
 }
 
 func (c chunked) Len() int {
@@ -246,7 +241,7 @@ func (c chunked) Len() int {
 // home returns the chunk whose stretch of the key space holds key: the last
 // one that starts at or below it, -1 when key sorts before the whole store.
 func (c chunked) home(key string) int {
-	return sort.Search(len(c.first), func(i int) bool { return c.first[i] > key }) - 1
+	return sort.Search(len(c.chunks), func(i int) bool { return c.chunks[i][0].Key > key }) - 1
 }
 
 // seek returns the position in the whole store of the first key ≥ key.
@@ -265,118 +260,156 @@ func (c chunked) seek(key string) int {
 // under a quarter of it — without that a delete-heavy stream leaves
 // one-entry chunks behind and the top level creeps back toward |Vio|.
 func (c chunked) apply(add, del run) chunked {
-	if add.Len()+del.Len() == 0 {
+	if len(add)+len(del) == 0 {
 		return c
 	}
-	if len(c.chunks) == 0 {
-		c.chunks = []run{{}} // boot, or a store the last commit emptied: one empty chunk to merge into
-	}
-	out := make([]run, 0, len(c.chunks)+1+add.Len()/chunkBound)
+	out := make([]run, 0, len(c.chunks)+1+len(add)/chunkBound)
 	put := func(m run) {
-		if n := len(out); n > 0 && 0 < m.Len() && m.Len() < chunkBound/4 {
-			m = out[n-1].merge(m, run{}) // every key of m is past the neighbour's
+		if n := len(out); n > 0 && 0 < len(m) && len(m) < chunkBound/4 {
+			m = out[n-1].merge(m, nil) // every key of m is past the neighbour's
 			out = out[:n-1]
 		}
-		for pieces := (m.Len() + chunkBound - 1) / chunkBound; pieces > 0; pieces-- {
-			n := m.Len() / pieces
+		for pieces := (len(m) + chunkBound - 1) / chunkBound; pieces > 0; pieces-- {
+			n := len(m) / pieces
 			out = append(out, m.slice(0, n))
-			m = m.slice(n, m.Len())
+			m = m.slice(n, len(m))
 		}
 	}
+	if len(c.chunks) == 0 {
+		put(add) // boot, or a store the last commit emptied: del ⊆ c is empty
+	}
 	i := 0 // next unread chunk of c
-	for a, d := 0, 0; a < add.Len() || d < del.Len(); {
+	for a, d := 0, 0; len(c.chunks) > 0 && (a < len(add) || d < len(del)); {
 		// the chunk the next change falls into, and the changes it shares it
 		// with: those below the following chunk's first key
 		var k string
-		if d == del.Len() || a < add.Len() && add.keys[a] < del.keys[d] {
-			k = add.keys[a]
+		if d == len(del) || a < len(add) && add[a].Key < del[d].Key {
+			k = add[a].Key
 		} else {
-			k = del.keys[d]
+			k = del[d].Key
 		}
 		ci := max(i, c.home(k))
-		a2, d2 := add.Len(), del.Len()
+		a2, d2 := len(add), len(del)
 		if ci+1 < len(c.chunks) {
-			a2 = a + sort.SearchStrings(add.keys[a:], c.first[ci+1])
-			d2 = d + sort.SearchStrings(del.keys[d:], c.first[ci+1])
+			first := c.chunks[ci+1][0].Key
+			a2 = a + add[a:].seek(first)
+			d2 = d + del[d:].seek(first)
 		}
 		out = append(out, c.chunks[i:ci]...)
 		m := c.chunks[ci].merge(add.slice(a, a2), del.slice(d, d2))
 		a, d, i = a2, d2, ci+1
-		if len(out) == 0 && 0 < m.Len() && m.Len() < chunkBound/4 && i < len(c.chunks) {
+		if len(out) == 0 && 0 < len(m) && len(m) < chunkBound/4 && i < len(c.chunks) {
 			// no left neighbour to join: its entries ride into the right one
-			add, a = m.merge(add.slice(a, add.Len()), run{}), 0
+			add, a = m.merge(add.slice(a, len(add)), nil), 0
 			continue
 		}
 		put(m)
 	}
 	out = append(out, c.chunks[i:]...)
 
-	next := chunked{out, make([]string, len(out)), make([]int, len(out)+1)}
+	next := chunked{out, make([]int, len(out)+1)}
 	for i, ch := range out {
-		next.first[i] = ch.keys[0]
-		next.offs[i+1] = next.offs[i] + ch.Len()
+		next.offs[i+1] = next.offs[i] + len(ch)
 	}
 	return next
 }
 
 // newSnapshot builds epoch 0 from an unordered violation list (a seeding
-// detection run, or a persisted store): the one whole-store sort the
-// session ever pays, then the same advance every later epoch goes through.
+// detection run, or a persisted store) in linear passes around the one
+// whole-store sort the session ever pays: a record per violation, the sort
+// by key, the chunks cut from the sorted run, and the postings.
 func newSnapshot(vios []core.Violation, nodes, edges int) *Snapshot {
-	all := run{make([]string, len(vios)), slices.Clone(vios)}
+	recs := make(run, len(vios))
 	for i, v := range vios {
-		all.keys[i] = v.Key()
+		recs[i] = &core.Keyed{Key: v.Key(), Violation: v}
 	}
-	sort.Sort(all)
+	slices.SortFunc(recs, byKey)
 	// the keyed store holds one violation per key
-	w := 0
-	for i, k := range all.keys {
-		if i == 0 || k != all.keys[w-1] {
-			all.keys[w], all.vios[w] = k, all.vios[i]
-			w++
+	recs = slices.CompactFunc(recs, func(a, b *core.Keyed) bool { return a.Key == b.Key })
+	return &Snapshot{Nodes: nodes, Edges: edges, all: chunked{}.apply(recs, nil), byNode: postAll(recs)}
+}
+
+// postAll builds the postings of a key-sorted run: count each node's
+// records, then fill every posting in key order into one backing array.
+// That array lives as long as any posting cut from it does.
+func postAll(recs run) []*page {
+	top := -1
+	for _, k := range recs {
+		for _, id := range k.Match {
+			top = max(top, int(id))
 		}
 	}
-	return (&Snapshot{Epoch: -1}).advance(run{all.keys[:w], all.vios[:w]}, run{}, nodes, edges)
+	if top < 0 {
+		return nil
+	}
+	at := make([]int, top+1) // a node's count, then where its posting starts, then ends
+	eachNode(recs, func(id graph.NodeID, _ int) { at[id]++ })
+	sum := 0
+	for v, n := range at {
+		at[v], sum = sum, sum+n
+	}
+	backing := make([]*core.Keyed, sum)
+	eachNode(recs, func(id graph.NodeID, i int) {
+		backing[at[id]] = recs[i]
+		at[id]++
+	})
+	pages := make([]*page, top>>pageBits+1)
+	lo := 0
+	for v, hi := range at {
+		if hi > lo {
+			if pages[v>>pageBits] == nil {
+				pages[v>>pageBits] = new(page)
+			}
+			pages[v>>pageBits][v&(pageSize-1)] = backing[lo:hi:hi]
+		}
+		lo = hi
+	}
+	return pages
+}
+
+// eachNode calls fn with every distinct node of every record's match (a
+// homomorphism may bind one node twice) and the record's index.
+func eachNode(recs run, fn func(id graph.NodeID, i int)) {
+	for i, k := range recs {
+		for j, id := range k.Match {
+			if !slices.Contains(k.Match[:j], id) {
+				fn(id, i)
+			}
+		}
+	}
 }
 
 // advance derives the next epoch from sn and one commit's net violation
-// delta — del ⊆ sn, add disjoint from sn, both key-sorted — without
-// touching sn. Only the chunks the delta falls into and the postings of the
-// nodes it binds are rebuilt (no map of changes, no search), everything
-// else is shared with sn, and an empty delta shares all of it. Each added
-// violation becomes one record, which every posting that lists it shares
-// until a later commit deletes it.
+// delta — del ⊆ sn, add disjoint from sn, both key-sorted runs of records —
+// without touching sn. Only the chunks the delta falls into and the
+// posting pages of the nodes it binds are copied (no map of changes, no
+// search), everything else is shared with sn, and an empty delta shares all
+// of it. The records of add are stored as they are: the chunks and every
+// posting that lists a violation hold its one record until a later commit
+// deletes it.
 func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	next := &Snapshot{Epoch: sn.Epoch + 1, Nodes: nodes, Edges: edges, all: sn.all, byNode: sn.byNode}
-	if add.Len()+del.Len() == 0 {
+	if len(add)+len(del) == 0 {
 		return next
 	}
 	next.all = sn.all.apply(add, del)
 
-	recs := make([]*core.Keyed, add.Len())
-	for i, k := range add.keys {
-		recs[i] = &core.Keyed{Key: k, Violation: add.vios[i]}
-	}
 	// every (distinct match node, side, index) as one change, node<<32 |
 	// side<<31 | i, side 0 for add and 1 for del: sorted, a node's changes
 	// lie together, its adds before its deletes and each in key order
-	changes := make([]uint64, 0, 2*(add.Len()+del.Len()))
+	changes := make([]uint64, 0, 2*(len(add)+len(del)))
 	for side, r := range [2]run{add, del} {
-		for i, v := range r.vios {
-			for j, id := range v.Match {
-				if slices.Contains(v.Match[:j], id) {
-					continue // a homomorphism may bind one node twice
-				}
-				changes = append(changes, uint64(id)<<32|uint64(side)<<31|uint64(i))
-			}
-		}
+		eachNode(r, func(id graph.NodeID, i int) {
+			changes = append(changes, uint64(id)<<32|uint64(side)<<31|uint64(i))
+		})
 	}
 	slices.Sort(changes)
 
-	next.byNode = make(map[graph.NodeID]nodeShard, len(sn.byNode))
-	maps.Copy(next.byNode, sn.byNode)
-	cloned := make(map[graph.NodeID]bool)
-	for len(changes) > 0 {
+	top := int(changes[len(changes)-1]>>32) >> pageBits
+	next.byNode = make([]*page, max(len(sn.byNode), top+1))
+	copy(next.byNode, sn.byNode)
+	var pg *page // this epoch's copy of the page the changes are in
+	for cur := -1; len(changes) > 0; {
 		id := graph.NodeID(changes[0] >> 32)
 		n, a := 0, 0 // the node's changes, and its adds among them
 		for n < len(changes) && changes[n]>>32 == changes[0]>>32 {
@@ -388,19 +421,17 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 		adds, dels := changes[:a], changes[a:n]
 		changes = changes[n:]
 
-		s := id >> nodeShardBits
-		if !cloned[s] {
-			cloned[s] = true
-			sh := make(nodeShard, len(next.byNode[s])+1)
-			maps.Copy(sh, next.byNode[s])
-			next.byNode[s] = sh
+		if int(id>>pageBits) != cur {
+			cur, pg = int(id>>pageBits), new(page)
+			if old := next.byNode[cur]; old != nil {
+				*pg = *old
+			}
+			next.byNode[cur] = pg
 		}
-		// a shard the commit empties stays, empty: at most |V|/shard size
-		sh := next.byNode[s]
-		old := sh[id]
+		old := pg[id&(pageSize-1)]
 		size := len(old) + len(adds) - len(dels)
 		if size == 0 {
-			delete(sh, id)
+			pg[id&(pageSize-1)] = nil
 			continue
 		}
 		// one pass over the old posting: drop what dels names (every one is
@@ -411,20 +442,20 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 				p = append(p, old[i:]...)
 				break
 			}
-			if len(dels) > 0 && k.Key == del.keys[uint32(dels[0])&^delSide] {
+			if len(dels) > 0 && k.Key == del[uint32(dels[0])&^delSide].Key {
 				dels = dels[1:]
 				continue
 			}
-			for len(adds) > 0 && recs[uint32(adds[0])].Key < k.Key {
-				p = append(p, recs[uint32(adds[0])])
+			for len(adds) > 0 && add[uint32(adds[0])].Key < k.Key {
+				p = append(p, add[uint32(adds[0])])
 				adds = adds[1:]
 			}
 			p = append(p, k)
 		}
 		for _, a := range adds {
-			p = append(p, recs[uint32(a)])
+			p = append(p, add[uint32(a)])
 		}
-		sh[id] = p
+		pg[id&(pageSize-1)] = p
 	}
 	return next
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"ngd/internal/core"
+	"ngd/internal/detect"
+	"ngd/internal/gen"
 	"ngd/internal/graph"
 )
 
@@ -17,7 +19,7 @@ import (
 // sorting and by naive filters. Nothing here shares code with run.merge,
 // Snapshot.advance or the snapshot's lookups.
 
-const refIDs = 3 << nodeShardBits // three node shards
+const refIDs = 3 << pageBits // three posting pages
 
 type refStore map[string]core.Violation
 
@@ -69,22 +71,19 @@ func keysOf(vios []core.Violation) []string {
 func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 	t.Helper()
 	var b strings.Builder
-	keys, vios := sn.All().Page(-1)
+	all := sn.All().Page(-1)
+	keys := recordKeys(t, sn, all)
 	fmt.Fprintln(&b, "all", keys)
 	if sn.Len() != len(keys) || !slices.Equal(keys, keysOf(sn.Violations())) {
 		t.Fatalf("epoch %d: Len %d, %d keys paged beside %v", sn.Epoch, sn.Len(), len(keys), keysOf(sn.Violations()))
 	}
-	for i, k := range keys {
-		if got, ok := sn.Get(k); !ok || got.Rule != vios[i].Rule || !slices.Equal(got.Match, vios[i].Match) || !sn.Has(k) {
-			t.Fatalf("epoch %d: Get(%s) = %v, %v", sn.Epoch, k, got, ok)
+	for _, k := range all {
+		if got, ok := sn.Get(k.Key); !ok || got.Rule != k.Rule || !slices.Equal(got.Match, k.Match) || !sn.Has(k.Key) {
+			t.Fatalf("epoch %d: Get(%s) = %v, %v", sn.Epoch, k.Key, got, ok)
 		}
 	}
 	for _, name := range names {
-		ks, vs := sn.All().Rule(name).Page(-1)
-		if !slices.Equal(ks, keysOf(vs)) {
-			t.Fatalf("epoch %d: rule %s pages keys %v beside %v", sn.Epoch, name, ks, keysOf(vs))
-		}
-		fmt.Fprintln(&b, "rule", name, ks)
+		fmt.Fprintln(&b, "rule", name, recordKeys(t, sn, sn.All().Rule(name).Page(-1)))
 	}
 	for n := graph.NodeID(0); n < refIDs; n++ {
 		if ks := keysOf(sn.Node(n)); ks != nil {
@@ -94,33 +93,56 @@ func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 	return b.String()
 }
 
+// recordKeys lists the records' keys, checking each against its violation.
+func recordKeys(t *testing.T, sn *Snapshot, recs []*core.Keyed) []string {
+	t.Helper()
+	var ks []string
+	for _, k := range recs {
+		if k.Key != k.Violation.Key() {
+			t.Fatalf("epoch %d: record %s holds %s", sn.Epoch, k.Key, k.Violation.Key())
+		}
+		ks = append(ks, k.Key)
+	}
+	return ks
+}
+
+// sortedRecords is vs as a key-sorted run of fresh records.
+func sortedRecords(vs ...core.Violation) run {
+	r := make(run, len(vs))
+	for i, v := range vs {
+		r[i] = &core.Keyed{Key: v.Key(), Violation: v}
+	}
+	slices.SortFunc(r, byKey)
+	return r
+}
+
 // checkChunks asserts the two-level array's invariants: chunks non-empty,
 // within the bound, key-sorted across the whole store, none under a quarter
 // of the bound unless it is the only one, and first/offs/Len in step.
 func checkChunks(t *testing.T, sn *Snapshot) {
 	t.Helper()
 	c := sn.all
-	if len(c.first) != len(c.chunks) || len(c.chunks) > 0 && len(c.offs) != len(c.chunks)+1 {
-		t.Fatalf("epoch %d: %d chunks, %d first keys, %d offsets", sn.Epoch, len(c.chunks), len(c.first), len(c.offs))
+	if len(c.chunks) > 0 && len(c.offs) != len(c.chunks)+1 {
+		t.Fatalf("epoch %d: %d chunks, %d offsets", sn.Epoch, len(c.chunks), len(c.offs))
 	}
 	n, last := 0, ""
 	for i, ch := range c.chunks {
-		if ch.Len() == 0 || ch.Len() > chunkBound || len(ch.vios) != len(ch.keys) {
-			t.Fatalf("epoch %d: chunk %d holds %d keys, %d violations", sn.Epoch, i, len(ch.keys), len(ch.vios))
+		if len(ch) == 0 || len(ch) > chunkBound {
+			t.Fatalf("epoch %d: chunk %d holds %d records", sn.Epoch, i, len(ch))
 		}
-		if len(c.chunks) > 1 && ch.Len() < chunkBound/4 {
-			t.Fatalf("epoch %d: chunk %d of %d was left with %d entries", sn.Epoch, i, len(c.chunks), ch.Len())
+		if len(c.chunks) > 1 && len(ch) < chunkBound/4 {
+			t.Fatalf("epoch %d: chunk %d of %d was left with %d entries", sn.Epoch, i, len(c.chunks), len(ch))
 		}
-		if c.first[i] != ch.keys[0] || c.offs[i] != n {
-			t.Fatalf("epoch %d: chunk %d starts at %q/%d, top level says %q/%d", sn.Epoch, i, ch.keys[0], n, c.first[i], c.offs[i])
+		if c.offs[i] != n {
+			t.Fatalf("epoch %d: chunk %d starts at %d, top level says %d", sn.Epoch, i, n, c.offs[i])
 		}
-		for j, k := range ch.keys {
-			if k <= last || ch.vios[j].Key() != k {
-				t.Fatalf("epoch %d: chunk %d entry %d: key %q after %q, violation %s", sn.Epoch, i, j, k, last, ch.vios[j].Key())
+		for j, k := range ch {
+			if k.Key <= last || k.Violation.Key() != k.Key {
+				t.Fatalf("epoch %d: chunk %d entry %d: key %q after %q, violation %s", sn.Epoch, i, j, k.Key, last, k.Violation.Key())
 			}
-			last = k
+			last = k.Key
 		}
-		n += ch.Len()
+		n += len(ch)
 	}
 	if c.Len() != n {
 		t.Fatalf("epoch %d: Len %d, chunks hold %d", sn.Epoch, c.Len(), n)
@@ -134,11 +156,11 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 // chunk, and on one of several with commits aimed at the chunk structure.
 func TestAdvanceMatchesMapReference(t *testing.T) {
 	t.Run("one-chunk", func(t *testing.T) { advanceAgainstReference(t, 12, 120, false) })
-	t.Run("chunked", func(t *testing.T) { advanceAgainstReference(t, 1<<nodeShardBits, 10, true) })
+	t.Run("chunked", func(t *testing.T) { advanceAgainstReference(t, pageSize, 10, true) })
 }
 
 // advanceAgainstReference runs the random stream over ids node ids per
-// shard for the given number of commits; structural adds the seeding and the
+// posting page for the given number of commits; structural adds the seeding and the
 // commits that overflow, empty, behead and shrink chunks.
 func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 	// names that are prefixes of one another: Rule must not confuse them.
@@ -150,16 +172,16 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		rules[i] = &core.NGD{Name: names[i]}
 	}
 	rng := rand.New(rand.NewSource(15))
-	randVio := func(shard int) core.Violation {
+	randVio := func(pg int) core.Violation {
 		m := make(core.Match, 1+rng.Intn(3))
 		for i := range m {
-			m[i] = graph.NodeID(shard<<nodeShardBits + rng.Intn(ids)) // few ids: long postings, repeated nodes
+			m[i] = graph.NodeID(pg<<pageBits + rng.Intn(ids)) // few ids: long postings, repeated nodes
 		}
 		return core.Violation{Rule: rules[rng.Intn(4)], Match: m}
 	}
 
 	s := &Session{g: graph.New(), snap: newSnapshot(nil, 0, 0),
-		added: map[string]core.Violation{}, removed: map[string]core.Violation{}}
+		added: map[string]core.Violation{}, removed: map[string]*core.Keyed{}}
 	ref := refStore{}
 	add := func(v core.Violation) {
 		_, had := ref[v.Key()]
@@ -170,7 +192,7 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 	}
 	remove := func(v core.Violation) {
 		_, had := ref[v.Key()]
-		if s.remove(v.Key(), v) != had {
+		if s.remove(v.Key()) != had {
 			t.Fatalf("remove(%s) with had=%v", v.Key(), had)
 		}
 		delete(ref, v.Key())
@@ -228,7 +250,7 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		if !slices.Equal(keysOf(ev.Added), wantAdd) || !slices.Equal(keysOf(ev.Removed), wantDel) {
 			t.Fatalf("epoch %d event +%v −%v, want +%v −%v", ev.Epoch, keysOf(ev.Added), keysOf(ev.Removed), wantAdd, wantDel)
 		}
-		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.chunks[0].keys[0] != &prev.all.chunks[0].keys[0] {
+		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.chunks[0][0] != &prev.all.chunks[0][0] {
 			t.Fatalf("epoch %d: an empty event copied the store", ev.Epoch)
 		}
 		checkChunks(t, s.snap)
@@ -244,12 +266,12 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		}
 	}
 
-	// one commit empties a node shard and posts into it again under another id
+	// one commit empties a posting page and posts into it again under another id
 	v5 := core.Violation{Rule: rules[0], Match: core.Match{5}}
 	v7 := core.Violation{Rule: rules[0], Match: core.Match{7}}
 	commit(func() { add(v5) })
 	commit(func() { remove(v5); add(v7) })
-	commit(func() { remove(v7) }) // the store, and the shard, are empty
+	commit(func() { remove(v7) }) // the store, and the page, are empty
 	commit(func() { add(v5) })
 
 	if structural {
@@ -269,9 +291,9 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 					remove(v)
 				}
 				return
-			case 2: // empty one whole shard, then add into it
+			case 2: // empty one whole page, then add into it
 				for k, v := range ref {
-					if v.Match[0]>>nodeShardBits == 1 {
+					if v.Match[0]>>pageBits == 1 {
 						remove(ref[k])
 					}
 				}
@@ -318,17 +340,18 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 
 // TestPostingsShareOneRecordPerViolation drives advance with random deltas
 // and checks at every epoch that each stored violation is one record: the
-// same *core.Keyed in the posting of every distinct node of its match, and
-// the same one as long as it stays stored. Every posting is strictly
-// key-sorted and lists what the map reference lists, and every earlier
-// epoch's postings still hold the records they held when published.
+// same *core.Keyed in the store's chunks and in the posting of every
+// distinct node of its match, and the same one as long as it stays stored.
+// Every posting is strictly key-sorted and lists what the map reference
+// lists, and every earlier epoch's chunks and postings still hold the
+// records they held when published.
 func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 	rules := []*core.NGD{{Name: "a"}, {Name: "a1"}, {Name: "b"}}
 	rng := rand.New(rand.NewSource(36))
 	randVio := func() core.Violation {
 		m := make(core.Match, 1+rng.Intn(3))
 		for i := range m {
-			m[i] = graph.NodeID(rng.Intn(3)<<nodeShardBits + rng.Intn(10)) // repeats within a match too
+			m[i] = graph.NodeID(rng.Intn(3)<<pageBits + rng.Intn(10)) // repeats within a match too
 		}
 		return core.Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
 	}
@@ -341,6 +364,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 
 	type frozen struct {
 		sn       *Snapshot
+		all      []*core.Keyed                  // a copy of the chunks' records as published
 		postings map[graph.NodeID][]*core.Keyed // copies of the slices published
 	}
 	var epochs []frozen
@@ -357,6 +381,16 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 				}
 			}
 		}
+		all := slices.Clone(sn.All().Page(-1))
+		for _, k := range all {
+			if v, ok := ref[k.Key]; !ok || k.Rule != v.Rule || !slices.Equal(k.Match, v.Match) || k.Violation.Key() != k.Key {
+				t.Fatalf("epoch %d: stored record %s (violation %s) is not a stored violation", sn.Epoch, k.Key, k.Violation.Key())
+			}
+			recs[k.Key] = k
+		}
+		if len(recs) != len(ref) || len(all) != len(ref) {
+			t.Fatalf("epoch %d: %d records (%d distinct) stored for %d violations", sn.Epoch, len(all), len(recs), len(ref))
+		}
 		for n := graph.NodeID(0); n < refIDs; n++ {
 			p := sn.Posting(n)
 			var ks []string
@@ -364,13 +398,9 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 				if i > 0 && p[i-1].Key >= k.Key {
 					t.Fatalf("epoch %d node %d: %s after %s", sn.Epoch, n, k.Key, p[i-1].Key)
 				}
-				if r, ok := recs[k.Key]; ok && r != k {
-					t.Fatalf("epoch %d: %s is two records, one under node %d", sn.Epoch, k.Key, n)
+				if recs[k.Key] != k {
+					t.Fatalf("epoch %d node %d: posts a record for %s that the store's chunks do not hold", sn.Epoch, n, k.Key)
 				}
-				if v, ok := ref[k.Key]; !ok || k.Rule != v.Rule || !slices.Equal(k.Match, v.Match) || k.Violation.Key() != k.Key {
-					t.Fatalf("epoch %d node %d: record %s (violation %s) is not a stored violation", sn.Epoch, n, k.Key, k.Violation.Key())
-				}
-				recs[k.Key] = k
 				ks = append(ks, k.Key)
 			}
 			sort.Strings(want[n])
@@ -381,27 +411,25 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 				posted[n] = slices.Clone(p)
 			}
 		}
-		if len(recs) != len(ref) {
-			t.Fatalf("epoch %d: %d records posted for %d violations", sn.Epoch, len(recs), len(ref))
-		}
 		for k, r := range recs {
 			if was, ok := last[k]; ok && was != r {
 				t.Fatalf("epoch %d: %s stayed stored but its record was replaced", sn.Epoch, k)
 			}
 		}
 		last = recs
-		epochs = append(epochs, frozen{sn, posted})
+		epochs = append(epochs, frozen{sn, all, posted})
 		for _, e := range epochs {
+			if got := e.sn.All().Page(-1); !slices.Equal(got, e.all) {
+				t.Fatalf("epoch %d read at epoch %d: stores %d records, published %d", e.sn.Epoch, sn.Epoch, len(got), len(e.all))
+			}
 			for n := graph.NodeID(0); n < refIDs; n++ {
 				if got := e.sn.Posting(n); !slices.Equal(got, e.postings[n]) {
 					t.Fatalf("epoch %d read at epoch %d: node %d posts %d records, published %d", e.sn.Epoch, sn.Epoch, n, len(got), len(e.postings[n]))
 				}
 			}
-			for _, p := range e.postings {
-				for _, k := range p {
-					if k.Key != k.Violation.Key() {
-						t.Fatalf("epoch %d read at epoch %d: record %s now holds %s", e.sn.Epoch, sn.Epoch, k.Key, k.Violation.Key())
-					}
+			for _, k := range e.all {
+				if k.Key != k.Violation.Key() {
+					t.Fatalf("epoch %d read at epoch %d: record %s now holds %s", e.sn.Epoch, sn.Epoch, k.Key, k.Violation.Key())
 				}
 			}
 		}
@@ -410,33 +438,30 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 	sn := newSnapshot(seed, 0, 0)
 	check(sn)
 	for step := 0; step < 60; step++ {
-		var add, del run
+		var adds []core.Violation
 		for n := rng.Intn(10); n > 0; n-- {
 			v := randVio()
-			k := v.Key()
-			if _, ok := ref[k]; !ok && !slices.Contains(add.keys, k) {
-				add.push(k, v)
+			if _, ok := ref[v.Key()]; !ok {
+				adds = append(adds, v)
+				ref[v.Key()] = v
 			}
 		}
 		keys := make([]string, 0, len(ref))
 		for k := range ref {
-			keys = append(keys, k)
+			if sn.Has(k) {
+				keys = append(keys, k)
+			}
 		}
 		sort.Strings(keys)
+		var del run
 		for n := rng.Intn(8); n > 0 && len(keys) > 0; n-- {
 			i := rng.Intn(len(keys))
-			del.push(keys[i], ref[keys[i]])
+			del = append(del, sn.record(keys[i])) // publish names a removal by its stored record
+			delete(ref, keys[i])
 			keys = slices.Delete(keys, i, i+1)
 		}
-		sort.Sort(add)
-		sort.Sort(del)
-		for i, k := range add.keys {
-			ref[k] = add.vios[i]
-		}
-		for _, k := range del.keys {
-			delete(ref, k)
-		}
-		sn = sn.advance(add, del, 0, 0)
+		slices.SortFunc(del, byKey)
+		sn = sn.advance(sortedRecords(adds...), del, 0, 0)
 		check(sn)
 	}
 	if len(ref) < 20 {
@@ -459,8 +484,8 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 		}
 	}
 	drop := func(ch run, from, to int) {
-		for _, v := range ch.vios[from:to] {
-			remove(v)
+		for _, k := range ch[from:to] {
+			remove(k.Violation)
 		}
 	}
 
@@ -476,15 +501,15 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 		}
 	}
 
-	n, third := len(chunks()), chunks()[3].keys[0]
-	commit(func() { drop(chunks()[2], 0, chunks()[2].Len()) })
-	if len(chunks()) != n-1 || chunks()[2].keys[0] != third {
-		t.Fatalf("emptying chunk 2 of %d left %d, chunk 2 starting at %s", n, len(chunks()), chunks()[2].keys[0])
+	n, third := len(chunks()), chunks()[3][0].Key
+	commit(func() { drop(chunks()[2], 0, len(chunks()[2])) })
+	if len(chunks()) != n-1 || chunks()[2][0].Key != third {
+		t.Fatalf("emptying chunk 2 of %d left %d, chunk 2 starting at %s", n, len(chunks()), chunks()[2][0].Key)
 	}
 
-	second := chunks()[1].keys[1]
+	second := chunks()[1][1].Key
 	commit(func() { drop(chunks()[1], 0, 1) })
-	if got := s.snap.all.first[1]; got != second {
+	if got := s.snap.all.chunks[1][0].Key; got != second {
 		t.Fatalf("chunk 1 lost its first key and starts at %s, want %s", got, second)
 	}
 
@@ -492,7 +517,7 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 	// the front (rides into its right one); checkChunks sees no runt either way
 	for _, ci := range []int{2, 0} {
 		total := s.snap.Len()
-		commit(func() { drop(chunks()[ci], chunkBound/8, chunks()[ci].Len()) })
+		commit(func() { drop(chunks()[ci], chunkBound/8, len(chunks()[ci])) })
 		if total-s.snap.Len() < chunkBound/8 {
 			t.Fatalf("chunk %d was too small to shrink: store went %d → %d", ci, total, s.snap.Len())
 		}
@@ -500,7 +525,7 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 	// a delete-heavy stream: every chunk down to one entry in one commit
 	commit(func() {
 		for _, ch := range chunks() {
-			drop(ch, 1, ch.Len())
+			drop(ch, 1, len(ch))
 		}
 	})
 	if got, most := len(chunks()), 1+s.snap.Len()/(chunkBound/4); got > most {
@@ -517,12 +542,13 @@ func capStore(n int) (*Snapshot, run) {
 	for i := range vios {
 		vios[i] = core.Violation{Rule: rule, Match: core.Match{graph.NodeID(i)}}
 	}
+	sn := newSnapshot(vios, n, 0)
 	var flips run
 	for _, v := range vios[:16] {
-		flips.push(v.Key(), v)
+		flips = append(flips, sn.record(v.Key()))
 	}
-	sort.Sort(flips)
-	return newSnapshot(vios, n, 0), flips
+	slices.SortFunc(flips, byKey)
+	return sn, flips
 }
 
 // TestAdvanceSharesUntouchedChunks: a one-key delta re-merges the chunk the
@@ -540,10 +566,10 @@ func TestAdvanceSharesUntouchedChunks(t *testing.T) {
 		if len(next.all.chunks) != len(sn.all.chunks) {
 			t.Fatalf("%s of one key: %d chunks, then %d", step.what, len(sn.all.chunks), len(next.all.chunks))
 		}
-		home := sn.all.home(one.keys[0])
+		home := sn.all.home(one[0].Key)
 		for i := range next.all.chunks {
-			if shared := &next.all.chunks[i].keys[0] == &sn.all.chunks[i].keys[0]; shared == (i == home) {
-				t.Fatalf("%s of %s (chunk %d): chunk %d shared = %v", step.what, one.keys[0], home, i, shared)
+			if shared := &next.all.chunks[i][0] == &sn.all.chunks[i][0]; shared == (i == home) {
+				t.Fatalf("%s of %s (chunk %d): chunk %d shared = %v", step.what, one[0].Key, home, i, shared)
 			}
 		}
 		sn = next
@@ -577,5 +603,23 @@ func TestPublishIsDeltaSized(t *testing.T) {
 	t.Logf("advance allocates %.0f B per commit at 20k, %.0f B at 200k (×%.2f)", small, large, large/small)
 	if large > 2*small {
 		t.Fatalf("publish grows with the store: %.0f B per commit at 20k, %.0f B at 200k", small, large)
+	}
+}
+
+// TestNewSnapshotAllocsPerViolation: seeding a store costs two objects per
+// violation, its key and its record, and one per posting page: the chunks
+// are cut from the sorted run and the postings filled from one array. The
+// seeding that copied every violation beside its key, sorted (node,
+// violation) pairs and wrote a map entry per posting made ≈ 4.5.
+func TestNewSnapshotAllocsPerViolation(t *testing.T) {
+	p := gen.YAGO2
+	p.ErrorRate = 0.75
+	ds := gen.Generate(p, 2000, 1)
+	vios := detect.Dect(ds.G, gen.EffectivenessRules(p), detect.Options{}).Violations
+	allocs := testing.AllocsPerRun(3, func() { newSnapshot(vios, ds.G.NumNodes(), 0) })
+	per := allocs / float64(len(vios))
+	t.Logf("newSnapshot: %.0f objects for %d violations over %d nodes, %.3f per violation", allocs, len(vios), ds.G.NumNodes(), per)
+	if per > 2.1 {
+		t.Fatalf("seeding allocated %.2f objects per violation, budget 2.1", per)
 	}
 }

@@ -128,7 +128,7 @@ func shuffledRebuild(g *graph.Graph, rnd *rand.Rand) *graph.Graph {
 func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, &snapshotData{G: g}); err != nil {
+	if err := writeImage(&buf, &snapshotData{G: g}); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	return buf.Bytes()

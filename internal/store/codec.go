@@ -1,15 +1,15 @@
 package store
 
 // This file holds the low-level binary codec shared by the snapshot format
-// and the write-ahead log: CRC-tracking reader/writer wrappers plus
-// varint/string/Value primitives. Both formats are little-endian, use
-// unsigned varints for counts and ids, zigzag varints for integers, and
-// length-prefixed byte strings; every byte that enters the stream also
-// enters a running CRC-32 (IEEE) so torn or corrupted data is detected
-// before it can be replayed.
+// and the write-ahead log: a block writer and a block reader that keep a
+// running CRC-32 (IEEE), plus varint/string/Value primitives. Both formats
+// are little-endian, use unsigned varints for counts and ids, zigzag
+// varints for integers, and length-prefixed byte strings; every byte that
+// enters a snapshot's stream also enters its CRC, so torn or corrupted data
+// is detected before it can be replayed. Fields are appended into one block
+// of blockSize bytes, and the CRC runs once per block in both directions.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -28,74 +28,85 @@ const maxString = 64 << 20
 // strChunk is how much of a string is allocated ahead of the bytes read.
 const strChunk = 1 << 16
 
-// cwriter streams bytes to an underlying writer while folding them into a
-// CRC-32 and counting them. Every field is rendered into (strings: copied
-// through) scratch, which lives in the struct so that handing it to the
-// writer does not make a fresh array escape on every call.
+// blockSize is the unit a cwriter writes and a creader reads, and so the
+// unit each of them folds into the CRC.
+const blockSize = 1 << 16
+
+// cwriter appends fields to one block. Given a sink, it folds each full
+// block into the CRC and writes it out whole; without one, the block is the
+// whole output and grows (a WAL record, whose frame CRC is taken over the
+// finished payload). The first write error sticks and is reported by flush.
 type cwriter struct {
-	w       *bufio.Writer
-	crc     uint32
-	n       int64
-	err     error
-	scratch [64]byte
+	w      io.Writer
+	buf    []byte
+	folded int // buf[:folded] is in crc
+	crc    uint32
+	err    error
 }
 
 func newCWriter(w io.Writer) *cwriter {
-	return &cwriter{w: bufio.NewWriterSize(w, 1<<16)}
+	// a field starts below blockSize and no fixed field is longer than a varint
+	return &cwriter{w: w, buf: make([]byte, 0, blockSize+binary.MaxVarintLen64)}
 }
 
-func (c *cwriter) write(p []byte) {
-	if c.err != nil {
+// spill writes the block out once it is full.
+func (c *cwriter) spill() {
+	if c.w == nil || len(c.buf) < blockSize {
 		return
 	}
-	if _, err := c.w.Write(p); err != nil {
-		c.err = err
-		return
+	c.sum32()
+	if c.err == nil {
+		_, c.err = c.w.Write(c.buf)
 	}
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	c.n += int64(len(p))
+	c.buf, c.folded = c.buf[:0], 0
 }
 
-func (c *cwriter) byte(b byte)   { c.scratch[0] = b; c.write(c.scratch[:1]) }
-func (c *cwriter) sum32() uint32 { return c.crc }
-func (c *cwriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(c.scratch[:], v)
-	c.write(c.scratch[:4])
-}
-func (c *cwriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(c.scratch[:], v)
-	c.write(c.scratch[:8])
-}
-func (c *cwriter) uvarint(v uint64) { c.write(c.scratch[:binary.PutUvarint(c.scratch[:], v)]) }
-func (c *cwriter) svarint(v int64)  { c.write(c.scratch[:binary.PutVarint(c.scratch[:], v)]) }
-func (c *cwriter) str(s string) {
-	c.uvarint(uint64(len(s)))
-	for len(s) > 0 {
-		n := copy(c.scratch[:], s)
-		c.write(c.scratch[:n])
-		s = s[n:]
+// put appends p, a block's room at a time.
+func put[S ~string | ~[]byte](c *cwriter, p S) {
+	for {
+		k := len(p)
+		if c.w != nil {
+			k = min(k, blockSize-len(c.buf))
+		}
+		c.buf = append(c.buf, p[:k]...)
+		p = p[k:]
+		c.spill()
+		if len(p) == 0 {
+			return
+		}
 	}
 }
 
-// rawU32 writes a u32 without folding it into the CRC — the trailer holding
-// the CRC itself cannot be part of what it checks.
+// sum32 is the CRC of everything written so far.
+func (c *cwriter) sum32() uint32 {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.buf[c.folded:])
+	c.folded = len(c.buf)
+	return c.crc
+}
+
+func (c *cwriter) write(p []byte)   { put(c, p) }
+func (c *cwriter) byte(b byte)      { c.buf = append(c.buf, b); c.spill() }
+func (c *cwriter) u32(v uint32)     { c.buf = binary.LittleEndian.AppendUint32(c.buf, v); c.spill() }
+func (c *cwriter) u64(v uint64)     { c.buf = binary.LittleEndian.AppendUint64(c.buf, v); c.spill() }
+func (c *cwriter) uvarint(v uint64) { c.buf = binary.AppendUvarint(c.buf, v); c.spill() }
+func (c *cwriter) svarint(v int64)  { c.buf = binary.AppendVarint(c.buf, v); c.spill() }
+func (c *cwriter) str(s string)     { c.uvarint(uint64(len(s))); put(c, s) }
+
+// rawU32 writes a u32 outside the CRC — the trailer holding the CRC itself
+// cannot be part of what it checks. It is the last field written.
 func (c *cwriter) rawU32(v uint32) {
-	if c.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(c.scratch[:], v)
-	if _, err := c.w.Write(c.scratch[:4]); err != nil {
-		c.err = err
-		return
-	}
-	c.n += 4
+	c.sum32()
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, v)
+	c.folded = len(c.buf)
 }
 
+// flush writes the last, partial block.
 func (c *cwriter) flush() error {
-	if c.err != nil {
-		return c.err
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
+		c.buf, c.folded = c.buf[:0], 0
 	}
-	return c.w.Flush()
+	return c.err
 }
 
 // Value encoding: one kind byte followed by the kind's payload.
@@ -123,55 +134,124 @@ func (c *cwriter) value(v graph.Value) {
 	}
 }
 
-// creader mirrors cwriter: it reads from an underlying reader while folding
-// every byte into a CRC-32. It implements io.ByteReader so binary varint
-// decoding works directly on it.
+// creader mirrors cwriter: it decodes from a block of its own, refilled
+// from an underlying reader, and folds the bytes it has consumed into a
+// CRC-32 when the block is refilled or the sum is asked for. Without a
+// reader the block is the whole input (a WAL payload, read in place). It
+// implements io.ByteReader so that binary varint decoding falls back to it
+// when a varint straddles two blocks.
 type creader struct {
-	r       *bufio.Reader
-	crc     uint32
-	scratch [64]byte
+	r      io.Reader
+	buf    []byte
+	pos    int // next unread byte of buf
+	folded int // buf[:folded] is in crc
+	crc    uint32
 }
 
 func newCReader(r io.Reader) *creader {
-	return &creader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &creader{r: r, buf: make([]byte, 0, blockSize)}
+}
+
+// need makes k ≤ blockSize unread bytes contiguous in the block, with
+// io.ReadFull's errors: io.EOF when the input has ended, io.ErrUnexpectedEOF
+// when it ends inside them.
+func (c *creader) need(k int) error {
+	if len(c.buf)-c.pos >= k {
+		return nil
+	}
+	return c.fill(k)
+}
+
+// fill is need's refill: it folds the consumed bytes, moves the unread ones
+// to the front and reads behind them.
+func (c *creader) fill(k int) error {
+	if c.r != nil {
+		c.sum32()
+		n := copy(c.buf[:cap(c.buf)], c.buf[c.pos:])
+		c.buf, c.pos, c.folded = c.buf[:n], 0, 0
+		for len(c.buf) < k {
+			m, err := c.r.Read(c.buf[len(c.buf):cap(c.buf)])
+			c.buf = c.buf[:len(c.buf)+m]
+			if err == io.EOF {
+				break
+			} else if err != nil && len(c.buf) < k {
+				return err
+			}
+		}
+		if len(c.buf) >= k {
+			return nil
+		}
+	}
+	if c.pos == len(c.buf) {
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
 }
 
 func (c *creader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err != nil {
+	if err := c.need(1); err != nil {
 		return 0, err
 	}
-	c.scratch[0] = b
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.scratch[:1])
-	return b, nil
+	c.pos++
+	return c.buf[c.pos-1], nil
 }
 
+// read fills p, with io.ReadFull's errors.
 func (c *creader) read(p []byte) error {
-	if _, err := io.ReadFull(c.r, p); err != nil {
-		return err
+	for done := 0; done < len(p); {
+		if err := c.need(1); err != nil {
+			if done > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n := copy(p[done:], c.buf[c.pos:])
+		c.pos += n
+		done += n
 	}
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	return nil
 }
 
-func (c *creader) sum32() uint32 { return c.crc }
+// sum32 is the CRC of everything consumed so far.
+func (c *creader) sum32() uint32 {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.buf[c.folded:c.pos])
+	c.folded = c.pos
+	return c.crc
+}
 
 func (c *creader) u32() (uint32, error) {
-	if err := c.read(c.scratch[:4]); err != nil {
+	if err := c.need(4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(c.scratch[:]), nil
+	c.pos += 4
+	return binary.LittleEndian.Uint32(c.buf[c.pos-4:]), nil
 }
 
 func (c *creader) u64() (uint64, error) {
-	if err := c.read(c.scratch[:8]); err != nil {
+	if err := c.need(8); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(c.scratch[:]), nil
+	c.pos += 8
+	return binary.LittleEndian.Uint64(c.buf[c.pos-8:]), nil
 }
 
-func (c *creader) uvarint() (uint64, error) { return binary.ReadUvarint(c) }
-func (c *creader) svarint() (int64, error)  { return binary.ReadVarint(c) }
+// uvarint and svarint decode in the block; a varint the block does not
+// hold whole (or a malformed one) goes byte by byte for binary's errors.
+func (c *creader) uvarint() (uint64, error) {
+	if v, n := binary.Uvarint(c.buf[c.pos:]); n > 0 {
+		c.pos += n
+		return v, nil
+	}
+	return binary.ReadUvarint(c)
+}
+
+func (c *creader) svarint() (int64, error) {
+	if v, n := binary.Varint(c.buf[c.pos:]); n > 0 {
+		c.pos += n
+		return v, nil
+	}
+	return binary.ReadVarint(c)
+}
 
 // nodeID reads a node id, refusing one graph.NodeID cannot hold.
 func (c *creader) nodeID() (graph.NodeID, error) {
@@ -182,11 +262,10 @@ func (c *creader) nodeID() (graph.NodeID, error) {
 	return graph.NodeID(id), err
 }
 
-// str reads a length-prefixed string; a short one (ids, labels, names) goes
-// through scratch and costs the one allocation it is kept in. The length is
-// unverified, so a long one's buffer grows with the bytes that actually
-// arrive, strChunk at a time: a lying length fails at EOF having allocated
-// no more than the input held.
+// str reads a length-prefixed string; one the block holds whole costs the
+// one allocation it is kept in. The length is unverified, so a longer one's
+// buffer grows with the bytes that actually arrive, strChunk at a time: a
+// lying length fails at EOF having allocated no more than the input held.
 func (c *creader) str() (string, error) {
 	n, err := c.uvarint()
 	if err != nil {
@@ -195,11 +274,9 @@ func (c *creader) str() (string, error) {
 	if n > maxString {
 		return "", fmt.Errorf("store: string length %d exceeds limit", n)
 	}
-	if n <= uint64(len(c.scratch)) {
-		if err := c.read(c.scratch[:n]); err != nil {
-			return "", err
-		}
-		return string(c.scratch[:n]), nil
+	if n <= uint64(len(c.buf)-c.pos) {
+		c.pos += int(n)
+		return string(c.buf[c.pos-int(n) : c.pos]), nil
 	}
 	b := make([]byte, 0, min(n, strChunk))
 	for uint64(len(b)) < n {
@@ -212,12 +289,11 @@ func (c *creader) str() (string, error) {
 	return string(b), nil
 }
 
-// rawU32 reads a u32 bypassing the CRC (the trailer).
+// rawU32 reads the trailer: a u32 that never enters the CRC.
 func (c *creader) rawU32() (uint32, error) {
-	if _, err := io.ReadFull(c.r, c.scratch[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(c.scratch[:]), nil
+	v, err := c.u32()
+	c.folded = c.pos
+	return v, err
 }
 
 func (c *creader) value() (graph.Value, error) {

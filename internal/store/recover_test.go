@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ngd/internal/core"
@@ -461,6 +462,37 @@ func TestOpenRejectsWALWithoutSnapshot(t *testing.T) {
 	}
 	if _, _, err := store.Open(dir, store.Options{}); err == nil {
 		t.Fatal("wal-without-snapshot accepted")
+	}
+}
+
+// TestOpenRefusesWALStartMismatch: a segment whose header start is not the
+// one its name carries (a flipped byte in the one header field no checksum
+// covers) fails recovery instead of replaying under the wrong numbering.
+func TestOpenRefusesWALStartMismatch(t *testing.T) {
+	dir := t.TempDir()
+	ds, live := makeWorkload(t)
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(live, live.Rules(), nil); err != nil {
+		t.Fatal(err)
+	}
+	commitVia(t, live, ds, nil, 0, 2)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal-0000000000000000.ngdw")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len("NGDWALOG")+4] ^= 0x01 // the start seq's low byte
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Open(dir, store.Options{}); err == nil || !strings.Contains(err.Error(), "starts at 1") {
+		t.Fatalf("a segment named for seq 0 whose header says 1: err = %v", err)
 	}
 }
 

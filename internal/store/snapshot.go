@@ -13,7 +13,8 @@ package store
 //	edges   per node: out-degree, (edge label id, head node)* — in-lists,
 //	        the by-label postings and the attribute indexes are derived
 //	        structures and are rebuilt on load
-//	names   the external-id map: (string id, node)*
+//	names   the external-id map: (string id, node)*, in node order (the
+//	        ids of one node in string order)
 //	rules   the rule set Σ rendered in the text DSL (re-parsed on load)
 //	vios    the violation store: (rule name, match node list)*
 //	u32     CRC-32 (IEEE) of every preceding byte
@@ -27,6 +28,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"ngd/internal/graph"
 )
@@ -48,6 +50,8 @@ type vioRec struct {
 }
 
 // snapshotData is the decoded (or to-be-encoded) content of one snapshot.
+// Names is the external-id map as decoded; the encoder takes it laid out
+// by node (nodeNames).
 type snapshotData struct {
 	Seq        uint64
 	G          *graph.Graph
@@ -56,8 +60,8 @@ type snapshotData struct {
 	Violations []vioRec
 }
 
-// writeSnapshot encodes sd onto w.
-func writeSnapshot(w io.Writer, sd *snapshotData) error {
+// writeSnapshot encodes sd, with names for its external-id map, onto w.
+func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 	c := newCWriter(w)
 	c.write([]byte(snapMagic))
 	c.u32(codecVer)
@@ -97,11 +101,15 @@ func writeSnapshot(w io.Writer, sd *snapshotData) error {
 		}
 	}
 
-	// external-id map
-	c.uvarint(uint64(len(sd.Names)))
-	for id, v := range sd.Names {
-		c.str(id)
-		c.uvarint(uint64(v))
+	// external-id map, in node order
+	c.uvarint(uint64(len(names.ids)))
+	lo := int32(0)
+	for v, hi := range names.end {
+		for _, id := range names.ids[lo:hi] {
+			c.str(id)
+			c.uvarint(uint64(v))
+		}
+		lo = hi
 	}
 
 	// rules + violation store
@@ -117,6 +125,47 @@ func writeSnapshot(w io.Writer, sd *snapshotData) error {
 
 	c.rawU32(c.sum32())
 	return c.flush()
+}
+
+// nodeNames is an external-id map laid out by node: the ids naming node v
+// are ids[end[v-1]:end[v]] (from 0 for node 0), in string order when there
+// are several, so that neither the order nor the snapshot bytes depend on
+// the map's. It takes less room than a copy of the map.
+type nodeNames struct {
+	ids []string
+	end []int32
+}
+
+// byNode lays names out with one counting pass; n is a hint of the node
+// count.
+func byNode(names map[string]graph.NodeID, n int) nodeNames {
+	if len(names) == 0 {
+		return nodeNames{}
+	}
+	end := make([]int32, n)
+	for _, v := range names {
+		if int(v) >= len(end) {
+			end = append(end, make([]int32, int(v)+1-len(end))...)
+		}
+		end[v]++
+	}
+	sum := int32(0)
+	for v, c := range end {
+		end[v], sum = sum, sum+c // where v's ids start, until the fill moves it to their end
+	}
+	ids := make([]string, len(names))
+	for id, v := range names {
+		ids[end[v]] = id
+		end[v]++
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		if hi-lo > 1 {
+			slices.Sort(ids[lo:hi])
+		}
+		lo = hi
+	}
+	return nodeNames{ids, end}
 }
 
 // presizeCap bounds every allocation sized from a count in the file. Counts

@@ -302,6 +302,9 @@ func (st *Store) recover(snapSeqs, walSeqs []uint64) (*Recovered, error) {
 		if err != nil {
 			return nil, err
 		}
+		if res.Start != ws {
+			return nil, fmt.Errorf("store: wal segment %s says it starts at %d", path, res.Start)
+		}
 		rec.WALBytes += res.GoodSize
 		if res.Truncated {
 			if i != len(walSeqs)-1 {
@@ -389,11 +392,10 @@ func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[str
 	sd := &snapshotData{
 		Seq:        0,
 		G:          sess.Graph(),
-		Names:      names,
 		RulesText:  st.rulesText,
 		Violations: violationRecs(sess.Snapshot()),
 	}
-	if err := st.writeSnapshotFile(sd); err != nil {
+	if err := st.writeSnapshotFile(sd, byNode(names, sd.G.NumNodes())); err != nil {
 		return err
 	}
 	w, err := createWAL(filepath.Join(st.dir, walName(0)), 0, !st.opts.NoSync)
@@ -526,10 +528,10 @@ func (st *Store) startCheckpoint(async bool) error {
 }
 
 // captureCheckpoint rotates the WAL at the current seq and captures the
-// session state on the calling (writer) goroutine: the graph and the name
-// map are cloned — commits are stalled for that memcpy — and the violation
-// set is the session's current snapshot, a pointer, since epochs are
-// immutable. The returned job renders the violation records, encodes,
+// session state on the calling (writer) goroutine: the graph is cloned and
+// the name map laid out by node — commits are stalled for that — and the
+// violation set is the session's current snapshot, a pointer, since epochs
+// are immutable. The returned job renders the violation records, encodes,
 // fsyncs, renames and prunes; commits that land before it runs are not in
 // the file it writes.
 func (st *Store) captureCheckpoint() (job func() error, err error) {
@@ -552,23 +554,19 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 		st.wal = w
 	}
 
-	names := make(map[string]graph.NodeID, len(st.names))
-	for k, v := range st.names {
-		names[k] = v
-	}
 	sd := &snapshotData{
 		Seq:       seq,
 		G:         st.sess.Graph().CloneDetached(),
-		Names:     names,
 		RulesText: st.rulesText,
 	}
+	names := byNode(st.names, sd.G.NumNodes())
 	vios := st.sess.Snapshot()
 
 	return func() error {
 		defer st.ckptBusy.Store(false)
 		t0 := time.Now()
 		sd.Violations = violationRecs(vios)
-		if err := st.writeSnapshotFile(sd); err != nil {
+		if err := st.writeSnapshotFile(sd, names); err != nil {
 			st.mu.Lock()
 			st.ckptErr = err
 			// roll the cadence marker back so the next commit retries
@@ -590,16 +588,16 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 	}, nil
 }
 
-// writeSnapshotFile encodes sd to a temp file in the data directory,
-// fsyncs it, and atomically renames it into place.
-func (st *Store) writeSnapshotFile(sd *snapshotData) error {
+// writeSnapshotFile encodes sd and names to a temp file in the data
+// directory, fsyncs it, and atomically renames it into place.
+func (st *Store) writeSnapshotFile(sd *snapshotData, names nodeNames) error {
 	final := filepath.Join(st.dir, snapName(sd.Seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshot(f, sd); err == nil {
+	if err := writeSnapshot(f, sd, names); err == nil {
 		err = f.Sync()
 	} else {
 		f.Close()
@@ -698,10 +696,10 @@ func (st *Store) Close() error {
 
 // violationRecs renders one epoch's violation set in persistent form.
 func violationRecs(sn *session.Snapshot) []vioRec {
-	vios := sn.Violations()
-	out := make([]vioRec, len(vios))
-	for i, v := range vios {
-		out[i] = vioRec{Rule: v.Rule.Name, Match: []graph.NodeID(v.Match)}
+	recs := sn.All().Page(-1)
+	out := make([]vioRec, len(recs))
+	for i, k := range recs {
+		out[i] = vioRec{Rule: k.Rule.Name, Match: []graph.NodeID(k.Match)}
 	}
 	return out
 }

@@ -50,7 +50,7 @@ func fingerprint(g *graph.Graph) string {
 func roundtrip(t *testing.T, sd *snapshotData) *snapshotData {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, sd); err != nil {
+	if err := writeImage(&buf, sd); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	got, err := readSnapshot(bytes.NewReader(buf.Bytes()))
@@ -145,7 +145,7 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	v := g.AddNode("x")
 	g.SetAttr(v, "a", graph.Int(7))
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, &snapshotData{G: g}); err != nil {
+	if err := writeImage(&buf, &snapshotData{G: g}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

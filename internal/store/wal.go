@@ -89,9 +89,10 @@ func (r *walRecord) empty() bool {
 	return len(r.Nodes) == 0 && len(r.Ops) == 0 && len(r.AttrOps) == 0
 }
 
-// encodePayload renders the record payload (everything inside the frame).
-func (r *walRecord) encodePayload(buf *bytes.Buffer) {
-	c := newCWriter(buf)
+// appendPayload appends the record payload (everything inside the frame)
+// to b, in place: the frame's CRC is taken over the finished payload.
+func (r *walRecord) appendPayload(b []byte) []byte {
+	c := cwriter{buf: b}
 	c.u64(r.Seq)
 	c.uvarint(uint64(len(r.Nodes)))
 	for _, nr := range r.Nodes {
@@ -121,13 +122,13 @@ func (r *walRecord) encodePayload(buf *bytes.Buffer) {
 		c.str(a.Name)
 		c.value(a.Val)
 	}
-	_ = c.flush() // bytes.Buffer writes cannot fail
+	return c.buf
 }
 
-// decodePayload parses one record payload, refusing a node id that
-// graph.NodeID cannot hold.
+// decodePayload parses one record payload in place, refusing a node id
+// that graph.NodeID cannot hold.
 func decodePayload(p []byte) (*walRecord, error) {
-	c := newCReader(bytes.NewReader(p))
+	c := &creader{buf: p}
 	r := &walRecord{}
 	var err error
 	if r.Seq, err = c.u64(); err != nil {
@@ -215,8 +216,8 @@ type walWriter struct {
 	f     *os.File
 	start uint64 // segment start seq (batches > start live here)
 	sync  bool   // fsync after every append
-	buf   bytes.Buffer
-	n     int64 // bytes written to the segment, including the header
+	buf   []byte // the frame being assembled, reused across appends
+	n     int64  // bytes written to the segment, including the header
 }
 
 // createWAL creates a fresh segment starting at seq (truncating any
@@ -268,10 +269,8 @@ func openWALForAppend(path string, start uint64, size int64, sync bool) (*walWri
 // and handed to the kernel in a single Write, so a crash tears at most the
 // final record of the segment.
 func (w *walWriter) append(r *walRecord) error {
-	w.buf.Reset()
-	w.buf.Write(make([]byte, 8)) // frame placeholder: len + crc
-	r.encodePayload(&w.buf)
-	frame := w.buf.Bytes()
+	w.buf = r.appendPayload(append(w.buf[:0], make([]byte, 8)...)) // frame placeholder: len + crc
+	frame := w.buf
 	payload := frame[8:]
 	if len(payload) > int(^uint32(0)) {
 		return fmt.Errorf("store: wal record too large (%d bytes)", len(payload))

@@ -29,11 +29,7 @@ func walFrame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
-func encodeRecord(r *walRecord) []byte {
-	var buf bytes.Buffer
-	r.encodePayload(&buf)
-	return buf.Bytes()
-}
+func encodeRecord(r *walRecord) []byte { return r.appendPayload(nil) }
 
 // fuzzWALSeeds: a clean three-record segment holding every value kind, the
 // same segment with its last record torn, bit-flipped in its payload and in
@@ -149,5 +145,41 @@ func TestDecodePayloadRefusesNodeIDPastInt32(t *testing.T) {
 	p = encodeRecord(&walRecord{Seq: 1, Ops: []opRec{{Src: math.MaxInt32, Dst: 2, Label: "e"}}})
 	if _, err := decodePayload(p); err != nil {
 		t.Fatalf("node id MaxInt32 does not decode: %v", err)
+	}
+}
+
+// TestWALRecordCodecAllocs: a record is encoded straight into the segment's
+// frame buffer and decoded from the payload slice. A warm 16-op append
+// allocates nothing, and decoding its payload allocates the record and what
+// it holds, not a 64 KiB read buffer (as encoding and decoding through a
+// bufio buffer per record did).
+func TestWALRecordCodecAllocs(t *testing.T) {
+	w, err := createWAL(filepath.Join(t.TempDir(), walName(0)), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	rec := &walRecord{Seq: 1}
+	for i := range 16 {
+		rec.Ops = append(rec.Ops, opRec{Insert: i%2 == 0, Src: graph.NodeID(i), Dst: graph.NodeID(i + 1), Label: "knows"})
+	}
+	if err := w.append(rec); err != nil { // warm: the frame buffer grows once
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		rec.Seq++
+		if err := w.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("a 16-op append allocated %.0f objects", allocs)
+	}
+	payload := encodeRecord(rec)
+	if got := allocatedBy(func() {
+		if _, err := decodePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 4<<10 {
+		t.Errorf("decoding a %d-byte payload allocated %d bytes", len(payload), got)
 	}
 }
