@@ -6,15 +6,16 @@
 // parallel engine with its virtual-time scheduler (internal/par) must be
 // pure functions of their inputs: replaying a WAL, re-running an admission
 // analysis, or re-simulating a makespan must produce byte-identical results.
-// Reading a clock or a random source breaks that silently — budgets and
-// deadlines in those packages are therefore expressed as caller-supplied
-// counters and Done channels, never as time.Now() comparisons (see
-// reason.Options and solver.Options.Done).
+// Reading a clock or a random source breaks that silently — budgets in
+// those packages are therefore package constants and a deadline is a
+// caller-supplied Done channel, never a time.Now() comparison (see
+// reason.Options and solver.Options).
 //
 // ngdlint walks the source with go/parser and fails the build when a
 // non-test file of a guarded package imports "time" or "math/rand" (any API
-// from either package smuggles nondeterminism in). Test files may time
-// themselves freely.
+// from either package smuggles nondeterminism in), or "context" (a
+// deadline is one Done channel, not a context read only for Done). Test
+// files may time themselves freely.
 //
 // It also enforces the allocation discipline of the hot detect path: the
 // match, detect and inc packages may not declare map[NodeID]struct{}
@@ -55,6 +56,7 @@ var guarded = []string{"internal/reason", "internal/repair", "internal/solver", 
 var banned = map[string]string{
 	"time":      "wall-clock reads break replay determinism (use budgets / Done channels)",
 	"math/rand": "random sources break replay determinism (derive choices from input order)",
+	"context":   "cancellation arrives as a Done channel",
 }
 
 // hotPackages are the allocation-disciplined detect-path packages: building

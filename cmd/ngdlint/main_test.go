@@ -57,6 +57,19 @@ var _ = rand.Int
 	}
 }
 
+func TestContextBanned(t *testing.T) {
+	got := lintSource(t, `package p
+import "context"
+func f(ctx context.Context) <-chan struct{} { return ctx.Done() }
+`)
+	if len(got) != 2 { // import + context.Context
+		t.Fatalf("want 2 findings, got %v", got)
+	}
+	if !strings.Contains(got[0], "cancellation arrives as a Done channel") {
+		t.Errorf("import finding should say how cancellation arrives: %s", got[0])
+	}
+}
+
 func TestCleanFile(t *testing.T) {
 	got := lintSource(t, `package p
 import "math/big"

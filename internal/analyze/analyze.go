@@ -25,14 +25,13 @@
 //     identity, so removing such a rule preserves the consistency verdict
 //     (Vio = ∅ iff Vio = ∅) but not the violation list itself.
 //
-// Every stage is budgeted (reason.Options caps plus a wall-clock Timeout
-// threaded through reason's context support) and degrades to Unknown —
+// Every stage is budgeted (reason's search budgets plus a wall-clock Timeout
+// handed to it as a Done channel) and degrades to Unknown —
 // conservatively treated as "keep the rule / cannot refuse Σ" — never to a
 // wrong verdict.
 package analyze
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -84,14 +83,9 @@ func ParseMode(s string) (Mode, error) {
 
 // Options configure the pass.
 type Options struct {
-	// Reason passes budgets (and optionally a parent context) to the
-	// decision procedures.
-	Reason reason.Options
 	// Timeout bounds the whole pass in wall-clock time; expired stages
 	// report Unknown. Zero = no deadline.
 	Timeout time.Duration
-	// Parallelism caps concurrent per-rule probes (default GOMAXPROCS).
-	Parallelism int
 	// NoMinimize disables dropping unviolable rules (the analysis still
 	// reports them).
 	NoMinimize bool
@@ -103,13 +97,6 @@ type Options struct {
 	// Lines maps rule names to source line numbers (dsl.ParseRulesLocated)
 	// for diagnostics.
 	Lines map[string]int
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // RuleReport is the per-rule triage result.
@@ -273,12 +260,12 @@ func (r *Report) SlowestProbe() *RuleReport {
 // dropped names in Σ order. This is the light-weight entry the session
 // runs at construction; the full Analyze triage is the serve/CLI gate.
 // Probes that fail or exhaust their budget keep the rule (conservative).
-func MinimizeUnviolable(set *core.Set, ropts reason.Options) (*core.Set, []string) {
+func MinimizeUnviolable(set *core.Set) (*core.Set, []string) {
 	empty := core.NewSet()
 	var dropped []string
 	out := core.NewSet()
 	for _, r := range set.Rules {
-		v, err := reason.Implies(empty, r, ropts)
+		v, err := reason.Implies(empty, r, reason.Options{})
 		if err == nil && v == reason.Yes {
 			dropped = append(dropped, r.Name)
 			continue
@@ -299,15 +286,11 @@ func Analyze(set *core.Set, opts Options) *Report {
 		NumRules:  len(set.Rules),
 		Rules:     make([]RuleReport, len(set.Rules)),
 	}
-	ropts := opts.Reason
+	var ropts reason.Options
 	if opts.Timeout > 0 {
-		parent := ropts.Ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(parent, opts.Timeout)
-		defer cancel()
-		ropts.Ctx = ctx
+		done := make(chan struct{})
+		defer time.AfterFunc(opts.Timeout, func() { close(done) }).Stop()
+		ropts.Done = done
 	}
 	for i, rule := range set.Rules {
 		rep.Rules[i] = RuleReport{Name: rule.Name, Line: opts.Lines[rule.Name]}
@@ -327,7 +310,7 @@ func Analyze(set *core.Set, opts Options) *Report {
 		err error
 	}
 	probes := make([]probe, len(set.Rules)+1)
-	runParallel(len(probes), opts.parallelism(), func(i int) {
+	runParallel(len(probes), func(i int) {
 		if i == len(set.Rules) {
 			v, err := reason.StronglySatisfiable(set, ropts)
 			probes[i] = probe{v, err}
@@ -392,11 +375,9 @@ func millis(d time.Duration) float64 {
 	return float64(d.Microseconds()) / 1000
 }
 
-// runParallel executes fn(0..n-1) on up to par goroutines.
-func runParallel(n, par int, fn func(int)) {
-	if par > n {
-		par = n
-	}
+// runParallel executes fn(0..n-1) on up to GOMAXPROCS goroutines.
+func runParallel(n int, fn func(int)) {
+	par := min(runtime.GOMAXPROCS(0), n)
 	if par <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -563,7 +544,7 @@ func ground(e *expr.Expr) bool {
 // decision.
 func minimize(set *core.Set, rep *Report, spent []time.Duration, ropts reason.Options, opts Options) {
 	empty := core.NewSet()
-	runParallel(len(set.Rules), opts.parallelism(), func(i int) {
+	runParallel(len(set.Rules), func(i int) {
 		began := time.Now()
 		r, rr := set.Rules[i], &rep.Rules[i]
 		uv, err := reason.Implies(empty, r, ropts)

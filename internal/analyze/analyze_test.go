@@ -215,25 +215,17 @@ func TestImpliedByNamesTheSubsumer(t *testing.T) {
 	}
 }
 
-func TestUnknownIsConservative(t *testing.T) {
-	// an exhausted branch budget degrades everything to Unknown: no core,
-	// no drops, Unsat() false (strict mode cannot refuse).
-	set := core.NewSet(phi5(), phi6())
-	rep := Analyze(set, Options{Reason: reason.Options{MaxBranches: 1}})
-	if rep.Satisfiable != reason.Unknown {
-		t.Fatalf("satisfiable = %v, want unknown", rep.Satisfiable)
-	}
-	if rep.Unsat() || rep.Core != nil || len(rep.Dropped) != 0 {
-		t.Fatalf("unknown verdict was not conservative: %+v", rep)
-	}
-}
-
 func TestTimeoutDegradesToUnknown(t *testing.T) {
+	// an expired deadline degrades everything to Unknown: no core, no
+	// drops, Unsat() false (strict mode cannot refuse).
 	set := core.NewSet(phi5(), phi6())
 	rep := Analyze(set, Options{Timeout: time.Nanosecond})
 	if rep.Satisfiable != reason.Unknown || rep.Core != nil || len(rep.Dropped) != 0 {
 		t.Fatalf("expired deadline not conservative: sat=%v core=%v dropped=%v",
 			rep.Satisfiable, rep.Core, rep.Dropped)
+	}
+	if rep.Unsat() {
+		t.Fatal("an unknown verdict refused Σ")
 	}
 }
 

@@ -41,9 +41,9 @@ func TestNeighborhoodSeenSetAllocBudget(t *testing.T) {
 	for i := 0; i < len(ids)-1; i++ {
 		g.AddEdge(ids[i], ids[i+1], "e")
 	}
-	g.NeighborhoodOf(ids[:1], 4) // warm the pooled bitset
+	graph.NeighborhoodOf(g, ids[:1], 4) // warm the pooled bitset
 	allocs := testing.AllocsPerRun(200, func() {
-		g.NeighborhoodOf(ids[:1], 4)
+		graph.NeighborhoodOf(g, ids[:1], 4)
 	})
 	// result + frontier slices may allocate; the pooled seen-set must not
 	// add the old map's per-call bucket churn on top

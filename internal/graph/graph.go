@@ -396,17 +396,11 @@ func (g *Graph) CountLabel(l LabelID) int {
 	return len(g.byLabel[l])
 }
 
-// Neighborhood returns the set V_d(v): all nodes within d hops of v when G
-// is taken as an undirected graph (paper §6.1). The result includes v and is
-// in BFS discovery order.
-func (g *Graph) Neighborhood(v NodeID, d int) []NodeID {
-	return g.NeighborhoodOf([]NodeID{v}, d)
-}
-
-// NeighborhoodOf returns the union of V_d(v) over several seed nodes,
-// deduplicated, in BFS discovery order.
-func (g *Graph) NeighborhoodOf(seeds []NodeID, d int) []NodeID {
-	seen := AcquireNodeSet(len(g.nodes))
+// NeighborhoodOf returns the union of V_d(v) over the seed nodes v: all
+// nodes within d hops of a seed when g is taken as an undirected graph
+// (paper §6.1), seeds included, deduplicated, in BFS discovery order.
+func NeighborhoodOf(g View, seeds []NodeID, d int) []NodeID {
+	seen := AcquireNodeSet(g.NumNodes())
 	defer ReleaseNodeSet(seen)
 	var frontier, result []NodeID
 	for _, s := range seeds {
@@ -419,16 +413,12 @@ func (g *Graph) NeighborhoodOf(seeds []NodeID, d int) []NodeID {
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []NodeID
 		for _, u := range frontier {
-			for _, h := range g.out[u] {
-				if seen.Add(h.To) {
-					next = append(next, h.To)
-					result = append(result, h.To)
-				}
-			}
-			for _, h := range g.in[u] {
-				if seen.Add(h.To) {
-					next = append(next, h.To)
-					result = append(result, h.To)
+			for _, adj := range [2][]Half{g.Out(u), g.In(u)} {
+				for _, h := range adj {
+					if seen.Add(h.To) {
+						next = append(next, h.To)
+						result = append(result, h.To)
+					}
 				}
 			}
 		}

@@ -195,29 +195,29 @@ func TestNeighborhood(t *testing.T) {
 	g.AddEdge(b, c, "l")
 	g.AddEdge(c, d, "l")
 
-	if got := len(g.Neighborhood(a, 0)); got != 1 {
+	if got := len(NeighborhoodOf(g, []NodeID{a}, 0)); got != 1 {
 		t.Errorf("V_0(a) size = %d, want 1", got)
 	}
-	if got := len(g.Neighborhood(a, 1)); got != 2 {
+	if got := len(NeighborhoodOf(g, []NodeID{a}, 1)); got != 2 {
 		t.Errorf("V_1(a) size = %d, want 2", got)
 	}
-	if got := len(g.Neighborhood(a, 3)); got != 4 {
+	if got := len(NeighborhoodOf(g, []NodeID{a}, 3)); got != 4 {
 		t.Errorf("V_3(a) size = %d, want 4", got)
 	}
 	// neighborhoods are undirected: d reaches a in 3 hops
-	if got := len(g.Neighborhood(d, 3)); got != 4 {
+	if got := len(NeighborhoodOf(g, []NodeID{d}, 3)); got != 4 {
 		t.Errorf("V_3(d) size = %d, want 4", got)
 	}
-	if got := len(g.Neighborhood(e, 5)); got != 1 {
+	if got := len(NeighborhoodOf(g, []NodeID{e}, 5)); got != 1 {
 		t.Errorf("V_5(e) size = %d, want 1 (isolated)", got)
 	}
 	// monotonicity property
 	for dd := 0; dd < 4; dd++ {
-		if len(g.Neighborhood(a, dd)) > len(g.Neighborhood(a, dd+1)) {
+		if len(NeighborhoodOf(g, []NodeID{a}, dd)) > len(NeighborhoodOf(g, []NodeID{a}, dd+1)) {
 			t.Errorf("neighborhood not monotone at d=%d", dd)
 		}
 	}
-	union := g.NeighborhoodOf([]NodeID{a, e}, 1)
+	union := NeighborhoodOf(g, []NodeID{a, e}, 1)
 	if len(union) != 3 {
 		t.Errorf("union neighborhood size = %d, want 3", len(union))
 	}

@@ -163,37 +163,3 @@ func (o *Overlay) NodesWithLabel(l LabelID) []NodeID { return o.base.NodesWithLa
 
 // CountLabel delegates to the base graph.
 func (o *Overlay) CountLabel(l LabelID) int { return o.base.CountLabel(l) }
-
-// NeighborhoodOf is the overlay counterpart of Graph.NeighborhoodOf: BFS up
-// to d undirected hops in G ⊕ ΔG.
-func (o *Overlay) NeighborhoodOf(seeds []NodeID, d int) []NodeID {
-	seen := AcquireNodeSet(o.NumNodes())
-	defer ReleaseNodeSet(seen)
-	var frontier, result []NodeID
-	for _, s := range seeds {
-		if !seen.Add(s) {
-			continue
-		}
-		frontier = append(frontier, s)
-		result = append(result, s)
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, h := range o.Out(u) {
-				if seen.Add(h.To) {
-					next = append(next, h.To)
-					result = append(result, h.To)
-				}
-			}
-			for _, h := range o.In(u) {
-				if seen.Add(h.To) {
-					next = append(next, h.To)
-					result = append(result, h.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return result
-}

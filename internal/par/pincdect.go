@@ -166,7 +166,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// candidate neighborhood NC(ΔG, Σ): identified in parallel, replicated
 	// at all workers (Figure 3 lines 1–4); charged as |NC|/p work plus a
 	// broadcast latency per worker.
-	nc := newView.NeighborhoodOf(norm.TouchedNodes(), rules.Diameter())
+	nc := graph.NeighborhoodOf(newView, norm.TouchedNodes(), rules.Diameter())
 	startCost := float64(len(nc))/float64(opts.P) + trueLatency
 
 	tagged, met := e.exec(initial, startCost)

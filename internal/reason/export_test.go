@@ -15,3 +15,11 @@ func searchWhole(t *testing.T) {
 	}
 	t.Cleanup(func() { groupObligations = grouped })
 }
+
+// setMaxBranches sets the branch budget of each group's search to n until
+// t ends.
+func setMaxBranches(t *testing.T, n int) {
+	old := maxBranches
+	maxBranches = n
+	t.Cleanup(func() { maxBranches = old })
+}

@@ -31,7 +31,8 @@ var groupCorpora = []corpus{
 // search decides, the grouped verdict must be the same. Implies is probed
 // without subsumption, so that the search decides it.
 func TestGroupedSearchAgreesWithWhole(t *testing.T) {
-	opts := Options{MaxBranches: 200}
+	setMaxBranches(t, 200)
+	var opts Options
 	type probe struct {
 		name string
 		run  func() (Verdict, error)

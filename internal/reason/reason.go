@@ -30,7 +30,6 @@
 package reason
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -88,65 +87,33 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Options bound the analyses.
-//
-// Budget semantics: the decision procedures are exact within their budgets —
+// Budgets of the analyses. The decision procedures are exact within them —
 // a Yes or No answer is always correct — and degrade to Unknown, never to a
-// wrong answer, when any budget is exhausted. Three budgets apply:
-//
-//   - MaxMatches bounds how many homomorphic matches of Σ-patterns into a
-//     canonical instance are enumerated (the obligation set);
-//   - MaxBranches bounds the disjunctive search tree over ways to satisfy
-//     or falsify literals (where the Σp2 exponential lives), per group of
-//     obligations that bind disjoint nodes;
-//   - Ctx, when non-nil, bounds the whole call in wall-clock time: the
-//     search polls the context between branches and between candidate
-//     patterns, and returns Unknown once it is done. Pair it with
-//     context.WithTimeout for a hard deadline — an admission gate running
-//     in strict mode can then never hang inside a Σp2 search.
-//
-// The solver's own node/split caps (Options.Solver) behave the same way:
-// its Unknown propagates as Unknown here.
+// wrong answer, when one is exhausted. maxMatches bounds how many
+// homomorphic matches of Σ-patterns into a canonical instance are
+// enumerated (the obligation set); maxBranches bounds the disjunctive search
+// tree over ways to satisfy or falsify literals (where the Σp2 exponential
+// lives), per group of obligations that bind disjoint nodes. The solver's
+// own caps behave the same way: its Unknown propagates as Unknown here.
+const maxMatches = 2000
+
+var maxBranches = 200000 // a variable so that tests can shrink it
+
+// Options carry a call's deadline.
 type Options struct {
-	// MaxMatches caps pattern-match enumeration per canonical instance.
-	MaxMatches int
-	// MaxBranches caps the disjunctive search tree of each independent
-	// group of obligations.
-	MaxBranches int
-	// Ctx, when non-nil, carries a cancellation/deadline signal into the
-	// search; an expired context makes the analyses return Unknown.
-	Ctx context.Context
-	// Solver passes through to the integer feasibility solver.
-	Solver solver.Options
+	// Done, when non-nil, bounds the whole call in wall-clock time: the
+	// search polls it between branches and between candidate patterns, the
+	// solver per node and every 32 pivots, and the analyses return Unknown
+	// once it is closed. An admission gate running in strict mode can then
+	// never hang inside a Σp2 search.
+	Done <-chan struct{}
 }
 
-func (o Options) defaults() Options {
-	if o.MaxMatches <= 0 {
-		o.MaxMatches = 2000
-	}
-	if o.MaxBranches <= 0 {
-		o.MaxBranches = 200000
-	}
-	return o
-}
-
-// done returns the context's cancellation channel (nil when unbounded).
-func (o Options) done() <-chan struct{} {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Done()
-}
+// solver hands the deadline to the integer feasibility solver.
+func (o Options) solver() solver.Options { return solver.Options{Done: o.Done} }
 
 // expired reports whether the wall-clock budget is already exhausted.
-func (o Options) expired() bool {
-	select {
-	case <-o.done():
-		return true
-	default:
-		return false
-	}
-}
+func (o Options) expired() bool { return o.solver().Expired() }
 
 // Satisfiable decides whether Σ has a model in which at least one pattern
 // of Σ matches (paper §4 satisfiability).
@@ -154,7 +121,6 @@ func Satisfiable(rules *core.Set, opts Options) (Verdict, error) {
 	if err := checkLinear(rules.Rules...); err != nil {
 		return Unknown, err
 	}
-	opts = opts.defaults()
 	sawUnknown := false
 	for _, r := range rules.Rules {
 		if opts.expired() {
@@ -184,7 +150,6 @@ func PatternConsistent(rules *core.Set, anchor *core.NGD, opts Options) (Verdict
 	if err := checkLinear(append(append([]*core.NGD{}, rules.Rules...), anchor)...); err != nil {
 		return Unknown, err
 	}
-	opts = opts.defaults()
 	v, _ := consistentCanonical(rules, []*pattern.Pattern{anchor.Pattern}, nil, false, opts)
 	return v, nil
 }
@@ -195,7 +160,6 @@ func StronglySatisfiable(rules *core.Set, opts Options) (Verdict, error) {
 	if err := checkLinear(rules.Rules...); err != nil {
 		return Unknown, err
 	}
-	opts = opts.defaults()
 	var pats []*pattern.Pattern
 	for _, r := range rules.Rules {
 		pats = append(pats, r.Pattern)
@@ -224,7 +188,6 @@ func implies(rules *core.Set, phi *core.NGD, opts Options, subsume bool) (Verdic
 	if err := checkLinear(append(append([]*core.NGD{}, rules.Rules...), phi)...); err != nil {
 		return Unknown, nil, err
 	}
-	opts = opts.defaults()
 	// witness search: canonical(Q_φ) satisfying Σ with the identity match
 	// violating X_φ → Y_φ
 	v, by := consistentCanonical(rules, []*pattern.Pattern{phi.Pattern}, phi, subsume, opts)
@@ -285,7 +248,7 @@ type implication struct {
 // dependency, and (when negate != nil) making the identity match of
 // negate's pattern violate negate. With subsume set, each obligation is
 // tested as it is enumerated: one that subsumes negate answers No at once,
-// before MaxMatches or the search could turn it into Unknown, and is
+// before maxMatches or the search could turn it into Unknown, and is
 // returned as by.
 //
 // The obligations are decided one independent group at a time (see
@@ -319,7 +282,7 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 				return false
 			}
 			obligations = append(obligations, ob)
-			if len(obligations) > opts.MaxMatches {
+			if len(obligations) > maxMatches {
 				over = true
 				return false
 			}
@@ -343,7 +306,7 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 		if i == 0 {
 			gneg = negate
 		}
-		budget := opts.MaxBranches
+		budget := maxBranches
 		switch newSearch(g, opts).searchImplications(grp, 0, gneg, idm, &budget) {
 		case No:
 			return No, nil
@@ -383,7 +346,7 @@ func labelsIn(syms *graph.Symbols, p *pattern.Pattern) bool {
 // node (varKey), so groups share no unknown, and no presence, type, string
 // or numeric decision in one group constrains another. An assignment
 // satisfies every obligation iff its restriction to each group satisfies
-// that group's. Each group's search has its own MaxBranches, as each
+// that group's. Each group's search has its own maxBranches, as each
 // solver part has its own caps: a group the whole search would refute is
 // refuted within the budget whatever the other groups cost.
 var groupObligations = func(n int, obls []implication, neg core.Match) [][]implication {

@@ -1,7 +1,6 @@
 package reason
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -265,8 +264,8 @@ func TestGroundAtoms(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	// a cancelled context degrades every analysis to Unknown — never to a
-	// wrong Yes/No — and a live context leaves the answers untouched.
+	// a closed Done channel degrades every analysis to Unknown — never to a
+	// wrong Yes/No — and an open one leaves the answers untouched.
 	phi5 := singleNodeRule("phi5", "_", nil, []core.Literal{
 		core.MustLiteral("x.A = 7"), core.MustLiteral("x.B = 7"),
 	})
@@ -275,9 +274,9 @@ func TestContextCancellation(t *testing.T) {
 	})
 	set := core.NewSet(phi5, phi6)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dead := Options{Ctx: ctx}
+	closed := make(chan struct{})
+	close(closed)
+	dead := Options{Done: closed}
 	if v, err := Satisfiable(set, dead); err != nil || v != Unknown {
 		t.Fatalf("cancelled Satisfiable: %v %v, want unknown", v, err)
 	}
@@ -291,8 +290,8 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled PatternConsistent: %v %v, want unknown", v, err)
 	}
 
-	// a live context does not perturb the verdicts
-	live := Options{Ctx: context.Background()}
+	// an open channel does not perturb the verdicts
+	live := Options{Done: make(chan struct{})}
 	if v, err := Satisfiable(set, live); err != nil || v != No {
 		t.Fatalf("live Satisfiable: %v %v, want no", v, err)
 	}

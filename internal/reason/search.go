@@ -33,10 +33,6 @@ type search struct {
 }
 
 func newSearch(g *graph.Graph, opts Options) *search {
-	// thread the deadline into the integer solver: a single exact-rational
-	// Solve over a large obligation set can dwarf the branch loop, so the
-	// solver polls the same channel per node and per pivot batch
-	opts.Solver.Done = opts.done()
 	return &search{
 		g: g, opts: opts,
 		varIdx:   make(map[varKey]int),
@@ -282,7 +278,7 @@ func (s *search) searchImplications(obls []implication, i int, negate *core.NGD,
 	// the deadline is polled once per branch: the poll is noise next to the
 	// per-branch snapshot map copies, and a coarser stride lets expensive
 	// solver leaves overshoot the deadline
-	if *budget <= 0 || s.opts.Solver.Expired() {
+	if *budget <= 0 || s.opts.expired() {
 		return Unknown
 	}
 	*budget--
@@ -425,7 +421,7 @@ func (s *search) tryFalsify(ob implication, l core.Literal, cont func() Verdict)
 // constraints.
 func (s *search) checkNumeric() Verdict {
 	sys := &solver.System{NumVars: s.nVars, Cons: s.cons, Integer: true}
-	st, _ := sys.Solve(s.opts.Solver)
+	st, _ := sys.Solve(s.opts.solver())
 	switch st {
 	case solver.Feasible:
 		return Yes

@@ -110,11 +110,11 @@ func TestSubsumptionShapes(t *testing.T) {
 	// branches on a clone, the check does not
 	psi := mk("psi", "x: a; y: a; x -e-> y", "", "abs(x.A - y.A) <= 5")
 	phi := mk("phi", "u: a; v: a; u -e-> v", "", "abs(u.A - v.A) <= 5")
-	tight := Options{MaxBranches: 1}
-	if v, by, _ := ImpliedBy(core.NewSet(psi), phi, tight); v != Yes || by != psi {
+	setMaxBranches(t, 1)
+	if v, by, _ := ImpliedBy(core.NewSet(psi), phi, Options{}); v != Yes || by != psi {
 		t.Fatalf("clone under a 1-branch budget: %v by %v, want yes by psi", v, by)
 	}
-	if v, _, _ := implies(core.NewSet(psi), phi, tight, false); v != Unknown {
+	if v, _, _ := implies(core.NewSet(psi), phi, Options{}, false); v != Unknown {
 		t.Fatalf("search alone under a 1-branch budget: %v, want unknown", v)
 	}
 }
@@ -127,7 +127,8 @@ func TestSubsumptionShapes(t *testing.T) {
 // probes of the clone-heavy sets short, so they end in Unknown.
 func TestSubsumptionAgreesWithSearch(t *testing.T) {
 	corpora := probeCorpora()
-	opts := Options{MaxBranches: 200}
+	setMaxBranches(t, 200)
+	var opts Options
 	probes, subsumed, rescued := 0, 0, 0
 	for _, c := range corpora {
 		for i, phi := range c.set.Rules {

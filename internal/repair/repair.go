@@ -131,8 +131,9 @@ func (r *Result) FixByID(id string) (Fix, bool) {
 type Options struct {
 	// MaxFixes caps the ranked fixes returned (default 8).
 	MaxFixes int
-	// Solver bounds every exact Solve; Solver.Done is also polled between
-	// candidates, so one closed channel deadlines the whole enumeration.
+	// Solver carries the deadline of every exact Solve; Solver.Done is also
+	// polled between candidates, so one closed channel deadlines the whole
+	// enumeration.
 	Solver solver.Options
 }
 

@@ -23,7 +23,6 @@ import (
 	"ngd/internal/gen"
 	"ngd/internal/par"
 	"ngd/internal/pattern"
-	"ngd/internal/reason"
 	"ngd/internal/ref"
 	"ngd/internal/session"
 )
@@ -65,7 +64,7 @@ func runMinimizeDifferential(t *testing.T, w gen.Workload) {
 	full.Add(deadPreRule())
 	full.Add(emptyConsRule())
 
-	min, dropped := analyze.MinimizeUnviolable(full, reason.Options{})
+	min, dropped := analyze.MinimizeUnviolable(full)
 	if len(dropped) != 2 {
 		t.Fatalf("workload %s: expected both planted unviolable rules dropped, got %v",
 			w.Name(), dropped)

@@ -63,9 +63,8 @@ type Options struct {
 	// zero value minimizes: unviolable rules (∅ ⊨ φ — no graph can violate
 	// them) are dropped before the program is compiled, which preserves
 	// Vio(Σ, G) exactly for every G while shrinking what every detector
-	// and plan pays for. Set Analyze.NoMinimize to keep the full Σ;
-	// Analyze.Reason budgets the implication probes. Dropped rule names
-	// are reported by DroppedRules.
+	// and plan pays for. Only Analyze.NoMinimize is read: set it to keep
+	// the full Σ. Dropped rule names are reported by DroppedRules.
 	Analyze analyze.Options
 }
 
@@ -295,7 +294,7 @@ func newSession(g *graph.Graph, rules *core.Set, opts Options) *Session {
 		// program. Vio-preserving — such a rule contributes no violation in
 		// any graph — so the store invariant is stated against the same set
 		// every detector now sees.
-		rules, dropped = analyze.MinimizeUnviolable(rules, opts.Analyze.Reason)
+		rules, dropped = analyze.MinimizeUnviolable(rules)
 	}
 	internSymbols(g.Symbols(), rules)
 	prog := plan.New(g, rules, opts.Plan)

@@ -119,13 +119,15 @@ func (s Status) String() string {
 	}
 }
 
-// Options bound the search. Both caps apply to each independent part of
-// the system (see Solve) on its own.
+// Caps of the search, each applied to each independent part of the system
+// (see Solve) on its own: maxNodes branch-and-bound nodes and maxNeSplits
+// disjunctive ≠ splits. A part that would exceed either is Unknown.
+const maxNeSplits = 16
+
+var maxNodes = 4096 // a variable so that tests can shrink it
+
+// Options carry a call's deadline.
 type Options struct {
-	// MaxNodes caps branch-and-bound nodes (default 4096).
-	MaxNodes int
-	// MaxNeSplits caps disjunctive ≠ splits (default 16).
-	MaxNeSplits int
 	// Done, when non-nil, aborts the search once the channel is closed
 	// (polled per branch-and-bound node and every 32 simplex pivots);
 	// an aborted Solve reports Unknown, never a wrong verdict. The solver
@@ -147,16 +149,6 @@ func (o Options) Expired() bool {
 	}
 }
 
-func (o Options) defaults() Options {
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 4096
-	}
-	if o.MaxNeSplits <= 0 {
-		o.MaxNeSplits = 16
-	}
-	return o
-}
-
 // Solve decides feasibility; on Feasible, the returned assignment satisfies
 // every constraint (integral when s.Integer).
 //
@@ -170,7 +162,6 @@ func (o Options) defaults() Options {
 // answers Infeasible at the first infeasible part and looks past an
 // Unknown one for it.
 func (s *System) Solve(opts Options) (Status, []*big.Rat) {
-	opts = opts.defaults()
 	asg := make([]*big.Rat, s.NumVars)
 	sawUnknown := false
 	for _, p := range s.parts() {
@@ -271,10 +262,10 @@ func (s *System) solve(opts Options) (Status, []*big.Rat) {
 			neCount++
 		}
 	}
-	if neCount > opts.MaxNeSplits {
+	if neCount > maxNeSplits {
 		return Unknown, nil
 	}
-	budget := opts.MaxNodes
+	budget := maxNodes
 	return s.solveNe(opts, &budget)
 }
 

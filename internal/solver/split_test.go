@@ -44,15 +44,49 @@ func TestSplitWitness(t *testing.T) {
 // TestSplitBudgetInLaterPart: a part that runs out of nodes makes the
 // system Unknown, wherever it sits among the parts.
 func TestSplitBudgetInLaterPart(t *testing.T) {
+	t.Cleanup(SetMaxNodes(8))
 	feasible := cons(expr.Ge, r(0, 1), 0, r(1, 1))
 	for _, order := range [][]Constraint{
 		{feasible, noIntegerPoint(1, 2)},
 		{noIntegerPoint(1, 2), feasible},
 	} {
 		s := &System{NumVars: 3, Integer: true, Cons: order}
-		if st, _ := s.Solve(Options{MaxNodes: 8}); st != Unknown {
+		if st, _ := s.Solve(Options{}); st != Unknown {
 			t.Fatalf("%v: status = %v, want unknown", order, st)
 		}
+	}
+}
+
+// TestNeSplitCap: a part with more ≠ constraints than maxNeSplits is
+// Unknown, and one with exactly that many is decided. The cap counts per
+// part: two parts of 9 are decided, though the one-tableau solve, which
+// sees 18, is not.
+func TestNeSplitCap(t *testing.T) {
+	ne := func(v, n int) []Constraint { // x_v ≠ 1, …, x_v ≠ n
+		var cs []Constraint
+		for k := 1; k <= n; k++ {
+			cs = append(cs, cons(expr.Ne, r(int64(k), 1), v, r(1, 1)))
+		}
+		return cs
+	}
+	for n, want := range map[int]Status{maxNeSplits: Feasible, maxNeSplits + 1: Unknown} {
+		s := &System{NumVars: 1, Integer: true, Cons: ne(0, n)}
+		st, asg := s.Solve(Options{})
+		if st != want {
+			t.Fatalf("%d ≠ constraints in one part: %v, want %v", n, st, want)
+		}
+		if st == Feasible {
+			checkSolution(t, s, asg)
+		}
+	}
+	s := &System{NumVars: 2, Integer: true, Cons: append(ne(0, 9), ne(1, 9)...)}
+	st, asg := s.Solve(Options{})
+	if st != Feasible {
+		t.Fatalf("two parts of 9 ≠ constraints: %v, want feasible", st)
+	}
+	checkSolution(t, s, asg)
+	if st, _ := s.SolveWhole(Options{}); st != Unknown {
+		t.Fatalf("two parts of 9 ≠ constraints on one tableau: %v, want unknown", st)
 	}
 }
 
@@ -67,11 +101,11 @@ func TestSplitRefutesPastAnUndecidedPart(t *testing.T) {
 		cons(expr.Ge, r(1, 1), 2, r(1, 1)),
 		cons(expr.Le, r(0, 1), 2, r(1, 1)),
 	}}
-	opts := Options{MaxNodes: 8}
-	if st, _ := s.SolveWhole(opts); st != Infeasible {
+	t.Cleanup(SetMaxNodes(8))
+	if st, _ := s.SolveWhole(Options{}); st != Infeasible {
 		t.Fatalf("whole: %v, want infeasible", st)
 	}
-	if st, _ := s.Solve(opts); st != Infeasible {
+	if st, _ := s.Solve(Options{}); st != Infeasible {
 		t.Fatalf("split: %v, want infeasible", st)
 	}
 }
@@ -105,11 +139,11 @@ func FuzzSolveSplitMatchesWhole(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
 	f.Add([]byte{2, 7, 3, 5, 1, 9, 4, 4, 2, 6, 8, 0, 3, 1, 5, 2, 7, 2, 1, 3, 3, 0, 6, 2, 1, 5, 5, 4})
+	f.Cleanup(SetMaxNodes(16))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := blockSystem(data)
-		opts := Options{MaxNodes: 16}
-		whole, wasg := s.SolveWhole(opts)
-		split, sasg := s.Solve(opts)
+		whole, wasg := s.SolveWhole(Options{})
+		split, sasg := s.Solve(Options{})
 		if whole != Unknown && split != whole {
 			t.Fatalf("split %v, whole %v on %v", split, whole, s.Cons)
 		}

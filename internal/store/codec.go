@@ -212,6 +212,27 @@ func (c *creader) read(p []byte) error {
 	return nil
 }
 
+// end reports whether the input ends here: no unread byte is left in the
+// block, and one more read of the underlying reader returns io.EOF. A
+// failed read is returned as it is.
+func (c *creader) end() (bool, error) {
+	if c.pos < len(c.buf) {
+		return false, nil
+	}
+	if c.r == nil {
+		return true, nil
+	}
+	var b [1]byte
+	switch _, err := io.ReadFull(c.r, b[:]); err {
+	case io.EOF:
+		return true, nil
+	case nil:
+		return false, nil
+	default:
+		return false, err
+	}
+}
+
 // sum32 is the CRC of everything consumed so far.
 func (c *creader) sum32() uint32 {
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.buf[c.folded:c.pos])

@@ -38,7 +38,8 @@ func TestSnapshotEveryByteFlipFails(t *testing.T) {
 // TestSnapshotBlockBoundaries: snapshots whose file, or whose checksummed
 // body, ends one byte below a block boundary, on it, or one byte above it
 // round-trip — read whole, one byte at a time and in halves — and a flip of
-// the last body byte or of the trailer's last byte fails the load. The CRC
+// the last body byte or of the trailer's last byte fails the load, as do
+// bytes appended after the trailer. The CRC
 // then covers the last partial block and leaves the trailer out.
 func TestSnapshotBlockBoundaries(t *testing.T) {
 	g := graph.New()
@@ -84,6 +85,17 @@ func TestSnapshotBlockBoundaries(t *testing.T) {
 			bad[off] ^= 0x01
 			if _, err := readSnapshot(bytes.NewReader(bad)); err == nil {
 				t.Fatalf("%d bytes: a flip at %d loads", size, off)
+			}
+		}
+		// bytes after the trailer fail the load, whether the block holds
+		// them or only a further read of the reader finds them
+		tail := append(bytes.Clone(raw), "junk"...)
+		for name, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(tail),
+			"one byte": iotest.OneByteReader(bytes.NewReader(tail)),
+		} {
+			if _, err := readSnapshot(r); err == nil || !strings.Contains(err.Error(), "after the snapshot trailer") {
+				t.Fatalf("%d bytes and a tail read %s: err = %v", size, name, err)
 			}
 		}
 	}

@@ -465,6 +465,41 @@ func TestOpenRejectsWALWithoutSnapshot(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesSnapshotTail: a snapshot with bytes after its trailer is
+// unreadable, so a directory whose only snapshot has such a tail does not
+// load.
+func TestOpenRefusesSnapshotTail(t *testing.T) {
+	dir := t.TempDir()
+	_, live := makeWorkload(t)
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(live, live.Rules(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v; want one", snaps, err)
+	}
+	f, err := os.OpenFile(snaps[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("junk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Open(dir, store.Options{}); err == nil || !strings.Contains(err.Error(), "no readable snapshot") {
+		t.Fatalf("a snapshot with a tail: err = %v", err)
+	}
+}
+
 // TestOpenRefusesWALStartMismatch: a segment whose header start is not the
 // one its name carries (a flipped byte in the one header field no checksum
 // covers) fails recovery instead of replaying under the wrong numbering.

@@ -26,6 +26,7 @@ package store
 // a torn snapshot write can therefore never shadow the previous good one.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -180,7 +181,7 @@ func presize(n uint64) int { return int(min(n, presizeCap)) }
 // graph.Builder (including its derived structures: in-lists and by-label
 // postings; attribute indexes are rebuilt lazily by the first matching plan
 // that wants them). The CRC trailer is verified before the result is
-// returned.
+// returned, and it must end the input.
 func readSnapshot(r io.Reader) (*snapshotData, error) {
 	c := newCReader(r)
 	magic := make([]byte, len(snapMagic))
@@ -341,6 +342,11 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 	}
 	if got != want {
 		return nil, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", got, want)
+	}
+	if end, err := c.end(); err != nil {
+		return nil, fmt.Errorf("store: snapshot trailer: %w", err)
+	} else if !end {
+		return nil, errors.New("store: bytes after the snapshot trailer")
 	}
 	return sd, nil
 }

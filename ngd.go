@@ -147,8 +147,8 @@ type (
 	// RepairFix is one candidate fix with its previewed consequences
 	// (cleared and introduced violation keys, perturbation, rank score).
 	RepairFix = repair.Fix
-	// RepairOptions configure fix enumeration (ranked-list cap, solver
-	// budget and deadline).
+	// RepairOptions configure fix enumeration (the ranked-list cap and the
+	// deadline, a Done channel in Solver).
 	RepairOptions = repair.Options
 	// RepairApplied reports an applied fix: the commit epoch it landed in
 	// and the store size after (Server.ApplyRepair, POST /repair/apply).
@@ -384,8 +384,9 @@ func Implies(rules *RuleSet, phi *Rule) (Verdict, error) {
 	return reason.Implies(rules, phi, reason.Options{})
 }
 
-// AnalysisOptions configure the Σ admission analysis (budgets, wall-clock
-// timeout, minimization toggles, rule source lines for diagnostics).
+// AnalysisOptions configure the Σ admission analysis (wall-clock timeout,
+// minimization toggles, rule source lines for diagnostics); the search
+// budgets are fixed.
 type AnalysisOptions = analyze.Options
 
 // AnalysisReport is the structured result of the Σ admission analysis:
@@ -425,7 +426,7 @@ func AnalyzeRules(rules *RuleSet, opts AnalysisOptions) *AnalysisReport {
 // Vio-preserving fragment of minimization: detection output is identical
 // on every graph. It returns the minimized set and the dropped names.
 func MinimizeRules(rules *RuleSet) (*RuleSet, []string) {
-	return analyze.MinimizeUnviolable(rules, reason.Options{})
+	return analyze.MinimizeUnviolable(rules)
 }
 
 // RulesSignature is the canonical Σ identity (sha256 over the DSL
