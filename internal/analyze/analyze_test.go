@@ -215,6 +215,27 @@ func TestImpliedByNamesTheSubsumer(t *testing.T) {
 	}
 }
 
+func TestUnknownIsConservative(t *testing.T) {
+	// an exhausted match budget degrades everything to Unknown: no core,
+	// no drops, Unsat() false (strict mode cannot refuse). Seven unlinked
+	// a-nodes map onto their canonical instance in 7! ways, far past the
+	// obligations reason enumerates, so the unsatisfiable {φ5, φ6} cannot
+	// be proved so once the wide rule rides along.
+	p := pattern.New()
+	for _, v := range []string{"x0", "x1", "x2", "x3", "x4", "x5", "x6"} {
+		p.AddNode(v, "a")
+	}
+	wide := core.MustNew("wide", p, nil, lits("x0.A = 1"))
+	set := core.NewSet(phi5(), phi6(), wide)
+	rep := Analyze(set, Options{})
+	if rep.Satisfiable != reason.Unknown {
+		t.Fatalf("satisfiable = %v, want unknown", rep.Satisfiable)
+	}
+	if rep.Unsat() || rep.Core != nil || len(rep.Dropped) != 0 {
+		t.Fatalf("unknown verdict was not conservative: %+v", rep)
+	}
+}
+
 func TestTimeoutDegradesToUnknown(t *testing.T) {
 	// an expired deadline degrades everything to Unknown: no core, no
 	// drops, Unsat() false (strict mode cannot refuse).
