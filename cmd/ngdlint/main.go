@@ -27,10 +27,18 @@
 // every differential suite is grounded in) out of production: no non-test
 // file outside internal/ref may import it.
 //
-// Finally, on the same walk, it fails when a directory under internal/ is
-// imported by no non-test file outside itself: a package nothing ships is
-// paid for by every refactor that must keep it compiling. internal/ref and
+// On the same walk, it fails when a directory under internal/ is imported
+// by no non-test file outside itself: a package nothing ships is paid for by
+// every refactor that must keep it compiling. internal/ref and
 // internal/paperdata are test-only by design and exempt.
+//
+// Finally, the walk records what the module declares, and the prose must
+// name only that. A backticked pkg.Name (Name exported), pkg.Type.Member or
+// Type.Member in DESIGN.md, README.md or docs/OPERATIONS.md whose pkg (or
+// Type) the module declares must name a func, type, var, const, method or
+// field of it; references into the standard library and file names are
+// not checked. A backticked -flag in the first column of a table in
+// OPERATIONS §1 must be registered by the command the subsection is about.
 //
 // Usage: ngdlint [repo root]   (default ".")
 // Exit 0 = clean, 1 = violations (one "file:line: message" per finding),
@@ -44,6 +52,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,10 +84,16 @@ const (
 
 // modulePrefix turns an import path of this module into a directory relative
 // to the repo root. testOnly lists the directories under internal/ that no
-// production file is meant to import (refDir is never walked at all).
+// production file is meant to import.
 const modulePrefix = "ngd/"
 
-var testOnly = map[string]bool{"internal/paperdata": true}
+var testOnly = map[string]bool{"internal/paperdata": true, refDir: true}
+
+// docs are the files whose code references the docs rule resolves, and
+// opsDoc the one whose §1 flag tables it checks.
+var docs = []string{"DESIGN.md", "README.md", opsDoc}
+
+const opsDoc = "docs/OPERATIONS.md"
 
 func main() {
 	root := "."
@@ -212,14 +227,16 @@ func lintSeenSets(fset *token.FileSet, path string) []string {
 	return findings
 }
 
-// lintTree walks every non-test file under root once, for the two rules that
-// are about who imports whom: the reference oracle stays out of production,
-// and every directory under internal/ has a production importer outside
-// itself.
+// lintTree walks every .go file under root once. Non-test files are held to
+// the two rules about who imports whom: the reference oracle stays out of
+// production, and every directory under internal/ has a production importer
+// outside itself. Every file's declarations, and each command's flags, are
+// what the docs rule resolves references against.
 func lintTree(fset *token.FileSet, root string) ([]string, error) {
 	var findings []string
 	holds := map[string]bool{} // directories under internal/ with a non-test file
 	used := map[string]bool{}  // module directories imported from another directory
+	known := map[string]bool{} // see declare and registerFlags
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -227,12 +244,12 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 		name := d.Name()
 		if d.IsDir() {
 			// hidden directories hold build caches and VCS state, not source
-			if (path != root && strings.HasPrefix(name, ".")) || path == filepath.Join(root, refDir) {
+			if path != root && strings.HasPrefix(name, ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		dir, err := filepath.Rel(root, filepath.Dir(path))
@@ -240,19 +257,26 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 			return err
 		}
 		dir = filepath.ToSlash(dir)
-		if strings.HasPrefix(dir, "internal/") {
-			holds[dir] = true
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		declare(known, f)
+		if strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if strings.HasPrefix(dir, "cmd/") {
+			registerFlags(known, dir, f)
+		}
+		if strings.HasPrefix(dir, "internal/") {
+			holds[dir] = true
 		}
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
-			if p == refImport {
+			if p == refImport && dir != refDir {
 				findings = append(findings, fmt.Sprintf(
 					"%s: import %q outside a _test.go file: the reference oracle is for tests only",
 					fset.Position(imp.Pos()), p))
@@ -263,14 +287,207 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for dir := range holds {
 		if !used[dir] && !testOnly[dir] {
 			findings = append(findings, fmt.Sprintf(
 				"%s: imported by no non-test file outside itself: wire it in or delete it", dir))
 		}
 	}
+	for _, doc := range docs {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		findings = append(findings, lintDoc(doc, string(src), known)...)
+	}
 	sort.Strings(findings)
-	return findings, err
+	return findings, nil
+}
+
+// declare records in known what f declares: "pkg" for its package (a test
+// package under the name of the package it tests), "pkg.Name" for each
+// top-level name, "type Name" for each type, and "pkg.Type.Member" and
+// "Type.Member" for each method and field.
+func declare(known map[string]bool, f *ast.File) {
+	pkg := strings.TrimSuffix(f.Name.Name, "_test")
+	known[pkg] = true
+	member := func(typ, name string) {
+		known[pkg+"."+typ+"."+name] = true
+		known[typ+"."+name] = true
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				known[pkg+"."+d.Name.Name] = true
+			} else {
+				member(typeName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						known[pkg+"."+n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := spec.Name.Name
+					known[pkg+"."+typ] = true
+					known["type "+typ] = true
+					var fields []*ast.Field
+					switch t := spec.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					}
+					for _, fl := range fields {
+						if len(fl.Names) == 0 {
+							member(typ, typeName(fl.Type)) // embedded
+						}
+						for _, n := range fl.Names {
+							member(typ, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// typeName is the name of a receiver or embedded type: T in T, *T, T[P],
+// pkg.T.
+func typeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
+}
+
+// registerFlags records in known "cmd/x -name" for each flag the command in
+// dir registers in f, and "cmd/x" once it registers one: the name is the
+// first string literal among the first two arguments of a call into package
+// flag.
+func registerFlags(known map[string]bool, dir string, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		for _, a := range call.Args[:min(2, len(call.Args))] {
+			if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				known[dir] = true
+				known[dir+" -"+name] = true
+				break
+			}
+		}
+		return true
+	})
+}
+
+var (
+	// docRef is a backticked reference the docs rule resolves: a, b and
+	// optionally c of a.b.c, then optionally a call's arguments.
+	docRef = regexp.MustCompile(`^\*?([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	// fileExt are the last parts of backticked names that are file names.
+	fileExt = map[string]bool{"go": true, "md": true, "json": true, "mod": true, "sh": true, "txt": true,
+		"ngd": true, "ngds": true, "ngdw": true, "tmp": true, "yml": true}
+	codeSpan   = regexp.MustCompile("``([^`]+)``|`([^`]+)`")
+	opsCommand = regexp.MustCompile(`^### 1\.\d+ (\S+)`)
+	opsFlag    = regexp.MustCompile("^`(-[A-Za-z0-9-]+)`$")
+)
+
+// lintDoc reports the references in one doc that name nothing the module
+// declares, and, in OPERATIONS §1, the table flags no command registers.
+func lintDoc(doc, src string, known map[string]bool) []string {
+	var findings []string
+	codeSpans(src, func(line int, span string) {
+		m := docRef.FindStringSubmatch(span)
+		if m == nil || fileExt[m[2]] || fileExt[m[3]] {
+			return
+		}
+		ref := m[1] + "." + m[2]
+		switch {
+		case known["type "+m[1]]: // Type.Member
+		case !known[m[1]] || !token.IsExported(m[2]):
+			// not this module's (the standard library, a variable), or
+			// pkg.lower, which is as often a metric such as plan.hits
+			return
+		case m[3] != "" && known["type "+m[2]]:
+			ref += "." + m[3] // pkg.Type.Member
+		}
+		if !known[ref] {
+			findings = append(findings, fmt.Sprintf("%s:%d: `%s` names no declaration", doc, line, span))
+		}
+	})
+	if doc != opsDoc {
+		return findings
+	}
+	section, cmd := "", ""
+	for i, l := range strings.Split(src, "\n") {
+		if strings.HasPrefix(l, "## ") {
+			section = l
+		} else if m := opsCommand.FindStringSubmatch(l); m != nil {
+			cmd = "cmd/" + m[1]
+		}
+		if !strings.HasPrefix(section, "## 1.") || !known[cmd] || !strings.HasPrefix(l, "|") {
+			continue
+		}
+		first := strings.Split(l, "|")[1]
+		for _, f := range strings.Fields(first) {
+			if m := opsFlag.FindStringSubmatch(f); m != nil && !known[cmd+" "+m[1]] {
+				findings = append(findings, fmt.Sprintf("%s:%d: `%s` is no flag %s registers", doc, i+1, m[1], cmd))
+			}
+		}
+	}
+	return findings
+}
+
+// codeSpans calls fn with each inline code span of a markdown text outside
+// fenced blocks, its white space collapsed, and the line it starts on.
+func codeSpans(src string, fn func(line int, span string)) {
+	lines := strings.Split(src, "\n")
+	fenced := false
+	for i, l := range lines {
+		if strings.HasPrefix(strings.TrimSpace(l), "```") {
+			fenced, lines[i] = !fenced, ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	src = strings.Join(lines, "\n")
+	line, at := 1, 0
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(src, -1) {
+		line += strings.Count(src[at:m[0]], "\n")
+		at = m[0]
+		g := 2 // the group that matched: ``span`` or `span`
+		if m[g] < 0 {
+			g = 4
+		}
+		fn(line, strings.Join(strings.Fields(src[m[g]:m[g+1]]), " "))
+	}
 }
 
 // isNodeIDType matches the identifier NodeID, bare or package-qualified.

@@ -164,3 +164,58 @@ func TestRepoIsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsReferencesResolve: a backticked reference to a module package, a
+// type's method or field, or a flag in an OPERATIONS §1 table of a command
+// must name what the source declares or registers; references into the
+// standard library, file names, lowercase pkg.names (metrics), fenced code
+// and tables outside §1 are left alone.
+func TestDocsReferencesResolve(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"internal/p/p.go": `package p
+type T struct {
+	F int
+	G[int]
+}
+type G[X any] struct{}
+func (t *T) M()      {}
+func (g G[X]) N()    {}
+func Exported()      {}
+var V int
+const C = 1
+`,
+		"internal/p/p_test.go": "package p_test\nfunc Helper() {}\n",
+		"cmd/tool/main.go": `package main
+import (
+	"flag"
+	_ "ngd/internal/p"
+)
+var x int
+var _ = flag.String("good", "", "")
+func init() { flag.IntVar(&x, "also", 0, "") }
+`,
+		"DESIGN.md": "`p.Exported`, `p.T.M`, `T.F`, `*T.M`, `T.G`, `G.N`, `p.V`, `p.C`, `p.Helper`,\n" +
+			"`io.EOF`, `p.go`, `p.lower`, `x.y`, `p.Exported(a, b)` resolve or are skipped;\n" +
+			"```go\nx := `p.InFence`\n```\n" +
+			"stale: `p.Gone`, `p.T.Gone`, ``T.Gone``, and after a span `across\n" +
+			"lines` one more: `p.Late`.\n",
+		"README.md": "`p.Exported()` and `-gone` outside OPERATIONS\n",
+		"docs/OPERATIONS.md": "## 1. CLI\n### 1.1 tool — x\n| Flag | Meaning |\n|---|---|\n" +
+			"| `-good` / `-also` | ok |\n| `-gone` | stale |\n| x | `-good` in a later column is not checked: `-nope` |\n" +
+			"### 1.2 The feed (`GET /feed`)\n| `-nope` | no command |\n" +
+			"## 2. Formats\n| `-nope` | not §1 |\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"DESIGN.md:6: `T.Gone` names no declaration",
+		"DESIGN.md:6: `p.Gone` names no declaration",
+		"DESIGN.md:6: `p.T.Gone` names no declaration",
+		"DESIGN.md:7: `p.Late` names no declaration",
+		"docs/OPERATIONS.md:6: `-gone` is no flag cmd/tool registers",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

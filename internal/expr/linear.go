@@ -65,9 +65,6 @@ func (f *LinearForm) Scale(c *big.Rat) {
 	f.Const.Mul(f.Const, c)
 }
 
-// IsConst reports whether f has no variable terms.
-func (f *LinearForm) IsConst() bool { return len(f.Coeffs) == 0 }
-
 // String renders the form deterministically (sorted terms).
 func (f *LinearForm) String() string {
 	keys := make([]TermKey, 0, len(f.Coeffs))

@@ -14,11 +14,6 @@ type NodeSet struct {
 	words []uint64
 }
 
-// NewNodeSet returns an empty set able to hold node ids < n without growing.
-func NewNodeSet(n int) *NodeSet {
-	return &NodeSet{words: make([]uint64, (n+63)/64)}
-}
-
 func (s *NodeSet) grow(n int) {
 	need := (n + 63) / 64
 	if need <= len(s.words) {

@@ -376,9 +376,6 @@ func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
 // InDegree reports len(In(v)).
 func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
 
-// Degree reports the total degree of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) + len(g.in[v]) }
-
 // NodesWithLabel returns the nodes carrying the label; for Wildcard it
 // returns nil (use NumNodes and iterate instead: every node matches).
 func (g *Graph) NodesWithLabel(l LabelID) []NodeID {

@@ -134,36 +134,52 @@ func (c *cwriter) value(v graph.Value) {
 	}
 }
 
+// appendHeader appends the header both formats open with: the format's
+// magic, the u32 format version and a u64 seq (headerLen bytes). A
+// creader's header checks it.
+func appendHeader(b []byte, magic string, seq uint64) []byte {
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, codecVer)
+	return binary.LittleEndian.AppendUint64(b, seq)
+}
+
 // creader mirrors cwriter: it decodes from a block of its own, refilled
 // from an underlying reader, and folds the bytes it has consumed into a
 // CRC-32 when the block is refilled or the sum is asked for. Without a
-// reader the block is the whole input (a WAL payload, read in place). It
-// implements io.ByteReader so that binary varint decoding falls back to it
-// when a varint straddles two blocks.
+// reader the block is the whole input (a WAL payload, read in place).
+//
+// The first failure sticks, as the writer's does: every field read after
+// it returns the zero value, and err is the error to report. A decoder
+// therefore reads straight through, stops each loop over a count from the
+// input on ok, and checks ok before it builds what it has read.
 type creader struct {
 	r      io.Reader
 	buf    []byte
 	pos    int // next unread byte of buf
 	folded int // buf[:folded] is in crc
 	crc    uint32
+	err    error
 }
 
 func newCReader(r io.Reader) *creader {
 	return &creader{r: r, buf: make([]byte, 0, blockSize)}
 }
 
-// need makes k ≤ blockSize unread bytes contiguous in the block, with
-// io.ReadFull's errors: io.EOF when the input has ended, io.ErrUnexpectedEOF
-// when it ends inside them.
-func (c *creader) need(k int) error {
-	if len(c.buf)-c.pos >= k {
-		return nil
+// fail keeps err unless an earlier failure is kept; a nil err changes
+// nothing.
+func (c *creader) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return c.fill(k)
 }
 
-// fill is need's refill: it folds the consumed bytes, moves the unread ones
-// to the front and reads behind them.
+// ok reports whether no read has failed.
+func (c *creader) ok() bool { return c.err == nil }
+
+// fill makes k unread bytes, no more than the block holds, contiguous in
+// the block, with io.ReadFull's errors: io.EOF when the input has ended, io.ErrUnexpectedEOF
+// when it ends inside them. It folds the consumed bytes, moves the unread
+// ones to the front and reads behind them.
 func (c *creader) fill(k int) error {
 	if c.r != nil {
 		c.sum32()
@@ -188,28 +204,34 @@ func (c *creader) fill(k int) error {
 	return io.ErrUnexpectedEOF
 }
 
+// zeros is what take returns after a failure (no more than it has), so
+// that a fixed-width field reads as 0.
+var zeros [8]byte
+
+// take consumes the next k unread bytes and returns them in the block,
+// where they stay until the next read.
+func (c *creader) take(k int) []byte {
+	if c.ok() && len(c.buf)-c.pos < k {
+		c.fail(c.fill(k))
+	}
+	if !c.ok() {
+		return zeros[:min(k, len(zeros))]
+	}
+	c.pos += k
+	return c.buf[c.pos-k : c.pos]
+}
+
+// ReadByte is the io.ByteReader binary.ReadUvarint needs across a block
+// edge. Its error is returned, not kept: the varint read keeps the one
+// binary's decoder makes of it.
 func (c *creader) ReadByte() (byte, error) {
-	if err := c.need(1); err != nil {
-		return 0, err
+	if c.pos == len(c.buf) {
+		if err := c.fill(1); err != nil {
+			return 0, err
+		}
 	}
 	c.pos++
 	return c.buf[c.pos-1], nil
-}
-
-// read fills p, with io.ReadFull's errors.
-func (c *creader) read(p []byte) error {
-	for done := 0; done < len(p); {
-		if err := c.need(1); err != nil {
-			if done > 0 {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		n := copy(p[done:], c.buf[c.pos:])
-		c.pos += n
-		done += n
-	}
-	return nil
 }
 
 // end reports whether the input ends here: no unread byte is left in the
@@ -240,116 +262,126 @@ func (c *creader) sum32() uint32 {
 	return c.crc
 }
 
-func (c *creader) u32() (uint32, error) {
-	if err := c.need(4); err != nil {
-		return 0, err
+// header reads the header appendHeader wrote with magic and returns its
+// seq.
+func (c *creader) header(magic string) uint64 {
+	if m := c.take(len(magic)); c.ok() && string(m) != magic {
+		c.fail(fmt.Errorf("bad magic %q", m))
 	}
-	c.pos += 4
-	return binary.LittleEndian.Uint32(c.buf[c.pos-4:]), nil
+	if v := c.u32(); c.ok() && v != codecVer {
+		c.fail(fmt.Errorf("unsupported version %d (want %d)", v, codecVer))
+	}
+	return c.u64()
 }
 
-func (c *creader) u64() (uint64, error) {
-	if err := c.need(8); err != nil {
-		return 0, err
+func (c *creader) byte() byte  { return c.take(1)[0] }
+func (c *creader) u32() uint32 { return binary.LittleEndian.Uint32(c.take(4)) }
+func (c *creader) u64() uint64 { return binary.LittleEndian.Uint64(c.take(8)) }
+
+// flag reads a bool, written as one 0/1 byte; any other byte fails.
+func (c *creader) flag() bool {
+	b := c.byte()
+	if c.ok() && b > 1 {
+		c.fail(fmt.Errorf("store: flag byte %d is neither 0 nor 1", b))
 	}
-	c.pos += 8
-	return binary.LittleEndian.Uint64(c.buf[c.pos-8:]), nil
+	return b == 1
 }
 
 // uvarint and svarint decode in the block; a varint the block does not
 // hold whole (or a malformed one) goes byte by byte for binary's errors.
-func (c *creader) uvarint() (uint64, error) {
+func (c *creader) uvarint() uint64 {
+	if !c.ok() {
+		return 0
+	}
 	if v, n := binary.Uvarint(c.buf[c.pos:]); n > 0 {
 		c.pos += n
-		return v, nil
+		return v
 	}
-	return binary.ReadUvarint(c)
+	v, err := binary.ReadUvarint(c)
+	if err != nil {
+		c.fail(err)
+		return 0
+	}
+	return v
 }
 
-func (c *creader) svarint() (int64, error) {
+func (c *creader) svarint() int64 {
+	if !c.ok() {
+		return 0
+	}
 	if v, n := binary.Varint(c.buf[c.pos:]); n > 0 {
 		c.pos += n
-		return v, nil
+		return v
 	}
-	return binary.ReadVarint(c)
+	v, err := binary.ReadVarint(c)
+	if err != nil {
+		c.fail(err)
+		return 0
+	}
+	return v
 }
 
 // nodeID reads a node id, refusing one graph.NodeID cannot hold.
-func (c *creader) nodeID() (graph.NodeID, error) {
-	id, err := c.uvarint()
-	if err == nil && id > math.MaxInt32 {
-		err = fmt.Errorf("store: node id %d out of range", id)
+func (c *creader) nodeID() graph.NodeID {
+	id := c.uvarint()
+	if c.ok() && id > math.MaxInt32 {
+		c.fail(fmt.Errorf("store: node id %d out of range", id))
+		return 0
 	}
-	return graph.NodeID(id), err
+	return graph.NodeID(id)
 }
 
 // str reads a length-prefixed string; one the block holds whole costs the
 // one allocation it is kept in. The length is unverified, so a longer one's
 // buffer grows with the bytes that actually arrive, strChunk at a time: a
 // lying length fails at EOF having allocated no more than the input held.
-func (c *creader) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
+func (c *creader) str() string {
+	n := c.uvarint()
+	if c.ok() && n > maxString {
+		c.fail(fmt.Errorf("store: string length %d exceeds limit", n))
 	}
-	if n > maxString {
-		return "", fmt.Errorf("store: string length %d exceeds limit", n)
+	if !c.ok() {
+		return ""
 	}
 	if n <= uint64(len(c.buf)-c.pos) {
 		c.pos += int(n)
-		return string(c.buf[c.pos-int(n) : c.pos]), nil
+		return string(c.buf[c.pos-int(n) : c.pos])
 	}
 	b := make([]byte, 0, min(n, strChunk))
-	for uint64(len(b)) < n {
-		lo := len(b)
-		b = append(b, make([]byte, min(n-uint64(lo), strChunk))...)
-		if err := c.read(b[lo:]); err != nil {
-			return "", err
-		}
+	for uint64(len(b)) < n && c.ok() {
+		b = append(b, c.take(int(min(n-uint64(len(b)), strChunk)))...)
 	}
-	return string(b), nil
+	if !c.ok() {
+		return ""
+	}
+	return string(b)
 }
 
 // rawU32 reads the trailer: a u32 that never enters the CRC.
-func (c *creader) rawU32() (uint32, error) {
-	v, err := c.u32()
+func (c *creader) rawU32() uint32 {
+	v := c.u32()
 	c.folded = c.pos
-	return v, err
+	return v
 }
 
-func (c *creader) value() (graph.Value, error) {
-	k, err := c.ReadByte()
-	if err != nil {
-		return graph.Value{}, err
-	}
-	switch graph.Kind(k) {
+func (c *creader) value() graph.Value {
+	var v graph.Value
+	switch k := c.byte(); graph.Kind(k) {
 	case graph.KindInt:
-		i, err := c.svarint()
-		if err != nil {
-			return graph.Value{}, err
-		}
-		return graph.Int(i), nil
+		v = graph.Int(c.svarint())
 	case graph.KindString:
-		s, err := c.str()
-		if err != nil {
-			return graph.Value{}, err
-		}
-		return graph.Str(s), nil
+		v = graph.Str(c.str())
 	case graph.KindBool:
-		b, err := c.ReadByte()
-		if err != nil {
-			return graph.Value{}, err
-		}
-		return graph.Bool(b != 0), nil
+		v = graph.Bool(c.flag())
 	case graph.KindFloat:
-		bits, err := c.u64()
-		if err != nil {
-			return graph.Value{}, err
-		}
-		return graph.Float(math.Float64frombits(bits)), nil
+		v = graph.Float(math.Float64frombits(c.u64()))
 	case graph.KindInvalid:
-		return graph.Value{}, nil
+		// no payload: the zero (absent) Value
 	default:
-		return graph.Value{}, fmt.Errorf("store: unknown value kind %d", k)
+		c.fail(fmt.Errorf("store: unknown value kind %d", k))
 	}
+	if !c.ok() {
+		return graph.Value{}
+	}
+	return v
 }

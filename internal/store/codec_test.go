@@ -171,3 +171,38 @@ func TestSnapshotNamesInNodeOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodersRefuseFlagBytesPastOne: an op's kind and a bool value are
+// written as one 0/1 byte. A checksummed WAL record or snapshot holding any
+// other byte there fails to decode rather than replaying as a delete or
+// loading as true, and scanWAL returns such a record as an error, not as a
+// torn tail.
+func TestDecodersRefuseFlagBytesPastOne(t *testing.T) {
+	kind := encodeRecord(&walRecord{Seq: 1, Ops: []opRec{{Src: 1, Dst: 2, Label: "e"}}})
+	kind[8+1+1] = 2 // after the seq and the node and op counts
+	boolean := encodeRecord(&walRecord{Seq: 1, AttrOps: []attrRec{{Node: 1, Name: "ok", Val: graph.Bool(true)}}})
+	boolean[len(boolean)-1] = 7
+	path := filepath.Join(t.TempDir(), walName(0))
+	for name, p := range map[string][]byte{"kind": kind, "bool": boolean} {
+		if r, err := decodePayload(p); err == nil {
+			t.Errorf("%s byte: the payload decodes to %+v", name, r)
+		}
+		if err := os.WriteFile(path, append(walHeader(0), walFrame(p)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := scanWAL(path, nil); err == nil {
+			t.Errorf("%s byte: the segment scans as %+v", name, res)
+		}
+	}
+
+	// one attribute "a", one node holding it as a bool, no edges, names,
+	// rules or violations, and a trailer for reseal to fill in
+	snap := append(snapshotPrefix(0, 1), 1, 'a', 1, 0, 1, 0, byte(graph.KindBool), 7, 0, 0, 0, 0, 0, 0, 0, 0)
+	if sd, err := readSnapshot(bytes.NewReader(reseal(snap))); err == nil {
+		t.Errorf("bool byte: the snapshot loads %v", fingerprint(sd.G))
+	}
+	snap[len(snap)-9] = 1 // the bool byte
+	if _, err := readSnapshot(bytes.NewReader(reseal(snap))); err != nil {
+		t.Fatalf("the same snapshot with a 1 does not load: %v", err)
+	}
+}

@@ -38,6 +38,7 @@ const (
 	snapMagic  = "NGDSNAPS"
 	walMagic   = "NGDWALOG"
 	codecVer   = 1
+	headerLen  = len(snapMagic) + 4 + 8 // appendHeader's, for both formats
 	snapSuffix = ".ngds"
 	walSuffix  = ".ngdw"
 	tmpSuffix  = ".tmp"
@@ -64,9 +65,7 @@ type snapshotData struct {
 // writeSnapshot encodes sd, with names for its external-id map, onto w.
 func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 	c := newCWriter(w)
-	c.write([]byte(snapMagic))
-	c.u32(codecVer)
-	c.u64(sd.Seq)
+	c.write(appendHeader(nil, snapMagic, sd.Seq))
 
 	// symbols: labels beyond the pre-interned wildcard, then attrs
 	syms := sd.G.Symbols()
@@ -184,161 +183,86 @@ func presize(n uint64) int { return int(min(n, presizeCap)) }
 // returned, and it must end the input.
 func readSnapshot(r io.Reader) (*snapshotData, error) {
 	c := newCReader(r)
-	magic := make([]byte, len(snapMagic))
-	if err := c.read(magic); err != nil {
-		return nil, fmt.Errorf("store: snapshot header: %w", err)
-	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("store: not a snapshot file (bad magic %q)", magic)
-	}
-	ver, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != codecVer {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d (want %d)", ver, codecVer)
-	}
-	sd := &snapshotData{}
-	if sd.Seq, err = c.u64(); err != nil {
-		return nil, err
+	sd := &snapshotData{Seq: c.header(snapMagic)}
+	if !c.ok() {
+		return nil, fmt.Errorf("store: snapshot header: %w", c.err)
 	}
 
 	// symbols: intern in recorded order so ids decode identically
 	syms := graph.NewSymbols()
-	nLabels, err := c.uvarint()
-	if err != nil {
-		return nil, err
+	for i := c.uvarint(); i > 0 && c.ok(); i-- {
+		syms.Label(c.str())
 	}
-	for i := uint64(0); i < nLabels; i++ {
-		s, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		syms.Label(s)
+	for i := c.uvarint(); i > 0 && c.ok(); i-- {
+		syms.Attr(c.str())
 	}
-	nAttrs, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nAttrs; i++ {
-		s, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		syms.Attr(s)
+	if !c.ok() {
+		return nil, c.err
 	}
 
 	b := graph.NewBuilder(syms)
-	nNodes, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nNodes; i++ {
-		lbl, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if lbl >= uint64(syms.NumLabels()) {
-			return nil, fmt.Errorf("store: node %d references unknown label id %d", i, lbl)
+	nNodes := c.uvarint()
+	for i := uint64(0); i < nNodes && c.ok(); i++ {
+		lbl := c.uvarint()
+		if c.ok() && lbl >= uint64(syms.NumLabels()) {
+			c.fail(fmt.Errorf("store: node %d references unknown label id %d", i, lbl))
 		}
 		b.AddNodeL(graph.LabelID(lbl))
-		na, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < na; j++ {
-			a, err := c.uvarint()
-			if err != nil {
-				return nil, err
+		for j := c.uvarint(); j > 0 && c.ok(); j-- {
+			a := c.uvarint()
+			if c.ok() && a >= uint64(syms.NumAttrs()) {
+				c.fail(fmt.Errorf("store: node %d references unknown attr id %d", i, a))
 			}
-			if a >= uint64(syms.NumAttrs()) {
-				return nil, fmt.Errorf("store: node %d references unknown attr id %d", i, a)
-			}
-			val, err := c.value()
-			if err != nil {
-				return nil, err
-			}
-			b.SetAttrA(graph.AttrID(a), val)
+			b.SetAttrA(graph.AttrID(a), c.value())
 		}
 	}
-
-	for v := uint64(0); v < nNodes; v++ {
-		deg, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < deg; j++ {
-			lbl, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			to, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if to >= nNodes || lbl >= uint64(syms.NumLabels()) {
-				return nil, fmt.Errorf("store: edge (%d -%d-> %d) out of range", v, lbl, to)
+	for v := uint64(0); v < nNodes && c.ok(); v++ {
+		for j := c.uvarint(); j > 0 && c.ok(); j-- {
+			lbl, to := c.uvarint(), c.uvarint()
+			if c.ok() && (to >= nNodes || lbl >= uint64(syms.NumLabels())) {
+				c.fail(fmt.Errorf("store: edge (%d -%d-> %d) out of range", v, lbl, to))
 			}
 			b.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.LabelID(lbl))
 		}
 	}
+	if !c.ok() {
+		return nil, c.err
+	}
 	sd.G = b.Build()
 
-	nNames, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	nNames := c.uvarint()
 	sd.Names = make(map[string]graph.NodeID, presize(nNames))
-	for i := uint64(0); i < nNames; i++ {
-		id, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v >= nNodes {
-			return nil, fmt.Errorf("store: external id %q references unknown node %d", id, v)
+	for i := nNames; i > 0 && c.ok(); i-- {
+		id, v := c.str(), c.uvarint()
+		if c.ok() && v >= nNodes {
+			c.fail(fmt.Errorf("store: external id %q references unknown node %d", id, v))
 		}
 		sd.Names[id] = graph.NodeID(v)
 	}
 
-	if sd.RulesText, err = c.str(); err != nil {
-		return nil, err
-	}
-	nVios, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	sd.RulesText = c.str()
+	nVios := c.uvarint()
 	sd.Violations = make([]vioRec, 0, presize(nVios))
-	for i := uint64(0); i < nVios; i++ {
-		name, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		ml, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	for i := nVios; i > 0 && c.ok(); i-- {
+		name, ml := c.str(), c.uvarint()
 		m := make([]graph.NodeID, 0, min(ml, 64))
-		for j := uint64(0); j < ml; j++ {
-			id, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if id >= nNodes {
-				return nil, fmt.Errorf("store: violation %q match references unknown node %d", name, id)
+		for j := ml; j > 0 && c.ok(); j-- {
+			id := c.uvarint()
+			if c.ok() && id >= nNodes {
+				c.fail(fmt.Errorf("store: violation %q match references unknown node %d", name, id))
 			}
 			m = append(m, graph.NodeID(id))
 		}
 		sd.Violations = append(sd.Violations, vioRec{Rule: name, Match: m})
 	}
+	if !c.ok() {
+		return nil, c.err
+	}
 
 	want := c.sum32()
-	got, err := c.rawU32()
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot trailer: %w", err)
+	got := c.rawU32()
+	if !c.ok() {
+		return nil, fmt.Errorf("store: snapshot trailer: %w", c.err)
 	}
 	if got != want {
 		return nil, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", got, want)

@@ -20,6 +20,9 @@ package store
 //	          typed value)*
 //	  ops     count, then per op: kind byte (0 delete / 1 insert), src,
 //	          dst, edge label string
+//	  attrs   count, then per attribute op: node, attribute name, typed
+//	          value (absent from records written before the section
+//	          existed; see walRecord)
 //
 // Labels and attribute names travel as strings, not interned ids, so a
 // record's meaning never depends on symbol-table state the reader might
@@ -28,7 +31,6 @@ package store
 // truncates the file back to the last whole one (truncate-on-torn-tail).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -126,87 +128,32 @@ func (r *walRecord) appendPayload(b []byte) []byte {
 }
 
 // decodePayload parses one record payload in place, refusing a node id
-// that graph.NodeID cannot hold.
+// that graph.NodeID cannot hold and a kind or bool byte other than 0/1.
+// Each record literal reads its fields in the order they are written: Go
+// evaluates the calls in an expression left to right.
 func decodePayload(p []byte) (*walRecord, error) {
 	c := &creader{buf: p}
-	r := &walRecord{}
-	var err error
-	if r.Seq, err = c.u64(); err != nil {
-		return nil, err
-	}
-	nNodes, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nNodes; i++ {
-		var nr nodeRec
-		if nr.Node, err = c.nodeID(); err != nil {
-			return nil, err
-		}
-		if nr.ExtID, err = c.str(); err != nil {
-			return nil, err
-		}
-		if nr.Label, err = c.str(); err != nil {
-			return nil, err
-		}
-		na, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < na; j++ {
-			var a nodeAttr
-			if a.Name, err = c.str(); err != nil {
-				return nil, err
-			}
-			if a.Val, err = c.value(); err != nil {
-				return nil, err
-			}
-			nr.Attrs = append(nr.Attrs, a)
+	r := &walRecord{Seq: c.u64()}
+	for i := c.uvarint(); i > 0 && c.ok(); i-- {
+		nr := nodeRec{Node: c.nodeID(), ExtID: c.str(), Label: c.str()}
+		for j := c.uvarint(); j > 0 && c.ok(); j-- {
+			nr.Attrs = append(nr.Attrs, nodeAttr{Name: c.str(), Val: c.value()})
 		}
 		r.Nodes = append(r.Nodes, nr)
 	}
-	nOps, err := c.uvarint()
-	if err != nil {
-		return nil, err
+	for i := c.uvarint(); i > 0 && c.ok(); i-- {
+		r.Ops = append(r.Ops, opRec{Insert: c.flag(), Src: c.nodeID(), Dst: c.nodeID(), Label: c.str()})
 	}
-	for i := uint64(0); i < nOps; i++ {
-		var op opRec
-		k, err := c.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		op.Insert = k == 1
-		if op.Src, err = c.nodeID(); err != nil {
-			return nil, err
-		}
-		if op.Dst, err = c.nodeID(); err != nil {
-			return nil, err
-		}
-		if op.Label, err = c.str(); err != nil {
-			return nil, err
-		}
-		r.Ops = append(r.Ops, op)
-	}
-	// trailing attribute section: a clean EOF here is a record written
-	// before the section existed (see the walRecord comment)
-	nAttrs, err := c.uvarint()
-	if err == io.EOF {
+	// a record written before the attribute section existed ends here (see
+	// the walRecord comment)
+	if c.ok() && c.pos == len(c.buf) {
 		return r, nil
-	} else if err != nil {
-		return nil, err
 	}
-	for i := uint64(0); i < nAttrs; i++ {
-		var a attrRec
-		if a.Node, err = c.nodeID(); err != nil {
-			return nil, err
-		}
-		if a.Name, err = c.str(); err != nil {
-			return nil, err
-		}
-		if a.Val, err = c.value(); err != nil {
-			return nil, err
-		}
-		r.AttrOps = append(r.AttrOps, a)
+	for i := c.uvarint(); i > 0 && c.ok(); i-- {
+		r.AttrOps = append(r.AttrOps, attrRec{Node: c.nodeID(), Name: c.str(), Val: c.value()})
+	}
+	if !c.ok() {
+		return nil, c.err
 	}
 	return r, nil
 }
@@ -227,15 +174,8 @@ func createWAL(path string, start uint64, sync bool) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr bytes.Buffer
-	hdr.WriteString(walMagic)
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], codecVer)
-	hdr.Write(b[:])
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], start)
-	hdr.Write(b8[:])
-	if _, err := f.Write(hdr.Bytes()); err != nil {
+	hdr := appendHeader(nil, walMagic, start)
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -245,7 +185,7 @@ func createWAL(path string, start uint64, sync bool) (*walWriter, error) {
 			return nil, err
 		}
 	}
-	return &walWriter{f: f, start: start, sync: sync, n: int64(hdr.Len())}, nil
+	return &walWriter{f: f, start: start, sync: sync, n: int64(len(hdr))}, nil
 }
 
 // openWALForAppend reopens an existing segment, truncated to size (the last
@@ -327,18 +267,12 @@ func scanWAL(path string, fn func(*walRecord) error) (walScanResult, error) {
 	}
 	size := fi.Size()
 
-	hdr := make([]byte, len(walMagic)+4+8)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return res, fmt.Errorf("store: wal header of %s: %w", path, err)
+	// the header alone: the frames are read from f itself
+	c := &creader{r: io.LimitReader(f, int64(headerLen)), buf: make([]byte, 0, headerLen)}
+	if res.Start = c.header(walMagic); !c.ok() {
+		return res, fmt.Errorf("store: wal header of %s: %w", path, c.err)
 	}
-	if string(hdr[:len(walMagic)]) != walMagic {
-		return res, fmt.Errorf("store: %s is not a wal segment (bad magic)", path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(walMagic):]); v != codecVer {
-		return res, fmt.Errorf("store: unsupported wal version %d in %s", v, path)
-	}
-	res.Start = binary.LittleEndian.Uint64(hdr[len(walMagic)+4:])
-	res.GoodSize = int64(len(hdr))
+	res.GoodSize = int64(headerLen)
 
 	var frame [8]byte
 	for {

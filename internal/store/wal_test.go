@@ -3,11 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ngd/internal/graph"
 )
@@ -145,6 +148,52 @@ func TestDecodePayloadRefusesNodeIDPastInt32(t *testing.T) {
 	p = encodeRecord(&walRecord{Seq: 1, Ops: []opRec{{Src: math.MaxInt32, Dst: 2, Label: "e"}}})
 	if _, err := decodePayload(p); err != nil {
 		t.Fatalf("node id MaxInt32 does not decode: %v", err)
+	}
+}
+
+// TestDecodePayloadHostileCounts: the twin of TestReadSnapshotHostileCounts
+// for a WAL payload, which reaches the decoder only behind a valid checksum.
+// Payloads claiming 2^40 nodes, node attributes, ops or attribute ops, or a
+// string of maxString bytes, fail with the reader's EOF, within a second
+// and without allocating for the claim: each loop over a count stops at the
+// first failed read.
+func TestDecodePayloadHostileCounts(t *testing.T) {
+	payload := func(counts ...uint64) []byte {
+		c := cwriter{}
+		c.u64(1)
+		for _, n := range counts {
+			c.uvarint(n)
+		}
+		return c.buf
+	}
+	cases := map[string][]byte{
+		"nodes":        payload(1 << 40),
+		"node attrs":   payload(1, 0, 0, 0, 1<<40), // node 0, no external id, label ""
+		"ops":          payload(0, 1<<40),
+		"attr ops":     payload(0, 0, 1<<40),
+		"string bytes": payload(1, 0, maxString),
+	}
+	for name, p := range cases {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			var got uint64
+			done := make(chan struct{})
+			go func() {
+				got = allocatedBy(func() { _, err = decodePayload(p) })
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatalf("%d hostile bytes did not decode within a second", len(p))
+			}
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("err = %v, want the reader's EOF", err)
+			}
+			if got > allocBudget(len(p)) {
+				t.Errorf("%d hostile bytes allocated %d bytes, budget %d", len(p), got, allocBudget(len(p)))
+			}
+		})
 	}
 }
 
