@@ -245,8 +245,8 @@ func main() {
 			log.Printf("store close: %v", err)
 		}
 		ss := st.Stats()
-		log.Printf("durable: seq %d, snapshot seq %d, %d batches logged (%d WAL bytes), %d checkpoints",
-			ss.Seq, ss.SnapshotSeq, ss.Batches, ss.WALBytes, ss.Checkpoints)
+		log.Printf("durable: seq %d, snapshot seq %d, %d batches logged (%d WAL bytes), %d checkpoints (last capture %v)",
+			ss.Seq, ss.SnapshotSeq, ss.Batches, ss.WALBytes, ss.Checkpoints, ss.LastCapture)
 	}
 	fst := srv.Stats()
 	log.Printf("final: epoch %d, %d violations, %d commits (%d requests coalesced)",

@@ -120,30 +120,35 @@ func sortHalves(run []Half) {
 }
 
 // Build lays the collected graph out and returns it: the node chunks are
-// copied into one exact table, the edges placed straight from their chunks
+// copied into the node pages, the edges placed straight from their chunks
 // by counting sort. The builder must not be used afterwards: the graph owns
 // its slabs.
 func (b *Builder) Build() *Graph {
 	n := b.nodes.len()
 	g := &Graph{
 		syms:  b.syms,
-		nodes: make([]nodeData, 0, n),
-		out:   make([][]Half, n),
-		in:    make([][]Half, n),
+		n:     n,
+		nodes: newPages[nodeData](n),
+		out:   newPages[[]Half](n),
+		in:    newPages[[]Half](n),
 	}
+	v := NodeID(0)
 	for _, c := range b.nodes.chunks() {
-		g.nodes = append(g.nodes, c...)
+		for _, nd := range c {
+			*g.nodes.at(v) = nd
+			v++
+		}
 	}
 
 	// attribute tuples are in place but for their capacity; by-label
 	// postings are a counting sort of the node ids by label
 	var maxLabel LabelID
-	for v := range g.nodes {
-		maxLabel = max(maxLabel, g.nodes[v].label)
+	for v := range NodeID(n) {
+		maxLabel = max(maxLabel, g.Label(v))
 	}
 	labelOff := make([]int, maxLabel+2)
-	for v := range g.nodes {
-		nd := &g.nodes[v]
+	for v := range NodeID(n) {
+		nd := g.nodes.at(v)
 		nd.attrs = slices.Clip(nd.attrs)
 		labelOff[nd.label+1]++
 	}
@@ -151,9 +156,9 @@ func (b *Builder) Build() *Graph {
 		labelOff[l+1] += labelOff[l]
 	}
 	byLabel := make([]NodeID, n)
-	for v := range g.nodes {
-		l := g.nodes[v].label
-		byLabel[labelOff[l]] = NodeID(v)
+	for v := range NodeID(n) {
+		l := g.Label(v)
+		byLabel[labelOff[l]] = v
 		labelOff[l]++
 	}
 	// labelOff[l] is now the end of l's run, the start of l+1's
@@ -190,7 +195,7 @@ func (b *Builder) Build() *Graph {
 		sortHalves(run)
 		run = slices.Compact(run)
 		if len(run) > 0 {
-			g.out[v] = run[:len(run):len(run)]
+			*g.out.at(NodeID(v)) = run[:len(run):len(run)]
 			g.edgeCount += len(run)
 		}
 		lo = hi
@@ -199,8 +204,8 @@ func (b *Builder) Build() *Graph {
 	// in-lists mirror the deduplicated out-lists; sources arrive in
 	// ascending order, so a run is out of order only across labels
 	clear(off)
-	for _, run := range g.out {
-		for _, h := range run {
+	for u := range NodeID(n) {
+		for _, h := range g.Out(u) {
 			off[h.To+1]++
 		}
 	}
@@ -208,9 +213,9 @@ func (b *Builder) Build() *Graph {
 		off[v+1] += off[v]
 	}
 	halves = make([]Half, g.edgeCount)
-	for u, run := range g.out {
-		for _, h := range run {
-			halves[off[h.To]] = Half{Label: h.Label, To: NodeID(u)}
+	for u := range NodeID(n) {
+		for _, h := range g.Out(u) {
+			halves[off[h.To]] = Half{Label: h.Label, To: u}
 			off[h.To]++
 		}
 	}
@@ -218,7 +223,7 @@ func (b *Builder) Build() *Graph {
 		hi := off[v]
 		if run := halves[lo:hi:hi]; len(run) > 0 {
 			sortHalves(run)
-			g.in[v] = run
+			*g.in.at(NodeID(v)) = run
 		}
 		lo = hi
 	}

@@ -307,11 +307,10 @@ func TestBuilderHostileByHand(t *testing.T) {
 	}
 }
 
-// TestCloneStaysIndependent: a clone and its original share no list. Both
-// come out of a slab layout (the original from a Builder, the clone from
-// Clone), where neighbouring lists are adjacent in memory; the clipped
-// capacity is what keeps an insert on one node from landing in the next
-// node's list or in the other copy.
+// TestCloneStaysIndependent: a clone and its original share pages and
+// lists until one of them writes, over a Builder's slab layout, where
+// neighbouring lists are adjacent in memory: neither side's writes may
+// land in the other's lists or in a neighbour's.
 func TestCloneStaysIndependent(t *testing.T) {
 	for _, side := range []string{"original", "clone"} {
 		t.Run("mutate-"+side, func(t *testing.T) {
@@ -343,14 +342,13 @@ func TestCloneStaysIndependent(t *testing.T) {
 	}
 }
 
-var sinkGraph *graph.Graph
-
-// BenchmarkGraphClone is the checkpoint capture (Store.startCheckpoint
-// clones the writer's graph every 64 commits) at bigstore-mixed size.
+// BenchmarkGraphClone is the checkpoint capture's fork (the store forks
+// the writer's graph every 64 commits and releases it once the snapshot is
+// written) at bigstore-mixed size.
 func BenchmarkGraphClone(b *testing.B) {
 	g := gen.Generate(gen.YAGO2, 8000, 1).G
 	b.ReportAllocs()
 	for b.Loop() {
-		sinkGraph = g.Clone()
+		g.Clone().Release()
 	}
 }

@@ -181,24 +181,26 @@ func (g *Graph) Apply(d *Delta) ApplyStats {
 		}
 	}
 	for v := range touched {
-		var c bool
-		if g.out[v], c = compactHalves(g.out[v]); c {
+		if compactHalves(g.out, v) {
 			st.Compacted++
 		}
-		if g.in[v], c = compactHalves(g.in[v]); c {
+		if compactHalves(g.in, v) {
 			st.Compacted++
 		}
 	}
 	return st
 }
 
-// compactHalves reallocates an adjacency list whose backing array is at
-// least twice (and ≥ 8 entries beyond) its length.
-func compactHalves(l []Half) ([]Half, bool) {
+// compactHalves reallocates v's adjacency list in t when its backing array
+// is at least twice (and ≥ 8 entries beyond) its length.
+func compactHalves(t pages[[]Half], v NodeID) bool {
+	l := *t.at(v)
 	if cap(l)-len(l) < 8 || cap(l) < 2*len(l) {
-		return l, false
+		return false
 	}
-	return append(make([]Half, 0, len(l)), l...), true
+	s, _ := t.mut(v)
+	*s = append(make([]Half, 0, len(l)), l...)
+	return true
 }
 
 // Inverse returns the ΔG that undoes d (valid for normalized deltas).

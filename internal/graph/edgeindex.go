@@ -138,12 +138,12 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 	// bulk build: append in (src, dst) order, then one stable pass by key
 	ix := &EdgeValIndex{label: l, attr: a, bySrc: bySrc}
 	ix.ord = make([]edgeEntry, 0, g.LiveStats().outTot[l])
-	for u := range g.out {
-		if len(g.out[u]) == 0 {
+	for src := range NodeID(g.n) {
+		out := g.Out(src)
+		if len(out) == 0 {
 			continue
 		}
-		for _, h := range LabelRun(g.out[u], l) {
-			src := NodeID(u)
+		for _, h := range LabelRun(out, l) {
 			if k, ok := intKey(g.Attr(ix.end(src, h.To), a)); ok {
 				ix.ord = append(ix.ord, edgeEntry{val: k, src: src, dst: h.To})
 			} else {
@@ -190,12 +190,12 @@ func (g *Graph) reindexEdges(v NodeID, a AttrID, old, val Value) {
 			continue
 		}
 		if ix.bySrc {
-			for _, h := range LabelRun(g.out[v], ix.label) {
+			for _, h := range LabelRun(g.Out(v), ix.label) {
 				ix.remove(v, h.To, old)
 				ix.add(v, h.To, val)
 			}
 		} else {
-			for _, h := range LabelRun(g.in[v], ix.label) {
+			for _, h := range LabelRun(g.In(v), ix.label) {
 				ix.remove(h.To, v, old)
 				ix.add(h.To, v, val)
 			}

@@ -89,8 +89,8 @@ func TestEdgeValIndexMaintained(t *testing.T) {
 
 func countLabel(g *Graph, l LabelID) int {
 	n := 0
-	for u := range g.out {
-		n += len(LabelRun(g.out[u], l))
+	for u := range NodeID(g.n) {
+		n += len(LabelRun(g.Out(u), l))
 	}
 	return n
 }

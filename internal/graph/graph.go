@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -113,19 +115,12 @@ func (s *Symbols) NumAttrs() int { return len(s.attrs) }
 // Clone returns a private copy of the symbol table: subsequent interning in
 // either copy does not affect the other.
 func (s *Symbols) Clone() *Symbols {
-	c := &Symbols{
-		labels:   append([]string(nil), s.labels...),
-		labelIDs: make(map[string]LabelID, len(s.labelIDs)),
-		attrs:    append([]string(nil), s.attrs...),
-		attrIDs:  make(map[string]AttrID, len(s.attrIDs)),
+	return &Symbols{
+		labels:   slices.Clip(s.labels),
+		labelIDs: maps.Clone(s.labelIDs),
+		attrs:    slices.Clip(s.attrs),
+		attrIDs:  maps.Clone(s.attrIDs),
 	}
-	for k, v := range s.labelIDs {
-		c.labelIDs[k] = v
-	}
-	for k, v := range s.attrIDs {
-		c.attrIDs[k] = v
-	}
-	return c
 }
 
 // attrPair is one (attribute, value) entry of a node's tuple. Tuples are
@@ -167,12 +162,14 @@ type nodeData struct {
 // sorted by (Label, To) so edge checks are logarithmic.
 //
 // A Graph is safe for concurrent reads once construction and updates are
-// done; mutation is not synchronized.
+// done; mutation is not synchronized. A graph and its clones share pages
+// (see page.go), but each may be written by its own goroutine.
 type Graph struct {
 	syms      *Symbols
-	nodes     []nodeData
-	out       [][]Half
-	in        [][]Half
+	n         int // |V|
+	nodes     pages[nodeData]
+	out       pages[[]Half]
+	in        pages[[]Half]
 	edgeCount int
 	byLabel   map[LabelID][]NodeID
 	// attrIdx holds the attribute value indexes built by EnsureAttrIndex
@@ -199,7 +196,7 @@ func NewWithSymbols(s *Symbols) *Graph {
 func (g *Graph) Symbols() *Symbols { return g.syms }
 
 // NumNodes reports |V|.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges reports |E|.
 func (g *Graph) NumEdges() int { return g.edgeCount }
@@ -211,20 +208,21 @@ func (g *Graph) AddNode(label string) NodeID {
 
 // AddNodeL adds a node with an already-interned label.
 func (g *Graph) AddNodeL(label LabelID) NodeID {
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, nodeData{label: label})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	id := NodeID(g.n)
+	g.nodes.push(id).label = label
+	g.out.push(id)
+	g.in.push(id)
+	g.n++
 	g.byLabel[label] = append(g.byLabel[label], id)
 	g.noteChurn()
 	return id
 }
 
 // Label returns the label of node v.
-func (g *Graph) Label(v NodeID) LabelID { return g.nodes[v].label }
+func (g *Graph) Label(v NodeID) LabelID { return g.nodes.at(v).label }
 
 // LabelName returns the label string of node v.
-func (g *Graph) LabelName(v NodeID) string { return g.syms.LabelName(g.nodes[v].label) }
+func (g *Graph) LabelName(v NodeID) string { return g.syms.LabelName(g.Label(v)) }
 
 // SetAttr sets attribute a of node v (F_A(v).a = val).
 func (g *Graph) SetAttr(v NodeID, name string, val Value) {
@@ -234,7 +232,7 @@ func (g *Graph) SetAttr(v NodeID, name string, val Value) {
 // SetAttrA sets an attribute by interned id, updating any attribute index
 // covering (label(v), a) and any edge-value index keyed on a.
 func (g *Graph) SetAttrA(v NodeID, a AttrID, val Value) {
-	nd := &g.nodes[v]
+	nd, own := g.nodes.mut(v)
 	i, found := findAttr(nd.attrs, a)
 	var old Value
 	if found {
@@ -249,19 +247,21 @@ func (g *Graph) SetAttrA(v NodeID, a AttrID, val Value) {
 		}
 	}
 	g.reindexEdges(v, a, old, val)
-	if found {
+	switch {
+	case !found:
+		nd.attrs = insertAt(nd.attrs, i, attrPair{id: a, val: val}, own)
+	case !own:
+		nd.attrs = slices.Clone(nd.attrs)
+		fallthrough
+	default:
 		nd.attrs[i].val = val
-	} else {
-		nd.attrs = append(nd.attrs, attrPair{})
-		copy(nd.attrs[i+1:], nd.attrs[i:])
-		nd.attrs[i] = attrPair{id: a, val: val}
 	}
 	g.noteChurn()
 }
 
 // Attr returns attribute a of v; the zero Value (invalid) means absent.
 func (g *Graph) Attr(v NodeID, a AttrID) Value {
-	attrs := g.nodes[v].attrs
+	attrs := g.nodes.at(v).attrs
 	if i, ok := findAttr(attrs, a); ok {
 		return attrs[i].val
 	}
@@ -279,13 +279,13 @@ func (g *Graph) AttrByName(v NodeID, name string) Value {
 
 // Attrs iterates the attribute tuple of v in ascending AttrID order.
 func (g *Graph) Attrs(v NodeID, fn func(AttrID, Value)) {
-	for _, p := range g.nodes[v].attrs {
+	for _, p := range g.nodes.at(v).attrs {
 		fn(p.id, p.val)
 	}
 }
 
 // NumAttrs reports the arity of v's attribute tuple.
-func (g *Graph) NumAttrs(v NodeID) int { return len(g.nodes[v].attrs) }
+func (g *Graph) NumAttrs(v NodeID) int { return len(g.nodes.at(v).attrs) }
 
 // LabelRun returns the contiguous run of halves carrying label l within a
 // sorted adjacency list (binary search on both bounds).
@@ -305,15 +305,13 @@ func searchHalf(list []Half, h Half) (int, bool) {
 	return i, i < len(list) && list[i] == h
 }
 
+// insertHalf and removeHalf edit a list the caller owns.
 func insertHalf(list []Half, h Half) ([]Half, bool) {
 	i, found := searchHalf(list, h)
 	if found {
 		return list, false
 	}
-	list = append(list, Half{})
-	copy(list[i+1:], list[i:])
-	list[i] = h
-	return list, true
+	return insertAt(list, i, h, true), true
 }
 
 func removeHalf(list []Half, h Half) ([]Half, bool) {
@@ -321,8 +319,19 @@ func removeHalf(list []Half, h Half) ([]Half, bool) {
 	if !found {
 		return list, false
 	}
-	copy(list[i:], list[i+1:])
-	return list[:len(list)-1], true
+	return deleteAt(list, i, true), true
+}
+
+// editHalf inserts h into, or removes it from, v's list in table t; the
+// caller has checked that the edit takes effect.
+func editHalf(t pages[[]Half], v NodeID, h Half, insert bool) {
+	l, own := t.mut(v)
+	i, _ := searchHalf(*l, h)
+	if insert {
+		*l = insertAt(*l, i, h, own)
+	} else {
+		*l = deleteAt(*l, i, own)
+	}
 }
 
 // AddEdge inserts edge (u -label-> v). It reports whether the edge was new.
@@ -332,12 +341,11 @@ func (g *Graph) AddEdge(u, v NodeID, label string) bool {
 
 // AddEdgeL inserts an edge with an interned label.
 func (g *Graph) AddEdgeL(u, v NodeID, label LabelID) bool {
-	var added bool
-	g.out[u], added = insertHalf(g.out[u], Half{Label: label, To: v})
-	if !added {
+	if g.HasEdgeL(u, v, label) {
 		return false
 	}
-	g.in[v], _ = insertHalf(g.in[v], Half{Label: label, To: u})
+	editHalf(g.out, u, Half{Label: label, To: v}, true)
+	editHalf(g.in, v, Half{Label: label, To: u}, true)
 	g.edgeCount++
 	g.noteEdge(u, v, label, 1)
 	g.noteEdgeIdx(u, v, label, 1)
@@ -346,12 +354,11 @@ func (g *Graph) AddEdgeL(u, v NodeID, label LabelID) bool {
 
 // DeleteEdgeL removes edge (u -label-> v); reports whether it existed.
 func (g *Graph) DeleteEdgeL(u, v NodeID, label LabelID) bool {
-	var removed bool
-	g.out[u], removed = removeHalf(g.out[u], Half{Label: label, To: v})
-	if !removed {
+	if !g.HasEdgeL(u, v, label) {
 		return false
 	}
-	g.in[v], _ = removeHalf(g.in[v], Half{Label: label, To: u})
+	editHalf(g.out, u, Half{Label: label, To: v}, false)
+	editHalf(g.in, v, Half{Label: label, To: u}, false)
 	g.edgeCount--
 	g.noteEdge(u, v, label, -1)
 	g.noteEdgeIdx(u, v, label, -1)
@@ -360,21 +367,21 @@ func (g *Graph) DeleteEdgeL(u, v NodeID, label LabelID) bool {
 
 // HasEdgeL reports whether edge (u -label-> v) exists.
 func (g *Graph) HasEdgeL(u, v NodeID, label LabelID) bool {
-	_, found := searchHalf(g.out[u], Half{Label: label, To: v})
+	_, found := searchHalf(g.Out(u), Half{Label: label, To: v})
 	return found
 }
 
 // Out returns the sorted out-adjacency of v. Callers must not mutate it.
-func (g *Graph) Out(v NodeID) []Half { return g.out[v] }
+func (g *Graph) Out(v NodeID) []Half { return *g.out.at(v) }
 
 // In returns the sorted in-adjacency of v. Callers must not mutate it.
-func (g *Graph) In(v NodeID) []Half { return g.in[v] }
+func (g *Graph) In(v NodeID) []Half { return *g.in.at(v) }
 
 // OutDegree reports len(Out(v)).
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v NodeID) int { return len(g.Out(v)) }
 
 // InDegree reports len(In(v)).
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v NodeID) int { return len(g.In(v)) }
 
 // NodesWithLabel returns the nodes carrying the label; for Wildcard it
 // returns nil (use NumNodes and iterate instead: every node matches).
@@ -388,7 +395,7 @@ func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 // CountLabel reports how many nodes carry label l (all nodes for Wildcard).
 func (g *Graph) CountLabel(l LabelID) int {
 	if l == Wildcard {
-		return len(g.nodes)
+		return g.n
 	}
 	return len(g.byLabel[l])
 }
@@ -428,7 +435,7 @@ func NeighborhoodOf(g View, seeds []NodeID, d int) []NodeID {
 // set (paper §2): both endpoints in the set.
 func (g *Graph) InducedEdges(set map[NodeID]struct{}, fn func(u, v NodeID, l LabelID)) {
 	for u := range set {
-		for _, h := range g.out[u] {
+		for _, h := range g.Out(u) {
 			if _, ok := set[h.To]; ok {
 				fn(u, h.To, h.Label)
 			}
@@ -436,64 +443,36 @@ func (g *Graph) InducedEdges(set map[NodeID]struct{}, fn func(u, v NodeID, l Lab
 	}
 }
 
-// slab is one backing array that per-node lists are copied into back to
-// back. Every copy's capacity is clipped to its length, so an append to it
-// reallocates that one list instead of writing into its neighbour's.
-type slab[T any] []T
-
-func (s *slab[T]) copyOf(l []T) []T {
-	if len(l) == 0 {
-		return nil
-	}
-	lo := len(*s)
-	*s = append(*s, l...)
-	return (*s)[lo:len(*s):len(*s)]
-}
-
-// Clone returns a deep copy sharing the symbol table, in the layout
-// Builder.Build produces: attribute tuples, out-lists, in-lists and
-// by-label postings each copied into one backing array. Attribute indexes,
-// edge-value indexes and maintained statistics are not copied; the clone
-// rebuilds them on the next EnsureAttrIndex / EnsureEdgeValIndex /
-// LiveStats call.
+// Clone returns an independent copy of g in O(pages): the two share every
+// page of node slots until one of them writes to it (see page.go), and get
+// private symbol tables and by-label headers. Attribute indexes, edge-value
+// indexes and maintained statistics are not copied; the clone rebuilds them
+// on the next EnsureAttrIndex / EnsureEdgeValIndex / LiveStats call. The
+// copy may be handed to another goroutine while g keeps changing.
 func (g *Graph) Clone() *Graph {
-	n := len(g.nodes)
 	c := &Graph{
-		syms:      g.syms,
-		nodes:     make([]nodeData, n),
-		out:       make([][]Half, n),
-		in:        make([][]Half, n),
+		syms:      g.syms.Clone(),
+		n:         g.n,
+		nodes:     g.nodes.fork(),
+		out:       g.out.fork(),
+		in:        g.in.fork(),
 		edgeCount: g.edgeCount,
 		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
 	}
-	nAttrs := 0
-	for i := range g.nodes {
-		nAttrs += len(g.nodes[i].attrs)
-	}
-	attrs := make(slab[attrPair], 0, nAttrs)
-	out := make(slab[Half], 0, g.edgeCount)
-	in := make(slab[Half], 0, g.edgeCount)
-	for i := range g.nodes {
-		c.nodes[i] = nodeData{label: g.nodes[i].label, attrs: attrs.copyOf(g.nodes[i].attrs)}
-		c.out[i] = out.copyOf(g.out[i])
-		c.in[i] = in.copyOf(g.in[i])
-	}
-	ids := make(slab[NodeID], 0, n)
 	for l, ns := range g.byLabel {
-		c.byLabel[l] = ids.copyOf(ns)
+		c.byLabel[l] = slices.Clip(ns) // g may append in place, c may not
 	}
 	return c
 }
 
-// CloneDetached is Clone with a private copy of the symbol table. Use it to
-// hand a frozen copy of the graph to another goroutine (e.g. a background
-// snapshot encoder) while the original keeps interning new labels and
-// attributes — plain Clone shares the symbol table, so concurrent interning
-// would race with readers of the copy.
-func (g *Graph) CloneDetached() *Graph {
-	c := g.Clone()
-	c.syms = g.syms.Clone()
-	return c
+// Release empties g and drops its holds on the pages it shares with its
+// clones (or its original), so that they write to those pages in place
+// again instead of copying them. Call it when done with a clone.
+func (g *Graph) Release() {
+	g.nodes.release()
+	g.out.release()
+	g.in.release()
+	*g = *NewWithSymbols(g.syms)
 }
 
 // Stats summarizes a graph (used by generators and the bench harness).
@@ -507,16 +486,12 @@ type Stats struct {
 
 // ComputeStats scans the graph and reports summary statistics.
 func (g *Graph) ComputeStats() Stats {
-	st := Stats{Nodes: len(g.nodes), Edges: g.edgeCount, Labels: g.syms.NumLabels() - 1}
-	for i := range g.nodes {
-		if d := len(g.out[i]); d > st.MaxOutDeg {
-			st.MaxOutDeg = d
-		}
-		if d := len(g.in[i]); d > st.MaxInDeg {
-			st.MaxInDeg = d
-		}
+	st := Stats{Nodes: g.n, Edges: g.edgeCount, Labels: g.syms.NumLabels() - 1}
+	for v := range NodeID(g.n) {
+		st.MaxOutDeg = max(st.MaxOutDeg, g.OutDegree(v))
+		st.MaxInDeg = max(st.MaxInDeg, g.InDegree(v))
 	}
-	n := float64(len(g.nodes))
+	n := float64(g.n)
 	if n > 1 {
 		st.Density = float64(g.edgeCount) / (n * (n - 1))
 	}

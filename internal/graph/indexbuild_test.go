@@ -76,8 +76,8 @@ func refAttrOrd(g *Graph, l LabelID, a AttrID) []ordEntry {
 
 // refEdgeOrd is the edge-value index of (l, a, bySrc) by definition.
 func refEdgeOrd(g *Graph, l LabelID, a AttrID, bySrc bool) (want []edgeEntry, uncovered int) {
-	for u := range g.out {
-		for _, h := range g.out[u] {
+	for u := range NodeID(g.n) {
+		for _, h := range g.Out(u) {
 			if h.Label != l {
 				continue
 			}

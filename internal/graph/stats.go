@@ -71,13 +71,13 @@ func (g *Graph) LiveStats() *LiveStats {
 	var touched []LabelID // the edge labels the current bucket counted
 	for l, bucket := range g.byLabel {
 		for _, v := range bucket {
-			for _, h := range g.out[v] {
+			for _, h := range g.Out(v) {
 				if outRow[h.Label]+inRow[h.Label] == 0 {
 					touched = append(touched, h.Label)
 				}
 				outRow[h.Label]++
 			}
-			for _, h := range g.in[v] {
+			for _, h := range g.In(v) {
 				if outRow[h.Label]+inRow[h.Label] == 0 {
 					touched = append(touched, h.Label)
 				}
@@ -119,8 +119,8 @@ func (g *Graph) noteEdge(u, v NodeID, label LabelID, d int) {
 	if st == nil {
 		return
 	}
-	st.bump(st.outRuns, degKey{g.nodes[u].label, label}, d)
-	st.bump(st.inRuns, degKey{g.nodes[v].label, label}, d)
+	st.bump(st.outRuns, degKey{g.Label(u), label}, d)
+	st.bump(st.inRuns, degKey{g.Label(v), label}, d)
 	st.bumpTot(st.outTot, label, d)
 	st.bumpTot(st.inTot, label, d)
 	st.churn++

@@ -16,13 +16,13 @@ func refStats(g *Graph) *LiveStats {
 		outTot:  make(map[LabelID]int),
 		inTot:   make(map[LabelID]int),
 	}
-	for v := range g.nodes {
-		l := g.nodes[v].label
-		for _, h := range g.out[v] {
+	for v := range NodeID(g.n) {
+		l := g.Label(v)
+		for _, h := range g.Out(v) {
 			st.outRuns[degKey{l, h.Label}]++
 			st.outTot[h.Label]++
 		}
-		for _, h := range g.in[v] {
+		for _, h := range g.In(v) {
 			st.inRuns[degKey{l, h.Label}]++
 			st.inTot[h.Label]++
 		}

@@ -50,7 +50,7 @@ func NewOverlay(base *Graph, delta *Delta) *Overlay {
 		if l, ok := o.out[v]; ok {
 			return l
 		}
-		l := append([]Half(nil), base.out[v]...)
+		l := append([]Half(nil), base.Out(v)...)
 		o.out[v] = l
 		return l
 	}
@@ -58,7 +58,7 @@ func NewOverlay(base *Graph, delta *Delta) *Overlay {
 		if l, ok := o.in[v]; ok {
 			return l
 		}
-		l := append([]Half(nil), base.in[v]...)
+		l := append([]Half(nil), base.In(v)...)
 		o.in[v] = l
 		return l
 	}
@@ -141,7 +141,7 @@ func (o *Overlay) Out(v NodeID) []Half {
 	if l, ok := o.out[v]; ok {
 		return l
 	}
-	return o.base.out[v]
+	return o.base.Out(v)
 }
 
 // In returns the overlaid in-adjacency of v.
@@ -149,7 +149,7 @@ func (o *Overlay) In(v NodeID) []Half {
 	if l, ok := o.in[v]; ok {
 		return l
 	}
-	return o.base.in[v]
+	return o.base.In(v)
 }
 
 // HasEdgeL reports whether (u -label-> v) exists in G ⊕ ΔG.

@@ -31,10 +31,13 @@ func TestSteadyStateCommitAllocBudget(t *testing.T) {
 			Seed: 1700 + int64(b),
 		}))
 	}
-	// warm: plans compiled, searchers cached, pools populated
+	// warm: plans compiled, searchers cached, pools populated; then a
+	// checkpoint's fork of the graph, taken and released, must leave the
+	// commits writing in place
 	for _, d := range deltas[:16] {
 		sess.Commit(d)
 	}
+	sess.Graph().Clone().Release()
 	i := 16
 	allocs := testing.AllocsPerRun(len(deltas)-16-1, func() {
 		sess.Commit(deltas[i])

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -167,6 +168,26 @@ func (r Range) Page(limit int) []*core.Keyed {
 		out = append(out, ch[i:min(len(ch), i+n-len(out))]...)
 	}
 	return out
+}
+
+// Records yields the records of r in key order, reading the snapshot's
+// storage in place.
+func (r Range) Records() iter.Seq[*core.Keyed] {
+	return func(yield func(*core.Keyed) bool) {
+		if r.Len() == 0 {
+			return
+		}
+		ci := sort.SearchInts(r.c.offs, r.lo+1) - 1
+		for at := r.lo; at < r.hi; ci++ {
+			ch, off := r.c.chunks[ci], r.c.offs[ci]
+			for _, k := range ch[at-off : min(len(ch), r.hi-off)] {
+				if !yield(k) {
+					return
+				}
+			}
+			at = r.c.offs[ci+1]
+		}
+	}
 }
 
 // run is a list of records in ascending key order: a chunk of the store, a

@@ -147,6 +147,13 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 	if c.Len() != n {
 		t.Fatalf("epoch %d: Len %d, chunks hold %d", sn.Epoch, c.Len(), n)
 	}
+	// Records walks the chunks in place: the whole store, and a stretch
+	// that starts and ends inside chunks, as Page lists them
+	for _, r := range []Range{sn.All(), {c, n / 3, 2 * n / 3}} {
+		if got := slices.Collect(r.Records()); !slices.Equal(got, r.Page(-1)) {
+			t.Fatalf("epoch %d: Records over [%d, %d) yields %d records, Page %d", sn.Epoch, r.lo, r.hi, len(got), r.Len())
+		}
+	}
 }
 
 // TestAdvanceMatchesMapReference drives the store's whole write path —

@@ -30,8 +30,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 
 	"ngd/internal/graph"
+	"ngd/internal/session"
 )
 
 const (
@@ -53,13 +55,16 @@ type vioRec struct {
 
 // snapshotData is the decoded (or to-be-encoded) content of one snapshot.
 // Names is the external-id map as decoded; the encoder takes it laid out
-// by node (nodeNames).
+// by node (nodeNames). A store encodes its violations from Store, the
+// captured epoch; Violations holds them as decoded, and is encoded when
+// Store is nil.
 type snapshotData struct {
 	Seq        uint64
 	G          *graph.Graph
 	Names      map[string]graph.NodeID
 	RulesText  string
 	Violations []vioRec
+	Store      *session.Snapshot
 }
 
 // writeSnapshot encodes sd, with names for its external-id map, onto w.
@@ -114,12 +119,22 @@ func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 
 	// rules + violation store
 	c.str(sd.RulesText)
-	c.uvarint(uint64(len(sd.Violations)))
-	for _, vr := range sd.Violations {
-		c.str(vr.Rule)
-		c.uvarint(uint64(len(vr.Match)))
-		for _, m := range vr.Match {
+	vio := func(rule string, match []graph.NodeID) {
+		c.str(rule)
+		c.uvarint(uint64(len(match)))
+		for _, m := range match {
 			c.uvarint(uint64(m))
+		}
+	}
+	if sd.Store != nil {
+		c.uvarint(uint64(sd.Store.Len()))
+		for k := range sd.Store.All().Records() {
+			vio(k.Rule.Name, k.Match)
+		}
+	} else {
+		c.uvarint(uint64(len(sd.Violations)))
+		for _, vr := range sd.Violations {
+			vio(vr.Rule, vr.Match)
 		}
 	}
 
@@ -130,10 +145,35 @@ func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 // nodeNames is an external-id map laid out by node: the ids naming node v
 // are ids[end[v-1]:end[v]] (from 0 for node 0), in string order when there
 // are several, so that neither the order nor the snapshot bytes depend on
-// the map's. It takes less room than a copy of the map.
+// the map's. It takes less room than a copy of the map, and a copy of the
+// struct is a frozen prefix: add never writes inside the lengths it had.
 type nodeNames struct {
 	ids []string
 	end []int32
+}
+
+// add binds id to node v. New nodes have the highest ids, so binding one
+// appends; a further id for a node already laid out is spliced into fresh
+// copies.
+func (nn *nodeNames) add(id string, v graph.NodeID) {
+	if int(v) >= len(nn.end) {
+		for int(v) > len(nn.end) {
+			nn.end = append(nn.end, int32(len(nn.ids)))
+		}
+		nn.ids = append(nn.ids, id)
+		nn.end = append(nn.end, int32(len(nn.ids)))
+		return
+	}
+	lo := int32(0)
+	if v > 0 {
+		lo = nn.end[v-1]
+	}
+	at := int(lo) + sort.SearchStrings(nn.ids[lo:nn.end[v]], id)
+	nn.ids = slices.Insert(slices.Clip(nn.ids), at, id)
+	nn.end = slices.Clone(nn.end)
+	for w := int(v); w < len(nn.end); w++ {
+		nn.end[w]++
+	}
 }
 
 // byNode lays names out with one counting pass; n is a hint of the node

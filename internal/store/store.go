@@ -13,11 +13,10 @@
 //     length-prefixed and CRC-checked, and are written with a single
 //     write() each, so a crash can tear at most the final record.
 //   - Every N batches (and at clean shutdown) a checkpoint captures the
-//     whole session state into a new snapshot file: the graph is cloned on
-//     the writer goroutine (a memcpy-scale pause), then encoded, fsynced
-//     and atomically renamed into place in the background; once the
-//     snapshot is durable, older snapshots and fully-covered WAL segments
-//     are pruned.
+//     whole session state into a new snapshot file: the writer forks the
+//     graph in O(pages), then the background encodes, fsyncs and renames
+//     it into place; once the snapshot is durable, older snapshots and
+//     fully-covered WAL segments are pruned.
 //   - Recovery (Open on a non-empty directory) loads the newest readable
 //     snapshot, restores the session around its persisted violation store
 //     (no seeding detection run), and replays the WAL suffix through the
@@ -74,8 +73,13 @@ type Stats struct {
 	WALBytes    int64  // bytes appended to the WAL since Open/Bootstrap
 	Checkpoints int64  // checkpoints completed since Open/Bootstrap
 	// LastCheckpoint is the wall-clock duration of the most recent
-	// checkpoint's encode+fsync+rename+prune phase (zero before the first).
+	// checkpoint's background job: closing (fsyncing) the WAL segment the
+	// capture rotated away from, then encode+fsync+rename+prune (zero
+	// before the first).
 	LastCheckpoint time.Duration
+	// LastCapture is the writer-side wall time of the most recent
+	// checkpoint's capture, WAL rotation included: the commits it stalls.
+	LastCapture time.Duration
 }
 
 // Recovered reports what Open reconstructed from a non-empty directory.
@@ -118,7 +122,7 @@ type Store struct {
 	sess       *session.Session
 	rules      *core.Set
 	rulesText  string
-	names      map[string]graph.NodeID
+	names      nodeNames               // every external id, laid out by node
 	pendingExt map[graph.NodeID]string // extIDs of nodes arrived since the last batch
 	wal        *walWriter
 
@@ -135,6 +139,7 @@ type Store struct {
 	walBytes int64
 	ckpts    int64
 	ckptDur  time.Duration
+	capDur   time.Duration
 	ckptErr  error
 	// walErr latches the first failed WAL append. Once set, no further
 	// records are written: a failed (possibly partial) write may have left
@@ -329,7 +334,7 @@ func (st *Store) recover(snapSeqs, walSeqs []uint64) (*Recovered, error) {
 	}
 
 	st.seq, st.snapSeq, st.ckptSeq = reached, sd.Seq, sd.Seq
-	st.attach(sess, rules, sd.Names)
+	st.attach(sess, rules, byNode(sd.Names, sess.Graph().NumNodes()))
 	rec.Session, rec.Rules, rec.Names = sess, rules, sd.Names
 	return rec, nil
 }
@@ -378,24 +383,21 @@ func (st *Store) replayRecord(sess *session.Session, names map[string]graph.Node
 // nil Recovered) and makes its current state durable: a seq-0 snapshot of
 // the seeded session is written synchronously, the first WAL segment is
 // created, and the logging hook is installed so every subsequent commit is
-// write-ahead logged. names may be nil; the map is shared with the caller
-// (the serving layer registers new external ids in it) and must only be
-// mutated on the session's writer goroutine.
+// write-ahead logged. names may be nil; the store lays it out once, and
+// learns of later bindings through NoteName.
 func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[string]graph.NodeID) error {
 	if st.sess != nil {
 		return fmt.Errorf("store: already attached to a session")
 	}
-	if names == nil {
-		names = make(map[string]graph.NodeID)
-	}
 	st.rulesText = dsl.FormatRules(rules)
 	sd := &snapshotData{
-		Seq:        0,
-		G:          sess.Graph(),
-		RulesText:  st.rulesText,
-		Violations: violationRecs(sess.Snapshot()),
+		Seq:       0,
+		G:         sess.Graph(),
+		RulesText: st.rulesText,
+		Store:     sess.Snapshot(),
 	}
-	if err := st.writeSnapshotFile(sd, byNode(names, sd.G.NumNodes())); err != nil {
+	nn := byNode(names, sd.G.NumNodes())
+	if err := st.writeSnapshotFile(sd, nn); err != nil {
 		return err
 	}
 	w, err := createWAL(filepath.Join(st.dir, walName(0)), 0, !st.opts.NoSync)
@@ -403,13 +405,13 @@ func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[str
 		return err
 	}
 	st.wal = w
-	st.attach(sess, rules, names)
+	st.attach(sess, rules, nn)
 	return nil
 }
 
 // attach wires the store to its session: from here on every commit is
 // logged through the session's commit hook.
-func (st *Store) attach(sess *session.Session, rules *core.Set, names map[string]graph.NodeID) {
+func (st *Store) attach(sess *session.Session, rules *core.Set, names nodeNames) {
 	st.sess, st.rules, st.names = sess, rules, names
 	if st.rulesText == "" {
 		st.rulesText = dsl.FormatRules(rules)
@@ -418,10 +420,11 @@ func (st *Store) attach(sess *session.Session, rules *core.Set, names map[string
 }
 
 // NoteName records that the serving layer bound external id to node v
-// since the last commit; the binding rides in the next batch record. Wire
-// it to serve.Options.OnNewNode.
+// since the last commit; the binding rides in the next batch record and in
+// every later snapshot. Wire it to serve.Options.OnNewNode.
 func (st *Store) NoteName(id string, v graph.NodeID) {
 	st.pendingExt[v] = id
+	st.names.add(id, v)
 }
 
 // logBatch is the session commit hook: it renders the arriving nodes, the
@@ -489,7 +492,7 @@ func (st *Store) MaybeCheckpoint() {
 	if !due || !st.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
-	_ = st.startCheckpoint(true)
+	_ = st.startCheckpoint(true) // a failure is in Err
 }
 
 // Checkpoint captures the attached session's current state into a new
@@ -528,54 +531,67 @@ func (st *Store) startCheckpoint(async bool) error {
 }
 
 // captureCheckpoint rotates the WAL at the current seq and captures the
-// session state on the calling (writer) goroutine: the graph is cloned and
-// the name map laid out by node — commits are stalled for that — and the
-// violation set is the session's current snapshot, a pointer, since epochs
-// are immutable. The returned job renders the violation records, encodes,
-// fsyncs, renames and prunes; commits that land before it runs are not in
-// the file it writes.
+// session state on the calling (writer) goroutine, stalling commits for
+// four steps of O(1) or O(pages) each: the new WAL segment is created, the
+// graph forked (graph.Clone), the name layout's current length and the
+// session's current snapshot (epochs are immutable) recorded. The returned
+// job closes the old segment, encodes, fsyncs, renames and prunes, then
+// releases the fork; commits that land before it runs are not in the file
+// it writes. A failure, of the capture or of the job, is recorded in
+// ckptErr and rolls the cadence marker back so the next commit retries
+// instead of waiting another full CheckpointEvery window.
 func (st *Store) captureCheckpoint() (job func() error, err error) {
+	t0 := time.Now()
 	st.mu.Lock()
 	seq := st.seq
 	st.ckptSeq = seq
 	st.mu.Unlock()
-
-	// rotate: subsequent appends go to wal-<seq>; the old segment is
-	// pruned only after the snapshot is durable, so a crash mid-checkpoint
-	// recovers from the previous snapshot plus the full chain
-	if st.wal.start != seq {
-		if err := st.wal.close(); err != nil {
-			return nil, err
+	fail := func(err error) error {
+		st.mu.Lock()
+		st.ckptErr = err
+		if st.ckptSeq == seq {
+			st.ckptSeq = st.snapSeq
 		}
+		st.mu.Unlock()
+		return err
+	}
+
+	// rotate: subsequent appends go to wal-<seq>, created before the old
+	// segment is let go so that a failure leaves appends where they were;
+	// the old segment is pruned only after the snapshot is durable, so a
+	// crash mid-checkpoint recovers from the previous snapshot plus the
+	// full chain
+	var old *walWriter
+	if st.wal.start != seq {
 		w, err := createWAL(filepath.Join(st.dir, walName(seq)), seq, !st.opts.NoSync)
 		if err != nil {
-			return nil, err
+			return nil, fail(fmt.Errorf("store: checkpoint at seq %d: %w", seq, err))
 		}
-		st.wal = w
+		old, st.wal = st.wal, w
 	}
 
 	sd := &snapshotData{
 		Seq:       seq,
-		G:         st.sess.Graph().CloneDetached(),
+		G:         st.sess.Graph().Clone(),
 		RulesText: st.rulesText,
+		Store:     st.sess.Snapshot(),
 	}
-	names := byNode(st.names, sd.G.NumNodes())
-	vios := st.sess.Snapshot()
+	names := st.names
+	st.mu.Lock()
+	st.capDur = time.Since(t0)
+	st.mu.Unlock()
 
 	return func() error {
 		defer st.ckptBusy.Store(false)
+		defer sd.G.Release()
 		t0 := time.Now()
-		sd.Violations = violationRecs(vios)
-		if err := st.writeSnapshotFile(sd, names); err != nil {
-			st.mu.Lock()
-			st.ckptErr = err
-			// roll the cadence marker back so the next commit retries
-			// instead of waiting another full CheckpointEvery window
-			if st.ckptSeq == seq {
-				st.ckptSeq = st.snapSeq
+		if old != nil {
+			if err := old.close(); err != nil {
+				return fail(err)
 			}
-			st.mu.Unlock()
-			return err
+		}
+		if err := st.writeSnapshotFile(sd, names); err != nil {
+			return fail(err)
 		}
 		st.prune(seq)
 		st.mu.Lock()
@@ -659,6 +675,7 @@ func (st *Store) Stats() Stats {
 		WALBytes:       st.walBytes,
 		Checkpoints:    st.ckpts,
 		LastCheckpoint: st.ckptDur,
+		LastCapture:    st.capDur,
 	}
 }
 
@@ -692,14 +709,4 @@ func (st *Store) Close() error {
 	unlockDir(st.lock)
 	st.lock = nil
 	return err
-}
-
-// violationRecs renders one epoch's violation set in persistent form.
-func violationRecs(sn *session.Snapshot) []vioRec {
-	recs := sn.All().Page(-1)
-	out := make([]vioRec, len(recs))
-	for i, k := range recs {
-		out[i] = vioRec{Rule: k.Rule.Name, Match: []graph.NodeID(k.Match)}
-	}
-	return out
 }

@@ -327,22 +327,36 @@ func TestWALEmptySegment(t *testing.T) {
 	}
 }
 
-// TestCheckpointWritesTheCapturedEpoch: the checkpoint captures the
-// violation set as the session's snapshot at capture time and renders it in
-// the job, so commits that land between capture and encode — the writer
-// keeps committing while a background checkpoint runs — are in the WAL
-// suffix, not in the snapshot file.
-func TestCheckpointWritesTheCapturedEpoch(t *testing.T) {
+// itemSession is a session over eight "item" nodes in a chain of "next"
+// edges, each with val 1 and a tuple that an attribute named early, interned
+// first, would shift, under the rule that no item's val exceeds 10.
+func itemSession() (*session.Session, *core.Set) {
 	q := pattern.New()
 	q.AddNode("x", "item")
 	rules := core.NewSet(core.MustNew("cap", q, nil, []core.Literal{core.MustLiteral("x.val <= 10")}))
 	g := graph.New()
+	g.Symbols().Attr("early")
 	for i := 0; i < 8; i++ {
 		g.SetAttr(g.AddNode("item"), "val", graph.Int(1))
+		if i > 0 {
+			g.AddEdge(graph.NodeID(i-1), graph.NodeID(i), "next")
+		}
 	}
-	sess := session.New(g, rules, session.Options{})
-	set := func(n graph.NodeID, val int64) {
-		sess.CommitBatch(nil, []graph.AttrOp{{Node: n, Attr: g.Symbols().Attr("val"), Val: graph.Int(val)}})
+	return session.New(g, rules, session.Options{}), rules
+}
+
+// TestCheckpointWritesTheCapturedEpoch: the checkpoint captures the graph,
+// the names and the violation set at capture time, and the job encodes them
+// while the writer keeps committing — edge inserts and deletes on captured
+// nodes, an attribute insert that shifts a tuple, a node arriving with a
+// new label, a new attribute name and an external id. Those commits are in
+// the WAL suffix, not in the snapshot file. Run it under -race.
+func TestCheckpointWritesTheCapturedEpoch(t *testing.T) {
+	sess, rules := itemSession()
+	g := sess.Graph()
+	val, next := g.Symbols().Attr("val"), g.Symbols().Label("next")
+	set := func(n graph.NodeID, a graph.AttrID, v int64) {
+		sess.CommitBatch(nil, []graph.AttrOp{{Node: n, Attr: a, Val: graph.Int(v)}})
 	}
 
 	dir := t.TempDir()
@@ -350,24 +364,42 @@ func TestCheckpointWritesTheCapturedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Bootstrap(sess, rules, nil); err != nil {
+	if err := st.Bootstrap(sess, rules, map[string]graph.NodeID{"first": 0, "also-first": 0, "third": 2}); err != nil {
 		t.Fatal(err)
 	}
-	set(2, 20)
-	set(5, 20)
+	set(2, val, 20)
+	set(5, val, 20)
+	arrive := func(label, attr, id string) graph.NodeID {
+		v := g.AddNode(label)
+		st.NoteName(id, v)
+		g.SetAttr(v, attr, graph.Int(3))
+		sess.CommitBatch(nil, nil)
+		return v
+	}
+	arrive("item", "val", "ninth")
 
 	st.ckptBusy.Store(true)
+	image := fingerprint(g)
 	job, err := st.captureCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	set(5, 1) // cleared after capture
-	set(7, 20)
-	if err := job(); err != nil {
+	done := make(chan error)
+	go func() { done <- job() }()
+	set(5, val, 1) // cleared after capture
+	set(7, val, 20)
+	d := &graph.Delta{}
+	d.Insert(7, 0, next)
+	d.Insert(3, 5, next)
+	d.Delete(1, 2, next)
+	sess.Commit(d)
+	set(3, g.Symbols().Attr("early"), 5)
+	late := arrive("late-label", "late-attr", "tenth")
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(filepath.Join(dir, snapName(2)))
+	f, err := os.Open(filepath.Join(dir, snapName(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,21 +409,92 @@ func TestCheckpointWritesTheCapturedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(sd.Violations); got != "[{cap [2]} {cap [5]}]" {
-		t.Fatalf("snapshot at seq 2 holds %s, want the violations of nodes 2 and 5", got)
+		t.Fatalf("snapshot at seq 3 holds %s, want the violations of nodes 2 and 5", got)
 	}
-	if v, _ := sd.G.Attr(7, sd.G.Symbols().Attr("val")).AsInt(); v != 1 {
-		t.Fatalf("snapshot graph has node 7 at val %d: a later commit leaked into it", v)
+	if got := fingerprint(sd.G); got != image {
+		t.Fatalf("snapshot graph:\n%s\nwant the captured image:\n%s", got, image)
+	}
+	if got := fmt.Sprint(sd.Names); got != "map[also-first:0 first:0 ninth:8 third:2]" {
+		t.Fatalf("snapshot names %s, want the four bound at capture", got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// and recovery replays the two later commits on top of it
+	// and recovery replays the five later commits on top of it
 	_, rec, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(rec.Session.Violations()); rec.Replayed != 2 || got != fmt.Sprint(sess.Violations()) {
+	if got := fmt.Sprint(rec.Session.Violations()); rec.Replayed != 5 || got != fmt.Sprint(sess.Violations()) {
 		t.Fatalf("recovered %s after %d replayed batches, live store is %v", got, rec.Replayed, sess.Violations())
+	}
+	if got, want := fingerprint(rec.Session.Graph()), fingerprint(g); got != want {
+		t.Fatalf("recovered graph:\n%s\nwant:\n%s", got, want)
+	}
+	if rec.Names["tenth"] != late || len(rec.Names) != 5 {
+		t.Fatalf("recovered names %v, want tenth at %d beside the four captured", rec.Names, late)
+	}
+}
+
+// TestCheckpointRotateFailureIsReported: a checkpoint whose new WAL segment
+// cannot be created (a directory sits at its path) reports the failure in
+// Err, leaves appends on the old segment, and is retried on the next
+// commit; recovery then equals the live store.
+func TestCheckpointRotateFailureIsReported(t *testing.T) {
+	sess, rules := itemSession()
+	val := sess.Graph().Symbols().Attr("val")
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{NoSync: true, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(sess, rules, nil); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, walName(2))
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(n graph.NodeID, v int64) {
+		t.Helper()
+		bs := sess.CommitBatch(nil, []graph.AttrOp{{Node: n, Attr: val, Val: graph.Int(v)}})
+		if bs.LogErr != nil {
+			t.Fatalf("commit not logged: %v", bs.LogErr)
+		}
+		st.MaybeCheckpoint()
+		st.ckptWG.Wait()
+	}
+	commit(2, 20)
+	commit(5, 20) // due: the capture at seq 2 cannot rotate
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), walName(2)) {
+		t.Fatalf("Err() = %v, want the failed rotation to %s", err, walName(2))
+	}
+	if s := st.Stats(); s.Checkpoints != 0 || s.SnapshotSeq != 0 {
+		t.Fatalf("stats %+v: a checkpoint counted that never ran", s)
+	}
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
+	commit(5, 1) // logged, then the retried checkpoint at seq 3 succeeds
+	if err := st.Err(); err != nil {
+		t.Fatalf("Err() = %v after a checkpoint succeeded", err)
+	}
+	if s := st.Stats(); s.Seq != 3 || s.SnapshotSeq != 3 || s.Checkpoints != 1 || s.LastCapture <= 0 {
+		t.Fatalf("stats %+v, want seq and snapshot seq 3 after one checkpoint with its capture timed", s)
+	}
+	commit(7, 20)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rec.Session.Violations()); rec.Seq != 4 || got != fmt.Sprint(sess.Violations()) {
+		t.Fatalf("recovered %s at seq %d, live store is %v at 4", got, rec.Seq, sess.Violations())
+	}
+	if got, want := fingerprint(rec.Session.Graph()), fingerprint(sess.Graph()); got != want {
+		t.Fatalf("recovered graph:\n%s\nwant:\n%s", got, want)
 	}
 }
