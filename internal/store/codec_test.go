@@ -7,6 +7,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
 	"os"
@@ -169,6 +170,46 @@ func TestSnapshotNamesInNodeOrder(t *testing.T) {
 		} else if !bytes.Equal(buf.Bytes(), first) {
 			t.Fatalf("round %d: the same map encodes to other bytes", round)
 		}
+	}
+}
+
+// TestNodeNamesOnlyAppend: the name layout binds ids to arriving nodes by
+// appending, so a copy taken earlier (a checkpoint's capture) still encodes
+// the names it had. A node already laid out refuses an id, and an id bound
+// again to a newer node decodes to the newer one.
+func TestNodeNamesOnlyAppend(t *testing.T) {
+	g := graph.New()
+	for range 5 {
+		g.AddNode("n")
+	}
+	nn := byNode(map[string]graph.NodeID{"a": 0, "b": 1}, 2)
+	captured := nn
+	for _, b := range []struct {
+		id   string
+		v    graph.NodeID
+		want bool
+	}{{"c", 2, true}, {"late", 1, false}, {"e", 4, true}, {"also-e", 4, false}, {"a", 5, true}} {
+		if got := nn.add(b.id, b.v); got != b.want {
+			t.Fatalf("add(%q, %d) = %v, want %v", b.id, b.v, got, b.want)
+		}
+	}
+	g.AddNode("n")
+	decode := func(nn nodeNames) string {
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, &snapshotData{G: g}, nn, vioSeq{all: func(func(string, []graph.NodeID) bool) {}}); err != nil {
+			t.Fatal(err)
+		}
+		sd, err := readSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(sd.Names)
+	}
+	if got := decode(nn); got != "map[a:5 b:1 c:2 e:4]" {
+		t.Fatalf("names decode to %s", got)
+	}
+	if got := decode(captured); got != "map[a:0 b:1]" {
+		t.Fatalf("the copy taken before the bindings decodes to %s", got)
 	}
 }
 

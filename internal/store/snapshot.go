@@ -29,8 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"slices"
-	"sort"
 
 	"ngd/internal/graph"
 	"ngd/internal/session"
@@ -54,21 +54,37 @@ type vioRec struct {
 }
 
 // snapshotData is the decoded (or to-be-encoded) content of one snapshot.
-// Names is the external-id map as decoded; the encoder takes it laid out
-// by node (nodeNames). A store encodes its violations from Store, the
-// captured epoch; Violations holds them as decoded, and is encoded when
-// Store is nil.
+// Names and Violations are as decoded; the encoder takes the names laid
+// out by node (nodeNames) and the violations as a vioSeq.
 type snapshotData struct {
 	Seq        uint64
 	G          *graph.Graph
 	Names      map[string]graph.NodeID
 	RulesText  string
 	Violations []vioRec
-	Store      *session.Snapshot
 }
 
-// writeSnapshot encodes sd, with names for its external-id map, onto w.
-func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
+// vioSeq is a violation store as the encoder reads it: its size, then its
+// records in order.
+type vioSeq struct {
+	n   int
+	all iter.Seq2[string, []graph.NodeID]
+}
+
+// storeVios reads the records of a session snapshot in place.
+func storeVios(sn *session.Snapshot) vioSeq {
+	return vioSeq{sn.Len(), func(yield func(string, []graph.NodeID) bool) {
+		for k := range sn.All().Records() {
+			if !yield(k.Rule.Name, k.Match) {
+				return
+			}
+		}
+	}}
+}
+
+// writeSnapshot encodes sd, with names for its external-id map and vios
+// for its violation store, onto w.
+func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames, vios vioSeq) error {
 	c := newCWriter(w)
 	c.write(appendHeader(nil, snapMagic, sd.Seq))
 
@@ -119,22 +135,12 @@ func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 
 	// rules + violation store
 	c.str(sd.RulesText)
-	vio := func(rule string, match []graph.NodeID) {
+	c.uvarint(uint64(vios.n))
+	for rule, match := range vios.all {
 		c.str(rule)
 		c.uvarint(uint64(len(match)))
 		for _, m := range match {
 			c.uvarint(uint64(m))
-		}
-	}
-	if sd.Store != nil {
-		c.uvarint(uint64(sd.Store.Len()))
-		for k := range sd.Store.All().Records() {
-			vio(k.Rule.Name, k.Match)
-		}
-	} else {
-		c.uvarint(uint64(len(sd.Violations)))
-		for _, vr := range sd.Violations {
-			vio(vr.Rule, vr.Match)
 		}
 	}
 
@@ -146,34 +152,27 @@ func writeSnapshot(w io.Writer, sd *snapshotData, names nodeNames) error {
 // are ids[end[v-1]:end[v]] (from 0 for node 0), in string order when there
 // are several, so that neither the order nor the snapshot bytes depend on
 // the map's. It takes less room than a copy of the map, and a copy of the
-// struct is a frozen prefix: add never writes inside the lengths it had.
+// struct is a frozen prefix: add only appends.
 type nodeNames struct {
 	ids []string
 	end []int32
 }
 
-// add binds id to node v. New nodes have the highest ids, so binding one
-// appends; a further id for a node already laid out is spliced into fresh
-// copies.
-func (nn *nodeNames) add(id string, v graph.NodeID) {
-	if int(v) >= len(nn.end) {
-		for int(v) > len(nn.end) {
-			nn.end = append(nn.end, int32(len(nn.ids)))
-		}
-		nn.ids = append(nn.ids, id)
+// add binds id to node v, past every node laid out so far (an arriving
+// node), and reports whether it did. A node already laid out is refused: a
+// batch record carries the ids of its arriving nodes only, so no WAL could
+// hold the binding. An id bound again to a newer node is kept twice, and
+// decoding, in node order, keeps the newer binding.
+func (nn *nodeNames) add(id string, v graph.NodeID) bool {
+	if int(v) < len(nn.end) {
+		return false
+	}
+	for int(v) > len(nn.end) {
 		nn.end = append(nn.end, int32(len(nn.ids)))
-		return
 	}
-	lo := int32(0)
-	if v > 0 {
-		lo = nn.end[v-1]
-	}
-	at := int(lo) + sort.SearchStrings(nn.ids[lo:nn.end[v]], id)
-	nn.ids = slices.Insert(slices.Clip(nn.ids), at, id)
-	nn.end = slices.Clone(nn.end)
-	for w := int(v); w < len(nn.end); w++ {
-		nn.end[w]++
-	}
+	nn.ids = append(nn.ids, id)
+	nn.end = append(nn.end, int32(len(nn.ids)))
+	return true
 }
 
 // byNode lays names out with one counting pass; n is a hint of the node

@@ -108,9 +108,17 @@ func TestBuilderSnapshotBytesMatchMutators(t *testing.T) {
 	}
 }
 
-// writeImage encodes sd with its Names map, as a store encodes one.
+// writeImage encodes sd with its Names map and its Violations, as a store
+// encodes one.
 func writeImage(w io.Writer, sd *snapshotData) error {
-	return writeSnapshot(w, sd, byNode(sd.Names, sd.G.NumNodes()))
+	vios := vioSeq{len(sd.Violations), func(yield func(string, []graph.NodeID) bool) {
+		for _, vr := range sd.Violations {
+			if !yield(vr.Rule, vr.Match) {
+				return
+			}
+		}
+	}}
+	return writeSnapshot(w, sd, byNode(sd.Names, sd.G.NumNodes()), vios)
 }
 
 // snapshotPrefix is a valid snapshot of an empty graph up to the names

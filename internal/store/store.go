@@ -73,12 +73,11 @@ type Stats struct {
 	WALBytes    int64  // bytes appended to the WAL since Open/Bootstrap
 	Checkpoints int64  // checkpoints completed since Open/Bootstrap
 	// LastCheckpoint is the wall-clock duration of the most recent
-	// checkpoint's background job: closing (fsyncing) the WAL segment the
-	// capture rotated away from, then encode+fsync+rename+prune (zero
-	// before the first).
+	// checkpoint's encode+fsync+rename+prune phase (zero before the first).
 	LastCheckpoint time.Duration
 	// LastCapture is the writer-side wall time of the most recent
-	// checkpoint's capture, WAL rotation included: the commits it stalls.
+	// checkpoint's capture, WAL rotation (and its fsync) included: the
+	// commits it stalls.
 	LastCapture time.Duration
 }
 
@@ -390,14 +389,9 @@ func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[str
 		return fmt.Errorf("store: already attached to a session")
 	}
 	st.rulesText = dsl.FormatRules(rules)
-	sd := &snapshotData{
-		Seq:       0,
-		G:         sess.Graph(),
-		RulesText: st.rulesText,
-		Store:     sess.Snapshot(),
-	}
+	sd := &snapshotData{Seq: 0, G: sess.Graph(), RulesText: st.rulesText}
 	nn := byNode(names, sd.G.NumNodes())
-	if err := st.writeSnapshotFile(sd, nn); err != nil {
+	if err := st.writeSnapshotFile(sd, nn, storeVios(sess.Snapshot())); err != nil {
 		return err
 	}
 	w, err := createWAL(filepath.Join(st.dir, walName(0)), 0, !st.opts.NoSync)
@@ -419,12 +413,15 @@ func (st *Store) attach(sess *session.Session, rules *core.Set, names nodeNames)
 	sess.SetCommitHook(st.logBatch)
 }
 
-// NoteName records that the serving layer bound external id to node v
-// since the last commit; the binding rides in the next batch record and in
-// every later snapshot. Wire it to serve.Options.OnNewNode.
+// NoteName records that the serving layer bound external id to node v,
+// which arrived since the last commit; the binding rides in the next batch
+// record and in every later snapshot. A binding for a node that was there
+// before is not recorded: no batch record could carry it. Wire it to
+// serve.Options.OnNewNode, which binds ids to new nodes only.
 func (st *Store) NoteName(id string, v graph.NodeID) {
-	st.pendingExt[v] = id
-	st.names.add(id, v)
+	if st.names.add(id, v) {
+		st.pendingExt[v] = id
+	}
 }
 
 // logBatch is the session commit hook: it renders the arriving nodes, the
@@ -532,8 +529,9 @@ func (st *Store) startCheckpoint(async bool) error {
 
 // captureCheckpoint rotates the WAL at the current seq and captures the
 // session state on the calling (writer) goroutine, stalling commits for
-// four steps of O(1) or O(pages) each: the new WAL segment is created, the
-// graph forked (graph.Clone), the name layout's current length and the
+// four steps: the old WAL segment is fsynced (with NoSync, the records
+// since the last rotation) and the new one created, the graph forked in
+// O(pages) (graph.Clone), and the name layout's current length and the
 // session's current snapshot (epochs are immutable) recorded. The returned
 // job closes the old segment, encodes, fsyncs, renames and prunes, then
 // releases the fork; commits that land before it runs are not in the file
@@ -556,13 +554,20 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 		return err
 	}
 
-	// rotate: subsequent appends go to wal-<seq>, created before the old
-	// segment is let go so that a failure leaves appends where they were;
-	// the old segment is pruned only after the snapshot is durable, so a
-	// crash mid-checkpoint recovers from the previous snapshot plus the
-	// full chain
+	// rotate: subsequent appends go to wal-<seq>. Recovery accepts a torn
+	// tail only on the last segment, so the old one is made durable before
+	// the new one can receive a record; the new one is created before the
+	// old is let go, so that a failure leaves appends where they were. The
+	// old segment is pruned only after the snapshot is durable, so a crash
+	// mid-checkpoint recovers from the previous snapshot plus the full
+	// chain.
 	var old *walWriter
 	if st.wal.start != seq {
+		if !st.wal.sync {
+			if err := st.wal.fsync(); err != nil {
+				return nil, fail(fmt.Errorf("store: checkpoint at seq %d: %w", seq, err))
+			}
+		}
 		w, err := createWAL(filepath.Join(st.dir, walName(seq)), seq, !st.opts.NoSync)
 		if err != nil {
 			return nil, fail(fmt.Errorf("store: checkpoint at seq %d: %w", seq, err))
@@ -570,13 +575,8 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 		old, st.wal = st.wal, w
 	}
 
-	sd := &snapshotData{
-		Seq:       seq,
-		G:         st.sess.Graph().Clone(),
-		RulesText: st.rulesText,
-		Store:     st.sess.Snapshot(),
-	}
-	names := st.names
+	sd := &snapshotData{Seq: seq, G: st.sess.Graph().Clone(), RulesText: st.rulesText}
+	names, vios := st.names, storeVios(st.sess.Snapshot())
 	st.mu.Lock()
 	st.capDur = time.Since(t0)
 	st.mu.Unlock()
@@ -590,7 +590,7 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 				return fail(err)
 			}
 		}
-		if err := st.writeSnapshotFile(sd, names); err != nil {
+		if err := st.writeSnapshotFile(sd, names, vios); err != nil {
 			return fail(err)
 		}
 		st.prune(seq)
@@ -604,16 +604,16 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 	}, nil
 }
 
-// writeSnapshotFile encodes sd and names to a temp file in the data
+// writeSnapshotFile encodes sd, names and vios to a temp file in the data
 // directory, fsyncs it, and atomically renames it into place.
-func (st *Store) writeSnapshotFile(sd *snapshotData, names nodeNames) error {
+func (st *Store) writeSnapshotFile(sd *snapshotData, names nodeNames, vios vioSeq) error {
 	final := filepath.Join(st.dir, snapName(sd.Seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshot(f, sd, names); err == nil {
+	if err := writeSnapshot(f, sd, names, vios); err == nil {
 		err = f.Sync()
 	} else {
 		f.Close()

@@ -498,3 +498,87 @@ func TestCheckpointRotateFailureIsReported(t *testing.T) {
 		t.Fatalf("recovered graph:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestRotationSyncsTheOldSegmentFirst: recovery accepts a torn tail only on
+// the last segment, so with NoSync a rotation must make the old segment
+// durable before it creates the next one. An fsync that fails (here on a
+// closed file) therefore fails the capture, and leaves no new segment.
+func TestRotationSyncsTheOldSegmentFirst(t *testing.T) {
+	sess, rules := itemSession()
+	val := sess.Graph().Symbols().Attr("val")
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(sess, rules, nil); err != nil {
+		t.Fatal(err)
+	}
+	sess.CommitBatch(nil, []graph.AttrOp{{Node: 2, Attr: val, Val: graph.Int(20)}})
+	st.wal.f.Close()
+	if err := st.Checkpoint(); err == nil || !strings.Contains(err.Error(), "wal sync") {
+		t.Fatalf("Checkpoint() = %v, want the old segment's failed fsync", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walName(1))); !os.IsNotExist(err) {
+		t.Fatalf("%s exists after the old segment failed to sync (%v)", walName(1), err)
+	}
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "wal sync") {
+		t.Fatalf("Err() = %v, want the failed fsync", err)
+	}
+	st.Close()
+}
+
+// TestCrashInsideTheCheckpointRecovers: a crash after the capture rotated
+// the WAL but before its job wrote the snapshot leaves the old snapshot,
+// the whole old segment and a new segment whose last record may be torn.
+// Recovery replays both segments up to the tear.
+func TestCrashInsideTheCheckpointRecovers(t *testing.T) {
+	sess, rules := itemSession()
+	g := sess.Graph()
+	val := g.Symbols().Attr("val")
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(sess, rules, nil); err != nil {
+		t.Fatal(err)
+	}
+	set := func(n graph.NodeID, v int64) {
+		sess.CommitBatch(nil, []graph.AttrOp{{Node: n, Attr: val, Val: graph.Int(v)}})
+	}
+	set(2, 20)
+	set(5, 20)
+	st.ckptBusy.Store(true)
+	if _, err := st.captureCheckpoint(); err != nil { // the job never runs
+		t.Fatal(err)
+	}
+	set(5, 1)
+	image, vios := fingerprint(g), fmt.Sprint(sess.Violations())
+	set(7, 20)
+
+	// the crash tears the last record of the new segment
+	tail := filepath.Join(dir, walName(2))
+	fi, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tail, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	unlockDir(st.lock)
+
+	_, rec, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotSeq != 0 || rec.Seq != 3 || !rec.Truncated {
+		t.Fatalf("recovered %+v, want snapshot 0 replayed to seq 3 with the torn record dropped", rec)
+	}
+	if got := fmt.Sprint(rec.Session.Violations()); got != vios {
+		t.Fatalf("recovered %s, want %s", got, vios)
+	}
+	if got := fingerprint(rec.Session.Graph()); got != image {
+		t.Fatalf("recovered graph:\n%s\nwant:\n%s", got, image)
+	}
+}

@@ -222,9 +222,15 @@ func (w *walWriter) append(r *walRecord) error {
 	}
 	w.n += int64(len(frame))
 	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
-		}
+		return w.fsync()
+	}
+	return nil
+}
+
+// fsync makes every record appended so far durable.
+func (w *walWriter) fsync() error {
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("store: wal sync: %w", err)
 	}
 	return nil
 }
