@@ -39,6 +39,7 @@
 // field of it; references into the standard library and file names are
 // not checked. A backticked -flag in the first column of a table in
 // OPERATIONS §1 must be registered by the command the subsection is about.
+// Those three documents and EXPERIMENTS.md may not repeat a `## ` heading.
 //
 // Usage: ngdlint [repo root]   (default ".")
 // Exit 0 = clean, 1 = violations (one "file:line: message" per finding),
@@ -90,10 +91,15 @@ const modulePrefix = "ngd/"
 var testOnly = map[string]bool{"internal/paperdata": true, refDir: true}
 
 // docs are the files whose code references the docs rule resolves, and
-// opsDoc the one whose §1 flag tables it checks.
+// opsDoc the one whose §1 flag tables it checks. Each of them and
+// experimentsDoc must head each of its sections with a `## ` line of its
+// own.
 var docs = []string{"DESIGN.md", "README.md", opsDoc}
 
-const opsDoc = "docs/OPERATIONS.md"
+const (
+	opsDoc         = "docs/OPERATIONS.md"
+	experimentsDoc = "EXPERIMENTS.md"
+)
 
 func main() {
 	root := "."
@@ -296,14 +302,17 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 				"%s: imported by no non-test file outside itself: wire it in or delete it", dir))
 		}
 	}
-	for _, doc := range docs {
+	for _, doc := range append(docs[:len(docs):len(docs)], experimentsDoc) {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if os.IsNotExist(err) {
 			continue
 		} else if err != nil {
 			return nil, err
 		}
-		findings = append(findings, lintDoc(doc, string(src), known)...)
+		findings = append(findings, repeatedHeadings(doc, string(src))...)
+		if doc != experimentsDoc {
+			findings = append(findings, lintDoc(doc, string(src), known)...)
+		}
 	}
 	sort.Strings(findings)
 	return findings, nil
@@ -465,9 +474,26 @@ func lintDoc(doc, src string, known map[string]bool) []string {
 	return findings
 }
 
-// codeSpans calls fn with each inline code span of a markdown text outside
-// fenced blocks, its white space collapsed, and the line it starts on.
-func codeSpans(src string, fn func(line int, span string)) {
+// repeatedHeadings reports each `## ` heading of a doc that an earlier one
+// repeats: a section pasted twice.
+func repeatedHeadings(doc, src string) []string {
+	var findings []string
+	first := map[string]int{}
+	for i, l := range unfenced(src) {
+		if !strings.HasPrefix(l, "## ") {
+			continue
+		}
+		if at, ok := first[l]; ok {
+			findings = append(findings, fmt.Sprintf("%s:%d: heading %q repeats line %d", doc, i+1, l, at))
+		} else {
+			first[l] = i + 1
+		}
+	}
+	return findings
+}
+
+// unfenced is a markdown text's lines with fenced blocks blanked.
+func unfenced(src string) []string {
 	lines := strings.Split(src, "\n")
 	fenced := false
 	for i, l := range lines {
@@ -477,7 +503,13 @@ func codeSpans(src string, fn func(line int, span string)) {
 			lines[i] = ""
 		}
 	}
-	src = strings.Join(lines, "\n")
+	return lines
+}
+
+// codeSpans calls fn with each inline code span of a markdown text outside
+// fenced blocks, its white space collapsed, and the line it starts on.
+func codeSpans(src string, fn func(line int, span string)) {
+	src = strings.Join(unfenced(src), "\n")
 	line, at := 1, 0
 	for _, m := range codeSpan.FindAllStringSubmatchIndex(src, -1) {
 		line += strings.Count(src[at:m[0]], "\n")

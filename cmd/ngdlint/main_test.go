@@ -219,3 +219,25 @@ func init() { flag.IntVar(&x, "also", 0, "") }
 		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestDocsHeadingsOnce: a `## ` heading that an earlier one repeats, in a
+// doc the references rule reads or in EXPERIMENTS.md, is a section pasted
+// twice; lower levels and fenced code may repeat.
+func TestDocsHeadingsOnce(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"DESIGN.md":      "## A\n### x\n## B\n### x\n## A\n",
+		"README.md":      "## A\n```\n## A\n```\n",
+		"EXPERIMENTS.md": "## Run (seed 1)\ntext\n## Run (seed 2)\n## Run (seed 1)\n## Run (seed 1)\n`p.Gone` is history\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`DESIGN.md:5: heading "## A" repeats line 1`,
+		`EXPERIMENTS.md:4: heading "## Run (seed 1)" repeats line 1`,
+		`EXPERIMENTS.md:5: heading "## Run (seed 1)" repeats line 1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

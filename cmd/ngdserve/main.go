@@ -245,8 +245,8 @@ func main() {
 			log.Printf("store close: %v", err)
 		}
 		ss := st.Stats()
-		log.Printf("durable: seq %d, snapshot seq %d, %d batches logged (%d WAL bytes), %d checkpoints (last capture %v)",
-			ss.Seq, ss.SnapshotSeq, ss.Batches, ss.WALBytes, ss.Checkpoints, ss.LastCapture)
+		log.Printf("durable: seq %d, snapshot seq %d, %d batches logged (%d WAL bytes), %d checkpoints (last capture %v; encode %v, sync %v, install %v)",
+			ss.Seq, ss.SnapshotSeq, ss.Batches, ss.WALBytes, ss.Checkpoints, ss.LastCapture, ss.LastEncode, ss.LastSync, ss.LastInstall)
 	}
 	fst := srv.Stats()
 	log.Printf("final: epoch %d, %d violations, %d commits (%d requests coalesced)",

@@ -1,13 +1,15 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"ngd/internal/core"
 	"ngd/internal/session"
 )
 
@@ -46,26 +48,40 @@ type FeedEvent struct {
 	rendered *atomic.Int64 // the hub's count of rendered events
 }
 
-// feedWire is the wire form of one event.
-type feedWire struct {
-	Epoch   int       `json:"epoch"`
-	Added   []vioJSON `json:"added,omitempty"`
-	Removed []string  `json:"removed,omitempty"` // canonical keys
-}
-
-// JSON returns the event's marshaled form. The first call renders it, from
-// the keys the commit already holds; every call returns the same bytes.
-// Safe from any goroutine.
+// JSON returns the event's wire form,
+// {"epoch":…,"added":[violation,…],"removed":["key",…]}, with an empty
+// list left out. The first call renders it, from the keys the commit
+// already holds; every call returns the same bytes. Safe from any
+// goroutine.
 func (e *FeedEvent) JSON() []byte {
 	e.once.Do(func() {
-		w := feedWire{Epoch: e.Epoch, Removed: e.Commit.RemovedKeys}
+		bp := bodies.Get().(*[]byte)
+		b := append((*bp)[:0], `{"epoch":`...)
+		b = strconv.AppendInt(b, int64(e.Epoch), 10)
 		if len(e.Commit.Added) > 0 {
-			w.Added = make([]vioJSON, len(e.Commit.Added))
+			b = append(b, `,"added":[`...)
 			for i, v := range e.Commit.Added {
-				w.Added[i] = toVioJSON(e.Commit.AddedKeys[i], v)
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendVio(b, &core.Keyed{Key: e.Commit.AddedKeys[i], Violation: v})
 			}
+			b = append(b, ']')
 		}
-		e.raw, _ = json.Marshal(w)
+		if len(e.Commit.RemovedKeys) > 0 {
+			b = append(b, `,"removed":[`...)
+			for i, k := range e.Commit.RemovedKeys {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendString(b, k)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+		e.raw = slices.Clone(b)
+		*bp = b
+		bodies.Put(bp)
 		e.rendered.Add(1)
 	})
 	return e.raw

@@ -16,23 +16,6 @@ import (
 	"ngd/internal/session"
 )
 
-// vioJSON is the wire form of one violation.
-type vioJSON struct {
-	Key   string  `json:"key"`
-	Rule  string  `json:"rule"`
-	Match []int32 `json:"match"`
-	Text  string  `json:"text"`
-}
-
-// toVioJSON renders v, whose canonical key the caller already holds.
-func toVioJSON(key string, v core.Violation) vioJSON {
-	m := make([]int32, len(v.Match))
-	for i, id := range v.Match {
-		m[i] = int32(id)
-	}
-	return vioJSON{Key: key, Rule: v.Rule.Name, Match: m, Text: v.String()}
-}
-
 // updateRequest is the body of POST /update.
 type updateRequest struct {
 	Ops []UpdateOp `json:"ops"`
@@ -88,9 +71,16 @@ func (s *Server) Handler() http.Handler {
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"epoch": sn.Epoch, "violation": toVioJSON(key, v),
-		})
+		bp := bodies.Get().(*[]byte)
+		b := append((*bp)[:0], `{"epoch":`...)
+		b = strconv.AppendInt(b, int64(sn.Epoch), 10)
+		b = append(b, `,"violation":`...)
+		b = append(appendVio(b, &core.Keyed{Key: key, Violation: v}), "}\n"...)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(b)
+		*bp = b
+		bodies.Put(bp)
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -217,8 +207,10 @@ func (s *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 //
 // Every combination is a session.Range: the cursor and the rule are binary
 // searches on the keys the snapshot stores, and a page costs O(log total +
-// page) whatever the store size — it aliases the snapshot's storage unless
-// it crosses a chunk boundary.
+// page) time whatever the store size. The rows stream from the snapshot's
+// records through one pooled buffer, so even limit=-1 holds no more than
+// bodyFlush bytes of body; a client whose connection drops mid-body reads
+// truncated JSON, a failed read.
 //
 // Pages are consistent within the request's epoch; because keys are stable
 // identities (unlike offsets), a walk that spans commits resumes at the
@@ -265,20 +257,40 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	rest := vios.After(after) // no cursor: every key is past ""
 	page := rest.Page(limit)
 
-	out := make([]vioJSON, len(page))
-	for i, k := range page {
-		out[i] = toVioJSON(k.Key, k.Violation)
+	// the body streams from the records: the fields in the order
+	// encoding/json gives a map, the rows flushed every bodyFlush bytes
+	bp := bodies.Get().(*[]byte)
+	b := append((*bp)[:0], `{"epoch":`...)
+	b = strconv.AppendInt(b, int64(sn.Epoch), 10)
+	if page.Len() > 0 && page.Len() < rest.Len() {
+		b = append(b, `,"next":`...)
+		b = appendString(b, page.Last().Key)
 	}
-	resp := map[string]any{
-		"epoch":      sn.Epoch,
-		"total":      vios.Len(),
-		"returned":   len(out),
-		"violations": out,
+	b = append(b, `,"returned":`...)
+	b = strconv.AppendInt(b, int64(page.Len()), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(vios.Len()), 10)
+	b = append(b, `,"violations":[`...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	sep := false
+	for k := range page.Records() {
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		if b = appendVio(b, k); len(b) >= bodyFlush {
+			if _, err = w.Write(b); err != nil {
+				break // the client is gone
+			}
+			b = b[:0]
+		}
 	}
-	if len(out) > 0 && len(out) < rest.Len() {
-		resp["next"] = page[len(page)-1].Key
+	if err == nil {
+		_, _ = w.Write(append(b, "]}\n"...))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	*bp = b[:0]
+	bodies.Put(bp)
 }
 
 // handleFeed serves the violation change feed. Server-sent events by

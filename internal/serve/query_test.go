@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -313,4 +314,56 @@ func cursorWalk(t *testing.T, h http.Handler, scope string, total int) []json.Ra
 		}
 	}
 	return full.Violations
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// discardWriter is a ResponseWriter that keeps nothing of the body.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// TestViolationPagesAllocateAConstant: GET /violations streams its rows
+// from the snapshot's records through a pooled buffer, so a page costs the
+// same few allocations (those of parsing the query) whatever its length and
+// the store's size: ?limit=-1 costs what ?limit=50 does. When pages were
+// marshaled, a 50-row ?node= page cost 32 objects and 2.3 KB.
+func TestViolationPagesAllocateAConstant(t *testing.T) {
+	queries := []string{"limit=50", "limit=-1", "limit=50&node=0", "limit=50&after=r1-b:3"}
+	objects := map[string]float64{}
+	for _, n := range []int{100, 700} {
+		s := hubWorld(n, true)
+		h := s.Handler()
+		w := &discardWriter{h: http.Header{}}
+		for _, q := range queries {
+			r := httptest.NewRequest("GET", "/violations?"+q, nil)
+			h.ServeHTTP(w, r) // warm the pool
+			allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, r) })
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 200 {
+				h.ServeHTTP(w, r)
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / 200
+			t.Logf("store %d, ?%s: %.0f objects, %.0f B", 4*n-1, q, allocs, bytes)
+			if was, ok := objects[q]; ok && allocs != was {
+				t.Errorf("?%s: %.0f objects on a store of %d, %.0f on the smaller one", q, allocs, 4*n-1, was)
+			}
+			objects[q] = allocs
+			if allocs > 8 || bytes > 1024 && !raceEnabled {
+				t.Errorf("store %d, ?%s: %.0f objects, %.0f B; budget 8 and 1,024", 4*n-1, q, allocs, bytes)
+			}
+		}
+		s.Close()
+	}
+	if objects["limit=-1"] != objects["limit=50"] {
+		t.Errorf("?limit=-1 costs %.0f objects, ?limit=50 %.0f", objects["limit=-1"], objects["limit=50"])
+	}
 }

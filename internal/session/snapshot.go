@@ -54,7 +54,16 @@ func (sn *Snapshot) All() Range { return Range{sn.all, 0, sn.all.Len()} }
 
 // Violations returns the snapshot's violations sorted by canonical key, a
 // copy: O(|Vio|), so page through All for anything but a full listing.
-func (sn *Snapshot) Violations() []core.Violation { return violationsOf(sn.All().Page(-1)) }
+func (sn *Snapshot) Violations() []core.Violation {
+	if sn.Len() == 0 {
+		return nil
+	}
+	out := make([]core.Violation, 0, sn.Len())
+	for k := range sn.All().Records() {
+		out = append(out, k.Violation)
+	}
+	return out
+}
 
 // Get looks up a violation by its canonical key: one binary search for the
 // chunk, one inside it.
@@ -145,29 +154,22 @@ func (r Range) After(key string) Range {
 	return r
 }
 
-// Page returns the records of the first limit entries of r, or of all of
-// them when limit < 0. A page that lies inside one chunk (or posting)
-// aliases the snapshot's storage; one that crosses a boundary is a copy.
-// Read-only either way.
-func (r Range) Page(limit int) []*core.Keyed {
-	n := r.Len()
-	if limit >= 0 && limit < n {
-		n = limit
+// Page narrows r to its first limit entries, or leaves it whole when
+// limit < 0.
+func (r Range) Page(limit int) Range {
+	if limit >= 0 && limit < r.Len() {
+		r.hi = r.lo + limit
 	}
-	if n == 0 {
+	return r
+}
+
+// Last is the record at the end of r, nil when r is empty.
+func (r Range) Last() *core.Keyed {
+	if r.Len() == 0 {
 		return nil
 	}
-	ci := sort.SearchInts(r.c.offs, r.lo+1) - 1
-	i := r.lo - r.c.offs[ci]
-	if ch := r.c.chunks[ci]; i+n <= len(ch) {
-		return ch[i : i+n : i+n]
-	}
-	out := make([]*core.Keyed, 0, n)
-	for ; len(out) < n; ci, i = ci+1, 0 {
-		ch := r.c.chunks[ci]
-		out = append(out, ch[i:min(len(ch), i+n-len(out))]...)
-	}
-	return out
+	ci := sort.SearchInts(r.c.offs, r.hi) - 1
+	return r.c.chunks[ci][r.hi-1-r.c.offs[ci]]
 }
 
 // Records yields the records of r in key order, reading the snapshot's

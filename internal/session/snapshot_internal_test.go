@@ -71,7 +71,7 @@ func keysOf(vios []core.Violation) []string {
 func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 	t.Helper()
 	var b strings.Builder
-	all := sn.All().Page(-1)
+	all := slices.Collect(sn.All().Records())
 	keys := recordKeys(t, sn, all)
 	fmt.Fprintln(&b, "all", keys)
 	if sn.Len() != len(keys) || !slices.Equal(keys, keysOf(sn.Violations())) {
@@ -83,7 +83,7 @@ func renderSnapshot(t *testing.T, sn *Snapshot, names []string) string {
 		}
 	}
 	for _, name := range names {
-		fmt.Fprintln(&b, "rule", name, recordKeys(t, sn, sn.All().Rule(name).Page(-1)))
+		fmt.Fprintln(&b, "rule", name, recordKeys(t, sn, slices.Collect(sn.All().Rule(name).Records())))
 	}
 	for n := graph.NodeID(0); n < refIDs; n++ {
 		if ks := keysOf(sn.Node(n)); ks != nil {
@@ -126,6 +126,7 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 		t.Fatalf("epoch %d: %d chunks, %d offsets", sn.Epoch, len(c.chunks), len(c.offs))
 	}
 	n, last := 0, ""
+	var flat []*core.Keyed
 	for i, ch := range c.chunks {
 		if len(ch) == 0 || len(ch) > chunkBound {
 			t.Fatalf("epoch %d: chunk %d holds %d records", sn.Epoch, i, len(ch))
@@ -143,15 +144,30 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 			last = k.Key
 		}
 		n += len(ch)
+		flat = append(flat, ch...)
 	}
 	if c.Len() != n {
 		t.Fatalf("epoch %d: Len %d, chunks hold %d", sn.Epoch, c.Len(), n)
 	}
-	// Records walks the chunks in place: the whole store, and a stretch
-	// that starts and ends inside chunks, as Page lists them
+	// Records walks the chunks in place and Last reads the record a page
+	// ends on: the whole store, and stretches that start and end inside
+	// chunks, paged whole, to one entry and to a chunk and a half
 	for _, r := range []Range{sn.All(), {c, n / 3, 2 * n / 3}} {
-		if got := slices.Collect(r.Records()); !slices.Equal(got, r.Page(-1)) {
-			t.Fatalf("epoch %d: Records over [%d, %d) yields %d records, Page %d", sn.Epoch, r.lo, r.hi, len(got), r.Len())
+		if got := slices.Collect(r.Records()); !slices.Equal(got, flat[r.lo:r.hi]) {
+			t.Fatalf("epoch %d: Records over [%d, %d) yields %d records, want %d", sn.Epoch, r.lo, r.hi, len(got), r.Len())
+		}
+		for _, limit := range []int{-1, 0, 1, chunkBound * 3 / 2} {
+			n := r.Len()
+			if limit >= 0 {
+				n = min(limit, n)
+			}
+			var last *core.Keyed
+			if n > 0 {
+				last = flat[r.lo+n-1]
+			}
+			if p := r.Page(limit); p.lo != r.lo || p.Len() != n || p.Last() != last {
+				t.Fatalf("epoch %d: Page(%d) over [%d, %d) is [%d, %d)", sn.Epoch, limit, r.lo, r.hi, p.lo, p.hi)
+			}
 		}
 	}
 }
@@ -388,7 +404,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 				}
 			}
 		}
-		all := slices.Clone(sn.All().Page(-1))
+		all := slices.Collect(sn.All().Records())
 		for _, k := range all {
 			if v, ok := ref[k.Key]; !ok || k.Rule != v.Rule || !slices.Equal(k.Match, v.Match) || k.Violation.Key() != k.Key {
 				t.Fatalf("epoch %d: stored record %s (violation %s) is not a stored violation", sn.Epoch, k.Key, k.Violation.Key())
@@ -426,7 +442,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 		last = recs
 		epochs = append(epochs, frozen{sn, all, posted})
 		for _, e := range epochs {
-			if got := e.sn.All().Page(-1); !slices.Equal(got, e.all) {
+			if got := slices.Collect(e.sn.All().Records()); !slices.Equal(got, e.all) {
 				t.Fatalf("epoch %d read at epoch %d: stores %d records, published %d", e.sn.Epoch, sn.Epoch, len(got), len(e.all))
 			}
 			for n := graph.NodeID(0); n < refIDs; n++ {

@@ -75,6 +75,11 @@ type Stats struct {
 	// LastCheckpoint is the wall-clock duration of the most recent
 	// checkpoint's encode+fsync+rename+prune phase (zero before the first).
 	LastCheckpoint time.Duration
+	// LastEncode, LastSync and LastInstall split LastCheckpoint: encoding
+	// the snapshot into its temp file; fsyncing it, and closing the WAL
+	// segment the capture rotated away from; renaming it into place,
+	// fsyncing the directory and pruning what it covers.
+	LastEncode, LastSync, LastInstall time.Duration
 	// LastCapture is the writer-side wall time of the most recent
 	// checkpoint's capture, WAL rotation (and its fsync) included: the
 	// commits it stalls.
@@ -138,6 +143,7 @@ type Store struct {
 	walBytes int64
 	ckpts    int64
 	ckptDur  time.Duration
+	ckptPh   ckptPhases
 	capDur   time.Duration
 	ckptErr  error
 	// walErr latches the first failed WAL append. Once set, no further
@@ -391,7 +397,7 @@ func (st *Store) Bootstrap(sess *session.Session, rules *core.Set, names map[str
 	st.rulesText = dsl.FormatRules(rules)
 	sd := &snapshotData{Seq: 0, G: sess.Graph(), RulesText: st.rulesText}
 	nn := byNode(names, sd.G.NumNodes())
-	if err := st.writeSnapshotFile(sd, nn, storeVios(sess.Snapshot())); err != nil {
+	if _, err := st.writeSnapshotFile(sd, nn, storeVios(sess.Snapshot())); err != nil {
 		return err
 	}
 	w, err := createWAL(filepath.Join(st.dir, walName(0)), 0, !st.opts.NoSync)
@@ -590,48 +596,61 @@ func (st *Store) captureCheckpoint() (job func() error, err error) {
 				return fail(err)
 			}
 		}
-		if err := st.writeSnapshotFile(sd, names, vios); err != nil {
+		closed := time.Since(t0)
+		ph, err := st.writeSnapshotFile(sd, names, vios)
+		if err != nil {
 			return fail(err)
 		}
+		t1 := time.Now()
 		st.prune(seq)
+		ph.sync += closed
+		ph.install += time.Since(t1)
 		st.mu.Lock()
 		st.snapSeq = seq
 		st.ckpts++
 		st.ckptDur = time.Since(t0)
+		st.ckptPh = ph
 		st.ckptErr = nil // durability restored; stop reporting the stale failure
 		st.mu.Unlock()
 		return nil
 	}, nil
 }
 
+// ckptPhases split a checkpoint job's wall time (see Stats.LastEncode).
+type ckptPhases struct{ encode, sync, install time.Duration }
+
 // writeSnapshotFile encodes sd, names and vios to a temp file in the data
-// directory, fsyncs it, and atomically renames it into place.
-func (st *Store) writeSnapshotFile(sd *snapshotData, names nodeNames, vios vioSeq) error {
+// directory, fsyncs it, and atomically renames it into place, timing the
+// three.
+func (st *Store) writeSnapshotFile(sd *snapshotData, names nodeNames, vios vioSeq) (ckptPhases, error) {
 	final := filepath.Join(st.dir, snapName(sd.Seq))
 	tmp := final + tmpSuffix
+	t0 := time.Now()
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return ckptPhases{}, err
 	}
-	if err := writeSnapshot(f, sd, names, vios); err == nil {
-		err = f.Sync()
-	} else {
+	if err := writeSnapshot(f, sd, names, vios); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return ckptPhases{}, err
 	}
+	t1 := time.Now()
+	err = f.Sync()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return ckptPhases{}, err
 	}
+	t2 := time.Now()
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return err
+		return ckptPhases{}, err
 	}
-	return syncDir(st.dir)
+	err = syncDir(st.dir)
+	return ckptPhases{t1.Sub(t0), t2.Sub(t1), time.Since(t2)}, err
 }
 
 // prune removes snapshots and WAL segments made redundant by the durable
@@ -675,6 +694,9 @@ func (st *Store) Stats() Stats {
 		WALBytes:       st.walBytes,
 		Checkpoints:    st.ckpts,
 		LastCheckpoint: st.ckptDur,
+		LastEncode:     st.ckptPh.encode,
+		LastSync:       st.ckptPh.sync,
+		LastInstall:    st.ckptPh.install,
 		LastCapture:    st.capDur,
 	}
 }

@@ -480,8 +480,9 @@ func TestCheckpointRotateFailureIsReported(t *testing.T) {
 	if err := st.Err(); err != nil {
 		t.Fatalf("Err() = %v after a checkpoint succeeded", err)
 	}
-	if s := st.Stats(); s.Seq != 3 || s.SnapshotSeq != 3 || s.Checkpoints != 1 || s.LastCapture <= 0 {
-		t.Fatalf("stats %+v, want seq and snapshot seq 3 after one checkpoint with its capture timed", s)
+	if s := st.Stats(); s.Seq != 3 || s.SnapshotSeq != 3 || s.Checkpoints != 1 || s.LastCapture <= 0 ||
+		s.LastEncode <= 0 || s.LastSync <= 0 || s.LastInstall <= 0 || s.LastEncode+s.LastSync+s.LastInstall > s.LastCheckpoint {
+		t.Fatalf("stats %+v, want seq and snapshot seq 3 after one checkpoint with its capture and phases timed", s)
 	}
 	commit(7, 20)
 	if err := st.Close(); err != nil {
