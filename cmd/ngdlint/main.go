@@ -32,6 +32,11 @@
 // every refactor that must keep it compiling. internal/ref and
 // internal/paperdata are test-only by design and exempt.
 //
+// The code that decides over attribute values keeps them exact (int64,
+// big.Rat): a non-test file of the exactness packages, or one of the
+// value, index and ΔG files of internal/graph, may not convert to float32
+// or float64, call strconv.ParseFloat, or call a .Float64() method.
+//
 // Finally, the walk records what the module declares, and the prose must
 // name only that. A backticked pkg.Name (Name exported), pkg.Type.Member or
 // Type.Member in DESIGN.md, README.md or docs/OPERATIONS.md whose pkg (or
@@ -40,6 +45,10 @@
 // not checked. A backticked -flag in the first column of a table in
 // OPERATIONS §1 must be registered by the command the subsection is about.
 // Those three documents and EXPERIMENTS.md may not repeat a `## ` heading.
+// Every `go test` -run or -fuzz pattern in the verify skill and the CI
+// workflow must match a test the packages it names declare: each
+// top-level alternative of -run (a -run beside -fuzz or -bench, which
+// only silences the tests, is exempt), and -fuzz.
 //
 // Usage: ngdlint [repo root]   (default ".")
 // Exit 0 = clean, 1 = violations (one "file:line: message" per finding),
@@ -90,6 +99,16 @@ const modulePrefix = "ngd/"
 
 var testOnly = map[string]bool{"internal/paperdata": true, refDir: true}
 
+// exactDirs and exactFiles are the code that decides over attribute values:
+// literal evaluation, matching, detection, the solver, reasoning, repair,
+// the store and the serving door, and graph's value, index and ΔG files.
+var (
+	exactDirs = []string{"internal/expr", "internal/match", "internal/detect", "internal/inc",
+		"internal/solver", "internal/reason", "internal/repair", "internal/store", "internal/serve"}
+	exactFiles = []string{"internal/graph/value.go", "internal/graph/index.go",
+		"internal/graph/edgeindex.go", "internal/graph/delta.go"}
+)
+
 // docs are the files whose code references the docs rule resolves, and
 // opsDoc the one whose §1 flag tables it checks. Each of them and
 // experimentsDoc must head each of its sections with a `## ` line of its
@@ -100,6 +119,10 @@ const (
 	opsDoc         = "docs/OPERATIONS.md"
 	experimentsDoc = "EXPERIMENTS.md"
 )
+
+// runDocs are the files whose `go test` commands the patterns rule reads:
+// markdown code spans and fenced lines, and YAML lines.
+var runDocs = []string{".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
 
 func main() {
 	root := "."
@@ -122,6 +145,9 @@ func main() {
 		for _, path := range sourceFiles(root, dir) {
 			findings = append(findings, lintSeenSets(fset, path)...)
 		}
+	}
+	for _, path := range exactSources(root) {
+		findings = append(findings, lintExact(fset, path)...)
 	}
 	tree, err := lintTree(fset, root)
 	if err != nil {
@@ -155,16 +181,34 @@ func sourceFiles(root, dir string) []string {
 	return paths
 }
 
-// lintFile reports every banned import in the file, and — defense in depth,
-// in case a banned package sneaks in under a renamed import that a pure
-// import check would still catch but a human reviewer might not — every
-// selector call through such an import.
-func lintFile(fset *token.FileSet, path string) []string {
+// mustParse parses one file, exiting with status 2 when it cannot.
+func mustParse(fset *token.FileSet, path string) *ast.File {
 	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
 		os.Exit(2)
 	}
+	return f
+}
+
+// exactSources lists the files the exactness rule reads.
+func exactSources(root string) []string {
+	var paths []string
+	for _, path := range exactFiles {
+		paths = append(paths, filepath.Join(root, path))
+	}
+	for _, dir := range exactDirs {
+		paths = append(paths, sourceFiles(root, dir)...)
+	}
+	return paths
+}
+
+// lintFile reports every banned import in the file, and — defense in depth,
+// in case a banned package sneaks in under a renamed import that a pure
+// import check would still catch but a human reviewer might not — every
+// selector call through such an import.
+func lintFile(fset *token.FileSet, path string) []string {
+	f := mustParse(fset, path)
 	var findings []string
 	// import check: record the local name each banned import binds to
 	bannedNames := map[string]string{} // local identifier -> import path
@@ -208,11 +252,7 @@ func lintFile(fset *token.FileSet, path string) []string {
 // map[graph.NodeID]struct{}) type in a hot-path file: seen-sets there must
 // use the pooled graph.NodeSet bitset instead.
 func lintSeenSets(fset *token.FileSet, path string) []string {
-	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ngdlint: %v\n", err)
-		os.Exit(2)
-	}
+	f := mustParse(fset, path)
 	var findings []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		mt, ok := n.(*ast.MapType)
@@ -233,6 +273,48 @@ func lintSeenSets(fset *token.FileSet, path string) []string {
 	return findings
 }
 
+// lintExact reports every float32 or float64 conversion, strconv.ParseFloat
+// call and .Float64() call in one file of the exactness code: each rounds
+// (2⁵³ + 1 is 2⁵³ as a float64), and attribute values there stay exact.
+func lintExact(fset *token.FileSet, path string) []string {
+	f := mustParse(fset, path)
+	strconvName := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"strconv"` {
+			strconvName = "strconv"
+			if imp.Name != nil {
+				strconvName = imp.Name.Name
+			}
+		}
+	}
+	var findings []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		what := ""
+		switch fn := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			if fn.Name == "float32" || fn.Name == "float64" {
+				what = "a " + fn.Name + " conversion"
+			}
+		case *ast.SelectorExpr:
+			if x, ok := fn.X.(*ast.Ident); ok && x.Name == strconvName && fn.Sel.Name == "ParseFloat" {
+				what = "strconv.ParseFloat"
+			} else if fn.Sel.Name == "Float64" && len(call.Args) == 0 {
+				what = "a .Float64() call"
+			}
+		}
+		if what != "" {
+			findings = append(findings, fmt.Sprintf("%s: %s rounds: values here stay exact (int64, big.Rat)",
+				fset.Position(call.Pos()), what))
+		}
+		return true
+	})
+	return findings
+}
+
 // lintTree walks every .go file under root once. Non-test files are held to
 // the two rules about who imports whom: the reference oracle stays out of
 // production, and every directory under internal/ has a production importer
@@ -240,9 +322,10 @@ func lintSeenSets(fset *token.FileSet, path string) []string {
 // what the docs rule resolves references against.
 func lintTree(fset *token.FileSet, root string) ([]string, error) {
 	var findings []string
-	holds := map[string]bool{} // directories under internal/ with a non-test file
-	used := map[string]bool{}  // module directories imported from another directory
-	known := map[string]bool{} // see declare and registerFlags
+	holds := map[string]bool{}            // directories under internal/ with a non-test file
+	used := map[string]bool{}             // module directories imported from another directory
+	known := map[string]bool{}            // see declare and registerFlags
+	tests := map[string]map[string]bool{} // directory → the functions its _test.go files declare
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -269,6 +352,14 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 		}
 		declare(known, f)
 		if strings.HasSuffix(name, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					if tests[dir] == nil {
+						tests[dir] = map[string]bool{}
+					}
+					tests[dir][fn.Name.Name] = true
+				}
+			}
 			return nil
 		}
 		if strings.HasPrefix(dir, "cmd/") {
@@ -313,6 +404,15 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 		if doc != experimentsDoc {
 			findings = append(findings, lintDoc(doc, string(src), known)...)
 		}
+	}
+	for _, doc := range runDocs {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		findings = append(findings, lintRunPatterns(doc, string(src), tests)...)
 	}
 	sort.Strings(findings)
 	return findings, nil
@@ -531,4 +631,140 @@ func isNodeIDType(e ast.Expr) bool {
 		return t.Sel.Name == "NodeID"
 	}
 	return false
+}
+
+// lintRunPatterns reports each `go test` command of a doc whose -run or
+// -fuzz pattern matches no test the packages it names declare. In markdown
+// the commands are read from code spans and fenced lines, elsewhere from
+// every line.
+func lintRunPatterns(doc, src string, tests map[string]map[string]bool) []string {
+	var findings []string
+	check := func(line int, text string) {
+		for _, f := range goTestFindings(text, tests) {
+			findings = append(findings, fmt.Sprintf("%s:%d: %s", doc, line, f))
+		}
+	}
+	lines := strings.Split(src, "\n")
+	if !strings.HasSuffix(doc, ".md") {
+		for i, l := range lines {
+			check(i+1, l)
+		}
+		return findings
+	}
+	codeSpans(src, check)
+	fenced := false
+	for i, l := range lines {
+		if strings.HasPrefix(strings.TrimSpace(l), "```") {
+			fenced = !fenced
+		} else if fenced {
+			check(i+1, l)
+		}
+	}
+	return findings
+}
+
+// testFlagValues are the go test flags whose separate value is read, or
+// could pass for a package ("-bench ."); any other value is no "./" path.
+var testFlagValues = map[string]bool{"-run": true, "-fuzz": true, "-bench": true, "-o": true}
+
+// goTestFindings checks each `go test` command in text, up to a shell
+// separator or comment.
+func goTestFindings(text string, tests map[string]map[string]bool) []string {
+	var findings []string
+	for _, cmd := range strings.Split(text, "go test")[1:] {
+		flags := map[string]string{}
+		var pkgs []string
+		words := strings.Fields(cmd) // no pattern here holds a space
+		for i := 0; i < len(words); i++ {
+			w := strings.Trim(words[i], "'\"`")
+			if w == "|" || w == "&&" || w == "||" || w == ";" || strings.HasPrefix(w, "#") {
+				break
+			}
+			if name, val, ok := strings.Cut(w, "="); ok && strings.HasPrefix(w, "-") {
+				flags[name] = strings.Trim(val, "'\"")
+			} else if testFlagValues[w] && i+1 < len(words) {
+				flags[w] = strings.Trim(words[i+1], "'\"`")
+				i++
+			} else if w == "." || strings.HasPrefix(w, "./") {
+				pkgs = append(pkgs, strings.TrimPrefix(w, "./"))
+			}
+		}
+		if len(pkgs) == 0 {
+			pkgs = []string{"."}
+		}
+		names := map[string]bool{}
+		for dir, fns := range tests {
+			for _, p := range pkgs {
+				if dir == p || p == "..." || strings.HasSuffix(p, "/...") && strings.HasPrefix(dir+"/", strings.TrimSuffix(p, "...")) {
+					for fn := range fns {
+						names[fn] = true
+					}
+				}
+			}
+		}
+		_, fuzz := flags["-fuzz"]
+		_, bench := flags["-bench"]
+		for _, c := range []struct{ flag, prefixes string }{{"-run", "Test Fuzz Example"}, {"-fuzz", "Fuzz"}} {
+			pat, ok := flags[c.flag]
+			if !ok || c.flag == "-run" && (fuzz || bench) {
+				continue
+			}
+			level, below := cutTopLevel(pat, '/')
+			for alt, rest := "", level; rest != ""; {
+				alt, rest = cutTopLevel(rest, '|')
+				if !patternMatches(alt, c.prefixes, names) {
+					findings = append(findings, fmt.Sprintf("go test %s %q: %q matches no test declared in %s",
+						c.flag, pat, alt, strings.Join(pkgs, " ")))
+				}
+			}
+			// below a '/', an alternative naming a top-level test only
+			// ever meets subtest names
+			for below != "" {
+				level, below = cutTopLevel(below, '/')
+				for alt, rest := "", level; rest != ""; {
+					if alt, rest = cutTopLevel(rest, '|'); names[alt] {
+						findings = append(findings, fmt.Sprintf("go test %s %q: test %q sits below a '/', where only subtests match",
+							c.flag, pat, alt))
+					}
+				}
+			}
+		}
+	}
+	return findings
+}
+
+// patternMatches reports whether the regexp pat matches one of names that
+// begins with one of the space-separated prefixes.
+func patternMatches(pat, prefixes string, names map[string]bool) bool {
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return false
+	}
+	for name := range names {
+		for _, p := range strings.Fields(prefixes) {
+			if strings.HasPrefix(name, p) && re.MatchString(name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cutTopLevel cuts s around the first sep outside brackets and
+// parentheses, as go test splits a -run pattern into levels at '/'.
+func cutTopLevel(s string, sep byte) (before, after string) {
+	depth := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			i++
+		case c == '[' || c == '(':
+			depth++
+		case c == ']' || c == ')':
+			depth--
+		case c == sep && depth == 0:
+			return s[:i], s[i+1:]
+		}
+	}
+	return s, ""
 }

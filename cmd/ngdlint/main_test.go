@@ -163,6 +163,79 @@ func TestRepoIsClean(t *testing.T) {
 			}
 		}
 	}
+	for _, path := range exactSources(root) {
+		if got := lintExact(fset, path); len(got) != 0 {
+			t.Errorf("%s: %v", path, got)
+		}
+	}
+}
+
+// TestExactnessRule: in the exactness code a float conversion, however
+// parenthesized, strconv.ParseFloat under any import name and a .Float64()
+// call are each refused; exact arithmetic and reading a float's bits are
+// not.
+func TestExactnessRule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.go")
+	if err := os.WriteFile(path, []byte(`package p
+import (
+	"encoding/json"
+	"math"
+	conv "strconv"
+)
+func f(x int64, n json.Number) {
+	_ = float64(x)
+	_ = (float32)(x)
+	_, _ = conv.ParseFloat("2.5", 64)
+	_, _ = n.Float64()
+	_ = math.Float64frombits(uint64(x))
+	_ = int64(x) + 1
+	_, _ = conv.ParseInt("3", 10, 64)
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := lintExact(token.NewFileSet(), path)
+	want := []string{"8:6: a float64 conversion", "9:6: a float32 conversion", "10:9: strconv.ParseFloat", "11:9: a .Float64() call"}
+	if len(got) != len(want) {
+		t.Fatalf("want %d findings, got %v", len(want), got)
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("finding %d = %s, want %q", i, got[i], w)
+		}
+	}
+}
+
+// TestRunPatternsResolve: each top-level alternative of a `go test -run`
+// pattern, and a -fuzz pattern, must match a test the named packages
+// declare; a -run beside -fuzz or -bench is exempt, and a top-level test
+// below a '/' is flagged, since only subtests meet it there.
+func TestRunPatternsResolve(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"internal/p/p.go":      "package p\n",
+		"internal/p/p_test.go": "package p\nfunc TestA() {}\nfunc FuzzB() {}\nfunc helper() {}\n",
+		"internal/q/q_test.go": "package q\nfunc TestQ() {}\n",
+		"root_test.go":         "package r\nfunc TestRoot() {}\n",
+		"cmd/x/main.go":        "package main\nimport _ \"ngd/internal/p\"\n",
+		".claude/skills/verify/SKILL.md": "`go test -run 'TestA|Gone' ./internal/p` and `go test -run\nTestQ ./internal/...`\n" +
+			"```sh\ngo test -run xxx -fuzz FuzzB ./internal/p   # -run silences the tests\n" +
+			"go test -run 'TestA/sub|FuzzB' -v ./internal/p ./internal/q | grep ok\n" +
+			"go test -run helper ./internal/p\ngo test -run=TestRoot -count=1\n```\n",
+		".github/workflows/ci.yml": "run: go test -run xxx -fuzz FuzzGone -fuzztime 20s ./internal/p\n" +
+			"run: go test -run 'xxx-none' -bench . ./...\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`.claude/skills/verify/SKILL.md:1: go test -run "TestA|Gone": "Gone" matches no test declared in internal/p`,
+		`.claude/skills/verify/SKILL.md:5: go test -run "TestA/sub|FuzzB": test "FuzzB" sits below a '/', where only subtests match`,
+		`.claude/skills/verify/SKILL.md:6: go test -run "helper": "helper" matches no test declared in internal/p`,
+		`.github/workflows/ci.yml:1: go test -fuzz "FuzzGone": "FuzzGone" matches no test declared in internal/p`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // TestDocsReferencesResolve: a backticked reference to a module package, a

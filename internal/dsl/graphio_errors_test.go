@@ -55,6 +55,16 @@ func TestLoadGraphErrorsCarryLineNumbers(t *testing.T) {
 			want:  []string{"line 1", `bad attribute "age"`},
 		},
 		{
+			name:  "fractional number",
+			input: "node a person rate=1e3\nnode b person rate=2.5",
+			want:  []string{"line 2", `value "2.5" is not an integer`},
+		},
+		{
+			name:  "number beyond int64",
+			input: "node a person\n\nnode b person rate=1e999999999",
+			want:  []string{"line 3", `value "1e999999999" is out of int64 range`},
+		},
+		{
 			name:  "attribute with empty value",
 			input: "node a person\nnode b person age=",
 			want:  []string{"line 2", "empty value"},

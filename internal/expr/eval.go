@@ -14,8 +14,8 @@ import (
 var (
 	// ErrMissingAttr reports a term x.A whose node lacks attribute A.
 	ErrMissingAttr = errors.New("expr: missing attribute")
-	// ErrType reports strings in arithmetic, ordered string comparison,
-	// or non-integer attribute values.
+	// ErrType reports strings in arithmetic, ordered string comparison, or
+	// a string against a number.
 	ErrType = errors.New("expr: type error")
 	// ErrDivZero reports division by zero.
 	ErrDivZero = errors.New("expr: division by zero")
@@ -39,9 +39,9 @@ func EvalBig(e *Expr, b Binding) (*big.Rat, error) {
 		if !ok || !v.Valid() {
 			return nil, ErrMissingAttr
 		}
-		i, ok := v.AsInt() // ints, bools as 0/1, integral floats
+		i, ok := v.AsInt() // ints, bools as 0/1
 		if !ok {
-			return nil, ErrType
+			return nil, ErrType // a string
 		}
 		return new(big.Rat).SetInt64(i), nil
 	}

@@ -191,7 +191,6 @@ func TestEvalErrors(t *testing.T) {
 	b := bindingOf(map[string]graph.Value{
 		"x.a": graph.Int(5),
 		"x.s": graph.Str("hello"),
-		"x.f": graph.Float(1.5),
 	})
 	if _, err := Compare(V("x", "missing"), Eq, C(5), b); err != ErrMissingAttr {
 		t.Errorf("missing attr: got %v", err)
@@ -201,9 +200,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 	if _, err := Compare(Div(V("x", "a"), C(0)), Lt, C(1), b); err != ErrDivZero {
 		t.Errorf("div zero: got %v", err)
-	}
-	if _, err := Compare(V("x", "f"), Ne, C(1), b); err != ErrType {
-		t.Errorf("non-integer float: got %v", err)
 	}
 	if _, err := Compare(V("x", "s"), Eq, C(1), b); err != ErrType {
 		t.Errorf("string against number: got %v", err)

@@ -158,7 +158,7 @@ type sideState uint8
 const (
 	sideNum       sideState = iota // an int64
 	sideStr                        // a string operand
-	sideUnsat                      // missing attribute or non-integral float: Compare errors
+	sideUnsat                      // missing attribute: Compare errors
 	sideUndecided                  // overflow, or a string inside arithmetic: ask Compare
 )
 
@@ -180,10 +180,7 @@ func (s *kside) eval(g graph.View, partial []graph.NodeID) (int64, string, sideS
 			}
 			return 0, "", sideUndecided
 		}
-		x, ok := v.AsInt()
-		if !ok {
-			return 0, "", sideUnsat
-		}
+		x, _ := v.AsInt()
 		p, ok1 := mulOvf(t.c, x)
 		sum, ok2 := addOvf(n, p)
 		if !ok1 || !ok2 {
@@ -204,8 +201,8 @@ func (s *kside) eval(g graph.View, partial []graph.NodeID) (int64, string, sideS
 // the literal bound) over g. decided=false — int64 overflow, a string value
 // inside arithmetic, a refused kernel — means the caller must ask Compare;
 // otherwise sat is exactly what Compare would report, including the §3 rule
-// that a missing attribute, a non-integral float or a string/number mix
-// leaves the literal unsatisfied.
+// that a missing attribute or a string/number mix leaves the literal
+// unsatisfied.
 func (k *Kernel) Eval(g graph.View, partial []graph.NodeID) (sat, decided bool) {
 	if !k.ok {
 		return false, false

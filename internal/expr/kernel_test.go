@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"ngd/internal/graph"
@@ -142,8 +143,7 @@ func TestKernelBoundaries(t *testing.T) {
 		{"abs(x.a) >= 0", map[TermKey]graph.Value{xa: graph.Int(math.MinInt64)}, false},
 		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Int(4)}, true},                                 // missing: unsatisfied
 		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Int(math.MaxInt64)}, true},                     // missing beats overflow
-		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Float(2.5), ya: graph.Int(0)}, true},           // non-integral: unsatisfied
-		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Float(3), ya: graph.Bool(true)}, true},         // integral float, bool as 0/1
+		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Int(3), ya: graph.Bool(true)}, true},           // bool as 0/1
 		{"x.a + 1 > y.a", map[TermKey]graph.Value{xa: graph.Str("s"), ya: graph.Int(0)}, false},            // string in arithmetic
 		{"x.a = y.a", map[TermKey]graph.Value{xa: graph.Str("s"), ya: graph.Str("s")}, true},               // bare strings compare
 		{"x.a = y.a", map[TermKey]graph.Value{xa: graph.Str("s"), ya: graph.Int(0)}, true},                 // mixed: unsatisfied
@@ -224,9 +224,9 @@ func genValue(rng *rand.Rand) graph.Value {
 	case 2:
 		return graph.Bool(rng.Intn(2) == 0)
 	case 3:
-		return graph.Float(float64(rng.Intn(9) - 4))
+		return graph.Int(int64(rng.Intn(9) - 4))
 	case 4:
-		return graph.Float(float64(rng.Intn(9)) + 0.5)
+		return graph.Str(strconv.Itoa(rng.Intn(9))) // a number written as a string
 	case 5:
 		return graph.Int(genConsts[rng.Intn(len(genConsts))])
 	case 6:

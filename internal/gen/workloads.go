@@ -263,8 +263,8 @@ func decorate(ds *Dataset) {
 
 // BandRule is the follower shape with a tolerance that spans every value
 // the generator draws: two followers of one hub whose p4 values differ by
-// at most 4·ValueRange. Only a p4 target without an integer value (absent,
-// a string, a non-integral float) or a far outlier violates it, so the ¬Y
+// at most 4·ValueRange. Only a p4 target without an integer value (absent
+// or a string) or a far outlier violates it, so the ¬Y
 // cut (plan.Cut) prunes nearly every branch — and must prune none while such
 // a target exists.
 func BandRule(p Profile) *core.NGD {
@@ -289,7 +289,7 @@ func bandTargets(ds *Dataset) []graph.NodeID {
 
 // decorateBand leaves BandRule's targets the four ways the cut must not
 // ignore: one entity gains a second p4 target without a value, one target
-// holds a string, one a non-integral float, one a far outlier.
+// holds a string, one a number written as a string, one a far outlier.
 func decorateBand(ds *Dataset) {
 	g := ds.G
 	for i := 0; i < 5; i++ {
@@ -300,7 +300,7 @@ func decorateBand(ds *Dataset) {
 	ts := bandTargets(ds)
 	g.AddEdge(g.In(ts[0])[0].To, g.AddNode("integer"), "p4")
 	g.SetAttr(ts[1], "val", graph.Str("n/a"))
-	g.SetAttr(ts[2], "val", graph.Float(2.5))
+	g.SetAttr(ts[2], "val", graph.Str("2.5"))
 	g.SetAttr(ts[3], "val", graph.Int(1<<40))
 }
 
@@ -317,7 +317,7 @@ func bandOps(ds *Dataset, b int) []graph.AttrOp {
 	case 0:
 		return []graph.AttrOp{{Node: ts[3], Attr: val, Val: in}}
 	case 2:
-		ops := []graph.AttrOp{{Node: ts[1], Attr: val, Val: in}, {Node: ts[2], Attr: val, Val: graph.Float(3)}}
+		ops := []graph.AttrOp{{Node: ts[1], Attr: val, Val: in}, {Node: ts[2], Attr: val, Val: graph.Int(3)}}
 		// the valueless target: the one integer node the stream never gives
 		// a value
 		for _, v := range g.NodesWithLabel(g.Symbols().Label("integer")) {

@@ -106,7 +106,7 @@ func hostile() recipe {
 			{label: person, attrs: []attrCall{{zip, graph.Int(1)}, {age, graph.Int(1)}, {age, graph.Int(2)}, {name, graph.Str("a")}}},
 			{label: place},
 			{label: person, attrs: []attrCall{{name, graph.Str("c")}, {name, graph.Str("c2")}}},
-			{label: place, attrs: []attrCall{{zip, graph.Float(2.5)}}},
+			{label: place, attrs: []attrCall{{zip, graph.Bool(true)}}},
 			{label: person},
 		},
 		edges: []edgeCall{

@@ -14,10 +14,10 @@ import (
 // entry per edge of the label, keyed by the attribute value of the edge's
 // target — or, for a side reached through an out-edge, of its source. It
 // answers the two questions the cut asks: the smallest and largest key, and
-// how many edges have an endpoint with no integer key (an absent value, a
-// string, a non-integral float), each of which would leave Y unsatisfied.
+// how many edges have an endpoint with no integer key (an absent value or a
+// string), each of which would leave Y unsatisfied.
 //
-// Keys follow AttrIndex's intKey. Indexes are built on demand with
+// Keys are Value.AsInt, as in AttrIndex. Indexes are built on demand with
 // EnsureEdgeValIndex at plan time, kept exact by AddEdgeL, DeleteEdgeL and
 // SetAttrA, and dropped by Clone.
 
@@ -53,7 +53,7 @@ type EdgeValIndex struct {
 func (ix *EdgeValIndex) Len() int { return len(ix.ord) }
 
 // Uncovered reports the number of edges whose indexed endpoint has no
-// integer key: the value is absent, a string or a non-integral float.
+// integer key: the value is absent or a string.
 func (ix *EdgeValIndex) Uncovered() int { return ix.uncovered }
 
 // Span returns the smallest and largest key; ok=false when no edge has an
@@ -79,7 +79,7 @@ func (ix *EdgeValIndex) search(e edgeEntry) (int, bool) {
 
 // add indexes edge (u, v) whose keyed endpoint holds val.
 func (ix *EdgeValIndex) add(u, v NodeID, val Value) {
-	k, ok := intKey(val)
+	k, ok := val.AsInt()
 	if !ok {
 		ix.uncovered++
 		return
@@ -96,7 +96,7 @@ func (ix *EdgeValIndex) add(u, v NodeID, val Value) {
 
 // remove un-indexes edge (u, v) whose keyed endpoint holds val.
 func (ix *EdgeValIndex) remove(u, v NodeID, val Value) {
-	k, ok := intKey(val)
+	k, ok := val.AsInt()
 	if !ok {
 		ix.uncovered--
 		return
@@ -144,7 +144,7 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 			continue
 		}
 		for _, h := range LabelRun(out, l) {
-			if k, ok := intKey(g.Attr(ix.end(src, h.To), a)); ok {
+			if k, ok := g.Attr(ix.end(src, h.To), a).AsInt(); ok {
 				ix.ord = append(ix.ord, edgeEntry{val: k, src: src, dst: h.To})
 			} else {
 				ix.uncovered++

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func buildTriangle(t *testing.T) (*Graph, [3]NodeID) {
@@ -119,24 +121,20 @@ func TestAttributes(t *testing.T) {
 // 2⁶² − 1 and 2⁶² are one number.
 func TestValueEqualIsExact(t *testing.T) {
 	rat := func(v Value) *big.Rat {
-		if v.kind == KindFloat {
-			return new(big.Rat).SetFloat64(v.f)
-		}
-		return new(big.Rat).SetInt64(v.i)
+		i, _ := v.AsInt()
+		return new(big.Rat).SetInt64(i)
 	}
 	for _, c := range []struct {
 		a, b Value
 		want bool
 	}{
 		{Int(1), Bool(true), true},
-		{Int(3), Float(3.0), true},
+		{Int(0), Bool(false), true},
+		{Bool(true), Bool(false), false},
 		{Int(1<<62 - 1), Int(1 << 62), false},
-		{Int(1<<53 + 1), Float(1 << 53), false},
-		{Int(math.MaxInt64), Float(1 << 63), false},
-		{Int(math.MinInt64), Float(-(1 << 63)), true},
-		{Bool(false), Float(0), true},
-		{Int(3), Float(3.5), false},
-		{Float(2.5), Float(2.5), true},
+		{Int(1<<53 + 1), Int(1 << 53), false},
+		{Int(math.MaxInt64), Int(math.MinInt64), false},
+		{Int(math.MinInt64), Int(math.MinInt64), true},
 	} {
 		for _, p := range [][2]Value{{c.a, c.b}, {c.b, c.a}} {
 			if got := p[0].Equal(p[1]); got != c.want {
@@ -158,7 +156,6 @@ func TestValues(t *testing.T) {
 		{Str("a b"), `"a b"`},
 		{Bool(true), "true"},
 		{Bool(false), "false"},
-		{Float(2.5), "2.5"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.text {
@@ -180,6 +177,66 @@ func TestValues(t *testing.T) {
 	}
 	if _, err := ParseValue("nonsense words"); err == nil {
 		t.Error("garbage should fail")
+	}
+}
+
+// TestParseValueExact: a number enters only as the exact int64 it denotes,
+// however it is written, and anything else is refused by name — never
+// rounded through float64, where 2⁵³ + 1 is 2⁵³. An exponent of any length
+// is read in one pass.
+func TestParseValueExact(t *testing.T) {
+	for text, want := range map[string]int64{
+		"9007199254740993.0":       1<<53 + 1,
+		"1e3":                      1000,
+		"1E+3":                     1000,
+		"10e-1":                    1,
+		"123.4500e2":               12345,
+		"-0.0":                     0,
+		"0e999999999":              0,
+		"0.000e-999999999":         0,
+		"007":                      7,
+		"+5.":                      5,
+		"9223372036854775807.0":    math.MaxInt64,
+		"-9.223372036854775808e18": math.MinInt64,
+	} {
+		v, err := ParseValue(text)
+		if i, ok := v.AsInt(); err != nil || v.Kind() != KindInt || !ok || i != want {
+			t.Errorf("ParseValue(%q) = %s %v, %v; want int %d", text, v.Kind(), v, err, want)
+		}
+	}
+	long := "1e" + strings.Repeat("9", 1<<20)
+	for text, why := range map[string]string{
+		"2.5":                  "not an integer",
+		".5":                   "not an integer",
+		"12345e-3":             "not an integer",
+		"1e-999999999":         "not an integer",
+		"1e30":                 "out of int64 range",
+		"9223372036854775808":  "out of int64 range",
+		"-9223372036854775809": "out of int64 range",
+		"1e999999999":          "out of int64 range",
+		long:                   "out of int64 range",
+		"NaN":                  "cannot parse",
+		"-Inf":                 "cannot parse",
+		"1e":                   "cannot parse",
+		"e3":                   "cannot parse",
+		"1.2.3":                "cannot parse",
+		"0e99999999999x":       "cannot parse",
+		"1e+-3":                "cannot parse",
+		"1e3.5":                "cannot parse",
+		"0x10":                 "cannot parse",
+		"1_000":                "cannot parse",
+	} {
+		if v, err := ParseValue(text); err == nil || !strings.Contains(err.Error(), why) {
+			t.Errorf("ParseValue(%.20q) = %v, %v; want an error saying %q", text, v, err, why)
+		}
+	}
+}
+
+// TestValueSize pins the attribute tuple's element sizes: every attribute,
+// clone and snapshot load pays them.
+func TestValueSize(t *testing.T) {
+	if v, p := unsafe.Sizeof(Value{}), unsafe.Sizeof(attrPair{}); v != 32 || p != 40 {
+		t.Errorf("Value is %d bytes and attrPair %d, want 32 and 40", v, p)
 	}
 }
 

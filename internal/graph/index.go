@@ -11,12 +11,11 @@ import "sort"
 //   - range: all nodes whose integer attribute value falls in [lo, hi]
 //     (ordered index, a slice sorted by (value, node)).
 //
-// Indexed values follow the comparison semantics of internal/expr: ints,
-// bools (as 0/1) and integral floats collapse onto one int64 key (Int(3),
-// Float(3.0) and a true flag behave identically in literals); strings key
-// the string postings. Values that can never satisfy a comparison literal —
-// non-integral floats (expr.ErrType) and absent attributes — are simply not
-// indexed, which is exactly the pruning the matcher wants.
+// Indexed values follow the comparison semantics of internal/expr: ints
+// and bools (as 0/1) share one int64 key, Value.AsInt (Int(1) and a true
+// flag behave identically in literals); strings key the string postings.
+// Absent attributes can never satisfy a comparison literal and are simply
+// not indexed, which is exactly the pruning the matcher wants.
 //
 // Indexes are built on demand with EnsureAttrIndex (single-threaded setup,
 // e.g. while building matching plans) and are read-only afterwards from the
@@ -63,17 +62,6 @@ func (r IndexRun) At(i int) NodeID {
 		return r.nodes[i]
 	}
 	return r.entries[i].node
-}
-
-// intKey maps an attribute value onto its int64 index key. ok=false means
-// the value takes no part in integer indexing (strings, non-integral
-// floats, absent values).
-func intKey(v Value) (int64, bool) {
-	switch v.Kind() {
-	case KindInt, KindBool, KindFloat:
-		return v.AsInt()
-	}
-	return 0, false
 }
 
 // Label reports the node label this index covers.
@@ -154,7 +142,7 @@ func (ix *AttrIndex) add(v NodeID, val Value) {
 		ix.strs[s] = insertNode(ix.strs[s], v)
 		return
 	}
-	k, ok := intKey(val)
+	k, ok := val.AsInt()
 	if !ok {
 		return
 	}
@@ -178,7 +166,7 @@ func (ix *AttrIndex) remove(v NodeID, val Value) {
 		}
 		return
 	}
-	k, ok := intKey(val)
+	k, ok := val.AsInt()
 	if !ok {
 		return
 	}
@@ -235,8 +223,8 @@ type attrIndexKey struct {
 }
 
 // AttrIndexed is implemented by views that answer indexed attribute
-// lookups: *Graph natively, *Overlay by delegating to its base graph (ΔG
-// consists of edge updates only, so attribute indexes are unaffected).
+// lookups: *Graph natively, *Overlay by delegating to its base graph for
+// every (label, attribute) pair its SetAttr has not dirtied.
 //
 // EnsureAttrIndex may mutate the underlying graph and must only be called
 // during single-threaded setup (plan building); AttrIndexFor and the
@@ -278,7 +266,7 @@ func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 		}
 		if s, ok := val.AsString(); ok {
 			ix.strs[s] = append(ix.strs[s], v)
-		} else if k, ok := intKey(val); ok {
+		} else if k, ok := val.AsInt(); ok {
 			ix.ord = append(ix.ord, ordEntry{val: k, node: v})
 		}
 	}

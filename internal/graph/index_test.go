@@ -38,7 +38,7 @@ func runNodes(r IndexRun) []NodeID {
 func bruteInts(g *Graph, l LabelID, a AttrID, lo, hi int64) map[NodeID]bool {
 	want := make(map[NodeID]bool)
 	for _, v := range g.NodesWithLabel(l) {
-		if k, ok := intKey(g.Attr(v, a)); ok && k >= lo && k <= hi {
+		if k, ok := g.Attr(v, a).AsInt(); ok && k >= lo && k <= hi {
 			want[v] = true
 		}
 	}
@@ -59,12 +59,12 @@ func sameSet(t *testing.T, got []NodeID, want map[NodeID]bool, what string) {
 
 func TestAttrIndexLookupAndRange(t *testing.T) {
 	vals := []Value{
-		Int(5), Int(3), Int(5), Float(5.0), Bool(true), Int(-2),
-		Str("x"), Str("y"), Str("x"), Float(2.5), {}, Int(1),
+		Int(5), Int(3), Int(5), Int(5), Bool(true), Int(-2),
+		Str("x"), Str("y"), Str("x"), {}, {}, Int(1),
 	}
 	g, ix, l, a := buildIndexed(t, vals)
 
-	// equality: Int(5) and Float(5.0) share a key
+	// equality: the three Int(5) share a key
 	sameSet(t, runNodes(ix.Ints(5)), bruteInts(g, l, a, 5, 5), "Ints(5)")
 	// bools index as 0/1
 	sameSet(t, runNodes(ix.Ints(1)), bruteInts(g, l, a, 1, 1), "Ints(1)")
@@ -83,7 +83,7 @@ func TestAttrIndexLookupAndRange(t *testing.T) {
 	if ix.IntRange(3, 2).Len() != 0 {
 		t.Fatal("inverted range should be empty")
 	}
-	// non-integral floats and absent attributes are not indexed
+	// absent attributes are not indexed
 	if n := ix.Len(); n != len(vals)-2 {
 		t.Fatalf("index Len = %d, want %d", n, len(vals)-2)
 	}
@@ -98,15 +98,15 @@ func TestSetAttrKeepsIndexInSync(t *testing.T) {
 	sameSet(t, runNodes(ix.Ints(7)), map[NodeID]bool{1: true}, "Ints(7) after move")
 	sameSet(t, runNodes(ix.IntRange(1, 10)), bruteInts(g, l, a, 1, 10), "range after move")
 
-	// switching type: int -> string, then string -> non-indexable float
+	// switching type: int -> string, then string -> absent
 	g.SetAttrA(0, a, Str("s"))
 	if got := runNodes(ix.Ints(1)); len(got) != 0 {
 		t.Fatalf("Ints(1) after retype: %v", got)
 	}
 	sameSet(t, runNodes(ix.Strs("s")), map[NodeID]bool{0: true}, "Strs(s)")
-	g.SetAttrA(0, a, Float(0.5))
+	g.SetAttrA(0, a, Value{})
 	if got := runNodes(ix.Strs("s")); len(got) != 0 {
-		t.Fatalf("Strs(s) after float retype: %v", got)
+		t.Fatalf("Strs(s) after dropping the value: %v", got)
 	}
 
 	// a node added after the index was built enters it via SetAttr

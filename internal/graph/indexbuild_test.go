@@ -22,8 +22,8 @@ const buildRecordLen = 9
 // buildValue decodes the value of node i from one record. The tags cover
 // the int64 extremes, −1 and 0, arbitrary integers, keys that differ only
 // in their top byte, a repeat of an earlier node's value, and what collapses
-// onto a key (bools, integral floats) or stays out of the ordered index
-// (non-integral floats, strings, absent values).
+// onto a key (bools) or stays out of the ordered index (strings, absent
+// values).
 func buildValue(rec []byte, prev []Value) Value {
 	p := binary.LittleEndian.Uint64(rec[1:])
 	switch rec[0] % 12 {
@@ -45,7 +45,7 @@ func buildValue(rec []byte, prev []Value) Value {
 		}
 		return prev[p%uint64(len(prev))]
 	case 7:
-		return Float(float64(int32(p)) + 0.5)
+		return Str(fmt.Sprint(int32(p)))
 	case 8:
 		return Str(fmt.Sprint("s", p%4))
 	case 9:
@@ -53,7 +53,7 @@ func buildValue(rec []byte, prev []Value) Value {
 	case 10:
 		return Bool(p&1 == 1)
 	default:
-		return Float(float64(int32(p)))
+		return Int(int64(int32(p)))
 	}
 }
 
@@ -61,7 +61,7 @@ func buildValue(rec []byte, prev []Value) Value {
 func refAttrOrd(g *Graph, l LabelID, a AttrID) []ordEntry {
 	var want []ordEntry
 	for _, v := range g.byLabel[l] {
-		if k, ok := intKey(g.Attr(v, a)); ok {
+		if k, ok := g.Attr(v, a).AsInt(); ok {
 			want = append(want, ordEntry{val: k, node: v})
 		}
 	}
@@ -85,7 +85,7 @@ func refEdgeOrd(g *Graph, l LabelID, a AttrID, bySrc bool) (want []edgeEntry, un
 			if bySrc {
 				end = NodeID(u)
 			}
-			if k, ok := intKey(g.Attr(end, a)); ok {
+			if k, ok := g.Attr(end, a).AsInt(); ok {
 				want = append(want, edgeEntry{val: k, src: NodeID(u), dst: h.To})
 			} else {
 				uncovered++

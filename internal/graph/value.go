@@ -10,7 +10,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind discriminates the dynamic type of an attribute Value.
@@ -18,29 +20,22 @@ type Kind uint8
 
 // The attribute value kinds supported by F_A(v). The paper's constants U are
 // integers and strings; booleans appear in its examples (account status), so
-// all three are first-class. Floats are accepted for robustness when loading
-// external data and compare exactly.
+// all three are first-class. Every door refuses a number that is not an
+// exact int64; 4 was the float kind, which old stores still hold.
 const (
 	KindInvalid Kind = iota
 	KindInt
 	KindString
 	KindBool
-	KindFloat
 )
 
+var kindNames = [...]string{"invalid", "int", "string", "bool"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindInt:
-		return "int"
-	case KindString:
-		return "string"
-	case KindBool:
-		return "bool"
-	case KindFloat:
-		return "float"
-	default:
-		return "invalid"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "invalid"
 }
 
 // Value is an attribute value drawn from the constant universe U.
@@ -48,7 +43,6 @@ func (k Kind) String() string {
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
 }
 
@@ -67,31 +61,18 @@ func Bool(v bool) Value {
 	return Value{kind: KindBool, i: 0}
 }
 
-// Float returns a floating-point Value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
-
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
 
 // Valid reports whether v holds a value (i.e. the attribute exists).
 func (v Value) Valid() bool { return v.kind != KindInvalid }
 
-// AsInt returns the value as an int64 and whether the conversion is exact.
-// Ints and bools convert; floats convert only when integral and in int64
-// range.
+// AsInt returns the value as an int64 and whether v is a number: ints, and
+// bools as 0/1. It is also the key of the attribute and edge-value
+// indexes, which leave out exactly the values it refuses (strings, absent
+// values).
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case KindInt, KindBool:
-		return v.i, true
-	case KindFloat:
-		// -2⁶³ ≤ f < 2⁶³: both bounds are exact float64s
-		if v.f >= -(1<<63) && v.f < 1<<63 {
-			if i := int64(v.f); float64(i) == v.f {
-				return i, true
-			}
-		}
-	}
-	return 0, false
+	return v.i, v.kind == KindInt || v.kind == KindBool
 }
 
 // AsString returns the string payload and whether v is a string.
@@ -102,42 +83,14 @@ func (v Value) AsString() (string, bool) {
 	return "", false
 }
 
-// AsBool returns the boolean payload and whether v is a bool.
-func (v Value) AsBool() (bool, bool) {
-	if v.kind == KindBool {
-		return v.i != 0, true
-	}
-	return false, false
-}
-
-// AsFloat returns the value as a float64 for numeric kinds.
-func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
-	case KindInt, KindBool:
-		return float64(v.i), true
-	case KindFloat:
-		return v.f, true
-	}
-	return 0, false
-}
-
-// Equal reports whether two values are equal. Numeric kinds compare by
-// exact numeric value, as literals do (Int(3) == Float(3.0), Bool(true) ==
-// Int(1), Int(2⁶²−1) != Int(2⁶²)); strings only equal strings.
+// Equal reports whether two values are equal. Numbers compare by value, as
+// literals do (Bool(true) == Int(1)); strings only equal strings.
 func (v Value) Equal(o Value) bool {
-	if v.kind == KindString || o.kind == KindString {
-		return v.kind == KindString && o.kind == KindString && v.s == o.s
+	if a, ok := v.AsInt(); ok {
+		b, ok := o.AsInt()
+		return ok && a == b
 	}
-	if !v.Valid() || !o.Valid() {
-		return v.kind == o.kind
-	}
-	if v.kind == KindFloat && o.kind == KindFloat {
-		return v.f == o.f
-	}
-	// at most one float: equal only as the same int64
-	a, aok := v.AsInt()
-	b, bok := o.AsInt()
-	return aok && bok && a == b
+	return v.kind == o.kind && v.s == o.s
 }
 
 // String renders the value in the textual graph format.
@@ -152,15 +105,14 @@ func (v Value) String() string {
 			return "true"
 		}
 		return "false"
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	default:
 		return "<invalid>"
 	}
 }
 
 // ParseValue parses the textual form produced by Value.String: quoted
-// strings, true/false, integers, then floats.
+// strings, true/false, then numbers, which ParseInt must read as an exact
+// int64.
 func ParseValue(s string) (Value, error) {
 	if s == "" {
 		return Value{}, fmt.Errorf("graph: empty value")
@@ -178,11 +130,67 @@ func ParseValue(s string) (Value, error) {
 	case "false":
 		return Bool(false), nil
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i), nil
+	i, err := ParseInt(s)
+	if err != nil {
+		return Value{}, fmt.Errorf("graph: %w", err)
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f), nil
-	}
-	return Value{}, fmt.Errorf("graph: cannot parse value %q", s)
+	return Int(i), nil
 }
+
+// ParseInt reads a decimal number that denotes an exact int64: a sign,
+// digits with an optional fraction, and an optional exponent, so
+// "9007199254740993.0" is 9007199254740993 and "1e3" is 1000. A number
+// with a fractional part ("2.5") or beyond int64 ("1e30") is refused, and
+// the work is linear in len(s) whatever the exponent says.
+func ParseInt(s string) (int64, error) {
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return i, nil // plain digits
+	}
+	neg, mant := cutSign(s)
+	e := "0"
+	if k := strings.IndexAny(mant, "eE"); k >= 0 {
+		mant, e = mant[:k], mant[k+1:]
+	}
+	eneg, e := cutSign(e)
+	whole, frac, _ := strings.Cut(mant, ".")
+	digits := whole + frac
+	if !isDigits(digits) || !isDigits(e) {
+		return 0, fmt.Errorf("cannot parse value %q", s)
+	}
+	exp, _ := strconv.ParseInt(e, 10, 32) // saturates at 2³¹, past which no digit string of s matters
+	if eneg {
+		exp = -exp
+	}
+	// the value is digits × 10^scale: with its zeros trimmed, a digit left
+	// below the point is a fraction
+	digits = strings.TrimLeft(digits, "0")
+	sig := strings.TrimRight(digits, "0")
+	scale := exp - int64(len(frac)) + int64(len(digits)-len(sig))
+	switch {
+	case sig == "":
+		return 0, nil
+	case scale < 0:
+		return 0, fmt.Errorf("value %q is not an integer", s)
+	case int64(len(sig))+scale > 19: // at least 10¹⁹
+		return 0, fmt.Errorf("value %q is out of int64 range", s)
+	}
+	n, _ := strconv.ParseUint(sig+strings.Repeat("0", int(scale)), 10, 64) // < 10¹⁹ < 2⁶⁴
+	switch {
+	case neg && n <= 1<<63:
+		return -int64(n), nil
+	case !neg && n <= math.MaxInt64:
+		return int64(n), nil
+	}
+	return 0, fmt.Errorf("value %q is out of int64 range", s)
+}
+
+// cutSign splits a leading + or - off s.
+func cutSign(s string) (neg bool, rest string) {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		return s[0] == '-', s[1:]
+	}
+	return false, s
+}
+
+// isDigits reports whether s is a nonempty run of ASCII digits.
+func isDigits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }

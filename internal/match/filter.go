@@ -111,8 +111,8 @@ func (f Filters) AddLiteral(p *pattern.Pattern, syms *graph.Symbols, L *expr.Exp
 
 // Holds evaluates the predicate against a candidate's attribute value, with
 // exactly the semantics of expr.Compare on the literal: an absent attribute,
-// a non-integral float, a string against a number and an ordered string
-// comparison all leave it unsatisfied.
+// a string against a number and an ordered string comparison all leave it
+// unsatisfied.
 func (pr *AttrPred) Holds(g graph.View, v graph.NodeID) bool {
 	if pr.Attr < 0 {
 		return false

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"ngd/internal/expr"
@@ -15,9 +16,11 @@ import (
 // accepts. The constant is an integer (ckind 0), a quotient n/d (1), a value
 // beyond int64, n·(2⁶³−1) + d (2), or the string s (3); the literal is
 // written term-first, or constant-first when flip is set. The graph holds
-// the fuzzed value (vkind: int, bool, float64(vi), the float vf, the string
-// s, absent) beside fixed neighbours of vi, of n and of the int64 edges;
-// vkind 6 leaves the attribute out of the graph entirely. The seed corpus is
+// the fuzzed value (vkind: int, bool, vi and the float vf as a graph file
+// writes them — "<vi>.0" and vf's shortest form — the string s, absent)
+// beside fixed neighbours of vi, of n and of the int64 edges; vkind 6
+// leaves the attribute out of the graph entirely. A number graph.ParseValue
+// refuses (vf non-integral or beyond int64) leaves the fuzzed node absent. The seed corpus is
 // testdata/fuzz/FuzzFilterMatchesCompare.
 func FuzzFilterMatchesCompare(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op uint8, flip bool, ckind uint8, n, d int64, s string, vkind uint8, vi int64, vf float64) {
@@ -38,10 +41,14 @@ func FuzzFilterMatchesCompare(f *testing.F) {
 			vals = append(vals, graph.Int(vi))
 		case 1:
 			vals = append(vals, graph.Bool(vi&1 == 1))
-		case 2:
-			vals = append(vals, graph.Float(float64(vi)))
-		case 3:
-			vals = append(vals, graph.Float(vf))
+		case 2, 3:
+			text := strconv.FormatInt(vi, 10) + ".0"
+			if vkind%7 == 3 {
+				text = strconv.FormatFloat(vf, 'g', -1, 64)
+			}
+			if v, err := graph.ParseValue(text); err == nil {
+				vals = append(vals, v)
+			}
 		case 4:
 			vals = append(vals, graph.Str(s))
 		}
@@ -49,7 +56,7 @@ func FuzzFilterMatchesCompare(f *testing.F) {
 			vals = append(vals,
 				graph.Int(math.MinInt64), graph.Int(-1), graph.Int(0), graph.Int(1), graph.Int(math.MaxInt64),
 				graph.Int(vi-1), graph.Int(vi+1), graph.Int(n-1), graph.Int(n), graph.Int(n+1),
-				graph.Bool(true), graph.Float(2.5), graph.Str(s), graph.Str(""))
+				graph.Bool(true), graph.Str("2.5"), graph.Str(s), graph.Str(""))
 		}
 		g := graph.New()
 		for _, v := range vals {

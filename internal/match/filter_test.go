@@ -191,9 +191,9 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 		case 1:
 			g.SetAttrA(n, val, graph.Str("s"))
 		case 2:
-			g.SetAttrA(n, val, graph.Float(float64(i%7)))
+			g.SetAttrA(n, val, graph.Bool(i%2 == 0))
 		case 3:
-			g.SetAttrA(n, val, graph.Float(0.5))
+			g.SetAttrA(n, val, graph.Str("0.5"))
 			// case 4: no attribute
 		}
 		u := g.AddNodeL(ul)

@@ -36,9 +36,15 @@ func FuzzUpdateBody(f *testing.F) {
 			`{"op":"insert","src":"tw","dst":"tw-f","label":"femalePopulation"},{"op":"insert","src":"tw","dst":"tw-m","label":"malePopulation"},` +
 			`{"op":"insert","src":"tw","dst":"tw-t","label":"populationTotal"}]}`,
 		// setattr: φ2 repaired by value (600 + 722 = 1322), φ4's fake account
-		// demoted, a fractional, a string and an unsupported value
+		// demoted; a fractional, a string and an unsupported value refuse
+		// the request
 		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":1322}},{"op":"setattr","id":"21","attrs":{"val":false}}]}`,
 		`{"ops":[{"op":"setattr","id":"11","attrs":{"val":100000.5,"name":"x"}},{"op":"setattr","id":"12","attrs":{"val":[1]}}]}`,
+		// numbers are taken as the exact int64 they denote, or refused
+		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":9007199254740993.0}},{"op":"setattr","id":"5","attrs":{"val":1e3}}]}`,
+		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":2.5}}]}`,
+		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":1e30}}]}`,
+		`{"ops":[{"op":"node","id":"n","label":"integer","attrs":{"val":1e999999999}}]}`,
 		// an integer float64 would round (2⁶² − 1), and one past int64
 		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":4611686018427387903}},{"op":"setattr","id":"5","attrs":{"val":9223372036854775808}}]}`,
 		// unknown ids, an unseen label, an unknown op, a numeric node id

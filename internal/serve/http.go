@@ -450,8 +450,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack, err := s.Enqueue(req.Ops)
-	if err != nil {
+	if errors.Is(err, ErrClosed) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
+		return
+	} else if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
 	if r.URL.Query().Get("sync") != "" {

@@ -24,8 +24,10 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,8 +112,9 @@ type UpdateOp struct {
 	// node a "setattr" op targets (registered name or decimal NodeID).
 	ID string `json:"id,omitempty"`
 	// Attrs is the attribute tuple of a "node" op, or the reassignments of
-	// a "setattr" op. Numbers, strings and booleans are supported; integral
-	// floats are stored as integers.
+	// a "setattr" op. A value is a string, a bool or an integer: an int or
+	// int64, or a json.Number that denotes an exact int64 ("1e3" does, "2.5"
+	// does not). Enqueue refuses a request holding any other value.
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
@@ -124,7 +127,7 @@ type Stats struct {
 	Commits    int64 `json:"commits"`     // batches committed
 	Enqueued   int64 `json:"enqueued"`    // update requests accepted
 	Coalesced  int64 `json:"coalesced"`   // requests merged into another request's batch
-	DroppedOps int64 `json:"dropped_ops"` // ops skipped (unknown node, bad label, duplicate node id)
+	DroppedOps int64 `json:"dropped_ops"` // ops skipped (unknown node or op, bad label, duplicate node id)
 	Queued     int64 `json:"queued"`      // requests currently waiting for the writer
 
 	// DurabilityError is the durability layer's current failure ("" =
@@ -350,8 +353,13 @@ func (s *Server) Stats() Stats {
 // commit completion (Done) and the exact epoch the batch landed in
 // (Epoch); callers that don't care simply drop it. Blocks only when the
 // ingest queue is full (backpressure), and then blocks only its own
-// caller: other enqueuers and Close proceed.
+// caller: other enqueuers and Close proceed. A request holding an
+// attribute value outside the value domain (see UpdateOp.Attrs) queues
+// nothing: the error names the op's index and the attribute.
 func (s *Server) Enqueue(ops []UpdateOp) (*Ack, error) {
+	if err := checkAttrs(ops); err != nil {
+		return nil, err
+	}
 	if !s.admit() {
 		return nil, ErrClosed
 	}
@@ -480,17 +488,9 @@ func (s *Server) commitBatch(batch []ingest) {
 					s.droppedOps.Add(1)
 					continue
 				}
-				names := make([]string, 0, len(op.Attrs))
-				for name := range op.Attrs {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					if val, ok := toValue(op.Attrs[name]); ok {
-						attrOps = append(attrOps, graph.AttrOp{Node: v, Attr: g.Symbols().Attr(name), Val: val})
-					} else {
-						s.droppedOps.Add(1)
-					}
+				for _, name := range slices.Sorted(maps.Keys(op.Attrs)) {
+					val, _ := toValue(op.Attrs[name]) // checked by Enqueue
+					attrOps = append(attrOps, graph.AttrOp{Node: v, Attr: g.Symbols().Attr(name), Val: val})
 				}
 			case "insert", "delete":
 				src, okS := s.resolve(op.Src)
@@ -561,11 +561,8 @@ func (s *Server) applyNode(g *graph.Graph, op UpdateOp) {
 		s.onNewNode(op.ID, v)
 	}
 	for name, raw := range op.Attrs {
-		if val, ok := toValue(raw); ok {
-			g.SetAttr(v, name, val)
-		} else {
-			s.droppedOps.Add(1)
-		}
+		val, _ := toValue(raw) // checked by Enqueue
+		g.SetAttr(v, name, val)
 	}
 }
 
@@ -582,34 +579,44 @@ func (s *Server) resolve(ref string) (graph.NodeID, bool) {
 	return graph.NodeID(n), true
 }
 
-// toValue converts a JSON-decoded attribute value. POST /update decodes
-// numbers as json.Number: an integer in int64 range is taken exactly, any
-// other number as a float.
-func toValue(raw any) (graph.Value, bool) {
+// checkAttrs refuses the first op, by index, of kind "node" or "setattr"
+// holding an attribute value toValue refuses, naming the least such
+// attribute of that op.
+func checkAttrs(ops []UpdateOp) error {
+	for i, op := range ops {
+		if op.Op != "node" && op.Op != "setattr" {
+			continue
+		}
+		bad, badErr := "", error(nil)
+		for name, raw := range op.Attrs {
+			if _, err := toValue(raw); err != nil && (badErr == nil || name < bad) {
+				bad, badErr = name, err
+			}
+		}
+		if badErr != nil {
+			return fmt.Errorf("op %d: attribute %q: %w", i, bad, badErr)
+		}
+	}
+	return nil
+}
+
+// toValue converts an attribute value of UpdateOp.Attrs. POST /update
+// decodes numbers as json.Number, which graph.ParseInt reads exactly. A
+// float64 is refused: it may already have been rounded.
+func toValue(raw any) (graph.Value, error) {
 	switch v := raw.(type) {
 	case string:
-		return graph.Str(v), true
+		return graph.Str(v), nil
 	case bool:
-		return graph.Bool(v), true
+		return graph.Bool(v), nil
 	case json.Number:
-		if i, err := v.Int64(); err == nil {
-			return graph.Int(i), true
-		}
-		f, err := v.Float64()
-		if err != nil {
-			return graph.Value{}, false
-		}
-		return toValue(f)
-	case float64:
-		if i, ok := graph.Float(v).AsInt(); ok {
-			return graph.Int(i), true
-		}
-		return graph.Float(v), true
+		i, err := graph.ParseInt(string(v))
+		return graph.Int(i), err
 	case int:
-		return graph.Int(int64(v)), true
+		return graph.Int(int64(v)), nil
 	case int64:
-		return graph.Int(v), true
-	default:
-		return graph.Value{}, false
+		return graph.Int(v), nil
 	}
+	text, _ := json.Marshal(raw)
+	return graph.Value{}, fmt.Errorf("%s is not a string, a bool or an integer", text)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -656,5 +657,48 @@ func TestUpdateKeepsLargeIntegersExact(t *testing.T) {
 		if got := sess.Graph().AttrByName(v, "age"); got != graph.Int(big) {
 			t.Errorf("node %d: age = %v, want %d", v, got, big)
 		}
+	}
+}
+
+// TestUpdateRefusesInexactNumbers: POST /update takes a number only as the
+// exact int64 it denotes, however it is written ("9007199254740993.0" is
+// not rounded to 2⁵³, "1e3" is 1000). A request holding a fraction, a number
+// beyond int64 or a value that is no string, bool or number is a 400 naming
+// the op and the attribute, and none of its ops reaches the writer.
+func TestUpdateRefusesInexactNumbers(t *testing.T) {
+	sess, names := tinyWorld(t)
+	s := serve.New(sess, serve.Options{Names: names})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	ok := json.RawMessage(`{"ops":[{"op":"setattr","id":"alice","attrs":{"age":9007199254740993.0,"k":1e3}}]}`)
+	if code := postJSON(t, srv, "/update?sync=1", ok, nil); code != 200 {
+		t.Fatalf("exact numbers: code %d", code)
+	}
+	for attr, want := range map[string]int64{"age": 1<<53 + 1, "k": 1000} {
+		if got := sess.Graph().AttrByName(names["alice"], attr); got != graph.Int(want) {
+			t.Errorf("alice.%s = %v, want %d", attr, got, want)
+		}
+	}
+
+	before := s.Stats()
+	for _, bad := range []string{`2.5`, `1e-1`, `1e30`, `1e999999999`, `9223372036854775808`, `[1]`, `null`, `{"a":1}`} {
+		body := json.RawMessage(`{"ops":[{"op":"insert","src":"bob","dst":"alice","label":"knows"},` +
+			`{"op":"node","id":"dave","label":"person","attrs":{"age":1,"rate":` + bad + `,"zeta":2.5}}]}`)
+		var resp struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, srv, "/update?sync=1", body, &resp); code != 400 ||
+			!strings.Contains(resp.Error, `op 1: attribute "rate"`) {
+			t.Errorf("value %s: code %d, %q; want 400 naming op 1 and attribute \"rate\"", bad, code, resp.Error)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if after.Enqueued != before.Enqueued+1 || after.Nodes != before.Nodes || after.Edges != before.Edges || after.DroppedOps != 0 {
+		t.Errorf("refused requests reached the writer: stats %+v, then %+v", before, after)
 	}
 }

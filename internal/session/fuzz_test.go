@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"strconv"
 	"testing"
 
 	"ngd/internal/core"
@@ -47,15 +48,15 @@ var (
 )
 
 // fzValue decodes a set-attribute op's value: an int in [-128, 127] unless
-// the attr byte's top three bits ask for a string, a non-integral float, a
-// far outlier or no value — the values the ¬Y cut must see uncovered or
+// the attr byte's top three bits ask for a string, a number written as a
+// string, a far outlier or no value — the values the ¬Y cut must see uncovered or
 // outside fzBandRule's band.
 func fzValue(attr, val byte) graph.Value {
 	switch attr >> 5 {
 	case 2:
 		return graph.Str("s")
 	case 3:
-		return graph.Float(float64(val) + 0.5)
+		return graph.Str(strconv.Itoa(int(val)))
 	case 4:
 		return graph.Int((int64(val) - 128) << 44)
 	case 5:
@@ -109,7 +110,7 @@ func FuzzCommitSequence(f *testing.F) {
 		// back
 		{fzSetAttr, 22, 0x80, 0x90, fzCommit, fzSetAttr, 22, 0, 130, fzCommit},
 		// band: the real account's follower count turns into a string, a
-		// non-integral float, then no value, while the fake account's keys
+		// number written as a string, then no value, while the fake account's keys
 		// edge goes and comes back — each re-insertion's pivot binds a
 		// follower count inside the band while an uncovered one waits across
 		// the company

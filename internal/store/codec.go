@@ -109,7 +109,8 @@ func (c *cwriter) flush() error {
 	return c.err
 }
 
-// Value encoding: one kind byte followed by the kind's payload.
+// Value encoding: one kind byte (graph.Kind) followed by the kind's
+// payload. Kind 4, legacyFloat, is read but never written.
 func (c *cwriter) value(v graph.Value) {
 	c.byte(byte(v.Kind()))
 	switch v.Kind() {
@@ -120,15 +121,8 @@ func (c *cwriter) value(v graph.Value) {
 		s, _ := v.AsString()
 		c.str(s)
 	case graph.KindBool:
-		b, _ := v.AsBool()
-		if b {
-			c.byte(1)
-		} else {
-			c.byte(0)
-		}
-	case graph.KindFloat:
-		f, _ := v.AsFloat()
-		c.u64(math.Float64bits(f))
+		b, _ := v.AsInt() // 0 or 1
+		c.byte(byte(b))
 	case graph.KindInvalid:
 		// no payload: decodes back to the zero (absent) Value
 	}
@@ -364,7 +358,15 @@ func (c *creader) rawU32() uint32 {
 	return v
 }
 
-func (c *creader) value() graph.Value {
+// legacyFloat is the kind byte of the float values older files hold: the
+// IEEE 754 bits as a u64. An integral one in int64 range reads as that
+// int; any other is refused, so a restart never changes the violation set
+// silently.
+const legacyFloat = 4
+
+// value reads one value, the attribute attr of node: where it sits is what
+// the refusal of a legacy float names.
+func (c *creader) value(node uint64, attr string) graph.Value {
 	var v graph.Value
 	switch k := c.byte(); graph.Kind(k) {
 	case graph.KindInt:
@@ -373,8 +375,12 @@ func (c *creader) value() graph.Value {
 		v = graph.Str(c.str())
 	case graph.KindBool:
 		v = graph.Bool(c.flag())
-	case graph.KindFloat:
-		v = graph.Float(math.Float64frombits(c.u64()))
+	case legacyFloat:
+		f := math.Float64frombits(c.u64())
+		if c.ok() && (f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63) {
+			c.fail(fmt.Errorf("store: node %d attribute %q holds the float %v, which is not an int64", node, attr, f))
+		}
+		v = graph.Int(int64(f))
 	case graph.KindInvalid:
 		// no payload: the zero (absent) Value
 	default:

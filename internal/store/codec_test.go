@@ -7,9 +7,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +21,80 @@ import (
 
 	"ngd/internal/graph"
 )
+
+// TestLegacyFloatKind: snapshots and WAL records written before the float
+// kind was retired hold kind 4, a float64's bits. Both decoders read an
+// integral one in int64 range as that int, and refuse any other, naming
+// the node and the attribute, so a restart never changes the violation set
+// silently.
+func TestLegacyFloatKind(t *testing.T) {
+	// the bytes of a string value marker, spliced out for a kind-4 float
+	const marker = "\x00legacy\x00"
+	str := append([]byte{byte(graph.KindString), byte(len(marker))}, marker...)
+	legacy := func(enc []byte, f float64) []byte {
+		if bytes.Count(enc, str) != 1 {
+			t.Fatalf("marker found %d times in %x", bytes.Count(enc, str), enc)
+		}
+		flt := binary.LittleEndian.AppendUint64([]byte{legacyFloat}, math.Float64bits(f))
+		return bytes.Replace(enc, str, flt, 1)
+	}
+	g := graph.New()
+	g.AddNode("person")
+	g.SetAttr(g.AddNode("person"), "rate", graph.Str(marker))
+	var snap bytes.Buffer
+	if err := writeImage(&snap, &snapshotData{G: g}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.ngdw")
+	records := []*walRecord{
+		{Seq: 1, Nodes: []nodeRec{{Node: 1, ExtID: "b", Label: "person", Attrs: []nodeAttr{{Name: "rate", Val: graph.Str(marker)}}}}},
+		{Seq: 1, AttrOps: []attrRec{{Node: 1, Name: "rate", Val: graph.Str(marker)}}},
+	}
+
+	for _, c := range []struct {
+		f    float64
+		want int64
+		ok   bool
+	}{
+		{3, 3, true}, {math.Copysign(0, -1), 0, true}, {-(1 << 63), math.MinInt64, true},
+		{2.5, 0, false}, {1 << 63, 0, false}, {1e300, 0, false}, {math.Inf(-1), 0, false}, {math.NaN(), 0, false},
+	} {
+		check := func(where string, val graph.Value, err error) {
+			t.Helper()
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%s: float %v refused: %v", where, c.f, err)
+			case c.ok && !val.Equal(graph.Int(c.want)):
+				t.Errorf("%s: float %v read as %s %v, want int %d", where, c.f, val.Kind(), val, c.want)
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), `node 1 attribute "rate"`)):
+				t.Errorf("%s: float %v: error %v, want a refusal naming node 1 attribute \"rate\"", where, c.f, err)
+			}
+		}
+		sd, err := readSnapshot(bytes.NewReader(reseal(legacy(snap.Bytes(), c.f))))
+		var val graph.Value
+		if err == nil {
+			val = sd.G.AttrByName(1, "rate")
+		}
+		check("snapshot", val, err)
+
+		for _, r := range records {
+			seg := append(walHeader(0), walFrame(legacy(encodeRecord(r), c.f))...)
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var val graph.Value
+			_, err := scanWAL(path, func(r *walRecord) error {
+				if len(r.Nodes) > 0 {
+					val = r.Nodes[0].Attrs[0].Val
+				} else {
+					val = r.AttrOps[0].Val
+				}
+				return nil
+			})
+			check(fmt.Sprintf("wal record with %d node(s)", len(r.Nodes)), val, err)
+		}
+	}
+}
 
 // TestSnapshotEveryByteFlipFails: changing any one byte of a small
 // snapshot, its trailer included, fails the load.

@@ -252,7 +252,7 @@ func readSnapshot(r io.Reader) (*snapshotData, error) {
 			if c.ok() && a >= uint64(syms.NumAttrs()) {
 				c.fail(fmt.Errorf("store: node %d references unknown attr id %d", i, a))
 			}
-			b.SetAttrA(graph.AttrID(a), c.value())
+			b.SetAttrA(graph.AttrID(a), c.value(i, syms.AttrName(graph.AttrID(a))))
 		}
 	}
 	for v := uint64(0); v < nNodes && c.ok(); v++ {

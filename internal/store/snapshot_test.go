@@ -205,7 +205,7 @@ func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 	g.SetAttr(a, "age", graph.Int(-3))
 	g.SetAttr(a, "name", graph.Str("x y"))
 	g.SetAttr(b, "ok", graph.Bool(true))
-	g.SetAttr(b, "w", graph.Float(1.5))
+	g.SetAttr(b, "w", graph.Int(-1<<63))
 	g.AddEdge(a, b, "born_in")
 	g.AddEdge(a, a, "knows")
 	var full, empty bytes.Buffer
@@ -223,7 +223,8 @@ func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 // budget linear in the input, and whatever it accepts round-trips exactly:
 // re-encoding the decoded image and decoding that yields the same image,
 // and the same bytes. Besides the seeds built here, testdata/fuzz
-// holds a version-1 snapshot as this codec wrote it and two hostile headers.
+// holds two hostile headers and a version-1 snapshot written while the
+// float kind existed, which now fails on its attribute w = 1.5.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, s := range fuzzSnapshotSeeds(f) {
 		f.Add(s)

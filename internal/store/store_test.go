@@ -68,7 +68,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	g.SetAttr(a, "age", graph.Int(41))
 	g.SetAttr(a, "name", graph.Str("ada \"the\" first"))
 	g.SetAttr(a, "active", graph.Bool(true))
-	g.SetAttr(b, "score", graph.Float(2.5))
+	g.SetAttr(b, "score", graph.Str(""))
 	g.SetAttr(b, "neg", graph.Int(-17))
 	// c deliberately keeps an empty attribute tuple
 	g.AddEdge(a, b, "knows")

@@ -137,7 +137,8 @@ func decodePayload(p []byte) (*walRecord, error) {
 	for i := c.uvarint(); i > 0 && c.ok(); i-- {
 		nr := nodeRec{Node: c.nodeID(), ExtID: c.str(), Label: c.str()}
 		for j := c.uvarint(); j > 0 && c.ok(); j-- {
-			nr.Attrs = append(nr.Attrs, nodeAttr{Name: c.str(), Val: c.value()})
+			name := c.str()
+			nr.Attrs = append(nr.Attrs, nodeAttr{Name: name, Val: c.value(uint64(nr.Node), name)})
 		}
 		r.Nodes = append(r.Nodes, nr)
 	}
@@ -150,7 +151,8 @@ func decodePayload(p []byte) (*walRecord, error) {
 		return r, nil
 	}
 	for i := c.uvarint(); i > 0 && c.ok(); i-- {
-		r.AttrOps = append(r.AttrOps, attrRec{Node: c.nodeID(), Name: c.str(), Val: c.value()})
+		node, name := c.nodeID(), c.str()
+		r.AttrOps = append(r.AttrOps, attrRec{Node: node, Name: name, Val: c.value(uint64(node), name)})
 	}
 	if !c.ok() {
 		return nil, c.err

@@ -43,7 +43,6 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/dsl"
-	"ngd/internal/expr"
 	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
@@ -66,12 +65,10 @@ type (
 	View = graph.View
 	// NodeID identifies a node.
 	NodeID = graph.NodeID
-	// Value is an attribute value (int, string, bool, float).
+	// Value is an attribute value (int, string, bool).
 	Value = graph.Value
 	// Delta is a batch update ΔG of edge insertions/deletions (§5.2).
 	Delta = graph.Delta
-	// Overlay is the G ⊕ ΔG view of a graph under an unapplied delta.
-	Overlay = graph.Overlay
 	// Pattern is a graph pattern Q[x̄] with wildcard support (§2).
 	Pattern = pattern.Pattern
 	// Rule is an NGD Q[x̄](X → Y) (§3).
@@ -80,8 +77,6 @@ type (
 	RuleSet = core.Set
 	// Literal is a comparison e₁ ⊗ e₂ between arithmetic expressions.
 	Literal = core.Literal
-	// Expr is a linear arithmetic expression over terms x.A.
-	Expr = expr.Expr
 	// Match is an instantiation h(x̄) of a pattern in a graph.
 	Match = core.Match
 	// Violation is a match violating a rule: h ⊨ X but h ⊭ Y (§5.1).
@@ -190,9 +185,6 @@ var (
 	Str = graph.Str
 	// Bool wraps a boolean attribute value (0/1 in arithmetic).
 	Bool = graph.Bool
-	// Float wraps a float attribute value (must be integral to enter
-	// arithmetic).
-	Float = graph.Float
 )
 
 // NewGraph returns an empty graph.
@@ -202,13 +194,8 @@ func NewGraph() *Graph { return graph.New() }
 // ("_" is the wildcard) and edges with AddEdge.
 func NewPattern() *Pattern { return pattern.New() }
 
-// NewRule validates and builds an NGD. Every literal must be linear
-// (Theorem 3) and reference pattern variables only.
-func NewRule(name string, q *Pattern, when, then []Literal) (*Rule, error) {
-	return core.New(name, q, when, then)
-}
-
-// MustRule is NewRule panicking on error.
+// MustRule validates and builds an NGD, panicking on error. Every literal
+// must be linear (Theorem 3) and reference pattern variables only.
 func MustRule(name string, q *Pattern, when, then []Literal) *Rule {
 	return core.MustNew(name, q, when, then)
 }
@@ -216,14 +203,9 @@ func MustRule(name string, q *Pattern, when, then []Literal) *Rule {
 // NewRuleSet bundles rules into a Σ.
 func NewRuleSet(rules ...*Rule) *RuleSet { return core.NewSet(rules...) }
 
-// ParseLiteral parses "e1 <= e2" style text into a literal.
-func ParseLiteral(src string) (Literal, error) { return core.ParseLiteral(src) }
-
-// MustLiteral is ParseLiteral panicking on error.
+// MustLiteral parses "e1 <= e2" style text into a literal, panicking on
+// error.
 func MustLiteral(src string) Literal { return core.MustLiteral(src) }
-
-// ParseExpr parses an arithmetic expression ("a*(x.f - y.f) + 3").
-func ParseExpr(src string) (*Expr, error) { return expr.Parse(src) }
 
 // ParseRules reads the rule-file DSL (see package documentation of
 // internal/dsl for the grammar).
