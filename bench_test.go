@@ -153,7 +153,8 @@ func BenchmarkNewSnapshot(b *testing.B) {
 // first hit (ngdcheck -limit 1) on a graph of roughly cold-batch size
 // (48k nodes, 50 rules): compiling Σ, then the first Dect builds the
 // attribute indexes, the edge-value indexes and LiveStats its plans read.
-// Each op starts from an untimed Clone, which carries none of them.
+// Each op starts from an untimed Clone of a graph never planned over, so
+// the clone inherits none of them.
 func BenchmarkFirstPlan(b *testing.B) {
 	g := gen.Generate(gen.YAGO2, 6000, 1).G
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 50, MaxDiameter: 5, Seed: 1})

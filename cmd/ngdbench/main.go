@@ -220,12 +220,21 @@ func pinc(w workload, o par.Options) float64 {
 	return par.PIncDect(w.ds.G, w.rules, w.delta, o).Metrics.Makespan
 }
 
+// applied returns G ⊕ ΔG of w: a fork of its graph with ΔG applied, for the
+// caller to release.
+func applied(w workload) *graph.Graph {
+	after := w.ds.G.Clone()
+	after.Apply(w.delta)
+	return after
+}
+
 // fourWay measures the cells every fig4(a–h) row starts with and ends on:
 // the per-rule Dect yardstick and PDect over G ⊕ ΔG, IncDect and hybrid
 // PIncDect over (G, ΔG), both parallel ones at p=8 — and Dect_sh, the
 // shared-prefix Dect over the same G ⊕ ΔG.
 func fourWay(w workload) (cells, shared string) {
-	after := graph.NewOverlay(w.ds.G, w.delta.Normalize(w.ds.G))
+	after := applied(w)
+	defer after.Release()
 	dect := dectWork(after, w.rules)
 	incD := incWork(w.ds.G, w.rules, w.delta)
 	pdect := par.PDect(after, w.rules, par.Hybrid(8)).Metrics.Makespan
@@ -297,7 +306,8 @@ func varyP(p gen.Profile) func(io.Writer, config) error {
 		w := makeWorkload(p, c.n, c.rules, 5, 0.15, c.seed)
 		fmt.Fprintf(out, "# fig4(i-l) %s: vary p at ΔG=15%%, ‖Σ‖=%d; makespan kilounits\n", p.Name, c.rules)
 		fmt.Fprintf(out, "%-6s %10s %10s %12s %12s %12s\n", "p", "PDect", "PIncDect", "PIncDect_ns", "PIncDect_nb", "PIncDect_NO")
-		after := graph.NewOverlay(w.ds.G, w.delta.Normalize(w.ds.G))
+		after := applied(w)
+		defer after.Release()
 		for _, pp := range []int{4, 8, 12, 16, 20} {
 			pdect := par.PDect(after, w.rules, par.Hybrid(pp)).Metrics.Makespan
 			fmt.Fprintf(out, "%-6d %s %s   %s   %s   %s\n", pp, ku(pdect), ku(pinc(w, par.Hybrid(pp))),
@@ -459,7 +469,7 @@ func planExp(out io.Writer, c config) error {
 // repairExp measures the repair engine (internal/repair) as the violation
 // store grows. For every stored violation it previews the ranked fixes
 // (solver-backed attribute reassignment + edge deletion, each cleared
-// against the whole store on an overlay) and reports the deterministic
+// against the whole store on a fork) and reports the deterministic
 // enumeration counters — candidates and exact-solver calls — next to the
 // wall-clock preview cost on this host. The apply loop then drains the
 // store through the serving layer, always committing the top-ranked fix,
@@ -532,7 +542,7 @@ func repairExp(out io.Writer, c config) error {
 			n, fmt.Sprintf("%d/%d", st.Nodes, st.Edges), len(vios), fixable,
 			attrC, edgeC, solverCalls, ms(previewWall), perVio, appliesStr, ms(drainWall))
 	}
-	fmt.Fprintf(out, "# preview cost is dominated by per-candidate clearance (O(|Vio|) overlay\n")
+	fmt.Fprintf(out, "# preview cost is dominated by per-candidate clearance (O(|Vio|) fork\n")
 	fmt.Fprintf(out, "# re-checks), so ms/vio grows with the store; applies < |Vio| whenever one\n")
 	fmt.Fprintf(out, "# fix clears several violations at once (shared node, shared edge)\n")
 	return nil

@@ -39,12 +39,13 @@
 //
 // Finally, the walk records what the module declares, and the prose must
 // name only that. A backticked pkg.Name (Name exported), pkg.Type.Member or
-// Type.Member in DESIGN.md, README.md or docs/OPERATIONS.md whose pkg (or
-// Type) the module declares must name a func, type, var, const, method or
-// field of it; references into the standard library and file names are
-// not checked. A backticked -flag in the first column of a table in
-// OPERATIONS §1 must be registered by the command the subsection is about.
-// Those three documents and EXPERIMENTS.md may not repeat a `## ` heading.
+// Type.Member in DESIGN.md, README.md, docs/OPERATIONS.md or the verify
+// skill whose pkg (or Type) the module declares must name a func, type,
+// var, const, method or field of it; references into the standard library
+// and file names are not checked. A backticked -flag in the first column
+// of a table in OPERATIONS §1 must be registered by the command the
+// subsection is about. Those four documents and EXPERIMENTS.md may not
+// repeat a `## ` heading.
 // Every `go test` -run or -fuzz pattern in the verify skill and the CI
 // workflow must match a test the packages it names declare: each
 // top-level alternative of -run (a -run beside -fuzz or -bench, which
@@ -113,16 +114,17 @@ var (
 // opsDoc the one whose §1 flag tables it checks. Each of them and
 // experimentsDoc must head each of its sections with a `## ` line of its
 // own.
-var docs = []string{"DESIGN.md", "README.md", opsDoc}
+var docs = []string{"DESIGN.md", "README.md", opsDoc, skillDoc}
 
 const (
 	opsDoc         = "docs/OPERATIONS.md"
 	experimentsDoc = "EXPERIMENTS.md"
+	skillDoc       = ".claude/skills/verify/SKILL.md"
 )
 
 // runDocs are the files whose `go test` commands the patterns rule reads:
 // markdown code spans and fenced lines, and YAML lines.
-var runDocs = []string{".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+var runDocs = []string{skillDoc, ".github/workflows/ci.yml"}
 
 func main() {
 	root := "."

@@ -277,11 +277,13 @@ func init() { flag.IntVar(&x, "also", 0, "") }
 			"| `-good` / `-also` | ok |\n| `-gone` | stale |\n| x | `-good` in a later column is not checked: `-nope` |\n" +
 			"### 1.2 The feed (`GET /feed`)\n| `-nope` | no command |\n" +
 			"## 2. Formats\n| `-nope` | not §1 |\n",
+		".claude/skills/verify/SKILL.md": "`p.T.M` resolves, `p.M` does not\n",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
+		".claude/skills/verify/SKILL.md:1: `p.M` names no declaration",
 		"DESIGN.md:6: `T.Gone` names no declaration",
 		"DESIGN.md:6: `p.Gone` names no declaration",
 		"DESIGN.md:6: `p.T.Gone` names no declaration",

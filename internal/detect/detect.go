@@ -210,8 +210,8 @@ func SlotKey(r *core.NGD, slot int) SearcherKey {
 }
 
 // EdgeSlotKey keys an update-pivot search (both endpoints of one pattern
-// edge bound); plus separates the ΔVio⁺ overlay view from the base view,
-// whose plans may differ.
+// edge bound); plus separates the ΔVio⁺ view, G ⊕ ΔG, from G, whose plans
+// may differ.
 func EdgeSlotKey(r *core.NGD, src, dst int, plus bool) SearcherKey {
 	return SearcherKey{Rule: r, A: src, B: dst, Plus: plus}
 }

@@ -8,7 +8,6 @@ import (
 	"ngd/internal/detect"
 	"ngd/internal/expr"
 	"ngd/internal/gen"
-	"ngd/internal/graph"
 	"ngd/internal/paperdata"
 	"ngd/internal/pattern"
 )
@@ -255,8 +254,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	// applying both yields graphs with equal violation sets
 	rules := gen.Rules(gen.YAGO2, gen.RuleConfig{Count: 8, MaxDiameter: 4, Seed: 4})
-	a1 := graph.NewOverlay(ds.G, d.Normalize(ds.G))
-	a2 := graph.NewOverlay(g2, d2.Normalize(g2))
+	a1, a2 := ds.G.Clone(), g2.Clone()
+	a1.Apply(d)
+	a2.Apply(d2)
 	v1 := detect.Dect(a1, rules, detect.Options{})
 	v2 := detect.Dect(a2, rules, detect.Options{})
 	if len(v1.Violations) != len(v2.Violations) {

@@ -152,7 +152,8 @@ func TestApplyCompaction(t *testing.T) {
 // TestApplyIndexConsistency checks the PR-1 attribute indexes survive a
 // commit stream without rebuild: after interleaved node arrivals (SetAttrA
 // maintenance), attribute rewrites, and Apply batches, every live index
-// answers identically to a fresh EnsureAttrIndex rebuild on a clone.
+// answers identically to a fresh EnsureAttrIndex build on a copy built
+// from scratch.
 func TestApplyIndexConsistency(t *testing.T) {
 	g := New()
 	tLbl := g.Symbols().Label("T")
@@ -192,7 +193,7 @@ func TestApplyIndexConsistency(t *testing.T) {
 	g.Apply(d2)
 
 	// the live index must match a from-scratch rebuild
-	fresh := g.Clone().EnsureAttrIndex(tLbl, val)
+	fresh := Rebuilt(g).EnsureAttrIndex(tLbl, val)
 	if ix2 := g.AttrIndexFor(tLbl, val); ix2 != ix {
 		t.Fatal("index identity changed (rebuilt instead of maintained)")
 	}

@@ -18,8 +18,8 @@ import (
 // string), each of which would leave Y unsatisfied.
 //
 // Keys are Value.AsInt, as in AttrIndex. Indexes are built on demand with
-// EnsureEdgeValIndex at plan time, kept exact by AddEdgeL, DeleteEdgeL and
-// SetAttrA, and dropped by Clone.
+// EnsureEdgeValIndex at plan time and kept exact by AddEdgeL, DeleteEdgeL
+// and SetAttrA, which copy one a clone shares first (page.go).
 
 // edgeEntry is one indexed edge: the key of its indexed endpoint, then the
 // edge itself (16 bytes).
@@ -42,11 +42,16 @@ func cmpEntry(a, b edgeEntry) int {
 // EdgeValIndex indexes the edges of one label by one attribute of one of
 // their endpoints.
 type EdgeValIndex struct {
+	shared
 	label     LabelID
 	attr      AttrID
 	bySrc     bool
 	ord       []edgeEntry // integer-keyed edges sorted by (val, src, dst)
 	uncovered int         // edges whose endpoint has no integer key
+}
+
+func (ix *EdgeValIndex) copy() *EdgeValIndex {
+	return &EdgeValIndex{label: ix.label, attr: ix.attr, bySrc: ix.bySrc, ord: slices.Clone(ix.ord), uncovered: ix.uncovered}
 }
 
 // Len reports the number of integer-keyed edges.
@@ -107,9 +112,8 @@ func (ix *EdgeValIndex) remove(u, v NodeID, val Value) {
 	}
 }
 
-// EdgeValIndexed is implemented by views that serve edge-value indexes:
-// *Graph natively, *Overlay by delegating to its base graph where the
-// base's index still bounds G ⊕ ΔG (see Overlay.EdgeValIndexFor).
+// EdgeValIndexed is implemented by views that serve edge-value indexes
+// (*Graph).
 //
 // EnsureEdgeValIndex may mutate the underlying graph and must only be
 // called during single-threaded setup (plan building); it returns the
@@ -120,10 +124,7 @@ type EdgeValIndexed interface {
 	EdgeValIndexFor(l LabelID, a AttrID, bySrc bool) *EdgeValIndex
 }
 
-var (
-	_ EdgeValIndexed = (*Graph)(nil)
-	_ EdgeValIndexed = (*Overlay)(nil)
-)
+var _ EdgeValIndexed = (*Graph)(nil)
 
 // EnsureEdgeValIndex returns the index of label l's edges by attribute a of
 // their target (bySrc: of their source), building it on first use. It
@@ -169,10 +170,12 @@ func (g *Graph) EdgeValIndexFor(l LabelID, a AttrID, bySrc bool) *EdgeValIndex {
 // noteEdgeIdx keeps the edge-value indexes of label l exact across the
 // insertion (d > 0) or deletion of edge (u, v).
 func (g *Graph) noteEdgeIdx(u, v NodeID, l LabelID, d int) {
-	for _, ix := range g.edgeIdx {
+	for i, ix := range g.edgeIdx {
 		if ix.label != l {
 			continue
 		}
+		ix = unshare(ix)
+		g.edgeIdx[i] = ix
 		val := g.Attr(ix.end(u, v), ix.attr)
 		if d > 0 {
 			ix.add(u, v, val)
@@ -185,10 +188,12 @@ func (g *Graph) noteEdgeIdx(u, v NodeID, l LabelID, d int) {
 // reindexEdges moves the edges keyed on node v from old to val when v's
 // attribute a changes.
 func (g *Graph) reindexEdges(v NodeID, a AttrID, old, val Value) {
-	for _, ix := range g.edgeIdx {
+	for i, ix := range g.edgeIdx {
 		if ix.attr != a {
 			continue
 		}
+		ix = unshare(ix)
+		g.edgeIdx[i] = ix
 		if ix.bySrc {
 			for _, h := range LabelRun(g.Out(v), ix.label) {
 				ix.remove(v, h.To, old)
@@ -201,37 +206,4 @@ func (g *Graph) reindexEdges(v NodeID, a AttrID, old, val Value) {
 			}
 		}
 	}
-}
-
-// EnsureEdgeValIndex builds the index on the base graph and returns it even
-// where EdgeValIndexFor masks it: the planner reads it as an estimate, as it
-// reads the base's LiveStats (ΔG is small next to G). Only EdgeValIndexFor
-// decides whether a cut may use it over the overlay.
-func (o *Overlay) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValIndex {
-	return o.base.EnsureEdgeValIndex(l, a, bySrc)
-}
-
-// EdgeValIndexFor serves the base graph's index unless ΔG⁺ inserts an edge
-// of label l or the overlay overrides attribute a somewhere: either could
-// put a value outside the base's span. Deletions are harmless — they leave
-// the base index a superset of G ⊕ ΔG's edges.
-func (o *Overlay) EdgeValIndexFor(l LabelID, a AttrID, bySrc bool) *EdgeValIndex {
-	if o.masksEdgeIdx(l, a) {
-		return nil
-	}
-	return o.base.EdgeValIndexFor(l, a, bySrc)
-}
-
-func (o *Overlay) masksEdgeIdx(l LabelID, a AttrID) bool {
-	for _, il := range o.insLabels {
-		if il == l {
-			return true
-		}
-	}
-	for k := range o.dirtyIdx {
-		if k.attr == a {
-			return true
-		}
-	}
-	return false
 }

@@ -16,15 +16,11 @@ var edgeIdxValues = []Value{
 	{}, Str("s"), Str(""), Str("2"),
 }
 
-// sameAsFresh fails unless ix holds exactly what a fresh build over a
-// clone of g holds.
+// sameAsFresh fails unless ix holds exactly what a fresh build over a copy
+// of g built from scratch holds.
 func sameAsFresh(t *testing.T, g *Graph, ix *EdgeValIndex, step int) {
 	t.Helper()
-	c := g.Clone()
-	if c.EdgeValIndexFor(ix.label, ix.attr, ix.bySrc) != nil {
-		t.Fatalf("step %d: the clone carries an edge-value index", step)
-	}
-	fresh := c.EnsureEdgeValIndex(ix.label, ix.attr, ix.bySrc)
+	fresh := Rebuilt(g).EnsureEdgeValIndex(ix.label, ix.attr, ix.bySrc)
 	if ix.uncovered != fresh.uncovered || !reflect.DeepEqual(append([]edgeEntry{}, ix.ord...), append([]edgeEntry{}, fresh.ord...)) {
 		t.Fatalf("step %d (bySrc %v): maintained %d entries, %d uncovered; fresh build %d, %d\nmaintained %v\nfresh      %v",
 			step, ix.bySrc, len(ix.ord), ix.uncovered, len(fresh.ord), fresh.uncovered, ix.ord, fresh.ord)
@@ -134,39 +130,51 @@ func TestEdgeValIndexSpan(t *testing.T) {
 	}
 }
 
-// TestOverlayMasksEdgeValIndex: an overlay serves the base's index to a cut
-// unless its ΔG⁺ inserts an edge of the label or it overrides the
-// attribute; the planner's estimate is the base's index either way.
-func TestOverlayMasksEdgeValIndex(t *testing.T) {
+// TestForkEdgeValIndexExact: a fork with ΔG applied serves an index exact
+// for G ⊕ ΔG, so a cut may fire over it: deletions and other labels leave
+// the shared index alone, an insertion of the label widens the fork's
+// copy, an attribute write moves its key, and the parent's index stays
+// G's throughout.
+func TestForkEdgeValIndexExact(t *testing.T) {
 	g := New()
 	p, q := g.Symbols().Label("p"), g.Symbols().Label("q")
 	val := g.Symbols().Attr("val")
 	a, b, c := g.AddNode("x"), g.AddNode("x"), g.AddNode("x")
+	g.SetAttrA(b, val, Int(1))
+	g.SetAttrA(c, val, Int(5))
 	g.AddEdgeL(a, b, p)
 	ix := g.EnsureEdgeValIndex(p, val, false)
 
-	var del Delta
-	del.Delete(a, b, p)
-	del.Insert(a, c, q)
-	if o := NewOverlay(g, &del); o.EdgeValIndexFor(p, val, false) != ix || o.EnsureEdgeValIndex(p, val, false) != ix {
-		t.Fatal("deletions and other labels must leave the index served")
+	span := func(ix *EdgeValIndex) [2]int64 {
+		lo, hi, _ := ix.Span()
+		return [2]int64{lo, hi}
 	}
+	var other Delta
+	other.Insert(a, c, q)
+	f := g.Clone()
+	f.Apply(&other)
+	if f.EdgeValIndexFor(p, val, false) != ix || f.EnsureEdgeValIndex(p, val, false) != ix {
+		t.Fatal("another label's insertion must leave the shared index served")
+	}
+	f.Release()
+
 	var ins Delta
 	ins.Insert(a, c, p)
-	o := NewOverlay(g, &ins)
-	if o.EdgeValIndexFor(p, val, false) != nil {
-		t.Fatal("an overlay inserting the label must not serve its index")
+	f = g.Clone()
+	f.Apply(&ins)
+	fix := f.EdgeValIndexFor(p, val, false)
+	if fix == nil || fix == ix || span(fix) != [2]int64{1, 5} {
+		t.Fatalf("a fork inserting the label must serve its own exact index, got %v", fix)
 	}
-	if o.EnsureEdgeValIndex(p, val, false) != ix {
-		t.Fatal("the planner's estimate over an overlay is the base's index")
+	sameAsFresh(t, f, fix, 0)
+	f.SetAttrA(c, val, Int(3))
+	if span(f.EdgeValIndexFor(p, val, false)) != [2]int64{1, 3} {
+		t.Fatal("an attribute write on the fork must move its key")
 	}
-	var none Delta
-	o = NewOverlay(g, &none)
-	o.SetAttr(c, val, Int(1))
-	if o.EdgeValIndexFor(p, val, false) != nil {
-		t.Fatal("an overlay overriding the attribute must not serve its index")
+	sameAsFresh(t, f, f.EdgeValIndexFor(p, val, false), 1)
+	f.Release()
+	if g.EdgeValIndexFor(p, val, false) != ix || span(ix) != [2]int64{1, 1} {
+		t.Fatal("the parent's index must stay G's")
 	}
-	if g.EdgeValIndexFor(p, val, false) != ix {
-		t.Fatal("the base graph lost its index")
-	}
+	sameAsFresh(t, g, ix, 2)
 }

@@ -1,9 +1,10 @@
 package graph_test
 
-// A graph and its clones share pages of node slots until they write to
-// them (page.go). The sharing must not be observable: every side — the
-// original and each live clone — equals a graph built call by call from
-// its own stream of calls, whatever the other sides do; a goroutine may
+// A graph and its clones share pages of node slots, indexes and statistics
+// until they write to them (page.go). The sharing must not be observable:
+// every side — the original and each live clone — equals a graph built
+// call by call from its own stream of calls, and its indexes a fresh
+// build's, whatever the other sides do; a goroutine may
 // read one side while another writes a second; and a clone costs its
 // page table, not a copy of the graph.
 
@@ -92,6 +93,11 @@ func decodeCall(b []byte, n, nl, na int) call {
 // side must equal its reference.
 func forkStream(t *testing.T, base recipe, data []byte) {
 	root := base.viaBuilder()
+	// indexes the sides share until they write them (and statistics, which
+	// sameGraph builds on the first check)
+	root.EnsureAttrIndex(root.Label(0), 0)
+	root.EnsureEdgeValIndex(1, 0, false)
+	root.EnsureEdgeValIndex(1, 0, true)
 	sides := []*side{{g: root, ref: base.viaMutators()}}
 	nl, na := base.syms.NumLabels(), max(base.syms.NumAttrs(), 1)
 	for ; len(data) >= 8; data = data[8:] {
@@ -105,6 +111,7 @@ func forkStream(t *testing.T, base recipe, data []byte) {
 			}
 			sides = append(sides, f)
 		case op == 7 && len(sides) > 1:
+			sameIndexes(t, s.g)
 			s.g.Release()
 			if s.g.NumNodes() != 0 || s.g.NumEdges() != 0 {
 				t.Fatalf("a released graph holds %d nodes, %d edges", s.g.NumNodes(), s.g.NumEdges())
@@ -119,6 +126,19 @@ func forkStream(t *testing.T, base recipe, data []byte) {
 		for _, s := range sides {
 			sameGraph(t, s.g, s.ref)
 		}
+	}
+	for _, s := range sides {
+		sameIndexes(t, s.g)
+	}
+}
+
+// sameIndexes fails unless g's indexes and statistics are a fresh build's.
+// A write that reached another side's copy stays wrong, so forkStream checks
+// each side once, when it is released or at the end.
+func sameIndexes(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if got, want := graph.IndexState(g), graph.FreshIndexState(g); got != want {
+		t.Fatalf("indexes or statistics are not a fresh build's:\n%s\nfresh:\n%s", got, want)
 	}
 }
 
@@ -266,7 +286,8 @@ func allocated(f func()) int {
 // TestForkCopiesWhatItTouches: at 64k nodes a clone allocates its page
 // tables and headers (a copying clone took 9.4 MB), and a 16-op commit on
 // the original while the clone is held allocates what it does without a
-// clone plus copies of the pages it writes and the lists it changes.
+// clone plus copies of the pages it writes, the lists it changes and the
+// statistics.
 func TestForkCopiesWhatItTouches(t *testing.T) {
 	g, twin := gen.Generate(gen.YAGO2, 8000, 1).G, gen.Generate(gen.YAGO2, 8000, 1).G
 	g.LiveStats()
@@ -288,7 +309,7 @@ func TestForkCopiesWhatItTouches(t *testing.T) {
 		}
 	}
 	pages := map[[2]int]bool{}
-	budget := allocated(func() { twin.Apply(d) })
+	budget := allocated(func() { twin.Apply(d) }) + allocated(func() { graph.CopyStats(twin) })
 	for _, op := range d.Ops {
 		for i, v := range []graph.NodeID{op.Src, op.Dst} {
 			if !pages[[2]int{i, int(v) / graph.PageSize}] {

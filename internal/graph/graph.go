@@ -162,8 +162,9 @@ type nodeData struct {
 // sorted by (Label, To) so edge checks are logarithmic.
 //
 // A Graph is safe for concurrent reads once construction and updates are
-// done; mutation is not synchronized. A graph and its clones share pages
-// (see page.go), but each may be written by its own goroutine.
+// done; mutation is not synchronized. A graph and its clones share pages,
+// indexes and statistics (see page.go), but each may be written by its own
+// goroutine.
 type Graph struct {
 	syms      *Symbols
 	n         int // |V|
@@ -239,6 +240,8 @@ func (g *Graph) SetAttrA(v NodeID, a AttrID, val Value) {
 		old = nd.attrs[i].val
 	}
 	if ix := g.attrIdx[attrIndexKey{nd.label, a}]; ix != nil {
+		ix = unshare(ix)
+		g.attrIdx[attrIndexKey{nd.label, a}] = ix
 		if old.Valid() {
 			ix.remove(v, old)
 		}
@@ -431,24 +434,11 @@ func NeighborhoodOf(g View, seeds []NodeID, d int) []NodeID {
 	return result
 }
 
-// InducedEdges calls fn for every edge of the subgraph induced by the node
-// set (paper §2): both endpoints in the set.
-func (g *Graph) InducedEdges(set map[NodeID]struct{}, fn func(u, v NodeID, l LabelID)) {
-	for u := range set {
-		for _, h := range g.Out(u) {
-			if _, ok := set[h.To]; ok {
-				fn(u, h.To, h.Label)
-			}
-		}
-	}
-}
-
 // Clone returns an independent copy of g in O(pages): the two share every
-// page of node slots until one of them writes to it (see page.go), and get
-// private symbol tables and by-label headers. Attribute indexes, edge-value
-// indexes and maintained statistics are not copied; the clone rebuilds them
-// on the next EnsureAttrIndex / EnsureEdgeValIndex / LiveStats call. The
-// copy may be handed to another goroutine while g keeps changing.
+// page of node slots, every index and the maintained statistics until one
+// of them writes to it (see page.go), and get private symbol tables and
+// by-label headers. The copy may be handed to another goroutine while g
+// keeps changing.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		syms:      g.syms.Clone(),
@@ -458,21 +448,41 @@ func (g *Graph) Clone() *Graph {
 		in:        g.in.fork(),
 		edgeCount: g.edgeCount,
 		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
+		attrIdx:   maps.Clone(g.attrIdx),
+		edgeIdx:   slices.Clone(g.edgeIdx),
+		stats:     g.stats,
 	}
 	for l, ns := range g.byLabel {
 		c.byLabel[l] = slices.Clip(ns) // g may append in place, c may not
 	}
+	g.addHolds(1)
 	return c
 }
 
-// Release empties g and drops its holds on the pages it shares with its
-// clones (or its original), so that they write to those pages in place
-// again instead of copying them. Call it when done with a clone.
+// Release empties g and drops its holds on the pages, indexes and
+// statistics it shares with its clones (or its original), so that they
+// write to those in place again instead of copying them. Call it when done
+// with a clone.
 func (g *Graph) Release() {
 	g.nodes.release()
 	g.out.release()
 	g.in.release()
+	g.addHolds(-1)
 	*g = *NewWithSymbols(g.syms)
+}
+
+// addHolds adds d to the hold count of every index g holds and of its
+// statistics.
+func (g *Graph) addHolds(d int32) {
+	for _, ix := range g.attrIdx {
+		ix.others.Add(d)
+	}
+	for _, ix := range g.edgeIdx {
+		ix.others.Add(d)
+	}
+	if g.stats != nil {
+		g.stats.others.Add(d)
+	}
 }
 
 // Stats summarizes a graph (used by generators and the bench harness).

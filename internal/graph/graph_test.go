@@ -280,6 +280,7 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
+// TestOverlaySemantics: G ⊕ ΔG, built as a fork of G with ΔG applied.
 func TestOverlaySemantics(t *testing.T) {
 	g, n := buildTriangle(t)
 	knows := g.Symbols().LookupLabel("knows")
@@ -289,30 +290,32 @@ func TestOverlaySemantics(t *testing.T) {
 	d.Delete(n[0], n[1], knows)
 	d.Insert(n[2], n[0], knows) // city knows person (new edge)
 
-	o := NewOverlay(g, d)
+	o := g.Clone() // G ⊕ ΔG
+	o.Apply(d)
 	if o.HasEdgeL(n[0], n[1], knows) {
-		t.Error("overlay should hide deleted edge")
+		t.Error("G ⊕ ΔG should lack the deleted edge")
 	}
 	if !o.HasEdgeL(n[2], n[0], knows) {
-		t.Error("overlay should show inserted edge")
+		t.Error("G ⊕ ΔG should hold the inserted edge")
 	}
 	if !o.HasEdgeL(n[0], n[2], livesIn) {
-		t.Error("overlay should pass through untouched edges")
+		t.Error("G ⊕ ΔG should keep untouched edges")
 	}
 	if o.NumEdges() != 3 {
-		t.Errorf("overlay edges = %d, want 3", o.NumEdges())
+		t.Errorf("G ⊕ ΔG edges = %d, want 3", o.NumEdges())
 	}
 	// base graph untouched
 	if !g.HasEdgeL(n[0], n[1], knows) || g.NumEdges() != 3 {
-		t.Error("overlay mutated the base graph")
+		t.Error("applying ΔG to the fork mutated the base graph")
 	}
 	// no-op operations change nothing
 	d2 := &Delta{}
 	d2.Insert(n[0], n[1], knows)   // already exists
 	d2.Delete(n[1], n[0], livesIn) // never existed
-	o2 := NewOverlay(g, d2)
+	o2 := g.Clone()
+	o2.Apply(d2)
 	if o2.NumEdges() != 3 {
-		t.Errorf("no-op overlay edges = %d, want 3", o2.NumEdges())
+		t.Errorf("no-op G ⊕ ΔG edges = %d, want 3", o2.NumEdges())
 	}
 }
 
@@ -387,26 +390,20 @@ func TestDeltaApplyInverseProperty(t *testing.T) {
 		}
 		norm := d.Normalize(g)
 
-		// overlay view must equal eager application
-		o := NewOverlay(g, norm)
-		applied := g.Clone()
-		norm.Apply(applied)
-		for v := 0; v < n; v++ {
-			ao, oo := applied.Out(NodeID(v)), o.Out(NodeID(v))
-			if len(ao) != len(oo) {
-				t.Fatalf("trial %d: overlay/apply out mismatch at %d", trial, v)
-			}
-			for i := range ao {
-				if ao[i] != oo[i] {
-					t.Fatalf("trial %d: overlay/apply half mismatch", trial)
-				}
-			}
-		}
-
+		// a fork with ΔG applied equals g once g applies ΔG itself, and
+		// keeps that state while g undoes it
+		after := g.Clone()
+		after.Apply(norm)
 		norm.Apply(g)
+		if !sameEdges(g, after) {
+			t.Fatalf("trial %d: the fork's G ⊕ ΔG != G ⊕ ΔG", trial)
+		}
 		norm.Inverse().Apply(g)
 		if !sameEdges(g, orig) {
 			t.Fatalf("trial %d: apply+inverse != identity", trial)
+		}
+		if norm.Len() > 0 && sameEdges(after, orig) {
+			t.Fatalf("trial %d: the inverse reached the fork", trial)
 		}
 	}
 }
@@ -436,15 +433,5 @@ func TestStats(t *testing.T) {
 	}
 	if st.Density <= 0 {
 		t.Errorf("stats density: %+v", st)
-	}
-}
-
-func TestInducedEdges(t *testing.T) {
-	g, n := buildTriangle(t)
-	set := map[NodeID]struct{}{n[0]: {}, n[1]: {}}
-	count := 0
-	g.InducedEdges(set, func(u, v NodeID, l LabelID) { count++ })
-	if count != 1 {
-		t.Errorf("induced edges = %d, want 1 (only a->b)", count)
 	}
 }

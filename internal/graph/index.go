@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // This file implements the attribute value indexes behind the literal-based
 // candidate pruning of §6.2 step (3). An AttrIndex covers one (node label,
@@ -20,8 +24,9 @@ import "sort"
 // Indexes are built on demand with EnsureAttrIndex (single-threaded setup,
 // e.g. while building matching plans) and are read-only afterwards from the
 // matcher's point of view; SetAttrA keeps existing indexes in sync when
-// attributes change. Query methods never build or mutate, so concurrent
-// readers (the parallel engine's workers) are safe.
+// attributes change, copying one a clone shares first (page.go). Query
+// methods never build or mutate, so concurrent readers (the parallel
+// engine's workers) are safe.
 
 // ordEntry is one entry of the ordered index: an integer-keyed value.
 type ordEntry struct {
@@ -34,10 +39,20 @@ type ordEntry struct {
 // are a two-sided binary search (they happen at plan-build and seed time,
 // never per candidate), which keeps mutation maintenance to one container.
 type AttrIndex struct {
+	shared
 	label LabelID
 	attr  AttrID
 	strs  map[string][]NodeID // string equality postings (sorted by node id)
 	ord   []ordEntry          // integer entries sorted by (val, node)
+}
+
+// copy returns a deep copy of ix: the postings grow in place.
+func (ix *AttrIndex) copy() *AttrIndex {
+	c := &AttrIndex{label: ix.label, attr: ix.attr, strs: maps.Clone(ix.strs), ord: slices.Clone(ix.ord)}
+	for s, ps := range c.strs {
+		c.strs[s] = slices.Clone(ps)
+	}
+	return c
 }
 
 // IndexRun is an immutable candidate list returned by index queries; it
@@ -223,8 +238,7 @@ type attrIndexKey struct {
 }
 
 // AttrIndexed is implemented by views that answer indexed attribute
-// lookups: *Graph natively, *Overlay by delegating to its base graph for
-// every (label, attribute) pair its SetAttr has not dirtied.
+// lookups (*Graph).
 //
 // EnsureAttrIndex may mutate the underlying graph and must only be called
 // during single-threaded setup (plan building); AttrIndexFor and the
@@ -234,10 +248,7 @@ type AttrIndexed interface {
 	AttrIndexFor(l LabelID, a AttrID) *AttrIndex
 }
 
-var (
-	_ AttrIndexed = (*Graph)(nil)
-	_ AttrIndexed = (*Overlay)(nil)
-)
+var _ AttrIndexed = (*Graph)(nil)
 
 // EnsureAttrIndex returns the attribute index for (l, a), building it on
 // first use. It returns nil for the wildcard pseudo-label (which has no
@@ -282,26 +293,4 @@ func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 // builds, so it is safe on the concurrent matching paths.
 func (g *Graph) AttrIndexFor(l LabelID, a AttrID) *AttrIndex {
 	return g.attrIdx[attrIndexKey{l, a}]
-}
-
-// EnsureAttrIndex delegates to the base graph for (label, attr) pairs the
-// overlay has not dirtied with SetAttr. Dirtied pairs return nil: the base
-// index still reflects the old attribute values, so serving it would hand
-// the matcher stale candidate runs — a nil index makes seeding fall back to
-// the label-bucket scan, whose per-candidate filters read attributes through
-// the overlay and therefore see the overrides.
-func (o *Overlay) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
-	if o.dirtyIdx[attrIndexKey{l, a}] {
-		return nil
-	}
-	return o.base.EnsureAttrIndex(l, a)
-}
-
-// AttrIndexFor delegates to the base graph, masking overlay-dirtied pairs
-// (see EnsureAttrIndex).
-func (o *Overlay) AttrIndexFor(l LabelID, a AttrID) *AttrIndex {
-	if o.dirtyIdx[attrIndexKey{l, a}] {
-		return nil
-	}
-	return o.base.AttrIndexFor(l, a)
 }

@@ -136,32 +136,73 @@ func TestEnsureAttrIndexIdempotentAndScoped(t *testing.T) {
 	}
 }
 
-func TestOverlayDelegatesAttrIndex(t *testing.T) {
+// TestForkInheritsAttrIndex: a fork serves its parent's attribute index
+// without a rebuild, and edge ops, which no attribute index reads, leave it
+// shared.
+func TestForkInheritsAttrIndex(t *testing.T) {
 	g, ix, l, a := buildIndexed(t, []Value{Int(1), Int(2)})
+	f := g.Clone()
+	defer f.Release()
 	d := &Delta{}
 	d.Insert(0, 1, g.Symbols().Label("e"))
-	o := NewOverlay(g, d)
-	if o.AttrIndexFor(l, a) != ix {
-		t.Fatal("overlay must delegate AttrIndexFor to its base")
-	}
-	if o.EnsureAttrIndex(l, a) != ix {
-		t.Fatal("overlay must delegate EnsureAttrIndex to its base")
+	f.Apply(d)
+	if f.AttrIndexFor(l, a) != ix || f.EnsureAttrIndex(l, a) != ix {
+		t.Fatal("a fork must serve its parent's index")
 	}
 }
 
-func TestCloneDropsIndexes(t *testing.T) {
-	g, _, l, a := buildIndexed(t, []Value{Int(1)})
+// TestCloneSharesIndexesUntilWritten holds the copy rule in both
+// directions. A clone holds its parent's indexes and statistics, and a
+// write on it copies what it changes and leaves the parent's as they were.
+// A parent's write while a clone holds them copies too: the clone is a
+// checkpoint's fork, read and released on another goroutine while the
+// writer goes on, so run it under -race.
+func TestCloneSharesIndexesUntilWritten(t *testing.T) {
+	g, ix, l, a := buildIndexed(t, []Value{Int(1), Int(2), Str("s"), Int(4), {}})
+	e := g.Symbols().Label("e")
+	for v := range NodeID(4) {
+		g.AddEdgeL(v, v+1, e)
+	}
+	eix := g.EnsureEdgeValIndex(e, a, false)
+	st := g.LiveStats()
+
 	c := g.Clone()
-	if c.AttrIndexFor(l, a) != nil {
-		t.Fatal("clone must not share attribute indexes")
+	if c.AttrIndexFor(l, a) != ix || c.EdgeValIndexFor(e, a, false) != eix || c.LiveStats() != st {
+		t.Fatal("a clone must hold its parent's indexes and statistics")
 	}
-	// and rebuilding on the clone works without touching the original
-	cix := c.EnsureAttrIndex(l, a)
-	if cix == nil || cix.Len() != 1 {
-		t.Fatal("clone failed to rebuild its index")
+	before := IndexState(g)
+	c.SetAttrA(1, a, Int(9))
+	c.DeleteEdgeL(0, 1, e)
+	c.AddEdgeL(4, 0, e)
+	if IndexState(g) != before {
+		t.Fatal("a write on the clone reached the parent's indexes or statistics")
 	}
-	c.SetAttrA(0, a, Int(9))
-	if g.AttrIndexFor(l, a).Ints(9).Len() != 0 {
-		t.Fatal("mutating the clone leaked into the original index")
+	if IndexState(c) != FreshIndexState(c) {
+		t.Fatalf("the clone's copies are not exact:\n%s\nfresh:\n%s", IndexState(c), FreshIndexState(c))
+	}
+	c.Release()
+
+	fork := g.Clone()
+	want := IndexState(fork)
+	written, done := make(chan struct{}), make(chan struct{})
+	var got, fresh string
+	go func() {
+		defer close(done)
+		<-written
+		got, fresh = IndexState(fork), FreshIndexState(fork)
+		fork.Release()
+	}()
+	g.SetAttrA(0, a, Int(7))
+	g.AddEdgeL(0, 2, e)
+	g.DeleteEdgeL(2, 3, e)
+	close(written)
+	g.SetAttrA(2, a, Int(3)) // beside the release: a copy or in place
+	g.AddEdgeL(1, 3, e)
+	<-done
+	if got != want || fresh != want {
+		t.Fatalf("the writer's updates reached the held fork:\n%s\nwant:\n%s", got, want)
+	}
+	if IndexState(g) != FreshIndexState(g) {
+		t.Fatalf("the parent's indexes are not exact:\n%s\nfresh:\n%s", IndexState(g), FreshIndexState(g))
 	}
 }

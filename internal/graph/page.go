@@ -127,6 +127,37 @@ func (t pages[T]) release() {
 	}
 }
 
+// The attribute indexes, the edge-value indexes and the statistics follow
+// the pages' rule, whole: Clone hands the clone its parent's objects, an
+// object more than one graph holds is frozen, and whichever graph writes it
+// first copies it. The copy keeps every index exact on both sides, so a
+// clone prunes like a fresh build of its graph, and the writer's updates
+// never reach a checkpoint's fork. Release drops the holds.
+
+// shared is the hold count of such an object: the graphs beyond the first
+// that hold it, so a new object is held by the graph that built it.
+type shared struct{ others atomic.Int32 }
+
+func (s *shared) drop()        { s.others.Add(-1) }
+func (s *shared) frozen() bool { return s.others.Load() > 0 }
+
+type sharable[T any] interface {
+	frozen() bool
+	drop()
+	copy() T
+}
+
+// unshare returns x ready for writes by a graph holding it: x itself when no
+// other graph holds it, else a copy the caller alone holds.
+func unshare[T sharable[T]](x T) T {
+	if !x.frozen() {
+		return x
+	}
+	c := x.copy()
+	x.drop()
+	return c
+}
+
 // insertAt inserts x at position i of l. A list its page does not own is
 // shared with another page, so it is copied instead of shifted in place.
 func insertAt[E any](l []E, i int, x E, own bool) []E {

@@ -1,5 +1,7 @@
 package graph
 
+import "maps"
+
 // This file implements LiveStats: the maintained statistics the cost-based
 // planner (internal/plan) scores matching orders with, kept current under
 // mutation:
@@ -15,9 +17,8 @@ package graph
 // The structure is built lazily on first use (one O(|E|) scan of the current
 // adjacency, counted per node-label bucket) and maintained incrementally by
 // AddNodeL / AddEdgeL / DeleteEdgeL / SetAttrA afterwards — (*Graph).Apply
-// goes through those, so batch commits keep the stats current for free.
-// Clone drops the stats (the clone rebuilds on demand), keeping copies
-// independent.
+// goes through those, so batch commits keep the stats current for free. A
+// clone shares them until one side writes (page.go).
 
 // degKey indexes the fan-out aggregates: half-edges with edge label `edge`
 // incident to nodes carrying node label `node`.
@@ -30,6 +31,7 @@ type degKey struct {
 // safe concurrently with other reads; mutation follows the owning graph's
 // single-writer discipline.
 type LiveStats struct {
+	shared
 	outRuns map[degKey]int // Σ over v with label(v)=node of |run(out(v), edge)|
 	inRuns  map[degKey]int // same for in-adjacency
 	outTot  map[LabelID]int
@@ -37,17 +39,21 @@ type LiveStats struct {
 	churn   uint64
 }
 
-// LiveStatted is implemented by views that expose maintained statistics:
-// *Graph natively, *Overlay by delegating to its base (ΔG is small relative
-// to G, so base stats are the right estimate for planning over G ⊕ ΔG).
+func (st *LiveStats) copy() *LiveStats {
+	return &LiveStats{
+		outRuns: maps.Clone(st.outRuns), inRuns: maps.Clone(st.inRuns),
+		outTot: maps.Clone(st.outTot), inTot: maps.Clone(st.inTot),
+		churn: st.churn,
+	}
+}
+
+// LiveStatted is implemented by views that expose maintained statistics
+// (*Graph).
 type LiveStatted interface {
 	LiveStats() *LiveStats
 }
 
-var (
-	_ LiveStatted = (*Graph)(nil)
-	_ LiveStatted = (*Overlay)(nil)
-)
+var _ LiveStatted = (*Graph)(nil)
 
 // LiveStats returns the maintained statistics, building them on first use
 // with one scan of the current graph: each node label's bucket counts its
@@ -109,16 +115,14 @@ func (g *Graph) LiveStats() *LiveStats {
 	return st
 }
 
-// LiveStats delegates to the base graph (overlays never drift far from it).
-func (o *Overlay) LiveStats() *LiveStats { return o.base.LiveStats() }
-
 // noteEdge maintains the aggregates for one edge (u -label-> v) appearing
 // (d=+1) or disappearing (d=-1).
 func (g *Graph) noteEdge(u, v NodeID, label LabelID, d int) {
-	st := g.stats
-	if st == nil {
+	if g.stats == nil {
 		return
 	}
+	st := unshare(g.stats)
+	g.stats = st
 	st.bump(st.outRuns, degKey{g.Label(u), label}, d)
 	st.bump(st.inRuns, degKey{g.Label(v), label}, d)
 	st.bumpTot(st.outTot, label, d)
@@ -130,6 +134,7 @@ func (g *Graph) noteEdge(u, v NodeID, label LabelID, d int) {
 // without moving edge aggregates (node arrivals, attribute writes).
 func (g *Graph) noteChurn() {
 	if g.stats != nil {
+		g.stats = unshare(g.stats)
 		g.stats.churn++
 	}
 }
@@ -159,7 +164,7 @@ func (st *LiveStats) Churn() uint64 { return st.churn }
 // on a node of label l (Wildcard: the global mean over all nodes). Zero when
 // no such half-edge exists — the planner reads that as "this extension
 // cannot produce candidates". v supplies the label cardinalities (pass the
-// view being planned over; overlays delegate to the same base counts).
+// view being planned over).
 func (st *LiveStats) OutFan(v View, l, el LabelID) float64 {
 	return fan(st.outRuns, st.outTot, v, l, el)
 }

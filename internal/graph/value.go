@@ -4,8 +4,8 @@
 // of attribute/value pairs, and every edge carries a label.
 //
 // The package also provides the operations the detection algorithms of the
-// paper rely on: induced subgraphs, d-neighborhoods G_d(v), batch updates
-// ΔG = (ΔG⁺, ΔG⁻) and overlay views of G ⊕ ΔG.
+// paper rely on: d-neighborhoods G_d(v), batch updates ΔG = (ΔG⁺, ΔG⁻),
+// and clones that share G's pages, so G ⊕ ΔG is a clone with ΔG applied.
 package graph
 
 import (

@@ -117,18 +117,23 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 	if opts.Program == nil {
 		opts.Program = plan.New(g, rules, plan.Options{})
 	}
-	// ΔVio⁺: search G ⊕ ΔG from insertion pivots.
-	res := Plus(graph.NewOverlay(g, norm), rules, norm.Insertions(), opts)
-	// ΔVio⁻: search G from deletion pivots.
+	// ΔVio⁻: search G from deletion pivots, first, so the indexes its plans
+	// build on g are the ones the fork inherits.
+	res := &Result{}
 	res.search(g, rules, norm.Deletions(), false, opts)
+	// ΔVio⁺: search G ⊕ ΔG, a fork of g, from insertion pivots.
+	after := g.Clone()
+	defer after.Release()
+	after.Apply(norm)
+	res.search(after, rules, norm.Insertions(), true, opts)
 	return res
 }
 
 // Plus computes ΔVio⁺ alone: the violating matches over v that use at least
-// one edge of ins, the insertions of a normalized ΔG. v is G ⊕ ΔG — an
-// overlay of the pre-update graph (IncDect) or the graph itself once ΔG is
-// applied (the session, which reads ΔVio⁻ off its store instead of searching
-// for it).
+// one edge of ins, the insertions of a normalized ΔG. v is G ⊕ ΔG — a fork
+// of the pre-update graph with ΔG applied (IncDect) or the graph itself
+// (the session, which reads ΔVio⁻ off its store instead of searching for
+// it).
 func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Result {
 	if opts.Program == nil {
 		opts.Program = plan.New(v, rules, plan.Options{})

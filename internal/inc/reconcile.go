@@ -57,10 +57,10 @@ func Minus(st Store, prog *plan.Program, del []graph.EdgeOp, emit func(key strin
 // node it binds. found sees each violating match of v that binds a touched
 // node, stored or not, once per (touched node, slot) that reaches it: the
 // searches are Seeded's, in Σ and slot order. opts.Program must be set. v
-// may be an overlay of the graph the program plans for (the repair preview):
-// a plan is valid over any view of the same graph, because seed runs resolve
-// at match time against the matcher's view and an overlay masks the index of
-// every attribute it overrides. Attr returns the searches' work counters.
+// may be a fork of the graph the program plans for (the repair preview): a
+// plan is valid over any view of the same graph, because seed runs resolve
+// at match time against the matcher's view, whose indexes are its own.
+// Attr returns the searches' work counters.
 func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts Options,
 	gone func(key string, v core.Violation), found func(*core.NGD, core.Match)) (work match.Counters) {
 	for _, n := range touched {

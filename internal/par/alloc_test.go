@@ -12,19 +12,22 @@ import (
 // buffer and its literal state from the expanding worker's freelists, and a
 // matcher is built on a worker's first use of a rule. The scheduler pops
 // queues from the front, so a whole frontier of units is alive at once and
-// the freelists refill only behind it: a run allocates 2.04 (PDect) and
-// 1.94 (PIncDect) objects per unit here, against 3.02 and 3.26 with
-// engine.recycle disabled. The ceiling sits between the two; the run is
-// deterministic, so the figures do not drift from run to run.
+// the freelists refill only behind it: a run allocates 2.22 (PDect) and
+// 2.88 (PIncDect) objects per unit here, against 3.05 and 4.00 with
+// engine.recycle disabled. PIncDect's figure includes its per-forest setup,
+// spread over the units the ¬Y cut leaves on G ⊕ ΔG. Each ceiling sits
+// between the two; the run is deterministic, so the figures do not drift
+// from run to run.
 func TestPDectUnitAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n, nrules int
 		seed      int64
 		delta     float64 // 0: PDect
+		ceiling   float64
 	}{
-		{"PDect", 400, 12, 11, 0},
-		{"PIncDect", 1200, 50, 11, 0.10},
+		{"PDect", 400, 12, 11, 0, 2.5},
+		{"PIncDect", 1200, 50, 11, 0.10, 3.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := gen.Generate(gen.YAGO2, tc.n, tc.seed)
@@ -40,8 +43,8 @@ func TestPDectUnitAllocBudget(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() { run() })
 			perUnit := allocs / float64(units)
 			t.Logf("%d units, %.0f allocs per run (%.2f per unit)", units, allocs, perUnit)
-			if perUnit > 2.5 {
-				t.Errorf("%.2f objects per work unit (%.0f over %d units), want ≤ 2.5", perUnit, allocs, units)
+			if perUnit > tc.ceiling {
+				t.Errorf("%.2f objects per work unit (%.0f over %d units), want ≤ %.1f", perUnit, allocs, units, tc.ceiling)
 			}
 		})
 	}

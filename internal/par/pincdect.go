@@ -68,7 +68,9 @@ func PDect(g graph.View, rules *core.Set, opts Options) *Result {
 func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) *Result {
 	opts = opts.Defaults()
 	norm := delta.Normalize(g)
-	newView := graph.NewOverlay(g, norm)
+	newView := g.Clone() // G ⊕ ΔG
+	defer newView.Release()
+	newView.Apply(norm)
 	ins := norm.Insertions()
 	del := norm.Deletions()
 

@@ -35,6 +35,16 @@ const cardCap = 1e18
 // cutSlots is the (bound side, free side) slot pair of one ¬Y cut.
 type cutSlots struct{ bound, free int }
 
+// ensureSeedIndexes builds the attribute indexes a plan's seed steps may
+// read over v. A pivot-anchored plan over a connected pattern has no seed
+// steps, so index construction would buy nothing (the filters still apply
+// as residual per-candidate checks).
+func ensureSeedIndexes(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) {
+	if f != nil && !(len(bound) > 0 && cp.Src.Connected()) {
+		match.EnsureIndexes(v, cp, f)
+	}
+}
+
 // costPlan computes a matching order for (the unbound part of) cp over v.
 // f carries the candidate filters to attach (nil: the rule has none), cuts
 // the ¬Y cuts of the rules the plan serves.
@@ -49,13 +59,7 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters, 
 	}
 	pl := &match.Plan{CP: cp, Bound: append([]int(nil), bound...), Filters: f}
 
-	// A pivot-anchored plan over a connected pattern has no seed steps, so
-	// index construction would buy nothing (the filters still apply as
-	// residual per-candidate checks).
-	seedsPossible := !(len(bound) > 0 && cp.Src.Connected())
-	if f != nil && seedsPossible {
-		match.EnsureIndexes(v, cp, f)
-	}
+	ensureSeedIndexes(v, cp, bound, f)
 
 	var st *graph.LiveStats
 	if ls, ok := v.(graph.LiveStatted); ok {

@@ -81,10 +81,10 @@ type Cut struct {
 }
 
 // Live returns the cut's edge-value index over v when the cut can fire
-// there, or nil: v serves no index (none built, or an overlay masking it),
-// an edge of the label has an uncovered endpoint, or no band can hold the
-// index's span. None of that changes within a search, so a detector asks
-// once per search and then calls Holds per branch.
+// there, or nil: v serves no index (none built), an edge of the label has
+// an uncovered endpoint, or no band can hold the index's span. None of
+// that changes within a search, so a detector asks once per search and
+// then calls Holds per branch.
 func (c *Cut) Live(v graph.View) *graph.EdgeValIndex {
 	ev, ok := v.(graph.EdgeValIndexed)
 	if !ok {
@@ -262,6 +262,7 @@ type planKey struct {
 type cachedPlan struct {
 	p       *match.Plan
 	churnAt uint64
+	on      graph.View // the graph it last built its indexes over
 }
 
 type shareEntry struct {
@@ -400,7 +401,8 @@ func (p *Program) CompiledFor(r *core.NGD) *Compiled {
 
 // PlanFor returns the compiled rule and its matching plan for the given
 // pre-bound pattern slots over v, serving from the plan cache when the
-// graph has not churned past the drift threshold since the plan was built.
+// graph has not churned past the drift threshold since the plan was built
+// (either way: a fork's churn runs ahead of its parent's).
 // Rules in the same (pattern, filters) group share cache entries, so e.g.
 // the per-slot pivot searchers of IncDect and the session's arriving-node
 // absorption searches draw from one plan source.
@@ -412,8 +414,15 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *m
 	key := planKey{group: p.groupOf[ri], bound: boundSig(bound)}
 	churn := churnOf(v)
 	if e, ok := p.cache[key]; ok {
-		if churn-e.churnAt <= p.threshold(v) {
+		if max(churn, e.churnAt)-min(churn, e.churnAt) <= p.threshold(v) {
 			p.hits.Add(1)
+			if e.on != v {
+				// served over another graph than it was built over (a fork
+				// and its parent): the indexes it reads are built there too
+				ensureSeedIndexes(v, c.CP, bound, c.Filters)
+				p.groupCutsLocked(v, p.groupOf[ri])
+				e.on = v
+			}
 			return c, e.p
 		}
 		p.invalidations.Add(1)
@@ -421,7 +430,7 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *m
 		p.misses.Add(1)
 	}
 	pl := costPlan(v, c.CP, bound, c.Filters, p.groupCutsLocked(v, p.groupOf[ri]))
-	p.cache[key] = &cachedPlan{p: pl, churnAt: churn}
+	p.cache[key] = &cachedPlan{p: pl, churnAt: churn, on: v}
 	return c, pl
 }
 

@@ -412,6 +412,38 @@ func followerHub(n int) (*graph.Graph, graph.NodeID, []graph.NodeID, []graph.Nod
 	return g, hub, xs, as
 }
 
+// TestPlanServedAcrossFork: IncDect plans over G and over G ⊕ ΔG, a fork
+// whose churn counter runs |ΔG| ahead of G's, from one cache. A plan built
+// over the fork is a hit over G (the drift counts either way), and its
+// cut's edge-value index is built over G too, where the fork's copy does
+// not reach.
+func TestPlanServedAcrossFork(t *testing.T) {
+	g, _, xs, as := followerHub(50)
+	r := gen.FollowerRule(gen.YAGO2, 0)
+	prog := plan.New(g, core.NewSet(r), plan.Options{})
+	p4 := g.Symbols().Label("p4")
+	val := g.Symbols().LookupAttr("val")
+	g.LiveStats()
+	f := g.Clone()
+	defer f.Release()
+	d := &graph.Delta{}
+	for i := range 10 {
+		d.Insert(xs[i], as[i+1], p4)
+	}
+	f.Apply(d)
+	prog.PlanFor(f, r, []int{0, 2})
+	if g.EdgeValIndexFor(p4, val, false) != nil || f.EdgeValIndexFor(p4, val, false) == nil {
+		t.Fatal("the plan built over the fork must build its index there only")
+	}
+	prog.PlanFor(g, r, []int{0, 2})
+	if c := prog.Counters(); c.Misses != 1 || c.Hits != 1 || c.Invalidations != 0 {
+		t.Fatalf("counters %+v, want 1 miss and 1 hit: the fork's churn is 10 ahead, not past the threshold", c)
+	}
+	if g.EdgeValIndexFor(p4, val, false) == nil {
+		t.Fatal("a plan served over G must build its cut's index over G")
+	}
+}
+
 // TestCutBindsBoundSideFirst pins the ¬Y cut of the follower rule: its two
 // orientations are compiled, the pivot plans bind the cut's bound side
 // before the hub's fan-in scan, the edge-value index is built at plan time,

@@ -9,6 +9,8 @@
 package ref
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,8 +35,93 @@ func Keys(vs []core.Violation) string {
 // Detect's order. g is not modified.
 func Delta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus []core.Violation) {
 	before := Detect(g, rules)
-	after := Detect(graph.NewOverlay(g, d.Normalize(g)), rules)
+	after := Detect(Apply(g, d), rules)
 	return missing(after, before), missing(before, after)
+}
+
+// Apply returns G ⊕ ΔG by definition (§5.2), without the engine's Apply,
+// Normalize or Clone: g's edge set with ΔG's ops applied, the last op on an
+// edge deciding whether it is in. Labels and attributes are g's. g must not
+// change while the view is read.
+func Apply(g *graph.Graph, d *graph.Delta) graph.View {
+	a := &applied{g: g, last: make(map[edge]bool), out: make(map[graph.NodeID][]graph.Half),
+		in: make(map[graph.NodeID][]graph.Half), edges: g.NumEdges()}
+	for _, op := range d.Ops {
+		e := edge{op.Src, op.Dst, op.Label}
+		a.last[e] = op.Insert
+		a.out[e.src] = append(a.out[e.src], graph.Half{Label: e.label, To: e.dst})
+		a.in[e.dst] = append(a.in[e.dst], graph.Half{Label: e.label, To: e.src})
+	}
+	// a touched node's list: g's and the ops' halves, those the edge set
+	// holds, sorted by (Label, To), each once
+	list := func(v graph.NodeID, ops, base []graph.Half, out bool) []graph.Half {
+		var l []graph.Half
+		for _, h := range append(ops, base...) {
+			e := edge{v, h.To, h.Label}
+			if !out {
+				e.src, e.dst = h.To, v
+			}
+			if a.HasEdgeL(e.src, e.dst, e.label) {
+				l = append(l, h)
+			}
+		}
+		slices.SortFunc(l, func(x, y graph.Half) int {
+			return cmp.Or(cmp.Compare(x.Label, y.Label), cmp.Compare(x.To, y.To))
+		})
+		return slices.Compact(l)
+	}
+	for v, ops := range a.out {
+		a.out[v] = list(v, ops, g.Out(v), true)
+		a.edges += len(a.out[v]) - len(g.Out(v))
+	}
+	for v, ops := range a.in {
+		a.in[v] = list(v, ops, g.In(v), false)
+	}
+	return a
+}
+
+type edge struct {
+	src, dst graph.NodeID
+	label    graph.LabelID
+}
+
+// applied is the view Apply returns: the lists of the nodes ΔG touches,
+// and g for the rest.
+type applied struct {
+	g       *graph.Graph
+	last    map[edge]bool // the last op on each edge ΔG names: insert?
+	out, in map[graph.NodeID][]graph.Half
+	edges   int
+}
+
+func (a *applied) Symbols() *graph.Symbols                       { return a.g.Symbols() }
+func (a *applied) NumNodes() int                                 { return a.g.NumNodes() }
+func (a *applied) NumEdges() int                                 { return a.edges }
+func (a *applied) Label(v graph.NodeID) graph.LabelID            { return a.g.Label(v) }
+func (a *applied) NodesWithLabel(l graph.LabelID) []graph.NodeID { return a.g.NodesWithLabel(l) }
+func (a *applied) CountLabel(l graph.LabelID) int                { return a.g.CountLabel(l) }
+
+func (a *applied) Attr(v graph.NodeID, at graph.AttrID) graph.Value { return a.g.Attr(v, at) }
+
+func (a *applied) Out(v graph.NodeID) []graph.Half {
+	if l, ok := a.out[v]; ok {
+		return l
+	}
+	return a.g.Out(v)
+}
+
+func (a *applied) In(v graph.NodeID) []graph.Half {
+	if l, ok := a.in[v]; ok {
+		return l
+	}
+	return a.g.In(v)
+}
+
+func (a *applied) HasEdgeL(u, v graph.NodeID, l graph.LabelID) bool {
+	if ins, ok := a.last[edge{u, v, l}]; ok {
+		return ins
+	}
+	return a.g.HasEdgeL(u, v, l)
 }
 
 // missing lists the violations of a whose keys b lacks.

@@ -12,9 +12,8 @@
 //
 // Every candidate is then previewed without committing, by the
 // reconciliation a commit of it runs (internal/inc): attribute fixes with
-// inc.Attr on a graph.Overlay carrying the reassignment (SetAttr overrides +
-// masked index pairs), edge deletions with inc.Minus over the store's
-// postings. The preview yields the fix's cross-violation clearance — which
+// inc.Attr on a fork of the graph carrying the reassignment, edge
+// deletions with inc.Minus over the store's postings. The preview yields the fix's cross-violation clearance — which
 // *other* stored violations it removes and which new ones it introduces —
 // and the ranking orders fixes by net clearance. Applying a chosen fix is the serving layer's job (it routes
 // the fix through the ordinary ingest path); this package never mutates the
@@ -211,7 +210,7 @@ func Enumerate(g *graph.Graph, rules *core.Set, search inc.Options, st inc.Store
 }
 
 // attrFix attempts the solver-backed attribute reassignment of node n, and
-// previews it on an overlay when a feasible minimal assignment exists.
+// previews it on a fork when a feasible minimal assignment exists.
 func (e *enum) attrFix(n graph.NodeID) (Fix, bool) {
 	sets, perturb, why := e.solveNode(n)
 	if sets == nil {
@@ -223,7 +222,7 @@ func (e *enum) attrFix(n graph.NodeID) (Fix, bool) {
 	clears, intro, ok := e.attrClearance(n, sets)
 	if !ok {
 		e.stats.Discarded++
-		e.note("solved assignment failed the overlay preview")
+		e.note("solved assignment failed the fork preview")
 		return Fix{}, false
 	}
 	return Fix{
@@ -237,22 +236,22 @@ func (e *enum) attrFix(n graph.NodeID) (Fix, bool) {
 	}, true
 }
 
-// attrClearance previews sets applied to node n on an overlay of the live
-// graph with inc.Attr, the reconciliation a commit of the fix runs: which
-// stored violations disappear, which new violations appear. ok is false when
-// the assignment does not actually clear the target (a solver-level artifact
+// attrClearance previews sets applied to node n on a fork of the live graph
+// with inc.Attr, the reconciliation a commit of the fix runs: which stored
+// violations disappear, which new violations appear. ok is false when the
+// assignment does not actually clear the target (a solver-level artifact
 // the preview is the ground truth for).
 func (e *enum) attrClearance(n graph.NodeID, sets []AttrSet) (clears, introduces []string, ok bool) {
-	ov := graph.NewOverlay(e.g, &graph.Delta{})
-	syms := e.g.Symbols()
+	f := e.g.Clone()
+	defer f.Release()
 	for _, s := range sets {
-		ov.SetAttr(n, syms.Attr(s.Attr), graph.Int(s.New))
+		f.SetAttrA(n, f.Symbols().Attr(s.Attr), graph.Int(s.New))
 	}
-	if e.search.Program.CompiledFor(e.target.Rule).Violated(ov, e.target.Match) {
+	if e.search.Program.CompiledFor(e.target.Rule).Violated(f, e.target.Match) {
 		return nil, nil, false
 	}
 	seen := make(map[string]bool)
-	inc.Attr(ov, e.rules, e.store, []graph.NodeID{n}, e.search,
+	inc.Attr(f, e.rules, e.store, []graph.NodeID{n}, e.search,
 		func(k string, _ core.Violation) { clears = append(clears, k) },
 		func(r *core.NGD, m core.Match) {
 			k := core.Violation{Rule: r, Match: m}.Key()

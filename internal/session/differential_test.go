@@ -24,7 +24,6 @@ import (
 	"ngd/internal/core"
 	"ngd/internal/detect"
 	"ngd/internal/gen"
-	"ngd/internal/graph"
 	"ngd/internal/inc"
 	"ngd/internal/par"
 	"ngd/internal/ref"
@@ -74,7 +73,7 @@ func runDifferential(t *testing.T, w gen.Workload) {
 
 		// the searched ΔVio is the specification of what the commit does
 		// instead: its ΔVio⁻, as far as the store held it, is what the lookup
-		// must remove, and its ΔVio⁺ over the overlay is what inc.Plus must
+		// must remove, and its ΔVio⁺ over its fork is what inc.Plus must
 		// find on the applied graph (a clone: the session applies attribute
 		// ops in the same commit)
 		wantMinus := make(map[string]core.Violation)
@@ -88,7 +87,7 @@ func runDifferential(t *testing.T, w gen.Workload) {
 		applied.Apply(norm)
 		plusRes := inc.Plus(applied, rules, norm.Insertions(), inc.Options{})
 		if got, want := ref.Keys(plusRes.Plus), ref.Keys(incRes.Plus); got != want {
-			t.Fatalf("workload %s batch %d: Plus on G′ != IncDect's ΔVio⁺ on the overlay\nPlus:\n%s\nIncDect:\n%s",
+			t.Fatalf("workload %s batch %d: Plus on G′ != IncDect's ΔVio⁺ on its fork\nPlus:\n%s\nIncDect:\n%s",
 				w.Name(), b, got, want)
 		}
 
@@ -246,7 +245,7 @@ func TestDifferentialShardRuntime(t *testing.T) {
 			// ΔVio by definition: reconciling it into Vio(Σ,G) must give
 			// the oracle's Vio(Σ, G⊕ΔG)
 			gotInc := par.PIncDect(ds.G, rules, delta, par.Hybrid(4))
-			after := ref.Keys(ref.Detect(graph.NewOverlay(ds.G, delta.Normalize(ds.G)), rules))
+			after := ref.Keys(ref.Detect(ref.Apply(ds.G, delta), rules))
 			if got := ref.Keys(reconcile(detect.VioKeySet(vio),
 				gotInc.Delta.Plus, gotInc.Delta.Minus)); got != after {
 				t.Fatalf("workload %s: Vio(Σ,G) ⊕ PIncDect(p=4) != Vio(Σ,G⊕ΔG)\ngot:\n%s\nreference:\n%s",

@@ -250,8 +250,8 @@ func TestLookupBesideAbsorbedArrival(t *testing.T) {
 // TestCommitCountsSayWhatRan pins the commit's work as counts. A delete-only
 // batch expands no pivot, draws no plan and costs the posting entries it
 // examined. An insert-only batch costs what IncDect's ΔVio⁺ side costs
-// through the same plans: searching G′ scans the candidates the overlay
-// would have served.
+// through the same plans: searching G′ scans the candidates the fork of G
+// with ΔG applied does.
 func TestCommitCountsSayWhatRan(t *testing.T) {
 	ds := gen.Generate(gen.YAGO2, 200, 12)
 	s := session.New(ds.G, gen.EffectivenessRules(gen.YAGO2), session.Options{})

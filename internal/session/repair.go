@@ -16,9 +16,9 @@ var ErrNoViolation = errors.New("session: violation not in store")
 // PreviewRepair enumerates the ranked candidate fixes for the stored
 // violation named by key. The preview never mutates the session: the graph,
 // the violation store and the snapshot epoch are exactly as before the call
-// (candidate effects are staged on graph overlays and read off the store by
-// the commit's own reconciliations, with the session's program and
-// searchers). Applying a chosen fix is a separate, ordinary
+// (candidate effects are staged on forks of the graph and read off the
+// store by the commit's own reconciliations, with the session's program
+// and searchers). Applying a chosen fix is a separate, ordinary
 // commit — see the serving layer's /repair/apply.
 //
 // Callers are responsible for serializing PreviewRepair with Commit (the

@@ -61,7 +61,7 @@ type (
 	// Graph is a directed graph with labeled nodes/edges and per-node
 	// attribute tuples (paper §2).
 	Graph = graph.Graph
-	// View is a read-only graph view (a *Graph, or a ΔG overlay).
+	// View is a read-only graph view (a *Graph).
 	View = graph.View
 	// NodeID identifies a node.
 	NodeID = graph.NodeID
@@ -137,7 +137,7 @@ type (
 	// RepairResult is the ranked candidate-fix list the repair engine
 	// produces for one stored violation (internal/repair): solver-backed
 	// minimal attribute reassignments and match-breaking edge deletions,
-	// each previewed on an overlay for cross-violation clearance.
+	// each previewed on a fork of the graph for cross-violation clearance.
 	RepairResult = repair.Result
 	// RepairFix is one candidate fix with its previewed consequences
 	// (cleared and introduced violation keys, perturbation, rank score).
