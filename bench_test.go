@@ -3,7 +3,8 @@
 // numbers of the serving, recovery and streaming paths are bench/'s
 // (BENCHMARK.json); what stays here are the measurements neither prints:
 // the incremental-vs-recompute cost_units of a continuous session, the
-// publish-path cost curve, and the planning preamble of a first detection.
+// publish-path cost curve, a commit's cost against the graph's size, and
+// the planning preamble of a first detection.
 package ngd_test
 
 import (
@@ -19,6 +20,7 @@ import (
 	"ngd/internal/pattern"
 	"ngd/internal/plan"
 	"ngd/internal/session"
+	"ngd/internal/sorted"
 )
 
 const (
@@ -121,6 +123,51 @@ func BenchmarkSnapshotAdvance(b *testing.B) {
 			}
 			b.ReportMetric(float64(s.Len()), "store_size")
 		})
+	}
+}
+
+// BenchmarkCommitVsSize commits gen.SweepCommits' three kinds (16 edge
+// ops, a node arrival, 16 writes of an indexed attribute) on sessions over
+// gen.Sweep at 2k to 128k entities (16k to 1M nodes), each with and without
+// a fork held across the commit, as a checkpoint holds one. Besides ns/op
+// and B/op it reports moved/op, the index and store entries the commit
+// wrote into new chunks (sorted.Copied). A commit's work should be its
+// ΔG's, so every column should stay flat down a kind's rows. Run by hand:
+// the 128k row generates a million-node graph.
+func BenchmarkCommitVsSize(b *testing.B) {
+	for _, n := range []int{2_000, 8_000, 32_000, 128_000} {
+		ds, sigma := gen.Sweep(n)
+		s := session.New(ds.G, sigma, session.Options{})
+		for _, k := range gen.SweepCommits(ds, rand.New(rand.NewSource(7))) {
+			for _, held := range []bool{false, true} {
+				name := fmt.Sprintf("%dk/%s", n/1000, k.Name)
+				if held {
+					name += "/held-fork"
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var moved int64
+					for range b.N {
+						b.StopTimer()
+						d, ops := k.Next()
+						var fork *graph.Graph
+						if held {
+							fork = ds.G.Clone()
+						}
+						before := sorted.Copied.Load()
+						b.StartTimer()
+						s.CommitBatch(d, ops)
+						b.StopTimer()
+						moved += sorted.Copied.Load() - before
+						if fork != nil {
+							fork.Release()
+						}
+						b.StartTimer()
+					}
+					b.ReportMetric(float64(moved)/float64(b.N), "moved/op")
+				})
+			}
+		}
 	}
 }
 

@@ -45,7 +45,8 @@
 // and file names are not checked. A backticked -flag in the first column
 // of a table in OPERATIONS §1 must be registered by the command the
 // subsection is about. Those four documents and EXPERIMENTS.md may not
-// repeat a `## ` heading.
+// repeat a `## ` heading, and DESIGN.md, EXPERIMENTS.md, OPERATIONS and the
+// verify skill may not grow past their line ceilings.
 // Every `go test` -run or -fuzz pattern in the verify skill and the CI
 // workflow must match a test the packages it names declare: each
 // top-level alternative of -run (a -run beside -fuzz or -bench, which
@@ -121,6 +122,16 @@ const (
 	experimentsDoc = "EXPERIMENTS.md"
 	skillDoc       = ".claude/skills/verify/SKILL.md"
 )
+
+// ceilings are the most lines each prose document may hold. A ceiling
+// only ever moves down: a change that needs more room in one cuts as much
+// elsewhere in it.
+var ceilings = map[string]int{
+	"DESIGN.md":    1102,
+	experimentsDoc: 1690,
+	opsDoc:         685,
+	skillDoc:       560,
+}
 
 // runDocs are the files whose `go test` commands the patterns rule reads:
 // markdown code spans and fenced lines, and YAML lines.
@@ -403,6 +414,9 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 			return nil, err
 		}
 		findings = append(findings, repeatedHeadings(doc, string(src))...)
+		if n, most := strings.Count(string(src), "\n"), ceilings[doc]; most > 0 && n > most {
+			findings = append(findings, fmt.Sprintf("%s: %d lines, over its ceiling of %d", doc, n, most))
+		}
 		if doc != experimentsDoc {
 			findings = append(findings, lintDoc(doc, string(src), known)...)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -312,6 +313,22 @@ func TestDocsHeadingsOnce(t *testing.T) {
 		`EXPERIMENTS.md:4: heading "## Run (seed 1)" repeats line 1`,
 		`EXPERIMENTS.md:5: heading "## Run (seed 1)" repeats line 1`,
 	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestDocsCeilings: a document at its ceiling passes, one line more fails.
+func TestDocsCeilings(t *testing.T) {
+	lines := func(n int) string { return strings.Repeat("line\n", n) }
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"DESIGN.md":      lines(ceilings["DESIGN.md"]),
+		"EXPERIMENTS.md": lines(ceilings[experimentsDoc] + 1),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fmt.Sprintf("EXPERIMENTS.md: %d lines, over its ceiling of %d", ceilings[experimentsDoc]+1, ceilings[experimentsDoc])}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}

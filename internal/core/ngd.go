@@ -255,6 +255,9 @@ type Keyed struct {
 	Violation
 }
 
+// Cmp orders records by key.
+func (k *Keyed) Cmp(o *Keyed) int { return strings.Compare(k.Key, o.Key) }
+
 // Key returns a canonical dedup key for the violation. Keys are computed on
 // every reconcile/index/feed step of the serving path, so the encoding is
 // hand-rolled: one stack buffer, one string allocation for typical sizes.

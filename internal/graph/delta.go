@@ -153,33 +153,29 @@ type ApplyStats struct {
 // excess backing capacity, so a long-lived graph under a steady
 // insert/delete stream does not accrete slack.
 //
-// Attribute indexes need no maintenance here: ΔG carries edge ops only,
-// and node/attribute arrivals are indexed at SetAttrA time, so every index
-// built by EnsureAttrIndex stays identical to a fresh rebuild. Edge-value
-// indexes follow the edge ops through AddEdgeL and DeleteEdgeL.
+// Attribute indexes need no maintenance here: ΔG carries edge ops only.
+// The edge-value indexes take the effective ops in one merge per index.
 func (g *Graph) Apply(d *Delta) ApplyStats {
 	var st ApplyStats
 	touched := make(map[NodeID]struct{}, len(d.Ops)*2)
+	var effective []EdgeOp // for the edge-value indexes
 	for _, op := range d.Ops {
-		var effective bool
-		if op.Insert {
-			effective = g.AddEdgeL(op.Src, op.Dst, op.Label)
-			if effective {
-				st.Inserted++
-			}
-		} else {
-			effective = g.DeleteEdgeL(op.Src, op.Dst, op.Label)
-			if effective {
-				st.Deleted++
-			}
-		}
-		if effective {
-			touched[op.Src] = struct{}{}
-			touched[op.Dst] = struct{}{}
-		} else {
+		if !g.editEdge(op) {
 			st.NoOps++
+			continue
+		}
+		if op.Insert {
+			st.Inserted++
+		} else {
+			st.Deleted++
+		}
+		touched[op.Src] = struct{}{}
+		touched[op.Dst] = struct{}{}
+		if len(g.edgeIdx) > 0 {
+			effective = append(effective, op)
 		}
 	}
+	g.noteEdges(effective)
 	for v := range touched {
 		if compactHalves(g.out, v) {
 			st.Compacted++

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"cmp"
-	"slices"
+
+	"ngd/internal/sorted"
 )
 
 // This file implements the edge-value indexes behind the ¬Y cut: a
@@ -17,45 +18,34 @@ import (
 // how many edges have an endpoint with no integer key (an absent value or a
 // string), each of which would leave Y unsatisfied.
 //
-// Keys are Value.AsInt, as in AttrIndex. Indexes are built on demand with
-// EnsureEdgeValIndex at plan time and kept exact by AddEdgeL, DeleteEdgeL
-// and SetAttrA, which copy one a clone shares first (page.go).
+// Keys are Value.AsInt, as in AttrIndex, in a sorted.Run shared the same
+// way. EnsureEdgeValIndex builds an index at plan time; the edge writers
+// and ApplyAttrs keep it exact, one merge per index and batch.
 
 // edgeEntry is one indexed edge: the key of its indexed endpoint, then the
-// edge itself (16 bytes).
+// edge itself (16 bytes), ordered by (val, src, dst).
 type edgeEntry struct {
 	val      int64
 	src, dst NodeID
 }
 
-// cmpEntry orders entries by (val, src, dst).
-func cmpEntry(a, b edgeEntry) int {
-	if c := cmp.Compare(a.val, b.val); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.src, b.src); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.dst, b.dst)
+func (e edgeEntry) Cmp(o edgeEntry) int {
+	return cmp.Or(cmp.Compare(e.val, o.val), cmp.Compare(e.src, o.src), cmp.Compare(e.dst, o.dst))
 }
 
 // EdgeValIndex indexes the edges of one label by one attribute of one of
 // their endpoints.
 type EdgeValIndex struct {
-	shared
+	gen       uint64 // the generation of the graph that may write it in place
 	label     LabelID
 	attr      AttrID
 	bySrc     bool
-	ord       []edgeEntry // integer-keyed edges sorted by (val, src, dst)
-	uncovered int         // edges whose endpoint has no integer key
-}
-
-func (ix *EdgeValIndex) copy() *EdgeValIndex {
-	return &EdgeValIndex{label: ix.label, attr: ix.attr, bySrc: ix.bySrc, ord: slices.Clone(ix.ord), uncovered: ix.uncovered}
+	ord       sorted.Run[edgeEntry] // integer-keyed edges
+	uncovered int                   // edges whose endpoint has no integer key
 }
 
 // Len reports the number of integer-keyed edges.
-func (ix *EdgeValIndex) Len() int { return len(ix.ord) }
+func (ix *EdgeValIndex) Len() int { return ix.ord.Len() }
 
 // Uncovered reports the number of edges whose indexed endpoint has no
 // integer key: the value is absent or a string.
@@ -64,10 +54,12 @@ func (ix *EdgeValIndex) Uncovered() int { return ix.uncovered }
 // Span returns the smallest and largest key; ok=false when no edge has an
 // integer key.
 func (ix *EdgeValIndex) Span() (lo, hi int64, ok bool) {
-	if len(ix.ord) == 0 {
+	chunks := ix.ord.Chunks()
+	if len(chunks) == 0 {
 		return 0, 0, false
 	}
-	return ix.ord[0].val, ix.ord[len(ix.ord)-1].val, true
+	last := chunks[len(chunks)-1]
+	return chunks[0][0].val, last[len(last)-1].val, true
 }
 
 // end returns the endpoint of edge (u, v) the index keys on.
@@ -78,37 +70,22 @@ func (ix *EdgeValIndex) end(u, v NodeID) NodeID {
 	return v
 }
 
-func (ix *EdgeValIndex) search(e edgeEntry) (int, bool) {
-	return slices.BinarySearchFunc(ix.ord, e, cmpEntry)
+// edgeBatch collects one write's entries for an EdgeValIndex.
+type edgeBatch struct {
+	sorted.Batch[edgeEntry]
+	uncovered int
 }
 
-// add indexes edge (u, v) whose keyed endpoint holds val.
-func (ix *EdgeValIndex) add(u, v NodeID, val Value) {
-	k, ok := val.AsInt()
-	if !ok {
-		ix.uncovered++
-		return
-	}
-	e := edgeEntry{val: k, src: u, dst: v}
-	i, found := ix.search(e)
-	if found {
-		return
-	}
-	ix.ord = append(ix.ord, edgeEntry{})
-	copy(ix.ord[i+1:], ix.ord[i:])
-	ix.ord[i] = e
-}
-
-// remove un-indexes edge (u, v) whose keyed endpoint holds val.
-func (ix *EdgeValIndex) remove(u, v NodeID, val Value) {
-	k, ok := val.AsInt()
-	if !ok {
-		ix.uncovered--
-		return
-	}
-	if i, found := ix.search(edgeEntry{val: k, src: u, dst: v}); found {
-		copy(ix.ord[i:], ix.ord[i+1:])
-		ix.ord = ix.ord[:len(ix.ord)-1]
+// note records edge (u, v), whose indexed endpoint holds val, entering (in)
+// or leaving the index.
+func (c *edgeBatch) note(u, v NodeID, val Value, in bool) {
+	switch k, ok := val.AsInt(); {
+	case ok:
+		c.Put(edgeEntry{k, u, v}, in)
+	case in:
+		c.uncovered++
+	default:
+		c.uncovered--
 	}
 }
 
@@ -137,8 +114,8 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 		return ix
 	}
 	// bulk build: append in (src, dst) order, then one stable pass by key
-	ix := &EdgeValIndex{label: l, attr: a, bySrc: bySrc}
-	ix.ord = make([]edgeEntry, 0, g.LiveStats().outTot[l])
+	ix := &EdgeValIndex{gen: g.gen, label: l, attr: a, bySrc: bySrc}
+	ord := make([]edgeEntry, 0, g.LiveStats().outTot[l])
 	for src := range NodeID(g.n) {
 		out := g.Out(src)
 		if len(out) == 0 {
@@ -146,13 +123,13 @@ func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValInde
 		}
 		for _, h := range LabelRun(out, l) {
 			if k, ok := g.Attr(ix.end(src, h.To), a).AsInt(); ok {
-				ix.ord = append(ix.ord, edgeEntry{val: k, src: src, dst: h.To})
+				ord = append(ord, edgeEntry{val: k, src: src, dst: h.To})
 			} else {
 				ix.uncovered++
 			}
 		}
 	}
-	ix.ord = sortByKey(ix.ord, func(e edgeEntry) int64 { return e.val })
+	ix.ord = sorted.Of(sortByKey(ord, func(e edgeEntry) int64 { return e.val }))
 	g.edgeIdx = append(g.edgeIdx, ix)
 	return ix
 }
@@ -167,43 +144,32 @@ func (g *Graph) EdgeValIndexFor(l LabelID, a AttrID, bySrc bool) *EdgeValIndex {
 	return nil
 }
 
-// noteEdgeIdx keeps the edge-value indexes of label l exact across the
-// insertion (d > 0) or deletion of edge (u, v).
-func (g *Graph) noteEdgeIdx(u, v NodeID, l LabelID, d int) {
+// noteEdges keeps the edge-value indexes exact across a batch of
+// effective edge insertions and deletions: one merge per index.
+func (g *Graph) noteEdges(ops []EdgeOp) {
 	for i, ix := range g.edgeIdx {
-		if ix.label != l {
-			continue
+		var c edgeBatch
+		for _, op := range ops {
+			if op.Label == ix.label {
+				c.note(op.Src, op.Dst, g.Attr(ix.end(op.Src, op.Dst), ix.attr), op.Insert)
+			}
 		}
-		ix = unshare(ix)
-		g.edgeIdx[i] = ix
-		val := g.Attr(ix.end(u, v), ix.attr)
-		if d > 0 {
-			ix.add(u, v, val)
-		} else {
-			ix.remove(u, v, val)
-		}
+		g.writeEdgeIdx(i, &c)
 	}
 }
 
-// reindexEdges moves the edges keyed on node v from old to val when v's
-// attribute a changes.
-func (g *Graph) reindexEdges(v NodeID, a AttrID, old, val Value) {
-	for i, ix := range g.edgeIdx {
-		if ix.attr != a {
-			continue
-		}
-		ix = unshare(ix)
-		g.edgeIdx[i] = ix
-		if ix.bySrc {
-			for _, h := range LabelRun(g.Out(v), ix.label) {
-				ix.remove(v, h.To, old)
-				ix.add(v, h.To, val)
-			}
-		} else {
-			for _, h := range LabelRun(g.In(v), ix.label) {
-				ix.remove(h.To, v, old)
-				ix.add(h.To, v, val)
-			}
-		}
+// writeEdgeIdx merges one write's entries into g.edgeIdx[i], copying the
+// index's header first when it is another generation's (Graph.gen).
+func (g *Graph) writeEdgeIdx(i int, c *edgeBatch) {
+	if c.Len() == 0 && c.uncovered == 0 {
+		return
 	}
+	ix := g.edgeIdx[i]
+	if ix.gen != g.gen {
+		own := *ix
+		ix, own.gen = &own, g.gen
+		g.edgeIdx[i] = ix
+	}
+	ix.ord = ix.ord.Write(&c.Batch)
+	ix.uncovered += c.uncovered
 }

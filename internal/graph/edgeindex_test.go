@@ -21,9 +21,10 @@ var edgeIdxValues = []Value{
 func sameAsFresh(t *testing.T, g *Graph, ix *EdgeValIndex, step int) {
 	t.Helper()
 	fresh := Rebuilt(g).EnsureEdgeValIndex(ix.label, ix.attr, ix.bySrc)
-	if ix.uncovered != fresh.uncovered || !reflect.DeepEqual(append([]edgeEntry{}, ix.ord...), append([]edgeEntry{}, fresh.ord...)) {
+	got, want := entries(ix.ord), entries(fresh.ord)
+	if ix.uncovered != fresh.uncovered || !reflect.DeepEqual(append([]edgeEntry{}, got...), append([]edgeEntry{}, want...)) {
 		t.Fatalf("step %d (bySrc %v): maintained %d entries, %d uncovered; fresh build %d, %d\nmaintained %v\nfresh      %v",
-			step, ix.bySrc, len(ix.ord), ix.uncovered, len(fresh.ord), fresh.uncovered, ix.ord, fresh.ord)
+			step, ix.bySrc, len(got), ix.uncovered, len(want), fresh.uncovered, got, want)
 	}
 }
 

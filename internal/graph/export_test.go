@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"unsafe"
+
+	"ngd/internal/sorted"
 )
 
 // The page geometry, for the allocation budgets of the external tests.
@@ -36,6 +38,9 @@ func Rebuilt(g *Graph) *Graph {
 	return c
 }
 
+// entries lists a run's entries in order.
+func entries[T sorted.Entry[T]](r sorted.Run[T]) []T { return slices.Collect(r.Seq(0, r.Len())) }
+
 // IndexState renders what a reader of g's attribute indexes, edge-value
 // indexes and statistics sees (the churn counter aside).
 func IndexState(g *Graph) string {
@@ -45,10 +50,10 @@ func IndexState(g *Graph) string {
 	})
 	for _, k := range keys {
 		ix := g.attrIdx[k]
-		fmt.Fprintln(&b, "attr", k, ix.ord, ix.strs)
+		fmt.Fprintln(&b, "attr", k, entries(ix.ints), entries(ix.strs))
 	}
 	for _, ix := range g.edgeIdx {
-		fmt.Fprintln(&b, "edge", ix.label, ix.attr, ix.bySrc, ix.ord, ix.uncovered)
+		fmt.Fprintln(&b, "edge", ix.label, ix.attr, ix.bySrc, entries(ix.ord), ix.uncovered)
 	}
 	if st := g.stats; st != nil {
 		fmt.Fprintln(&b, "stats", st.outRuns, st.inRuns, st.outTot, st.inTot)
@@ -56,10 +61,12 @@ func IndexState(g *Graph) string {
 	return b.String()
 }
 
-// FreshIndexState is IndexState of fresh builds, over Rebuilt(g), of the
-// indexes and statistics g holds.
+// FreshIndexState is IndexState of fresh builds of the indexes and
+// statistics g holds, over a graph that reads g's pages and holds no index
+// or statistics of its own: it only reads the pages, so it is a view, not a
+// fork, and leaves g's holds and generation as they were.
 func FreshIndexState(g *Graph) string {
-	r := Rebuilt(g)
+	r := &Graph{syms: g.syms, n: g.n, nodes: g.nodes, out: g.out, in: g.in, edgeCount: g.edgeCount, byLabel: g.byLabel}
 	for k := range g.attrIdx {
 		r.EnsureAttrIndex(k.label, k.attr)
 	}

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. Nodes are dense indices; they are never removed
@@ -174,11 +175,14 @@ type Graph struct {
 	edgeCount int
 	byLabel   map[LabelID][]NodeID
 	// attrIdx holds the attribute value indexes built by EnsureAttrIndex
-	// (candidate pruning, §6.2 step (3)); SetAttrA keeps them in sync.
+	// (candidate pruning, §6.2 step (3)); ApplyAttrs keeps them in sync.
 	attrIdx map[attrIndexKey]*AttrIndex
 	// edgeIdx holds the edge-value indexes built by EnsureEdgeValIndex (the
-	// ¬Y cut); AddEdgeL, DeleteEdgeL and SetAttrA keep them exact.
+	// ¬Y cut); the edge writers and ApplyAttrs keep them exact.
 	edgeIdx []*EdgeValIndex
+	// gen stamps the index headers g may write in place; Clone gives both
+	// graphs a new one, so each copies an inherited header before writing.
+	gen uint64
 	// stats holds the maintained planning statistics (see stats.go); nil
 	// until the first LiveStats call, then kept current by every mutator.
 	stats *LiveStats
@@ -230,36 +234,42 @@ func (g *Graph) SetAttr(v NodeID, name string, val Value) {
 	g.SetAttrA(v, g.syms.Attr(name), val)
 }
 
-// SetAttrA sets an attribute by interned id, updating any attribute index
-// covering (label(v), a) and any edge-value index keyed on a.
+// SetAttrA sets an attribute by interned id: ApplyAttrs of one op.
 func (g *Graph) SetAttrA(v NodeID, a AttrID, val Value) {
-	nd, own := g.nodes.mut(v)
-	i, found := findAttr(nd.attrs, a)
-	var old Value
-	if found {
-		old = nd.attrs[i].val
-	}
-	if ix := g.attrIdx[attrIndexKey{nd.label, a}]; ix != nil {
-		ix = unshare(ix)
-		g.attrIdx[attrIndexKey{nd.label, a}] = ix
-		if old.Valid() {
-			ix.remove(v, old)
+	g.ApplyAttrs([]AttrOp{{Node: v, Attr: a, Val: val}})
+}
+
+// attrMove is an applied attribute op and the value it replaced.
+type attrMove struct {
+	AttrOp
+	old Value
+}
+
+// ApplyAttrs sets attributes in order (F_A(op.Node).op.Attr = op.Val), then
+// updates every index the ops reach once, for the whole batch.
+func (g *Graph) ApplyAttrs(ops []AttrOp) {
+	var moves []attrMove
+	for _, op := range ops {
+		nd, own := g.nodes.mut(op.Node)
+		i, found := findAttr(nd.attrs, op.Attr)
+		m := attrMove{AttrOp: op}
+		switch {
+		case !found:
+			nd.attrs = insertAt(nd.attrs, i, attrPair{id: op.Attr, val: op.Val}, own)
+		case !own:
+			nd.attrs = slices.Clone(nd.attrs)
+			fallthrough
+		default:
+			m.old, nd.attrs[i].val = nd.attrs[i].val, op.Val
 		}
-		if val.Valid() {
-			ix.add(v, val)
+		g.noteChurn()
+		if len(g.attrIdx)+len(g.edgeIdx) > 0 {
+			moves = append(moves, m)
 		}
 	}
-	g.reindexEdges(v, a, old, val)
-	switch {
-	case !found:
-		nd.attrs = insertAt(nd.attrs, i, attrPair{id: a, val: val}, own)
-	case !own:
-		nd.attrs = slices.Clone(nd.attrs)
-		fallthrough
-	default:
-		nd.attrs[i].val = val
+	if len(moves) > 0 {
+		g.reindex(moves)
 	}
-	g.noteChurn()
 }
 
 // Attr returns attribute a of v; the zero Value (invalid) means absent.
@@ -344,27 +354,37 @@ func (g *Graph) AddEdge(u, v NodeID, label string) bool {
 
 // AddEdgeL inserts an edge with an interned label.
 func (g *Graph) AddEdgeL(u, v NodeID, label LabelID) bool {
-	if g.HasEdgeL(u, v, label) {
-		return false
-	}
-	editHalf(g.out, u, Half{Label: label, To: v}, true)
-	editHalf(g.in, v, Half{Label: label, To: u}, true)
-	g.edgeCount++
-	g.noteEdge(u, v, label, 1)
-	g.noteEdgeIdx(u, v, label, 1)
-	return true
+	return g.edit(EdgeOp{Insert: true, Src: u, Dst: v, Label: label})
 }
 
 // DeleteEdgeL removes edge (u -label-> v); reports whether it existed.
 func (g *Graph) DeleteEdgeL(u, v NodeID, label LabelID) bool {
-	if !g.HasEdgeL(u, v, label) {
+	return g.edit(EdgeOp{Src: u, Dst: v, Label: label})
+}
+
+// edit applies one edge op, edge-value indexes included, if it takes effect.
+func (g *Graph) edit(op EdgeOp) bool {
+	if !g.editEdge(op) {
 		return false
 	}
-	editHalf(g.out, u, Half{Label: label, To: v}, false)
-	editHalf(g.in, v, Half{Label: label, To: u}, false)
-	g.edgeCount--
-	g.noteEdge(u, v, label, -1)
-	g.noteEdgeIdx(u, v, label, -1)
+	g.noteEdges([]EdgeOp{op})
+	return true
+}
+
+// editEdge is edit short of the edge-value indexes, which its callers
+// bring up to date.
+func (g *Graph) editEdge(op EdgeOp) bool {
+	if g.HasEdgeL(op.Src, op.Dst, op.Label) == op.Insert {
+		return false
+	}
+	editHalf(g.out, op.Src, Half{Label: op.Label, To: op.Dst}, op.Insert)
+	editHalf(g.in, op.Dst, Half{Label: op.Label, To: op.Src}, op.Insert)
+	d := 1
+	if !op.Insert {
+		d = -1
+	}
+	g.edgeCount += d
+	g.noteEdge(op.Src, op.Dst, op.Label, d)
 	return true
 }
 
@@ -435,10 +455,11 @@ func NeighborhoodOf(g View, seeds []NodeID, d int) []NodeID {
 }
 
 // Clone returns an independent copy of g in O(pages): the two share every
-// page of node slots, every index and the maintained statistics until one
-// of them writes to it (see page.go), and get private symbol tables and
-// by-label headers. The copy may be handed to another goroutine while g
-// keeps changing.
+// page of node slots, every index's chunks and the maintained statistics
+// until one of them writes to it (see page.go and internal/sorted), and get
+// private symbol tables and by-label headers. The copy may be handed to
+// another goroutine while g keeps changing; Clone itself writes g (its
+// index generation), so g's writer calls it.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		syms:      g.syms.Clone(),
@@ -450,39 +471,33 @@ func (g *Graph) Clone() *Graph {
 		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
 		attrIdx:   maps.Clone(g.attrIdx),
 		edgeIdx:   slices.Clone(g.edgeIdx),
+		gen:       generations.Add(1),
 		stats:     g.stats,
 	}
 	for l, ns := range g.byLabel {
 		c.byLabel[l] = slices.Clip(ns) // g may append in place, c may not
 	}
-	g.addHolds(1)
+	g.gen = generations.Add(1)
+	if g.stats != nil {
+		g.stats.others.Add(1)
+	}
 	return c
 }
 
-// Release empties g and drops its holds on the pages, indexes and
-// statistics it shares with its clones (or its original), so that they
-// write to those in place again instead of copying them. Call it when done
-// with a clone.
+// generations hands out Clone's index generations.
+var generations atomic.Uint64
+
+// Release empties g and drops its holds on the pages and statistics it
+// shares with its clones (or its original), so that they write to those in
+// place again instead of copying them. Call it when done with a clone.
 func (g *Graph) Release() {
 	g.nodes.release()
 	g.out.release()
 	g.in.release()
-	g.addHolds(-1)
-	*g = *NewWithSymbols(g.syms)
-}
-
-// addHolds adds d to the hold count of every index g holds and of its
-// statistics.
-func (g *Graph) addHolds(d int32) {
-	for _, ix := range g.attrIdx {
-		ix.others.Add(d)
-	}
-	for _, ix := range g.edgeIdx {
-		ix.others.Add(d)
-	}
 	if g.stats != nil {
-		g.stats.others.Add(d)
+		g.stats.others.Add(-1)
 	}
+	*g = *NewWithSymbols(g.syms)
 }
 
 // Stats summarizes a graph (used by generators and the bench harness).

@@ -1,193 +1,181 @@
 package graph
 
 import (
-	"maps"
+	"cmp"
+	"iter"
 	"slices"
-	"sort"
+	"strings"
+
+	"ngd/internal/sorted"
 )
 
 // This file implements the attribute value indexes behind the literal-based
 // candidate pruning of §6.2 step (3). An AttrIndex covers one (node label,
-// attribute) pair and answers two query shapes:
+// attribute) pair and answers equality (all nodes of the label whose value
+// equals a constant) and integer ranges. Values follow internal/expr's
+// comparison semantics: ints and bools (as 0/1) share one int64 key,
+// Value.AsInt; strings key a second run; absent values are not indexed,
+// since no comparison literal can hold on them.
 //
-//   - equality: all nodes of the label whose attribute equals a constant
-//     (hash postings for strings; a point range query for integers);
-//   - range: all nodes whose integer attribute value falls in [lo, hi]
-//     (ordered index, a slice sorted by (value, node)).
-//
-// Indexed values follow the comparison semantics of internal/expr: ints
-// and bools (as 0/1) share one int64 key, Value.AsInt (Int(1) and a true
-// flag behave identically in literals); strings key the string postings.
-// Absent attributes can never satisfy a comparison literal and are simply
-// not indexed, which is exactly the pruning the matcher wants.
-//
-// Indexes are built on demand with EnsureAttrIndex (single-threaded setup,
-// e.g. while building matching plans) and are read-only afterwards from the
-// matcher's point of view; SetAttrA keeps existing indexes in sync when
-// attributes change, copying one a clone shares first (page.go). Query
-// methods never build or mutate, so concurrent readers (the parallel
-// engine's workers) are safe.
+// Both runs are sorted.Runs, so an index is a header over shared chunks
+// (Graph.gen). Indexes are built on demand with EnsureAttrIndex
+// (single-threaded setup, e.g. while building plans) and kept in sync by
+// ApplyAttrs, one merge per run and batch; queries never build or mutate,
+// so concurrent readers (the parallel engine's workers) are safe.
 
-// ordEntry is one entry of the ordered index: an integer-keyed value.
+// ordEntry is one integer-keyed entry, ordered by (val, node).
 type ordEntry struct {
 	val  int64
 	node NodeID
 }
 
+func (e ordEntry) Cmp(o ordEntry) int {
+	return cmp.Or(cmp.Compare(e.val, o.val), cmp.Compare(e.node, o.node))
+}
+
+// strEntry is one string-keyed entry, ordered by (s, node).
+type strEntry struct {
+	s    string
+	node NodeID
+}
+
+func (e strEntry) Cmp(o strEntry) int {
+	return cmp.Or(strings.Compare(e.s, o.s), cmp.Compare(e.node, o.node))
+}
+
 // AttrIndex indexes the nodes carrying one label by one attribute's value.
-// Integer-keyed values live only in the ordered slice — equality lookups
-// are a two-sided binary search (they happen at plan-build and seed time,
-// never per candidate), which keeps mutation maintenance to one container.
 type AttrIndex struct {
-	shared
+	gen   uint64 // the generation of the graph that may write it in place
 	label LabelID
 	attr  AttrID
-	strs  map[string][]NodeID // string equality postings (sorted by node id)
-	ord   []ordEntry          // integer entries sorted by (val, node)
+	ints  sorted.Run[ordEntry]
+	strs  sorted.Run[strEntry]
 }
 
-// copy returns a deep copy of ix: the postings grow in place.
-func (ix *AttrIndex) copy() *AttrIndex {
-	c := &AttrIndex{label: ix.label, attr: ix.attr, strs: maps.Clone(ix.strs), ord: slices.Clone(ix.ord)}
-	for s, ps := range c.strs {
-		c.strs[s] = slices.Clone(ps)
-	}
-	return c
-}
-
-// IndexRun is an immutable candidate list returned by index queries; it
-// wraps either an equality posting list or a contiguous slice of the
-// ordered index without copying.
+// IndexRun is a candidate list: a stretch of one of an index's runs.
 type IndexRun struct {
-	nodes   []NodeID
-	entries []ordEntry
+	ints   sorted.Run[ordEntry]
+	strs   sorted.Run[strEntry]
+	lo, hi int
 }
 
 // Len reports the number of candidates in the run.
-func (r IndexRun) Len() int {
-	if r.nodes != nil {
-		return len(r.nodes)
-	}
-	return len(r.entries)
-}
+func (r IndexRun) Len() int { return r.hi - r.lo }
 
-// At returns the i-th candidate node.
+// At returns the i-th candidate node: a binary search, so scans use Nodes.
 func (r IndexRun) At(i int) NodeID {
-	if r.nodes != nil {
-		return r.nodes[i]
+	if r.strs.Len() > 0 {
+		return r.strs.At(r.lo + i).node
 	}
-	return r.entries[i].node
+	return r.ints.At(r.lo + i).node
 }
 
-// Label reports the node label this index covers.
-func (ix *AttrIndex) Label() LabelID { return ix.label }
-
-// Attr reports the attribute this index covers.
-func (ix *AttrIndex) Attr() AttrID { return ix.attr }
+// Nodes yields candidates lo … hi−1 of the run, chunk by chunk.
+func (r IndexRun) Nodes(lo, hi int) iter.Seq[NodeID] {
+	lo, hi = r.lo+lo, r.lo+min(hi, r.Len())
+	return func(yield func(NodeID) bool) {
+		if r.strs.Len() > 0 {
+			for e := range r.strs.Seq(lo, hi) {
+				if !yield(e.node) {
+					return
+				}
+			}
+			return
+		}
+		for e := range r.ints.Seq(lo, hi) {
+			if !yield(e.node) {
+				return
+			}
+		}
+	}
+}
 
 // Len reports the number of indexed (node, value) entries.
-func (ix *AttrIndex) Len() int {
-	n := len(ix.ord)
-	for _, ps := range ix.strs {
-		n += len(ps)
-	}
-	return n
-}
+func (ix *AttrIndex) Len() int { return ix.ints.Len() + ix.strs.Len() }
 
 // Ints returns the nodes whose attribute equals integer v.
 func (ix *AttrIndex) Ints(v int64) IndexRun { return ix.IntRange(v, v) }
 
-// Strs returns the nodes whose attribute equals string s.
+// Strs returns the nodes whose attribute equals string s, by node id.
 func (ix *AttrIndex) Strs(s string) IndexRun {
-	ps := ix.strs[s]
-	if ps == nil {
-		return IndexRun{nodes: []NodeID{}}
+	return IndexRun{
+		strs: ix.strs,
+		lo:   ix.strs.Search(func(e strEntry) bool { return e.s >= s }),
+		hi:   ix.strs.Search(func(e strEntry) bool { return e.s > s }),
 	}
-	return IndexRun{nodes: ps}
 }
 
 // IntRange returns the nodes whose integer attribute value lies in the
 // inclusive range [lo, hi], ordered by (value, node).
 func (ix *AttrIndex) IntRange(lo, hi int64) IndexRun {
 	if lo > hi {
-		return IndexRun{nodes: []NodeID{}}
+		return IndexRun{}
 	}
-	a := sort.Search(len(ix.ord), func(i int) bool { return ix.ord[i].val >= lo })
-	b := sort.Search(len(ix.ord), func(i int) bool { return ix.ord[i].val > hi })
-	return IndexRun{entries: ix.ord[a:b]}
-}
-
-// insertNode adds v into a sorted posting list.
-func insertNode(ps []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= v })
-	if i < len(ps) && ps[i] == v {
-		return ps
+	return IndexRun{
+		ints: ix.ints,
+		lo:   ix.ints.Search(func(e ordEntry) bool { return e.val >= lo }),
+		hi:   ix.ints.Search(func(e ordEntry) bool { return e.val > hi }),
 	}
-	ps = append(ps, 0)
-	copy(ps[i+1:], ps[i:])
-	ps[i] = v
-	return ps
 }
 
-// removeNode deletes v from a sorted posting list.
-func removeNode(ps []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= v })
-	if i >= len(ps) || ps[i] != v {
-		return ps
-	}
-	copy(ps[i:], ps[i+1:])
-	return ps[:len(ps)-1]
+// attrBatch collects one write's entries for an AttrIndex's two runs.
+type attrBatch struct {
+	ints sorted.Batch[ordEntry]
+	strs sorted.Batch[strEntry]
 }
 
-// ordSearch locates entry e in the sorted ordered index.
-func (ix *AttrIndex) ordSearch(e ordEntry) (int, bool) {
-	i := sort.Search(len(ix.ord), func(i int) bool {
-		if ix.ord[i].val != e.val {
-			return ix.ord[i].val > e.val
-		}
-		return ix.ord[i].node >= e.node
-	})
-	return i, i < len(ix.ord) && ix.ord[i] == e
-}
-
-// add indexes value val for node v (incremental maintenance; bulk
-// construction goes through EnsureAttrIndex's sort-once path).
-func (ix *AttrIndex) add(v NodeID, val Value) {
+// note records value val of node v entering (in) or leaving the index.
+func (c *attrBatch) note(v NodeID, val Value, in bool) {
 	if s, ok := val.AsString(); ok {
-		ix.strs[s] = insertNode(ix.strs[s], v)
-		return
+		c.strs.Put(strEntry{s, v}, in)
+	} else if k, ok := val.AsInt(); ok {
+		c.ints.Put(ordEntry{k, v}, in)
 	}
-	k, ok := val.AsInt()
-	if !ok {
-		return
-	}
-	e := ordEntry{val: k, node: v}
-	i, found := ix.ordSearch(e)
-	if found {
-		return
-	}
-	ix.ord = append(ix.ord, ordEntry{})
-	copy(ix.ord[i+1:], ix.ord[i:])
-	ix.ord[i] = e
 }
 
-// remove un-indexes value val for node v.
-func (ix *AttrIndex) remove(v NodeID, val Value) {
-	if s, ok := val.AsString(); ok {
-		if ps := removeNode(ix.strs[s], v); len(ps) > 0 {
-			ix.strs[s] = ps
-		} else {
-			delete(ix.strs, s)
+// reindex brings every index up to date with a batch of attribute writes,
+// one merge per run: each write takes its node's old value out and puts the
+// new one in. A header of another generation is copied first (Graph.gen).
+func (g *Graph) reindex(moves []attrMove) {
+	for k, ix := range g.attrIdx {
+		var c attrBatch
+		for _, m := range moves {
+			if m.Attr == k.attr && g.Label(m.Node) == k.label {
+				c.note(m.Node, m.old, false)
+				c.note(m.Node, m.Val, true)
+			}
 		}
-		return
+		if c.ints.Len()+c.strs.Len() == 0 {
+			continue
+		}
+		if ix.gen != g.gen {
+			own := *ix
+			ix, own.gen = &own, g.gen
+			g.attrIdx[k] = ix
+		}
+		ix.ints = ix.ints.Write(&c.ints)
+		ix.strs = ix.strs.Write(&c.strs)
 	}
-	k, ok := val.AsInt()
-	if !ok {
-		return
-	}
-	if i, found := ix.ordSearch(ordEntry{val: k, node: v}); found {
-		copy(ix.ord[i:], ix.ord[i+1:])
-		ix.ord = ix.ord[:len(ix.ord)-1]
+	for i, ix := range g.edgeIdx {
+		var c edgeBatch
+		for _, m := range moves {
+			if m.Attr != ix.attr {
+				continue
+			}
+			adj := g.In(m.Node)
+			if ix.bySrc {
+				adj = g.Out(m.Node)
+			}
+			for _, h := range LabelRun(adj, ix.label) {
+				u, v := h.To, m.Node
+				if ix.bySrc {
+					u, v = m.Node, h.To
+				}
+				c.note(u, v, m.old, false)
+				c.note(u, v, m.Val, true)
+			}
+		}
+		g.writeEdgeIdx(i, &c)
 	}
 }
 
@@ -252,7 +240,7 @@ var _ AttrIndexed = (*Graph)(nil)
 
 // EnsureAttrIndex returns the attribute index for (l, a), building it on
 // first use. It returns nil for the wildcard pseudo-label (which has no
-// bucket of its own). Once built, the index is kept in sync by SetAttrA.
+// bucket of its own). Once built, the index is kept in sync by ApplyAttrs.
 func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 	if l == Wildcard || l == NoLabel || a < 0 {
 		return nil
@@ -260,28 +248,22 @@ func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 	if ix := g.attrIdx[attrIndexKey{l, a}]; ix != nil {
 		return ix
 	}
-	ix := &AttrIndex{
-		label: l,
-		attr:  a,
-		strs:  make(map[string][]NodeID),
-	}
-	// bulk build: append in byLabel order, which is ascending ids (so
-	// string postings come out sorted already), then one stable pass by
-	// value puts the ordered index in (val, node) order
+	// bulk build: append in byLabel order, which is ascending ids, then one
+	// stable pass by value puts the integer entries in (val, node) order
 	bucket := g.byLabel[l]
-	ix.ord = make([]ordEntry, 0, len(bucket))
+	ints := make([]ordEntry, 0, len(bucket))
+	var strs []strEntry
 	for _, v := range bucket {
 		val := g.Attr(v, a)
-		if !val.Valid() {
-			continue
-		}
 		if s, ok := val.AsString(); ok {
-			ix.strs[s] = append(ix.strs[s], v)
+			strs = append(strs, strEntry{s, v})
 		} else if k, ok := val.AsInt(); ok {
-			ix.ord = append(ix.ord, ordEntry{val: k, node: v})
+			ints = append(ints, ordEntry{k, v})
 		}
 	}
-	ix.ord = sortByKey(ix.ord, func(e ordEntry) int64 { return e.val })
+	slices.SortStableFunc(strs, func(x, y strEntry) int { return strings.Compare(x.s, y.s) })
+	ints = sortByKey(ints, func(e ordEntry) int64 { return e.val })
+	ix := &AttrIndex{gen: g.gen, label: l, attr: a, ints: sorted.Of(ints), strs: sorted.Of(strs)}
 	if g.attrIdx == nil {
 		g.attrIdx = make(map[attrIndexKey]*AttrIndex)
 	}

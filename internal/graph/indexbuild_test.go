@@ -13,7 +13,7 @@ import (
 // Both index kinds are built by appending entries in id order and sorting
 // them once by key with sortByKey. The reference here is a comparison sort
 // over the whole entry, so the radix pass must reproduce the full (key,
-// id…) order, ties included, that add, remove and the searches rely on.
+// id…) order, ties included, that the runs' merges and searches rely on.
 
 // buildRecordLen is the size of one fuzzed node value: a tag byte, then an
 // eight-byte payload.
@@ -107,14 +107,14 @@ func refEdgeOrd(g *Graph, l LabelID, a AttrID, bySrc bool) (want []edgeEntry, un
 func checkIndexOrder(t *testing.T, g *Graph, l, el LabelID, a AttrID, when string) {
 	t.Helper()
 	ix := g.EnsureAttrIndex(l, a)
-	if want := refAttrOrd(g, l, a); !slices.Equal(ix.ord, want) {
-		t.Fatalf("%s: AttrIndex.ord\n got  %v\n want %v", when, ix.ord, want)
+	if want := refAttrOrd(g, l, a); !slices.Equal(entries(ix.ints), want) {
+		t.Fatalf("%s: AttrIndex.ints\n got  %v\n want %v", when, entries(ix.ints), want)
 	}
 	for _, bySrc := range []bool{false, true} {
 		ex := g.EnsureEdgeValIndex(el, a, bySrc)
 		want, uncovered := refEdgeOrd(g, el, a, bySrc)
-		if !slices.Equal(ex.ord, want) {
-			t.Fatalf("%s: EdgeValIndex.ord (bySrc %v)\n got  %v\n want %v", when, bySrc, ex.ord, want)
+		if !slices.Equal(entries(ex.ord), want) {
+			t.Fatalf("%s: EdgeValIndex.ord (bySrc %v)\n got  %v\n want %v", when, bySrc, entries(ex.ord), want)
 		}
 		if ex.uncovered != uncovered {
 			t.Fatalf("%s: EdgeValIndex.uncovered (bySrc %v) = %d, want %d", when, bySrc, ex.uncovered, uncovered)

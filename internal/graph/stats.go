@@ -1,6 +1,9 @@
 package graph
 
-import "maps"
+import (
+	"maps"
+	"sync/atomic"
+)
 
 // This file implements LiveStats: the maintained statistics the cost-based
 // planner (internal/plan) scores matching orders with, kept current under
@@ -18,7 +21,7 @@ import "maps"
 // adjacency, counted per node-label bucket) and maintained incrementally by
 // AddNodeL / AddEdgeL / DeleteEdgeL / SetAttrA afterwards — (*Graph).Apply
 // goes through those, so batch commits keep the stats current for free. A
-// clone shares them until one side writes (page.go).
+// clone shares them until one side writes (unshare).
 
 // degKey indexes the fan-out aggregates: half-edges with edge label `edge`
 // incident to nodes carrying node label `node`.
@@ -31,12 +34,22 @@ type degKey struct {
 // safe concurrently with other reads; mutation follows the owning graph's
 // single-writer discipline.
 type LiveStats struct {
-	shared
+	others  atomic.Int32   // the graphs beyond the first that hold it
 	outRuns map[degKey]int // Σ over v with label(v)=node of |run(out(v), edge)|
 	inRuns  map[degKey]int // same for in-adjacency
 	outTot  map[LabelID]int
 	inTot   map[LabelID]int
 	churn   uint64
+}
+
+// unshare returns st ready for writes: st, or a copy if another graph holds it.
+func unshare(st *LiveStats) *LiveStats {
+	if st.others.Load() == 0 {
+		return st
+	}
+	c := st.copy()
+	st.others.Add(-1)
+	return c
 }
 
 func (st *LiveStats) copy() *LiveStats {

@@ -121,12 +121,10 @@ func (m *Matcher) CandidatesRange(k int, partial []graph.NodeID, lo, hi int, yie
 	}
 	if st.AnchorEdge < 0 {
 		if run, ok := m.seedIndexRun(st); ok {
-			n := run.Len()
-			if hi < 0 || hi > n {
-				hi = n
+			if hi < 0 {
+				hi = run.Len()
 			}
-			for i := lo; i < hi; i++ {
-				v := run.At(i)
+			for v := range run.Nodes(lo, hi) {
 				if !emit(v, m.filterOK(st.Node, v)) {
 					return scanned
 				}

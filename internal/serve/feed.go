@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ngd/internal/core"
 	"ngd/internal/session"
 )
 
@@ -50,7 +49,7 @@ type FeedEvent struct {
 
 // JSON returns the event's wire form,
 // {"epoch":…,"added":[violation,…],"removed":["key",…]}, with an empty
-// list left out. The first call renders it, from the keys the commit
+// list left out. The first call renders it, from the records the commit
 // already holds; every call returns the same bytes. Safe from any
 // goroutine.
 func (e *FeedEvent) JSON() []byte {
@@ -60,21 +59,21 @@ func (e *FeedEvent) JSON() []byte {
 		b = strconv.AppendInt(b, int64(e.Epoch), 10)
 		if len(e.Commit.Added) > 0 {
 			b = append(b, `,"added":[`...)
-			for i, v := range e.Commit.Added {
+			for i, k := range e.Commit.Added {
 				if i > 0 {
 					b = append(b, ',')
 				}
-				b = appendVio(b, &core.Keyed{Key: e.Commit.AddedKeys[i], Violation: v})
+				b = appendVio(b, k)
 			}
 			b = append(b, ']')
 		}
-		if len(e.Commit.RemovedKeys) > 0 {
+		if len(e.Commit.Removed) > 0 {
 			b = append(b, `,"removed":[`...)
-			for i, k := range e.Commit.RemovedKeys {
+			for i, k := range e.Commit.Removed {
 				if i > 0 {
 					b = append(b, ',')
 				}
-				b = appendString(b, k)
+				b = appendString(b, k.Key)
 			}
 			b = append(b, ']')
 		}

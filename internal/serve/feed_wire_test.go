@@ -34,14 +34,14 @@ func eagerFeedJSON(ev *session.CommitEvent) []byte {
 	fe := &eagerFeedEvent{Epoch: ev.Epoch}
 	if len(ev.Added) > 0 {
 		fe.Added = make([]vioJSON, len(ev.Added))
-		for i, v := range ev.Added {
-			fe.Added[i] = toVioJSON(v.Key(), v)
+		for i, k := range ev.Added {
+			fe.Added[i] = toVioJSON(k.Violation.Key(), k.Violation)
 		}
 	}
 	if len(ev.Removed) > 0 {
 		fe.Removed = make([]string, len(ev.Removed))
-		for i, v := range ev.Removed {
-			fe.Removed[i] = v.Key()
+		for i, k := range ev.Removed {
+			fe.Removed[i] = k.Violation.Key()
 		}
 	}
 	raw, _ := json.Marshal(fe)

@@ -106,8 +106,8 @@ func TestRepairHTTPRoundTrip(t *testing.T) {
 	select {
 	case ev := <-sub.C:
 		found := false
-		for _, rm := range ev.Commit.RemovedKeys {
-			if rm == key {
+		for _, rm := range ev.Commit.Removed {
+			if rm.Key == key {
 				found = true
 			}
 		}

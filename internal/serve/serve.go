@@ -476,12 +476,12 @@ func (s *Server) runOnWriter(job func()) error {
 func (s *Server) commitBatch(batch []ingest) {
 	g := s.sess.Graph()
 	delta := &graph.Delta{}
-	var attrOps []graph.AttrOp
+	var attrOps, arrived []graph.AttrOp
 	for _, ing := range batch {
 		for _, op := range ing.ops {
 			switch op.Op {
 			case "node":
-				s.applyNode(g, op)
+				arrived = s.applyNode(g, op, arrived)
 			case "setattr":
 				v, ok := s.resolve(op.ID)
 				if !ok {
@@ -515,6 +515,7 @@ func (s *Server) commitBatch(batch []ingest) {
 		}
 	}
 
+	g.ApplyAttrs(arrived) // the arrivals' attributes, one index write for all
 	st := s.sess.CommitBatch(delta, attrOps)
 	s.commits.Add(1)
 	s.lastBatch.Store(&st)
@@ -542,18 +543,20 @@ func (s *Server) commitBatch(batch []ingest) {
 // attribute star. Re-registering an existing id is dropped — mutating the
 // attributes of a node the store has already seen would silently break the
 // store ≡ Dect(Σ, G) invariant (unit updates are edge-only, paper §5.2).
-func (s *Server) applyNode(g *graph.Graph, op UpdateOp) {
+// The node's attributes are appended to attrs, for the caller to set with
+// the batch's other arrivals.
+func (s *Server) applyNode(g *graph.Graph, op UpdateOp, attrs []graph.AttrOp) []graph.AttrOp {
 	if op.ID == "" {
 		s.droppedOps.Add(1)
-		return
+		return attrs
 	}
 	if _, exists := s.names[op.ID]; exists {
 		s.droppedOps.Add(1)
-		return
+		return attrs
 	}
 	if _, err := strconv.Atoi(op.ID); err == nil {
 		s.droppedOps.Add(1) // numeric ids are reserved for raw NodeIDs
-		return
+		return attrs
 	}
 	v := g.AddNode(op.Label)
 	s.names[op.ID] = v
@@ -562,8 +565,9 @@ func (s *Server) applyNode(g *graph.Graph, op UpdateOp) {
 	}
 	for name, raw := range op.Attrs {
 		val, _ := toValue(raw) // checked by Enqueue
-		g.SetAttr(v, name, val)
+		attrs = append(attrs, graph.AttrOp{Node: v, Attr: g.Symbols().Attr(name), Val: val})
 	}
+	return attrs
 }
 
 // resolve maps an external node reference — a registered name or a decimal

@@ -103,26 +103,30 @@ func FuzzViolationBody(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, rule, x, y, key string, a, b int32, epoch int) {
 		ngd := &core.NGD{Name: rule, Pattern: &pattern.Pattern{Nodes: []pattern.Node{{Var: x}, {Var: y}}}}
-		var added []core.Violation
+		keys := []string{key, rule, x}
+		var added []*core.Keyed
 		for n := range 3 {
 			v := core.Violation{Rule: ngd, Match: core.Match{graph.NodeID(a), graph.NodeID(b)}[:n]}
 			k := &core.Keyed{Key: key, Violation: v}
 			if got, want := appendVio(nil, k), encoded(toVioJSON(key, v)); !bytes.Equal(append(got, '\n'), want) {
 				t.Fatalf("appendVio:\ngot  %s\nwant %s", got, want)
 			}
-			added = append(added, v)
+			added = append(added, &core.Keyed{Key: keys[n], Violation: v})
 		}
+		removed := []*core.Keyed{{Key: y}, {Key: key}}
 
-		keys := []string{key, rule, x}
 		for _, ev := range []*session.CommitEvent{
-			{Epoch: epoch, Added: added, AddedKeys: keys, RemovedKeys: []string{y, key}},
-			{Epoch: epoch, Added: added[:1], AddedKeys: keys[:1]},
-			{Epoch: epoch, RemovedKeys: []string{y}},
+			{Epoch: epoch, Added: added, Removed: removed},
+			{Epoch: epoch, Added: added[:1]},
+			{Epoch: epoch, Removed: removed[:1]},
 			{Epoch: epoch},
 		} {
-			w := feedWire{Epoch: ev.Epoch, Removed: ev.RemovedKeys}
-			for i, v := range ev.Added {
-				w.Added = append(w.Added, toVioJSON(ev.AddedKeys[i], v))
+			w := feedWire{Epoch: ev.Epoch}
+			for _, k := range ev.Removed {
+				w.Removed = append(w.Removed, k.Key)
+			}
+			for _, k := range ev.Added {
+				w.Added = append(w.Added, toVioJSON(k.Key, k.Violation))
 			}
 			want, _ := json.Marshal(w)
 			fe := &FeedEvent{Epoch: ev.Epoch, Commit: ev, rendered: new(atomic.Int64)}

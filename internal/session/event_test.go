@@ -24,28 +24,24 @@ func keySet(sn *session.Snapshot) map[string]bool {
 // applyEvent replays a commit event onto a key set the way a feed
 // subscriber would: removals first, then additions. Every op must be
 // effective — a removal of an absent key or an addition of a present one
-// means the event is not an exact differential. The keys the event carries
-// must be its violations' keys.
+// means the event is not an exact differential. The key each record carries
+// must be its violation's key.
 func applyEvent(t *testing.T, set map[string]bool, ev *session.CommitEvent) {
 	t.Helper()
-	if len(ev.AddedKeys) != len(ev.Added) || len(ev.RemovedKeys) != len(ev.Removed) {
-		t.Fatalf("epoch %d: %d/%d keys for +%d/−%d violations",
-			ev.Epoch, len(ev.AddedKeys), len(ev.RemovedKeys), len(ev.Added), len(ev.Removed))
-	}
-	for i, v := range ev.Removed {
-		k := v.Key()
-		if ev.RemovedKeys[i] != k {
-			t.Fatalf("epoch %d: RemovedKeys[%d] = %s, violation %s", ev.Epoch, i, ev.RemovedKeys[i], k)
+	for _, rec := range ev.Removed {
+		k := rec.Key
+		if rec.Violation.Key() != k {
+			t.Fatalf("epoch %d: removed record %s holds violation %s", ev.Epoch, k, rec.Violation.Key())
 		}
 		if !set[k] {
 			t.Fatalf("epoch %d: event removes %s which the subscriber never had", ev.Epoch, k)
 		}
 		delete(set, k)
 	}
-	for i, v := range ev.Added {
-		k := v.Key()
-		if ev.AddedKeys[i] != k {
-			t.Fatalf("epoch %d: AddedKeys[%d] = %s, violation %s", ev.Epoch, i, ev.AddedKeys[i], k)
+	for _, rec := range ev.Added {
+		k := rec.Key
+		if rec.Violation.Key() != k {
+			t.Fatalf("epoch %d: added record %s holds violation %s", ev.Epoch, k, rec.Violation.Key())
 		}
 		if set[k] {
 			t.Fatalf("epoch %d: event adds %s which the subscriber already has", ev.Epoch, k)
@@ -80,7 +76,7 @@ func TestCommitEventDifferential(t *testing.T) {
 					t.Fatalf("batch %d: event epoch %d", st.Batch, st.Event.Epoch)
 				}
 				if !sort.SliceIsSorted(st.Event.Added, func(i, j int) bool {
-					return st.Event.Added[i].Key() < st.Event.Added[j].Key()
+					return st.Event.Added[i].Key < st.Event.Added[j].Key
 				}) {
 					t.Fatalf("batch %d: Added not sorted by key", st.Batch)
 				}

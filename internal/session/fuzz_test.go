@@ -159,9 +159,9 @@ func FuzzCommitSequence(f *testing.F) {
 			// the event is the exact difference of consecutive stores: every op
 			// effective (applyEvent), nothing on both sides, and the result is
 			// the new store
-			for _, v := range st.Event.Removed {
-				if now[v.Key()] {
-					t.Fatalf("commit %d: event removes %s, which the store still holds", st.Batch, v.Key())
+			for _, k := range st.Event.Removed {
+				if now[k.Key] {
+					t.Fatalf("commit %d: event removes %s, which the store still holds", st.Batch, k.Key)
 				}
 			}
 			applyEvent(t, prev, st.Event)

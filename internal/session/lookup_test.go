@@ -18,12 +18,21 @@ import (
 )
 
 // eventKeys lists an event side's canonical keys.
-func eventKeys(vs []core.Violation) []string {
-	keys := make([]string, len(vs))
-	for i, v := range vs {
-		keys[i] = v.Key()
+func eventKeys(recs []*core.Keyed) []string {
+	keys := make([]string, len(recs))
+	for i, k := range recs {
+		keys[i] = k.Key
 	}
 	return keys
+}
+
+// violationsOf lists the records' violations.
+func violationsOf(recs []*core.Keyed) []core.Violation {
+	vs := make([]core.Violation, len(recs))
+	for i, k := range recs {
+		vs[i] = k.Violation
+	}
+	return vs
 }
 
 // mustRecheck fails the test when the store is not Vio(Σ, G).

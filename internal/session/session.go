@@ -176,19 +176,14 @@ func (c *lapClock) wall() time.Duration { return c.last.Sub(c.start) }
 // CommitEvent is the reconciled violation delta of one commit: exactly the
 // change a subscriber must apply to the previous epoch's violation set to
 // obtain this epoch's — store(Epoch) = store(Epoch−1) − Removed + Added.
-// Added includes both the incremental detector's ΔVio⁺ and the violations
-// found by the arriving-node absorption searches; both slices are sorted by
-// canonical key and deduplicated against the store, so replaying events in
-// epoch order is a faithful differential stream (the next Snapshot and the
-// serving layer's change feed are built from it). AddedKeys[i] is
-// Added[i].Key() and RemovedKeys[i] is Removed[i].Key(), computed once by
-// the commit. An event is immutable: its slices may alias the snapshot's.
+// Added (ΔVio⁺ and the arriving-node searches' finds) holds the records
+// the store now keeps, Removed the ones it held; both are sorted by key and
+// deduplicated against the store, so replaying events in epoch order is a
+// faithful differential stream. An event is immutable and may alias the
+// snapshot's storage.
 type CommitEvent struct {
-	Epoch       int
-	Added       []core.Violation
-	AddedKeys   []string
-	Removed     []core.Violation
-	RemovedKeys []string
+	Epoch          int
+	Added, Removed []*core.Keyed
 }
 
 // CommitHook observes every commit before it mutates the graph: it receives
@@ -559,8 +554,8 @@ func (s *Session) applyAttrOps(attrs []graph.AttrOp) (plus, minus, cuts int) {
 	touchedSet := graph.AcquireNodeSet(s.g.NumNodes())
 	defer graph.ReleaseNodeSet(touchedSet)
 	touched := make([]graph.NodeID, 0, len(attrs))
+	s.g.ApplyAttrs(attrs)
 	for _, op := range attrs {
-		s.g.SetAttrA(op.Node, op.Attr, op.Val)
 		if touchedSet.Add(op.Node) {
 			touched = append(touched, op.Node)
 		}
@@ -650,28 +645,12 @@ func (s *Session) publish() *CommitEvent {
 	for _, rec := range s.removed {
 		del = append(del, rec)
 	}
-	slices.SortFunc(add, byKey)
-	slices.SortFunc(del, byKey)
+	slices.SortFunc(add, (*core.Keyed).Cmp)
+	slices.SortFunc(del, (*core.Keyed).Cmp)
 	clear(s.added)
 	clear(s.removed)
 	s.snap = s.snap.advance(add, del, s.g.NumNodes(), s.g.NumEdges())
-	ev := &CommitEvent{Epoch: s.commits}
-	ev.AddedKeys, ev.Added = add.split()
-	ev.RemovedKeys, ev.Removed = del.split()
-	return ev
-}
-
-// split lays a run out as a feed event's keys and violations, in key
-// order; nil slices when empty.
-func (r run) split() ([]string, []core.Violation) {
-	if len(r) == 0 {
-		return nil, nil
-	}
-	keys := make([]string, len(r))
-	for i, k := range r {
-		keys[i] = k.Key
-	}
-	return keys, violationsOf(r)
+	return &CommitEvent{Epoch: s.commits, Added: add, Removed: del}
 }
 
 // Recheck audits the store invariant store ≡ Dect(Σ, G) with a from-scratch
@@ -686,11 +665,9 @@ func (s *Session) Recheck() error {
 			return fmt.Errorf("session: store missing violation %s", k)
 		}
 	}
-	for _, ch := range s.snap.all.chunks {
-		for _, k := range ch {
-			if _, ok := fresh[k.Key]; !ok {
-				return fmt.Errorf("session: store holds stale violation %s", k.Key)
-			}
+	for k := range s.snap.All().Records() {
+		if _, ok := fresh[k.Key]; !ok {
+			return fmt.Errorf("session: store holds stale violation %s", k.Key)
 		}
 	}
 	return nil

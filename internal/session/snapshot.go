@@ -3,24 +3,22 @@ package session
 import (
 	"iter"
 	"slices"
-	"sort"
 	"strings"
 
 	"ngd/internal/core"
 	"ngd/internal/graph"
+	"ngd/internal/sorted"
 )
 
 // Snapshot is an immutable, consistent view of a session at one commit
 // epoch, and the only representation of the violation set the session
 // keeps: one *core.Keyed record per violation of Vio(Σ, G), listed in key
-// order in chunks of at most chunkBound records, and posted under every
-// node the violation binds. Epoch e is derived from epoch e−1 by advance,
-// inside the commit, from the commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's
-// Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪ ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and
-// posting pages the delta falls into; published epochs are never touched,
-// so any number of concurrent readers can serve from a Snapshot while the
-// session commits (internal/serve relies on this for snapshot-isolated
-// reads).
+// order in a sorted.Run and posted under every node the violation binds.
+// Epoch e is derived from epoch e−1 by advance, inside the commit, from the
+// commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪
+// ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and posting pages the delta falls
+// into; published epochs are never touched, so any number of concurrent
+// readers can serve from a Snapshot while the session commits.
 type Snapshot struct {
 	// Epoch is the commit count at capture (0 = the seeded store).
 	Epoch int
@@ -29,7 +27,7 @@ type Snapshot struct {
 	// epoch that absorbs it, not before.
 	Nodes, Edges int
 
-	all chunked
+	all sorted.Run[*core.Keyed]
 	// byNode posts every violation under each distinct node of its match:
 	// a posting is the node's records in key order, the very records all's
 	// chunks hold. Postings sit in pages of pageSize consecutive node ids,
@@ -76,13 +74,17 @@ func (sn *Snapshot) Get(key string) (core.Violation, bool) {
 
 // record is the stored record keyed key, nil when there is none.
 func (sn *Snapshot) record(key string) *core.Keyed {
-	if ci := sn.all.home(key); ci >= 0 {
-		ch := sn.all.chunks[ci]
-		if i := ch.seek(key); i < len(ch) && ch[i].Key == key {
-			return ch[i]
+	if i := seek(sn.all, key); i < sn.all.Len() {
+		if k := sn.all.At(i); k.Key == key {
+			return k
 		}
 	}
 	return nil
+}
+
+// seek returns the position in r of the first key ≥ key.
+func seek(r sorted.Run[*core.Keyed], key string) int {
+	return r.Search(func(k *core.Keyed) bool { return k.Key >= key })
 }
 
 // Has reports whether the snapshot holds a violation with the given key.
@@ -109,7 +111,7 @@ func (sn *Snapshot) Posted(n graph.NodeID) Range {
 	if len(p) == 0 {
 		return Range{}
 	}
-	return Range{chunked{[]run{p}, []int{0, len(p)}}, 0, len(p)}
+	return Range{sorted.Of(p), 0, len(p)}
 }
 
 // violationsOf copies the records' violations out.
@@ -128,14 +130,14 @@ func violationsOf(recs []*core.Keyed) []core.Violation {
 // store, a node's posting, or one rule's share of either — by position, so
 // narrowing and paging cost binary searches, not copies.
 type Range struct {
-	c      chunked
+	c      sorted.Run[*core.Keyed]
 	lo, hi int
 }
 
 func (r Range) Len() int { return r.hi - r.lo }
 
 // from is the position of the first key ≥ key, kept inside the range.
-func (r Range) from(key string) int { return min(max(r.c.seek(key), r.lo), r.hi) }
+func (r Range) from(key string) int { return min(max(seek(r.c, key), r.lo), r.hi) }
 
 // Rule narrows r to the violations of the named rule: the keys that start
 // with "<name>:". Rule names never contain ':' (core.New rejects it), so
@@ -168,174 +170,16 @@ func (r Range) Last() *core.Keyed {
 	if r.Len() == 0 {
 		return nil
 	}
-	ci := sort.SearchInts(r.c.offs, r.hi) - 1
-	return r.c.chunks[ci][r.hi-1-r.c.offs[ci]]
+	return r.c.At(r.hi - 1)
 }
 
 // Records yields the records of r in key order, reading the snapshot's
 // storage in place.
-func (r Range) Records() iter.Seq[*core.Keyed] {
-	return func(yield func(*core.Keyed) bool) {
-		if r.Len() == 0 {
-			return
-		}
-		ci := sort.SearchInts(r.c.offs, r.lo+1) - 1
-		for at := r.lo; at < r.hi; ci++ {
-			ch, off := r.c.chunks[ci], r.c.offs[ci]
-			for _, k := range ch[at-off : min(len(ch), r.hi-off)] {
-				if !yield(k) {
-					return
-				}
-			}
-			at = r.c.offs[ci+1]
-		}
-	}
-}
+func (r Range) Records() iter.Seq[*core.Keyed] { return r.c.Seq(r.lo, r.hi) }
 
-// run is a list of records in ascending key order: a chunk of the store, a
-// node's posting, or one side of a commit's Δ.
+// run is a list of records in ascending key order: a node's posting, or one
+// side of a commit's Δ.
 type run []*core.Keyed
-
-func byKey(a, b *core.Keyed) int { return strings.Compare(a.Key, b.Key) }
-
-// seek returns the position of the first key ≥ key.
-func (r run) seek(key string) int {
-	return sort.Search(len(r), func(i int) bool { return r[i].Key >= key })
-}
-
-// slice is r[i:j], capped so that nothing can append over its neighbours.
-func (r run) slice(i, j int) run { return r[i:j:j] }
-
-// merge returns r ∖ del ∪ add as a fresh run, leaving r untouched (it is
-// shared with published epochs). All three are key-sorted; one pass over
-// the changes, block-copying the stretches of r between them. A del key r
-// does not hold is ignored; an add key must not be in r ∖ del. Merging into
-// an empty run returns add itself (at boot, or into a store the last commit
-// emptied; apply then cuts it into chunks).
-func (r run) merge(add, del run) run {
-	if len(r) == 0 {
-		return add
-	}
-	out := make(run, 0, len(r)+len(add))
-	i := 0 // next unread entry of r
-	copyTo := func(j int) {
-		out = append(out, r[i:j]...)
-		i = j
-	}
-	for a, d := 0, 0; a < len(add) || d < len(del); {
-		if d == len(del) || a < len(add) && add[a].Key < del[d].Key {
-			copyTo(i + r[i:].seek(add[a].Key))
-			out = append(out, add[a])
-			a++
-		} else {
-			copyTo(i + r[i:].seek(del[d].Key))
-			if i < len(r) && r[i].Key == del[d].Key {
-				i++
-			}
-			d++
-		}
-	}
-	copyTo(len(r))
-	return out
-}
-
-// chunkBound is the most entries one chunk of the store holds; a commit
-// copies the chunks its delta falls into, so it is also the unit of a
-// commit's copying.
-const chunkBound = 512
-
-// chunked is the store's two-level sorted array: non-empty runs of at most
-// chunkBound records in ascending key order, with each chunk's starting
-// position held beside them for the binary searches. The chunks of one
-// epoch are shared with the next unless a change falls into them; the top
-// level is copied per commit (|Vio|/chunkBound entries).
-type chunked struct {
-	chunks []run
-	offs   []int // offs[i] entries precede chunk i; offs[len(chunks)] is Len
-}
-
-func (c chunked) Len() int {
-	if len(c.offs) == 0 {
-		return 0
-	}
-	return c.offs[len(c.chunks)]
-}
-
-// home returns the chunk whose stretch of the key space holds key: the last
-// one that starts at or below it, -1 when key sorts before the whole store.
-func (c chunked) home(key string) int {
-	return sort.Search(len(c.chunks), func(i int) bool { return c.chunks[i][0].Key > key }) - 1
-}
-
-// seek returns the position in the whole store of the first key ≥ key.
-func (c chunked) seek(key string) int {
-	ci := c.home(key)
-	if ci < 0 {
-		return 0
-	}
-	return c.offs[ci] + c.chunks[ci].seek(key)
-}
-
-// apply returns c ∖ del ∪ add without touching c, under run.merge's
-// contract. It walks the changes once: a chunk no change falls into is
-// shared with c, the others are re-merged, then dropped when emptied, cut
-// into even pieces when over the bound, and joined with a neighbour when
-// under a quarter of it — without that a delete-heavy stream leaves
-// one-entry chunks behind and the top level creeps back toward |Vio|.
-func (c chunked) apply(add, del run) chunked {
-	if len(add)+len(del) == 0 {
-		return c
-	}
-	out := make([]run, 0, len(c.chunks)+1+len(add)/chunkBound)
-	put := func(m run) {
-		if n := len(out); n > 0 && 0 < len(m) && len(m) < chunkBound/4 {
-			m = out[n-1].merge(m, nil) // every key of m is past the neighbour's
-			out = out[:n-1]
-		}
-		for pieces := (len(m) + chunkBound - 1) / chunkBound; pieces > 0; pieces-- {
-			n := len(m) / pieces
-			out = append(out, m.slice(0, n))
-			m = m.slice(n, len(m))
-		}
-	}
-	if len(c.chunks) == 0 {
-		put(add) // boot, or a store the last commit emptied: del ⊆ c is empty
-	}
-	i := 0 // next unread chunk of c
-	for a, d := 0, 0; len(c.chunks) > 0 && (a < len(add) || d < len(del)); {
-		// the chunk the next change falls into, and the changes it shares it
-		// with: those below the following chunk's first key
-		var k string
-		if d == len(del) || a < len(add) && add[a].Key < del[d].Key {
-			k = add[a].Key
-		} else {
-			k = del[d].Key
-		}
-		ci := max(i, c.home(k))
-		a2, d2 := len(add), len(del)
-		if ci+1 < len(c.chunks) {
-			first := c.chunks[ci+1][0].Key
-			a2 = a + add[a:].seek(first)
-			d2 = d + del[d:].seek(first)
-		}
-		out = append(out, c.chunks[i:ci]...)
-		m := c.chunks[ci].merge(add.slice(a, a2), del.slice(d, d2))
-		a, d, i = a2, d2, ci+1
-		if len(out) == 0 && 0 < len(m) && len(m) < chunkBound/4 && i < len(c.chunks) {
-			// no left neighbour to join: its entries ride into the right one
-			add, a = m.merge(add.slice(a, len(add)), nil), 0
-			continue
-		}
-		put(m)
-	}
-	out = append(out, c.chunks[i:]...)
-
-	next := chunked{out, make([]int, len(out)+1)}
-	for i, ch := range out {
-		next.offs[i+1] = next.offs[i] + len(ch)
-	}
-	return next
-}
 
 // newSnapshot builds epoch 0 from an unordered violation list (a seeding
 // detection run, or a persisted store) in linear passes around the one
@@ -346,10 +190,10 @@ func newSnapshot(vios []core.Violation, nodes, edges int) *Snapshot {
 	for i, v := range vios {
 		recs[i] = &core.Keyed{Key: v.Key(), Violation: v}
 	}
-	slices.SortFunc(recs, byKey)
+	slices.SortFunc(recs, (*core.Keyed).Cmp)
 	// the keyed store holds one violation per key
 	recs = slices.CompactFunc(recs, func(a, b *core.Keyed) bool { return a.Key == b.Key })
-	return &Snapshot{Nodes: nodes, Edges: edges, all: chunked{}.apply(recs, nil), byNode: postAll(recs)}
+	return &Snapshot{Nodes: nodes, Edges: edges, all: sorted.Of(recs), byNode: postAll(recs)}
 }
 
 // postAll builds the postings of a key-sorted run: count each node's
@@ -415,7 +259,7 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	if len(add)+len(del) == 0 {
 		return next
 	}
-	next.all = sn.all.apply(add, del)
+	next.all = sn.all.Apply(add, del)
 
 	// every (distinct match node, side, index) as one change, node<<32 |
 	// side<<31 | i, side 0 for add and 1 for del: sorted, a node's changes

@@ -13,10 +13,11 @@ import (
 	"ngd/internal/detect"
 	"ngd/internal/gen"
 	"ngd/internal/graph"
+	"ngd/internal/sorted"
 )
 
 // The reference the store is checked against: a plain map, rendered by
-// sorting and by naive filters. Nothing here shares code with run.merge,
+// sorting and by naive filters. Nothing here shares code with sorted.Run,
 // Snapshot.advance or the snapshot's lookups.
 
 const refIDs = 3 << pageBits // three posting pages
@@ -112,7 +113,7 @@ func sortedRecords(vs ...core.Violation) run {
 	for i, v := range vs {
 		r[i] = &core.Keyed{Key: v.Key(), Violation: v}
 	}
-	slices.SortFunc(r, byKey)
+	slices.SortFunc(r, (*core.Keyed).Cmp)
 	return r
 }
 
@@ -122,20 +123,18 @@ func sortedRecords(vs ...core.Violation) run {
 func checkChunks(t *testing.T, sn *Snapshot) {
 	t.Helper()
 	c := sn.all
-	if len(c.chunks) > 0 && len(c.offs) != len(c.chunks)+1 {
-		t.Fatalf("epoch %d: %d chunks, %d offsets", sn.Epoch, len(c.chunks), len(c.offs))
-	}
+	chunks := c.Chunks()
 	n, last := 0, ""
 	var flat []*core.Keyed
-	for i, ch := range c.chunks {
-		if len(ch) == 0 || len(ch) > chunkBound {
+	for i, ch := range chunks {
+		if len(ch) == 0 || len(ch) > sorted.Bound {
 			t.Fatalf("epoch %d: chunk %d holds %d records", sn.Epoch, i, len(ch))
 		}
-		if len(c.chunks) > 1 && len(ch) < chunkBound/4 {
-			t.Fatalf("epoch %d: chunk %d of %d was left with %d entries", sn.Epoch, i, len(c.chunks), len(ch))
+		if len(chunks) > 1 && len(ch) < sorted.Bound/4 {
+			t.Fatalf("epoch %d: chunk %d of %d was left with %d entries", sn.Epoch, i, len(chunks), len(ch))
 		}
-		if c.offs[i] != n {
-			t.Fatalf("epoch %d: chunk %d starts at %d, top level says %d", sn.Epoch, i, n, c.offs[i])
+		if c.At(n) != ch[0] {
+			t.Fatalf("epoch %d: chunk %d starts at %d, the top level disagrees", sn.Epoch, i, n)
 		}
 		for j, k := range ch {
 			if k.Key <= last || k.Violation.Key() != k.Key {
@@ -156,7 +155,7 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 		if got := slices.Collect(r.Records()); !slices.Equal(got, flat[r.lo:r.hi]) {
 			t.Fatalf("epoch %d: Records over [%d, %d) yields %d records, want %d", sn.Epoch, r.lo, r.hi, len(got), r.Len())
 		}
-		for _, limit := range []int{-1, 0, 1, chunkBound * 3 / 2} {
+		for _, limit := range []int{-1, 0, 1, sorted.Bound * 3 / 2} {
 			n := r.Len()
 			if limit >= 0 {
 				n = min(limit, n)
@@ -270,10 +269,11 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		}
 		sort.Strings(wantAdd)
 		sort.Strings(wantDel)
-		if !slices.Equal(keysOf(ev.Added), wantAdd) || !slices.Equal(keysOf(ev.Removed), wantDel) {
-			t.Fatalf("epoch %d event +%v −%v, want +%v −%v", ev.Epoch, keysOf(ev.Added), keysOf(ev.Removed), wantAdd, wantDel)
+		added, removed := recordKeys(t, s.snap, ev.Added), recordKeys(t, s.snap, ev.Removed)
+		if !slices.Equal(added, wantAdd) || !slices.Equal(removed, wantDel) {
+			t.Fatalf("epoch %d event +%v −%v, want +%v −%v", ev.Epoch, added, removed, wantAdd, wantDel)
 		}
-		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.chunks[0][0] != &prev.all.chunks[0][0] {
+		if len(wantAdd)+len(wantDel) == 0 && prev.Len() > 0 && &s.snap.all.Chunks()[0][0] != &prev.all.Chunks()[0][0] {
 			t.Fatalf("epoch %d: an empty event copied the store", ev.Epoch)
 		}
 		checkChunks(t, s.snap)
@@ -483,7 +483,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 			delete(ref, keys[i])
 			keys = slices.Delete(keys, i, i+1)
 		}
-		slices.SortFunc(del, byKey)
+		slices.SortFunc(del, (*core.Keyed).Cmp)
 		sn = sn.advance(sortedRecords(adds...), del, 0, 0)
 		check(sn)
 	}
@@ -498,7 +498,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 // under the coalescing threshold with a left neighbour and without one.
 func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remove func(core.Violation), rules []*core.NGD) {
 	t.Helper()
-	chunks := func() []run { return s.snap.all.chunks }
+	chunks := func() [][]*core.Keyed { return s.snap.all.Chunks() }
 	block := func(rule *core.NGD, n int) func() {
 		return func() {
 			for i := 0; i < n; i++ {
@@ -512,15 +512,15 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 		}
 	}
 
-	commit(block(rules[1], 4*chunkBound+chunkBound/2)) // boot-sized add into a one-entry store
+	commit(block(rules[1], 4*sorted.Bound+sorted.Bound/2)) // boot-sized add into a one-entry store
 	if n := len(chunks()); n < 5 {
 		t.Fatalf("seeding left %d chunks", n)
 	}
 	for _, rule := range rules[4:7] { // a0: before chunk 0; aa: inside the run; zz: past the end
 		n := len(chunks())
-		commit(block(rule, chunkBound+chunkBound/2))
+		commit(block(rule, sorted.Bound+sorted.Bound/2))
 		if len(chunks()) <= n {
-			t.Fatalf("%d entries of rule %s did not split a chunk: %d chunks, then %d", chunkBound+chunkBound/2, rule.Name, n, len(chunks()))
+			t.Fatalf("%d entries of rule %s did not split a chunk: %d chunks, then %d", sorted.Bound+sorted.Bound/2, rule.Name, n, len(chunks()))
 		}
 	}
 
@@ -532,7 +532,7 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 
 	second := chunks()[1][1].Key
 	commit(func() { drop(chunks()[1], 0, 1) })
-	if got := s.snap.all.chunks[1][0].Key; got != second {
+	if got := s.snap.all.Chunks()[1][0].Key; got != second {
 		t.Fatalf("chunk 1 lost its first key and starts at %s, want %s", got, second)
 	}
 
@@ -540,8 +540,8 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 	// the front (rides into its right one); checkChunks sees no runt either way
 	for _, ci := range []int{2, 0} {
 		total := s.snap.Len()
-		commit(func() { drop(chunks()[ci], chunkBound/8, len(chunks()[ci])) })
-		if total-s.snap.Len() < chunkBound/8 {
+		commit(func() { drop(chunks()[ci], sorted.Bound/8, len(chunks()[ci])) })
+		if total-s.snap.Len() < sorted.Bound/8 {
 			t.Fatalf("chunk %d was too small to shrink: store went %d → %d", ci, total, s.snap.Len())
 		}
 	}
@@ -551,10 +551,10 @@ func structuralCommits(t *testing.T, s *Session, commit func(func()), add, remov
 			drop(ch, 1, len(ch))
 		}
 	})
-	if got, most := len(chunks()), 1+s.snap.Len()/(chunkBound/4); got > most {
+	if got, most := len(chunks()), 1+s.snap.Len()/(sorted.Bound/4); got > most {
 		t.Fatalf("one entry of every chunk was left as %d chunks of %d entries", got, s.snap.Len())
 	}
-	commit(block(rules[5], 2*chunkBound)) // and grow back
+	commit(block(rules[5], 2*sorted.Bound)) // and grow back
 }
 
 // capStore is a snapshot of n one-node violations cap:0 … cap:n−1, and the
@@ -570,7 +570,7 @@ func capStore(n int) (*Snapshot, run) {
 	for _, v := range vios[:16] {
 		flips = append(flips, sn.record(v.Key()))
 	}
-	slices.SortFunc(flips, byKey)
+	slices.SortFunc(flips, (*core.Keyed).Cmp)
 	return sn, flips
 }
 
@@ -578,20 +578,26 @@ func capStore(n int) (*Snapshot, run) {
 // key falls into and nothing else — every other chunk of the next epoch is
 // the predecessor's storage.
 func TestAdvanceSharesUntouchedChunks(t *testing.T) {
-	sn, flips := capStore(8 * chunkBound)
-	one := flips.slice(7, 8)
+	sn, flips := capStore(8 * sorted.Bound)
+	one := flips[7:8:8]
 	for _, step := range []struct {
 		what     string
 		add, del run
 	}{{"delete", run{}, one}, {"add", one, run{}}} {
 		next := sn.advance(step.add, step.del, sn.Nodes, sn.Edges)
 		checkChunks(t, next)
-		if len(next.all.chunks) != len(sn.all.chunks) {
-			t.Fatalf("%s of one key: %d chunks, then %d", step.what, len(sn.all.chunks), len(next.all.chunks))
+		before, after := sn.all.Chunks(), next.all.Chunks()
+		if len(after) != len(before) {
+			t.Fatalf("%s of one key: %d chunks, then %d", step.what, len(before), len(after))
 		}
-		home := sn.all.home(one[0].Key)
-		for i := range next.all.chunks {
-			if shared := &next.all.chunks[i][0] == &sn.all.chunks[i][0]; shared == (i == home) {
+		home := 0 // the last chunk starting at or below the key
+		for i, ch := range before {
+			if ch[0].Key <= one[0].Key {
+				home = i
+			}
+		}
+		for i := range after {
+			if shared := &after[i][0] == &before[i][0]; shared == (i == home) {
 				t.Fatalf("%s of %s (chunk %d): chunk %d shared = %v", step.what, one[0].Key, home, i, shared)
 			}
 		}

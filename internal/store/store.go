@@ -350,18 +350,20 @@ func (st *Store) recover(snapSeqs, walSeqs []uint64) (*Recovered, error) {
 // detection and reconciles the violation store.
 func (st *Store) replayRecord(sess *session.Session, names map[string]graph.NodeID, r *walRecord) error {
 	g := sess.Graph()
+	var arrived []graph.AttrOp
 	for _, nr := range r.Nodes {
 		v := g.AddNode(nr.Label)
 		if v != nr.Node {
 			return fmt.Errorf("store: replay node id drift: logged %d, graph assigned %d", nr.Node, v)
 		}
 		for _, a := range nr.Attrs {
-			g.SetAttr(v, a.Name, a.Val)
+			arrived = append(arrived, graph.AttrOp{Node: v, Attr: g.Symbols().Attr(a.Name), Val: a.Val})
 		}
 		if nr.ExtID != "" {
 			names[nr.ExtID] = v
 		}
 	}
+	g.ApplyAttrs(arrived)
 	d := &graph.Delta{}
 	for _, op := range r.Ops {
 		l := g.Symbols().Label(op.Label)

@@ -122,9 +122,9 @@ type (
 	// ops' batch has committed, and Epoch() then reports the exact commit
 	// epoch that contained it (recorded at commit time, never a later one).
 	Ack = serve.Ack
-	// CommitEvent is one commit's reconciled violation delta — the actual
-	// ΔVio⁺/ΔVio⁻ sets, carried on BatchStats.Event and streamed to feed
-	// subscribers.
+	// CommitEvent is one commit's reconciled violation delta — the store's
+	// records of ΔVio⁺ and ΔVio⁻ in key order, carried on BatchStats.Event
+	// and streamed to feed subscribers.
 	CommitEvent = session.CommitEvent
 	// FeedEvent is one change-feed event: a committed epoch's CommitEvent,
 	// whose wire payload (GET /feed on the HTTP API) JSON renders on first
