@@ -127,9 +127,9 @@ const (
 // only ever moves down: a change that needs more room in one cuts as much
 // elsewhere in it.
 var ceilings = map[string]int{
-	"DESIGN.md":    1102,
-	experimentsDoc: 1690,
-	opsDoc:         685,
+	"DESIGN.md":    1100,
+	experimentsDoc: 1689,
+	opsDoc:         684,
 	skillDoc:       560,
 }
 

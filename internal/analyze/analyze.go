@@ -286,12 +286,6 @@ func Analyze(set *core.Set, opts Options) *Report {
 		NumRules:  len(set.Rules),
 		Rules:     make([]RuleReport, len(set.Rules)),
 	}
-	var ropts reason.Options
-	if opts.Timeout > 0 {
-		done := make(chan struct{})
-		defer time.AfterFunc(opts.Timeout, func() { close(done) }).Stop()
-		ropts.Done = done
-	}
 	for i, rule := range set.Rules {
 		rep.Rules[i] = RuleReport{Name: rule.Name, Line: opts.Lines[rule.Name]}
 	}
@@ -301,6 +295,19 @@ func Analyze(set *core.Set, opts Options) *Report {
 			rep.Rules[i].ProbeMS = millis(spent[i])
 		}
 	}()
+
+	// the deadline counts from start: one already past is closed here, so
+	// no stage can decide before a timer gets round to firing
+	var ropts reason.Options
+	if opts.Timeout > 0 {
+		done := make(chan struct{})
+		if left := opts.Timeout - time.Since(start); left > 0 {
+			defer time.AfterFunc(left, func() { close(done) }).Stop()
+		} else {
+			close(done)
+		}
+		ropts.Done = done
+	}
 
 	// Stage 1: satisfiability triage. Per-rule pattern probes against the
 	// whole set run in parallel; Satisfiable(Σ) is their disjunction.

@@ -34,7 +34,7 @@ type SweepCommit struct {
 // attribute. The edge and attribute commits touch 16 entities next to each
 // other in score order, whose p0 values lie together as the keys of a local
 // ΔG do: random picks over a small graph land in most of its index chunks
-// and posting pages, which reads as growth with the graph that is not there.
+// and posting leaves, which reads as growth with the graph that is not there.
 func SweepCommits(ds *Dataset, rng *rand.Rand) []SweepCommit {
 	g := ds.G
 	syms := g.Symbols()

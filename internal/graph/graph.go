@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 )
 
@@ -59,6 +60,7 @@ func (s *Symbols) Label(name string) LabelID {
 		return id
 	}
 	id := LabelID(len(s.labels))
+	name = strings.Clone(name) // kept for good: not a piece of a larger string
 	s.labels = append(s.labels, name)
 	s.labelIDs[name] = id
 	return id
@@ -86,6 +88,7 @@ func (s *Symbols) Attr(name string) AttrID {
 		return id
 	}
 	id := AttrID(len(s.attrs))
+	name = strings.Clone(name) // kept for good: not a piece of a larger string
 	s.attrs = append(s.attrs, name)
 	s.attrIDs[name] = id
 	return id

@@ -26,37 +26,9 @@ const fuzzMaxBody = 1024
 // store must equal Vio(Σ, G) from the reference detector on the server's
 // graph.
 func FuzzUpdateBody(f *testing.F) {
-	for _, seed := range []string{
-		// φ1's destruction date goes, then an empty batch
-		`{"ops":[{"op":"delete","src":"0","dst":"2","label":"wasDestroyedOnDate"}]}`,
-		`{"ops":[]}`,
-		// a new area arrives with a star that breaks φ2
-		`{"ops":[{"op":"node","id":"tw","label":"area"},{"op":"node","id":"tw-f","label":"integer","attrs":{"val":1}},` +
-			`{"op":"node","id":"tw-m","label":"integer","attrs":{"val":1}},{"op":"node","id":"tw-t","label":"integer","attrs":{"val":3}},` +
-			`{"op":"insert","src":"tw","dst":"tw-f","label":"femalePopulation"},{"op":"insert","src":"tw","dst":"tw-m","label":"malePopulation"},` +
-			`{"op":"insert","src":"tw","dst":"tw-t","label":"populationTotal"}]}`,
-		// setattr: φ2 repaired by value (600 + 722 = 1322), φ4's fake account
-		// demoted; a fractional, a string and an unsupported value refuse
-		// the request
-		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":1322}},{"op":"setattr","id":"21","attrs":{"val":false}}]}`,
-		`{"ops":[{"op":"setattr","id":"11","attrs":{"val":100000.5,"name":"x"}},{"op":"setattr","id":"12","attrs":{"val":[1]}}]}`,
-		// numbers are taken as the exact int64 they denote, or refused
-		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":9007199254740993.0}},{"op":"setattr","id":"5","attrs":{"val":1e3}}]}`,
-		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":2.5}}]}`,
-		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":1e30}}]}`,
-		`{"ops":[{"op":"node","id":"n","label":"integer","attrs":{"val":1e999999999}}]}`,
-		// an integer float64 would round (2⁶² − 1), and one past int64
-		`{"ops":[{"op":"setattr","id":"6","attrs":{"val":4611686018427387903}},{"op":"setattr","id":"5","attrs":{"val":9223372036854775808}}]}`,
-		// unknown ids, an unseen label, an unknown op, a numeric node id
-		`{"ops":[{"op":"insert","src":"nobody","dst":"3","label":"femalePopulation"},{"op":"delete","src":"99","dst":"0","label":"unseen"},` +
-			`{"op":"setattr","id":"-1","attrs":{"val":1}},{"op":"bogus"},{"op":"node","id":"7","label":"place"}]}`,
-		// trailing garbage, concatenated objects, not JSON at all
-		`{"ops":[]}garbage`,
-		`{"ops":[]}{"ops":[]}`,
-		`ops`,
-		// oversized
-		`{"ops":[{"op":"node","id":"big","label":"` + strings.Repeat("x", fuzzMaxBody) + `"}]}`,
-	} {
+	// the seeds FuzzUpdateDecoder starts from too, and an oversized body
+	for _, seed := range append(serve.UpdateBodySeeds,
+		`{"ops":[{"op":"node","id":"big","label":"`+strings.Repeat("x", fuzzMaxBody)+`"}]}`) {
 		f.Add([]byte(seed))
 	}
 

@@ -16,11 +16,6 @@ import (
 	"ngd/internal/session"
 )
 
-// updateRequest is the body of POST /update.
-type updateRequest struct {
-	Ops []UpdateOp `json:"ops"`
-}
-
 // Handler returns the HTTP API:
 //
 //	GET  /healthz              liveness + current epoch
@@ -425,31 +420,26 @@ func (s *Server) servePoll(w http.ResponseWriter, r *http.Request, sub *FeedSub,
 }
 
 // handleUpdate ingests update ops. The body is bounded (413 beyond
-// Options.MaxBody) and must be exactly one JSON object — trailing garbage
-// is rejected, so a concatenated or corrupted payload can never half-apply.
+// Options.MaxBody, before it is decoded) and must be exactly one JSON
+// object, {"ops":[...]} — trailing garbage is rejected, so a concatenated
+// or corrupted payload can never half-apply. decodeUpdate reads it.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber() // attribute integers stay exact past 2⁵³
-	var req updateRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
-				"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "trailing data after JSON body",
+	body, err := readBody(w, r, s.maxBody)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
 		})
 		return
 	}
-	ack, err := s.Enqueue(req.Ops)
+	var ops []UpdateOp
+	if err == nil {
+		ops, err = decodeUpdate(body)
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return
+	}
+	ack, err := s.Enqueue(ops)
 	if errors.Is(err, ErrClosed) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 		return
@@ -463,7 +453,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// epoch of the commit that contained this batch, not whatever the
 		// writer has published by the time this handler resumes
 		resp := map[string]any{
-			"committed": true, "ops": len(req.Ops), "epoch": ack.Epoch(),
+			"committed": true, "ops": len(ops), "epoch": ack.Epoch(),
 		}
 		// with a durability layer attached, tell the client whether a
 		// committed ack is also a persisted one — a latched WAL failure
@@ -480,7 +470,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"queued": true, "ops": len(req.Ops),
+		"queued": true, "ops": len(ops),
 	})
 }
 

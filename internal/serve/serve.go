@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -559,9 +560,10 @@ func (s *Server) applyNode(g *graph.Graph, op UpdateOp, attrs []graph.AttrOp) []
 		return attrs
 	}
 	v := g.AddNode(op.Label)
-	s.names[op.ID] = v
+	id := strings.Clone(op.ID) // not a piece of the request body, which it outlives
+	s.names[id] = v
 	if s.onNewNode != nil {
-		s.onNewNode(op.ID, v)
+		s.onNewNode(id, v)
 	}
 	for name, raw := range op.Attrs {
 		val, _ := toValue(raw) // checked by Enqueue
@@ -604,9 +606,10 @@ func checkAttrs(ops []UpdateOp) error {
 	return nil
 }
 
-// toValue converts an attribute value of UpdateOp.Attrs. POST /update
-// decodes numbers as json.Number, which graph.ParseInt reads exactly. A
-// float64 is refused: it may already have been rounded.
+// toValue converts an attribute value of UpdateOp.Attrs. POST /update's
+// decoder hands a number over as the int64 it denotes, or as the
+// json.Number that graph.ParseInt refuses. A float64 is refused: it may
+// already have been rounded.
 func toValue(raw any) (graph.Value, error) {
 	switch v := raw.(type) {
 	case string:

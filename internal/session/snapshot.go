@@ -16,8 +16,8 @@ import (
 // order in a sorted.Run and posted under every node the violation binds.
 // Epoch e is derived from epoch e−1 by advance, inside the commit, from the
 // commit's reconciled ΔVio⁺/ΔVio⁻ (the paper's Vio(Σ, G⊕ΔG) = Vio(Σ, G) ∪
-// ΔVio⁺ ∖ ΔVio⁻), copying only the chunks and posting pages the delta falls
-// into; published epochs are never touched, so any number of concurrent
+// ΔVio⁺ ∖ ΔVio⁻), copying only the chunks, directories and leaves the delta
+// falls into; published epochs are never touched, so any number of concurrent
 // readers can serve from a Snapshot while the session commits.
 type Snapshot struct {
 	// Epoch is the commit count at capture (0 = the seeded store).
@@ -30,18 +30,27 @@ type Snapshot struct {
 	all sorted.Run[*core.Keyed]
 	// byNode posts every violation under each distinct node of its match:
 	// a posting is the node's records in key order, the very records all's
-	// chunks hold. Postings sit in pages of pageSize consecutive node ids,
-	// nil where no node of the page has one; a commit copies this table and
-	// the pages it touches.
-	byNode []*page
+	// chunks hold. Postings sit in a two-level radix over node ids, a top
+	// table of directories of leaves, nil wherever no node below has one;
+	// a commit copies the top table and the directories and leaves its
+	// changes fall into.
+	byNode []*dir
 }
 
-// page holds the postings of pageSize consecutive node ids.
-type page [pageSize][]*core.Keyed
+// A leaf holds the postings of leafSize consecutive node ids, a dir the
+// leaves of dirSize consecutive leaves.
+type (
+	leaf [leafSize][]*core.Keyed
+	dir  [dirSize]*leaf
+)
 
 const (
-	pageBits = 8
-	pageSize = 1 << pageBits
+	leafBits = 4
+	leafSize = 1 << leafBits
+	dirBits  = 6
+	dirSize  = 1 << dirBits
+	// dirShift turns a node id into its directory's index in the top table
+	dirShift = leafBits + dirBits
 )
 
 // Len reports |Vio(Σ, G)| at the snapshot's epoch.
@@ -94,8 +103,10 @@ func (sn *Snapshot) Has(key string) bool { return sn.record(key) != nil }
 // in key order: the snapshot's own slice, no copy, read-only. This is the
 // posting as inc.Store reads it.
 func (sn *Snapshot) Posting(n graph.NodeID) []*core.Keyed {
-	if i := uint32(n) >> pageBits; i < uint32(len(sn.byNode)) && sn.byNode[i] != nil {
-		return sn.byNode[i][n&(pageSize-1)]
+	if i := uint32(n) >> dirShift; i < uint32(len(sn.byNode)) && sn.byNode[i] != nil {
+		if l := sn.byNode[i][n>>leafBits&(dirSize-1)]; l != nil {
+			return l[n&(leafSize-1)]
+		}
 	}
 	return nil
 }
@@ -197,9 +208,10 @@ func newSnapshot(vios []core.Violation, nodes, edges int) *Snapshot {
 }
 
 // postAll builds the postings of a key-sorted run: count each node's
-// records, then fill every posting in key order into one backing array.
-// That array lives as long as any posting cut from it does.
-func postAll(recs run) []*page {
+// records, then fill every posting in key order into one backing array and
+// cut the leaves and directories that hold one from one slab each. Those
+// arrays live as long as any posting, leaf or directory cut from them does.
+func postAll(recs run) []*dir {
 	top := -1
 	for _, k := range recs {
 		for _, id := range k.Match {
@@ -211,8 +223,14 @@ func postAll(recs run) []*page {
 	}
 	at := make([]int, top+1) // a node's count, then where its posting starts, then ends
 	eachNode(recs, func(id graph.NodeID, _ int) { at[id]++ })
-	sum := 0
+	sum, leaves, dirs, lastLeaf, lastDir := 0, 0, 0, -1, -1
 	for v, n := range at {
+		if n > 0 && v>>leafBits != lastLeaf {
+			leaves, lastLeaf = leaves+1, v>>leafBits
+			if v>>dirShift != lastDir {
+				dirs, lastDir = dirs+1, v>>dirShift
+			}
+		}
 		at[v], sum = sum, sum+n
 	}
 	backing := make([]*core.Keyed, sum)
@@ -220,18 +238,26 @@ func postAll(recs run) []*page {
 		backing[at[id]] = recs[i]
 		at[id]++
 	})
-	pages := make([]*page, top>>pageBits+1)
+	leafSlab, dirSlab := make([]leaf, leaves), make([]dir, dirs)
+	table := make([]*dir, top>>dirShift+1)
 	lo := 0
 	for v, hi := range at {
 		if hi > lo {
-			if pages[v>>pageBits] == nil {
-				pages[v>>pageBits] = new(page)
+			d := table[v>>dirShift]
+			if d == nil {
+				d, dirSlab = &dirSlab[0], dirSlab[1:]
+				table[v>>dirShift] = d
 			}
-			pages[v>>pageBits][v&(pageSize-1)] = backing[lo:hi:hi]
+			l := d[v>>leafBits&(dirSize-1)]
+			if l == nil {
+				l, leafSlab = &leafSlab[0], leafSlab[1:]
+				d[v>>leafBits&(dirSize-1)] = l
+			}
+			l[v&(leafSize-1)] = backing[lo:hi:hi]
 		}
 		lo = hi
 	}
-	return pages
+	return table
 }
 
 // eachNode calls fn with every distinct node of every record's match (a
@@ -248,9 +274,9 @@ func eachNode(recs run, fn func(id graph.NodeID, i int)) {
 
 // advance derives the next epoch from sn and one commit's net violation
 // delta — del ⊆ sn, add disjoint from sn, both key-sorted runs of records —
-// without touching sn. Only the chunks the delta falls into and the
-// posting pages of the nodes it binds are copied (no map of changes, no
-// search), everything else is shared with sn, and an empty delta shares all
+// without touching sn. Only the chunks the delta falls into, the radix's
+// top table, and the directories and leaves over the nodes it binds are
+// copied, everything else is shared with sn, and an empty delta shares all
 // of it. The records of add are stored as they are: the chunks and every
 // posting that lists a violation hold its one record until a later commit
 // deletes it.
@@ -262,69 +288,152 @@ func (sn *Snapshot) advance(add, del run, nodes, edges int) *Snapshot {
 	next.all = sn.all.Apply(add, del)
 
 	// every (distinct match node, side, index) as one change, node<<32 |
-	// side<<31 | i, side 0 for add and 1 for del: sorted, a node's changes
-	// lie together, its adds before its deletes and each in key order
-	changes := make([]uint64, 0, 2*(len(add)+len(del)))
+	// side<<31 | i, side 0 for add and 1 for del, listed in (side, i) order:
+	// sorted stably by node, a node's changes lie together, its adds before
+	// its deletes and each in key order
+	most := 0
+	for _, r := range [2]run{add, del} {
+		for _, k := range r {
+			most += len(k.Match)
+		}
+	}
+	buf := make([]uint64, 2*most)
+	changes, spare := buf[:0:most], buf[most:]
 	for side, r := range [2]run{add, del} {
 		eachNode(r, func(id graph.NodeID, i int) {
 			changes = append(changes, uint64(id)<<32|uint64(side)<<31|uint64(i))
 		})
 	}
-	slices.Sort(changes)
+	changes = sortByNode(changes, spare[:len(changes)])
 
-	top := int(changes[len(changes)-1]>>32) >> pageBits
-	next.byNode = make([]*page, max(len(sn.byNode), top+1))
+	last := int(changes[len(changes)-1]>>32) >> dirShift
+	next.byNode = make([]*dir, max(len(sn.byNode), last+1))
 	copy(next.byNode, sn.byNode)
-	var pg *page // this epoch's copy of the page the changes are in
-	for cur := -1; len(changes) > 0; {
-		id := graph.NodeID(changes[0] >> 32)
-		n, a := 0, 0 // the node's changes, and its adds among them
-		for n < len(changes) && changes[n]>>32 == changes[0]>>32 {
-			if changes[n]&delSide == 0 {
-				a++
-			}
-			n++
-		}
-		adds, dels := changes[:a], changes[a:n]
+	for len(changes) > 0 {
+		d, n := int(changes[0]>>32)>>dirShift, alike(changes, dirShift)
+		next.byNode[d] = editDir(next.byNode[d], changes[:n], add, del)
 		changes = changes[n:]
-
-		if int(id>>pageBits) != cur {
-			cur, pg = int(id>>pageBits), new(page)
-			if old := next.byNode[cur]; old != nil {
-				*pg = *old
-			}
-			next.byNode[cur] = pg
-		}
-		old := pg[id&(pageSize-1)]
-		size := len(old) + len(adds) - len(dels)
-		if size == 0 {
-			pg[id&(pageSize-1)] = nil
-			continue
-		}
-		// one pass over the old posting: drop what dels names (every one is
-		// in it, in the same order), interleave adds
-		p := make([]*core.Keyed, 0, size)
-		for i, k := range old {
-			if len(adds)+len(dels) == 0 {
-				p = append(p, old[i:]...)
-				break
-			}
-			if len(dels) > 0 && k.Key == del[uint32(dels[0])&^delSide].Key {
-				dels = dels[1:]
-				continue
-			}
-			for len(adds) > 0 && add[uint32(adds[0])].Key < k.Key {
-				p = append(p, add[uint32(adds[0])])
-				adds = adds[1:]
-			}
-			p = append(p, k)
-		}
-		for _, a := range adds {
-			p = append(p, add[uint32(a)])
-		}
-		pg[id&(pageSize-1)] = p
 	}
 	return next
+}
+
+// sortByNode sorts changes stably by node, the top 32 bits: a radix sort,
+// one pass for each byte of the largest node id, through spare (as long as
+// changes) and back. It returns whichever of the two holds the result.
+func sortByNode(changes, spare []uint64) []uint64 {
+	var top uint64
+	for _, c := range changes {
+		top = max(top, c>>32)
+	}
+	for shift := 32; top>>(shift-32) > 0; shift += 8 {
+		var at [256 + 1]int
+		for _, c := range changes {
+			at[c>>shift&0xff+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, c := range changes {
+			spare[at[c>>shift&0xff]] = c
+			at[c>>shift&0xff]++
+		}
+		changes, spare = spare, changes
+	}
+	return changes
+}
+
+// alike is how many of changes, from the first, name a node in the first's
+// stretch of 1<<shift ids.
+func alike(changes []uint64, shift int) int {
+	n := 1
+	for n < len(changes) && changes[n]>>(32+shift) == changes[0]>>(32+shift) {
+		n++
+	}
+	return n
+}
+
+// editDir is a copy of d with changes, all of them under d, applied; nil
+// once no leaf of it holds a posting.
+func editDir(d *dir, changes []uint64, add, del run) *dir {
+	next := new(dir)
+	if d != nil {
+		*next = *d
+	}
+	for len(changes) > 0 {
+		l, n := int(changes[0]>>(32+leafBits))&(dirSize-1), alike(changes, leafBits)
+		next[l] = editLeaf(next[l], changes[:n], add, del)
+		changes = changes[n:]
+	}
+	if *next == (dir{}) {
+		return nil
+	}
+	return next
+}
+
+// editLeaf is a copy of l with changes, all of them under l, applied; nil
+// once none of its postings holds a record.
+func editLeaf(l *leaf, changes []uint64, add, del run) *leaf {
+	next := new(leaf)
+	if l != nil {
+		*next = *l
+	}
+	for len(changes) > 0 {
+		n, a := alike(changes, 0), 0 // the node's changes, and its adds among them
+		for a < n && changes[a]&delSide == 0 {
+			a++
+		}
+		slot := changes[0] >> 32 & (leafSize - 1)
+		next[slot] = editPosting(next[slot], changes[:a], changes[a:n], add, del)
+		changes = changes[n:]
+	}
+	for _, p := range next {
+		if p != nil {
+			return next
+		}
+	}
+	return nil
+}
+
+// editPosting is old without the records dels names (every one is in it,
+// in the same order, the very record) and with those adds names, each
+// placed by a binary search of what is left of old.
+func editPosting(old []*core.Keyed, adds, dels []uint64, add, del run) []*core.Keyed {
+	size := len(old) + len(adds) - len(dels)
+	if size == 0 {
+		return nil
+	}
+	p := make([]*core.Keyed, 0, size)
+	for _, a := range adds {
+		k := add[uint32(a)]
+		at, hi := 0, len(old) // the first old key above k's
+		for at < hi {
+			if h := int(uint(at+hi) >> 1); old[h].Key < k.Key {
+				at = h + 1
+			} else {
+				hi = h
+			}
+		}
+		p, dels = appendKept(p, old[:at], dels, del)
+		p, old = append(p, k), old[at:]
+	}
+	p, _ = appendKept(p, old, dels, del)
+	return p
+}
+
+// appendKept appends the records of seg to p but those dels names, and
+// returns the dels not met in seg.
+func appendKept(p, seg []*core.Keyed, dels []uint64, del run) ([]*core.Keyed, []uint64) {
+	for i, k := range seg {
+		if len(dels) == 0 {
+			return append(p, seg[i:]...), dels
+		}
+		if k == del[uint32(dels[0])&^delSide] {
+			dels = dels[1:]
+			continue
+		}
+		p = append(p, k)
+	}
+	return p, dels
 }
 
 // delSide is the side bit of a packed change in advance: set for a delete.

@@ -20,7 +20,7 @@ import (
 // sorting and by naive filters. Nothing here shares code with sorted.Run,
 // Snapshot.advance or the snapshot's lookups.
 
-const refIDs = 3 << pageBits // three posting pages
+const refIDs = 3 << dirShift // three posting directories
 
 type refStore map[string]core.Violation
 
@@ -171,20 +171,41 @@ func checkChunks(t *testing.T, sn *Snapshot) {
 	}
 }
 
+// checkRadix asserts that the posting radix holds no empty level: every
+// directory in the top table has a leaf, and every leaf a posting.
+func checkRadix(t *testing.T, sn *Snapshot) {
+	t.Helper()
+	for i, d := range sn.byNode {
+		if d == nil {
+			continue
+		}
+		if *d == (dir{}) {
+			t.Fatalf("epoch %d: directory %d holds no leaf", sn.Epoch, i)
+		}
+		for j, l := range d {
+			if l != nil && !slices.ContainsFunc(l[:], func(p []*core.Keyed) bool { return len(p) > 0 }) {
+				t.Fatalf("epoch %d: leaf %d of directory %d holds no posting", sn.Epoch, j, i)
+			}
+		}
+	}
+}
+
 // TestAdvanceMatchesMapReference drives the store's whole write path —
 // Has/add/remove against "last snapshot + the commit's delta", then publish
 // — with random commits and compares every epoch, and every earlier epoch
 // again after each later commit, with the map reference — on a store of one
 // chunk, and on one of several with commits aimed at the chunk structure.
 func TestAdvanceMatchesMapReference(t *testing.T) {
-	t.Run("one-chunk", func(t *testing.T) { advanceAgainstReference(t, 12, 120, false) })
-	t.Run("chunked", func(t *testing.T) { advanceAgainstReference(t, pageSize, 10, true) })
+	t.Run("one-chunk", func(t *testing.T) { advanceAgainstReference(t, false, 120, false) })
+	t.Run("chunked", func(t *testing.T) { advanceAgainstReference(t, true, 10, true) })
 }
 
-// advanceAgainstReference runs the random stream over ids node ids per
-// posting page for the given number of commits; structural adds the seeding and the
-// commits that overflow, empty, behead and shrink chunks.
-func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
+// advanceAgainstReference runs the random stream for the given number of
+// commits over node ids on the edges of the posting radix, in three of its
+// directories (spread: at every slot of the edge leaves, not only their
+// first and last); structural adds the seeding and the commits that
+// overflow, empty, behead and shrink chunks.
+func advanceAgainstReference(t *testing.T, spread bool, steps int, structural bool) {
 	// names that are prefixes of one another: Rule must not confuse them.
 	// The random stream uses the first four; a0, aa and zz sort before, amid
 	// and after them, for the commits that aim at one chunk.
@@ -194,12 +215,34 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		rules[i] = &core.NGD{Name: names[i]}
 	}
 	rng := rand.New(rand.NewSource(15))
-	randVio := func(pg int) core.Violation {
-		m := make(core.Match, 1+rng.Intn(3))
-		for i := range m {
-			m[i] = graph.NodeID(pg<<pageBits + rng.Intn(ids)) // few ids: long postings, repeated nodes
+	// edge is a node id of directory d in its first, second or last leaf,
+	// at the leaf's first or last slot (or any slot, when spread): few ids,
+	// so long postings and repeated nodes
+	edge := func(d int) graph.NodeID {
+		slot := []int{0, leafSize - 1}[rng.Intn(2)]
+		if spread && rng.Intn(2) == 0 {
+			slot = rng.Intn(leafSize)
+		}
+		return graph.NodeID(d<<dirShift | []int{0, 1, dirSize - 1}[rng.Intn(3)]<<leafBits | slot)
+	}
+	// randVio binds a node of directory d first, and may bind nodes of the
+	// other directories after it
+	randVio := func(d int) core.Violation {
+		m := core.Match{edge(d)}
+		for n := rng.Intn(3); n > 0; n-- {
+			if rng.Intn(3) == 0 {
+				d = rng.Intn(3)
+			}
+			m = append(m, edge(d))
 		}
 		return core.Violation{Rule: rules[rng.Intn(4)], Match: m}
+	}
+	// binds reports whether v binds a node in directory d, and in its leaf
+	// l when l ≥ 0
+	binds := func(v core.Violation, d, l int) bool {
+		return slices.ContainsFunc(v.Match, func(n graph.NodeID) bool {
+			return int(n)>>dirShift == d && (l < 0 || int(n)>>leafBits&(dirSize-1) == l)
+		})
 	}
 
 	s := &Session{g: graph.New(), snap: newSnapshot(nil, 0, 0),
@@ -277,6 +320,7 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 			t.Fatalf("epoch %d: an empty event copied the store", ev.Epoch)
 		}
 		checkChunks(t, s.snap)
+		checkRadix(t, s.snap)
 		if s.snap.Epoch != prev.Epoch+1 || s.snap == prev {
 			t.Fatalf("epoch %d follows %d", s.snap.Epoch, prev.Epoch)
 		}
@@ -289,13 +333,44 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 		}
 	}
 
-	// one commit empties a posting page and posts into it again under another id
+	// one commit empties a posting leaf and posts into it again under another id
 	v5 := core.Violation{Rule: rules[0], Match: core.Match{5}}
 	v7 := core.Violation{Rule: rules[0], Match: core.Match{7}}
 	commit(func() { add(v5) })
 	commit(func() { remove(v5); add(v7) })
-	commit(func() { remove(v7) }) // the store, and the page, are empty
+	commit(func() { remove(v7) }) // the store, and the radix, are empty
 	commit(func() { add(v5) })
+
+	// the radix's edges: one commit binds the first and last slot of a leaf
+	// and of a directory, and violations that span two directories; the
+	// next empties the leaf, the one after the whole directory, and a last
+	// one posts into it again
+	dir1, dir2 := graph.NodeID(1<<dirShift), graph.NodeID(2<<dirShift)
+	edges := []core.Violation{
+		{Rule: rules[1], Match: core.Match{dir1 + leafSize}},                        // leaf 1's first slot
+		{Rule: rules[1], Match: core.Match{dir1 + 2*leafSize - 1, dir1 + leafSize}}, // and its last
+		{Rule: rules[2], Match: core.Match{dir1}},                                   // the directory's first slot
+		{Rule: rules[2], Match: core.Match{dir2 - 1, dir2}},                         // its last, and directory 2's first
+		{Rule: rules[3], Match: core.Match{5, dir2 - 1}},                            // directories 0 and 1
+	}
+	commit(func() {
+		for _, v := range edges {
+			add(v)
+		}
+	})
+	commit(func() { remove(edges[0]); remove(edges[1]) })
+	if s.snap.byNode[1][1] != nil || s.snap.byNode[1][0] == nil {
+		t.Fatalf("emptying leaf 1 of directory 1 left leaves %p and %p", s.snap.byNode[1][0], s.snap.byNode[1][1])
+	}
+	commit(func() {
+		for _, v := range edges[2:] {
+			remove(v)
+		}
+	})
+	if s.snap.byNode[1] != nil || s.snap.byNode[2] != nil || s.snap.byNode[0] == nil {
+		t.Fatalf("emptying directories 1 and 2 left the top table %v", s.snap.byNode)
+	}
+	commit(func() { add(edges[3]) })
 
 	if structural {
 		structuralCommits(t, s, commit, add, remove, rules)
@@ -314,13 +389,20 @@ func advanceAgainstReference(t *testing.T, ids, steps int, structural bool) {
 					remove(v)
 				}
 				return
-			case 2: // empty one whole page, then add into it
-				for k, v := range ref {
-					if v.Match[0]>>pageBits == 1 {
-						remove(ref[k])
+			case 2: // empty one whole directory, then add into it
+				for _, v := range ref {
+					if binds(v, 1, -1) {
+						remove(v)
 					}
 				}
 				add(randVio(1))
+				return
+			case 3: // empty directory 2's last leaf (checkRadix: it goes)
+				for _, v := range ref {
+					if binds(v, 2, dirSize-1) {
+						remove(v)
+					}
+				}
 				return
 			}
 			for n := rng.Intn(12); n > 0; n-- {
@@ -374,7 +456,7 @@ func TestPostingsShareOneRecordPerViolation(t *testing.T) {
 	randVio := func() core.Violation {
 		m := make(core.Match, 1+rng.Intn(3))
 		for i := range m {
-			m[i] = graph.NodeID(rng.Intn(3)<<pageBits + rng.Intn(10)) // repeats within a match too
+			m[i] = graph.NodeID(rng.Intn(3)<<dirShift + rng.Intn(10)*(leafSize-1)) // repeats within a match too
 		}
 		return core.Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
 	}
@@ -635,9 +717,49 @@ func TestPublishIsDeltaSized(t *testing.T) {
 	}
 }
 
+// TestScatteredPublishIsDeltaSized: a commit whose ΔVio binds 700 nodes
+// spread over all the ids, the shape of a burst commit, allocates under
+// twice the bytes on a store of 256k nodes that it does on one of 16k. The
+// publish copies the top table and the leaves and directories those nodes
+// fall into; a table of 256-slot pages copied a 6 KiB page per node at the
+// larger size. A count, not a timing.
+func TestScatteredPublishIsDeltaSized(t *testing.T) {
+	perCommit := func(nodes int) float64 {
+		sn, _ := capStore(nodes)
+		const spread = 700
+		hop := &core.NGD{Name: "hop"}
+		vios := make([]core.Violation, spread/2)
+		for i := range vios {
+			vios[i] = core.Violation{Rule: hop, Match: core.Match{graph.NodeID(2 * i * nodes / spread), graph.NodeID((2*i + 1) * nodes / spread)}}
+		}
+		flips := sortedRecords(vios...)
+		const commits = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < commits; i++ {
+			if i%2 == 0 {
+				sn = sn.advance(flips, run{}, sn.Nodes, sn.Edges)
+			} else {
+				sn = sn.advance(run{}, flips, sn.Nodes, sn.Edges)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if sn.Len() != nodes {
+			t.Fatalf("%d commits left %d of %d violations", commits, sn.Len(), nodes)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / commits
+	}
+	small, large := perCommit(16<<10), perCommit(256<<10)
+	t.Logf("a commit binding 700 scattered nodes allocates %.0f B at 16k nodes, %.0f B at 256k (×%.2f)", small, large, large/small)
+	if large > 2*small {
+		t.Fatalf("publish grows with the graph: %.0f B per commit at 16k nodes, %.0f B at 256k", small, large)
+	}
+}
+
 // TestNewSnapshotAllocsPerViolation: seeding a store costs two objects per
-// violation, its key and its record, and one per posting page: the chunks
-// are cut from the sorted run and the postings filled from one array. The
+// violation, its key and its record: the chunks are cut from the sorted
+// run, the postings filled from one array, and the radix's leaves and
+// directories cut from one slab each. The
 // seeding that copied every violation beside its key, sorted (node,
 // violation) pairs and wrote a map entry per posting made ≈ 4.5.
 func TestNewSnapshotAllocsPerViolation(t *testing.T) {
