@@ -127,8 +127,8 @@ const (
 // only ever moves down: a change that needs more room in one cuts as much
 // elsewhere in it.
 var ceilings = map[string]int{
-	"DESIGN.md":    1100,
-	experimentsDoc: 1689,
+	"DESIGN.md":    1097,
+	experimentsDoc: 1686,
 	opsDoc:         684,
 	skillDoc:       560,
 }

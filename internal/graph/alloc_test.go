@@ -6,8 +6,10 @@ package graph_test
 // regression here multiplies across every literal evaluation in detection.
 
 import (
+	"runtime"
 	"testing"
 
+	"ngd/internal/gen"
 	"ngd/internal/graph"
 )
 
@@ -49,5 +51,29 @@ func TestNeighborhoodSeenSetAllocBudget(t *testing.T) {
 	// add the old map's per-call bucket churn on top
 	if allocs > 12 {
 		t.Fatalf("NeighborhoodOf allocated %.1f objects per run, budget 12", allocs)
+	}
+}
+
+// TestGraphHeapBytes holds the live heap of a generated graph to a ceiling
+// per node and per edge: a daemon keeps G resident, and each byte of it
+// costs about two of RSS. The ceilings sit 5 % above the layout of page
+// arenas with 12-byte list slots, 16-byte node slots and 32-byte attribute
+// pairs: 6,704,520 B at 8,000 entities, 104.8 B per node and 82.2 per
+// edge (a slice header per list and 40-byte pairs held 11,295,816 B).
+func TestGraphHeapBytes(t *testing.T) {
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	h0 := live()
+	g := gen.Generate(gen.YAGO2, 8000, 1).G
+	b := float64(live() - h0)
+	n, m := float64(g.NumNodes()), float64(g.NumEdges())
+	runtime.KeepAlive(g)
+	t.Logf("%d nodes, %d edges: %.0f B live, %.1f B per node, %.1f per edge", g.NumNodes(), g.NumEdges(), b, b/n, b/m)
+	if b/n > 110 || b/m > 86 {
+		t.Fatalf("the graph holds %.1f B per node and %.1f per edge, ceilings 110 and 86", b/n, b/m)
 	}
 }

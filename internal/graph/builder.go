@@ -13,20 +13,27 @@ import (
 // SetAttrA / AddEdgeL: tuples sorted by AttrID with the last write winning,
 // adjacency sorted by (Label, To), edges unique per triple.
 //
-// Every per-node list of the result is a partition of a shared backing
-// array (attribute tuples: of slab chunks filled as nodes arrive; out-lists,
-// in-lists and by-label postings: of one array each) with its capacity
-// clipped to its length, so a later in-place insert reallocates that one
-// list and can never write into its neighbour's.
+// Each table of the result (tuples, out-lists, in-lists) has its page
+// arenas cut from one array, each arena followed by its headroom, and the
+// by-label postings partition one array with their capacities clipped.
 type Builder struct {
 	syms  *Symbols
-	nodes stage[nodeData]
-	// chunk is the attribute slab being filled; the tuple of the node added
-	// last is its tail. Chunks are never grown, only succeeded, so tuples
-	// already handed out stay where they are and loading leaves no trail
-	// of outgrown slabs behind.
+	nodes stage[builderNode]
+	// chunk is the attribute slab being filled, after the full chunks in
+	// pairs; the tuple of the node added last is its tail. A tuple that
+	// outgrows its chunk moves to the head of the next, leaving a stale
+	// copy at the full chunk's end. Chunks are never grown, only succeeded,
+	// so loading leaves no trail of outgrown slabs behind.
+	pairs [][]attrPair
 	chunk []attrPair
 	edges stage[builderEdge]
+}
+
+// builderNode is a staged node: its label and the length of its tuple,
+// which follows the previous node's in the attribute slab.
+type builderNode struct {
+	label LabelID
+	n     uint32
 }
 
 type builderEdge struct {
@@ -37,7 +44,7 @@ type builderEdge struct {
 // attrChunk is the capacity of one attribute slab chunk, in pairs (192 KB).
 const attrChunk = 4096
 
-// stageChunk is the capacity of one staging chunk, in entries: 128 KB of
+// stageChunk is the capacity of one staging chunk, in entries: 32 KB of
 // nodes or 48 KB of edges.
 const stageChunk = 4096
 
@@ -72,7 +79,7 @@ func NewBuilder(s *Symbols) *Builder { return &Builder{syms: s} }
 
 // AddNodeL adds a node with an interned label and returns its id.
 func (b *Builder) AddNodeL(label LabelID) NodeID {
-	b.nodes.push(nodeData{label: label})
+	b.nodes.push(builderNode{label: label})
 	return NodeID(b.nodes.len() - 1)
 }
 
@@ -80,22 +87,25 @@ func (b *Builder) AddNodeL(label LabelID) NodeID {
 // tail of the current chunk, so it is the only one that can grow).
 func (b *Builder) SetAttrA(a AttrID, val Value) {
 	nd := b.nodes.last()
-	i, found := findAttr(nd.attrs, a)
+	k := int(nd.n)
+	attrs := b.chunk[len(b.chunk)-k:]
+	i, found := findAttr(attrs, a)
 	if found {
-		nd.attrs[i].val = val
+		attrs[i] = pairOf(a, val)
 		return
 	}
-	k := len(nd.attrs)
 	if len(b.chunk) == cap(b.chunk) {
 		// full: the open tuple moves to the head of a fresh chunk
-		next := make([]attrPair, k, max(attrChunk, 2*k+1))
-		copy(next, nd.attrs)
-		b.chunk = next
+		if b.chunk != nil {
+			b.pairs = append(b.pairs, b.chunk)
+		}
+		b.chunk = append(make([]attrPair, 0, max(attrChunk, 2*k+1)), attrs...)
 	}
 	b.chunk = append(b.chunk, attrPair{})
-	nd.attrs = b.chunk[len(b.chunk)-k-1:]
-	copy(nd.attrs[i+1:], nd.attrs[i:])
-	nd.attrs[i] = attrPair{id: a, val: val}
+	attrs = b.chunk[len(b.chunk)-k-1:]
+	copy(attrs[i+1:], attrs[i:])
+	attrs[i] = pairOf(a, val)
+	nd.n++
 }
 
 // AddEdgeL records edge (u -label-> v) between nodes already added.
@@ -119,46 +129,55 @@ func sortHalves(run []Half) {
 	}
 }
 
-// Build lays the collected graph out and returns it: the node chunks are
-// copied into the node pages, the edges placed straight from their chunks
-// by counting sort. The builder must not be used afterwards: the graph owns
-// its slabs.
+// Build lays the collected graph out and returns it: the tuples are
+// copied into the node pages' arenas, the edges placed straight from their
+// chunks by counting sort. The builder must not be used afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.nodes.len()
-	g := &Graph{
-		syms:  b.syms,
-		n:     n,
-		nodes: newPages[nodeData](n),
-		out:   newPages[[]Half](n),
-		in:    newPages[[]Half](n),
-	}
-	v := NodeID(0)
+	off := make([]int, n)
+	labels := make([]LabelID, n)
+	var maxLabel LabelID
+	v := 0
 	for _, c := range b.nodes.chunks() {
 		for _, nd := range c {
-			*g.nodes.at(v) = nd
+			off[v], labels[v] = int(nd.n), nd.label
+			maxLabel = max(maxLabel, nd.label)
 			v++
 		}
 	}
-
-	// attribute tuples are in place but for their capacity; by-label
-	// postings are a counting sort of the node ids by label
-	var maxLabel LabelID
-	for v := range NodeID(n) {
-		maxLabel = max(maxLabel, g.Label(v))
+	g := &Graph{syms: b.syms, n: n}
+	var pairs []attrPair
+	g.nodes, pairs = cutPages[attrPair](off)
+	// walk the slab: a tuple that does not fit in what is left of its
+	// chunk moved to the head of a later one
+	slab, at := append(b.pairs, b.chunk), 0
+	v = 0
+	for _, c := range b.nodes.chunks() {
+		for _, nd := range c {
+			k := int(nd.n)
+			for at+k > len(slab[0]) {
+				slab, at = slab[1:], 0
+			}
+			copy(pairs[off[v]:], slab[0][at:at+k])
+			at += k
+			v++
+		}
 	}
+	for i, p := range g.nodes {
+		p.label = labels[i<<pageBits : i<<pageBits+len(p.span) : i<<pageBits+len(p.span)]
+	}
+
+	// by-label postings are a counting sort of the node ids by label
 	labelOff := make([]int, maxLabel+2)
-	for v := range NodeID(n) {
-		nd := g.nodes.at(v)
-		nd.attrs = slices.Clip(nd.attrs)
-		labelOff[nd.label+1]++
+	for _, l := range labels {
+		labelOff[l+1]++
 	}
 	for l := range maxLabel + 1 {
 		labelOff[l+1] += labelOff[l]
 	}
 	byLabel := make([]NodeID, n)
-	for v := range NodeID(n) {
-		l := g.Label(v)
-		byLabel[labelOff[l]] = v
+	for v, l := range labels {
+		byLabel[labelOff[l]] = NodeID(v)
 		labelOff[l]++
 	}
 	// labelOff[l] is now the end of l's run, the start of l+1's
@@ -172,33 +191,32 @@ func (b *Builder) Build() *Graph {
 	}
 
 	// out-lists: place by source, then order and deduplicate each run
+	// (a duplicate leaves its entry as slack in its run's span)
 	edges := b.edges.chunks()
-	off := make([]int, n+1)
+	off = make([]int, n)
 	for _, c := range edges {
 		for _, e := range c {
-			off[e.src+1]++
+			off[e.src]++
 		}
 	}
-	for v := range n {
-		off[v+1] += off[v]
-	}
-	halves := make([]Half, b.edges.len())
+	var halves []Half
+	g.out, halves = cutPages[Half](off)
 	for _, c := range edges {
 		for _, e := range c {
 			halves[off[e.src]] = Half{Label: e.label, To: e.dst}
 			off[e.src]++
 		}
 	}
-	for v, lo := 0, 0; v < n; v++ {
-		hi := off[v]
-		run := halves[lo:hi]
-		sortHalves(run)
-		run = slices.Compact(run)
-		if len(run) > 0 {
-			*g.out.at(NodeID(v)) = run[:len(run):len(run)]
-			g.edgeCount += len(run)
+	for _, p := range g.out {
+		for j := range p.span {
+			s := &p.span[j]
+			run := p.arena[s.off : s.off+s.n]
+			sortHalves(run)
+			k := len(slices.Compact(run))
+			p.live -= int(s.n) - k
+			s.n = uint32(k)
+			g.edgeCount += k
 		}
-		lo = hi
 	}
 
 	// in-lists mirror the deduplicated out-lists; sources arrive in
@@ -206,26 +224,18 @@ func (b *Builder) Build() *Graph {
 	clear(off)
 	for u := range NodeID(n) {
 		for _, h := range g.Out(u) {
-			off[h.To+1]++
+			off[h.To]++
 		}
 	}
-	for v := range n {
-		off[v+1] += off[v]
-	}
-	halves = make([]Half, g.edgeCount)
+	g.in, halves = cutPages[Half](off)
 	for u := range NodeID(n) {
 		for _, h := range g.Out(u) {
 			halves[off[h.To]] = Half{Label: h.Label, To: u}
 			off[h.To]++
 		}
 	}
-	for v, lo := 0, 0; v < n; v++ {
-		hi := off[v]
-		if run := halves[lo:hi:hi]; len(run) > 0 {
-			sortHalves(run)
-			*g.in.at(NodeID(v)) = run
-		}
-		lo = hi
+	for v := range NodeID(n) {
+		sortHalves(g.In(v))
 	}
 	return g
 }

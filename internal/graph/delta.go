@@ -143,60 +143,39 @@ type ApplyStats struct {
 	Inserted  int // edges actually added
 	Deleted   int // edges actually removed
 	NoOps     int // ops without effect (re-insert of an existing edge, delete of a missing one)
-	Compacted int // adjacency lists reallocated to shed slack capacity
+	Compacted int // adjacency pages laid out afresh to shed holes and slack
 }
 
 // Apply commits ΔG into g in place: g becomes g ⊕ ΔG. Ops apply in order,
 // so an un-normalized delta commits to the same graph as its Normalize(g)
-// form (ineffective ops are counted as NoOps rather than erroring).
-// Adjacency lists of touched nodes are compacted when the churn leaves
-// excess backing capacity, so a long-lived graph under a steady
-// insert/delete stream does not accrete slack.
+// form (ineffective ops are counted as NoOps rather than erroring). A
+// deletion that leaves twice as many dead entries as live ones in its
+// page's arena lays the page out afresh, so a long-lived graph under a
+// steady insert/delete stream does not accrete slack.
 //
 // Attribute indexes need no maintenance here: ΔG carries edge ops only.
 // The edge-value indexes take the effective ops in one merge per index.
 func (g *Graph) Apply(d *Delta) ApplyStats {
 	var st ApplyStats
-	touched := make(map[NodeID]struct{}, len(d.Ops)*2)
 	var effective []EdgeOp // for the edge-value indexes
 	for _, op := range d.Ops {
-		if !g.editEdge(op) {
+		ok, compacted := g.editEdge(op)
+		if !ok {
 			st.NoOps++
 			continue
 		}
+		st.Compacted += compacted
 		if op.Insert {
 			st.Inserted++
 		} else {
 			st.Deleted++
 		}
-		touched[op.Src] = struct{}{}
-		touched[op.Dst] = struct{}{}
 		if len(g.edgeIdx) > 0 {
 			effective = append(effective, op)
 		}
 	}
 	g.noteEdges(effective)
-	for v := range touched {
-		if compactHalves(g.out, v) {
-			st.Compacted++
-		}
-		if compactHalves(g.in, v) {
-			st.Compacted++
-		}
-	}
 	return st
-}
-
-// compactHalves reallocates v's adjacency list in t when its backing array
-// is at least twice (and ≥ 8 entries beyond) its length.
-func compactHalves(t pages[[]Half], v NodeID) bool {
-	l := *t.at(v)
-	if cap(l)-len(l) < 8 || cap(l) < 2*len(l) {
-		return false
-	}
-	s, _ := t.mut(v)
-	*s = append(make([]Half, 0, len(l)), l...)
-	return true
 }
 
 // Inverse returns the ΔG that undoes d (valid for normalized deltas).

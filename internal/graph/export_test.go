@@ -11,11 +11,23 @@ import (
 	"ngd/internal/sorted"
 )
 
-// The page geometry, for the allocation budgets of the external tests.
-const (
-	PageSize      = pageSize
-	HalfPageBytes = int(unsafe.Sizeof(page[[]Half]{}) + pageSize*unsafe.Sizeof([]Half{}))
-)
+// PageSize is the page geometry, for the allocation budgets of the
+// external tests.
+const PageSize = pageSize
+
+// PageCopyBytes is what the first write beside a clone pays to copy the
+// out-page (out) or in-page holding v, each object at its size class: the
+// page, its slots, and its arena laid out afresh with room.
+func PageCopyBytes(g *Graph, v NodeID, out bool) int {
+	t := g.in
+	if out {
+		t = g.out
+	}
+	p := t[v>>pageBits]
+	class := func(b uintptr) int { return cap(slices.Grow([]byte(nil), int(b))) }
+	return class(unsafe.Sizeof(*p)) + class(uintptr(len(p.span))*unsafe.Sizeof(span{})) +
+		class(uintptr(p.live+room(p.live))*unsafe.Sizeof(Half{}))
+}
 
 // CopyStats copies g's statistics as the first write beside a clone that
 // holds them does, and drops the copy.

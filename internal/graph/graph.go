@@ -128,14 +128,21 @@ func (s *Symbols) Clone() *Symbols {
 }
 
 // attrPair is one (attribute, value) entry of a node's tuple. Tuples are
-// stored columnar: a slice sorted by AttrID rather than a map. Nodes carry
-// ≤4 attributes in every generator profile, so the inline sorted slice
+// stored columnar: a list sorted by AttrID rather than a map. Nodes carry
+// ≤4 attributes in every generator profile, so the inline sorted list
 // removes one heap object and the hashing cost per node per lookup, and
-// makes attribute iteration deterministic (sorted by id).
+// makes attribute iteration deterministic (sorted by id). The pair is the
+// Value's fields with the AttrID in the padding after its kind: 32 bytes.
 type attrPair struct {
-	id  AttrID
-	val Value
+	kind Kind
+	id   AttrID
+	i    int64
+	s    string
 }
+
+func pairOf(a AttrID, v Value) attrPair { return attrPair{kind: v.kind, id: a, i: v.i, s: v.s} }
+
+func (p *attrPair) val() Value { return Value{kind: p.kind, i: p.i, s: p.s} }
 
 // attrLinearMax is the tuple arity at or above which findAttr switches
 // from a linear scan to binary search.
@@ -156,11 +163,6 @@ func findAttr(attrs []attrPair, a AttrID) (int, bool) {
 	return i, i < len(attrs) && attrs[i].id == a
 }
 
-type nodeData struct {
-	label LabelID
-	attrs []attrPair // sorted by id; see findAttr
-}
-
 // Graph is a directed, labeled, attributed graph G = (V, E, L, F_A).
 // Edges are unique per (src, label, dst) triple. Adjacency lists are kept
 // sorted by (Label, To) so edge checks are logarithmic.
@@ -171,10 +173,10 @@ type nodeData struct {
 // goroutine.
 type Graph struct {
 	syms      *Symbols
-	n         int // |V|
-	nodes     pages[nodeData]
-	out       pages[[]Half]
-	in        pages[[]Half]
+	n         int             // |V|
+	nodes     pages[attrPair] // labels, and tuples sorted by id (findAttr)
+	out       pages[Half]
+	in        pages[Half]
 	edgeCount int
 	byLabel   map[LabelID][]NodeID
 	// attrIdx holds the attribute value indexes built by EnsureAttrIndex
@@ -217,7 +219,8 @@ func (g *Graph) AddNode(label string) NodeID {
 // AddNodeL adds a node with an already-interned label.
 func (g *Graph) AddNodeL(label LabelID) NodeID {
 	id := NodeID(g.n)
-	g.nodes.push(id).label = label
+	p := g.nodes.push(id)
+	p.label = append(p.label, label)
 	g.out.push(id)
 	g.in.push(id)
 	g.n++
@@ -227,7 +230,7 @@ func (g *Graph) AddNodeL(label LabelID) NodeID {
 }
 
 // Label returns the label of node v.
-func (g *Graph) Label(v NodeID) LabelID { return g.nodes.at(v).label }
+func (g *Graph) Label(v NodeID) LabelID { return g.nodes[v>>pageBits].label[v&pageMask] }
 
 // LabelName returns the label string of node v.
 func (g *Graph) LabelName(v NodeID) string { return g.syms.LabelName(g.Label(v)) }
@@ -253,17 +256,12 @@ type attrMove struct {
 func (g *Graph) ApplyAttrs(ops []AttrOp) {
 	var moves []attrMove
 	for _, op := range ops {
-		nd, own := g.nodes.mut(op.Node)
-		i, found := findAttr(nd.attrs, op.Attr)
 		m := attrMove{AttrOp: op}
-		switch {
-		case !found:
-			nd.attrs = insertAt(nd.attrs, i, attrPair{id: op.Attr, val: op.Val}, own)
-		case !own:
-			nd.attrs = slices.Clone(nd.attrs)
-			fallthrough
-		default:
-			m.old, nd.attrs[i].val = nd.attrs[i].val, op.Val
+		if i, found := findAttr(g.nodes.at(op.Node), op.Attr); found {
+			p := &g.nodes.mut(op.Node)[i]
+			m.old, *p = p.val(), pairOf(op.Attr, op.Val)
+		} else {
+			g.nodes.insert(op.Node, i, pairOf(op.Attr, op.Val))
 		}
 		g.noteChurn()
 		if len(g.attrIdx)+len(g.edgeIdx) > 0 {
@@ -277,9 +275,9 @@ func (g *Graph) ApplyAttrs(ops []AttrOp) {
 
 // Attr returns attribute a of v; the zero Value (invalid) means absent.
 func (g *Graph) Attr(v NodeID, a AttrID) Value {
-	attrs := g.nodes.at(v).attrs
+	attrs := g.nodes.at(v)
 	if i, ok := findAttr(attrs, a); ok {
-		return attrs[i].val
+		return attrs[i].val()
 	}
 	return Value{}
 }
@@ -295,13 +293,14 @@ func (g *Graph) AttrByName(v NodeID, name string) Value {
 
 // Attrs iterates the attribute tuple of v in ascending AttrID order.
 func (g *Graph) Attrs(v NodeID, fn func(AttrID, Value)) {
-	for _, p := range g.nodes.at(v).attrs {
-		fn(p.id, p.val)
+	attrs := g.nodes.at(v)
+	for i := range attrs {
+		fn(attrs[i].id, attrs[i].val())
 	}
 }
 
 // NumAttrs reports the arity of v's attribute tuple.
-func (g *Graph) NumAttrs(v NodeID) int { return len(g.nodes.at(v).attrs) }
+func (g *Graph) NumAttrs(v NodeID) int { return len(g.nodes.at(v)) }
 
 // LabelRun returns the contiguous run of halves carrying label l within a
 // sorted adjacency list (binary search on both bounds).
@@ -321,33 +320,17 @@ func searchHalf(list []Half, h Half) (int, bool) {
 	return i, i < len(list) && list[i] == h
 }
 
-// insertHalf and removeHalf edit a list the caller owns.
-func insertHalf(list []Half, h Half) ([]Half, bool) {
-	i, found := searchHalf(list, h)
-	if found {
-		return list, false
-	}
-	return insertAt(list, i, h, true), true
-}
-
-func removeHalf(list []Half, h Half) ([]Half, bool) {
-	i, found := searchHalf(list, h)
-	if !found {
-		return list, false
-	}
-	return deleteAt(list, i, true), true
-}
-
 // editHalf inserts h into, or removes it from, v's list in table t; the
-// caller has checked that the edit takes effect.
-func editHalf(t pages[[]Half], v NodeID, h Half, insert bool) {
-	l, own := t.mut(v)
-	i, _ := searchHalf(*l, h)
+// caller has checked that the edit takes effect. It returns the pages
+// the edit compacted: 1 when a removal left v's page compacted, else 0.
+func editHalf(t pages[Half], v NodeID, h Half, insert bool) int {
+	i, _ := searchHalf(t.at(v), h)
 	if insert {
-		*l = insertAt(*l, i, h, own)
-	} else {
-		*l = deleteAt(*l, i, own)
+		t.insert(v, i, h)
+	} else if t.remove(v, i) {
+		return 1
 	}
+	return 0
 }
 
 // AddEdge inserts edge (u -label-> v). It reports whether the edge was new.
@@ -367,7 +350,7 @@ func (g *Graph) DeleteEdgeL(u, v NodeID, label LabelID) bool {
 
 // edit applies one edge op, edge-value indexes included, if it takes effect.
 func (g *Graph) edit(op EdgeOp) bool {
-	if !g.editEdge(op) {
+	if ok, _ := g.editEdge(op); !ok {
 		return false
 	}
 	g.noteEdges([]EdgeOp{op})
@@ -375,20 +358,20 @@ func (g *Graph) edit(op EdgeOp) bool {
 }
 
 // editEdge is edit short of the edge-value indexes, which its callers
-// bring up to date.
-func (g *Graph) editEdge(op EdgeOp) bool {
+// bring up to date; it also counts the pages the edit compacted.
+func (g *Graph) editEdge(op EdgeOp) (ok bool, compacted int) {
 	if g.HasEdgeL(op.Src, op.Dst, op.Label) == op.Insert {
-		return false
+		return false, 0
 	}
-	editHalf(g.out, op.Src, Half{Label: op.Label, To: op.Dst}, op.Insert)
-	editHalf(g.in, op.Dst, Half{Label: op.Label, To: op.Src}, op.Insert)
+	compacted = editHalf(g.out, op.Src, Half{Label: op.Label, To: op.Dst}, op.Insert) +
+		editHalf(g.in, op.Dst, Half{Label: op.Label, To: op.Src}, op.Insert)
 	d := 1
 	if !op.Insert {
 		d = -1
 	}
 	g.edgeCount += d
 	g.noteEdge(op.Src, op.Dst, op.Label, d)
-	return true
+	return true, compacted
 }
 
 // HasEdgeL reports whether edge (u -label-> v) exists.
@@ -398,10 +381,10 @@ func (g *Graph) HasEdgeL(u, v NodeID, label LabelID) bool {
 }
 
 // Out returns the sorted out-adjacency of v. Callers must not mutate it.
-func (g *Graph) Out(v NodeID) []Half { return *g.out.at(v) }
+func (g *Graph) Out(v NodeID) []Half { return g.out.at(v) }
 
 // In returns the sorted in-adjacency of v. Callers must not mutate it.
-func (g *Graph) In(v NodeID) []Half { return *g.in.at(v) }
+func (g *Graph) In(v NodeID) []Half { return g.in.at(v) }
 
 // OutDegree reports len(Out(v)).
 func (g *Graph) OutDegree(v NodeID) int { return len(g.Out(v)) }

@@ -233,10 +233,11 @@ func TestParseValueExact(t *testing.T) {
 }
 
 // TestValueSize pins the attribute tuple's element sizes: every attribute,
-// clone and snapshot load pays them.
+// clone and snapshot load pays them. The pair keeps its AttrID in the
+// Value's padding.
 func TestValueSize(t *testing.T) {
-	if v, p := unsafe.Sizeof(Value{}), unsafe.Sizeof(attrPair{}); v != 32 || p != 40 {
-		t.Errorf("Value is %d bytes and attrPair %d, want 32 and 40", v, p)
+	if v, p := unsafe.Sizeof(Value{}), unsafe.Sizeof(attrPair{}); v != 32 || p != 32 {
+		t.Errorf("Value is %d bytes and attrPair %d, want 32 and 32", v, p)
 	}
 }
 

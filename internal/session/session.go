@@ -76,7 +76,7 @@ type BatchStats struct {
 
 	Inserted  int // edges committed into G
 	Deleted   int // edges removed from G
-	Compacted int // adjacency lists compacted by the commit
+	Compacted int // adjacency pages compacted by the commit
 	NewNodes  int // nodes absorbed (arrived on G since the previous commit)
 
 	// AttrOps / AttrSets count the batch's attribute ops as submitted and
