@@ -39,14 +39,18 @@
 //
 // Finally, the walk records what the module declares, and the prose must
 // name only that. A backticked pkg.Name (Name exported), pkg.Type.Member or
-// Type.Member in DESIGN.md, README.md, docs/OPERATIONS.md or the verify
-// skill whose pkg (or Type) the module declares must name a func, type,
-// var, const, method or field of it; references into the standard library
-// and file names are not checked. A backticked -flag in the first column
-// of a table in OPERATIONS §1 must be registered by the command the
-// subsection is about. Those four documents and EXPERIMENTS.md may not
-// repeat a `## ` heading, and DESIGN.md, EXPERIMENTS.md, OPERATIONS and the
-// verify skill may not grow past their line ceilings.
+// Type.Member in DESIGN.md, EXPERIMENTS.md, README.md, docs/OPERATIONS.md
+// or the verify skill whose pkg (or Type) the module declares must name a
+// func, type, var, const, method or field of it; references into the
+// standard library and file names are not checked. A backticked -flag in
+// the first column of a table in OPERATIONS §1 must be registered by the
+// command the subsection is about. Those five documents may not repeat a
+// `## ` heading, and DESIGN.md, EXPERIMENTS.md, OPERATIONS and the verify
+// skill may not grow past their line ceilings. No `## ` section of
+// EXPERIMENTS.md may run over 60 lines. A citation in a Go comment or in
+// one of the five documents must name a section that exists: "DESIGN.md §N"
+// (or "DESIGN §N") a `## N.` heading of DESIGN.md, and EXPERIMENTS.md
+// followed by a comma and a quoted title a `## ` heading of EXPERIMENTS.md.
 // Every `go test` -run or -fuzz pattern in the verify skill and the CI
 // workflow must match a test the packages it names declare: each
 // top-level alternative of -run (a -run beside -fuzz or -bench, which
@@ -111,15 +115,15 @@ var (
 		"internal/graph/edgeindex.go", "internal/graph/delta.go"}
 )
 
-// docs are the files whose code references the docs rule resolves, and
-// opsDoc the one whose §1 flag tables it checks. Each of them and
-// experimentsDoc must head each of its sections with a `## ` line of its
-// own.
-var docs = []string{"DESIGN.md", "README.md", opsDoc, skillDoc}
+// docs are the files whose code references and section citations the docs
+// rules resolve, and opsDoc the one whose §1 flag tables they check. Each
+// must head each of its sections with a `## ` line of its own.
+var docs = []string{designDoc, experimentsDoc, "README.md", opsDoc, skillDoc}
 
 const (
-	opsDoc         = "docs/OPERATIONS.md"
+	designDoc      = "DESIGN.md"
 	experimentsDoc = "EXPERIMENTS.md"
+	opsDoc         = "docs/OPERATIONS.md"
 	skillDoc       = ".claude/skills/verify/SKILL.md"
 )
 
@@ -127,11 +131,16 @@ const (
 // only ever moves down: a change that needs more room in one cuts as much
 // elsewhere in it.
 var ceilings = map[string]int{
-	"DESIGN.md":    1097,
-	experimentsDoc: 1686,
-	opsDoc:         684,
-	skillDoc:       560,
+	designDoc:      699,
+	experimentsDoc: 917,
+	opsDoc:         683,
+	skillDoc:       367,
 }
+
+// maxExperiment is the most lines one `## ` section of EXPERIMENTS.md may
+// hold, its heading included: a question, its command, one table and the
+// host's cores fit; a log of runs belongs in git, named by commit.
+const maxExperiment = 60
 
 // runDocs are the files whose `go test` commands the patterns rule reads:
 // markdown code spans and fenced lines, and YAML lines.
@@ -339,6 +348,8 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 	used := map[string]bool{}             // module directories imported from another directory
 	known := map[string]bool{}            // see declare and registerFlags
 	tests := map[string]map[string]bool{} // directory → the functions its _test.go files declare
+	var cites []citation                  // in Go comments and the docs
+	sections := map[string]map[string]bool{designDoc: {}, experimentsDoc: {}}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -359,11 +370,14 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 			return err
 		}
 		dir = filepath.ToSlash(dir)
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		declare(known, f)
+		for _, c := range f.Comments {
+			cites = append(cites, citations(filepath.ToSlash(filepath.Join(dir, name)), fset.Position(c.Pos()).Line, commentText(c))...)
+		}
 		if strings.HasSuffix(name, "_test.go") {
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
@@ -406,7 +420,7 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 				"%s: imported by no non-test file outside itself: wire it in or delete it", dir))
 		}
 	}
-	for _, doc := range append(docs[:len(docs):len(docs)], experimentsDoc) {
+	for _, doc := range docs {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if os.IsNotExist(err) {
 			continue
@@ -417,8 +431,26 @@ func lintTree(fset *token.FileSet, root string) ([]string, error) {
 		if n, most := strings.Count(string(src), "\n"), ceilings[doc]; most > 0 && n > most {
 			findings = append(findings, fmt.Sprintf("%s: %d lines, over its ceiling of %d", doc, n, most))
 		}
-		if doc != experimentsDoc {
-			findings = append(findings, lintDoc(doc, string(src), known)...)
+		findings = append(findings, lintDoc(doc, string(src), known)...)
+		lines := unfenced(string(src))
+		cites = append(cites, citations(doc, 1, strings.Join(lines, "\n"))...)
+		if doc == experimentsDoc {
+			findings = append(findings, longSections(doc, lines)...)
+		}
+		if heads := sections[doc]; heads != nil {
+			for _, l := range lines {
+				if h, ok := strings.CutPrefix(l, "## "); ok {
+					heads[h] = true
+					if n, _, ok := strings.Cut(h, ". "); ok && doc == designDoc {
+						heads["§"+n] = true
+					}
+				}
+			}
+		}
+	}
+	for _, c := range cites {
+		if !sections[c.doc][c.heading] {
+			findings = append(findings, fmt.Sprintf("%s: %s names no section", c.at, c.text))
 		}
 	}
 	for _, doc := range runDocs {
@@ -606,6 +638,66 @@ func repeatedHeadings(doc, src string) []string {
 		}
 	}
 	return findings
+}
+
+// longSections reports each `## ` section of a doc's lines that runs over
+// maxExperiment lines, from its heading to the next or to the end.
+func longSections(doc string, lines []string) []string {
+	if n := len(lines); n > 0 && lines[n-1] == "" {
+		lines = lines[:n-1] // the text's final newline ends a line, not one more
+	}
+	var findings []string
+	at := -1 // the line index of the open section's heading
+	for i := 0; i <= len(lines); i++ {
+		if i < len(lines) && !strings.HasPrefix(lines[i], "## ") {
+			continue
+		}
+		if at >= 0 && i-at > maxExperiment {
+			findings = append(findings, fmt.Sprintf("%s:%d: section %q runs %d lines, over %d",
+				doc, at+1, lines[at], i-at, maxExperiment))
+		}
+		at = i
+	}
+	return findings
+}
+
+var (
+	designCite      = regexp.MustCompile(`DESIGN(?:\.md)?\s+(§\d+)`)
+	experimentsCite = regexp.MustCompile(`EXPERIMENTS\.md,\s+"([^"]+)"`)
+)
+
+// citation is one section a Go comment or a doc cites: where the citation
+// stands, its text, the doc it names and the heading there ("§N" for a
+// DESIGN.md section, the title for an EXPERIMENTS.md one).
+type citation struct{ at, text, doc, heading string }
+
+// citations lists the section citations of text, whose first line is line
+// first of file. A title wrapped over lines is read with its white space
+// collapsed.
+func citations(file string, first int, text string) []citation {
+	var cites []citation
+	for _, c := range []struct {
+		doc string
+		re  *regexp.Regexp
+	}{{designDoc, designCite}, {experimentsDoc, experimentsCite}} {
+		for _, m := range c.re.FindAllStringSubmatchIndex(text, -1) {
+			line := first + strings.Count(text[:m[0]], "\n")
+			cites = append(cites, citation{fmt.Sprintf("%s:%d", file, line),
+				strings.Join(strings.Fields(text[m[0]:m[1]]), " "), c.doc,
+				strings.Join(strings.Fields(text[m[2]:m[3]]), " ")})
+		}
+	}
+	return cites
+}
+
+// commentText is a comment group's text, one line per source line, each
+// comment's opening marker cut off so that a citation may wrap.
+func commentText(g *ast.CommentGroup) string {
+	lines := make([]string, len(g.List))
+	for i, c := range g.List {
+		lines[i] = strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
+	}
+	return strings.Join(lines, "\n")
 }
 
 // unfenced is a markdown text's lines with fenced blocks blanked.

@@ -279,6 +279,7 @@ func init() { flag.IntVar(&x, "also", 0, "") }
 			"### 1.2 The feed (`GET /feed`)\n| `-nope` | no command |\n" +
 			"## 2. Formats\n| `-nope` | not §1 |\n",
 		".claude/skills/verify/SKILL.md": "`p.T.M` resolves, `p.M` does not\n",
+		"EXPERIMENTS.md":                 "## Run\n`p.Exported` resolves; `p.Removed` is named by the commit that deleted it\n",
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +290,7 @@ func init() { flag.IntVar(&x, "also", 0, "") }
 		"DESIGN.md:6: `p.Gone` names no declaration",
 		"DESIGN.md:6: `p.T.Gone` names no declaration",
 		"DESIGN.md:7: `p.Late` names no declaration",
+		"EXPERIMENTS.md:2: `p.Removed` names no declaration",
 		"docs/OPERATIONS.md:6: `-gone` is no flag cmd/tool registers",
 	}
 	if !slices.Equal(got, want) {
@@ -297,13 +299,13 @@ func init() { flag.IntVar(&x, "also", 0, "") }
 }
 
 // TestDocsHeadingsOnce: a `## ` heading that an earlier one repeats, in a
-// doc the references rule reads or in EXPERIMENTS.md, is a section pasted
-// twice; lower levels and fenced code may repeat.
+// doc the references rule reads, is a section pasted twice; lower levels and
+// fenced code may repeat.
 func TestDocsHeadingsOnce(t *testing.T) {
 	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
 		"DESIGN.md":      "## A\n### x\n## B\n### x\n## A\n",
 		"README.md":      "## A\n```\n## A\n```\n",
-		"EXPERIMENTS.md": "## Run (seed 1)\ntext\n## Run (seed 2)\n## Run (seed 1)\n## Run (seed 1)\n`p.Gone` is history\n",
+		"EXPERIMENTS.md": "## Run (seed 1)\ntext\n## Run (seed 2)\n## Run (seed 1)\n## Run (seed 1)\n",
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +331,57 @@ func TestDocsCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{fmt.Sprintf("EXPERIMENTS.md: %d lines, over its ceiling of %d", ceilings[experimentsDoc]+1, ceilings[experimentsDoc])}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSectionCitationsResolve: "DESIGN.md §N" and "DESIGN §N" must name a
+// `## N.` heading of DESIGN.md, and EXPERIMENTS.md followed by a comma and a
+// quoted title a `## ` heading of EXPERIMENTS.md, wherever they stand in a
+// Go comment or a doc, a title wrapped over lines included; fenced code and
+// Go strings are left alone.
+func TestSectionCitationsResolve(t *testing.T) {
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"DESIGN.md": "# D\n## 1. One\nsee EXPERIMENTS.md, \"A run\" and EXPERIMENTS.md,\n\"A\n  run\"\n" +
+			"## 2. Two\nbut EXPERIMENTS.md, \"Gone table\" dangles\n## 12. Twelve\n",
+		"EXPERIMENTS.md": "## A run\nsee DESIGN.md §2 and DESIGN §12\n```\nDESIGN.md §9 in a fence\n```\n",
+		"README.md":      "DESIGN.md\n§1 wraps; DESIGN.md §3 dangles\n",
+		"internal/p/p.go": "// Package p (DESIGN.md §1; DESIGN\n// §7).\npackage p\n\n" +
+			"var s = \"DESIGN.md §8 in a string\"\n\n/* and EXPERIMENTS.md,\n   \"Lost\" */\nvar u int\n",
+		"cmd/x/main.go": "package main\nimport _ \"ngd/internal/p\"\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`DESIGN.md:7: EXPERIMENTS.md, "Gone table" names no section`,
+		`README.md:2: DESIGN.md §3 names no section`,
+		`internal/p/p.go:1: DESIGN §7 names no section`,
+		`internal/p/p.go:7: EXPERIMENTS.md, "Lost" names no section`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestLongExperimentSection: a `## ` section of EXPERIMENTS.md may hold 60
+// lines, its heading included, and not 61, whether another heading or the
+// end of the file closes it; the text before the first heading is no
+// section, and a fenced `## ` line opens none.
+func TestLongExperimentSection(t *testing.T) {
+	lines := func(n int) string { return strings.Repeat("line\n", n) }
+	got, err := lintTree(token.NewFileSet(), writeTree(t, map[string]string{
+		"EXPERIMENTS.md": lines(70) + "## Fits\n" + lines(59) +
+			"## Over\n```\n## fenced\n```\n" + lines(57) + "## Last\n" + lines(60),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`EXPERIMENTS.md:131: section "## Over" runs 61 lines, over 60`,
+		`EXPERIMENTS.md:192: section "## Last" runs 61 lines, over 60`,
+	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}

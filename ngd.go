@@ -377,40 +377,8 @@ type AnalysisOptions = analyze.Options
 // the JSON document GET /rules/analysis serves.
 type AnalysisReport = analyze.Report
 
-// RuleAnalysis is one rule's triage entry in an AnalysisReport.
-type RuleAnalysis = analyze.RuleReport
-
-// UnsatCore is a minimal conflicting subset of an unsatisfiable Σ, with
-// its literals rendered for diagnostics.
-type UnsatCore = analyze.UnsatCore
-
-// AnalyzeMode selects how a caller acts on an AnalysisReport (off, warn,
-// strict); parse flag values with ParseAnalyzeMode.
-type AnalyzeMode = analyze.Mode
-
-// Analyze modes.
-const (
-	AnalyzeOff    = analyze.ModeOff
-	AnalyzeWarn   = analyze.ModeWarn
-	AnalyzeStrict = analyze.ModeStrict
-)
-
-// ParseAnalyzeMode parses "off", "warn" or "strict".
-func ParseAnalyzeMode(s string) (AnalyzeMode, error) { return analyze.ParseMode(s) }
-
 // AnalyzeRules runs the full Σ admission analysis: satisfiability triage,
 // unsat-core extraction and implication-based minimization.
 func AnalyzeRules(rules *RuleSet, opts AnalysisOptions) *AnalysisReport {
 	return analyze.Analyze(rules, opts)
 }
-
-// MinimizeRules drops exactly the unviolable rules of Σ (∅ ⊨ φ) — the
-// Vio-preserving fragment of minimization: detection output is identical
-// on every graph. It returns the minimized set and the dropped names.
-func MinimizeRules(rules *RuleSet) (*RuleSet, []string) {
-	return analyze.MinimizeUnviolable(rules)
-}
-
-// RulesSignature is the canonical Σ identity (sha256 over the DSL
-// rendering) that analysis reports and the serving layer's cache key on.
-func RulesSignature(rules *RuleSet) string { return analyze.Signature(rules) }

@@ -376,23 +376,6 @@ func TestPublicAPIAnalysis(t *testing.T) {
 	if rep.Satisfiable != ngd.No || rep.Core == nil || len(rep.Core.Rules) != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Signature != ngd.RulesSignature(conflict) {
-		t.Fatal("signature mismatch")
-	}
-
-	q := ngd.NewPattern()
-	q.AddNode("x", "_")
-	dead := ngd.MustRule("dead", q,
-		[]ngd.Literal{ngd.MustLiteral("x.v < 0"), ngd.MustLiteral("x.v > 0")},
-		[]ngd.Literal{ngd.MustLiteral("x.v = 1")})
-	min, dropped := ngd.MinimizeRules(ngd.NewRuleSet(mk("keep", "x.v >= 0"), dead))
-	if len(min.Rules) != 1 || len(dropped) != 1 || dropped[0] != "dead" {
-		t.Fatalf("minimize: kept %d, dropped %v", len(min.Rules), dropped)
-	}
-
-	if m, err := ngd.ParseAnalyzeMode("strict"); err != nil || m != ngd.AnalyzeStrict {
-		t.Fatalf("ParseAnalyzeMode: %v %v", m, err)
-	}
 
 	// located parsing feeds diagnostics
 	rules, lines, err := ngd.ParseRulesLocated(strings.NewReader(quickRules))
