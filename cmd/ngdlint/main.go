@@ -133,7 +133,7 @@ const (
 var ceilings = map[string]int{
 	designDoc:      699,
 	experimentsDoc: 917,
-	opsDoc:         683,
+	opsDoc:         682,
 	skillDoc:       367,
 }
 

@@ -20,10 +20,10 @@
 //     and whether it is implied by the rest (Σ∖{φ} ⊨ φ). Unviolable rules
 //     are dropped by default — Vio(Σ∖{φ}, G) = Vio(Σ, G) for every G, since
 //     φ contributes no violations anywhere, so detection output is
-//     bit-identical. Implied-but-violable rules are only *reported* (and
-//     dropped under the explicit Cover option): violations carry rule
-//     identity, so removing such a rule preserves the consistency verdict
-//     (Vio = ∅ iff Vio = ∅) but not the violation list itself.
+//     bit-identical. Implied-but-violable rules are only *reported*:
+//     violations carry rule identity, so removing such a rule would
+//     preserve the consistency verdict (Vio = ∅ iff Vio = ∅) but not the
+//     violation list itself.
 //
 // Every stage is budgeted (reason's search budgets plus a wall-clock Timeout
 // handed to it as a Done channel) and degrades to Unknown —
@@ -89,11 +89,6 @@ type Options struct {
 	// NoMinimize disables dropping unviolable rules (the analysis still
 	// reports them).
 	NoMinimize bool
-	// Cover additionally drops implied-but-violable rules, computing a
-	// minimal cover in the classical dependency-theory sense. This
-	// preserves the consistency verdict (Vio = ∅ iff Vio = ∅) but not the
-	// violation list, so it is opt-in.
-	Cover bool
 	// Lines maps rule names to source line numbers (dsl.ParseRulesLocated)
 	// for diagnostics.
 	Lines map[string]int
@@ -109,12 +104,11 @@ type RuleReport struct {
 	// Implied: Σ∖{φ} ⊨ φ.
 	Implied reason.Verdict `json:"implied"`
 	// ImpliedBy names the rule of Σ∖{φ} that subsumes φ, set only when
-	// subsumption decided Implied (reason.ImpliedBy); under Cover, the rule
-	// that subsumes φ in the working set it was dropped from.
+	// subsumption decided Implied (reason.ImpliedBy).
 	ImpliedBy string `json:"implied_by,omitempty"`
 	// Unviolable: ∅ ⊨ φ — no graph can violate φ.
 	Unviolable bool `json:"unviolable"`
-	// Dropped: minimization removed this rule from the working set.
+	// Dropped: minimization removed this (unviolable) rule from Σ.
 	Dropped bool `json:"dropped"`
 	// ProbeMS is the wall time, in milliseconds, of this rule's probes:
 	// pattern consistency, unviolability and implication.
@@ -217,28 +211,21 @@ func (r *Report) Diagnostic() string {
 		switch {
 		case rr.Err != "":
 			fmt.Fprintf(&b, "rule %s%s: %s\n", rr.Name, loc, rr.Err)
-		case rr.Dropped && rr.Unviolable:
-			fmt.Fprintf(&b, "rule %s%s: unviolable (∅ ⊨ φ), dropped — detection output unchanged\n", rr.Name, loc)
 		case rr.Dropped:
-			fmt.Fprintf(&b, "rule %s%s: implied by %s, dropped (cover mode)\n", rr.Name, loc, rr.implier("the rest of Σ"))
+			fmt.Fprintf(&b, "rule %s%s: unviolable (∅ ⊨ φ), dropped — detection output unchanged\n", rr.Name, loc)
 		case rr.Unviolable:
 			fmt.Fprintf(&b, "rule %s%s: unviolable (∅ ⊨ φ) — dead weight, minimization disabled\n", rr.Name, loc)
 		case rr.Satisfiable == reason.No && r.Core == nil:
 			fmt.Fprintf(&b, "rule %s%s: pattern cannot be materialized in any model of Σ\n", rr.Name, loc)
 		case rr.Implied == reason.Yes && r.Core == nil:
-			fmt.Fprintf(&b, "rule %s%s: implied by %s (kept: violations carry rule identity)\n", rr.Name, loc, rr.implier("Σ∖{φ}"))
+			by := rr.ImpliedBy
+			if by == "" {
+				by = "Σ∖{φ}"
+			}
+			fmt.Fprintf(&b, "rule %s%s: implied by %s (kept: violations carry rule identity)\n", rr.Name, loc, by)
 		}
 	}
 	return b.String()
-}
-
-// implier names what implies the rule: the subsuming rule when one decided,
-// else rest.
-func (rr *RuleReport) implier(rest string) string {
-	if rr.ImpliedBy != "" {
-		return rr.ImpliedBy
-	}
-	return rest
 }
 
 // SlowestProbe returns the rule whose probes took the longest (nil for an
@@ -564,46 +551,14 @@ func minimize(set *core.Set, rep *Report, spent []time.Duration, ropts reason.Op
 		spent[i] += time.Since(began)
 	})
 
-	// Drop decision. Default: unviolable rules only (Vio-preserving for
-	// every G). Cover: greedy classical cover — recheck each candidate
-	// against the shrinking working set so mutually-implied rules are not
-	// both dropped.
+	// Drop decision: unviolable rules only (Vio-preserving for every G).
 	if opts.NoMinimize {
 		return
 	}
-	working := append([]*core.NGD(nil), set.Rules...)
-	drop := func(i int) {
-		rep.Rules[i].Dropped = true
-		rep.Dropped = append(rep.Dropped, set.Rules[i].Name)
-		for j, r := range working {
-			if r == set.Rules[i] {
-				working = append(working[:j], working[j+1:]...)
-				break
-			}
-		}
-	}
 	for i := range set.Rules {
 		if rep.Rules[i].Unviolable {
-			drop(i)
-		}
-	}
-	if !opts.Cover {
-		return
-	}
-	for i := range set.Rules {
-		if rep.Rules[i].Dropped || rep.Rules[i].Implied != reason.Yes {
-			continue
-		}
-		rest := core.NewSet()
-		for _, r := range working {
-			if r != set.Rules[i] {
-				rest.Add(r)
-			}
-		}
-		v, by, err := reason.ImpliedBy(rest, set.Rules[i], ropts)
-		if err == nil && v == reason.Yes {
-			rep.Rules[i].ImpliedBy = name(by)
-			drop(i)
+			rep.Rules[i].Dropped = true
+			rep.Dropped = append(rep.Dropped, set.Rules[i].Name)
 		}
 	}
 }

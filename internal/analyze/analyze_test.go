@@ -123,8 +123,7 @@ func TestMinimizeDropsUnviolable(t *testing.T) {
 
 func TestImpliedReportedNotDropped(t *testing.T) {
 	// strong: A>0 → B>6 implies weak: A>0 → B>5, but weak is violable, so
-	// default minimization must keep it (violations carry rule identity);
-	// Cover mode may drop it.
+	// minimization must keep it (violations carry rule identity).
 	strong := rule("strong", "a", lits("x.A > 0"), lits("x.B > 6"))
 	weak := rule("weak", "a", lits("x.A > 0"), lits("x.B > 5"))
 	set := core.NewSet(strong, weak)
@@ -143,19 +142,7 @@ func TestImpliedReportedNotDropped(t *testing.T) {
 		t.Fatalf("weak implied = %+v, want yes", weakRep)
 	}
 	if weakRep.Unviolable || weakRep.Dropped || len(rep.Dropped) != 0 {
-		t.Fatalf("default mode dropped a violable rule: %+v", rep)
-	}
-
-	cover := Analyze(set, Options{Cover: true})
-	if got := strings.Join(cover.Dropped, ","); got != "weak" {
-		t.Fatalf("cover dropped = %q, want weak", got)
-	}
-	// mutually-implied rules must not both drop under cover
-	twinA := rule("twinA", "a", nil, lits("x.A = 1"))
-	twinB := rule("twinB", "a", nil, lits("x.A = 1"))
-	crep := Analyze(core.NewSet(twinA, twinB), Options{Cover: true})
-	if len(crep.Dropped) != 1 {
-		t.Fatalf("twins: dropped = %v, want exactly one", crep.Dropped)
+		t.Fatalf("minimization dropped a violable rule: %+v", rep)
 	}
 }
 
@@ -203,15 +190,6 @@ func TestImpliedByNamesTheSubsumer(t *testing.T) {
 	raw, _ := json.Marshal(rep)
 	if !strings.Contains(string(raw), `"implied_by":"twinB"`) || !strings.Contains(string(raw), `"probe_ms":`) {
 		t.Fatalf("JSON lacks implied_by or probe_ms:\n%s", raw)
-	}
-
-	// cover drops one twin and names the twin it keeps
-	cover := Analyze(core.NewSet(twinA, twinB), Options{Cover: true})
-	if got := strings.Join(cover.Dropped, ","); got != "twinA" || cover.Rules[0].ImpliedBy != "twinB" {
-		t.Fatalf("cover: dropped %q implied by %q, want twinA by twinB", got, cover.Rules[0].ImpliedBy)
-	}
-	if d := cover.Diagnostic(); !strings.Contains(d, "rule twinA: implied by twinB, dropped (cover mode)") {
-		t.Fatalf("cover diagnostic:\n%s", d)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 // LitEval evaluates a rule's literals level-by-level along a plan: level 0
 // covers literals whose variables are all pre-bound (update pivots), level
 // k+1 those completed by plan step k. It is the literal-pruning engine of
-// §6.2 step (3), shared by the sequential Searcher and the parallel workers
-// (which carry explicit work units instead of a recursion stack).
+// §6.2 step (3), shared by the one sequential executor (Searcher) and the
+// parallel workers (which carry explicit work units instead of a recursion
+// stack).
 //
 // Beyond X and Y it applies the rule's ¬Y cut (plan.Cut) at the one level
 // where the cut's bound side is bound and its free side is not yet: a
@@ -19,8 +20,8 @@ import (
 //
 // A LitEval is immutable between searches and safe for concurrent use;
 // per-call state lives in the caller's partial solution and ySat counter.
-// The cut's index is looked up when it is built and again by every
-// Searcher.Run (see resolveCut).
+// The cut's index is looked up when it is built and again at the start of
+// every Searcher.Run (see resolveCut).
 type LitEval struct {
 	C     *plan.Compiled
 	G     graph.View

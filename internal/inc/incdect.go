@@ -99,13 +99,15 @@ func Reusing(prog *plan.Program) Options {
 	return Options{Program: prog, Searchers: new(detect.SearcherCache)}
 }
 
-// searcher returns the pre-bound searcher for key: the cached one when
-// Searchers is set, else a fresh one.
-func (o Options) searcher(v graph.View, c *plan.Compiled, pl *match.Plan, key detect.SearcherKey) *detect.Searcher {
+// searcher returns the walker of r's chain for the pre-bound slots bound
+// (plan.Program.ChainFor) over v: the cached one under key when Searchers
+// is set, else a fresh one.
+func (o Options) searcher(v graph.View, r *core.NGD, bound []int, key detect.SearcherKey) *detect.Searcher {
+	chain := o.Program.ChainFor(v, r, bound)
 	if o.Searchers != nil {
-		return o.Searchers.Get(v, c, pl, key)
+		return o.Searchers.Get(v, chain, key)
 	}
-	return detect.NewSearcher(v, c, pl)
+	return detect.NewSearcher(v, chain)
 }
 
 // IncDect computes ΔVio(Σ, G, ΔG). g is the *pre-update* graph; ΔG is
@@ -190,16 +192,17 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 
 	// Per-call scratch, built on the first pivot that matches a pattern
 	// edge label — a rule whose labels don't appear in ΔG costs nothing:
-	//   - one searcher per pattern-edge slot (plan and literal schedule are
-	//     pivot-independent, and a Searcher is sequentially reusable across
-	//     Runs; with opts.Searchers they also persist across calls, rebound
-	//     to this call's view — the slice only memoizes per-slot resolution)
+	//   - one searcher per pattern-edge slot (its chain and literal schedule
+	//     are pivot-independent, and a Searcher is sequentially reusable
+	//     across Runs; with opts.Searchers they also persist across calls,
+	//     rebound to this call's view — the slice only memoizes per-slot
+	//     resolution)
 	//   - one scratch partial for every (pivot, slot) pair (the searcher
 	//     restores it on return, so only the two seeded slots need unbinding)
 	//   - one emit closure, reading the current pivot through pv
 	var searchers []*detect.Searcher
 	var partial []graph.NodeID
-	var emit func(core.Match) bool
+	var emit func(*core.NGD, core.Match) bool
 	var pv pivot
 
 	for rank, op := range ops {
@@ -213,7 +216,7 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 			if partial == nil {
 				searchers = make([]*detect.Searcher, len(c.Rule.Pattern.Edges))
 				partial = match.NewPartial(len(c.Rule.Pattern.Nodes))
-				emit = func(m core.Match) bool {
+				emit = func(_ *core.NGD, m core.Match) bool {
 					if !idx.SmallestPivot(c, m, pv.rank, pv.slot) {
 						return true
 					}
@@ -233,8 +236,7 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 				if pe.Dst != pe.Src {
 					bound = append(bound, pe.Dst)
 				}
-				_, pl := opts.Program.PlanFor(v, c.Rule, bound)
-				s = opts.searcher(v, c, pl, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
+				s = opts.searcher(v, c.Rule, bound, detect.EdgeSlotKey(c.Rule, pe.Src, pe.Dst, plus))
 				searchers[slot] = s
 			}
 			res.Pivots++

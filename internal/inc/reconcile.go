@@ -70,11 +70,11 @@ func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts 
 			}
 		}
 	}
+	emit := func(r *core.NGD, m core.Match) bool {
+		found(r, m)
+		return true
+	}
 	for _, r := range rules.Rules {
-		emit := func(m core.Match) bool {
-			found(r, m)
-			return true
-		}
 		for slot := range r.Pattern.Nodes {
 			work.Add(Seeded(v, r, slot, touched, opts, emit))
 		}
@@ -85,10 +85,10 @@ func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts 
 // Seeded searches the violations of r over v that bind a node of seeds at
 // pattern slot slot: one pre-bound search per seed that the slot's label
 // admits and whose self-loops at the slot v holds (match.VerifyBound). The
-// plan is asked of opts.Program, which must be set, once, at the first seed
-// searched. emit sees each violating match, valid only during the call.
-// Seeded returns the searches' work counters.
-func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(core.Match) bool) (work match.Counters) {
+// chain is asked of opts.Program, which must be set, once, at the first
+// seed searched. emit sees r and each violating match, valid only during
+// the call. Seeded returns the searches' work counters.
+func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(*core.NGD, core.Match) bool) (work match.Counters) {
 	if len(r.Y) == 0 {
 		return work // X → ∅ can never be violated
 	}
@@ -105,8 +105,7 @@ func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Opti
 		partial[slot] = n
 		if match.VerifyBound(v, c.CP, partial) {
 			if s == nil {
-				_, pl := opts.Program.PlanFor(v, r, []int{slot})
-				s = opts.searcher(v, c, pl, detect.SlotKey(r, slot))
+				s = opts.searcher(v, r, []int{slot}, detect.SlotKey(r, slot))
 			}
 			work.Add(s.Run(partial, emit))
 		}

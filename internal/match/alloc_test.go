@@ -29,7 +29,7 @@ func TestCheckStepAllocFree(t *testing.T) {
 	p.AddEdge(x, z, "livesIn")
 
 	pl := planFor(g, p, nil)
-	m := NewMatcher(g, pl, Hooks{})
+	m := NewMatcher(g, pl)
 
 	// fully bind the one triangle match, then re-verify the last step's
 	// candidate against it

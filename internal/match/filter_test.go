@@ -161,7 +161,7 @@ func TestPlanPrefersIndexedSeed(t *testing.T) {
 	}
 
 	// the matcher must enumerate exactly the one indexed candidate
-	m := NewMatcher(g, pruned, Hooks{})
+	m := NewMatcher(g, pruned)
 	var matches [][]graph.NodeID
 	m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
 		matches = append(matches, append([]graph.NodeID(nil), sol...))
@@ -225,7 +225,7 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 		pred := &filtered.Filters[x].Preds[0]
 		enumerate := func(plan *Plan) map[graph.NodeID]bool {
 			got := make(map[graph.NodeID]bool)
-			m := NewMatcher(g, plan, Hooks{})
+			m := NewMatcher(g, plan)
 			m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
 				got[sol[x]] = true
 				return true
@@ -235,7 +235,7 @@ func TestMatcherFilterEquivalence(t *testing.T) {
 		pruned := enumerate(filtered)
 		// unpruned baseline: no filters, then apply the predicate by hand
 		want := make(map[graph.NodeID]bool)
-		m := NewMatcher(g, planFor(g, p, nil), Hooks{})
+		m := NewMatcher(g, planFor(g, p, nil))
 		m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
 			if pred.Holds(g, sol[x]) {
 				want[sol[x]] = true

@@ -58,7 +58,7 @@ func TestForkSetAttrSeedsFromOwnIndex(t *testing.T) {
 
 	enumerate := func(v graph.View, pl *Plan) map[graph.NodeID]bool {
 		got := make(map[graph.NodeID]bool)
-		m := NewMatcher(v, pl, Hooks{})
+		m := NewMatcher(v, pl)
 		m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
 			got[sol[x]] = true
 			return true

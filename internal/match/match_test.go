@@ -23,7 +23,7 @@ func planFor(g graph.View, p *pattern.Pattern, bound []int, x ...core.Literal) *
 
 // collect runs a full enumeration and returns all matches as copies.
 func collect(g graph.View, p *pattern.Pattern, bound []int, partial []graph.NodeID) [][]graph.NodeID {
-	m := NewMatcher(g, planFor(g, p, bound), Hooks{})
+	m := NewMatcher(g, planFor(g, p, bound))
 	var out [][]graph.NodeID
 	if partial == nil {
 		partial = NewPartial(len(p.Nodes))
@@ -250,36 +250,6 @@ func TestSelfLoopPattern(t *testing.T) {
 	}
 }
 
-func TestHooksPruneAndBacktrack(t *testing.T) {
-	g := graph.New()
-	hub := g.AddNode("hub")
-	for i := 0; i < 5; i++ {
-		leaf := g.AddNode("leaf")
-		g.AddEdge(hub, leaf, "e")
-	}
-
-	p := pattern.New()
-	x := p.AddNode("x", "hub")
-	y := p.AddNode("y", "leaf")
-	p.AddEdge(x, y, "e")
-
-	plan := planFor(g, p, nil)
-	extends := 0
-	pruneAfter := 2
-	m := NewMatcher(g, plan, Hooks{
-		OnExtend: func(step int, partial []graph.NodeID) bool {
-			extends++
-			// prune every leaf binding after the first two
-			return !(plan.Steps[step].Node == y && extends > pruneAfter)
-		},
-	})
-	matches := 0
-	m.Run(NewPartial(2), func([]graph.NodeID) bool { matches++; return true })
-	if matches >= 5 {
-		t.Errorf("pruning had no effect: %d matches", matches)
-	}
-}
-
 func TestEarlyStop(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 10; i++ {
@@ -288,7 +258,7 @@ func TestEarlyStop(t *testing.T) {
 	p := pattern.New()
 	p.AddNode("x", "n")
 
-	m := NewMatcher(g, planFor(g, p, nil), Hooks{})
+	m := NewMatcher(g, planFor(g, p, nil))
 	count := 0
 	m.Run(NewPartial(1), func([]graph.NodeID) bool {
 		count++

@@ -5,13 +5,6 @@ import (
 	"ngd/internal/pattern"
 )
 
-// Hooks customize enumeration. All fields are optional.
-type Hooks struct {
-	// OnExtend runs after binding step k's node; return false to prune the
-	// branch (used for literal-based candidate pruning, §6.2 step (3)).
-	OnExtend func(step int, partial []graph.NodeID) bool
-}
-
 // Counters accumulate work metrics for the localizability analysis and the
 // parallel cost model.
 type Counters struct {
@@ -35,15 +28,14 @@ type Matcher struct {
 	G    graph.View
 	CP   *pattern.Compiled
 	Plan *Plan
-	Hook Hooks
 	Stat Counters
 
 	stop bool
 }
 
 // NewMatcher builds a matcher over g for plan p.
-func NewMatcher(g graph.View, p *Plan, h Hooks) *Matcher {
-	return &Matcher{G: g, CP: p.CP, Plan: p, Hook: h}
+func NewMatcher(g graph.View, p *Plan) *Matcher {
+	return &Matcher{G: g, CP: p.CP, Plan: p}
 }
 
 // VerifyBound checks every pattern edge whose endpoints are all bound in
@@ -73,7 +65,9 @@ func VerifyBound(g graph.View, cp *pattern.Compiled, partial []graph.NodeID) boo
 // Run enumerates all matches extending the given partial solution (Unbound
 // entries are filled following the plan) and calls emit for each complete
 // match. Returning false from emit stops the enumeration. The partial slice
-// is reused across calls to emit; callers must copy it to retain it.
+// is reused across calls to emit; callers must copy it to retain it. Run
+// prunes nothing: the detectors, which prune with literals, walk the plan
+// step by step instead (detect.Searcher).
 func (m *Matcher) Run(partial []graph.NodeID, emit func([]graph.NodeID) bool) {
 	m.stop = false
 	m.expand(0, partial, emit)
@@ -264,9 +258,7 @@ func (m *Matcher) expand(k int, partial []graph.NodeID, emit func([]graph.NodeID
 			return true
 		}
 		partial[st.Node] = v
-		if m.Hook.OnExtend == nil || m.Hook.OnExtend(k, partial) {
-			m.expand(k+1, partial, emit)
-		}
+		m.expand(k+1, partial, emit)
 		partial[st.Node] = Unbound
 		return !m.stop
 	})

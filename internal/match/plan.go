@@ -1,11 +1,11 @@
 // Package match implements homomorphism pattern matching for NGD detection,
 // following the generic backtracking procedure Matchn/SubMatchn of the paper
-// (§6.2): candidate selection per pattern node, edge verification, and hooks
-// for literal-based pruning. It executes the matching orders internal/plan
-// builds: this package defines the Plan shape but orders nothing. Both the
-// batch detector (Dect) and the incremental ones (IncDect/PIncDect) drive
-// it; the incremental algorithms additionally pin update pivots as pre-bound
-// nodes.
+// (§6.2): candidate selection per pattern node and edge verification. It
+// executes the matching orders internal/plan builds: this package defines
+// the Plan shape but orders nothing. The detectors drive a Matcher one step
+// at a time (Candidates, CheckStep) and layer literal pruning on top
+// (internal/detect, internal/par); Run enumerates plain homomorphisms (the
+// reasoner's witness search).
 package match
 
 import (

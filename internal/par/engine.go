@@ -11,8 +11,8 @@
 // procedure from batch seeds). The search space is always a prefix forest of
 // plans (plan.Share): PDect adds Σ's batch forest and seeds it with chunks of
 // each root scan (shared.go); PIncDect adds one single-rule chain per rule ×
-// pivot slot × side, built from the pivot-anchored plan, and seeds it with
-// the update pivots (pincdect.go). A unit is a forest node, the path bindings
+// pivot slot × side, the program's (plan.Program.ChainFor), and seeds it
+// with the update pivots (pincdect.go). A unit is a forest node, the path bindings
 // that reach it, each riding rule's literal state, its pivot and a candidate
 // segment; engine.expand scans the step entering the node once for all
 // riding rules and engine.emit applies, from the forest's Δ-edge index and
@@ -343,7 +343,7 @@ func (e *engine) local(w int, f *forest, ri int) *local {
 	l := &e.locals[w][f.slot0+ri]
 	if l.m == nil {
 		sr := &f.share.Rules[ri]
-		l.m = match.NewMatcher(f.view, sr.Plan, match.Hooks{})
+		l.m = match.NewMatcher(f.view, sr.Plan)
 		l.partial = match.NewPartial(len(sr.Rule.Pattern.Nodes))
 	}
 	return l

@@ -81,7 +81,8 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	}
 	e := newEngine(opts)
 
-	// One single-rule forest per rule × pattern-edge slot × side, built when
+	// One forest per rule × pattern-edge slot × side — the rule's chain
+	// (plan.Program.ChainFor) with this run's literal schedules — built when
 	// its first pivot arrives, and the update pivots themselves (paper line
 	// 5) in rank → rule → slot order.
 	var seeds []*unit
@@ -108,10 +109,9 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 						if pe.Dst != pe.Src {
 							bound = append(bound, pe.Dst)
 						}
-						_, pl := prog.PlanFor(view, c.Rule, bound)
 						f = e.addForest(&forest{
 							view: view, idx: idx, plus: plus,
-							share: plan.ShareOf([]plan.ShareRule{{Rule: c.Rule, C: c, Plan: pl, Pins: bound}}),
+							share: prog.ChainFor(view, c.Rule, bound),
 						})
 						forestOf[key] = f
 					}

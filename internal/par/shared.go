@@ -4,7 +4,7 @@ package par
 // shard work units instead of one sequential depth-first walk, so a shared
 // prefix's candidate scan and edge checks are paid once per shard rather
 // than once per rule (see engine.expand). Correctness mirrors
-// detect.RunShared: for each rule the forest walk restricted to its path
+// detect.Searcher: for each rule the forest walk restricted to its path
 // enumerates exactly the candidates its own plan would, with the literal
 // schedule firing at the same levels with the same bindings — so the emitted
 // set equals the per-rule search, merely partitioned across shards. The

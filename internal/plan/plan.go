@@ -17,11 +17,14 @@
 //     (rule group, bound-slot signature) and invalidated when graph churn
 //     since plan build crosses a drift threshold;
 //
-//   - sharing: rules whose plans begin with structurally identical step
-//     prefixes are arranged into a prefix forest (share.go) so the batch
-//     detector runs each shared prefix once and fans out only at the
-//     divergence point, with per-rule literal schedules layered on top;
-//     rules that are one dependency under several names form a clone class
+//   - sharing: plans are arranged into prefix forests (share.go), the one
+//     shape every search executes (detect.Searcher sequentially, the
+//     internal/par engine in work units). In Σ's batch forest rules whose
+//     plans begin with structurally identical step prefixes share a path,
+//     so each shared prefix runs once and fans out only at the divergence
+//     point, with per-rule literal schedules layered on top; a pre-bound
+//     search walks a one-rule chain (ChainFor), cached beside its plan.
+//     Rules that are one dependency under several names form a clone class
 //     (class.go), which the incremental detector searches once.
 //
 // A Program is cheap to build relative to detection and is never persisted:
@@ -31,6 +34,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -263,6 +267,7 @@ type cachedPlan struct {
 	p       *match.Plan
 	churnAt uint64
 	on      graph.View // the graph it last built its indexes over
+	chains  []*Share   // ChainFor's one-rule forests over p
 }
 
 type shareEntry struct {
@@ -273,7 +278,9 @@ type shareEntry struct {
 // Program is the compiled, shared form of one rule set Σ over one graph's
 // symbol table. Build it once (per session / per serving daemon) and hand it
 // to every detector via their Options; one-shot detector calls without a
-// Program build a private one internally.
+// Program build a private one internally. Every search draws its forest
+// from here: ShareFor for Σ's batch forest, ChainFor for the one-rule chain
+// of a pre-bound search.
 //
 // Plan building may construct attribute indexes on the underlying graph and
 // must happen during single-threaded setup (all detectors build plans before
@@ -404,12 +411,39 @@ func (p *Program) CompiledFor(r *core.NGD) *Compiled {
 // graph has not churned past the drift threshold since the plan was built
 // (either way: a fork's churn runs ahead of its parent's).
 // Rules in the same (pattern, filters) group share cache entries, so e.g.
-// the per-slot pivot searchers of IncDect and the session's arriving-node
+// the per-slot pivot searches of IncDect and the session's arriving-node
 // absorption searches draw from one plan source.
 func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *match.Plan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ri := p.addRuleLocked(r)
+	return p.compiled[ri], p.planLocked(v, ri, bound).p
+}
+
+// ChainFor returns r's plan for the pre-bound slots bound as a one-rule
+// prefix forest: the chain a pre-bound search walks (detect.Searcher). bound
+// lists the slots by role, as ShareRule.Pins does. The chain is memoized on
+// the plan-cache entry its plan came from, once per rule and pin order, so
+// it costs what PlanFor costs on a hit, and a rebuilt plan drops its chains
+// with it.
+func (p *Program) ChainFor(v graph.View, r *core.NGD, bound []int) *Share {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ri := p.addRuleLocked(r)
+	e := p.planLocked(v, ri, bound)
+	for _, ch := range e.chains {
+		if sr := &ch.Rules[0]; sr.Rule == r && slices.Equal(sr.Pins, bound) {
+			return ch
+		}
+	}
+	ch := ShareOf([]ShareRule{{Rule: r, C: p.compiled[ri], Plan: e.p, Pins: slices.Clone(bound)}})
+	e.chains = append(e.chains, ch)
+	return ch
+}
+
+// planLocked serves program rule ri's plan-cache entry for bound over v,
+// building it on a miss or past the drift threshold.
+func (p *Program) planLocked(v graph.View, ri int, bound []int) *cachedPlan {
 	c := p.compiled[ri]
 	key := planKey{group: p.groupOf[ri], bound: boundSig(bound)}
 	churn := churnOf(v)
@@ -423,15 +457,16 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *m
 				p.groupCutsLocked(v, p.groupOf[ri])
 				e.on = v
 			}
-			return c, e.p
+			return e
 		}
 		p.invalidations.Add(1)
 	} else {
 		p.misses.Add(1)
 	}
 	pl := costPlan(v, c.CP, bound, c.Filters, p.groupCutsLocked(v, p.groupOf[ri]))
-	p.cache[key] = &cachedPlan{p: pl, churnAt: churn, on: v}
-	return c, pl
+	e := &cachedPlan{p: pl, churnAt: churn, on: v}
+	p.cache[key] = e
+	return e
 }
 
 // groupCutsLocked builds the edge-value indexes the cuts of group gi's

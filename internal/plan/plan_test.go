@@ -99,6 +99,49 @@ func TestPlanCacheHitsMissesInvalidation(t *testing.T) {
 	}
 }
 
+// TestChainForFollowsPlanCache: a pre-bound search's chain lives on the
+// plan-cache entry of its plan — served again on a hit, one per rule of a
+// group and per pin order, and dropped when churn rebuilds the plan.
+func TestChainForFollowsPlanCache(t *testing.T) {
+	g, bigs, tinys := skewedGraph()
+	a, b := pairRule("a"), pairRule("b") // clones: one group, one plan
+	prog := plan.New(g, core.NewSet(a, b), plan.Options{ChurnThreshold: 1})
+
+	ch := prog.ChainFor(g, a, []int{0, 1})
+	if again := prog.ChainFor(g, a, []int{0, 1}); again != ch {
+		t.Fatal("a hit built a second chain")
+	}
+	if c := prog.Counters(); c.Misses != 1 || c.Hits != 1 {
+		t.Fatalf("counters %+v, want 1 miss and 1 hit: a chain costs one plan lookup", c)
+	}
+	_, pl := prog.PlanFor(g, a, []int{0, 1})
+	if sr := ch.Rules[0]; len(ch.Rules) != 1 || sr.Rule != a || sr.Plan != pl || !slices.Equal(sr.Pins, []int{0, 1}) {
+		t.Fatalf("chain rules %+v, want rule a alone on the cached plan, pinned (0, 1)", ch.Rules)
+	}
+	cb := prog.ChainFor(g, b, []int{0, 1})
+	if cb == ch || cb.Rules[0].Rule != b || cb.Rules[0].Plan != pl {
+		t.Fatal("the clone must get its own chain over the group's plan")
+	}
+	rev := prog.ChainFor(g, a, []int{1, 0})
+	if rev == ch || rev.Rules[0].Plan != pl {
+		t.Fatal("the opposite pin order must get its own chain over the same plan")
+	}
+
+	for i := range 2 { // past the threshold
+		g.AddEdgeL(tinys[0], bigs[i], g.Symbols().Label("rel"))
+	}
+	fresh := prog.ChainFor(g, a, []int{0, 1})
+	if fresh == ch || fresh.Rules[0].Plan == pl {
+		t.Fatal("the chain outlived its invalidated plan")
+	}
+	if c := prog.Counters(); c.Invalidations != 1 {
+		t.Fatalf("counters %+v, want 1 invalidation", c)
+	}
+	if prog.ChainFor(g, a, []int{0, 1}) != fresh {
+		t.Fatal("the rebuilt plan's chain was not served again")
+	}
+}
+
 func TestIdenticalRulesShareGroupAndPattern(t *testing.T) {
 	p := gen.YAGO2
 	set := core.NewSet(
@@ -485,12 +528,11 @@ func TestCutBindsBoundSideFirst(t *testing.T) {
 	}
 
 	search := func() (match.Counters, int) {
-		_, pl := prog.PlanFor(g, r, []int{0, 2})
-		s := detect.NewSearcher(g, c, pl)
+		s := detect.NewSearcher(g, prog.ChainFor(g, r, []int{0, 2}))
 		partial := match.NewPartial(5)
 		partial[0], partial[2] = xs[0], hub
 		vios := 0
-		st := s.Run(partial, func(core.Match) bool { vios++; return true })
+		st := s.Run(partial, func(*core.NGD, core.Match) bool { vios++; return true })
 		return st, vios
 	}
 	if st, vios := search(); st.Cuts != 1 || st.Candidates > 1 || vios != 0 {

@@ -17,8 +17,7 @@ import (
 // diverge only where their plans differ. The batch detector walks the
 // forest once, so a shared prefix's candidate scans, edge checks and filter
 // evaluations are paid once for all rules riding it, with each rule's
-// literal schedule evaluated independently along the way (internal/detect's
-// shared searcher).
+// literal schedule evaluated independently along the way (detect.Searcher).
 //
 // Step signatures are depth-relative (pattern node indices are translated
 // to the step depth that binds them), so rules over different Pattern
@@ -120,10 +119,10 @@ func samePlans(a, b []*match.Plan) bool {
 }
 
 // ShareOf inserts every rule's step-signature path into a fresh forest. The
-// plans need not be batch plans: PIncDect calls it with one pivot-anchored
-// plan at a time, its pins named in ShareRule.Pins, and gets a chain (a plan
-// with no steps left, both ends of a one-edge pattern pinned, is Terminal on
-// the Root itself).
+// plans need not be batch plans: ChainFor calls it with one pre-bound plan,
+// its pins named in ShareRule.Pins, and gets a chain (a plan with no steps
+// left, both ends of a one-edge pattern pinned, is Terminal on the Root
+// itself).
 func ShareOf(rules []ShareRule) *Share {
 	sh := &Share{
 		Rules: rules,

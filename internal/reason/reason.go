@@ -273,7 +273,7 @@ func consistentCanonical(rules *core.Set, pats []*pattern.Pattern, negate *core.
 		}
 		cp := pattern.Compile(r.Pattern, g.Symbols())
 		pl := plan.ForPattern(g, cp)
-		mr := match.NewMatcher(g, pl, match.Hooks{})
+		mr := match.NewMatcher(g, pl)
 		over := false
 		mr.Run(match.NewPartial(len(r.Pattern.Nodes)), func(sol []graph.NodeID) bool {
 			ob := implication{rule: r, m: append(core.Match(nil), sol...)}

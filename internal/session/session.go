@@ -609,7 +609,7 @@ func (s *Session) absorbNewNodes() (absorbed, cuts int) {
 	}
 	for _, ir := range s.isoRules {
 		for _, slot := range ir.slots {
-			work := inc.Seeded(s.g, ir.rule, slot, arrivals, s.search, func(m core.Match) bool {
+			work := inc.Seeded(s.g, ir.rule, slot, arrivals, s.search, func(_ *core.NGD, m core.Match) bool {
 				for _, s2 := range ir.slots {
 					if s2 == slot {
 						break

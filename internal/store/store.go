@@ -59,9 +59,9 @@ type Options struct {
 	// crash can be lost (the WAL still truncates cleanly; recovered state
 	// is a consistent prefix). Snapshots are always fsynced.
 	NoSync bool
-	// Session configures the session restored by recovery (parallel
-	// routing, admission analysis). It should match the options the serving
-	// process normally runs with.
+	// Session configures the session restored by recovery (the plan-cache
+	// churn threshold, admission analysis). It should match the options the
+	// serving process normally runs with.
 	Session session.Options
 }
 

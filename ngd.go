@@ -367,7 +367,7 @@ func Implies(rules *RuleSet, phi *Rule) (Verdict, error) {
 }
 
 // AnalysisOptions configure the Σ admission analysis (wall-clock timeout,
-// minimization toggles, rule source lines for diagnostics); the search
+// the minimization toggle, rule source lines for diagnostics); the search
 // budgets are fixed.
 type AnalysisOptions = analyze.Options
 
