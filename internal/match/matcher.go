@@ -99,10 +99,13 @@ func (m *Matcher) CandidateCount(k int, partial []graph.NodeID) int {
 	return len(graph.LabelRun(m.G.In(from), el))
 }
 
-// CandidatesRange is Candidates restricted to the half-open slot range
-// [lo, hi) of the raw candidate list — the "partial adjacency copy v.adjᵢ"
-// a worker holds after a skewed work unit is split (§6.3). hi < 0 means the
-// end of the list.
+// CandidatesRange yields the candidate nodes for step k given the current
+// partial solution (paper: refine C(u)), restricted to the half-open slot
+// range [lo, hi) of the raw candidate list — the "partial adjacency copy
+// v.adjᵢ" a worker holds after a skewed work unit is split (§6.3); hi < 0
+// means the end of the list. The yield function returns false to stop
+// early. The returned int is the number of entries scanned (the sequential
+// cost |h(u_r).adj| of §6.3).
 func (m *Matcher) CandidatesRange(k int, partial []graph.NodeID, lo, hi int, yield func(graph.NodeID) bool) int {
 	st := &m.Plan.Steps[k]
 	scanned := 0
@@ -205,15 +208,6 @@ func (m *Matcher) filterOK(node int, v graph.NodeID) bool {
 	return true
 }
 
-// Candidates yields the candidate nodes for step k given the current
-// partial solution (paper: refine C(u)); used directly by the parallel
-// engine to split skewed work units. The yield function returns false to
-// stop early. The returned int is the number of adjacency entries scanned
-// (the sequential cost |h(u_r).adj| of §6.3).
-func (m *Matcher) Candidates(k int, partial []graph.NodeID, yield func(graph.NodeID) bool) int {
-	return m.CandidatesRange(k, partial, 0, -1, yield)
-}
-
 // CheckStep verifies the non-anchor pattern edges of step k against
 // candidate v (paper §6.3 "verification").
 func (m *Matcher) CheckStep(k int, partial []graph.NodeID, v graph.NodeID) bool {
@@ -253,7 +247,7 @@ func (m *Matcher) expand(k int, partial []graph.NodeID, emit func([]graph.NodeID
 		return
 	}
 	st := &m.Plan.Steps[k]
-	m.Stat.Candidates += m.Candidates(k, partial, func(v graph.NodeID) bool {
+	m.Stat.Candidates += m.CandidatesRange(k, partial, 0, -1, func(v graph.NodeID) bool {
 		if !m.CheckStep(k, partial, v) {
 			return true
 		}

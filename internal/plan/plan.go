@@ -410,9 +410,8 @@ func (p *Program) CompiledFor(r *core.NGD) *Compiled {
 // pre-bound pattern slots over v, serving from the plan cache when the
 // graph has not churned past the drift threshold since the plan was built
 // (either way: a fork's churn runs ahead of its parent's).
-// Rules in the same (pattern, filters) group share cache entries, so e.g.
-// the per-slot pivot searches of IncDect and the session's arriving-node
-// absorption searches draw from one plan source.
+// Rules in the same (pattern, filters) group share cache entries; ShareFor
+// and ChainFor build their forests over plans from the same cache.
 func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *match.Plan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
