@@ -190,7 +190,7 @@ func makeWorkload(p gen.Profile, entities, rules, maxDiam int, deltaFrac float64
 // reproduced fig4 curves keep the paper's shape. sharedWork is what
 // production Dect pays for the same answer once overlapping rules ride
 // shared prefixes.
-func dectWork(v graph.View, rules *core.Set) float64 {
+func dectWork(v *graph.Graph, rules *core.Set) float64 {
 	var w float64
 	for _, r := range rules.Rules {
 		w += sharedWork(v, core.NewSet(r))
@@ -198,7 +198,7 @@ func dectWork(v graph.View, rules *core.Set) float64 {
 	return w
 }
 
-func sharedWork(v graph.View, rules *core.Set) float64 {
+func sharedWork(v *graph.Graph, rules *core.Set) float64 {
 	c := detect.Dect(v, rules, detect.Options{}).Counters
 	return float64(c.Candidates + c.Checks)
 }

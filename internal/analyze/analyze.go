@@ -167,25 +167,6 @@ func (r *Report) Unsat() bool {
 	return r.Satisfiable == reason.No && r.NumRules > 0
 }
 
-// Minimized returns set with the dropped rules removed (set itself when
-// nothing was dropped). Rule order is preserved.
-func (r *Report) Minimized(set *core.Set) *core.Set {
-	if len(r.Dropped) == 0 {
-		return set
-	}
-	dropped := make(map[string]bool, len(r.Dropped))
-	for _, n := range r.Dropped {
-		dropped[n] = true
-	}
-	out := core.NewSet()
-	for _, rule := range set.Rules {
-		if !dropped[rule.Name] {
-			out.Add(rule)
-		}
-	}
-	return out
-}
-
 // Diagnostic renders the report for an operator (stderr of a strict boot,
 // warn-mode logs). One line per finding; empty when Σ is clean.
 func (r *Report) Diagnostic() string {

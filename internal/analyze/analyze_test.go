@@ -3,6 +3,7 @@ package analyze
 import (
 	"encoding/json"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,11 @@ func TestMinimizeDropsUnviolable(t *testing.T) {
 	if got := strings.Join(rep.Dropped, ","); got != "deadpre,deadcons" {
 		t.Fatalf("dropped = %q, want deadpre,deadcons", got)
 	}
-	min := rep.Minimized(set)
+	// the session's minimization drops exactly what the report drops
+	min, dropped := MinimizeUnviolable(set)
+	if !slices.Equal(dropped, rep.Dropped) {
+		t.Fatalf("MinimizeUnviolable dropped %v, Analyze dropped %v", dropped, rep.Dropped)
+	}
 	if len(min.Rules) != 1 || min.Rules[0].Name != "live" {
 		t.Fatalf("minimized = %v", min.Rules)
 	}

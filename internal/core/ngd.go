@@ -167,7 +167,7 @@ type Match []graph.NodeID
 func (m Match) Clone() Match { return append(Match(nil), m...) }
 
 // Binding resolves literal terms against a match of n.Pattern in g.
-func (n *NGD) Binding(g graph.View, m Match) expr.Binding {
+func (n *NGD) Binding(g *graph.Graph, m Match) expr.Binding {
 	syms := g.Symbols()
 	p := n.Pattern
 	return func(variable, attr string) (graph.Value, bool) {
@@ -196,13 +196,13 @@ func SatisfiesAll(lits []Literal, b expr.Binding) bool {
 
 // Violated reports whether match m of n.Pattern violates n in g:
 // h ⊨ X but h ⊭ Y.
-func (n *NGD) Violated(g graph.View, m Match) bool {
+func (n *NGD) Violated(g *graph.Graph, m Match) bool {
 	b := n.Binding(g, m)
 	return SatisfiesAll(n.X, b) && !SatisfiesAll(n.Y, b)
 }
 
 // Holds reports whether match m satisfies X → Y.
-func (n *NGD) Holds(g graph.View, m Match) bool { return !n.Violated(g, m) }
+func (n *NGD) Holds(g *graph.Graph, m Match) bool { return !n.Violated(g, m) }
 
 // Set is a set Σ of NGDs.
 type Set struct {

@@ -36,7 +36,7 @@ type Options struct {
 }
 
 // program resolves the effective rule program for one detector invocation.
-func (o Options) program(g graph.View, rules *core.Set) *plan.Program {
+func (o Options) program(g *graph.Graph, rules *core.Set) *plan.Program {
 	if o.Program != nil {
 		return o.Program
 	}
@@ -53,7 +53,7 @@ type Result struct {
 // Rules whose plans share a structural prefix are enumerated together: the
 // shared steps' candidate scans and edge checks run once, and each rule's
 // literal schedule is layered on top (see Searcher).
-func Dect(g graph.View, rules *core.Set, opts Options) *Result {
+func Dect(g *graph.Graph, rules *core.Set, opts Options) *Result {
 	res := &Result{}
 	sh := opts.program(g, rules).ShareFor(g, rules)
 	res.Counters = NewSearcher(g, sh).Run(nil, func(r *core.NGD, m core.Match) bool {
@@ -108,7 +108,7 @@ func buildSchedule(rule *core.NGD, pl *match.Plan, skipX []bool) litSchedule {
 
 // Validate decides G ⊨ Σ (the validation problem, Corollary 4): true iff
 // Vio(Σ,G) = ∅.
-func Validate(g graph.View, rules *core.Set) bool {
+func Validate(g *graph.Graph, rules *core.Set) bool {
 	r := Dect(g, rules, Options{Limit: 1})
 	return len(r.Violations) == 0
 }

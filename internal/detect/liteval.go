@@ -24,7 +24,7 @@ import (
 // every Searcher.Run (see resolveCut).
 type LitEval struct {
 	C     *plan.Compiled
-	G     graph.View
+	G     *graph.Graph
 	sched litSchedule
 	cut   *plan.Cut           // the cut this plan can take (nil: none)
 	cutAt int                 // the level it is taken at
@@ -40,7 +40,7 @@ type LitEval struct {
 // work on exactly the hot path pruning targets. Literals on *pre-bound*
 // nodes (update pivots) stay scheduled at level 0 — pivots never pass
 // through candidate generation.
-func NewLitEval(g graph.View, c *plan.Compiled, pl *match.Plan) *LitEval {
+func NewLitEval(g *graph.Graph, c *plan.Compiled, pl *match.Plan) *LitEval {
 	var skipX []bool
 	if pl.Filters != nil && len(c.FilterLits) > 0 {
 		skipX = make([]bool, len(c.Rule.X))
@@ -64,7 +64,7 @@ func NewLitEval(g graph.View, c *plan.Compiled, pl *match.Plan) *LitEval {
 }
 
 // resolveCut looks the cut's index up over le.G (plan.Cut.Live). Call it
-// before a search whenever the view or the graph may have changed since the
+// before a search whenever le.G may have been swapped or written since the
 // last one; not safe against a concurrent search.
 func (le *LitEval) resolveCut() {
 	le.cutIx = nil
@@ -105,7 +105,7 @@ func (le *LitEval) NumY() int { return len(le.C.Y) }
 // It returns prune=true when the branch cannot yield a violation (an
 // X-literal failed, all |Y| literals are now known satisfied, or the ¬Y cut
 // applies — then cut=true too), and the updated ySat count otherwise. le.G
-// is read per call: Searcher.Rebind swaps the view under a cached searcher
+// is read per call: Searcher.Rebind swaps the graph under a cached searcher
 // between runs.
 func (le *LitEval) EvalLevel(lv int, partial []graph.NodeID, ySat int) (prune, cut bool, newYSat int) {
 	c := le.C

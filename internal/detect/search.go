@@ -33,10 +33,10 @@ import (
 // against the reference oracle (internal/ref) on every fuzz workload.
 
 // Searcher is the walk over one forest. It is built once and reused across
-// Runs; Rebind moves it to another view between them. Not safe for
+// Runs; Rebind moves it to another graph between them. Not safe for
 // concurrent use.
 type Searcher struct {
-	v  graph.View
+	v  *graph.Graph
 	sh *plan.Share
 
 	les      []*LitEval
@@ -53,7 +53,7 @@ type Searcher struct {
 // NewSearcher prepares the walk of sh over v: each rule's literal schedule
 // and per-depth state are built here, once, so repeated Runs (the
 // incremental searches fire one per pivot) allocate nothing.
-func NewSearcher(v graph.View, sh *plan.Share) *Searcher {
+func NewSearcher(v *graph.Graph, sh *plan.Share) *Searcher {
 	s := &Searcher{
 		v:        v,
 		sh:       sh,
@@ -121,10 +121,10 @@ func (s *Searcher) Run(partial []graph.NodeID, emit func(*core.NGD, core.Match) 
 	return s.stat
 }
 
-// Rebind points the searcher at a new view between runs. The forest must
-// stay valid for the view — callers hold forests from the shared program
+// Rebind points the searcher at a new graph between runs. The forest must
+// stay valid for the graph — callers hold forests from the shared program
 // and compare their pointers before rebinding (see SearcherCache).
-func (s *Searcher) Rebind(v graph.View) {
+func (s *Searcher) Rebind(v *graph.Graph) {
 	if s.v == v {
 		return
 	}
@@ -235,7 +235,7 @@ func SlotKey(r *core.NGD, slot int) SearcherKey {
 }
 
 // EdgeSlotKey keys an update-pivot search (both endpoints of one pattern
-// edge bound); plus separates the ΔVio⁺ view, G ⊕ ΔG, from G, whose plans
+// edge bound); plus separates the ΔVio⁺ graph, G ⊕ ΔG, from G, whose plans
 // may differ.
 func EdgeSlotKey(r *core.NGD, src, dst int, plus bool) SearcherKey {
 	return SearcherKey{Rule: r, A: src, B: dst, Plus: plus}
@@ -254,7 +254,7 @@ type SearcherCache struct {
 // and caches one when absent or when its chain changed (the program drops a
 // plan's chains when churn rebuilds the plan; a stale searcher must not
 // outlive its chain).
-func (sc *SearcherCache) Get(v graph.View, chain *plan.Share, key SearcherKey) *Searcher {
+func (sc *SearcherCache) Get(v *graph.Graph, chain *plan.Share, key SearcherKey) *Searcher {
 	if s := sc.m[key]; s != nil && s.sh == chain {
 		s.Rebind(v)
 		return s

@@ -162,7 +162,7 @@ const (
 	sideUndecided                  // overflow, or a string inside arithmetic: ask Compare
 )
 
-func (s *kside) eval(g graph.View, partial []graph.NodeID) (int64, string, sideState) {
+func (s *kside) eval(g *graph.Graph, partial []graph.NodeID) (int64, string, sideState) {
 	if s.isStr {
 		return 0, s.str, sideStr
 	}
@@ -203,7 +203,7 @@ func (s *kside) eval(g graph.View, partial []graph.NodeID) (int64, string, sideS
 // otherwise sat is exactly what Compare would report, including the §3 rule
 // that a missing attribute or a string/number mix leaves the literal
 // unsatisfied.
-func (k *Kernel) Eval(g graph.View, partial []graph.NodeID) (sat, decided bool) {
+func (k *Kernel) Eval(g *graph.Graph, partial []graph.NodeID) (sat, decided bool) {
 	if !k.ok {
 		return false, false
 	}

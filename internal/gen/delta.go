@@ -33,6 +33,10 @@ type DeltaConfig struct {
 	// updates.
 	Hotspot   float64
 	HotRegion float64
+	// Sevens gives an arriving entity's seventh property the value 7 (else
+	// 0), which NodeRule forbids: the arrival's violation reaches the
+	// store through per-node absorption alone.
+	Sevens bool
 }
 
 // DeltaSize converts a fraction of |E| into a unit-update count (the paper
@@ -90,7 +94,11 @@ func RandomDelta(ds *Dataset, cfg DeltaConfig) *graph.Delta {
 	deletes := cfg.Size - inserts
 
 	genDeletes(ds, rng, deletes, d, pickEntity)
-	genInserts(ds, rng, inserts, d, pickEntity)
+	seventh := int64(0)
+	if cfg.Sevens {
+		seventh = 7
+	}
+	genInserts(ds, rng, inserts, seventh, d, pickEntity)
 	return d
 }
 
@@ -114,7 +122,7 @@ func genDeletes(ds *Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity f
 	}
 }
 
-func genInserts(ds *Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity func() int) {
+func genInserts(ds *Dataset, rng *rand.Rand, n int, seventh int64, d *graph.Delta, pickEntity func() int) {
 	g := ds.G
 	nEnt := len(ds.Entities)
 	if nEnt < 2 {
@@ -182,7 +190,7 @@ func genInserts(ds *Dataset, rng *rand.Rand, n int, d *graph.Delta, pickEntity f
 			p1 := rng.Int63n(ds.Profile.ValueRange)
 			p2 := rng.Int63n(ds.Profile.ValueRange)
 			p5 := rng.Int63n(ds.Profile.ValueRange)
-			vals := [7]int64{rng.Int63n(ds.Profile.ValueRange), p1, p2, p1 + p2, p5 + rng.Int63n(100), p5, 0}
+			vals := [7]int64{rng.Int63n(ds.Profile.ValueRange), p1, p2, p1 + p2, p5 + rng.Int63n(100), p5, seventh}
 			if rng.Float64() < ds.Profile.ErrorRate*4 {
 				vals[3] += 1 + rng.Int63n(50) // fresh dirty data: broken sum
 			}

@@ -30,6 +30,7 @@ type Workload struct {
 	NoPrune   bool    // Σ rewritten by Unprunable
 	ParTag    bool    // name carries "par"; see Workloads
 	NodeRule  bool    // Σ gains NodeRule (the per-node absorption path)
+	Sevens    bool    // arrivals violate NodeRule (DeltaConfig.Sevens)
 	LitPaths  bool    // Σ gains LitPathRules, the graph is decorated, batches carry attribute ops
 	Band      bool    // Σ gains BandRule, its targets are decorated, batches move them (BandOps)
 }
@@ -59,11 +60,12 @@ func Workloads() []Workload {
 			Seed: int64(3 + i), Batches: 3, BatchFrac: 0.06, ParTag: true,
 		})
 	}
-	// edge-less rule in Σ: new-node absorption must stay consistent
-	for _, seed := range []int64{5, 6} {
+	// edge-less rule in Σ: new-node absorption must stay consistent, and
+	// on seed 12 the arrivals violate it, so absorption adds to the store
+	for _, seed := range []int64{5, 6, 12} {
 		ws = append(ws, Workload{
 			Profile: YAGO2, Entities: 150, Rules: 8,
-			Seed: seed, Batches: 3, BatchFrac: 0.08, NodeRule: true,
+			Seed: seed, Batches: 3, BatchFrac: 0.08, NodeRule: true, Sevens: seed == 12,
 		})
 	}
 	// uniform (non-bursty) stream and delete-heavy / insert-heavy mixes
@@ -101,6 +103,9 @@ func (w Workload) Name() string {
 	}
 	if w.NodeRule {
 		tags = append(tags, "noderule")
+	}
+	if w.Sevens {
+		tags = append(tags, "sevens")
 	}
 	if w.Hotspot < 0 {
 		tags = append(tags, "uniform")
@@ -153,6 +158,7 @@ func (w Workload) Delta(ds *Dataset, b int) *graph.Delta {
 		Gamma:   w.Gamma,
 		Seed:    w.Seed*1000 + int64(b),
 		Hotspot: w.Hotspot,
+		Sevens:  w.Sevens,
 	})
 }
 

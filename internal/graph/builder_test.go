@@ -179,7 +179,7 @@ func chunkBoundary() recipe {
 	return r
 }
 
-// sameGraph compares everything a View, the planner or the snapshot codec
+// sameGraph compares everything a matcher, the planner or the snapshot codec
 // can observe.
 func sameGraph(t *testing.T, got, want *graph.Graph) {
 	t.Helper()

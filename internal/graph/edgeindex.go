@@ -89,23 +89,12 @@ func (c *edgeBatch) note(u, v NodeID, val Value, in bool) {
 	}
 }
 
-// EdgeValIndexed is implemented by views that serve edge-value indexes
-// (*Graph).
-//
-// EnsureEdgeValIndex may mutate the underlying graph and must only be
-// called during single-threaded setup (plan building); it returns the
-// index the planner estimates with. EdgeValIndexFor, the index a cut may
-// use, and the index's query methods are read-only.
-type EdgeValIndexed interface {
-	EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValIndex
-	EdgeValIndexFor(l LabelID, a AttrID, bySrc bool) *EdgeValIndex
-}
-
-var _ EdgeValIndexed = (*Graph)(nil)
-
 // EnsureEdgeValIndex returns the index of label l's edges by attribute a of
 // their target (bySrc: of their source), building it on first use. It
 // returns nil for the wildcard and for uninterned labels or attributes.
+// It may mutate g, so call it only during single-threaded setup (plan
+// building); EdgeValIndexFor, the index a cut may use, and the index's
+// queries are read-only.
 func (g *Graph) EnsureEdgeValIndex(l LabelID, a AttrID, bySrc bool) *EdgeValIndex {
 	if l == Wildcard || l == NoLabel || a < 0 {
 		return nil

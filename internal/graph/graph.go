@@ -412,7 +412,7 @@ func (g *Graph) CountLabel(l LabelID) int {
 // NeighborhoodOf returns the union of V_d(v) over the seed nodes v: all
 // nodes within d hops of a seed when g is taken as an undirected graph
 // (paper §6.1), seeds included, deduplicated, in BFS discovery order.
-func NeighborhoodOf(g View, seeds []NodeID, d int) []NodeID {
+func NeighborhoodOf(g *Graph, seeds []NodeID, d int) []NodeID {
 	seen := AcquireNodeSet(g.NumNodes())
 	defer ReleaseNodeSet(seen)
 	var frontier, result []NodeID

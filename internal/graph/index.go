@@ -225,22 +225,11 @@ type attrIndexKey struct {
 	attr  AttrID
 }
 
-// AttrIndexed is implemented by views that answer indexed attribute
-// lookups (*Graph).
-//
-// EnsureAttrIndex may mutate the underlying graph and must only be called
-// during single-threaded setup (plan building); AttrIndexFor and the
-// AttrIndex query methods are read-only and safe for concurrent use.
-type AttrIndexed interface {
-	EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex
-	AttrIndexFor(l LabelID, a AttrID) *AttrIndex
-}
-
-var _ AttrIndexed = (*Graph)(nil)
-
 // EnsureAttrIndex returns the attribute index for (l, a), building it on
 // first use. It returns nil for the wildcard pseudo-label (which has no
 // bucket of its own). Once built, the index is kept in sync by ApplyAttrs.
+// It may mutate g, so call it only during single-threaded setup (plan
+// building); AttrIndexFor and the index's queries are safe concurrently.
 func (g *Graph) EnsureAttrIndex(l LabelID, a AttrID) *AttrIndex {
 	if l == Wildcard || l == NoLabel || a < 0 {
 		return nil

@@ -60,14 +60,6 @@ func (st *LiveStats) copy() *LiveStats {
 	}
 }
 
-// LiveStatted is implemented by views that expose maintained statistics
-// (*Graph).
-type LiveStatted interface {
-	LiveStats() *LiveStats
-}
-
-var _ LiveStatted = (*Graph)(nil)
-
 // LiveStats returns the maintained statistics, building them on first use
 // with one scan of the current graph: each node label's bucket counts its
 // half-edges into dense rows indexed by edge label (every label a graph
@@ -177,17 +169,17 @@ func (st *LiveStats) Churn() uint64 { return st.churn }
 // on a node of label l (Wildcard: the global mean over all nodes). Zero when
 // no such half-edge exists — the planner reads that as "this extension
 // cannot produce candidates". v supplies the label cardinalities (pass the
-// view being planned over).
-func (st *LiveStats) OutFan(v View, l, el LabelID) float64 {
+// graph being planned over).
+func (st *LiveStats) OutFan(v *Graph, l, el LabelID) float64 {
 	return fan(st.outRuns, st.outTot, v, l, el)
 }
 
 // InFan is OutFan for the in-adjacency.
-func (st *LiveStats) InFan(v View, l, el LabelID) float64 {
+func (st *LiveStats) InFan(v *Graph, l, el LabelID) float64 {
 	return fan(st.inRuns, st.inTot, v, l, el)
 }
 
-func fan(runs map[degKey]int, tot map[LabelID]int, v View, l, el LabelID) float64 {
+func fan(runs map[degKey]int, tot map[LabelID]int, v *Graph, l, el LabelID) float64 {
 	if el == NoLabel {
 		return 0
 	}

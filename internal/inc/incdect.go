@@ -102,7 +102,7 @@ func Reusing(prog *plan.Program) Options {
 // searcher returns the walker of r's chain for the pre-bound slots bound
 // (plan.Program.ChainFor) over v: the cached one under key when Searchers
 // is set, else a fresh one.
-func (o Options) searcher(v graph.View, r *core.NGD, bound []int, key detect.SearcherKey) *detect.Searcher {
+func (o Options) searcher(v *graph.Graph, r *core.NGD, bound []int, key detect.SearcherKey) *detect.Searcher {
 	chain := o.Program.ChainFor(v, r, bound)
 	if o.Searchers != nil {
 		return o.Searchers.Get(v, chain, key)
@@ -136,7 +136,7 @@ func IncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options) 
 // of the pre-update graph with ΔG applied (IncDect) or the graph itself
 // (the session, which reads ΔVio⁻ off its store instead of searching for
 // it).
-func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Result {
+func Plus(v *graph.Graph, rules *core.Set, ins []graph.EdgeOp, opts Options) *Result {
 	if opts.Program == nil {
 		opts.Program = plan.New(v, rules, plan.Options{})
 	}
@@ -146,12 +146,12 @@ func Plus(v graph.View, rules *core.Set, ins []graph.EdgeOp, opts Options) *Resu
 }
 
 // search expands the pivots of one side of ΔG — ops, its insertions or its
-// deletions — over one view, once per clone class of rules, and lists the
+// deletions — over one graph, once per clone class of rules, and lists the
 // violations rule by rule in Σ order. A class is searched at its first
 // member, straight into the side's list; every later member is handed the
 // same matches under its own name. Clones have the same matches, so the list
 // is element for element the one a search per rule would give.
-func (res *Result) search(v graph.View, rules *core.Set, ops []graph.EdgeOp, plus bool, opts Options) {
+func (res *Result) search(v *graph.Graph, rules *core.Set, ops []graph.EdgeOp, plus bool, opts Options) {
 	if len(ops) == 0 {
 		return
 	}
@@ -184,9 +184,9 @@ func (res *Result) side(plus bool) *[]core.Violation {
 	return &res.Minus
 }
 
-// searchRule expands all pivots of one rule over one view, appending its
+// searchRule expands all pivots of one rule over one graph, appending its
 // violations to the side's list.
-func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp,
+func (res *Result) searchRule(v *graph.Graph, c *plan.Compiled, ops []graph.EdgeOp,
 	idx EdgeIndex, plus bool, opts Options) {
 	out := res.side(plus)
 
@@ -195,7 +195,7 @@ func (res *Result) searchRule(v graph.View, c *plan.Compiled, ops []graph.EdgeOp
 	//   - one searcher per pattern-edge slot (its chain and literal schedule
 	//     are pivot-independent, and a Searcher is sequentially reusable
 	//     across Runs; with opts.Searchers they also persist across calls,
-	//     rebound to this call's view — the slice only memoizes per-slot
+	//     rebound to this call's graph — the slice only memoizes per-slot
 	//     resolution)
 	//   - one scratch partial for every (pivot, slot) pair (the searcher
 	//     restores it on return, so only the two seeded slots need unbinding)

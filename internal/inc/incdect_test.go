@@ -224,7 +224,7 @@ func perRule(g *graph.Graph, rules *core.Set, d *graph.Delta) *Result {
 	norm := d.Normalize(g)
 	opts := Options{Program: plan.New(g, rules, plan.Options{})}
 	res := &Result{}
-	search := func(v graph.View, ops []graph.EdgeOp, plus bool) {
+	search := func(v *graph.Graph, ops []graph.EdgeOp, plus bool) {
 		idx := NewEdgeIndex(ops)
 		for _, r := range rules.Rules {
 			res.searchRule(v, opts.Program.CompiledFor(r), ops, idx, plus, opts)

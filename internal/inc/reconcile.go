@@ -58,10 +58,10 @@ func Minus(st Store, prog *plan.Program, del []graph.EdgeOp, emit func(key strin
 // node, stored or not, once per (touched node, slot) that reaches it: the
 // searches are Seeded's, in Σ and slot order. opts.Program must be set. v
 // may be a fork of the graph the program plans for (the repair preview): a
-// plan is valid over any view of the same graph, because seed runs resolve
-// at match time against the matcher's view, whose indexes are its own.
+// plan is valid over any fork, because seed runs resolve at match time
+// against the matcher's graph, whose indexes are its own.
 // Attr returns the searches' work counters.
-func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts Options,
+func Attr(v *graph.Graph, rules *core.Set, st Store, touched []graph.NodeID, opts Options,
 	gone func(key string, v core.Violation), found func(*core.NGD, core.Match)) (work match.Counters) {
 	for _, n := range touched {
 		for _, k := range st.Posting(n) {
@@ -88,7 +88,7 @@ func Attr(v graph.View, rules *core.Set, st Store, touched []graph.NodeID, opts 
 // chain is asked of opts.Program, which must be set, once, at the first
 // seed searched. emit sees r and each violating match, valid only during
 // the call. Seeded returns the searches' work counters.
-func Seeded(v graph.View, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(*core.NGD, core.Match) bool) (work match.Counters) {
+func Seeded(v *graph.Graph, r *core.NGD, slot int, seeds []graph.NodeID, opts Options, emit func(*core.NGD, core.Match) bool) (work match.Counters) {
 	if len(r.Y) == 0 {
 		return work // X → ∅ can never be violated
 	}

@@ -113,7 +113,7 @@ func (f Filters) AddLiteral(p *pattern.Pattern, syms *graph.Symbols, L *expr.Exp
 // exactly the semantics of expr.Compare on the literal: an absent attribute,
 // a string against a number and an ordered string comparison all leave it
 // unsatisfied.
-func (pr *AttrPred) Holds(g graph.View, v graph.NodeID) bool {
+func (pr *AttrPred) Holds(g *graph.Graph, v graph.NodeID) bool {
 	if pr.Attr < 0 {
 		return false
 	}
@@ -175,18 +175,16 @@ func seedable(pr *AttrPred) bool {
 }
 
 // seedRun resolves the candidate run for pattern node `node` under pred pr
-// from the view's attribute index. ok=false when no index is available (the
-// caller falls back to the label bucket).
-func seedRun(g graph.View, cp *pattern.Compiled, node int, pr *AttrPred) (graph.IndexRun, bool) {
+// from g's attribute index. ok=false when that index is not built.
+func seedRun(g *graph.Graph, cp *pattern.Compiled, node int, pr *AttrPred) (graph.IndexRun, bool) {
 	if !seedable(pr) {
 		return graph.IndexRun{}, false
 	}
 	l := cp.NodeLabels[node]
-	av, iok := g.(graph.AttrIndexed)
-	if !iok || l == graph.Wildcard || l == graph.NoLabel {
+	if l == graph.Wildcard || l == graph.NoLabel {
 		return graph.IndexRun{}, false
 	}
-	ix := av.AttrIndexFor(l, pr.Attr)
+	ix := g.AttrIndexFor(l, pr.Attr)
 	if ix == nil {
 		return graph.IndexRun{}, false
 	}
@@ -203,12 +201,8 @@ func seedRun(g graph.View, cp *pattern.Compiled, node int, pr *AttrPred) (graph.
 
 // EnsureIndexes builds the attribute indexes the filters can exploit over
 // g. It must run during single-threaded setup (plan building does); it is
-// a no-op for views without index support and for wildcard pattern nodes.
-func EnsureIndexes(g graph.View, cp *pattern.Compiled, f Filters) {
-	av, ok := g.(graph.AttrIndexed)
-	if !ok {
-		return
-	}
+// a no-op for wildcard pattern nodes.
+func EnsureIndexes(g *graph.Graph, cp *pattern.Compiled, f Filters) {
 	for node := range f {
 		l := cp.NodeLabels[node]
 		if l == graph.Wildcard || l == graph.NoLabel {
@@ -216,7 +210,7 @@ func EnsureIndexes(g graph.View, cp *pattern.Compiled, f Filters) {
 		}
 		for i := range f[node].Preds {
 			if seedable(&f[node].Preds[i]) {
-				av.EnsureAttrIndex(l, f[node].Preds[i].Attr)
+				g.EnsureAttrIndex(l, f[node].Preds[i].Attr)
 			}
 		}
 	}
@@ -226,7 +220,7 @@ func EnsureIndexes(g graph.View, cp *pattern.Compiled, f Filters) {
 // and its current index-run size (pred = -1, size = -1 when no seedable
 // index applies). The cost-based planner (internal/plan) scores seed steps
 // with it.
-func SeedScan(g graph.View, cp *pattern.Compiled, node int, f Filters) (pred, size int) {
+func SeedScan(g *graph.Graph, cp *pattern.Compiled, node int, f Filters) (pred, size int) {
 	pred, size = -1, -1
 	for i := range f[node].Preds {
 		run, ok := seedRun(g, cp, node, &f[node].Preds[i])

@@ -56,7 +56,7 @@ func TestForkSetAttrSeedsFromOwnIndex(t *testing.T) {
 		t.Fatalf("base plan should seed at the indexed T predicate, got step %+v", basePlan.Steps[0])
 	}
 
-	enumerate := func(v graph.View, pl *Plan) map[graph.NodeID]bool {
+	enumerate := func(v *graph.Graph, pl *Plan) map[graph.NodeID]bool {
 		got := make(map[graph.NodeID]bool)
 		m := NewMatcher(v, pl)
 		m.Run(NewPartial(2), func(sol []graph.NodeID) bool {
@@ -104,7 +104,7 @@ func TestForkSetAttrSeedsFromOwnIndex(t *testing.T) {
 
 	// a plan cached against the graph and re-run over the fork (the
 	// plan-cache hazard) must also see the write, since seed runs resolve
-	// at matcher run time against the matcher's view
+	// at matcher run time against the matcher's graph
 	if got := enumerate(f, basePlan); !got[target] {
 		t.Fatalf("base-built plan over the fork missed written node %d", target)
 	}

@@ -15,14 +15,14 @@ import (
 // (internal/plan, which imports this package — hence the external test
 // package): p is wrapped in a rule whose precondition x is what the planner
 // compiles into candidate filters.
-func planFor(g graph.View, p *pattern.Pattern, bound []int, x ...core.Literal) *Plan {
+func planFor(g *graph.Graph, p *pattern.Pattern, bound []int, x ...core.Literal) *Plan {
 	r := core.MustNew("t", p, x, nil)
 	_, pl := plan.New(g, core.NewSet(r), plan.Options{}).PlanFor(g, r, bound)
 	return pl
 }
 
 // collect runs a full enumeration and returns all matches as copies.
-func collect(g graph.View, p *pattern.Pattern, bound []int, partial []graph.NodeID) [][]graph.NodeID {
+func collect(g *graph.Graph, p *pattern.Pattern, bound []int, partial []graph.NodeID) [][]graph.NodeID {
 	m := NewMatcher(g, planFor(g, p, bound))
 	var out [][]graph.NodeID
 	if partial == nil {

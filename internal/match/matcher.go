@@ -22,10 +22,10 @@ func (c *Counters) Add(o Counters) {
 	c.Cuts += o.Cuts
 }
 
-// Matcher enumerates homomorphisms of a compiled pattern in a graph view
+// Matcher enumerates homomorphisms of a compiled pattern in a graph
 // following a Plan.
 type Matcher struct {
-	G    graph.View
+	G    *graph.Graph
 	CP   *pattern.Compiled
 	Plan *Plan
 	Stat Counters
@@ -34,14 +34,14 @@ type Matcher struct {
 }
 
 // NewMatcher builds a matcher over g for plan p.
-func NewMatcher(g graph.View, p *Plan) *Matcher {
+func NewMatcher(g *graph.Graph, p *Plan) *Matcher {
 	return &Matcher{G: g, CP: p.CP, Plan: p}
 }
 
 // VerifyBound checks every pattern edge whose endpoints are all bound in
 // partial (needed for pre-bound update pivots that span several pattern
 // edges) and the node labels of the bound nodes.
-func VerifyBound(g graph.View, cp *pattern.Compiled, partial []graph.NodeID) bool {
+func VerifyBound(g *graph.Graph, cp *pattern.Compiled, partial []graph.NodeID) bool {
 	for i, v := range partial {
 		if v == Unbound {
 			continue

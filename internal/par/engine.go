@@ -69,7 +69,7 @@ type Options struct {
 }
 
 // program resolves the effective rule program for one run.
-func (o Options) program(v graph.View, rules *core.Set) *plan.Program {
+func (o Options) program(v *graph.Graph, rules *core.Set) *plan.Program {
 	if o.Program != nil {
 		return o.Program
 	}
@@ -162,11 +162,11 @@ type Result struct {
 	Metrics    Metrics
 }
 
-// forest is one search space: a prefix forest of plans over one view (see
+// forest is one search space: a prefix forest of plans over one graph (see
 // plan.Share). PDect runs Σ's batch forest; PIncDect runs one single-rule
 // chain per rule × pivot slot × side, built from the pivot-anchored plan.
 type forest struct {
-	view  graph.View
+	view  *graph.Graph
 	share *plan.Share
 	les   []*detect.LitEval // per share rule
 	// idx, on an update-driven forest, indexes the Δ-edges of its side: its
@@ -186,11 +186,8 @@ type fnode struct {
 	kids []fnode // aligned with sn.Children (a run of f.nodes)
 	// width ≈ candidates scanned by the step entering the node per expansion
 	// (0 on a Root, which no step enters), below ≈ the expected scan cost of
-	// the whole subtree under one of those candidates. est is false when the
-	// view carries no maintained statistics; splitting and balancing then
-	// fall back to the paper's unweighted forms.
+	// the whole subtree under one of those candidates.
 	width, below float64
-	est          bool
 }
 
 // unit is a work unit: a partial solution awaiting the step that enters its
@@ -274,9 +271,8 @@ const estCap = 1e9
 // schedules, the slots of its rules in the per-worker tables, and the node
 // table — breadth-first, so a node's children are one run behind it and a
 // reverse pass sees every child's estimate before its parent's. The
-// estimates come from the view's maintained statistics (graph.LiveStats),
-// when it has any: deterministic functions of the graph, so a run stays
-// bit-reproducible.
+// estimates come from the graph's maintained statistics (graph.LiveStats):
+// deterministic functions of the graph, so a run stays bit-reproducible.
 func (e *engine) addForest(f *forest) *forest {
 	sh := f.share
 	f.slot0 = e.nslots
@@ -297,13 +293,9 @@ func (e *engine) addForest(f *forest) *forest {
 		f.nodes[i].kids = f.nodes[next : next+k]
 		next += k
 	}
-	var st *graph.LiveStats
-	if s, ok := f.view.(graph.LiveStatted); ok {
-		st = s.LiveStats()
-	}
-	for i := len(f.nodes) - 1; i >= 0 && st != nil; i-- {
+	st := f.view.LiveStats()
+	for i := len(f.nodes) - 1; i >= 0; i-- {
 		nd := &f.nodes[i]
-		nd.est = true
 		if i > 0 {
 			nd.width = min(stepFan(f.view, st, sh.Rules[nd.sn.Rep].Plan, nd.sn.Depth-1), estCap)
 		}
@@ -318,7 +310,7 @@ func (e *engine) addForest(f *forest) *forest {
 // stepFan estimates the candidate count of plan step d: the mean adjacency
 // run length for anchored steps (from the maintained per-(node label, edge
 // label) aggregates), the label-bucket size for seed scans.
-func stepFan(v graph.View, st *graph.LiveStats, pl *match.Plan, d int) float64 {
+func stepFan(v *graph.Graph, st *graph.LiveStats, pl *match.Plan, d int) float64 {
 	s := &pl.Steps[d]
 	if s.AnchorEdge >= 0 {
 		el := pl.CP.EdgeLabels[s.AnchorEdge]
@@ -431,8 +423,8 @@ type expandResult struct {
 // splitWanted applies the paper's split rule C·(k+1) + |adj|/p < |adj|
 // (§6.3), with |adj| scaled by the LiveStats estimate of the subtree below
 // each candidate: a scan whose candidates each open deep subtrees is worth
-// broadcasting even when the scan itself is modest. With no maintained
-// statistics (below = 0) this reduces to the paper's literal form.
+// broadcasting even when the scan itself is modest. With below = 0 (a leaf)
+// this reduces to the paper's literal form.
 func (e *engine) splitWanted(cnt, depth int, below float64) bool {
 	if cnt < 2*e.opts.P {
 		return false
@@ -444,11 +436,11 @@ func (e *engine) splitWanted(cnt, depth int, below float64) bool {
 
 // unitWeight estimates a queued unit's remaining cost for the balancer's
 // skew measure: entering-scan width × (1 + subtree below). Segment units
-// use their actual [lo,hi) width. Without an estimate (no maintained
-// statistics, or no forest node at all: the balancer's own tests) every
-// unit weighs 1 and the weighted balancer degenerates to the count-based one.
+// use their actual [lo,hi) width. A unit with no forest node (the
+// balancer's own tests) weighs 1, so there the weighted balancer is the
+// count-based one.
 func (e *engine) unitWeight(u *unit) float64 {
-	if u.nd == nil || !u.nd.est {
+	if u.nd == nil {
 		return 1
 	}
 	width := u.nd.width

@@ -12,9 +12,8 @@ import (
 
 // placeSeeds distributes seed units across the P workers: heaviest first
 // onto the least-loaded worker (lowest index on ties) by the balancer's
-// unitWeight estimate. The sort is stable and unestimated units all weigh
-// 1, so without maintained statistics this is exactly the round-robin
-// distribution of the paper's line 5.
+// unitWeight estimate. The sort is stable, so with every unit of equal
+// weight this is exactly the round-robin distribution of the paper's line 5.
 func (e *engine) placeSeeds(seeds []*unit) [][]*unit {
 	weights := make([]float64, len(seeds))
 	for i, u := range seeds {
@@ -48,7 +47,7 @@ func (e *engine) placeSeeds(seeds []*unit) [][]*unit {
 // detector's shared-prefix enumeration. Initial work units are chunks of
 // each seed-candidate list (shared.go), placed heaviest-first by estimated
 // cost; from there the hybrid strategy applies.
-func PDect(g graph.View, rules *core.Set, opts Options) *Result {
+func PDect(g *graph.Graph, rules *core.Set, opts Options) *Result {
 	opts = opts.Defaults()
 	e := newEngine(opts)
 	f := e.addForest(&forest{view: g, share: opts.program(g, rules).ShareFor(g, rules)})
@@ -87,7 +86,7 @@ func PIncDect(g *graph.Graph, rules *core.Set, delta *graph.Delta, opts Options)
 	// 5) in rank → rule → slot order.
 	var seeds []*unit
 	var slab seedSlab
-	addPivots := func(ops []graph.EdgeOp, plus bool, view graph.View) {
+	addPivots := func(ops []graph.EdgeOp, plus bool, view *graph.Graph) {
 		idx := inc.NewEdgeIndex(ops)
 		forestOf := make(map[[2]int]*forest) // (rule, slot) on this side
 		for rank, op := range ops {

@@ -39,7 +39,7 @@ type cutSlots struct{ bound, free int }
 // read over v. A pivot-anchored plan over a connected pattern has no seed
 // steps, so index construction would buy nothing (the filters still apply
 // as residual per-candidate checks).
-func ensureSeedIndexes(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters) {
+func ensureSeedIndexes(v *graph.Graph, cp *pattern.Compiled, bound []int, f match.Filters) {
 	if f != nil && !(len(bound) > 0 && cp.Src.Connected()) {
 		match.EnsureIndexes(v, cp, f)
 	}
@@ -48,7 +48,7 @@ func ensureSeedIndexes(v graph.View, cp *pattern.Compiled, bound []int, f match.
 // costPlan computes a matching order for (the unbound part of) cp over v.
 // f carries the candidate filters to attach (nil: the rule has none), cuts
 // the ¬Y cuts of the rules the plan serves.
-func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters, cuts []cutSlots) *match.Plan {
+func costPlan(v *graph.Graph, cp *pattern.Compiled, bound []int, f match.Filters, cuts []cutSlots) *match.Plan {
 	if f != nil && f.Empty() {
 		f = nil
 	}
@@ -61,10 +61,7 @@ func costPlan(v graph.View, cp *pattern.Compiled, bound []int, f match.Filters, 
 
 	ensureSeedIndexes(v, cp, bound, f)
 
-	var st *graph.LiveStats
-	if ls, ok := v.(graph.LiveStatted); ok {
-		st = ls.LiveStats()
-	}
+	st := v.LiveStats()
 
 	incident := make([][]int, n)
 	for ei, e := range cp.Src.Edges {
@@ -199,30 +196,19 @@ func opensCut(next int, isBound []bool, cuts []cutSlots) bool {
 }
 
 // fanEstimate is the expected run length of the (label(from), edgeLabel)
-// adjacency scan. Without maintained stats it falls back to the global mean
-// degree (the best label-free guess).
-func fanEstimate(v graph.View, st *graph.LiveStats, cp *pattern.Compiled, from int, el graph.LabelID, out bool) float64 {
-	if el == graph.NoLabel {
-		return 0
+// adjacency scan.
+func fanEstimate(v *graph.Graph, st *graph.LiveStats, cp *pattern.Compiled, from int, el graph.LabelID, out bool) float64 {
+	if out {
+		return st.OutFan(v, cp.NodeLabels[from], el)
 	}
-	fl := cp.NodeLabels[from]
-	if st != nil {
-		if out {
-			return st.OutFan(v, fl, el)
-		}
-		return st.InFan(v, fl, el)
-	}
-	if n := v.NumNodes(); n > 0 {
-		return float64(v.NumEdges()) / float64(n)
-	}
-	return 0
+	return st.InFan(v, cp.NodeLabels[from], el)
 }
 
 // seedEstimate is the candidate-population size of seeding at node: the
 // smallest seedable attribute-index run when one applies, else the label
 // bucket (|V| for wildcards). pred is the chosen predicate index (-1: label
 // scan).
-func seedEstimate(v graph.View, cp *pattern.Compiled, node int, f match.Filters) (size, pred int) {
+func seedEstimate(v *graph.Graph, cp *pattern.Compiled, node int, f match.Filters) (size, pred int) {
 	size = v.CountLabel(cp.NodeLabels[node])
 	if cp.NodeLabels[node] == graph.NoLabel {
 		size = 0

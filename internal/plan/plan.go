@@ -85,16 +85,12 @@ type Cut struct {
 }
 
 // Live returns the cut's edge-value index over v when the cut can fire
-// there, or nil: v serves no index (none built), an edge of the label has
-// an uncovered endpoint, or no band can hold the index's span. None of
-// that changes within a search, so a detector asks once per search and
-// then calls Holds per branch.
-func (c *Cut) Live(v graph.View) *graph.EdgeValIndex {
-	ev, ok := v.(graph.EdgeValIndexed)
-	if !ok {
-		return nil
-	}
-	ix := ev.EdgeValIndexFor(c.Label, c.Band.FreeAttr, c.BySrc)
+// there, or nil: v has no such index built, an edge of the label has an
+// uncovered endpoint, or no band can hold the index's span. None of that
+// changes within a search, so a detector asks once per search and then
+// calls Holds per branch.
+func (c *Cut) Live(v *graph.Graph) *graph.EdgeValIndex {
+	ix := v.EdgeValIndexFor(c.Label, c.Band.FreeAttr, c.BySrc)
 	if ix == nil || ix.Uncovered() > 0 || !c.fits(ix) {
 		return nil
 	}
@@ -111,7 +107,7 @@ func (c *Cut) fits(ix *graph.EdgeValIndex) bool {
 // bound: every free value the index holds lies in the band, so no
 // completion of partial violates the rule over v. ix is Live(v), which has
 // no uncovered edge.
-func (c *Cut) Holds(v graph.View, ix *graph.EdgeValIndex, partial []graph.NodeID) bool {
+func (c *Cut) Holds(v *graph.Graph, ix *graph.EdgeValIndex, partial []graph.NodeID) bool {
 	lo, hi, ok := c.Band.Of(v.Attr(partial[c.Band.Bound], c.Band.BoundAttr))
 	if !ok {
 		return false
@@ -191,7 +187,7 @@ func (c *Compiled) UsesEdge(m core.Match, src, dst graph.NodeID, label graph.Lab
 // the match held in partial over g: through the kernel, and through
 // Literal.Satisfied only where the kernel declines (a refused literal, int64
 // overflow, a string value inside arithmetic).
-func (c *Compiled) Satisfied(g graph.View, k *expr.Kernel, l core.Literal, partial []graph.NodeID) bool {
+func (c *Compiled) Satisfied(g *graph.Graph, k *expr.Kernel, l core.Literal, partial []graph.NodeID) bool {
 	if sat, decided := k.Eval(g, partial); decided {
 		return sat
 	}
@@ -201,7 +197,7 @@ func (c *Compiled) Satisfied(g graph.View, k *expr.Kernel, l core.Literal, parti
 // Violated is core.NGD.Violated decided through Satisfied: the complete
 // match m satisfies X but not Y over g. The session's attribute pass and the
 // repair preview re-decide stored violations with it.
-func (c *Compiled) Violated(g graph.View, m core.Match) bool {
+func (c *Compiled) Violated(g *graph.Graph, m core.Match) bool {
 	for i := range c.X {
 		if !c.Satisfied(g, &c.X[i], c.Rule.X[i], m) {
 			return false
@@ -266,8 +262,8 @@ type planKey struct {
 type cachedPlan struct {
 	p       *match.Plan
 	churnAt uint64
-	on      graph.View // the graph it last built its indexes over
-	chains  []*Share   // ChainFor's one-rule forests over p
+	on      *graph.Graph // the graph it last built its indexes over
+	chains  []*Share     // ChainFor's one-rule forests over p
 }
 
 type shareEntry struct {
@@ -307,7 +303,7 @@ type Program struct {
 	sharedRules                 atomic.Int64
 }
 
-// New compiles Σ into a Program against the view's symbol table. Rules
+// New compiles Σ into a Program against the graph's symbol table. Rules
 // added to the set later are absorbed lazily on first lookup.
 //
 // A Program identifies rules by *core.NGD pointer and accretes everything
@@ -315,7 +311,7 @@ type Program struct {
 // re-parse their rule text (fresh rule pointers for the same rules) must
 // build a fresh Program rather than feeding the new set into an old one —
 // the old entries would be retained and recompiled alongside.
-func New(v graph.View, rules *core.Set, opts Options) *Program {
+func New(v *graph.Graph, rules *core.Set, opts Options) *Program {
 	p := &Program{
 		opts:     opts,
 		syms:     v.Symbols(),
@@ -412,7 +408,7 @@ func (p *Program) CompiledFor(r *core.NGD) *Compiled {
 // (either way: a fork's churn runs ahead of its parent's).
 // Rules in the same (pattern, filters) group share cache entries; ShareFor
 // and ChainFor build their forests over plans from the same cache.
-func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *match.Plan) {
+func (p *Program) PlanFor(v *graph.Graph, r *core.NGD, bound []int) (*Compiled, *match.Plan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ri := p.addRuleLocked(r)
@@ -425,7 +421,7 @@ func (p *Program) PlanFor(v graph.View, r *core.NGD, bound []int) (*Compiled, *m
 // the plan-cache entry its plan came from, once per rule and pin order, so
 // it costs what PlanFor costs on a hit, and a rebuilt plan drops its chains
 // with it.
-func (p *Program) ChainFor(v graph.View, r *core.NGD, bound []int) *Share {
+func (p *Program) ChainFor(v *graph.Graph, r *core.NGD, bound []int) *Share {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ri := p.addRuleLocked(r)
@@ -442,10 +438,10 @@ func (p *Program) ChainFor(v graph.View, r *core.NGD, bound []int) *Share {
 
 // planLocked serves program rule ri's plan-cache entry for bound over v,
 // building it on a miss or past the drift threshold.
-func (p *Program) planLocked(v graph.View, ri int, bound []int) *cachedPlan {
+func (p *Program) planLocked(v *graph.Graph, ri int, bound []int) *cachedPlan {
 	c := p.compiled[ri]
 	key := planKey{group: p.groupOf[ri], bound: boundSig(bound)}
-	churn := churnOf(v)
+	churn := v.LiveStats().Churn()
 	if e, ok := p.cache[key]; ok {
 		if max(churn, e.churnAt)-min(churn, e.churnAt) <= p.threshold(v) {
 			p.hits.Add(1)
@@ -474,16 +470,12 @@ func (p *Program) planLocked(v graph.View, ri int, bound []int) *cachedPlan {
 // their index's span: the planner binds a bound side early when that is
 // cheap, so the cut runs before the scans it removes. A cut that can never
 // fire leaves the plan as it would be without it.
-func (p *Program) groupCutsLocked(v graph.View, gi int) []cutSlots {
-	ev, ok := v.(graph.EdgeValIndexed)
-	if !ok {
-		return nil
-	}
+func (p *Program) groupCutsLocked(v *graph.Graph, gi int) []cutSlots {
 	var cs []cutSlots
 	for _, ri := range p.groups[gi].rules {
 		for i := range p.compiled[ri].Cuts {
 			cut := &p.compiled[ri].Cuts[i]
-			if ix := ev.EnsureEdgeValIndex(cut.Label, cut.Band.FreeAttr, cut.BySrc); ix != nil && cut.fits(ix) {
+			if ix := v.EnsureEdgeValIndex(cut.Label, cut.Band.FreeAttr, cut.BySrc); ix != nil && cut.fits(ix) {
 				cs = append(cs, cutSlots{bound: cut.Band.Bound, free: cut.Band.Free})
 			}
 		}
@@ -492,7 +484,7 @@ func (p *Program) groupCutsLocked(v graph.View, gi int) []cutSlots {
 }
 
 // threshold resolves the churn drift threshold for the current graph size.
-func (p *Program) threshold(v graph.View) uint64 {
+func (p *Program) threshold(v *graph.Graph) uint64 {
 	if p.opts.ChurnThreshold > 0 {
 		return p.opts.ChurnThreshold
 	}
@@ -503,19 +495,10 @@ func (p *Program) threshold(v graph.View) uint64 {
 	return t
 }
 
-// churnOf reads the view's maintained churn counter (0 for views without
-// maintained stats — their plans never invalidate).
-func churnOf(v graph.View) uint64 {
-	if ls, ok := v.(graph.LiveStatted); ok {
-		return ls.LiveStats().Churn()
-	}
-	return 0
-}
-
 // ForPattern builds a one-shot, cost-ordered plan for a bare compiled
 // pattern with no rule attached (no filters, no cache) — the entry point
 // for pattern matching outside detection (the reasoner's witness search).
-func ForPattern(v graph.View, cp *pattern.Compiled) *match.Plan {
+func ForPattern(v *graph.Graph, cp *pattern.Compiled) *match.Plan {
 	return costPlan(v, cp, nil, nil, nil)
 }
 

@@ -76,7 +76,7 @@ type Share struct {
 // ShareFor returns the prefix forest for the batch plans of the given rule
 // set over v, memoized per set and rebuilt whenever any underlying plan was
 // rebuilt (churn invalidation) or the set grew.
-func (p *Program) ShareFor(v graph.View, rules *core.Set) *Share {
+func (p *Program) ShareFor(v *graph.Graph, rules *core.Set) *Share {
 	// resolve the group plans first (outside the memo check: these are the
 	// cache lookups whose pointers serve as the validity token)
 	plans := make([]*match.Plan, 0, len(rules.Rules))

@@ -39,13 +39,31 @@ func Delta(g *graph.Graph, rules *core.Set, d *graph.Delta) (plus, minus []core.
 	return missing(after, before), missing(before, after)
 }
 
+// Graph is what the oracle reads of a graph. It is ref's own, so the
+// engine, which reads *graph.Graph alone, names no interface over a graph;
+// *graph.Graph, Apply's G ⊕ ΔG and a test's map-backed graph implement it.
+type Graph interface {
+	Symbols() *graph.Symbols
+	NumNodes() int
+	Label(v graph.NodeID) graph.LabelID
+	Attr(v graph.NodeID, a graph.AttrID) graph.Value
+	Out(v graph.NodeID) []graph.Half
+	In(v graph.NodeID) []graph.Half
+	HasEdgeL(u, v graph.NodeID, l graph.LabelID) bool
+}
+
+var (
+	_ Graph = (*graph.Graph)(nil)
+	_ Graph = (*applied)(nil)
+)
+
 // Apply returns G ⊕ ΔG by definition (§5.2), without the engine's Apply,
 // Normalize or Clone: g's edge set with ΔG's ops applied, the last op on an
 // edge deciding whether it is in. Labels and attributes are g's. g must not
 // change while the view is read.
-func Apply(g *graph.Graph, d *graph.Delta) graph.View {
+func Apply(g *graph.Graph, d *graph.Delta) Graph {
 	a := &applied{g: g, last: make(map[edge]bool), out: make(map[graph.NodeID][]graph.Half),
-		in: make(map[graph.NodeID][]graph.Half), edges: g.NumEdges()}
+		in: make(map[graph.NodeID][]graph.Half)}
 	for _, op := range d.Ops {
 		e := edge{op.Src, op.Dst, op.Label}
 		a.last[e] = op.Insert
@@ -72,7 +90,6 @@ func Apply(g *graph.Graph, d *graph.Delta) graph.View {
 	}
 	for v, ops := range a.out {
 		a.out[v] = list(v, ops, g.Out(v), true)
-		a.edges += len(a.out[v]) - len(g.Out(v))
 	}
 	for v, ops := range a.in {
 		a.in[v] = list(v, ops, g.In(v), false)
@@ -85,21 +102,17 @@ type edge struct {
 	label    graph.LabelID
 }
 
-// applied is the view Apply returns: the lists of the nodes ΔG touches,
+// applied is the graph Apply returns: the lists of the nodes ΔG touches,
 // and g for the rest.
 type applied struct {
 	g       *graph.Graph
 	last    map[edge]bool // the last op on each edge ΔG names: insert?
 	out, in map[graph.NodeID][]graph.Half
-	edges   int
 }
 
-func (a *applied) Symbols() *graph.Symbols                       { return a.g.Symbols() }
-func (a *applied) NumNodes() int                                 { return a.g.NumNodes() }
-func (a *applied) NumEdges() int                                 { return a.edges }
-func (a *applied) Label(v graph.NodeID) graph.LabelID            { return a.g.Label(v) }
-func (a *applied) NodesWithLabel(l graph.LabelID) []graph.NodeID { return a.g.NodesWithLabel(l) }
-func (a *applied) CountLabel(l graph.LabelID) int                { return a.g.CountLabel(l) }
+func (a *applied) Symbols() *graph.Symbols            { return a.g.Symbols() }
+func (a *applied) NumNodes() int                      { return a.g.NumNodes() }
+func (a *applied) Label(v graph.NodeID) graph.LabelID { return a.g.Label(v) }
 
 func (a *applied) Attr(v graph.NodeID, at graph.AttrID) graph.Value { return a.g.Attr(v, at) }
 
@@ -152,7 +165,7 @@ type step struct {
 }
 
 // Detect returns Vio(Σ, v), rules in Σ order.
-func Detect(v graph.View, rules *core.Set) []core.Violation {
+func Detect(v Graph, rules *core.Set) []core.Violation {
 	var out []core.Violation
 	syms := v.Symbols()
 	for _, r := range rules.Rules {
@@ -171,7 +184,7 @@ func Detect(v graph.View, rules *core.Set) []core.Violation {
 		var bind func(k int)
 		bind = func(k int) {
 			if k == len(steps) {
-				if r.Violated(v, m) {
+				if violated(v, r, m) {
 					out = append(out, core.Violation{Rule: r, Match: m.Clone()})
 				}
 				return
@@ -210,6 +223,21 @@ func Detect(v graph.View, rules *core.Set) []core.Violation {
 		bind(0)
 	}
 	return out
+}
+
+// violated reports h ⊨ X and h ⊭ Y for match m of r in v, each literal
+// decided by expr.Compare over v's attributes.
+func violated(v Graph, r *core.NGD, m core.Match) bool {
+	syms := v.Symbols()
+	b := func(variable, attr string) (graph.Value, bool) {
+		idx, a := r.Pattern.VarIndex(variable), syms.LookupAttr(attr)
+		if idx < 0 || idx >= len(m) || a < 0 {
+			return graph.Value{}, false
+		}
+		val := v.Attr(m[idx], a)
+		return val, val.Valid()
+	}
+	return core.SatisfiesAll(r.X, b) && !core.SatisfiesAll(r.Y, b)
 }
 
 // order fixes the binding order: the lowest-index pattern node with an edge

@@ -5,8 +5,9 @@ package store
 // contracts across 27 seeded fuzz workloads:
 //
 //  1. Detection is layout-independent: Dect over the columnar graph and
-//     over a map-backed reference view (attribute tuples copied into
-//     map[NodeID]map[AttrID]Value) produce identical violation sets.
+//     the reference oracle (ref.Detect) over a map-backed view of it
+//     (attribute tuples copied into map[NodeID]map[AttrID]Value) produce
+//     identical violation sets.
 //  2. Snapshot bytes are canonical: rebuilding the same graph with
 //     shuffled attribute- and edge-insertion orders encodes to the exact
 //     same snapshot byte stream, because the columnar representation sorts
@@ -46,8 +47,8 @@ func attrTable() []gen.Workload {
 
 // mapRefView is the map-backed reference: it delegates structure to the
 // columnar graph but answers every attribute lookup from plain Go maps, the
-// representation the columnar layout replaced. It deliberately does not
-// implement graph.AttrIndexed, so plans fall back to label scans.
+// representation the columnar layout replaced. The oracle reads it through
+// ref.Graph; it has no indexes and no statistics to offer.
 type mapRefView struct {
 	g     *graph.Graph
 	attrs map[graph.NodeID]map[graph.AttrID]graph.Value
@@ -71,7 +72,6 @@ func newMapRef(g *graph.Graph) *mapRefView {
 
 func (r *mapRefView) Symbols() *graph.Symbols { return r.g.Symbols() }
 func (r *mapRefView) NumNodes() int           { return r.g.NumNodes() }
-func (r *mapRefView) NumEdges() int           { return r.g.NumEdges() }
 
 func (r *mapRefView) Label(v graph.NodeID) graph.LabelID { return r.g.Label(v) }
 
@@ -82,10 +82,7 @@ func (r *mapRefView) In(v graph.NodeID) []graph.Half  { return r.g.In(v) }
 
 func (r *mapRefView) HasEdgeL(u, v graph.NodeID, l graph.LabelID) bool { return r.g.HasEdgeL(u, v, l) }
 
-func (r *mapRefView) NodesWithLabel(l graph.LabelID) []graph.NodeID { return r.g.NodesWithLabel(l) }
-func (r *mapRefView) CountLabel(l graph.LabelID) int                { return r.g.CountLabel(l) }
-
-var _ graph.View = (*mapRefView)(nil)
+var _ ref.Graph = (*mapRefView)(nil)
 
 // shuffledRebuild reconstructs g node-by-node on a cloned symbol table,
 // inserting each node's attributes and the edge list in random order.
@@ -141,11 +138,12 @@ func TestAttrStorageDifferential(t *testing.T) {
 			ds := w.Dataset()
 			rules := w.Sigma()
 
-			// 1. columnar vs map-backed reference: identical violation sets
+			// 1. Dect over the columnar graph vs the oracle over the
+			// map-backed reference: identical violation sets
 			want := ref.Keys(detect.Dect(ds.G, rules, detect.Options{}).Violations)
-			got := ref.Keys(detect.Dect(newMapRef(ds.G), rules, detect.Options{}).Violations)
+			got := ref.Keys(ref.Detect(newMapRef(ds.G), rules))
 			if got != want {
-				t.Fatalf("Dect(columnar) != Dect(map reference)\ncolumnar:\n%s\nreference:\n%s", want, got)
+				t.Fatalf("Dect(columnar) != ref.Detect(map reference)\ncolumnar:\n%s\nreference:\n%s", want, got)
 			}
 
 			// 2. snapshot bytes are insertion-order canonical

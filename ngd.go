@@ -61,8 +61,6 @@ type (
 	// Graph is a directed graph with labeled nodes/edges and per-node
 	// attribute tuples (paper §2).
 	Graph = graph.Graph
-	// View is a read-only graph view (a *Graph).
-	View = graph.View
 	// NodeID identifies a node.
 	NodeID = graph.NodeID
 	// Value is an attribute value (int, string, bool).
@@ -239,7 +237,7 @@ type Result struct {
 }
 
 // Detect computes Vio(Σ, G) with the sequential batch algorithm (Dect).
-func Detect(g View, rules *RuleSet) *Result {
+func Detect(g *Graph, rules *RuleSet) *Result {
 	r := detect.Dect(g, rules, detect.Options{})
 	return &Result{Violations: r.Violations}
 }
@@ -249,19 +247,19 @@ func Detect(g View, rules *RuleSet) *Result {
 // planning and cross-rule prefix sharing across repeated detection runs;
 // sessions (NewSession/Serve) build and reuse one internally, so serving
 // batches never pay the per-call planning preamble.
-func NewProgram(g View, rules *RuleSet, opts PlanOptions) *Program {
+func NewProgram(g *Graph, rules *RuleSet, opts PlanOptions) *Program {
 	return plan.New(g, rules, opts)
 }
 
 // DetectWith is Detect planning through a shared Program (limit 0 =
 // unlimited).
-func DetectWith(g View, rules *RuleSet, prog *Program, limit int) *Result {
+func DetectWith(g *Graph, rules *RuleSet, prog *Program, limit int) *Result {
 	r := detect.Dect(g, rules, detect.Options{Limit: limit, Program: prog})
 	return &Result{Violations: r.Violations}
 }
 
 // DetectLimit is Detect stopping after limit violations.
-func DetectLimit(g View, rules *RuleSet, limit int) *Result {
+func DetectLimit(g *Graph, rules *RuleSet, limit int) *Result {
 	r := detect.Dect(g, rules, detect.Options{Limit: limit})
 	return &Result{Violations: r.Violations}
 }
@@ -269,7 +267,7 @@ func DetectLimit(g View, rules *RuleSet, limit int) *Result {
 // Validate decides G ⊨ Σ (the validation problem; coNP-complete,
 // Corollary 4 — this implementation enumerates matches with literal-based
 // pruning).
-func Validate(g View, rules *RuleSet) bool { return detect.Validate(g, rules) }
+func Validate(g *Graph, rules *RuleSet) bool { return detect.Validate(g, rules) }
 
 // IncDetect computes ΔVio(Σ, G, ΔG) incrementally with the localizable
 // algorithm IncDect (§6.2). g is the pre-update graph and is not mutated;
@@ -280,7 +278,7 @@ func IncDetect(g *Graph, rules *RuleSet, delta *Delta) *DeltaVio {
 }
 
 // PDetect computes Vio(Σ, G) with the parallel batch algorithm.
-func PDetect(g View, rules *RuleSet, opts ParallelOptions) (*Result, ParallelMetrics) {
+func PDetect(g *Graph, rules *RuleSet, opts ParallelOptions) (*Result, ParallelMetrics) {
 	r := par.PDect(g, rules, opts)
 	return &Result{Violations: r.Violations}, r.Metrics
 }
