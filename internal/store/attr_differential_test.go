@@ -48,7 +48,7 @@ func attrTable() []gen.Workload {
 // mapRefView is the map-backed reference: it delegates structure to the
 // columnar graph but answers every attribute lookup from plain Go maps, the
 // representation the columnar layout replaced. The oracle reads it through
-// ref.Graph; it has no indexes and no statistics to offer.
+// ref.Graph.
 type mapRefView struct {
 	g     *graph.Graph
 	attrs map[graph.NodeID]map[graph.AttrID]graph.Value
